@@ -207,7 +207,8 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
             ops += 12
 
     # linear-work guard: cell creation must stay proportional to nnz
-    assert ops <= 80 * max(nnz_pattern, 1) + 48, "construction exceeded the linear budget"
+    if ops > 80 * max(nnz_pattern, 1) + 48:
+        raise ReductionError("construction exceeded the linear budget")
 
     K = Complex2(
         n_vertices=n_vert,
@@ -351,7 +352,9 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float,
         for eid in edge_list:
             key = (q, eid)
             k_qe[key] = k_qe.get(key, 0) + 1
-            assert k_qe[key] <= 4, "an edge cannot carry more than four paths of one equation"
+            if k_qe[key] > 4:
+                raise ReductionError(
+                    "an edge cannot carry more than four paths of one equation")
 
     # bottom-up accumulation: the weight mass of a tree edge is the total
     # l_q of the boundary triangles below it

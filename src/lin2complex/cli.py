@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eps", type=float, default=None,
                     help="accuracy; defaults to 1e-6, or to the recorded "
                          "value when replaying a manifest")
-    ps.add_argument("--alpha", type=float, default=None)
     ps.add_argument("--dense-limit", type=int, default=3000)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(func=cmd_solve)

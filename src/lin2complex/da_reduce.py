@@ -88,16 +88,6 @@ def _positive_row_sums(A: SparseMatrix) -> np.ndarray:
 # serialize and replay them.
 
 @dataclass(frozen=True)
-class IdentityBack:
-    n: int
-    kind: str = "identity"
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return x[: self.n].copy()
-
-
-@dataclass(frozen=True)
 class ShiftBack:
     """Drop the appended variable and subtract it from every original one."""
 
@@ -123,15 +113,15 @@ def to_zero_rowsum(sys: GeneralSystem):
     """Append the column -A 1 so every row sums to zero.
 
     If the row sums are already zero the column would be all-zero and is
-    dropped; the back map is then the identity.  Either way the residual of
-    (A', x') equals the residual of (A, back_map(x')) identically.
+    dropped; the back map then keeps all n entries.  Either way the residual
+    of (A', x') equals the residual of (A, back_map(x')) identically.
     """
     sys.validate_class()
     A, b = sys.A, sys.b
     row_sums = np.zeros(A.n_rows)
     np.add.at(row_sums, A.rows, A.vals)
     if np.all(row_sums == 0.0):
-        return GeneralSystem(A, b, CLASS_GZ), IdentityBack(A.n_cols)
+        return GeneralSystem(A, b, CLASS_GZ), DropTailBack(A.n_cols)
     entries = list(zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()))
     for i, s in enumerate(row_sums):
         if s != 0.0:

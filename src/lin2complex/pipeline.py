@@ -101,10 +101,10 @@ def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
                             max_iter: int | None = 30000):
     """Iteratively solve a weighted boundary problem to a certified accuracy.
 
-    Per round one raw LSQR pass solves (W^(1/2) d2, W^(1/2) gamma) at the
-    current tolerance, ``map_back_fn`` carries the flow down the chain, and
-    the projected-residual certificate of the original system decides
-    whether to stop or tighten 100x.  Returns the best (x, report) seen.
+    Per round one column-equilibrated LSQR pass solves (W^(1/2) d2,
+    W^(1/2) gamma) at the current tolerance, ``map_back_fn`` carries the
+    flow down the chain, and the projected-residual certificate of the
+    original system decides whether to stop or tighten 100x.  Returns the best (x, report) seen.
     """
     A, b = original.A, original.b
     tol = tol_start

@@ -250,7 +250,15 @@ def least_squares(A: SparseMatrix, b, rel_tol: float,
 
 def iterative_solve(A: SparseMatrix, b, tol: float,
                     max_iter: int | None = None) -> tuple[np.ndarray, int]:
-    """One raw LSQR pass; for callers that certify accuracy externally."""
+    """One column-equilibrated LSQR pass; for callers that certify accuracy
+    externally.
+
+    LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
+    mapped back as ``x = D y`` (Paige & Saunders, ACM TOMS 1982).  This is a
+    change of variables only: ``A x`` still approximates the projection of b
+    onto the column space of A.  All-zero columns keep scale 1, so their
+    entries of ``x`` stay exactly 0.
+    """
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
@@ -258,7 +266,14 @@ def iterative_solve(A: SparseMatrix, b, tol: float,
         max_iter = 8 * (A.n_rows + A.n_cols) + 400
     if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
         return np.zeros(A.n_cols), 0
-    return _lsqr_once(A.to_csr(), b, max(tol, 1e-15), max_iter)
+    col_sq = np.bincount(A.cols, weights=A.vals ** 2, minlength=A.n_cols)
+    scale = np.ones(A.n_cols)
+    nonzero = col_sq > 0.0
+    scale[nonzero] = 1.0 / np.sqrt(col_sq[nonzero])
+    scaled = sp.csr_matrix((A.vals * scale[A.cols], (A.rows, A.cols)),
+                           shape=(A.n_rows, A.n_cols))
+    y, itn = _lsqr_once(scaled, b, max(tol, 1e-15), max_iter)
+    return scale * y, itn
 
 
 def projection_residual(A: SparseMatrix, x, b,

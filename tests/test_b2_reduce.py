@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lin2complex import b2_reduce
 from lin2complex.b2_reduce import (
     ReductionError,
     build_boundary_problem,
@@ -386,6 +388,30 @@ def test_group_indicator_maps_null_spaces():
     for null_vec in vt[dense_nullity(A) * -1:]:
         assert np.allclose(A @ null_vec, 0.0, atol=1e-12)
         assert np.allclose(d2 @ (H @ null_vec), 0.0, atol=1e-12)
+
+
+def test_construction_budget_guard_raises(monkeypatch):
+    # the linear-work guard must hold under ``python -O`` too, so it raises
+    # instead of asserting
+    cells = b2_reduce.sphere_cells
+
+    def inflated(n_holes):
+        n_vertices, triangles, holes = cells(n_holes)
+        return 100 * n_vertices, triangles, holes
+
+    monkeypatch.setattr(b2_reduce, "sphere_cells", inflated)
+    sys, b = single_difference()
+    with pytest.raises(ReductionError, match="linear budget"):
+        reduce_da_to_b2(sys, b)
+
+
+def test_edge_weights_path_multiplicity_guard_raises():
+    sys, b = single_difference(1.0)
+    P = reduce_da_to_b2(sys, b)
+    # five copies of one tube route five equation-0 paths over the same edges
+    crowded = dataclasses.replace(P, tubes=P.tubes + [P.tubes[0]] * 4)
+    with pytest.raises(ReductionError, match="four paths"):
+        compute_edge_weights(crowded, alpha=1.0)
 
 
 def test_construction_deterministic():

@@ -101,6 +101,30 @@ def test_cli_reduce_verify_solve(tmp_path):
     assert np.linalg.norm(A @ x - sys.b) <= 1e-3 * np.linalg.norm(sys.b)
 
 
+def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
+    # a 5x5 system with |A_ij| <= 50 at the CLI defaults (eps 1e-3, alpha
+    # capped at 1e8): triangle columns of the weighted boundary operator
+    # then differ in norm by about 1e3 and unscaled LSQR stalled at ratio
+    # 0.18 after four rounds (exit 1); column equilibration certifies it
+    A = np.array([[0, 19, 0, -47, 15],
+                  [0, 0, 21, -41, 0],
+                  [0, 0, 0, 15, -43],
+                  [0, 0, -16, 0, -13],
+                  [-5, 0, 35, 0, 0]], dtype=float)
+    b = np.array([186.0, 331.0, 11.0, -70.0, 235.0])
+    fileio.write_matrix(tmp_path / "A.mtx", SparseMatrix.from_dense(A))
+    fileio.write_vector(tmp_path / "b.vec", b)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out),
+                 "--eps", "1e-3"]) == 0
+    assert main(["solve", "--manifest", str(out), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "solve_report.json").read_text())["converged"] is True
+    x = fileio.read_vector(out / "x.vec")
+    pib = A @ (np.linalg.pinv(A) @ b)
+    assert np.linalg.norm(A @ x - pib) <= 1e-3 * np.linalg.norm(pib)
+
+
 @pytest.mark.parametrize("stage,expect", [
     ("gz", ["A_gz.mtx", "b_gz.vec"]),
     ("gz2", ["A_gz2.mtx", "b_gz2.vec"]),

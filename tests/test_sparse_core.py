@@ -8,6 +8,7 @@ from lin2complex.sparse_core import (
     MODE_DENSE,
     MODE_ITERATIVE,
     SparseMatrix,
+    iterative_solve,
     least_squares,
     matvec,
     projection_residual,
@@ -128,6 +129,35 @@ def test_least_squares_rejects_bad_tolerance():
     A = SparseMatrix.identity(2)
     with pytest.raises(ValueError):
         least_squares(A, np.ones(2), 1.5)
+
+
+def _badly_scaled_matrix():
+    """40x10 sparse matrix whose column norms spread over about 1e3, with
+    column 4 all zero."""
+    rng = np.random.default_rng(21)
+    dense = rng.integers(-5, 6, size=(40, 10)) * (rng.random((40, 10)) < 0.4)
+    dense = dense * np.logspace(-1.5, 1.5, 10)
+    dense[:, 4] = 0.0
+    return dense, rng
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_iterative_solve_matches_dense_projection(consistent):
+    dense, rng = _badly_scaled_matrix()
+    norms = np.linalg.norm(dense, axis=0)
+    assert norms[norms > 0].max() / norms[norms > 0].min() > 5e2
+    b = dense @ rng.normal(size=10) if consistent else rng.normal(size=40)
+    x, iters = iterative_solve(SparseMatrix.from_dense(dense), b, 1e-12)
+    pib = dense @ (np.linalg.pinv(dense) @ b)
+    assert np.linalg.norm(dense @ x - pib) <= 1e-8 * np.linalg.norm(pib)
+    assert x[4] == 0.0
+    assert 0 < iters
+
+
+def test_iterative_solve_zero_rhs():
+    dense, _ = _badly_scaled_matrix()
+    x, iters = iterative_solve(SparseMatrix.from_dense(dense), np.zeros(40), 1e-8)
+    assert iters == 0 and not np.any(x)
 
 
 def test_projection_residual_consistent_rhs():
