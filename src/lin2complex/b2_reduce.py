@@ -11,21 +11,20 @@ and certifies the spectral bounds of the constructed operator.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .complex2 import (
+    INTERIOR,
+    LOOP,
     Complex2,
-    EDGE_INTERIOR,
-    EDGE_LOOP,
-    EdgeRecord,
-    OrientedTriangle,
     boundary2,
+    sphere_cells,
     triangle_adjacency,
     tube_cells,
-    sphere_cells,
 )
 from .da_reduce import KIND_AVERAGE, KIND_DIFFERENCE, WeightedDASystem
 from .sparse_core import (
@@ -89,7 +88,7 @@ class BoundaryProblem:
         return self.d2.n_rows
 
     def loop_rows(self, q: int) -> tuple[int, int, int]:
-        return self.K.loop_edges[q]
+        return tuple(self.K.loops[q].tolist())
 
     def pattern_matrix(self) -> SparseMatrix:
         return self.da.pattern_matrix()
@@ -100,26 +99,46 @@ class BoundaryProblem:
     def weighted_rhs(self) -> np.ndarray:
         return np.sqrt(self.weights) * self.gamma
 
-    def group_sizes(self) -> np.ndarray:
-        sizes = np.zeros(self.n_vars, dtype=np.int64)
-        for g in self.K.group_of_triangle:
-            sizes[g] += 1
-        return sizes
 
-
-def _attachments(sys: WeightedDASystem) -> list[list[tuple[int, int, int]]]:
-    """Per variable, the (equation, copy, sign) tube attachments in order."""
-    attach: list[list[tuple[int, int, int]]] = [[] for _ in range(sys.n_vars)]
+def _attachments(sys: WeightedDASystem) -> np.ndarray:
+    """Tube attachments (var, q, copy, sign), one row each, grouped by
+    variable and in equation order within a variable."""
+    rows = []
     for q, row in enumerate(sys.rows):
         if row.kind == KIND_DIFFERENCE:
-            attach[row.i].append((q, 1, 1))
-            attach[row.j].append((q, 1, -1))
+            rows += [(row.i, q, 1, 1), (row.j, q, 1, -1)]
         else:
-            attach[row.i].append((q, 1, 1))
-            attach[row.j].append((q, 1, 1))
-            attach[row.k].append((q, 1, -1))
-            attach[row.k].append((q, 2, -1))
-    return attach
+            rows += [(row.i, q, 1, 1), (row.j, q, 1, 1), (row.k, q, 1, -1), (row.k, q, 2, -1)]
+    attach = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return attach[np.argsort(attach[:, 0], kind="stable")]
+
+
+def _tube_template(sign: int):
+    """Triangles and connecting edges of one tube as indices into the tube's
+    corner row (three hole vertices, then the three loop vertices), and the
+    boundary triangle of each loop slot."""
+    tris, by_slot = tube_cells((0, 1, 2), (3, 4, 5), sign)
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
+    connecting = np.unique(sides[(sides[:, 0] < 3) & (sides[:, 1] >= 3)], axis=0)
+    return np.array(tris), connecting, np.array([by_slot[r] for r in (1, 2, 3)])
+
+
+def _sphere_template(n_holes: int):
+    """(n_vertices, triangles, hole cycles, edges sorted by endpoints) of one sphere."""
+    n_local, tris, holes = sphere_cells(n_holes)
+    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
+    return n_local, np.array(tris), np.array(holes), np.unique(sides, axis=0)
+
+
+def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
+    """Sphere and tube rows regrouped variable by variable, each variable's
+    sphere rows first; returns the rows, their variables and the new
+    position of every input row."""
+    var = np.concatenate([sphere_var, tube_var])
+    order = np.argsort(var, kind="stable")
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
 
 
 def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
@@ -131,6 +150,12 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     the three loop edges of the corresponding equation as the base edge
     weight weight * scale^2, with gamma holding the normalized right-hand
     side; the unit case reproduces the all-ones feasible construction.
+
+    Cells are laid out as the three loop edges of every equation, then per
+    variable its sphere (triangles, then edges sorted by endpoints) followed
+    by one tube per attachment (six triangles, six connecting edges sorted
+    by endpoints).  Spheres and tubes are fixed templates shifted by array
+    offsets, one template per hole count and per tube sign.
     """
     d = sys.n_rows
     if b is None:
@@ -144,96 +169,66 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
             raise ReductionError(f"average equation {q} has nonzero right-hand side")
 
     attach = _attachments(sys)
-    for i, lst in enumerate(attach):
-        if not lst:
-            raise ReductionError(f"variable {i} appears in no equation")
-
-    nnz_pattern = sum(len(r.pattern_entries()) for r in sys.rows)
-    ops = 0
-
-    n_vert = 0
-    edge_records: list[EdgeRecord] = []
-    loop_edge_ids: dict[int, tuple[int, int, int]] = {}
-    loop_vertices: list[tuple[int, int, int]] = []
-    for q in range(d):
-        u1, u2, u3 = n_vert, n_vert + 1, n_vert + 2
-        n_vert += 3
-        ids = []
-        for r, (ta, he) in enumerate(((u1, u2), (u2, u3), (u3, u1)), start=1):
-            ids.append(len(edge_records))
-            edge_records.append(EdgeRecord(ta, he, EDGE_LOOP, q=q, r=r))
-        loop_edge_ids[q] = tuple(ids)
-        loop_vertices.append((u1, u2, u3))
-        ops += 6
-
-    triangles: list[OrientedTriangle] = []
-    group_of: list[int] = []
-    central: list[int] = []
-    tubes: list[TubeRef] = []
-
-    for i in range(sys.n_vars):
-        n_local, tris_local, holes_local = sphere_cells(len(attach[i]))
-        off = n_vert
-        n_vert += n_local
-        ops += n_local
-
-        sphere_tris = [(a + off, bb + off, c + off) for (a, bb, c) in tris_local]
-        holes = [(p + off, qq + off, rr + off) for (p, qq, rr) in holes_local]
-
-        keys: set[tuple[int, int]] = set()
-        for (a, bb, c) in sphere_tris:
-            for (u, v) in ((a, bb), (bb, c), (c, a)):
-                keys.add((min(u, v), max(u, v)))
-        for (u, v) in sorted(keys):
-            edge_records.append(EdgeRecord(u, v, EDGE_INTERIOR, group=i))
-        ops += len(keys)
-
-        central.append(len(triangles))
-        for tri in sphere_tris:
-            triangles.append(OrientedTriangle(tri))
-            group_of.append(i)
-        ops += len(sphere_tris)
-
-        for hole, (q, copy, sign) in zip(holes, attach[i]):
-            tris_t, connecting, by_slot = tube_cells(hole, loop_vertices[q], sign)
-            col0 = len(triangles)
-            for tri in tris_t:
-                triangles.append(OrientedTriangle(tri))
-                group_of.append(i)
-            for (u, v) in sorted((min(u, v), max(u, v)) for (u, v) in connecting):
-                edge_records.append(EdgeRecord(u, v, EDGE_INTERIOR, group=i))
-            tubes.append(TubeRef(q, i, copy, sign,
-                                 {r: col0 + by_slot[r] for r in (1, 2, 3)}))
-            ops += 12
+    holes_of = np.bincount(attach[:, 0], minlength=sys.n_vars)
+    if not holes_of.all():
+        raise ReductionError(f"variable {int(np.argmin(holes_of))} appears in no equation")
+    spheres = {h: _sphere_template(h) for h in set(holes_of.tolist())}
+    cells = [spheres[h] for h in holes_of.tolist()]
+    n_local = np.array([c[0] for c in cells], dtype=np.int64)
+    n_tri = np.array([len(c[1]) for c in cells], dtype=np.int64)
+    n_edge = np.array([len(c[3]) for c in cells], dtype=np.int64)
 
     # linear-work guard: cell creation must stay proportional to nnz
+    nnz_pattern = sum(len(r.pattern_entries()) for r in sys.rows)
+    ops = 6 * d + int(np.sum(n_local + n_edge + n_tri + 12 * holes_of))
     if ops > 80 * max(nnz_pattern, 1) + 48:
         raise ReductionError("construction exceeded the linear budget")
 
+    n_vert = 3 * d + int(n_local.sum())
+    vert0 = 3 * d + np.cumsum(n_local) - n_local
+    loop_vertices = np.arange(3 * d).reshape(d, 3)
+    var, q, _, sign = attach.T
+    holes = np.concatenate([c[2] for c in cells]) + np.repeat(vert0, holes_of)[:, None]
+    corners = np.concatenate([holes, loop_vertices[q]], axis=1)
+    (tris_p, conn_p, slot_p), (tris_n, conn_n, slot_n) = _tube_template(1), _tube_template(-1)
+    positive = (sign > 0)[:, None, None]
+    ends = np.sort(np.where(positive, corners[:, conn_p], corners[:, conn_n]), axis=2)
+    order = np.argsort(ends[:, :, 0] * n_vert + ends[:, :, 1], axis=1)
+    tube_edges = np.take_along_axis(ends, order[:, :, None], axis=1)
+
+    tri, tri_group, at = _by_variable(
+        np.concatenate([c[1] for c in cells]) + np.repeat(vert0, n_tri)[:, None],
+        np.repeat(np.arange(sys.n_vars), n_tri),
+        np.where(positive, corners[:, tris_p], corners[:, tris_n]).reshape(-1, 3),
+        np.repeat(var, 6))
+    edge, edge_group, _ = _by_variable(
+        np.concatenate([c[3] for c in cells]) + np.repeat(vert0, n_edge)[:, None],
+        np.repeat(np.arange(sys.n_vars), n_edge), tube_edges.reshape(-1, 2), np.repeat(var, 6))
+    central = at[np.cumsum(n_tri) - n_tri]
+    boundary_cols = (at[n_tri.sum() + 6 * np.arange(len(attach))][:, None]
+                     + np.where(positive[:, :, 0], slot_p, slot_n))
+
+    loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
+    unset = np.full(len(edge), -1)
     K = Complex2(
-        n_vertices=n_vert,
-        edges=edge_records,
-        triangles=triangles,
-        group_of_triangle=group_of,
-        central_triangle={i: central[i] for i in range(sys.n_vars)},
-        loop_edges=loop_edge_ids,
+        n_vert, tri, tri_group, np.concatenate([loop_edges.reshape(-1, 2), edge]),
+        np.concatenate([np.full(3 * d, LOOP), np.full(len(edge), INTERIOR)]),
+        group=np.concatenate([np.full(3 * d, -1), edge_group]),
+        q=np.concatenate([np.repeat(np.arange(d), 3), unset]),
+        r=np.concatenate([np.tile([1, 2, 3], d), unset]),
+        central=central, loops=np.arange(3 * d).reshape(d, 3),
     )
     d2 = boundary2(K)
 
-    m = K.n_edges
-    gamma = np.zeros(m)
-    weights = np.ones(m)
-    loop_weight = np.empty(d)
-    for q, row in enumerate(sys.rows):
-        lw = row.weight * row.scale ** 2
-        loop_weight[q] = lw
-        for eid in loop_edge_ids[q]:
-            gamma[eid] = b_norm[q]
-            weights[eid] = lw
-
+    loop_weight = np.array([row.weight * row.scale ** 2 for row in sys.rows],
+                           dtype=np.float64)
+    gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
+    weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(len(edge))])
+    tubes = [TubeRef(qq, vv, cc, ss, dict(zip((1, 2, 3), cols)))
+             for vv, qq, cc, ss, cols in zip(*attach.T.tolist(), boundary_cols.tolist())]
     return BoundaryProblem(
         K=K, d2=d2, gamma=gamma, weights=weights,
-        central=central, tubes=tubes,
+        central=central.tolist(), tubes=tubes,
         equation_rhs=b_norm, loop_weight=loop_weight, da=sys,
     )
 
@@ -276,12 +271,33 @@ def epsilon_feasible(eps_da: float, nnz_a: int) -> float:
 @dataclass
 class PathWeights:
     """Shortest triangle paths from each central triangle to the slot-1
-    boundary triangles, and the per-edge path statistics derived from them."""
+    boundary triangles, and the per-edge path statistics derived from them.
+
+    Entry i of ``path_tube`` and ``path_edge`` says that tube path_tube[i]'s
+    path crosses edge path_edge[i]; each tube's entries run from its
+    boundary triangle up to the central triangle.  ``tube_keys`` and
+    ``tube_q`` give each tube's (equation, variable, copy) and equation.
+    """
 
     alpha: float
-    paths: dict[tuple[int, int, int], tuple[int, ...]]
-    k_qe: dict[tuple[int, int], int]
     l_q: np.ndarray
+    tube_keys: list[tuple[int, int, int]]
+    tube_q: np.ndarray
+    path_tube: np.ndarray
+    path_edge: np.ndarray
+
+    @property
+    def paths(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
+        """Edge ids of each path, from the central triangle outward."""
+        upward = self.path_edge[np.argsort(self.path_tube, kind="stable")]
+        ends = np.cumsum(np.bincount(self.path_tube, minlength=len(self.tube_keys)))
+        return {key: tuple(reversed(part.tolist()))
+                for key, part in zip(self.tube_keys, np.split(upward, ends[:-1]))}
+
+    @property
+    def k_qe(self) -> dict[tuple[int, int], int]:
+        """Number of equation-q paths through edge e, keyed (q, e)."""
+        return dict(Counter(zip(self.tube_q[self.path_tube].tolist(), self.path_edge.tolist())))
 
 
 def compute_edge_weights(problem: BoundaryProblem, alpha: float,
@@ -299,91 +315,74 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float,
     allowed, or floored at alpha * 1e-6 when ``positive_weights``) while
     loop edges keep their base weight.
 
+    One ``breadth_first_order`` from a virtual node joined to every central
+    triangle serves all groups at once, since groups share no interior edge.
     Returns (PathWeights, weight vector).
     """
+    from scipy.sparse.csgraph import breadth_first_order  # see complex2.validate
+
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     K = problem.K
-    t = K.n_triangles
+    t, m = K.n_triangles, K.n_edges
     adj = triangle_adjacency(K)
-    no_transit = {col for tube in problem.tubes for col in tube.boundary_cols.values()}
+    tubes = problem.tubes
+    tube_q = np.array([tube.q for tube in tubes], dtype=np.int64)
+    cols = np.array([[tube.boundary_cols[r] for r in (1, 2, 3)] for tube in tubes],
+                    dtype=np.int64).reshape(-1, 3)
+    roots = np.unique(np.asarray(problem.central, dtype=np.int64))
 
-    parent = np.full(t, -1, dtype=np.int64)
+    no_transit = np.isin(np.arange(t), cols) & ~np.isin(np.arange(t), roots)
+    degree = np.diff(adj.indptr)
+    out_degree = np.where(no_transit, 0, degree)
+    indptr = np.concatenate(([0], np.cumsum(out_degree), [out_degree.sum() + roots.size]))
+    indices = np.concatenate((adj.indices[np.repeat(~no_transit, degree)], roots))
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(t + 1, t + 1))
+    _, pred = breadth_first_order(graph, t, directed=True, return_predecessors=True)
+    parent = pred[:t].astype(np.int64)
+    targets = cols[:, 0]
+    lost = np.flatnonzero(parent[targets] < 0)
+    if lost.size:
+        tube = tubes[int(lost[0])]
+        raise ReductionError(
+            f"group {tube.var} is disconnected; no path to equation {tube.q}")
+
+    # the tree edge into each node: the first (lowest-id) interior edge it
+    # shares with its parent, found among the sorted (row, column) entries
+    child = np.flatnonzero((parent >= 0) & (parent < t))
+    entry_keys = np.repeat(np.arange(t), degree) * t + adj.indices
     parent_edge = np.full(t, -1, dtype=np.int64)
-    height = np.full(t, -1, dtype=np.int64)
-    bfs_order: list[int] = []
-    for g in range(problem.n_vars):
-        root = problem.central[g]
-        height[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            bfs_order.append(u)
-            if u in no_transit and u != root:
-                continue
-            for (v, eid) in adj[u]:
-                if height[v] < 0:
-                    height[v] = height[u] + 1
-                    parent[v] = u
-                    parent_edge[v] = eid
-                    queue.append(v)
+    parent_edge[child] = adj.data[np.searchsorted(entry_keys, parent[child] * t + child)]
 
-    d = problem.n_equations
-    l_q = np.zeros(d)
-    targets: list[tuple[int, int, int, int]] = []
-    for tube in problem.tubes:
-        tri = tube.boundary_cols[1]
-        if height[tri] < 0:
-            raise ReductionError(
-                f"group {tube.var} is disconnected; no path to equation {tube.q}")
-        targets.append((tube.q, tube.var, tube.copy, tri))
-        l_q[tube.q] += float(height[tri])
+    # walk every path up one step at a time, dropping those at their root
+    walked = [np.zeros((2, 0), dtype=np.int64)]
+    active, node = np.arange(len(tubes)), targets
+    while active.size:
+        edge = parent_edge[node]
+        up = edge >= 0
+        active, node = active[up], parent[node[up]]
+        walked.append(np.stack([active, edge[up]]))
+    path_tube, path_edge = np.concatenate(walked, axis=1)
+    q_of = tube_q[path_tube]
 
-    paths: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    k_qe: dict[tuple[int, int], int] = {}
-    for (q, var, copy, tri) in targets:
-        edge_list: list[int] = []
-        node = tri
-        while parent[node] >= 0:
-            edge_list.append(int(parent_edge[node]))
-            node = int(parent[node])
-        edge_list.reverse()
-        paths[(q, var, copy)] = tuple(edge_list)
-        for eid in edge_list:
-            key = (q, eid)
-            k_qe[key] = k_qe.get(key, 0) + 1
-            if k_qe[key] > 4:
-                raise ReductionError(
-                    "an edge cannot carry more than four paths of one equation")
+    l_q = np.bincount(q_of, minlength=problem.n_equations).astype(np.float64)
+    _, multiplicity = np.unique(q_of * m + path_edge, return_counts=True)
+    if multiplicity.max(initial=0) > 4:
+        raise ReductionError("an edge cannot carry more than four paths of one equation")
 
-    # bottom-up accumulation: the weight mass of a tree edge is the total
-    # l_q of the boundary triangles below it
-    node_value = np.zeros(t)
-    for (q, _, _, tri) in targets:
-        node_value[tri] += l_q[q]
-    subtree = node_value.copy()
-    for u in reversed(bfs_order):
-        p = parent[u]
-        if p >= 0:
-            subtree[p] += subtree[u]
+    # the weight mass of a tree edge is the total l_q of the boundary
+    # triangles whose paths cross it
+    mass = np.bincount(path_edge, weights=l_q[q_of], minlength=m)
+    weights = np.ones(m)
+    weights[K.loops] = problem.loop_weight[:, None]
+    interior = K.kind == INTERIOR
+    w = alpha * mass[interior]
+    if positive_weights:
+        w[w == 0.0] = alpha * 1e-6
+    weights[interior] = w
 
-    weights = np.ones(K.n_edges)
-    for q in range(d):
-        for eid in problem.loop_rows(q):
-            weights[eid] = problem.loop_weight[q]
-    interior_mass = np.zeros(K.n_edges)
-    for u in range(t):
-        eid = parent_edge[u]
-        if eid >= 0:
-            interior_mass[eid] += subtree[u]
-    for eid, rec in enumerate(K.edges):
-        if rec.kind == EDGE_INTERIOR:
-            w = alpha * interior_mass[eid]
-            if positive_weights and w == 0.0:
-                w = alpha * 1e-6
-            weights[eid] = w
-
-    return PathWeights(alpha, paths, k_qe, l_q), weights
+    keys = [(tube.q, tube.var, tube.copy) for tube in tubes]
+    return PathWeights(alpha, l_q, keys, tube_q, path_tube, path_edge), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b, eps_da: float,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import fileio
 from .b2_reduce import build_boundary_problem, reduce_reg, spectral_certificate
-from .complex2 import boundary1, validate
+from .complex2 import ComplexStructureError, boundary1, validate
 from .da_reduce import (
     CLASS_G,
     GeneralSystem,
@@ -23,7 +23,7 @@ from .da_reduce import (
 from .da_reduce import map_da_solution_back
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
 from .maxflow_ipm import FlowNetwork2, run_ipm
-from .pipeline import adaptive_boundary_solve
+from .pipeline import ALPHA_CAP_DEFAULT, adaptive_boundary_solve
 from .sparse_core import DenseGuardError, least_squares
 
 STAGES = ("gz", "gz2", "da", "b2", "b2w")
@@ -72,7 +72,7 @@ def cmd_reduce(args) -> int:
         else:
             alpha = args.alpha
             if alpha is None:
-                alpha = min(2.0 / max(eps_da, 1e-12) ** 2, 1e8)
+                alpha = min(2.0 / max(eps_da, 1e-12) ** 2, ALPHA_CAP_DEFAULT)
             problem, eps_b2 = reduce_reg(da, da.pattern_rhs(),
                                          eps_da=min(max(eps_da, 1e-12), 1.0),
                                          alpha=alpha)
@@ -282,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, ComplexStructureError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -1,25 +1,27 @@
 """Oriented 2-complex data model, triangulation builders, boundary operators.
 
-The complex is stored purely combinatorially: oriented triangles (vertex
-triples up to even permutation), oriented edges, a grouping of triangles
-into per-variable components, and bookkeeping for demand-carrying loop
-edges.  The normative orientation property is combinatorial as well: the
-two triangles sharing an interior edge must induce opposite signs on it.
+The complex is stored purely combinatorially, as integer arrays: oriented
+triangles (vertex triples up to even permutation), oriented edges, a
+grouping of triangles into per-variable components, and bookkeeping for
+demand-carrying loop edges.  The normative orientation property is
+combinatorial as well: the two triangles sharing an interior edge must
+induce opposite signs on it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
 
 from .sparse_core import SparseMatrix
 
-EDGE_LOOP = "loop"
-EDGE_INTERIOR = "interior"
-EDGE_BOUNDARY = "boundary"
-
-ORIENTATION_OPPOSITE = "opposite"
-ORIENTATION_IDENTICAL = "identical"
+# the int8 code of an edge kind is its index in EDGE_KINDS
+EDGE_KINDS = (EDGE_LOOP, EDGE_INTERIOR, EDGE_BOUNDARY) = ("loop", "interior", "boundary")
+LOOP, INTERIOR, BOUNDARY = range(3)
+ORIENTATION_OPPOSITE, ORIENTATION_IDENTICAL = "opposite", "identical"
 
 
 class ComplexStructureError(ValueError):
@@ -31,11 +33,6 @@ class OrientedTriangle:
     """A 2-simplex given by an ordered vertex triple; even permutations agree."""
 
     vertices: tuple[int, int, int]
-
-    def induced_edges(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """The three directed edges (u -> v) carrying the +1 induced sign."""
-        a, b, c = self.vertices
-        return ((a, b), (b, c), (c, a))
 
 
 @dataclass(frozen=True)
@@ -54,52 +51,122 @@ class EdgeRecord:
     r: int | None = None
     group: int | None = None
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.tail, self.head) if self.tail < self.head else (self.head, self.tail)
+
+def _column(values, width: int | None = None) -> np.ndarray:
+    a = np.asarray(values, dtype=np.int64)
+    return a.reshape(-1, width) if width else a.ravel()
 
 
-@dataclass
 class Complex2:
-    n_vertices: int
-    edges: list[EdgeRecord]
-    triangles: list[OrientedTriangle]
-    group_of_triangle: list[int]
-    central_triangle: dict[int, int]
-    loop_edges: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    _edge_index: dict[tuple[int, int], int] | None = field(default=None, repr=False)
+    """An oriented 2-complex as integer arrays.
+
+    ``tri`` (t, 3) vertex triples and ``tri_group`` (t,) their groups;
+    ``edge`` (m, 2) stored (tail, head) directions, ``kind`` (m,) int8 codes
+    into ``EDGE_KINDS``, and ``group``, ``q``, ``r`` (m,) with -1 for none;
+    ``central`` (G,) the central triangle of each group (-1: none) and
+    ``loops`` (d, 3) the loop-edge ids of each equation, by slot.
+    """
+
+    def __init__(self, n_vertices: int, tri, tri_group, edge, kind,
+                 group=None, q=None, r=None, central=(), loops=()):
+        self.n_vertices = int(n_vertices)
+        self.tri = _column(tri, 3)
+        self.tri_group = _column(tri_group)
+        self.edge = _column(edge, 2)
+        self.kind = np.asarray(kind, dtype=np.int8).ravel()
+        self.group, self.q, self.r = (np.full(self.kind.size, -1, dtype=np.int64)
+                                      if a is None else _column(a) for a in (group, q, r))
+        self.central = _column(central)
+        self.loops = _column(loops, 3)
+        self.n_edges, self.n_triangles = int(self.kind.size), len(self.tri)
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """Per-edge records, materialized on every access; for inspection only."""
+        tags = np.stack([self.q, self.r, self.group], axis=1).tolist()
+        return tuple(EdgeRecord(u, v, EDGE_KINDS[k], *(None if x < 0 else x for x in tag))
+                     for (u, v), k, tag in zip(self.edge.tolist(), self.kind.tolist(), tags))
 
     @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
+    def triangles(self) -> tuple[OrientedTriangle, ...]:
+        """Per-triangle records, materialized on every access; for inspection only."""
+        return tuple(OrientedTriangle(tuple(t)) for t in self.tri.tolist())
 
-    @property
-    def groups(self) -> list[int]:
-        return sorted(set(self.group_of_triangle))
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        if self._edge_index is None:
-            index = {}
-            for eid, e in enumerate(self.edges):
-                if e.key in index:
-                    raise ComplexStructureError(f"duplicate edge {e.key}")
-                index[e.key] = eid
-            self._edge_index = index
-        return self._edge_index
+def _edge_keys(u, v, base: int) -> np.ndarray:
+    return np.minimum(u, v) * base + np.maximum(u, v)
 
-    def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index()[key]
-        except KeyError:
-            raise ComplexStructureError(f"triangle references missing edge {key}") from None
 
-    def triangles_of_group(self, group: int) -> list[int]:
-        return [t for t, g in enumerate(self.group_of_triangle) if g == group]
+def _lookup(K: Complex2, u, v) -> np.ndarray:
+    """Edge id of each undirected pair {u, v}, -1 where the complex has none.
+
+    One sort of the edge keys and one ``searchsorted``; raises on duplicate
+    edges.
+    """
+    base = max(K.n_vertices, int(K.edge.max(initial=-1)) + 1, int(K.tri.max(initial=-1)) + 1)
+    keys = _edge_keys(K.edge[:, 0], K.edge[:, 1], base)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeat = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if repeat.size:
+        u0, v0 = sorted(K.edge[int(order[repeat + 1].min())].tolist())
+        raise ComplexStructureError(f"duplicate edge {(u0, v0)}")
+    want = _edge_keys(u, v, base)
+    if not keys.size:
+        return np.full(want.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_keys, want), keys.size - 1)
+    return np.where(sorted_keys[pos] == want, order[pos], -1)
+
+
+def _missing_edge(u, v, eid) -> tuple[int, int]:
+    """The key of the first induced edge that the complex lacks."""
+    t, side = divmod(int(np.flatnonzero(eid.ravel() < 0)[0]), 3)
+    a, b = int(u[t, side]), int(v[t, side])
+    return (min(a, b), max(a, b))
+
+
+def _incidence(K: Complex2) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids and induced signs (t, 3) of every triangle's three sides."""
+    u, v = K.tri, np.roll(K.tri, -1, axis=1)
+    eid = _lookup(K, u, v)
+    if (eid < 0).any():
+        raise ComplexStructureError(
+            f"triangle references missing edge {_missing_edge(u, v, eid)}")
+    return eid, np.where(K.edge[eid, 0] == u, 1, -1)
+
+
+def _interior_pairs(K: Complex2, eid: np.ndarray):
+    """(t1, t2, edge id) of every interior edge with exactly two triangles."""
+    flat = eid.ravel()
+    order = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=K.n_edges)
+    start = np.concatenate(([0], np.cumsum(count)[:-1]))
+    edges = np.flatnonzero((K.kind == INTERIOR) & (count == 2))
+    return order[start[edges]] // 3, order[start[edges] + 1] // 3, edges
+
+
+@functools.cache
+def sphere_cells(n_holes: int):
+    """Combinatorial cells of a sphere with ``n_holes`` 3-edge boundary cycles.
+
+    Iterative: start from one triangle (a disk), then repeatedly subdivide
+    the rightmost triangle by an inner triangular hole joined through six
+    connecting edges.  Returns (n_vertices, triangles, hole_cycles), cached
+    per hole count; every hole cycle is oriented the way the surrounding
+    triangles traverse it.
+    """
+    triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
+    holes: list[tuple[int, int, int]] = [(0, 1, 2)]
+    n_vertices = 3
+    host = 0
+    for _ in range(n_holes - 1):
+        a, b, c = triangles.pop(host)
+        p, q, r = n_vertices, n_vertices + 1, n_vertices + 2
+        n_vertices += 3
+        host = len(triangles)
+        triangles.extend(_annulus_cells((a, b, c), (p, q, r)))
+        holes.append((p, q, r))
+    return n_vertices, tuple(triangles), tuple(holes)
 
 
 def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
@@ -111,59 +178,36 @@ def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
     """
     a, b, c = outer
     p, q, r = inner
-    triangles = [(a, b, p), (b, c, r), (c, a, q), (a, p, q), (p, b, r), (c, q, r)]
-    connecting = [(a, p), (a, q), (b, p), (b, r), (c, q), (c, r)]
-    return triangles, connecting
+    return [(a, b, p), (b, c, r), (c, a, q), (a, p, q), (p, b, r), (c, q, r)]
 
 
-def sphere_cells(n_holes: int):
-    """Combinatorial cells of a sphere with ``n_holes`` 3-edge boundary cycles.
+def tube_cells(hole_cycle: tuple[int, int, int], loop_cycle: tuple[int, int, int],
+               sign: int):
+    """Cells of a tube joining a sphere hole to a demand loop.
 
-    Iterative: start from one triangle (a disk), then repeatedly subdivide
-    the rightmost triangle by an inner triangular hole joined through six
-    connecting edges.  Returns (n_vertices, triangles, hole_cycles); every
-    hole cycle is oriented the way the surrounding triangles traverse it.
+    ``hole_cycle`` is oriented the way the sphere triangles traverse it; the
+    tube triangles traverse it the opposite way, so the glued edges become
+    interior edges with opposite induced signs.  ``sign`` +1 makes the tube
+    traverse the loop along its orientation, -1 against it.  Returns
+    (triangles, boundary_triangle_by_slot) where slot r in {1,2,3} names
+    the loop edge (u1,u2), (u2,u3), (u3,u1) and the index of the triangle
+    containing it.
     """
-    triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
-    holes: list[tuple[int, int, int]] = [(0, 1, 2)]
-    n_vertices = 3
-    host = 0
-    for _ in range(n_holes - 1):
-        a, b, c = triangles.pop(host)
-        p, q, r = n_vertices, n_vertices + 1, n_vertices + 2
-        n_vertices += 3
-        new_triangles, _ = _annulus_cells((a, b, c), (p, q, r))
-        host = len(triangles)
-        triangles.extend(new_triangles)
-        holes.append((p, q, r))
-    return n_vertices, triangles, holes
+    (w1, w2, w3), (u1, u2, u3) = hole_cycle, loop_cycle
+    inner = (u1, u2, u3) if sign > 0 else (u1, u3, u2)
+    # inner-edge triangles in _annulus_cells order: (a,p,q)=3, (c,q,r)=5, (p,b,r)=4
+    by_slot = {1: 3, 2: 5, 3: 4} if sign > 0 else {1: 4, 2: 5, 3: 3}
+    return _annulus_cells((w1, w3, w2), inner), by_slot
 
 
-def _edges_from_triangles(triangles, hole_cycles, group=0):
-    """Edge records for a patch: hole-cycle edges oriented along their cycle
-    and tagged boundary, all remaining edges lexicographic interior."""
-    boundary_dir: dict[tuple[int, int], tuple[int, int]] = {}
-    for (p, q, r) in hole_cycles:
-        for (u, v) in ((p, q), (q, r), (r, p)):
-            boundary_dir[(min(u, v), max(u, v))] = (u, v)
-    seen: set[tuple[int, int]] = set()
-    keys: list[tuple[int, int]] = []
-    for tri in triangles:
-        a, b, c = tri
-        for (u, v) in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-    keys.sort()
-    records = []
-    for key in keys:
-        if key in boundary_dir:
-            u, v = boundary_dir[key]
-            records.append(EdgeRecord(u, v, EDGE_BOUNDARY, group=group))
-        else:
-            records.append(EdgeRecord(key[0], key[1], EDGE_INTERIOR, group=group))
-    return records
+def _patch(n_vertices: int, triangles, cycles) -> Complex2:
+    """``from_triangles`` with the boundary edges, those of ``cycles``,
+    oriented along their cycle."""
+    K = from_triangles(n_vertices, triangles)
+    tails = _column(cycles)
+    heads = np.roll(_column(cycles, 3), -1, axis=1).ravel()
+    K.edge[_lookup(K, tails, heads)] = np.stack([tails, heads], axis=1)
+    return K
 
 
 def triangulate_punctured_sphere(n_boundary: int) -> Complex2:
@@ -175,45 +219,7 @@ def triangulate_punctured_sphere(n_boundary: int) -> Complex2:
     if n_boundary < 1:
         raise ValueError("a punctured sphere needs at least one boundary component")
     n_vertices, triangles, holes = sphere_cells(n_boundary)
-    edges = _edges_from_triangles(triangles, holes)
-    return Complex2(
-        n_vertices=n_vertices,
-        edges=edges,
-        triangles=[OrientedTriangle(t) for t in triangles],
-        group_of_triangle=[0] * len(triangles),
-        central_triangle={0: 0},
-    )
-
-
-def sphere_boundary_cycles(n_boundary: int) -> list[tuple[int, int, int]]:
-    """The oriented boundary cycles of ``triangulate_punctured_sphere``."""
-    _, _, holes = sphere_cells(n_boundary)
-    return holes
-
-
-def tube_cells(hole_cycle: tuple[int, int, int], loop_cycle: tuple[int, int, int],
-               sign: int):
-    """Cells of a tube joining a sphere hole to a demand loop.
-
-    ``hole_cycle`` is oriented the way the sphere triangles traverse it; the
-    tube triangles traverse it the opposite way, so the glued edges become
-    interior edges with opposite induced signs.  ``sign`` +1 makes the tube
-    traverse the loop along its orientation, -1 against it.  Returns
-    (triangles, connecting_edges, boundary_triangle_by_slot) where slot r in
-    {1,2,3} names the loop edge (u1,u2), (u2,u3), (u3,u1) and the triangle
-    containing it; the slot indexes into the returned triangle list.
-    """
-    w1, w2, w3 = hole_cycle
-    u1, u2, u3 = loop_cycle
-    outer = (w1, w3, w2)
-    inner = (u1, u2, u3) if sign > 0 else (u1, u3, u2)
-    triangles, connecting = _annulus_cells(outer, inner)
-    # inner-edge triangles in _annulus_cells order: (a,p,q)=3, (c,q,r)=5, (p,b,r)=4
-    if sign > 0:
-        by_slot = {1: 3, 2: 5, 3: 4}
-    else:
-        by_slot = {1: 4, 2: 5, 3: 3}
-    return triangles, connecting, by_slot
+    return _patch(n_vertices, triangles, holes)
 
 
 def triangulate_tube(orientation_match: str,
@@ -230,17 +236,9 @@ def triangulate_tube(orientation_match: str,
     if set(hole_cycle) & set(loop_cycle):
         raise ValueError("boundary triples must be disjoint")
     sign = 1 if orientation_match == ORIENTATION_OPPOSITE else -1
-    triangles, connecting, _ = tube_cells(hole_cycle, loop_cycle, sign)
+    triangles, _ = tube_cells(hole_cycle, loop_cycle, sign)
     n_vertices = max(max(hole_cycle), max(loop_cycle)) + 1
-    boundary_cycles = [hole_cycle, loop_cycle]
-    edges = _edges_from_triangles(triangles, boundary_cycles)
-    return Complex2(
-        n_vertices=n_vertices,
-        edges=edges,
-        triangles=[OrientedTriangle(t) for t in triangles],
-        group_of_triangle=[0] * len(triangles),
-        central_triangle={0: 0},
-    )
+    return _patch(n_vertices, triangles, [hole_cycle, loop_cycle])
 
 
 def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
@@ -251,30 +249,21 @@ def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
     (tail, head) pairs; by default edges are sorted lexicographically with
     the smaller endpoint first.
     """
-    triangles = [OrientedTriangle(tuple(t)) for t in triangles]
-    count: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for (u, v) in tri.induced_edges():
-            key = (min(u, v), max(u, v))
-            count[key] = count.get(key, 0) + 1
+    tri = _column(triangles, 3)
+    base = max(n_vertices, int(tri.max(initial=-1)) + 1)
+    keys, count = np.unique(_edge_keys(tri, np.roll(tri, -1, axis=1), base),
+                            return_counts=True)
     if edge_order is None:
-        ordered = [(u, v) for (u, v) in sorted(count)]
+        edge = np.stack(np.divmod(keys, base), axis=1)
     else:
-        ordered = [tuple(e) for e in edge_order]
-        if {(min(u, v), max(u, v)) for (u, v) in ordered} != set(count):
+        edge = _column(edge_order, 2)
+        order_keys = _edge_keys(edge[:, 0], edge[:, 1], base)
+        if not np.array_equal(np.sort(order_keys), keys):
             raise ComplexStructureError("edge_order does not cover the triangle edges")
-    edges = []
-    for (u, v) in ordered:
-        key = (min(u, v), max(u, v))
-        kind = EDGE_BOUNDARY if count[key] == 1 else EDGE_INTERIOR
-        edges.append(EdgeRecord(u, v, kind, group=0))
-    return Complex2(
-        n_vertices=n_vertices,
-        edges=edges,
-        triangles=triangles,
-        group_of_triangle=[0] * len(triangles),
-        central_triangle={0: 0} if triangles else {},
-    )
+        count = count[np.searchsorted(keys, order_keys)]
+    kind = np.where(count == 1, BOUNDARY, INTERIOR)
+    return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind,
+                    group=np.zeros(len(edge)), central=[0] if len(tri) else [])
 
 
 def boundary2(K: Complex2) -> SparseMatrix:
@@ -284,36 +273,24 @@ def boundary2(K: Complex2) -> SparseMatrix:
     edge orientation, -1 when reversed, 0 when e is not a side of T; every
     column has exactly three nonzeros.
     """
-    rows, cols, vals = [], [], []
-    for t, tri in enumerate(K.triangles):
-        for (u, v) in tri.induced_edges():
-            eid = K.edge_id(u, v)
-            e = K.edges[eid]
-            sign = 1.0 if (e.tail, e.head) == (u, v) else -1.0
-            rows.append(eid)
-            cols.append(t)
-            vals.append(sign)
-    return SparseMatrix.from_arrays(K.n_edges, K.n_triangles, rows, cols, vals)
+    eid, sign = _incidence(K)
+    cols = np.repeat(np.arange(K.n_triangles), 3)
+    return SparseMatrix.from_arrays(K.n_edges, K.n_triangles, eid.ravel(), cols,
+                                    sign.ravel())
 
 
 def boundary1(K: Complex2) -> SparseMatrix:
     """The oriented vertex-edge incidence matrix: -1 at the tail, +1 at the head."""
-    rows, cols, vals = [], [], []
-    for eid, e in enumerate(K.edges):
-        rows.extend((e.tail, e.head))
-        cols.extend((eid, eid))
-        vals.extend((-1.0, 1.0))
-    return SparseMatrix.from_arrays(K.n_vertices, K.n_edges, rows, cols, vals)
+    m = K.n_edges
+    return SparseMatrix.from_arrays(K.n_vertices, m, K.edge.ravel(),
+                                    np.repeat(np.arange(m), 2), np.tile([-1.0, 1.0], m))
 
 
 def laplacian1(K: Complex2) -> SparseMatrix:
     """First combinatorial Laplacian d1^T d1 + d2 d2^T (symmetric PSD)."""
     d1 = boundary1(K).to_int_csr()
-    d2 = boundary2(K).to_int_csr() if K.n_triangles else None
-    lap = d1.T @ d1
-    if d2 is not None:
-        lap = lap + d2 @ d2.T
-    return SparseMatrix.from_scipy(lap)
+    d2 = boundary2(K).to_int_csr()
+    return SparseMatrix.from_scipy(d1.T @ d1 + d2 @ d2.T)
 
 
 @dataclass(frozen=True)
@@ -322,97 +299,100 @@ class ValidationReport:
     violation: str | None = None
 
 
-def _edge_incidence(K: Complex2):
-    """Per edge: list of (triangle index, induced sign)."""
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(K.n_edges)]
-    for t, tri in enumerate(K.triangles):
-        for (u, v) in tri.induced_edges():
-            eid = K.edge_id(u, v)
-            e = K.edges[eid]
-            sign = 1 if (e.tail, e.head) == (u, v) else -1
-            inc[eid].append((t, sign))
-    return inc
+def triangle_adjacency(K: Complex2) -> sp.csr_matrix:
+    """Adjacency over interior edges as a t x t CSR matrix.
+
+    Entry (T1, T2) holds the id of an interior edge the two triangles share
+    (edge 0 is an explicit zero); column indices are sorted in every row.
+    Triangles sharing several interior edges keep one entry per edge,
+    ordered by edge id.
+    """
+    t = K.n_triangles
+    a, b, e = _interior_pairs(K, _incidence(K)[0])
+    rows, cols, eids = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(e, 2)
+    order = np.lexsort((eids, cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=t))))
+    return sp.csr_matrix((eids[order], cols[order], indptr), shape=(t, t))
 
 
-def triangle_adjacency(K: Complex2) -> list[list[tuple[int, int]]]:
-    """Adjacency over interior edges: per triangle, sorted (neighbor, edge id)."""
-    inc = _edge_incidence(K)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(K.n_triangles)]
-    for eid, members in enumerate(inc):
-        if K.edges[eid].kind != EDGE_INTERIOR or len(members) != 2:
-            continue
-        (t1, _), (t2, _) = members
-        adj[t1].append((t2, eid))
-        adj[t2].append((t1, eid))
-    for lst in adj:
-        lst.sort()
-    return adj
+def _first(flags: np.ndarray) -> int:
+    """Index of the first true flag, -1 when none is set."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else -1
+
+
+def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """a[ids], with -1 where an id is out of range."""
+    return np.append(a, -1)[np.where((ids >= 0) & (ids < a.size), ids, a.size)]
 
 
 def validate(K: Complex2) -> ValidationReport:
-    """Check the structural invariants; returns the first violation or ok."""
+    """Check the structural invariants in time linear in the size of K;
+    returns the first violation or ok."""
     def fail(msg: str) -> ValidationReport:
         return ValidationReport(False, msg)
 
-    for g in K.groups:
-        if g not in K.central_triangle:
-            return fail(f"group {g} has no central triangle")
-        c = K.central_triangle[g]
-        if not (0 <= c < K.n_triangles) or K.group_of_triangle[c] != g:
-            return fail(f"central triangle of group {g} is invalid")
-    for t, tri in enumerate(K.triangles):
-        if len(set(tri.vertices)) != 3:
-            return fail(f"triangle {t} has repeated vertices")
-        if not all(0 <= v < K.n_vertices for v in tri.vertices):
-            return fail(f"triangle {t} references an unknown vertex")
-        for (u, v) in tri.induced_edges():
-            key = (min(u, v), max(u, v))
-            if key not in K.edge_index():
-                return fail(f"triangle {t} references missing edge {key}")
-    for q, triple in K.loop_edges.items():
-        for eid in triple:
-            if K.edges[eid].kind != EDGE_LOOP or K.edges[eid].q != q:
-                return fail(f"loop-edge table of equation {q} is inconsistent")
+    t, m = K.n_triangles, K.n_edges
+    groups = np.unique(K.tri_group)
+    central = _take(K.central, groups)
+    g = _first((central < 0) | (_take(K.tri_group, central) != groups))
+    if g >= 0:
+        if central[g] < 0:
+            return fail(f"group {groups[g]} has no central triangle")
+        return fail(f"central triangle of group {groups[g]} is invalid")
 
-    inc = _edge_incidence(K)
-    for eid, members in enumerate(inc):
-        e = K.edges[eid]
-        signs = sorted(s for _, s in members)
-        if e.kind == EDGE_INTERIOR:
-            if len(members) != 2:
-                return fail(f"interior edge {eid} lies in {len(members)} triangles")
-            if signs != [-1, 1]:
-                return fail(f"interior edge {eid} has equal induced signs")
-        elif e.kind == EDGE_BOUNDARY:
-            if len(members) != 1:
-                return fail(f"boundary edge {eid} lies in {len(members)} triangles")
-        elif e.kind == EDGE_LOOP:
-            if len(members) not in (2, 4):
-                return fail(f"loop edge {eid} lies in {len(members)} triangles")
-            if sum(signs) != 0:
-                return fail(f"loop edge {eid} has unbalanced induced signs")
-        else:
-            return fail(f"edge {eid} has unknown kind {e.kind!r}")
+    u, v = K.tri, np.roll(K.tri, -1, axis=1)
+    repeated = (u == v).any(axis=1)
+    unknown = ((u < 0) | (u >= K.n_vertices)).any(axis=1)
+    # as in a scan over the triangles, a duplicate edge raises only once
+    # the first triangle reaches its edge lookup
+    first_ok = t and not (repeated[0] or unknown[0])
+    eid = _lookup(K, u, v) if first_ok else np.full((t, 3), -1)
+    bad = _first(repeated | unknown | (eid < 0).any(axis=1))
+    if bad >= 0:
+        if repeated[bad]:
+            return fail(f"triangle {bad} has repeated vertices")
+        if unknown[bad]:
+            return fail(f"triangle {bad} references an unknown vertex")
+        return fail(f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}")
 
-    adj = triangle_adjacency(K)
-    for g in K.groups:
-        members = K.triangles_of_group(g)
-        if not members:
-            continue
-        seen = {members[0]}
-        queue = deque([members[0]])
-        while queue:
-            t = queue.popleft()
-            for (nb, _) in adj[t]:
-                if K.group_of_triangle[nb] == g and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if len(seen) != len(members):
-            return fail(f"group {g} is not connected over interior edges")
+    equation = np.arange(len(K.loops))[:, None]
+    consistent = (_take(K.kind, K.loops) == LOOP) & (_take(K.q, K.loops) == equation)
+    q = _first(~consistent.all(axis=1))
+    if q >= 0:
+        return fail(f"loop-edge table of equation {q} is inconsistent")
 
-    if K.n_triangles:
-        prod = boundary1(K).to_int_csr() @ boundary2(K).to_int_csr()
-        prod.eliminate_zeros()
-        if prod.nnz != 0:
-            return fail("d1 d2 != 0")
+    count = np.bincount(eid.ravel(), minlength=m)
+    sign_sum = np.bincount(eid.ravel(), weights=np.where(K.edge[eid, 0] == u, 1, -1).ravel(),
+                           minlength=m)
+    kind = K.kind
+    count_ok = np.select([kind == INTERIOR, kind == BOUNDARY, kind == LOOP],
+                         [count == 2, count == 1, (count == 2) | (count == 4)], False)
+    e = _first(~count_ok | ((kind != BOUNDARY) & (sign_sum != 0)))
+    if e >= 0:
+        k = int(kind[e])
+        if not 0 <= k < len(EDGE_KINDS):
+            return fail(f"edge {e} has unknown kind {k}")
+        if not count_ok[e]:
+            return fail(f"{EDGE_KINDS[k]} edge {e} lies in {count[e]} triangles")
+        balance = "equal" if k == INTERIOR else "unbalanced"
+        return fail(f"{EDGE_KINDS[k]} edge {e} has {balance} induced signs")
+
+    # imported here: loading scipy.sparse.csgraph costs about 1.3 MB of
+    # resident memory in processes that never validate or weight a complex
+    from scipy.sparse.csgraph import connected_components
+
+    a, b, _ = _interior_pairs(K, eid)
+    same = K.tri_group[a] == K.tri_group[b]
+    graph = sp.csr_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
+    _, label = connected_components(graph, directed=False)
+    pieces = np.unique(K.tri_group * max(t, 1) + label) // max(t, 1)
+    split = _first(pieces[1:] == pieces[:-1])
+    if split >= 0:
+        return fail(f"group {pieces[split]} is not connected over interior edges")
+
+    prod = boundary1(K).to_int_csr() @ boundary2(K).to_int_csr()
+    prod.eliminate_zeros()
+    if prod.nnz != 0:
+        return fail("d1 d2 != 0")
     return ValidationReport(True, None)

@@ -10,7 +10,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .b2_reduce import BoundaryProblem
-from .complex2 import Complex2, EdgeRecord, OrientedTriangle
+from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import DARow, WeightedDASystem
 from .sparse_core import SparseMatrix
 
@@ -30,24 +30,18 @@ def read_matrix(path) -> SparseMatrix:
 def write_vector(path, v) -> None:
     v = np.asarray(v, dtype=np.float64).ravel()
     with open(path, "w") as fh:
-        for x in v:
-            fh.write(f"{x:.17g}\n")
+        fh.write("".join(f"{x:.17g}\n" for x in v.tolist()))
 
 
 def read_vector(path) -> np.ndarray:
-    values = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line))
-    return np.array(values)
+        return np.array([float(s) for s in fh.read().split()])
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj, indent: int | None = 1) -> None:
+    # json.dumps, unlike json.dump, runs the C encoder when indent is None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=indent, sort_keys=True) + "\n")
 
 
 def read_json(path):
@@ -87,38 +81,52 @@ def da_system_from_json(obj: dict) -> WeightedDASystem:
 
 # -- complexes ----------------------------------------------------------------
 
+# JSON field -> (table, Complex2 array, column, table or count bounding its ids);
+# every field is a flat int list and the fields of one table share a length
+COMPLEX_FIELDS = {
+    **{f"tri_v{i}": ("tri", "tri", i, "vertex") for i in range(3)},
+    "tri_group": ("tri", "tri_group", None, "central"),
+    "edge_tail": ("edge", "edge", 0, "vertex"), "edge_head": ("edge", "edge", 1, "vertex"),
+    "edge_kind": ("edge", "kind", None, "kind"),
+    **{f"edge_{attr}": ("edge", attr, None, None) for attr in ("group", "q", "r")},
+    "central": ("central", "central", None, "tri"),
+    **{f"loop_r{i + 1}": ("loop", "loops", i, "edge") for i in range(3)},
+}
+
+
 def complex_to_json(K: Complex2) -> dict:
-    return {
-        "n_vertices": K.n_vertices,
-        "edges": [
-            {"u": e.tail, "v": e.head, "kind": e.kind,
-             "q": e.q, "r": e.r, "group": e.group}
-            for e in K.edges
-        ],
-        "triangles": [
-            {"v0": t.vertices[0], "v1": t.vertices[1], "v2": t.vertices[2],
-             "group": g}
-            for t, g in zip(K.triangles, K.group_of_triangle)
-        ],
-        "central": [[g, c] for g, c in sorted(K.central_triangle.items())],
-        "loops": [[q, list(ids)] for q, ids in sorted(K.loop_edges.items())],
-    }
+    """Columnar form of the complex: ``n_vertices`` and one flat int list per
+    field of ``COMPLEX_FIELDS``."""
+    columns = {name: getattr(K, attr) if col is None else getattr(K, attr)[:, col]
+               for name, (_, attr, col, _) in COMPLEX_FIELDS.items()}
+    return {"n_vertices": K.n_vertices, **{name: a.tolist() for name, a in columns.items()}}
 
 
 def complex_from_json(obj: dict) -> Complex2:
-    edges = [EdgeRecord(e["u"], e["v"], e["kind"], e.get("q"), e.get("r"),
-                        e.get("group")) for e in obj["edges"]]
-    triangles = [OrientedTriangle((t["v0"], t["v1"], t["v2"]))
-                 for t in obj["triangles"]]
-    groups = [t["group"] for t in obj["triangles"]]
-    return Complex2(
-        n_vertices=obj["n_vertices"],
-        edges=edges,
-        triangles=triangles,
-        group_of_triangle=groups,
-        central_triangle={g: c for g, c in obj["central"]},
-        loop_edges={q: tuple(ids) for q, ids in obj.get("loops", [])},
-    )
+    """Read the columnar form; rejects missing fields, fields of one table
+    with different lengths and ids out of range, naming the field."""
+    cols = {}
+    for name in ["n_vertices", *COMPLEX_FIELDS]:
+        a = np.asarray(obj.get(name, "missing"))
+        if (a.size and a.dtype.kind not in "iu") or a.ndim != (name != "n_vertices"):
+            raise ComplexStructureError(f"complex field {name!r} is missing or not a "
+                                        f"flat int list")
+        cols[name] = a.astype(np.int64)
+    size = {"vertex": int(cols["n_vertices"]), "kind": len(EDGE_KINDS)}
+    for name, (table, _, _, _) in COMPLEX_FIELDS.items():
+        if cols[name].size != size.setdefault(table, cols[name].size):
+            raise ComplexStructureError(f"complex field {name!r} has {cols[name].size} "
+                                        f"entries, the other {table} fields {size[table]}")
+    for name, (_, _, _, bound) in COMPLEX_FIELDS.items():
+        low, a = (-1 if name == "central" else 0), cols[name]
+        if bound and a.size and (a.min() < low or a.max() >= size[bound]):
+            raise ComplexStructureError(
+                f"complex field {name!r} has an id outside [{low}, {size[bound]})")
+    arrays: dict[str, list[np.ndarray]] = {}
+    for name, (_, attr, _, _) in COMPLEX_FIELDS.items():
+        arrays.setdefault(attr, []).append(cols[name])
+    return Complex2(cols["n_vertices"], **{attr: np.stack(a, axis=1) if len(a) > 1 else a[0]
+                                          for attr, a in arrays.items()})
 
 
 # -- boundary problems --------------------------------------------------------
@@ -161,6 +169,6 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem, prefix: str = "b2"
     write_matrix(out_dir / names["d2"], problem.d2)
     write_vector(out_dir / names["weights"], problem.weights)
     write_vector(out_dir / names["gamma"], problem.gamma)
-    write_json(out_dir / names["complex"], complex_to_json(problem.K))
+    write_json(out_dir / names["complex"], complex_to_json(problem.K), indent=None)
     write_json(out_dir / names["trace"], boundary_sidecar_to_json(problem))
     return names

@@ -276,23 +276,28 @@ def iterative_solve(A: SparseMatrix, b, tol: float,
     return scale * y, itn
 
 
-def projection_residual(A: SparseMatrix, x, b,
-                        rel_tol: float = 1e-8,
-                        max_iter: int | None = None) -> tuple[float, float]:
-    """Return (||Ax - P b||, ||P b||) with P b from a high-accuracy solve."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8,
+                  max_iter: int | None = None) -> np.ndarray:
+    """P b, the projection of b onto the column space of A, from a
+    high-accuracy LSQR solve (zero when b or A is zero)."""
     b = np.asarray(b, dtype=np.float64).ravel()
-    if x.size != A.n_cols or b.size != A.n_rows:
+    if b.size != A.n_rows:
         raise DimensionError("operand shapes do not match the matrix")
     if max_iter is None:
         max_iter = 16 * (A.n_rows + A.n_cols) + 800
     if float(np.linalg.norm(b)) == 0.0 or A.nnz == 0:
-        return float(np.linalg.norm(A.matvec(x))) if A.nnz else 0.0, 0.0
+        return np.zeros(A.n_rows)
     csr = A.to_csr()
-    tight = max(rel_tol / 100.0, 1e-15)
-    x_ref, _ = _lsqr_once(csr, b, tight, max_iter)
-    pib = csr @ x_ref
-    return float(np.linalg.norm(csr @ x - pib)), float(np.linalg.norm(pib))
+    x_ref, _ = _lsqr_once(csr, b, max(rel_tol / 100.0, 1e-15), max_iter)
+    return csr @ x_ref
+
+
+def projection_residual(A: SparseMatrix, x, b,
+                        rel_tol: float = 1e-8,
+                        max_iter: int | None = None) -> tuple[float, float]:
+    """Return (||Ax - P b||, ||P b||) with P b from ``projected_rhs``."""
+    pib = projected_rhs(A, b, rel_tol, max_iter)
+    return float(np.linalg.norm(A.matvec(x) - pib)), float(np.linalg.norm(pib))
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,6 @@ def planted_general_system(rng: np.random.Generator, n_vars: int, n_rows: int,
 def group_indicator(problem) -> np.ndarray:
     """Dense t x n matrix mapping variable values to group-constant flows."""
     H = np.zeros((problem.n_triangles, problem.n_vars))
-    for t, g in enumerate(problem.K.group_of_triangle):
+    for t, g in enumerate(problem.K.tri_group):
         H[t, g] = 1.0
     return H

@@ -269,7 +269,7 @@ def test_edge_weights_match_explicit_enumeration(seed):
                                    if e2 == eid)
             assert weights[eid] == pytest.approx(expected)
     # each equation's total path length is bounded by paths x largest group
-    groups = np.array(P.K.group_of_triangle)
+    groups = P.K.tri_group
     t_max = max(np.bincount(groups))
     n_paths = np.zeros(P.n_equations)
     for tube in P.tubes:

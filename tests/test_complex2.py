@@ -4,20 +4,23 @@ from hypothesis import given, settings, strategies as st
 
 from lin2complex.complex2 import (
     ComplexStructureError,
+    BOUNDARY,
     Complex2,
     EDGE_BOUNDARY,
     EDGE_INTERIOR,
-    OrientedTriangle,
+    INTERIOR,
+    LOOP,
     boundary1,
     boundary2,
     from_triangles,
     laplacian1,
-    sphere_boundary_cycles,
+    sphere_cells,
     triangulate_punctured_sphere,
     triangulate_tube,
     validate,
 )
 from lin2complex.b2_reduce import reduce_da_to_b2
+from lin2complex.sparse_core import SparseMatrix
 
 from _gen import dense_nullity, dense_rank, random_da_instance
 
@@ -58,7 +61,7 @@ def test_sphere_boundary_components_have_three_edges():
         K = triangulate_punctured_sphere(b)
         boundary_edges = [e for e in K.edges if e.kind == EDGE_BOUNDARY]
         assert len(boundary_edges) == 3 * b
-        cycles = sphere_boundary_cycles(b)
+        cycles = sphere_cells(b)[2]
         assert len(cycles) == b
 
 
@@ -134,9 +137,7 @@ def test_boundary2_single_triangle():
 
 
 def test_boundary2_missing_edge_rejected():
-    K = disk_complex()
-    K.triangles.append(OrientedTriangle((0, 1, 2)))
-    K.group_of_triangle.append(0)
+    K = disk_with(tri=DISK_TRIANGLES + [(0, 1, 2)])
     with pytest.raises(ComplexStructureError):
         boundary2(K)
 
@@ -144,7 +145,7 @@ def test_boundary2_missing_edge_rejected():
 def test_boundary1_single_edge():
     K = from_triangles(3, [(0, 1, 2)])
     d1 = boundary1(K).to_dense()
-    eid = K.edge_id(0, 1)
+    (eid,) = np.flatnonzero(np.all(np.sort(K.edge, axis=1) == [0, 1], axis=1))
     e = K.edges[eid]
     col = d1[:, eid]
     assert col[e.tail] == -1.0 and col[e.head] == 1.0
@@ -171,10 +172,7 @@ def test_chain_identity_constructed_complexes(seed):
 
 def test_laplacian_graph_case():
     # no triangles: L1 = d1^T d1
-    K = from_triangles(3, [(0, 1, 2)])
-    K.triangles.clear()
-    K.group_of_triangle.clear()
-    K.central_triangle.clear()
+    K = make_complex(3, [], [(0, 1), (0, 2), (1, 2)], "BBB", central=())
     d1 = boundary1(K).to_dense()
     assert np.array_equal(laplacian1(K).to_dense(), d1.T @ d1)
 
@@ -199,17 +197,15 @@ def test_validate_ok():
 
 
 def test_validate_detects_flipped_triangle():
-    K = disk_complex()
-    a, b, c = K.triangles[1].vertices
-    K.triangles[1] = OrientedTriangle((a, c, b))
+    a, b, c = DISK_TRIANGLES[1]
+    K = disk_with(tri=[DISK_TRIANGLES[0], (a, c, b), DISK_TRIANGLES[2]])
     report = validate(K)
     assert not report.ok
     assert "signs" in report.violation
 
 
 def test_validate_detects_missing_central():
-    K = disk_complex()
-    K.central_triangle.clear()
+    K = disk_with(central=())
     report = validate(K)
     assert not report.ok
     assert "central" in report.violation
@@ -220,7 +216,7 @@ def test_group_interior_nullity_is_one():
     sys, b = random_da_instance(rng, 4, 3)
     P = reduce_da_to_b2(sys, b)
     d2 = P.d2.to_dense()
-    groups = np.array(P.K.group_of_triangle)
+    groups = P.K.tri_group
     for g in range(P.n_vars):
         cols = np.where(groups == g)[0]
         rows = [eid for eid, e in enumerate(P.K.edges)
@@ -229,3 +225,117 @@ def test_group_interior_nullity_is_one():
         assert dense_nullity(M) == 1
         # spanned by the all-ones flow
         assert np.allclose(M @ np.ones(len(cols)), 0.0)
+
+
+# -- validate: one test per violation --------------------------------------------
+
+KINDS = {"L": LOOP, "I": INTERIOR, "B": BOUNDARY}
+DISK_KINDS = "BBBIII"
+
+
+def make_complex(n_vertices, tri, edges, kinds, tri_group=None, central=(0,),
+                 loops=(), edge_q=None) -> Complex2:
+    """A complex given column by column: ``kinds`` holds one letter per edge
+    (L, I, B), ``central`` the central triangle of each group (-1: none) and
+    ``loops`` the three loop-edge ids of each equation."""
+    tri_group = [0] * len(tri) if tri_group is None else tri_group
+    return Complex2(n_vertices, tri, tri_group, edges, [KINDS[k] for k in kinds],
+                    group=[-1 if k == "L" else 0 for k in kinds], q=edge_q,
+                    central=central, loops=loops)
+
+
+def disk_with(**changes) -> Complex2:
+    spec = dict(n_vertices=5, tri=DISK_TRIANGLES, edges=DISK_EDGE_ORDER, kinds=DISK_KINDS)
+    spec.update(changes)
+    return make_complex(**spec)
+
+
+def violation(K) -> str:
+    report = validate(K)
+    assert not report.ok
+    return report.violation
+
+
+def test_make_complex_reproduces_disk():
+    K = disk_with()
+    assert validate(K).ok
+    assert np.array_equal(boundary2(K).to_dense(), DISK_D2)
+
+
+def test_validate_missing_central():
+    assert violation(disk_with(central=(-1,))) == "group 0 has no central triangle"
+    assert violation(disk_with(central=())) == "group 0 has no central triangle"
+
+
+def test_validate_invalid_central():
+    assert violation(disk_with(central=(5,))) == "central triangle of group 0 is invalid"
+    K = disk_with(tri_group=[0, 1, 1], central=(0, 0))
+    assert violation(K) == "central triangle of group 1 is invalid"
+
+
+def test_validate_repeated_vertex():
+    tri = [DISK_TRIANGLES[0], (2, 2, 3), DISK_TRIANGLES[2]]
+    assert violation(disk_with(tri=tri)) == "triangle 1 has repeated vertices"
+
+
+def test_validate_unknown_vertex():
+    tri = DISK_TRIANGLES[:2] + [(1, 3, 7)]
+    assert violation(disk_with(tri=tri)) == "triangle 2 references an unknown vertex"
+
+
+def test_validate_missing_edge():
+    tri = DISK_TRIANGLES[:2] + [(0, 1, 2)]
+    assert violation(disk_with(tri=tri)) == "triangle 2 references missing edge (0, 1)"
+
+
+def test_validate_inconsistent_loop_table():
+    K = disk_with(loops=[(0, 1, 2)])
+    assert violation(K) == "loop-edge table of equation 0 is inconsistent"
+    K = disk_with(kinds="LLLIII", edge_q=[0, 0, 1, -1, -1, -1], loops=[(0, 1, 2)])
+    assert violation(K) == "loop-edge table of equation 0 is inconsistent"
+
+
+def test_validate_interior_edge_count():
+    assert violation(disk_with(kinds="IBBIII")) == "interior edge 0 lies in 1 triangles"
+
+
+def test_validate_interior_equal_signs():
+    a, b, c = DISK_TRIANGLES[1]
+    tri = [DISK_TRIANGLES[0], (a, c, b), DISK_TRIANGLES[2]]
+    assert violation(disk_with(tri=tri)) == "interior edge 4 has equal induced signs"
+
+
+def test_validate_boundary_edge_count():
+    assert violation(disk_with(kinds="BBBBII")) == "boundary edge 3 lies in 2 triangles"
+
+
+def test_validate_loop_edge_count():
+    K = disk_with(kinds="LLLIII", edge_q=[0, 0, 0, -1, -1, -1], loops=[(0, 1, 2)])
+    assert violation(K) == "loop edge 0 lies in 1 triangles"
+
+
+def test_validate_unbalanced_loop_signs():
+    a, b, c = DISK_TRIANGLES[1]
+    tri = [DISK_TRIANGLES[0], (a, c, b), DISK_TRIANGLES[2]]
+    K = disk_with(tri=tri, kinds="BBBLLL", edge_q=[-1, -1, -1, 0, 0, 0], loops=[(3, 4, 5)])
+    assert violation(K) == "loop edge 4 has unbalanced induced signs"
+
+
+def test_validate_disconnected_group():
+    K = make_complex(6, [(0, 1, 2), (3, 4, 5)],
+                     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "BBBBBB")
+    assert violation(K) == "group 0 is not connected over interior edges"
+
+
+def test_validate_chain_identity(monkeypatch):
+    from lin2complex import complex2
+
+    honest = complex2.boundary1
+
+    def swapped_first_edge(K):
+        d1 = honest(K)
+        return SparseMatrix.from_arrays(d1.n_rows, d1.n_cols, d1.rows, d1.cols,
+                                        np.where(d1.cols == 0, -d1.vals, d1.vals))
+
+    monkeypatch.setattr(complex2, "boundary1", swapped_first_edge)
+    assert violation(disk_with()) == "d1 d2 != 0"

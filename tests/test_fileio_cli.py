@@ -53,7 +53,7 @@ def test_complex_json_round_trip():
     K2 = fileio.complex_from_json(json.loads(json.dumps(obj)))
     assert validate(K2).ok
     assert K2.n_vertices == P.K.n_vertices
-    assert K2.loop_edges == P.K.loop_edges
+    assert np.array_equal(K2.loops, P.K.loops)
     from lin2complex.complex2 import boundary2
     assert boundary2(K2).equals(P.d2)
 
@@ -64,7 +64,7 @@ def test_sidecar_maps_solution_without_complex():
     P = reduce_da_to_b2(sys, b)
     sidecar = json.loads(json.dumps(fileio.boundary_sidecar_to_json(P)))
     H = np.zeros((P.n_triangles, P.n_vars))
-    for t, g in enumerate(P.K.group_of_triangle):
+    for t, g in enumerate(P.K.tri_group):
         H[t, g] = 1.0
     x = fileio.sidecar_map_solution(sidecar, H @ x_star)
     assert np.allclose(x, x_star)
@@ -102,10 +102,10 @@ def test_cli_reduce_verify_solve(tmp_path):
 
 
 def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
-    # a 5x5 system with |A_ij| <= 50 at the CLI defaults (eps 1e-3, alpha
-    # capped at 1e8): triangle columns of the weighted boundary operator
-    # then differ in norm by about 1e3 and unscaled LSQR stalled at ratio
-    # 0.18 after four rounds (exit 1); column equilibration certifies it
+    # a 5x5 system with |A_ij| <= 50 at eps 1e-3 and alpha 1e8: triangle
+    # columns of the weighted boundary operator then differ in norm by about
+    # 1e3 and unscaled LSQR stalled at ratio 0.18 after four rounds (exit 1);
+    # column equilibration certifies it
     A = np.array([[0, 19, 0, -47, 15],
                   [0, 0, 21, -41, 0],
                   [0, 0, 0, 15, -43],
@@ -117,7 +117,8 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out),
-                 "--eps", "1e-3"]) == 0
+                 "--eps", "1e-3", "--alpha", "1e8"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["alpha"] == 1e8
     assert main(["solve", "--manifest", str(out), "--out-dir", str(out)]) == 0
     assert json.loads((out / "solve_report.json").read_text())["converged"] is True
     x = fileio.read_vector(out / "x.vec")
@@ -227,3 +228,95 @@ def test_cli_maxflow_demo(tmp_path):
     rows = (tmp_path / "trace.csv").read_text().strip().splitlines()
     assert rows[0] == "step,kind,alpha,barrier,residual"
     assert len(rows) > 10
+
+
+def test_cli_reduce_caps_alpha_like_the_library(tmp_path):
+    from lin2complex.pipeline import ALPHA_CAP_DEFAULT
+
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out),
+                 "--eps", "1e-3"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["alpha"] == ALPHA_CAP_DEFAULT
+
+
+# -- malformed artifacts ------------------------------------------------------------
+
+def _complex_obj():
+    rng = np.random.default_rng(2)
+    sys, b, _ = planted_da_instance(rng, 3, 3, 1)
+    return json.loads(json.dumps(fileio.complex_to_json(reduce_da_to_b2(sys, b).K)))
+
+
+def test_complex_json_is_columnar():
+    obj = _complex_obj()
+    assert set(obj) == {"n_vertices", *fileio.COMPLEX_FIELDS}
+    assert all(isinstance(v, list) and all(isinstance(x, int) for x in v)
+               for k, v in obj.items() if k != "n_vertices")
+
+
+@pytest.mark.parametrize("field", ["tri_v1", "tri_group", "edge_head", "edge_kind",
+                                   "edge_r", "loop_r3"])
+def test_complex_json_rejects_mismatched_lengths(field):
+    from lin2complex.complex2 import ComplexStructureError
+
+    obj = _complex_obj()
+    obj[field] = obj[field][:-1]
+    with pytest.raises(ComplexStructureError, match=field):
+        fileio.complex_from_json(obj)
+
+
+@pytest.mark.parametrize("field,value", [("loop_r2", -1), ("loop_r1", 10 ** 6),
+                                         ("edge_tail", 10 ** 6), ("tri_v0", -3),
+                                         ("central", 10 ** 6), ("edge_kind", 3)])
+def test_complex_json_rejects_out_of_range_ids(field, value):
+    from lin2complex.complex2 import ComplexStructureError
+
+    obj = _complex_obj()
+    obj[field][0] = value
+    with pytest.raises(ComplexStructureError, match=field):
+        fileio.complex_from_json(obj)
+
+
+def test_complex_json_rejects_missing_field_and_non_int_values():
+    from lin2complex.complex2 import ComplexStructureError
+
+    obj = _complex_obj()
+    obj["edge_q"][0] = 0.5
+    with pytest.raises(ComplexStructureError, match="edge_q"):
+        fileio.complex_from_json(obj)
+    obj = _complex_obj()
+    del obj["central"]
+    with pytest.raises(ComplexStructureError, match="central"):
+        fileio.complex_from_json(obj)
+
+
+def test_cli_replay_missing_sidecar_is_one_line_error(tmp_path):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    (out / "b2_trace.json").unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    message = str(exc.value.code)
+    assert "b2_trace.json" in message and "\n" not in message
+
+
+def test_maxflow_demo_script_network_replays(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    subprocess.run([sys.executable, str(repo / "scripts" / "run_maxflow_demo.py"),
+                    "--steps", "60", "--out-dir", str(tmp_path)],
+                   check=True, capture_output=True, env=env)
+    net = json.loads((tmp_path / "net.json").read_text())
+    K = fileio.complex_from_json(net["complex"])
+    assert validate(K).ok and K.n_triangles == len(net["capacities"])
+    assert main(["maxflow-demo", "--network", str(tmp_path / "net.json"),
+                 "--steps", "60"]) == 0

@@ -148,7 +148,7 @@ def test_zero_capacity_rejected():
 def test_demand_outside_image_rejected():
     net = single_tube_network()
     net.gamma = np.zeros_like(net.gamma)
-    net.gamma[net.K.loop_edges[0][0]] = 1.0  # one loop edge only: not in im(d2)
+    net.gamma[net.K.loops[0, 0]] = 1.0  # one loop edge only: not in im(d2)
     with pytest.raises(NetworkError):
         net.validate()
 
