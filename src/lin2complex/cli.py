@@ -22,7 +22,7 @@ from .da_reduce import (
 )
 from .da_reduce import map_da_solution_back
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
-from .maxflow_ipm import FlowNetwork2, run_ipm
+from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
 from .pipeline import ALPHA_CAP_DEFAULT, adaptive_boundary_solve
 from .sparse_core import DenseGuardError, least_squares
 
@@ -100,6 +100,10 @@ def _replay_manifest(args, out: Path) -> int:
     d2 = fileio.read_matrix(src / "b2_d2.mtx")
     weights = fileio.read_vector(src / "b2_W.vec")
     gamma = fileio.read_vector(src / "b2_gamma.vec")
+    for name, vec in (("b2_W.vec", weights), ("b2_gamma.vec", gamma)):
+        if vec.size != d2.n_rows:
+            raise SystemExit(f"error: {src / name} has {vec.size} entries but "
+                             f"b2_d2.mtx has {d2.n_rows} rows")
     w_d2 = d2.row_scaled(np.sqrt(weights))
     w_gamma = np.sqrt(weights) * gamma
 
@@ -284,7 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ComplexStructureError) as exc:
+    except (FileNotFoundError, ComplexStructureError, NetworkError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

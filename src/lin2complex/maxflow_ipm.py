@@ -4,13 +4,16 @@ The LP maximizes F subject to d2 f = F gamma and -c <= f <= c.  Each
 iteration takes a progress step (a Newton step that also raises the routed
 fraction by alpha') and a centering step (a Newton step at fixed fraction);
 both reduce to applying the pseudo-inverse of d2 H^-1 d2^T, realized as an
-LSQR solve in the H^(-1/2)-scaled variable.
+LSQR solve in the H^(-1/2)-scaled variable.  The Newton step is linear in
+the demand increment, so a progress step makes two solves (one for the
+barrier part, one for the demand direction) and halves a rejected increment
+without solving again; a centering step makes one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +40,7 @@ class FlowNetwork2:
     gamma: np.ndarray
     f_star: float | None = None
     _d2: SparseMatrix | None = field(default=None, repr=False)
+    _d2_csr: sp.csr_matrix | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.capacities = np.asarray(self.capacities, dtype=np.float64).ravel()
@@ -46,6 +50,12 @@ class FlowNetwork2:
         if self._d2 is None:
             self._d2 = boundary2(self.K)
         return self._d2
+
+    def d2_csr(self) -> sp.csr_matrix:
+        """``d2`` in CSR form, built once per network."""
+        if self._d2_csr is None:
+            self._d2_csr = self.d2().to_csr()
+        return self._d2_csr
 
     def validate(self) -> None:
         d2 = self.d2()
@@ -111,22 +121,30 @@ def barrier_derivatives(net: FlowNetwork2, state: BarrierState):
     return g, h
 
 
-def _newton_direction(net: FlowNetwork2, f, increment: float) -> np.ndarray:
-    """Newton step for the barrier problem with demand increase ``increment``.
+def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
+    """Newton step for the barrier problem, split by its demand increment.
 
-    Solves d2 H^-1 d2^T x = d2 H^-1 g + increment * gamma through the
-    least-squares system (d2 H^(-1/2)) z = rhs and returns
-    delta = H^(-1/2) z - H^-1 g, which satisfies d2 delta = increment * gamma.
+    The step for demand increase ``inc`` solves
+    d2 H^-1 d2^T x = d2 H^-1 g + inc * gamma through the least-squares system
+    M z = rhs with M = d2 H^(-1/2), and is delta = H^(-1/2) z - H^-1 g, which
+    satisfies d2 delta = inc * gamma.  The minimum-norm z is linear in rhs, so
+    delta(inc) = base + inc * unit with base = H^(-1/2) M^+ (d2 H^-1 g) - H^-1 g
+    and unit = H^(-1/2) M^+ gamma.  Returns (base, unit), or (base, None)
+    without the second solve when ``with_demand`` is false.
     """
     g, h = barrier_derivatives(net, BarrierState(f))
     inv_sqrt = 1.0 / np.sqrt(h)
-    csr = net.d2().to_csr()
-    M = csr @ sp.diags(inv_sqrt)
-    rhs = csr @ (g / h) + increment * net.gamma
-    out = spla.lsqr(M, rhs, atol=1e-12, btol=1e-12, conlim=0.0,
-                    iter_lim=4 * (M.shape[0] + M.shape[1]) + 200)
-    z = out[0]
-    return inv_sqrt * z - g / h
+    csr = net.d2_csr()
+    M = sp.csr_matrix((csr.data * inv_sqrt[csr.indices], csr.indices, csr.indptr),
+                      shape=csr.shape)
+    iter_lim = 4 * (M.shape[0] + M.shape[1]) + 200
+
+    def solve(rhs):
+        z = spla.lsqr(M, rhs, atol=1e-12, btol=1e-12, conlim=0.0, iter_lim=iter_lim)[0]
+        return inv_sqrt * z
+
+    base = solve(csr @ (g / h)) - g / h
+    return base, solve(net.gamma) if with_demand else None
 
 
 def _strictly_interior(net: FlowNetwork2, f, margin: float = 1e-12) -> bool:
@@ -137,18 +155,18 @@ def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,
                   max_retries: int = 40) -> BarrierState:
     """Advance the routed fraction by (up to) alpha_prime.
 
-    The Newton direction scales linearly with the demand increment, so a
-    rejected step is retried with the increment halved; the achieved
-    increment is recorded on the returned state.
+    The Newton direction is linear in the demand increment, so it is solved
+    for once and a rejected step is retried with the increment halved; the
+    achieved increment is recorded on the returned state.
     """
     if net.f_star is None:
         raise NetworkError("the optimal flow value is required; supply or estimate it")
     if not (state.alpha + alpha_prime < 1.0):
         raise ValueError("alpha + alpha_prime must stay below 1")
+    base, unit = _newton_parts(net, state.f, with_demand=True)
     inc = alpha_prime
     for _ in range(max_retries):
-        delta = _newton_direction(net, state.f, inc * net.f_star)
-        f_new = state.f + delta
+        f_new = state.f + (base + (inc * net.f_star) * unit)
         if _strictly_interior(net, f_new):
             new = state.copy()
             new.f = f_new
@@ -162,7 +180,7 @@ def centering_step(net: FlowNetwork2, state: BarrierState,
                    max_halvings: int = 40) -> BarrierState:
     """Newton step with zero demand increment; damped until the barrier
     does not increase and the iterate stays strictly interior."""
-    delta = _newton_direction(net, state.f, 0.0)
+    delta, _ = _newton_parts(net, state.f, with_demand=False)
     v0 = barrier_value(net, state.f)
     eta = 1.0
     for _ in range(max_halvings):
@@ -198,7 +216,7 @@ def run_ipm(net: FlowNetwork2, steps: int,
         base = 1.0 / (20.0 * math.sqrt(t))
         alpha_schedule = lambda state, step: min(base, (1.0 - state.alpha) * 0.5)
 
-    d2 = net.d2()
+    d2 = net.d2_csr()
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
     state = initial_state(net)
     best = state.copy()
@@ -212,12 +230,12 @@ def run_ipm(net: FlowNetwork2, steps: int,
         state = progress_step(net, state, inc)
         halvings = int(round(math.log2(inc / (state.alpha - before)))) \
             if state.alpha > before else 0
-        res = float(np.linalg.norm(d2.matvec(state.f) - state.alpha * net.f_star * net.gamma))
+        res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
         state.step_log.append(StepRecord(step, "progress", state.alpha,
                                          barrier_value(net, state.f),
                                          res / gnorm if gnorm else res, halvings))
         state = centering_step(net, state)
-        res = float(np.linalg.norm(d2.matvec(state.f) - state.alpha * net.f_star * net.gamma))
+        res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
         state.step_log.append(StepRecord(step, "centering", state.alpha,
                                          barrier_value(net, state.f),
                                          res / gnorm if gnorm else res, 0))
@@ -251,12 +269,12 @@ def estimate_f_star(net: FlowNetwork2, lo: float = 0.0, hi: float | None = None,
         hi = float(np.sum(net.capacities)) / max(np.max(np.abs(net.gamma)), 1e-30)
 
     schedule = lambda state, step: min(base, (1.0 - state.alpha) * 0.5)
-    d2 = net.d2()
+    d2 = net.d2_csr()
     gamma_sq = float(net.gamma @ net.gamma)
     best = 0.0
     for _ in range(rounds):
         mid = 0.5 * (lo + hi)
-        trial = FlowNetwork2(net.K, net.capacities, net.gamma, mid)
+        trial = replace(net, f_star=mid)
         try:
             result = run_ipm(trial, steps, alpha_schedule=schedule, target=0.995)
         except StepRejectedError:
@@ -265,7 +283,7 @@ def estimate_f_star(net: FlowNetwork2, lo: float = 0.0, hi: float | None = None,
         if result is not None:
             # credit the flow value actually routed by the final iterate; the
             # bookkept fraction drifts once near-boundary solves underconverge
-            routed = d2.matvec(result.f)
+            routed = d2 @ result.f
             fit = float(routed @ net.gamma) / gamma_sq
             if np.linalg.norm(routed - fit * net.gamma) > 1e-3 * abs(fit) * math.sqrt(gamma_sq):
                 fit = 0.0

@@ -320,3 +320,32 @@ def test_maxflow_demo_script_network_replays(tmp_path):
     assert validate(K).ok and K.n_triangles == len(net["capacities"])
     assert main(["maxflow-demo", "--network", str(tmp_path / "net.json"),
                  "--steps", "60"]) == 0
+
+
+@pytest.mark.parametrize("name", ["b2_W.vec", "b2_gamma.vec"])
+def test_cli_replay_vector_length_mismatch_is_one_line_error(tmp_path, name):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    lines = (out / name).read_text().splitlines(keepends=True)
+    (out / name).write_text("".join(lines[:-1]))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and name in message and "\n" not in message
+
+
+def test_cli_maxflow_demo_short_capacities_is_one_line_error(tmp_path):
+    from lin2complex.da_reduce import difference_row, plain_da_system
+
+    P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+    fileio.write_json(tmp_path / "net.json", {
+        "complex": fileio.complex_to_json(P.K),
+        "capacities": [1.0] * (P.n_triangles - 1),
+        "gamma": P.gamma.tolist(),
+    })
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow-demo", "--network", str(tmp_path / "net.json")])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "capacity" in message and "\n" not in message

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from lin2complex import maxflow_ipm
 from lin2complex.b2_reduce import reduce_da_to_b2
-from lin2complex.da_reduce import difference_row, plain_da_system
+from lin2complex.da_reduce import average_row, difference_row, plain_da_system
 from lin2complex.maxflow_ipm import (
     BarrierState,
     FlowNetwork2,
@@ -158,3 +159,68 @@ def test_estimate_f_star_single_tube():
     net.f_star = None
     est = estimate_f_star(net, rounds=10)
     assert est == pytest.approx(2.0, abs=0.15)
+
+
+def _demo_network(average: bool) -> FlowNetwork2:
+    """The networks of ``scripts/run_maxflow_demo.py``, unit capacities."""
+    if average:
+        sys = plain_da_system(3, [average_row(0, 1, 2), difference_row(0, 1)])
+        b = np.array([0.0, 1.0])
+    else:
+        sys = plain_da_system(2, [difference_row(0, 1)])
+        b = np.array([1.0])
+    P = reduce_da_to_b2(sys, b)
+    return FlowNetwork2(P.K, np.ones(P.n_triangles), P.gamma)
+
+
+@pytest.mark.parametrize("average,f_star,alpha,n_log", [
+    (False, 1.9608029371907973, 0.9969379416225436, 152),
+    (True, 1.6822813651165518, 0.9966500088219177, 294),
+])
+def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
+    # pins the whole path, not just the end state: the bisection outcome
+    # depends on every probe's accepted increments, alpha on every halving
+    net = _demo_network(average)
+    net.f_star = estimate_f_star(net, rounds=6)
+    result = run_ipm(net, 300)
+    assert net.f_star == pytest.approx(f_star, rel=1e-9)
+    assert result.alpha == pytest.approx(alpha, rel=1e-12)
+    assert len(result.log) == n_log
+
+
+def test_progress_step_solves_twice_however_often_it_halves(monkeypatch):
+    calls = []
+    lsqr = maxflow_ipm.spla.lsqr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lsqr(*args, **kwargs)
+
+    monkeypatch.setattr(maxflow_ipm.spla, "lsqr", counting)
+    net = single_tube_network()
+    net.f_star = 4.0  # twice the optimum: the full request leaves the box
+    state = progress_step(net, initial_state(net), 0.9)
+    assert state.alpha <= 0.45
+    assert len(calls) == 2
+    calls.clear()
+    centering_step(net, state)
+    assert len(calls) == 1
+
+
+def test_newton_parts_match_dense_pseudo_inverse_step():
+    rng = np.random.default_rng(11)
+    net = _demo_network(average=True)
+    d2 = net.d2().to_dense()
+    f = rng.uniform(-0.6, 0.6, size=d2.shape[1])
+    g, h = barrier_derivatives(net, BarrierState(f))
+    base, unit = maxflow_ipm._newton_parts(net, f, with_demand=True)
+    for inc in (0.0, 0.3, -1.7):
+        rhs = d2 @ (g / h) + inc * net.gamma
+        x = np.linalg.pinv((d2 / h) @ d2.T) @ rhs
+        dense = (d2.T @ x) / h - g / h
+        delta = base + inc * unit
+        assert np.linalg.norm(delta - dense) <= 1e-9 * np.linalg.norm(dense)
+        assert np.linalg.norm(d2 @ delta - inc * net.gamma) <= 1e-9 * max(
+            1.0, np.linalg.norm(inc * net.gamma))
+    centered, none = maxflow_ipm._newton_parts(net, f, with_demand=False)
+    assert none is None and np.array_equal(centered, base)
