@@ -10,23 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .b2_reduce import build_boundary_problem, reduce_reg, spectral_certificate
-from .complex2 import ComplexStructureError, boundary1, validate
-from .da_reduce import (
-    CLASS_G,
-    GeneralSystem,
-    choose_epsilon_da,
-    gz2_to_da,
-    to_pow2,
-    to_zero_rowsum,
-)
-from .da_reduce import map_da_solution_back
+from .b2_reduce import spectral_certificate
+from .complex2 import ComplexStructureError, boundary2, validate
+from .da_reduce import CLASS_G, GeneralSystem
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
 from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
-from .pipeline import ALPHA_CAP_DEFAULT, adaptive_boundary_solve
-from .sparse_core import DenseGuardError, least_squares
-
-STAGES = ("gz", "gz2", "da", "b2", "b2w")
+from .pipeline import reduce_chain, solve_chain
+from .sparse_core import DenseGuardError, DimensionError, least_squares
 
 
 def _load_general(args) -> GeneralSystem:
@@ -36,91 +26,18 @@ def _load_general(args) -> GeneralSystem:
 
 
 def cmd_reduce(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sys0 = _load_general(args)
-    sys0.validate_class()
-    fileio.write_matrix(out / "original_A.mtx", sys0.A)
-    fileio.write_vector(out / "original_b.vec", sys0.b)
-    manifest = {"seed": args.seed, "eps": args.eps, "stage": args.stage,
-                "files": {"original": ["original_A.mtx", "original_b.vec"]},
-                "back_maps": []}
-
-    gz, back1 = to_zero_rowsum(sys0)
-    manifest["back_maps"].append({"kind": back1.kind, "n": back1.n})
-    fileio.write_matrix(out / "A_gz.mtx", gz.A)
-    fileio.write_vector(out / "b_gz.vec", gz.b)
-    manifest["files"]["gz"] = ["A_gz.mtx", "b_gz.vec"]
-    if args.stage != "gz":
-        gz2, back2 = to_pow2(gz)
-        manifest["back_maps"].append({"kind": back2.kind, "n": back2.n})
-        fileio.write_matrix(out / "A_gz2.mtx", gz2.A)
-        fileio.write_vector(out / "b_gz2.vec", gz2.b)
-        manifest["files"]["gz2"] = ["A_gz2.mtx", "b_gz2.vec"]
-    if args.stage in ("da", "b2", "b2w"):
-        da, _, trace = gz2_to_da(gz2, alpha=1.0)
-        fileio.write_json(out / "da.json", fileio.da_system_to_json(da))
-        fileio.write_matrix(out / "da_matrix.mtx", da.as_matrix())
-        fileio.write_vector(out / "da_rhs.vec", da.rhs_vector())
-        manifest["files"]["da"] = ["da.json", "da_matrix.mtx", "da_rhs.vec"]
-        manifest["da_n_original"] = trace.n_original
-    if args.stage in ("b2", "b2w"):
-        eps_da = choose_epsilon_da(args.eps, gz2) if np.linalg.norm(gz2.b) else args.eps
-        manifest["eps_da_theory"] = eps_da
-        if args.stage == "b2":
-            problem = build_boundary_problem(da)
-        else:
-            alpha = args.alpha
-            if alpha is None:
-                alpha = min(2.0 / max(eps_da, 1e-12) ** 2, ALPHA_CAP_DEFAULT)
-            problem, eps_b2 = reduce_reg(da, da.pattern_rhs(),
-                                         eps_da=min(max(eps_da, 1e-12), 1.0),
-                                         alpha=alpha)
-            manifest["eps_b2_theory"] = eps_b2
-            manifest["alpha"] = alpha
-        names = fileio.write_boundary_problem(out, problem)
-        manifest["files"]["b2"] = names
-    fileio.write_json(out / "manifest.json", manifest)
-    print(f"wrote stage {args.stage} artifacts to {out}")
+    chain = reduce_chain(_load_general(args), args.eps, alpha=args.alpha)
+    fileio.write_chain(args.out_dir, chain, seed=args.seed)
+    print(f"wrote chain artifacts to {args.out_dir}")
     return 0
 
 
 def _replay_manifest(args, out: Path) -> int:
     """Solve from previously written artifacts, replaying the recorded back maps."""
-    src = Path(args.manifest)
-    manifest = fileio.read_json(src / "manifest.json")
-    if "b2" not in manifest["files"]:
-        raise SystemExit("manifest has no boundary-problem stage; re-run reduce "
-                         "with --stage b2w")
-    original = GeneralSystem(fileio.read_matrix(src / "original_A.mtx"),
-                             fileio.read_vector(src / "original_b.vec"), CLASS_G)
-    gz2 = GeneralSystem(fileio.read_matrix(src / "A_gz2.mtx"),
-                        fileio.read_vector(src / "b_gz2.vec"), "G_z2")
-    sidecar = fileio.read_json(src / "b2_trace.json")
-    d2 = fileio.read_matrix(src / "b2_d2.mtx")
-    weights = fileio.read_vector(src / "b2_W.vec")
-    gamma = fileio.read_vector(src / "b2_gamma.vec")
-    for name, vec in (("b2_W.vec", weights), ("b2_gamma.vec", gamma)):
-        if vec.size != d2.n_rows:
-            raise SystemExit(f"error: {src / name} has {vec.size} entries but "
-                             f"b2_d2.mtx has {d2.n_rows} rows")
-    w_d2 = d2.row_scaled(np.sqrt(weights))
-    w_gamma = np.sqrt(weights) * gamma
-
-    def back(f):
-        x = fileio.sidecar_map_solution(sidecar, f)
-        x = map_da_solution_back(gz2, x)
-        for spec in reversed(manifest["back_maps"]):
-            if spec["kind"] == "shift":
-                x = x[: spec["n"]] - x[spec["n"]]
-            else:
-                x = x[: spec["n"]]
-        return x
-
-    eps = args.eps if args.eps is not None else manifest["eps"]
-    tol_start = min(max(manifest.get("eps_b2_theory", 1e-7), 1e-7), 0.1)
-    x, report = adaptive_boundary_solve(w_d2, w_gamma, back, original, eps,
-                                        tol_start=tol_start)
+    chain = fileio.read_chain(args.manifest)
+    if args.eps is not None:
+        chain.eps = args.eps
+    x, report = solve_chain(chain)
     fileio.write_vector(out / "x.vec", x)
     fileio.write_json(out / "solve_report.json", {
         "route": "manifest-replay", "converged": report.converged,
@@ -130,7 +47,7 @@ def _replay_manifest(args, out: Path) -> int:
         "b2_tolerance": report.b2_tolerance,
         "b2_iterations": report.b2_iterations,
     })
-    print(f"replay solve: ratio {report.achieved_ratio:.3e} vs eps {eps:.3e}")
+    print(f"replay solve: ratio {report.achieved_ratio:.3e} vs eps {chain.eps:.3e}")
     return 0 if report.converged else 1
 
 
@@ -187,35 +104,25 @@ def cmd_verify(args) -> int:
         ok = ok and passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name}{': ' + detail if detail else ''}")
 
-    K = fileio.complex_from_json(fileio.read_json(src / "b2_complex.json"))
-    report = validate(K)
+    problem = fileio.read_boundary_problem(src)
+    report = validate(problem.K)
     check("complex structure", report.ok, report.violation or "")
+    # validate checks d1 d2 = 0 on boundary2(K), so this implies it for d2
+    check("d2 is the boundary operator of the complex",
+          problem.d2.equals(boundary2(problem.K)))
 
-    d2 = fileio.read_matrix(src / "b2_d2.mtx")
-    prod = boundary1(K).to_int_csr() @ d2.to_int_csr()
-    prod.eliminate_zeros()
-    check("chain identity d1 d2 = 0", prod.nnz == 0)
-
-    sidecar = fileio.read_json(src / "b2_trace.json")
-    da = fileio.da_system_from_json(sidecar["da"])
-    pattern = da.pattern_matrix()
+    pattern = problem.pattern_matrix()
     l1 = pattern.entry_abs_sum()
-    t, m = d2.n_cols, d2.n_rows
-    check("triangle count 11*l1 - 4n", t == int(round(11 * l1 - 4 * da.n_vars)),
+    t, m = problem.n_triangles, problem.n_edges
+    check("triangle count 11*l1 - 4n", t == int(round(11 * l1 - 4 * problem.n_vars)),
           f"t={t}")
     check("size bounds", t <= 22 * pattern.nnz and m <= 33 * pattern.nnz
-          and d2.nnz == 3 * t)
+          and problem.d2.nnz == 3 * t)
 
     if t <= args.dense_limit:
-        problem = build_boundary_problem(da)
-        try:
-            cert = spectral_certificate(problem, dense_limit=args.dense_limit)
-        except DenseGuardError as exc:
-            check("spectral certificate", False, str(exc))
-        else:
-            for c in cert.checks:
-                check(f"spectral {c.name}", c.ok,
-                      f"value {c.value:.6g} vs bound {c.bound:.6g}")
+        cert = spectral_certificate(problem, dense_limit=args.dense_limit)
+        for c in cert.checks:
+            check(f"spectral {c.name}", c.ok, f"value {c.value:.6g} vs bound {c.bound:.6g}")
     else:
         print(f"[SKIP] spectral certificate (t={t} beyond dense limit)")
     return 0 if ok else 1
@@ -223,6 +130,9 @@ def cmd_verify(args) -> int:
 
 def cmd_maxflow_demo(args) -> int:
     net_obj = fileio.read_json(args.network)
+    for key in ("complex", "capacities", "gamma"):
+        if key not in net_obj:
+            raise NetworkError(f"{args.network} has no {key!r} entry")
     K = fileio.complex_from_json(net_obj["complex"])
     net = FlowNetwork2(K, np.array(net_obj["capacities"]),
                        np.array(net_obj["gamma"]), net_obj.get("f_star"))
@@ -248,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("reduce", help="run the reduction chain and write artifacts")
     pr.add_argument("--matrix", required=True)
     pr.add_argument("--rhs", required=True)
-    pr.add_argument("--stage", choices=STAGES, default="b2w")
     pr.add_argument("--out-dir", required=True)
     pr.add_argument("--eps", type=float, default=1e-3)
     pr.add_argument("--alpha", type=float, default=None)
@@ -288,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ComplexStructureError, NetworkError) as exc:
+    except (FileNotFoundError, ComplexStructureError, DimensionError, NetworkError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

@@ -109,6 +109,11 @@ class DropTailBack:
         return x[: self.n].copy()
 
 
+def back_map_from_json(obj: dict):
+    """Rebuild a back map from its manifest entry ``{"kind": ..., "n": ...}``."""
+    return {"shift": ShiftBack, "drop_tail": DropTailBack}[obj["kind"]](int(obj["n"]))
+
+
 def to_zero_rowsum(sys: GeneralSystem):
     """Append the column -A 1 so every row sums to zero.
 
@@ -122,11 +127,11 @@ def to_zero_rowsum(sys: GeneralSystem):
     np.add.at(row_sums, A.rows, A.vals)
     if np.all(row_sums == 0.0):
         return GeneralSystem(A, b, CLASS_GZ), DropTailBack(A.n_cols)
-    entries = list(zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()))
-    for i, s in enumerate(row_sums):
-        if s != 0.0:
-            entries.append((i, A.n_cols, -s))
-    A2 = SparseMatrix.from_entries(A.n_rows, A.n_cols + 1, entries)
+    nz = np.flatnonzero(row_sums)
+    A2 = SparseMatrix.from_arrays(
+        A.n_rows, A.n_cols + 1, np.concatenate([A.rows, nz]),
+        np.concatenate([A.cols, np.full(nz.size, A.n_cols)]),
+        np.concatenate([A.vals, -row_sums[nz]]))
     out = GeneralSystem(A2, b, CLASS_GZ)
     out.validate_class()
     return out, ShiftBack(A.n_cols)
@@ -147,15 +152,12 @@ def to_pow2(sys: GeneralSystem):
     if np.any(p < 1):
         raise MatrixClassError("every nonzero zero-sum row has positive sum >= 1")
     g = np.array([(1 << int(pi - 1).bit_length()) - int(pi) for pi in p], dtype=np.int64)
-    n = A.n_cols
-    entries = list(zip(A.rows.tolist(), A.cols.tolist(), A.vals.tolist()))
-    for i, gi in enumerate(g):
-        if gi != 0:
-            entries.append((i, n, float(gi)))
-            entries.append((i, n + 1, float(-gi)))
-    entries.append((A.n_rows, n, 1.0))
-    entries.append((A.n_rows, n + 1, -1.0))
-    A2 = SparseMatrix.from_entries(A.n_rows + 1, n + 2, entries)
+    n, d = A.n_cols, A.n_rows
+    nz = np.flatnonzero(g)
+    A2 = SparseMatrix.from_arrays(
+        d + 1, n + 2, np.concatenate([A.rows, nz, nz, [d, d]]),
+        np.concatenate([A.cols, np.full(nz.size, n), np.full(nz.size, n + 1), [n, n + 1]]),
+        np.concatenate([A.vals, g[nz], -g[nz], [1.0, -1.0]]))
     b2 = np.concatenate([b, [0.0]])
     out = GeneralSystem(A2, b2, CLASS_GZ2)
     out.validate_class()

@@ -3,16 +3,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .b2_reduce import BoundaryProblem
+from .b2_reduce import BoundaryProblem, TubeRef
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
-from .da_reduce import DARow, WeightedDASystem
-from .sparse_core import SparseMatrix
+from .da_reduce import (
+    CLASS_G,
+    CLASS_GZ,
+    CLASS_GZ2,
+    DARow,
+    GeneralSystem,
+    WeightedDASystem,
+    back_map_from_json,
+)
+from .pipeline import ChainArtifacts
+from .sparse_core import DimensionError, SparseMatrix
 
 
 def write_matrix(path, A: SparseMatrix) -> None:
@@ -147,28 +157,88 @@ def boundary_sidecar_to_json(problem: BoundaryProblem) -> dict:
     }
 
 
-def sidecar_map_solution(sidecar: dict, f) -> np.ndarray:
-    from .b2_reduce import map_soln_b2_to_da
-
-    sys = da_system_from_json(sidecar["da"])
-    return map_soln_b2_to_da(sys, np.array(sidecar["equation_rhs"]), f,
-                             sidecar["central"])
+# fixed names of the boundary-problem files, keyed as in manifest["files"]["b2"]
+BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.vec", "gamma": "b2_gamma.vec",
+                  "complex": "b2_complex.json", "trace": "b2_trace.json"}
 
 
-def write_boundary_problem(out_dir, problem: BoundaryProblem, prefix: str = "b2") -> dict:
-    """Write d2/W/gamma plus the complex and trace sidecar; returns file names."""
+def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
+    """Write d2/W/gamma plus the complex and trace sidecar as ``BOUNDARY_FILES``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = {
-        "d2": f"{prefix}_d2.mtx",
-        "weights": f"{prefix}_W.vec",
-        "gamma": f"{prefix}_gamma.vec",
-        "complex": f"{prefix}_complex.json",
-        "trace": f"{prefix}_trace.json",
-    }
+    names = BOUNDARY_FILES
     write_matrix(out_dir / names["d2"], problem.d2)
     write_vector(out_dir / names["weights"], problem.weights)
     write_vector(out_dir / names["gamma"], problem.gamma)
     write_json(out_dir / names["complex"], complex_to_json(problem.K), indent=None)
     write_json(out_dir / names["trace"], boundary_sidecar_to_json(problem))
-    return names
+
+
+def read_boundary_problem(src) -> BoundaryProblem:
+    """Inverse of ``write_boundary_problem`` (``path_weights`` is not written
+    and reads back as None); rejects a weight or demand vector whose length
+    differs from the row count of d2, naming the file."""
+    src = Path(src)
+    names = BOUNDARY_FILES
+    d2 = read_matrix(src / names["d2"])
+    vectors = {}
+    for key in ("weights", "gamma"):
+        vectors[key] = read_vector(src / names[key])
+        if vectors[key].size != d2.n_rows:
+            raise DimensionError(f"{src / names[key]} has {vectors[key].size} entries "
+                                 f"but {names['d2']} has {d2.n_rows} rows")
+    sidecar = read_json(src / names["trace"])
+    tubes = [TubeRef(t["q"], t["var"], t["copy"], t["sign"],
+                     {int(r): c for r, c in t["cols"].items()}) for t in sidecar["tubes"]]
+    return BoundaryProblem(
+        K=complex_from_json(read_json(src / names["complex"])), d2=d2,
+        central=sidecar["central"], tubes=tubes,
+        equation_rhs=np.array(sidecar["equation_rhs"], dtype=np.float64),
+        loop_weight=np.array(sidecar["loop_weight"], dtype=np.float64),
+        da=da_system_from_json(sidecar["da"]), **vectors)
+
+
+# -- reduction chains -----------------------------------------------------------
+
+# the general systems of a chain: stage -> (matrix file, rhs file, class tag)
+SYSTEM_FILES = {"original": ("original_A.mtx", "original_b.vec", CLASS_G),
+                "gz": ("A_gz.mtx", "b_gz.vec", CLASS_GZ),
+                "gz2": ("A_gz2.mtx", "b_gz2.vec", CLASS_GZ2)}
+
+
+def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
+    """Write every stage of ``chain`` and ``manifest.json``, which records the
+    file names, the back maps, the accuracy targets, alpha and ``seed``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for stage, (a_name, b_name, _) in SYSTEM_FILES.items():
+        system = getattr(chain, stage)
+        write_matrix(out_dir / a_name, system.A)
+        write_vector(out_dir / b_name, system.b)
+        files[stage] = [a_name, b_name]
+    write_json(out_dir / "da.json", da_system_to_json(chain.da))
+    write_matrix(out_dir / "da_matrix.mtx", chain.da.as_matrix())
+    write_vector(out_dir / "da_rhs.vec", chain.da.rhs_vector())
+    files["da"] = ["da.json", "da_matrix.mtx", "da_rhs.vec"]
+    write_boundary_problem(out_dir, chain.problem)
+    files["b2"] = BOUNDARY_FILES
+    write_json(out_dir / "manifest.json", {
+        "seed": seed, "eps": chain.eps, "files": files,
+        "back_maps": [asdict(chain.gz_back), asdict(chain.gz2_back)],
+        "da_n_original": chain.gz2.A.n_cols, "eps_da_theory": chain.eps_da_theory,
+        "eps_b2_theory": chain.eps_b2_theory, "alpha": chain.alpha,
+    })
+
+
+def read_chain(src) -> ChainArtifacts:
+    """Rebuild the chain that ``write_chain`` wrote to ``src``."""
+    src = Path(src)
+    manifest = read_json(src / "manifest.json")
+    original, gz, gz2 = (GeneralSystem(read_matrix(src / a_name), read_vector(src / b_name),
+                                       tag)
+                         for a_name, b_name, tag in SYSTEM_FILES.values())
+    gz_back, gz2_back = (back_map_from_json(spec) for spec in manifest["back_maps"])
+    return ChainArtifacts(original, gz, gz_back, gz2, gz2_back, read_boundary_problem(src),
+                          manifest["eps"], manifest["eps_da_theory"],
+                          manifest["eps_b2_theory"], manifest["alpha"])

@@ -17,7 +17,6 @@ import numpy as np
 
 from .b2_reduce import BoundaryProblem, map_solution, reduce_reg
 from .da_reduce import (
-    DAReductionTrace,
     GeneralSystem,
     WeightedDASystem,
     choose_epsilon_da,
@@ -36,18 +35,23 @@ ALPHA_CAP_DEFAULT = 1e2
 
 @dataclass
 class ChainArtifacts:
+    """Every stage of one reduction and the back maps between them; built in
+    memory by ``reduce_chain`` or from disk by ``fileio.read_chain``."""
+
     original: GeneralSystem
     gz: GeneralSystem
     gz_back: object
     gz2: GeneralSystem
     gz2_back: object
-    da: WeightedDASystem
-    da_trace: DAReductionTrace
     problem: BoundaryProblem
     eps: float
     eps_da_theory: float
     eps_b2_theory: float
     alpha: float
+
+    @property
+    def da(self) -> WeightedDASystem:
+        return self.problem.da
 
 
 def reduce_chain(sys: GeneralSystem, eps: float,
@@ -63,15 +67,15 @@ def reduce_chain(sys: GeneralSystem, eps: float,
     sys.validate_class()
     gz, gz_back = to_zero_rowsum(sys)
     gz2, gz2_back = to_pow2(gz)
-    da, _, trace = gz2_to_da(gz2, alpha=1.0)
+    da, _, _ = gz2_to_da(gz2, alpha=1.0)
     eps_da = choose_epsilon_da(eps, gz2)
     if alpha is None:
         alpha = min(2.0 / eps_da ** 2, alpha_cap)
     b_norm = da.pattern_rhs()
     problem, eps_b2 = reduce_reg(da, b_norm, eps_da=min(max(eps_da, 1e-12), 1.0),
                                  alpha=alpha)
-    return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, da, trace,
-                          problem, eps, eps_da, eps_b2, alpha)
+    return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, problem, eps, eps_da,
+                          eps_b2, alpha)
 
 
 @dataclass

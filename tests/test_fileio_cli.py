@@ -1,18 +1,26 @@
 import filecmp
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lin2complex import fileio
-from lin2complex.b2_reduce import reduce_da_to_b2, reduce_reg
+from lin2complex.b2_reduce import map_solution, reduce_da_to_b2
 from lin2complex.cli import main
 from lin2complex.complex2 import validate
 from lin2complex.da_reduce import gz2_to_da
-from lin2complex.maxflow_ipm import FlowNetwork2
+from lin2complex.pipeline import reduce_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
 
-from _gen import planted_da_instance, planted_general_system, random_gz2_system
+from _gen import (
+    group_indicator,
+    planted_da_instance,
+    planted_general_system,
+    random_gz2_system,
+)
 
 
 def test_matrix_round_trip_integer(tmp_path):
@@ -58,16 +66,27 @@ def test_complex_json_round_trip():
     assert boundary2(K2).equals(P.d2)
 
 
-def test_sidecar_maps_solution_without_complex():
+def test_sidecar_maps_solution_without_complex(tmp_path):
+    # map_solution reads only fields that come from the trace sidecar
     rng = np.random.default_rng(3)
     sys, b, x_star = planted_da_instance(rng, 3, 3, 1)
     P = reduce_da_to_b2(sys, b)
-    sidecar = json.loads(json.dumps(fileio.boundary_sidecar_to_json(P)))
-    H = np.zeros((P.n_triangles, P.n_vars))
-    for t, g in enumerate(P.K.tri_group):
-        H[t, g] = 1.0
-    x = fileio.sidecar_map_solution(sidecar, H @ x_star)
+    fileio.write_boundary_problem(tmp_path, P)
+    x = map_solution(fileio.read_boundary_problem(tmp_path), group_indicator(P) @ x_star)
     assert np.allclose(x, x_star)
+
+
+def test_boundary_problem_round_trip(tmp_path):
+    sys, _ = planted_general_system(np.random.default_rng(4), 4, 4, max_entry=9)
+    P = reduce_chain(sys, 1e-3).problem
+    fileio.write_boundary_problem(tmp_path, P)
+    Q = fileio.read_boundary_problem(tmp_path)
+    assert fileio.complex_to_json(Q.K) == fileio.complex_to_json(P.K)
+    assert Q.d2.equals(P.d2)
+    for name in ("gamma", "weights", "equation_rhs", "loop_weight"):
+        assert np.array_equal(getattr(Q, name), getattr(P, name)), name
+    assert (Q.central, Q.tubes, Q.da) == (P.central, P.tubes, P.da)
+    assert Q.path_weights is None
 
 
 def _write_general(tmp_path, rng_seed=0):
@@ -83,7 +102,7 @@ def test_cli_reduce_verify_solve(tmp_path):
     out = tmp_path / "out"
     rc = main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                "--rhs", str(tmp_path / "b.vec"),
-               "--stage", "b2w", "--out-dir", str(out), "--eps", "1e-3"])
+               "--out-dir", str(out), "--eps", "1e-3"])
     assert rc == 0
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
                  "b2_complex.json", "b2_trace.json", "da.json"):
@@ -133,22 +152,64 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
     ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.json"]),
 ])
 def test_cli_reduce_stages(tmp_path, stage, expect):
+    # the default output holds every stage's files and the manifest lists them
     _write_general(tmp_path)
     out = tmp_path / "out"
-    rc = main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
-               "--rhs", str(tmp_path / "b.vec"),
-               "--stage", stage, "--out-dir", str(out), "--eps", "1e-3"])
-    assert rc == 0
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out),
+                 "--eps", "1e-3"]) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    names = [*files.pop("b2").values(), *(name for group in files.values() for name in group)]
+    assert sorted(names) == sorted([
+        "original_A.mtx", "original_b.vec", "A_gz.mtx", "b_gz.vec", "A_gz2.mtx", "b_gz2.vec",
+        "da.json", "da_matrix.mtx", "da_rhs.vec", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec",
+        "b2_complex.json", "b2_trace.json"])
     for name in expect + ["manifest.json"]:
+        assert name in names + ["manifest.json"], name
         assert (out / name).exists(), name
     if stage == "b2":
         assert main(["verify", "--dir", str(out)]) == 0
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cli_replay_matches_library_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    sys, _ = planted_general_system(rng, n, n - int(rng.integers(0, 2)), max_entry=20)
+    x, report, chain = solve_general(sys, 1e-3)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fileio.write_matrix(tmp / "A.mtx", sys.A)
+        fileio.write_vector(tmp / "b.vec", sys.b)
+        out = tmp / "out"
+        assert main(["reduce", "--matrix", str(tmp / "A.mtx"), "--rhs", str(tmp / "b.vec"),
+                     "--out-dir", str(out), "--eps", "1e-3"]) == 0
+        read = fileio.read_chain(out)
+        for stage in ("original", "gz", "gz2"):
+            assert getattr(read, stage).A.equals(getattr(chain, stage).A)
+            assert np.array_equal(getattr(read, stage).b, getattr(chain, stage).b)
+        assert (read.gz_back, read.gz2_back, read.da) == (chain.gz_back, chain.gz2_back,
+                                                          chain.da)
+        assert (read.eps, read.eps_da_theory, read.eps_b2_theory, read.alpha) == (
+            chain.eps, chain.eps_da_theory, chain.eps_b2_theory, chain.alpha)
+        rc = main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+        assert rc == (0 if report.converged else 1)
+        assert np.array_equal(fileio.read_vector(out / "x.vec"), x)
+        written = json.loads((out / "solve_report.json").read_text())
+    assert written == {
+        "route": "manifest-replay", "converged": report.converged,
+        "eps": report.eps_requested, "achieved_ratio": report.achieved_ratio,
+        "projected_residual": report.projected_residual,
+        "projected_rhs_norm": report.projected_rhs_norm,
+        "b2_tolerance": report.b2_tolerance, "b2_iterations": report.b2_iterations,
+    }
+
+
 def test_cli_reduce_deterministic(tmp_path):
     _write_general(tmp_path)
     args = ["reduce", "--matrix", str(tmp_path / "A.mtx"),
-            "--rhs", str(tmp_path / "b.vec"), "--stage", "b2w", "--eps", "1e-3"]
+            "--rhs", str(tmp_path / "b.vec"), "--eps", "1e-3"]
     main(args + ["--out-dir", str(tmp_path / "out1")])
     main(args + ["--out-dir", str(tmp_path / "out2")])
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
@@ -161,7 +222,7 @@ def test_cli_verify_catches_corruption(tmp_path):
     _write_general(tmp_path)
     out = tmp_path / "out"
     main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
-          "--rhs", str(tmp_path / "b.vec"), "--stage", "b2w",
+          "--rhs", str(tmp_path / "b.vec"),
           "--out-dir", str(out), "--eps", "1e-3"])
     d2 = fileio.read_matrix(out / "b2_d2.mtx")
     vals = d2.vals.copy()
@@ -349,3 +410,18 @@ def test_cli_maxflow_demo_short_capacities_is_one_line_error(tmp_path):
         main(["maxflow-demo", "--network", str(tmp_path / "net.json")])
     message = str(exc.value.code)
     assert message.startswith("error:") and "capacity" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("key", ["complex", "capacities", "gamma"])
+def test_cli_maxflow_demo_missing_key_is_one_line_error(tmp_path, key):
+    from lin2complex.da_reduce import difference_row, plain_da_system
+
+    P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+    net = {"complex": fileio.complex_to_json(P.K), "capacities": [1.0] * P.n_triangles,
+           "gamma": P.gamma.tolist()}
+    del net[key]
+    fileio.write_json(tmp_path / "net.json", net)
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow-demo", "--network", str(tmp_path / "net.json")])
+    message = str(exc.value.code)
+    assert message.startswith("error:") and repr(key) in message and "\n" not in message
