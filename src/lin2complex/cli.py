@@ -46,6 +46,7 @@ def _replay_manifest(args, out: Path) -> int:
         "projected_rhs_norm": report.projected_rhs_norm,
         "b2_tolerance": report.b2_tolerance,
         "b2_iterations": report.b2_iterations,
+        "method": report.method, "lu_fill": report.lu_fill,
     })
     print(f"replay solve: ratio {report.achieved_ratio:.3e} vs eps {chain.eps:.3e}")
     return 0 if report.converged else 1
@@ -107,9 +108,10 @@ def cmd_verify(args) -> int:
     problem = fileio.read_boundary_problem(src)
     report = validate(problem.K)
     check("complex structure", report.ok, report.violation or "")
-    # validate checks d1 d2 = 0 on boundary2(K), so this implies it for d2
-    check("d2 is the boundary operator of the complex",
-          problem.d2.equals(boundary2(problem.K)))
+    # a valid K comes back with the boundary2(K) whose d1 d2 = 0 validate
+    # checked, so equality implies d1 d2 = 0 for the stored d2
+    d2 = report.d2 if report.ok else boundary2(problem.K)
+    check("d2 is the boundary operator of the complex", problem.d2.equals(d2))
 
     pattern = problem.pattern_matrix()
     l1 = pattern.entry_abs_sum()

@@ -295,8 +295,12 @@ def laplacian1(K: Complex2) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The first violation found, or ok with the ``boundary2(K)`` that the
+    d1 d2 = 0 check built."""
+
     ok: bool
     violation: str | None = None
+    d2: SparseMatrix | None = None
 
 
 def triangle_adjacency(K: Complex2) -> sp.csr_matrix:
@@ -328,7 +332,7 @@ def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def validate(K: Complex2) -> ValidationReport:
     """Check the structural invariants in time linear in the size of K;
-    returns the first violation or ok."""
+    returns the first violation, or ok with the d2 it built."""
     def fail(msg: str) -> ValidationReport:
         return ValidationReport(False, msg)
 
@@ -391,8 +395,9 @@ def validate(K: Complex2) -> ValidationReport:
     if split >= 0:
         return fail(f"group {pieces[split]} is not connected over interior edges")
 
-    prod = boundary1(K).to_int_csr() @ boundary2(K).to_int_csr()
+    d2 = boundary2(K)
+    prod = boundary1(K).to_int_csr() @ d2.to_int_csr()
     prod.eliminate_zeros()
     if prod.nnz != 0:
         return fail("d1 d2 != 0")
-    return ValidationReport(True, None)
+    return ValidationReport(True, None, d2)

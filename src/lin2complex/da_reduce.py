@@ -29,6 +29,11 @@ class MatrixClassError(ValueError):
     """Input matrix violates the declared class invariants."""
 
 
+# float64 holds every integer of magnitude below 2^53 exactly, and the chain's
+# coefficients, sums and power-of-two paddings must stay in that range
+EXACT_LIMIT = 2.0 ** 53
+
+
 def _is_pow2(p: int) -> bool:
     return p >= 1 and (p & (p - 1)) == 0
 
@@ -52,6 +57,21 @@ class GeneralSystem:
             raise MatrixClassError("entries must be integers")
         if not np.all(self.b == np.rint(self.b)):
             raise MatrixClassError("right-hand side must be integral")
+        if A.max_abs() >= EXACT_LIMIT or np.any(np.abs(self.b) >= EXACT_LIMIT):
+            raise MatrixClassError(
+                "entries and right-hand side must have magnitude below 2^53, "
+                "the exact-integer range of float64")
+        # after to_zero_rowsum a row's positive sum is the larger of its
+        # positive and negative sums here, and to_pow2 rounds that up to a
+        # power of two.  Float sums of nonnegative integers below 2^53 are
+        # exact while below 2^53 and never fall back under it, so the
+        # comparison with 2^52 is exact.
+        pos = np.bincount(A.rows, weights=np.maximum(A.vals, 0.0), minlength=A.n_rows)
+        neg = np.bincount(A.rows, weights=np.maximum(-A.vals, 0.0), minlength=A.n_rows)
+        if np.any(np.maximum(pos, neg) > EXACT_LIMIT / 2):
+            raise MatrixClassError(
+                "a row's positive-coefficient sum rounds up to a power of two "
+                "of at least 2^53, beyond the exact-integer range of float64")
         row_nnz = np.zeros(A.n_rows, dtype=np.int64)
         col_nnz = np.zeros(A.n_cols, dtype=np.int64)
         np.add.at(row_nnz, A.rows, 1)

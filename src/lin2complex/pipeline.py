@@ -2,11 +2,12 @@
 
 The chain is general system -> zero row sums -> power-of-two rows ->
 difference-average -> weighted boundary problem.  Solving goes the other
-way: an iterative solve of the weighted boundary problem is mapped back
-through every stage, and the final accuracy is certified against the
-original system.  The theoretical accuracy targets compose to values far
-below what float64 can resolve, so the solve loop starts from a practical
-tolerance and tightens until the certified end-to-end accuracy is met.
+way: a solve of the weighted boundary problem is mapped back through every
+stage, and the final accuracy is certified against the original system.
+The first solve is one sparse LU; only when it fails or does not certify do
+LSQR rounds follow.  The theoretical accuracy targets compose to values far
+below what float64 can resolve, so the LSQR rounds start from a practical
+tolerance and tighten until the certified end-to-end accuracy is met.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from .da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
-from .sparse_core import iterative_solve, projected_rhs
+from .sparse_core import iterative_solve, lu_solve, projected_rhs
 
 # the theoretical alpha = 2/eps_da^2 is astronomically large for composed
-# accuracy targets; beyond ~1e2 the weighted operator's conditioning stalls
-# LSQR in float64, so the pipeline caps it and verifies accuracy end to end
+# accuracy targets, and the weighted operator's conditioning worsens with it:
+# the LU round's certificate ratio grows about 100x per 100x alpha (3e-8 at
+# 1e2, 2e-2 at 1e8 on a 12x10 criterion-11 system) and the LSQR fallback
+# stalls beyond ~1e2, so the pipeline caps it and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
 
 
@@ -80,14 +83,21 @@ def reduce_chain(sys: GeneralSystem, eps: float,
 
 @dataclass
 class ChainSolveReport:
+    """Outcome of the reported round.  ``method`` is "lu" or "lsqr";
+    ``b2_tolerance`` is that LSQR round's tolerance (None for the LU round),
+    ``b2_iterations`` counts LSQR iterations over all rounds, and ``lu_fill``
+    is (nnz L + nnz U) / nnz K of the LU factorization (None if it raised)."""
+
     converged: bool
     rounds: int
     eps_requested: float
     achieved_ratio: float
     projected_residual: float
     projected_rhs_norm: float
-    b2_tolerance: float
+    b2_tolerance: float | None
     b2_iterations: int
+    method: str
+    lu_fill: float | None
 
 
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
@@ -98,47 +108,67 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     return chain.gz_back(x_gz)
 
 
+def _boundary_rounds(W_d2, w_gamma, tol_start, max_rounds, max_iter):
+    """Candidate flows as (f, method, tolerance, iterations, fill): one sparse
+    LU solve, unless its factorization raises, then LSQR rounds whose
+    tolerance tightens 100x a round."""
+    fill = None
+    try:
+        f, fill = lu_solve(W_d2, w_gamma)
+    except (RuntimeError, MemoryError):
+        pass
+    else:
+        yield f, "lu", None, 0, fill
+    tol = tol_start
+    for _ in range(max_rounds):
+        f, iters = iterative_solve(W_d2, w_gamma, tol, max_iter)
+        yield f, "lsqr", tol, iters, fill
+        tol = max(tol / 100.0, 1e-14)
+
+
 def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
                             eps: float,
                             tol_start: float = 1e-7,
                             max_rounds: int = 4,
                             max_iter: int | None = 30000):
-    """Iteratively solve a weighted boundary problem to a certified accuracy.
+    """Solve a weighted boundary problem to a certified accuracy.
 
-    Per round one column-equilibrated LSQR pass solves (W^(1/2) d2,
-    W^(1/2) gamma) at the current tolerance, ``map_back_fn`` carries the
-    flow down the chain, and the projected-residual certificate of the
-    original system decides whether to stop or tighten 100x; the projection
-    P b it measures against is computed once.  Returns the best (x, report)
-    seen.
+    The first round solves (W^(1/2) d2, W^(1/2) gamma) with one sparse LU
+    (``lu_solve``); if the factorization raises or its answer does not
+    certify, up to ``max_rounds`` column-equilibrated LSQR rounds follow,
+    from ``tol_start`` and tightening 100x a round.  Every round's flow is
+    carried down the chain by ``map_back_fn``, and the projected-residual
+    certificate of the original system alone decides whether to stop; the
+    projection P b it measures against is computed once.  Returns the best
+    (x, report) seen.
     """
     A = original.A
     pib = projected_rhs(A, original.b, rel_tol=min(eps / 100, 1e-6))
     pnorm = float(np.linalg.norm(pib))
-    tol = tol_start
     total_iter = 0
     best = None
-    for attempt in range(max_rounds):
-        f, iters = iterative_solve(W_d2, w_gamma, tol, max_iter)
+    rounds = _boundary_rounds(W_d2, w_gamma, tol_start, max_rounds, max_iter)
+    for attempt, (f, method, tol, iters, fill) in enumerate(rounds, 1):
         total_iter += iters
         x = map_back_fn(f)
         proj = float(np.linalg.norm(A.matvec(x) - pib))
         ratio = proj / pnorm if pnorm > 0 else 0.0
         report = ChainSolveReport(
             converged=ratio <= eps,
-            rounds=attempt + 1,
+            rounds=attempt,
             eps_requested=eps,
             achieved_ratio=ratio,
             projected_residual=proj,
             projected_rhs_norm=pnorm,
             b2_tolerance=tol,
             b2_iterations=total_iter,
+            method=method,
+            lu_fill=fill,
         )
         if best is None or report.achieved_ratio < best[1].achieved_ratio:
             best = (x, report)
         if report.converged:
             return x, report
-        tol = max(tol / 100.0, 1e-14)
     return best
 
 
@@ -148,10 +178,10 @@ def solve_chain(chain: ChainArtifacts,
                 max_iter: int | None = 30000):
     """Solve the weighted boundary problem and certify the mapped-back answer.
 
-    Starts from ``tol_start`` (default: the larger of the theoretical
-    boundary tolerance and 1e-7) and delegates to the adaptive driver; no
-    reference solve is spent at the boundary level since certification
-    happens on the original system.
+    Delegates to the adaptive driver; LSQR fallback rounds start from
+    ``tol_start`` (default: the larger of the theoretical boundary tolerance
+    and 1e-7).  No reference solve is spent at the boundary level since
+    certification happens on the original system.
     """
     if tol_start is None:
         tol_start = min(max(chain.eps_b2_theory, 1e-7), 0.1)

@@ -193,6 +193,20 @@ def planted_general_system(rng: np.random.Generator, n_vars: int, n_rows: int,
     return GeneralSystem(sys.A, b, CLASS_G), x_star
 
 
+def three_per_row_system(seed: int, n: int) -> GeneralSystem:
+    """Square system with exactly three nonzeros a row, entries in [-50, 50],
+    every column covered, and a planted integer solution."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    cover = rng.permutation(n)
+    for r in range(n):
+        others = rng.choice(np.setdiff1d(np.arange(n), [cover[r]]), size=2, replace=False)
+        cols = np.concatenate([[cover[r]], others])
+        A[r, cols] = rng.integers(1, 51, size=3) * rng.choice((-1.0, 1.0), size=3)
+    x_star = rng.integers(-6, 7, size=n).astype(float)
+    return GeneralSystem(SparseMatrix.from_dense(A), A @ x_star, CLASS_G)
+
+
 def group_indicator(problem) -> np.ndarray:
     """Dense t x n matrix mapping variable values to group-constant flows."""
     H = np.zeros((problem.n_triangles, problem.n_vars))

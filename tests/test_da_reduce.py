@@ -22,6 +22,7 @@ from lin2complex.da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
+from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import dense_nullity, random_gz2_system
@@ -327,6 +328,27 @@ def test_weighted_system_matrix_layout():
     assert full.rhs_vector()[0] == 2.0
     assert not full.is_unit()
     assert plain_da_system(3, rows[:1]).is_unit()
+
+
+@pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 62 + 5])
+def test_entries_beyond_exact_range_rejected(value):
+    # 2^53 + 1 used to round silently to 2^53, 2^62 + 5 to fail as "not G_z2"
+    A = SparseMatrix.from_arrays(1, 2, [0, 0], [0, 1], [value, -3])
+    with pytest.raises(MatrixClassError, match=r"2\^53"):
+        reduce_chain(GeneralSystem(A, [0.0]), 1e-3)
+    with pytest.raises(MatrixClassError, match=r"2\^53"):
+        GeneralSystem(SparseMatrix.from_dense([[1, -1]]), [float(value)]).validate_class()
+
+
+def test_pow2_round_up_beyond_exact_range_rejected():
+    # the positive sum 2^52 + 1 rounds up to 2^53; 2^52 itself is still exact
+    A = SparseMatrix.from_arrays(1, 3, [0, 0, 0], [0, 1, 2], [2 ** 52, 1, -(2 ** 52 + 1)])
+    with pytest.raises(MatrixClassError, match=r"2\^53"):
+        GeneralSystem(A, [0.0]).validate_class()
+    with pytest.raises(MatrixClassError, match=r"2\^53"):
+        # the zero-row-sum shift appends +1, so the positive sum becomes 2^52 + 1
+        system([[2 ** 52, -2 ** 52, -1]], [0.0]).validate_class()
+    system([[2 ** 52, -2 ** 52]], [0.0], CLASS_GZ2).validate_class()
 
 
 def test_gz2_class_validation():

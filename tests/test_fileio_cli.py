@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lin2complex import fileio
+from lin2complex import cli, complex2, fileio
 from lin2complex.b2_reduce import map_solution, reduce_da_to_b2
 from lin2complex.cli import main
-from lin2complex.complex2 import validate
+from lin2complex.complex2 import boundary2, validate
 from lin2complex.da_reduce import gz2_to_da
 from lin2complex.pipeline import reduce_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
@@ -203,6 +203,7 @@ def test_cli_replay_matches_library_bit_for_bit(seed):
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
         "b2_tolerance": report.b2_tolerance, "b2_iterations": report.b2_iterations,
+        "method": report.method, "lu_fill": report.lu_fill,
     }
 
 
@@ -216,6 +217,23 @@ def test_cli_reduce_deterministic(tmp_path):
                  "b2_complex.json", "b2_trace.json", "da.json"):
         assert filecmp.cmp(tmp_path / "out1" / name, tmp_path / "out2" / name,
                            shallow=False), name
+
+
+def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+          "--out-dir", str(out), "--eps", "1e-3"])
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return boundary2(K)
+
+    for module in (complex2, cli):
+        monkeypatch.setattr(module, "boundary2", counted)
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_verify_catches_corruption(tmp_path):

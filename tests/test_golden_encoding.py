@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from lin2complex.complex2 import boundary1, validate
-from lin2complex.da_reduce import CLASS_G, GeneralSystem
+from lin2complex.da_reduce import GeneralSystem
 from lin2complex.pipeline import ALPHA_CAP_DEFAULT, reduce_chain
-from lin2complex.sparse_core import SparseMatrix
 
-from _gen import planted_general_system
+from _gen import planted_general_system, three_per_row_system
 
 
 def _digest(*arrays) -> str:
@@ -25,20 +24,6 @@ def _digest(*arrays) -> str:
         h.update(str(a.dtype).encode() + str(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()[:16]
-
-
-def _three_per_row_system(seed: int, n: int) -> GeneralSystem:
-    """Square system with exactly three nonzeros a row, entries in [-50, 50],
-    every column covered, and a planted integer solution."""
-    rng = np.random.default_rng(seed)
-    A = np.zeros((n, n))
-    cover = rng.permutation(n)
-    for r in range(n):
-        others = rng.choice(np.setdiff1d(np.arange(n), [cover[r]]), size=2, replace=False)
-        cols = np.concatenate([[cover[r]], others])
-        A[r, cols] = rng.integers(1, 51, size=3) * rng.choice((-1.0, 1.0), size=3)
-    x_star = rng.integers(-6, 7, size=n).astype(float)
-    return GeneralSystem(SparseMatrix.from_dense(A), A @ x_star, CLASS_G)
 
 
 def _criterion11_system(seed: int) -> GeneralSystem:
@@ -57,7 +42,7 @@ CASES = {
         "tubes": "778fa92d0ef296d8",
     }),
     # like the 120-nonzero rung of the benchmark's size ladder
-    "ladder120": (lambda: _three_per_row_system(120, 40), {
+    "ladder120": (lambda: three_per_row_system(120, 40), {
         "t": 22530,
         "d2": "05f2a460ff0b7b8e",
         "weights": "5886d2422fd0d340",
@@ -69,7 +54,7 @@ CASES = {
 
 
 def test_ladder_case_has_three_nonzeros_a_row():
-    A = _three_per_row_system(120, 40).A
+    A = three_per_row_system(120, 40).A
     assert A.nnz == 120
     assert np.all(np.bincount(A.rows) == 3)
 

@@ -1,0 +1,71 @@
+"""The certified boundary solve: one sparse LU first, LSQR rounds as the
+fallback, and the projected-residual certificate as the only judge."""
+
+import numpy as np
+
+from lin2complex import sparse_core
+from lin2complex.pipeline import solve_general
+
+from _gen import dense_project, planted_general_system, three_per_row_system
+
+
+def _certified(sys, x) -> bool:
+    A = sys.A.to_dense()
+    pib = dense_project(A, sys.b)
+    return np.linalg.norm(A @ x - pib) <= 1e-3 * np.linalg.norm(pib)
+
+
+def _criterion11_system():
+    sys, _ = planted_general_system(np.random.default_rng(11), 8, 8, max_entry=50,
+                                    row_nnz=3, kappa_max=1e4)
+    return sys
+
+
+def test_lu_round_certifies():
+    sys = _criterion11_system()
+    x, report, _ = solve_general(sys, 1e-3)
+    assert (report.method, report.rounds, report.b2_iterations) == ("lu", 1, 0)
+    assert report.converged and report.b2_tolerance is None and report.lu_fill >= 1.0
+    assert _certified(sys, x)
+
+
+def test_failed_factorization_falls_back_to_lsqr(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sparse_core.spla, "splu", fail)
+    sys = _criterion11_system()
+    x, report, _ = solve_general(sys, 1e-3)
+    assert report.method == "lsqr" and report.lu_fill is None
+    assert report.converged and report.b2_iterations > 0
+    assert _certified(sys, x)
+
+
+def test_uncertified_lu_answer_falls_back_to_lsqr(monkeypatch):
+    # damping of 1e-2 biases the LU answer far beyond eps = 1e-3
+    monkeypatch.setattr(sparse_core, "LU_DELTA", 1e-2)
+    sys = _criterion11_system()
+    x, report, _ = solve_general(sys, 1e-3)
+    assert report.method == "lsqr" and report.rounds >= 2 and report.lu_fill >= 1.0
+    assert report.converged and _certified(sys, x)
+
+
+def test_rank_deficient_system_certifies_on_lu_round():
+    # numerically singular (condition ~7e16, no kappa filter); at LU_DELTA =
+    # 1e-10 the LU round misses eps = 1e-3 (ratio 1.1e-3)
+    sys, _ = planted_general_system(np.random.default_rng(7), 40, 40, max_entry=50,
+                                    row_nnz=3, kappa_max=None)
+    s = np.linalg.svd(sys.A.to_dense(), compute_uv=False)
+    assert s[-1] < 1e-12 * s[0]
+    x, report, _ = solve_general(sys, 1e-3)
+    assert (report.method, report.rounds) == ("lu", 1)
+    assert _certified(sys, x)
+
+
+def test_ladder_scale_solve_certifies():
+    # a size where the LSQR rounds alone need tens of thousands of iterations
+    sys = three_per_row_system(8, 80)
+    x, report, chain = solve_general(sys, 1e-3)
+    assert chain.problem.n_triangles >= 49_000
+    assert (report.method, report.rounds) == ("lu", 1)
+    assert _certified(sys, x)

@@ -10,6 +10,7 @@ from lin2complex.sparse_core import (
     SparseMatrix,
     iterative_solve,
     least_squares,
+    lu_solve,
     matvec,
     projection_residual,
     spectral_summary,
@@ -133,25 +134,34 @@ def test_least_squares_rejects_bad_tolerance():
 
 def _badly_scaled_matrix():
     """40x10 sparse matrix whose column norms spread over about 1e3, with
-    column 4 all zero."""
+    row 7 and column 4 all zero."""
     rng = np.random.default_rng(21)
     dense = rng.integers(-5, 6, size=(40, 10)) * (rng.random((40, 10)) < 0.4)
     dense = dense * np.logspace(-1.5, 1.5, 10)
+    dense[7, :] = 0.0
     dense[:, 4] = 0.0
     return dense, rng
 
 
+# both column-equilibrated solves return (x, work): LSQR iterations or LU fill
+COLUMN_SCALED_SOLVES = {
+    "lsqr": lambda A, b: iterative_solve(A, b, 1e-12),
+    "lu": lu_solve,
+}
+
+
+@pytest.mark.parametrize("solve", sorted(COLUMN_SCALED_SOLVES))
 @pytest.mark.parametrize("consistent", [True, False])
-def test_iterative_solve_matches_dense_projection(consistent):
+def test_iterative_solve_matches_dense_projection(consistent, solve):
     dense, rng = _badly_scaled_matrix()
     norms = np.linalg.norm(dense, axis=0)
     assert norms[norms > 0].max() / norms[norms > 0].min() > 5e2
     b = dense @ rng.normal(size=10) if consistent else rng.normal(size=40)
-    x, iters = iterative_solve(SparseMatrix.from_dense(dense), b, 1e-12)
+    x, work = COLUMN_SCALED_SOLVES[solve](SparseMatrix.from_dense(dense), b)
     pib = dense @ (np.linalg.pinv(dense) @ b)
     assert np.linalg.norm(dense @ x - pib) <= 1e-8 * np.linalg.norm(pib)
     assert x[4] == 0.0
-    assert 0 < iters
+    assert 0 < work
 
 
 def test_iterative_solve_zero_rhs():
