@@ -111,12 +111,14 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
 def _boundary_rounds(W_d2, w_gamma, tol_start, max_rounds, max_iter):
     """Candidate flows as (f, method, tolerance, iterations, fill): one sparse
     LU solve, unless its factorization raises, then LSQR rounds whose
-    tolerance tightens 100x a round."""
+    tolerance tightens 100x a round.  With no LSQR round to fall back on, a
+    factorization error propagates."""
     fill = None
     try:
         f, fill = lu_solve(W_d2, w_gamma)
     except (RuntimeError, MemoryError):
-        pass
+        if max_rounds < 1:
+            raise
     else:
         yield f, "lu", None, 0, fill
     tol = tol_start
@@ -140,7 +142,7 @@ def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
     carried down the chain by ``map_back_fn``, and the projected-residual
     certificate of the original system alone decides whether to stop; the
     projection P b it measures against is computed once.  Returns the best
-    (x, report) seen.
+    (x, report) seen; with ``max_rounds=0`` a failed factorization raises.
     """
     A = original.A
     pib = projected_rhs(A, original.b, rel_tol=min(eps / 100, 1e-6))

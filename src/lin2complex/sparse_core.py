@@ -7,8 +7,9 @@ projected residual (the right-hand side projected onto the column space is
 estimated by re-running the same solver at a 100x tighter tolerance), the
 two column-equilibrated least-squares solves of the weighted boundary
 problem (one sparse LU of an augmented system, and LSQR as the iterative
-reference), and dense/iterative spectral summaries used by the certificate
-checks.
+reference), dense/iterative spectral summaries, and the shift-invert
+Lanczos eigenvalues of an integer Gram matrix that the spectral certificate
+reads.
 """
 
 from __future__ import annotations
@@ -370,6 +371,35 @@ def rank_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> int:
         return 0
     tol = max(n_rows, n_cols) * np.finfo(np.float64).eps * s[0]
     return int(np.sum(s > tol))
+
+
+# Shift of the Lanczos solve in ``gram_low_eigenvalues``: it makes
+# G + GRAM_SHIFT I positive definite, so its LU exists although G is
+# singular, and puts the zero eigenvalues nearest the shift.
+GRAM_SHIFT = 1e-4
+
+
+def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
+    """The ``k`` smallest eigenvalues of ``G = M^T M``, ascending (at most
+    ``n_cols - 1`` of them).
+
+    ``G`` is formed in integer arithmetic from the int CSR of an
+    integer-exact ``M``, so it is exact.  ARPACK's Lanczos (``eigsh``) runs
+    in shift-invert mode at ``-GRAM_SHIFT``, with one SuperLU factorization
+    of ``G + GRAM_SHIFT I`` as the inverse operator and a fixed start
+    vector, so repeated calls return the same values.  Raises ``ValueError``
+    for a matrix that is not integer-exact and ``spla.ArpackError`` when
+    Lanczos does not converge.
+    """
+    D = M.to_int_csr()
+    G = (D.T @ D).astype(np.float64).tocsc()
+    n = G.shape[0]
+    lu = spla.splu(G + GRAM_SHIFT * sp.identity(n, format="csc"))
+    inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals = spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
+                      OPinv=inverse, v0=v0, return_eigenvectors=False)
+    return np.sort(vals)
 
 
 def spectral_summary(A: SparseMatrix, mode: str = MODE_DENSE,

@@ -113,7 +113,7 @@ def test_criterion_03_chain_complex_identity():
 
 
 def test_criterion_04_spectral_certificates():
-    with criterion(4, "spectral certificates (dense, t <= 2000)"):
+    with criterion(4, "spectral certificates (t <= 2000)"):
         rng = np.random.default_rng(4)
         corpus = []
         # difference-only system, rank-deficient system, mixed random sizes
@@ -129,7 +129,7 @@ def test_criterion_04_spectral_certificates():
         for sys_da, b in corpus:
             P = reduce_da_to_b2(sys_da, b)
             assert P.n_triangles <= 2000
-            report = spectral_certificate(P, dense_limit=2000, slack=1e-8)
+            report = spectral_certificate(P, slack=1e-8)
             assert report.ok, report
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lin2complex import b2_reduce
+from lin2complex import b2_reduce, sparse_core
 from lin2complex.b2_reduce import (
     ReductionError,
     build_boundary_problem,
@@ -20,7 +20,8 @@ from lin2complex.b2_reduce import (
 )
 from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, validate
 from lin2complex.da_reduce import average_row, difference_row, plain_da_system
-from lin2complex.sparse_core import DenseGuardError, SparseMatrix, least_squares
+from lin2complex.pipeline import reduce_chain
+from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import (
     dense_lstsq,
@@ -30,6 +31,7 @@ from _gen import (
     infeasible_da_instance,
     planted_da_instance,
     random_da_instance,
+    three_per_row_system,
 )
 
 
@@ -455,8 +457,62 @@ def test_lambda_max_quadratic_form():
         assert np.linalg.norm(d2 @ f) ** 2 <= 12 * np.linalg.norm(f) ** 2 * (1 + 1e-12)
 
 
-def test_spectral_certificate_dense_guard():
+def _dense_gram_spectrum(P):
+    """(nullity, smallest nonzero eigenvalue, largest eigenvalue) of
+    d2^T d2 from a dense SVD of d2."""
+    s = np.linalg.svd(P.d2.to_dense(), compute_uv=False)
+    rank = int(np.sum(s > max(P.d2.shape) * np.finfo(float).eps * s[0]))
+    return P.n_triangles - rank, s[rank - 1] ** 2, s[0] ** 2
+
+
+def test_spectral_certificate_agrees_with_dense():
+    rng = np.random.default_rng(42)
+    rows = [difference_row(0, 1), difference_row(0, 1), difference_row(2, 3)]
+    corpus = [(plain_da_system(4, rows), np.array([1.0, 1.0, 0.0]))]
+    corpus += [random_da_instance(rng, n, extra) for n, extra in
+               ((2, 0), (3, 2), (6, 4), (9, 1), (12, 10), (16, 14), (40, 35))]
+    for sys, b in corpus:
+        P = reduce_da_to_b2(sys, b)
+        assert P.n_triangles <= 2000
+        report = spectral_certificate(P)
+        nullity, lam_min, lam_max = _dense_gram_spectrum(P)
+        assert report.ok
+        assert report["nullity"].value == nullity
+        assert report["lambda_min"].value == pytest.approx(lam_min, rel=1e-8)
+        # the integer bound is exact; the dense value carries rounding
+        assert report["lambda_max"].value >= lam_max * (1 - 1e-12)
+
+
+def test_spectral_certificate_fails_on_nullity_mismatch():
+    # the complex of a rank-deficient system (nullity 2) against a full-rank
+    # difference-average system of the same shape (nullity 1)
+    deficient = plain_da_system(4, [difference_row(0, 1), difference_row(0, 1),
+                                    difference_row(2, 3)])
+    full = plain_da_system(4, [difference_row(0, 1), difference_row(1, 2),
+                               difference_row(2, 3)])
+    P = dataclasses.replace(reduce_da_to_b2(deficient, np.array([1.0, 1.0, 0.0])), da=full)
+    report = spectral_certificate(P)
+    assert not report.ok and not report["nullity"].ok
+    assert (report["nullity"].value, report["nullity"].bound) == (2.0, 1.0)
+
+
+def test_spectral_certificate_at_ladder_scale():
+    problem = reduce_chain(three_per_row_system(120, 40), 1e-3).problem
+    assert problem.n_triangles > 20_000
+    report = spectral_certificate(problem)
+    assert report.ok
+    assert report["nullity"].value == 2.0
+    assert report["lambda_max"].value == 12.0
+
+
+def test_spectral_certificate_lanczos_failure_is_a_failed_check(monkeypatch):
+    def fail(*args, **kwargs):
+        raise sparse_core.spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(sparse_core.spla, "eigsh", fail)
     sys, b = single_difference()
-    P = reduce_da_to_b2(sys, b)
-    with pytest.raises(DenseGuardError):
-        spectral_certificate(P, dense_limit=5)
+    report = spectral_certificate(reduce_da_to_b2(sys, b))
+    assert not report.ok
+    assert report["lambda_max"].ok
+    assert not any(report[name].ok for name in ("condition_number", "lambda_min", "nullity"))
+    assert "no convergence" in report["nullity"].note

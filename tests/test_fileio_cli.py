@@ -120,19 +120,28 @@ def test_cli_reduce_verify_solve(tmp_path):
     assert np.linalg.norm(A @ x - sys.b) <= 1e-3 * np.linalg.norm(sys.b)
 
 
-def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
-    # a 5x5 system with |A_ij| <= 50 at eps 1e-3 and alpha 1e8: triangle
-    # columns of the weighted boundary operator then differ in norm by about
-    # 1e3 and unscaled LSQR stalled at ratio 0.18 after four rounds (exit 1);
-    # column equilibration certifies it
-    A = np.array([[0, 19, 0, -47, 15],
+# a criterion-11-sized 5x5 system with |A_ij| <= 50; its complex has 2,940
+# triangles
+A_5X5 = np.array([[0, 19, 0, -47, 15],
                   [0, 0, 21, -41, 0],
                   [0, 0, 0, 15, -43],
                   [0, 0, -16, 0, -13],
                   [-5, 0, 35, 0, 0]], dtype=float)
-    b = np.array([186.0, 331.0, 11.0, -70.0, 235.0])
-    fileio.write_matrix(tmp_path / "A.mtx", SparseMatrix.from_dense(A))
-    fileio.write_vector(tmp_path / "b.vec", b)
+B_5X5 = np.array([186.0, 331.0, 11.0, -70.0, 235.0])
+
+
+def _write_5x5(tmp_path):
+    fileio.write_matrix(tmp_path / "A.mtx", SparseMatrix.from_dense(A_5X5))
+    fileio.write_vector(tmp_path / "b.vec", B_5X5)
+
+
+def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
+    # at eps 1e-3 and alpha 1e8 the triangle columns of the weighted
+    # boundary operator differ in norm by about 1e3 and unscaled LSQR
+    # stalled at ratio 0.18 after four rounds (exit 1); column
+    # equilibration certifies it
+    A, b = A_5X5, B_5X5
+    _write_5x5(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out),
@@ -234,6 +243,28 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "boundary2", counted)
     assert main(["verify", "--dir", str(out)]) == 0
     assert len(calls) == 1
+
+
+def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+          "--out-dir", str(out), "--eps", "1e-3"])
+    capsys.readouterr()
+    texts = []
+    for _ in range(2):
+        assert main(["verify", "--dir", str(out)]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    spectral = [line for line in texts[0].splitlines() if "spectral" in line]
+    assert len(spectral) == 4 and all(line.startswith("[PASS]") for line in spectral)
+    assert "[SKIP]" not in texts[0]
+    nullity = next(line for line in spectral if "nullity" in line)
+    assert "largest zero eigenvalue" in nullity and "smallest nonzero" in nullity
+
+    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
+    text = capsys.readouterr().out
+    assert "[SKIP] spectral certificate (t=2940" in text and "spectral lambda" not in text
 
 
 def test_cli_verify_catches_corruption(tmp_path):
