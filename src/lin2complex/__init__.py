@@ -6,7 +6,6 @@ from .sparse_core import (
     SparseMatrix,
     SpectralSummary,
     least_squares,
-    matvec,
     projection_residual,
     spectral_summary,
 )

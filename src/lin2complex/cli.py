@@ -87,6 +87,7 @@ def cmd_solve(args) -> int:
     fileio.write_json(out / "solve_report.json", {
         "route": report.route, "eps_inner": report.eps_inner,
         "inner_converged": report.inner_converged,
+        "inner_ratio": report.inner_ratio, "lu_fill": report.lu_fill,
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
         "degenerate": report.degenerate, "ok": report.ok,

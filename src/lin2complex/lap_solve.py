@@ -3,7 +3,11 @@
 Both routes rest on the same fact: the image of d1^T meets the image of d2
 only at zero, so projecting an approximate solve of L1 x = d (or of
 d2 d2^T x = d) through f = d2^T x lands near the projection of d onto the
-image of d2.  The inner solve's accuracy is derived from spectral data.
+image of d2.  The inner accuracy eps_inner is derived from spectral data.
+The inner solve is one sparse LU of the column-equilibrated operator's
+augmented system (``sparse_core.lu_solver``) with one refinement step; one
+more correction solve with the same factor measures it, and the route is
+judged by the independent LSQR certificate ``projection_residual``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .sparse_core import (
     MODE_DENSE,
     MODE_ITERATIVE,
     SparseMatrix,
-    least_squares,
+    lu_solver,
     projection_residual,
     rank_from_singular_values,
     spectral_summary,
@@ -35,6 +39,8 @@ class BoundaryRouteReport:
     route: str
     eps_inner: float
     inner_converged: bool
+    inner_ratio: float
+    lu_fill: float
     projected_residual: float
     projected_rhs_norm: float
     degenerate: bool
@@ -50,9 +56,27 @@ def _min_nonzero_sq_singular(M: SparseMatrix) -> float:
     return float(s[rank - 1])
 
 
+def _refined_solve(op: SparseMatrix, d: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Least-squares x for ``op x ~ d`` from one factorization, refined once;
+    returns (x, ratio, fill).
+
+    ``ratio = ||op w|| / ||op x||`` with ``w`` one more correction solve for
+    the residual ``d - op x``, so ``op w`` estimates ``P d - op x``; it is 0
+    when both norms are 0 and inf when only ``||op x||`` is.
+    """
+    solve, fill = lu_solver(op)
+    csr = op.to_csr()
+    x = solve(d)
+    x += solve(d - csr @ x)
+    op_x = csr @ x
+    w_norm = float(np.linalg.norm(csr @ solve(d - op_x)))
+    x_norm = float(np.linalg.norm(op_x))
+    ratio = w_norm / x_norm if x_norm > 0.0 else (0.0 if w_norm == 0.0 else math.inf)
+    return x, ratio, fill
+
+
 def _solve_route(K: Complex2, d, delta: float, route: str,
-                 dense_limit: int, sigma_min_floor: float | None,
-                 max_iter: int | None):
+                 dense_limit: int, sigma_min_floor: float | None):
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
     if d.size != d2.n_rows:
@@ -67,7 +91,8 @@ def _solve_route(K: Complex2, d, delta: float, route: str,
 
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
-        report = BoundaryRouteReport(route, delta, True, 0.0, 0.0, False, "trivial", True)
+        report = BoundaryRouteReport(route, delta, True, 0.0, 0.0, 0.0, 0.0, False,
+                                     "trivial", True)
         return np.zeros(d2.n_cols), report
 
     dense_ok = max(op.n_rows, d2.n_rows, d2.n_cols) <= dense_limit
@@ -86,36 +111,36 @@ def _solve_route(K: Complex2, d, delta: float, route: str,
 
     eps = delta * math.sqrt(sigma_min_op) / (sigma_max_d2 ** 2 * d_norm)
     eps = min(eps, 0.5)
-    inner = least_squares(op, d, eps, max_iter)
-    f = d2.T.matvec(inner.x)
+    x, ratio, fill = _refined_solve(op, d)
+    converged = ratio <= eps
+    f = d2.T.matvec(x)
 
     proj_res, proj_norm = projection_residual(d2, f, d, rel_tol=min(delta, 1e-8))
     degenerate = proj_norm <= 1e-10 * d_norm
-    ok = degenerate or (inner.converged and proj_res <= delta * proj_norm + 1e-12 * d_norm)
-    report = BoundaryRouteReport(route, eps, inner.converged,
+    ok = degenerate or (converged and proj_res <= delta * proj_norm + 1e-12 * d_norm)
+    report = BoundaryRouteReport(route, eps, converged, ratio, fill,
                                  proj_res, proj_norm, degenerate, mode, ok)
     return f, report
 
 
 def solve_boundary_via_laplacian(K: Complex2, d, delta: float,
                                  dense_limit: int = DENSE_GUARD_DEFAULT,
-                                 sigma_min_floor: float | None = None,
-                                 max_iter: int | None = None):
+                                 sigma_min_floor: float | None = None):
     """Solve d2 f ~ d through the combinatorial Laplacian.
 
     Picks the inner accuracy eps = delta * sigma_min(L1)^(1/2) /
-    (sigma_max(d2)^2 ||d||), solves L1 x ~ d, and returns f = d2^T x.  When
+    (sigma_max(d2)^2 ||d||), solves L1 x ~ d, and returns f = d2^T x; the
+    report's ``inner_converged`` is ``inner_ratio <= eps``.  When
     the projection of d onto the image of d2 vanishes while d does not, the
     instance is flagged degenerate (the relative guarantee is vacuous).
     """
     return _solve_route(K, d, delta, ROUTE_LAPLACIAN, dense_limit,
-                        sigma_min_floor, max_iter)
+                        sigma_min_floor)
 
 
 def solve_boundary_via_gram(K: Complex2, d, delta: float,
                             dense_limit: int = DENSE_GUARD_DEFAULT,
-                            sigma_min_floor: float | None = None,
-                            max_iter: int | None = None):
+                            sigma_min_floor: float | None = None):
     """Same contract as the Laplacian route with d2 d2^T as the inner operator."""
     return _solve_route(K, d, delta, ROUTE_GRAM, dense_limit,
-                        sigma_min_floor, max_iter)
+                        sigma_min_floor)

@@ -5,8 +5,10 @@ through this module: a canonical COO matrix type with an integer-exactness
 flag, an LSQR-backed least-squares driver whose convergence test is the
 projected residual (the right-hand side projected onto the column space is
 estimated by re-running the same solver at a 100x tighter tolerance), the
-two column-equilibrated least-squares solves of the weighted boundary
-problem (one sparse LU of an augmented system, and LSQR as the iterative
+one sparse LU of a quasi-definite augmented system (``AugmentedSystem``)
+that the weighted boundary solve, the ``lap_solve`` inner solves and the
+maxflow Newton steps share, the column-equilibrated least-squares solves of
+the weighted boundary problem (that LU, and LSQR as the iterative
 reference), dense/iterative spectral summaries, and the shift-invert
 Lanczos eigenvalues of an integer Gram matrix that the spectral certificate
 reads.
@@ -182,11 +184,6 @@ class SparseMatrix:
         )
 
 
-def matvec(A: SparseMatrix, x) -> np.ndarray:
-    """y = A x, exact for integer-exact inputs whose values fit in float64."""
-    return A.matvec(x)
-
-
 @dataclass(frozen=True)
 class LeastSquaresResult:
     x: np.ndarray
@@ -293,40 +290,85 @@ def iterative_solve(A: SparseMatrix, b, tol: float,
 # that the certificate judges: at 1e-10, 10 of 20 planted 40x40 chains
 # missed eps = 1e-3, at 1e-14 the worst ratio was 1.6e-5.  1e-14 keeps it two
 # orders above the rounding level (~1e-16) of the O(1) entries, so the
-# regularization, not rounding, sets the null-space pivots.
+# regularization, not rounding, sets the null-space pivots.  The ``lap_solve``
+# and maxflow callers of ``AugmentedSystem`` undo the bias with one
+# refinement step.
 LU_DELTA = 1e-14
 
 
-def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
+class AugmentedSystem:
+    """The quasi-definite ``K = [[I, B], [B^T, -LU_DELTA I]]`` for one
+    sparsity pattern of an m x n matrix ``B`` (Vanderbei, SIAM J. Optim.
+    1995).
+
+    The canonical CSC pattern of ``K`` is built once from B's entry
+    coordinates ``(rows, cols)``, which must be distinct; ``factor`` then
+    writes the values of one ``B`` into it and makes one SuperLU (COLAMD)
+    factorization, so a caller that refactors the same pattern rewrites
+    values only.  ``K [r; y] = [c; e]`` gives
+    ``y = (B^T B + delta I)^-1 (B^T c - e)`` and ``r = c - B y``.
+    """
+
+    def __init__(self, m: int, n: int, rows, cols):
+        diag = np.arange(m + n)
+        i = np.concatenate([diag, rows, m + cols])
+        j = np.concatenate([diag, m + cols, rows])
+        # entry k of the COO arrays carries the value k + 1 (exact in float64),
+        # so the canonical CSC's data says where each entry went
+        pattern = sp.csc_matrix((np.arange(1.0, i.size + 1), (i, j)), shape=(m + n, m + n))
+        self.m, self.n = m, n
+        self.order = pattern.data.astype(np.int64) - 1
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+
+    def factor(self, vals) -> spla.SuperLU:
+        """SuperLU of ``K`` with B's values ``vals`` aligned with ``rows``
+        / ``cols``; ``splu`` raises ``RuntimeError`` when it fails."""
+        data = np.concatenate([np.ones(self.m), np.full(self.n, -LU_DELTA), vals, vals])
+        size = self.m + self.n
+        K = sp.csc_matrix((data[self.order], self.indices, self.indptr), shape=(size, size))
+        return spla.splu(K, permc_spec="COLAMD")
+
+    def fill(self, lu: spla.SuperLU) -> float:
+        """(nnz L + nnz U) / nnz K of one factorization."""
+        return (lu.L.nnz + lu.U.nnz) / self.indices.size
+
+
+def lu_solver(A: SparseMatrix):
     """Column-equilibrated least squares from one sparse LU; returns
-    (x, fill) with fill = (nnz L + nnz U) / nnz K.
+    (solve, fill) with ``solve(b)`` the x for one right-hand side and fill =
+    (nnz L + nnz U) / nnz K.
 
     With ``B`` the unit-column scaling of A restricted to its nonzero rows
-    and columns, SuperLU (COLAMD ordering) factors the quasi-definite
-    ``K = [[I, B], [B^T, -delta I]]`` and solves ``K [r; y] = [b; 0]``, i.e.
-    ``(B^T B + delta I) y = B^T b``; ``x = D y`` as in ``iterative_solve``
-    and all-zero columns get 0.  ``splu`` raises ``RuntimeError`` when the
-    factorization fails.
+    and columns, ``AugmentedSystem`` factors ``K`` once and ``solve`` solves
+    ``K [r; y] = [b; 0]``, i.e. ``(B^T B + delta I) y = B^T b``; ``x = D y``
+    as in ``iterative_solve`` and all-zero columns get 0.  Raises
+    ``RuntimeError`` when the factorization fails.
     """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != A.n_rows:
-        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
-    x = np.zeros(A.n_cols)
-    if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
-        return x, 0.0
     scale, vals = _unit_columns(A)
     rows, r = np.unique(A.rows, return_inverse=True)
     cols, c = np.unique(A.cols, return_inverse=True)
     m, n = rows.size, cols.size
-    diag = np.arange(m + n)
-    K = sp.csc_matrix(
-        (np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals]),
-         (np.concatenate([diag, r, m + c]), np.concatenate([diag, m + c, r]))),
-        shape=(m + n, m + n))
-    lu = spla.splu(K, permc_spec="COLAMD")
-    sol = lu.solve(np.concatenate([b[rows], np.zeros(n)]))
-    x[cols] = scale[cols] * sol[m:]
-    return x, (lu.L.nnz + lu.U.nnz) / K.nnz
+    system = AugmentedSystem(m, n, r, c)
+    lu = system.factor(vals)
+
+    def solve(b) -> np.ndarray:
+        x = np.zeros(A.n_cols)
+        sol = lu.solve(np.concatenate([b[rows], np.zeros(n)]))
+        x[cols] = scale[cols] * sol[m:]
+        return x
+    return solve, system.fill(lu)
+
+
+def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
+    """One ``lu_solver`` solve of ``A x ~ b``; returns (x, fill), and
+    (0, 0.0) for a zero A or b."""
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != A.n_rows:
+        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
+    if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
+        return np.zeros(A.n_cols), 0.0
+    solve, fill = lu_solver(A)
+    return solve(b), fill
 
 
 def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8,

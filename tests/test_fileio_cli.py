@@ -307,6 +307,9 @@ def test_cli_solve_routes(tmp_path, route):
                "--out-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "f.vec").exists()
+    report = fileio.read_json(tmp_path / "solve_report.json")
+    assert report["inner_converged"] and report["inner_ratio"] <= report["eps_inner"]
+    assert report["lu_fill"] >= 1.0
 
 
 def test_cli_solve_route_guards_oversized_dense(tmp_path):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from lin2complex import lap_solve
 from lin2complex.b2_reduce import reduce_da_to_b2
-from lin2complex.complex2 import boundary1, boundary2, triangulate_punctured_sphere
+from lin2complex.complex2 import boundary1, boundary2, laplacian1, triangulate_punctured_sphere
 from lin2complex.da_reduce import difference_row, plain_da_system
 from lin2complex.lap_solve import (
     solve_boundary_via_gram,
     solve_boundary_via_laplacian,
 )
+from lin2complex.sparse_core import SparseMatrix
 
 from _gen import planted_da_instance
 
@@ -93,6 +95,28 @@ def test_inner_accuracy_formula():
     sigma_max = np.linalg.svd(d2, compute_uv=False)[0]
     expected = delta * np.sqrt(sigma_min) / (sigma_max ** 2 * np.linalg.norm(d))
     assert report.eps_inner == pytest.approx(min(expected, 0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("solver", ROUTES)
+def test_inner_converged_matches_dense_check_on_planted_complex(solver):
+    rng = np.random.default_rng(3)
+    sys, b, _ = planted_da_instance(rng, 4, 8, 4)
+    K = reduce_da_to_b2(sys, b).K
+    assert K.n_triangles >= 300
+    d = rng.integers(-4, 5, size=K.n_edges).astype(float)
+    f, report = solver(K, d, 1e-4)
+    d2 = boundary2(K).to_dense()
+    op = (laplacian1(K).to_dense() if solver is solve_boundary_via_laplacian
+          else d2 @ d2.T)
+    # the route's own inner solve, replayed: same operator, same factorization
+    x, ratio, fill = lap_solve._refined_solve(SparseMatrix.from_dense(op), d)
+    assert (report.inner_ratio, report.lu_fill) == (ratio, fill)
+    assert fill >= 1.0
+    pd = op @ np.linalg.lstsq(op, d, rcond=None)[0]
+    dense_ratio = np.linalg.norm(op @ x - pd) / np.linalg.norm(pd)
+    assert report.inner_converged == (dense_ratio <= report.eps_inner)
+    assert dense_ratio <= report.eps_inner
+    assert report.ok
 
 
 def test_zero_demand_trivial():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from lin2complex import maxflow_ipm
+from lin2complex import maxflow_ipm, sparse_core
 from lin2complex.b2_reduce import reduce_da_to_b2
 from lin2complex.da_reduce import average_row, difference_row, plain_da_system
 from lin2complex.maxflow_ipm import (
@@ -173,10 +174,21 @@ def _demo_network(average: bool) -> FlowNetwork2:
     return FlowNetwork2(P.K, np.ones(P.n_triangles), P.gamma)
 
 
+def _lp_max_flow(net: FlowNetwork2) -> float:
+    """max F subject to d2 f = F gamma and |f| <= c, from HiGHS on the dense d2."""
+    d2 = net.d2().to_dense()
+    cost = np.zeros(d2.shape[1] + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_eq=np.hstack([d2, -net.gamma[:, None]]), b_eq=np.zeros(d2.shape[0]),
+                  bounds=[(-c, c) for c in net.capacities] + [(None, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 @pytest.mark.parametrize("average,f_star,alpha,n_log", [
-    (False, 1.9608029371907973, 0.9969379416225436, 152),
-    (True, 1.6822813651165518, 0.9966500088219177, 294),
-])
+    (False, 1.9999999999644766, 0.9969379416225436, 152),
+    (True, 1.999999999977745, 0.9966500088219177, 294),
+], ids=["difference", "average"])
 def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
     # pins the whole path, not just the end state: the bisection outcome
     # depends on every probe's accepted increments, alpha on every halving
@@ -186,41 +198,65 @@ def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
     assert net.f_star == pytest.approx(f_star, rel=1e-9)
     assert result.alpha == pytest.approx(alpha, rel=1e-12)
     assert len(result.log) == n_log
+    optimum = _lp_max_flow(net)
+    assert abs(net.f_star - optimum) <= 1e-6 * optimum
+    demand = net.f_star * net.gamma
+    assert np.linalg.norm(net.d2().to_dense() @ result.f - result.alpha * demand) \
+        <= 1e-9 * np.linalg.norm(demand)
 
 
-def test_progress_step_solves_twice_however_often_it_halves(monkeypatch):
-    calls = []
-    lsqr = maxflow_ipm.spla.lsqr
+def test_progress_step_factors_once_however_often_it_halves(monkeypatch):
+    factorizations, lsqr_calls = [], []
+    splu, lsqr = sparse_core.spla.splu, sparse_core.spla.lsqr
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    def counting_lsqr(*args, **kwargs):
+        lsqr_calls.append(1)
         return lsqr(*args, **kwargs)
 
-    monkeypatch.setattr(maxflow_ipm.spla, "lsqr", counting)
+    monkeypatch.setattr(sparse_core.spla, "splu", counting_splu)
+    monkeypatch.setattr(sparse_core.spla, "lsqr", counting_lsqr)
     net = single_tube_network()
     net.f_star = 4.0  # twice the optimum: the full request leaves the box
     state = progress_step(net, initial_state(net), 0.9)
     assert state.alpha <= 0.45
-    assert len(calls) == 2
-    calls.clear()
+    assert len(factorizations) == 1
+    factorizations.clear()
     centering_step(net, state)
-    assert len(calls) == 1
+    assert len(factorizations) == 1
+    assert not lsqr_calls
 
 
 def test_newton_parts_match_dense_pseudo_inverse_step():
     rng = np.random.default_rng(11)
     net = _demo_network(average=True)
     d2 = net.d2().to_dense()
-    f = rng.uniform(-0.6, 0.6, size=d2.shape[1])
-    g, h = barrier_derivatives(net, BarrierState(f))
-    base, unit = maxflow_ipm._newton_parts(net, f, with_demand=True)
-    for inc in (0.0, 0.3, -1.7):
-        rhs = d2 @ (g / h) + inc * net.gamma
-        x = np.linalg.pinv((d2 / h) @ d2.T) @ rhs
-        dense = (d2.T @ x) / h - g / h
-        delta = base + inc * unit
-        assert np.linalg.norm(delta - dense) <= 1e-9 * np.linalg.norm(dense)
-        assert np.linalg.norm(d2 @ delta - inc * net.gamma) <= 1e-9 * max(
-            1.0, np.linalg.norm(inc * net.gamma))
-    centered, none = maxflow_ipm._newton_parts(net, f, with_demand=False)
-    assert none is None and np.array_equal(centered, base)
+    interior = rng.uniform(-0.6, 0.6, size=d2.shape[1])
+    # one triangle at 1 - 1e-6 of its capacity: H spans twelve orders
+    near_boundary = interior.copy()
+    i = np.argmax(np.abs(interior))
+    near_boundary[i] = np.sign(interior[i]) * (1.0 - 1e-6)
+    for f in (interior, near_boundary):
+        g, h = barrier_derivatives(net, BarrierState(f))
+        base, unit = maxflow_ipm._newton_parts(net, f, with_demand=True)
+        # the dense step from an SVD of M = d2 H^-1/2: M^+ M is the projection
+        # onto M's row space, so base = -H^-1/2 N N^T H^-1/2 g with N a basis
+        # of ker M, which avoids the cancellation in H^-1/2 M^+ d2 H^-1 g - H^-1 g
+        # near the boundary; unit = H^-1/2 M^+ gamma
+        s = 1.0 / np.sqrt(h)
+        U, sigma, Vt = np.linalg.svd(d2 * s)
+        rank = int(np.sum(sigma > sigma[0] * max(d2.shape) * np.finfo(float).eps))
+        null = Vt[rank:].T
+        dense_base = -s * (null @ (null.T @ (s * g)))
+        dense_unit = s * (Vt[:rank].T @ ((U[:, :rank].T @ net.gamma) / sigma[:rank]))
+        for inc in (0.0, 0.3, -1.7):
+            dense = dense_base + inc * dense_unit
+            delta = base + inc * unit
+            assert np.linalg.norm(delta - dense) <= 1e-9 * np.linalg.norm(dense)
+            assert np.linalg.norm(d2 @ delta - inc * net.gamma) <= 1e-9 * max(
+                1.0, np.linalg.norm(inc * net.gamma))
+        centered, none = maxflow_ipm._newton_parts(net, f, with_demand=False)
+        assert none is None and np.array_equal(centered, base)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lin2complex.sparse_core import (
+    LU_DELTA,
+    AugmentedSystem,
     DenseGuardError,
     DimensionError,
     MODE_DENSE,
@@ -11,7 +13,6 @@ from lin2complex.sparse_core import (
     iterative_solve,
     least_squares,
     lu_solve,
-    matvec,
     projection_residual,
     spectral_summary,
 )
@@ -162,6 +163,23 @@ def test_iterative_solve_matches_dense_projection(consistent, solve):
     assert np.linalg.norm(dense @ x - pib) <= 1e-8 * np.linalg.norm(pib)
     assert x[4] == 0.0
     assert 0 < work
+
+
+def test_augmented_system_solves_the_dense_kkt_matrix():
+    # values written into the cached pattern land where a dense K puts them,
+    # for a right-hand side on either block and for two patterns' worth of values
+    rng = np.random.default_rng(4)
+    B = rng.normal(size=(7, 5)) * (rng.random((7, 5)) < 0.5)
+    B[:, 2] = 0.0
+    rows, cols = np.nonzero(B)
+    system = AugmentedSystem(7, 5, rows, cols)
+    for scale in (1.0, 1e-3):
+        K = np.block([[np.eye(7), scale * B], [scale * B.T, -LU_DELTA * np.eye(5)]])
+        lu = system.factor(scale * B[rows, cols])
+        rhs = rng.normal(size=(12, 2))
+        sol = lu.solve(rhs)
+        assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert system.fill(lu) >= 1.0
 
 
 def test_iterative_solve_zero_rhs():
