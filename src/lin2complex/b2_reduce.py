@@ -25,6 +25,7 @@ from .complex2 import (
     INTERIOR,
     LOOP,
     Complex2,
+    ComplexStructureError,
     boundary2,
     sphere_cells,
     triangle_adjacency,
@@ -61,19 +62,32 @@ class BoundaryProblem:
 
     ``gamma`` puts each equation's right-hand side on its three loop edges
     and zero elsewhere; ``weights`` is the diagonal of W (all ones for the
-    unit construction until the general-case weights are computed).
+    unit construction until the general-case weights are computed).  The
+    central triangles, each equation's right-hand side and its loop weight
+    are read off ``K``, ``gamma`` and ``weights``, so each is stored once.
     """
 
     K: Complex2
     d2: SparseMatrix
     gamma: np.ndarray
     weights: np.ndarray
-    central: list[int]
     tubes: list[TubeRef]
-    equation_rhs: np.ndarray
-    loop_weight: np.ndarray
     da: WeightedDASystem
     path_weights: "PathWeights | None" = None
+
+    @property
+    def central(self) -> list[int]:
+        return self.K.central.tolist()
+
+    @property
+    def equation_rhs(self) -> np.ndarray:
+        """Each equation's normalized right-hand side, from its first loop edge."""
+        return self.gamma[self.K.loops[:, 0]]
+
+    @property
+    def loop_weight(self) -> np.ndarray:
+        """Each equation's base weight weight * scale^2, from its first loop edge."""
+        return self.weights[self.K.loops[:, 0]]
 
     @property
     def n_vars(self) -> int:
@@ -145,6 +159,32 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
 
 
+def tube_refs(sys: WeightedDASystem, K: Complex2) -> list[TubeRef]:
+    """The tubes of the complex that ``build_boundary_problem`` makes from ``sys``.
+
+    A variable with h attachments owns 11h - 4 consecutive triangles: its
+    sphere of 5h - 4, then six per tube in the order of its attachments.
+    The template of each tube's sign names the triangle carrying each loop
+    slot.  Raises ``ComplexStructureError`` when the group sizes, central
+    triangles or loops of ``K`` do not fit ``sys``.
+    """
+    attach = _attachments(sys)
+    var, _, _, sign = attach.T
+    n_attach = np.bincount(var, minlength=sys.n_vars)
+    sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
+    if (sizes.size != sys.n_vars or np.any(sizes != 11 * n_attach - 4)
+            or np.any(np.diff(K.tri_group) < 0) or K.central.size != sys.n_vars
+            or len(K.loops) != sys.n_rows):
+        raise ComplexStructureError("the complex does not encode the difference-average "
+                                    "system of its problem")
+    rank = np.arange(len(attach)) - (np.cumsum(n_attach) - n_attach)[var]
+    start = np.cumsum(sizes)[var] - 6 * (n_attach[var] - rank)
+    cols = start[:, None] + np.where((sign > 0)[:, None], _tube_template(1)[2],
+                                     _tube_template(-1)[2])
+    return [TubeRef(q, v, copy, sg, dict(zip((1, 2, 3), c)))
+            for v, q, copy, sg, c in zip(*attach.T.tolist(), cols.tolist())]
+
+
 def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     """Construct the 2-complex encoding of a difference-average system.
 
@@ -194,7 +234,7 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     var, q, _, sign = attach.T
     holes = np.concatenate([c[2] for c in cells]) + np.repeat(vert0, holes_of)[:, None]
     corners = np.concatenate([holes, loop_vertices[q]], axis=1)
-    (tris_p, conn_p, slot_p), (tris_n, conn_n, slot_n) = _tube_template(1), _tube_template(-1)
+    (tris_p, conn_p, _), (tris_n, conn_n, _) = _tube_template(1), _tube_template(-1)
     positive = (sign > 0)[:, None, None]
     ends = np.sort(np.where(positive, corners[:, conn_p], corners[:, conn_n]), axis=2)
     order = np.argsort(ends[:, :, 0] * n_vert + ends[:, :, 1], axis=1)
@@ -209,8 +249,6 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
         np.concatenate([c[3] for c in cells]) + np.repeat(vert0, n_edge)[:, None],
         np.repeat(np.arange(sys.n_vars), n_edge), tube_edges.reshape(-1, 2), np.repeat(var, 6))
     central = at[np.cumsum(n_tri) - n_tri]
-    boundary_cols = (at[n_tri.sum() + 6 * np.arange(len(attach))][:, None]
-                     + np.where(positive[:, :, 0], slot_p, slot_n))
 
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
     unset = np.full(len(edge), -1)
@@ -228,13 +266,8 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
                            dtype=np.float64)
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
     weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(len(edge))])
-    tubes = [TubeRef(qq, vv, cc, ss, dict(zip((1, 2, 3), cols)))
-             for vv, qq, cc, ss, cols in zip(*attach.T.tolist(), boundary_cols.tolist())]
-    return BoundaryProblem(
-        K=K, d2=d2, gamma=gamma, weights=weights,
-        central=central.tolist(), tubes=tubes,
-        equation_rhs=b_norm, loop_weight=loop_weight, da=sys,
-    )
+    return BoundaryProblem(K=K, d2=d2, gamma=gamma, weights=weights,
+                           tubes=tube_refs(sys, K), da=sys)
 
 
 def reduce_da_to_b2(sys: WeightedDASystem, b) -> BoundaryProblem:

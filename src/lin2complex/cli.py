@@ -201,7 +201,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ComplexStructureError, DimensionError, NetworkError) as exc:
+    except (FileNotFoundError, fileio.ArtifactError, ComplexStructureError, DimensionError,
+            NetworkError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

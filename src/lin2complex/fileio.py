@@ -1,4 +1,7 @@
-"""On-disk formats: Matrix Market matrices, plain-text vectors, JSON manifests."""
+"""On-disk formats: Matrix Market matrices, plain-text vectors, JSON manifests.
+
+The readers raise ``ArtifactError``, naming the file, when a file exists but
+cannot be parsed."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .b2_reduce import BoundaryProblem, TubeRef
+from .b2_reduce import BoundaryProblem, tube_refs
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import (
     CLASS_G,
@@ -25,6 +28,10 @@ from .pipeline import ChainArtifacts
 from .sparse_core import DimensionError, SparseMatrix
 
 
+class ArtifactError(ValueError):
+    """An input file that exists but cannot be parsed; the message names it."""
+
+
 def write_matrix(path, A: SparseMatrix) -> None:
     coo = sp.coo_matrix(
         (A.vals.astype(np.int64) if A.integer_exact else A.vals, (A.rows, A.cols)),
@@ -34,18 +41,28 @@ def write_matrix(path, A: SparseMatrix) -> None:
 
 
 def read_matrix(path) -> SparseMatrix:
-    return SparseMatrix.from_scipy(scipy.io.mmread(str(path)))
+    try:
+        coo = scipy.io.mmread(str(path))
+    except ValueError as exc:
+        raise ArtifactError(f"{path} is not a Matrix Market matrix: {exc}") from None
+    return SparseMatrix.from_scipy(coo)
 
 
 def write_vector(path, v) -> None:
+    """One entry a line, each the shortest text that reads back exactly:
+    ``repr``, less the ".0" of an integral value."""
     v = np.asarray(v, dtype=np.float64).ravel()
     with open(path, "w") as fh:
-        fh.write("".join(f"{x:.17g}\n" for x in v.tolist()))
+        fh.write(("\n".join(map(repr, v.tolist())) + "\n").replace(".0\n", "\n"))
 
 
 def read_vector(path) -> np.ndarray:
     with open(path) as fh:
-        return np.array([float(s) for s in fh.read().split()])
+        tokens = fh.read().split()
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError as exc:
+        raise ArtifactError(f"{path} is not a vector of numbers: {exc}") from None
 
 
 def write_json(path, obj, indent: int | None = 1) -> None:
@@ -56,7 +73,10 @@ def write_json(path, obj, indent: int | None = 1) -> None:
 
 def read_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
 
 
 # -- difference-average systems ---------------------------------------------
@@ -141,29 +161,15 @@ def complex_from_json(obj: dict) -> Complex2:
 
 # -- boundary problems --------------------------------------------------------
 
-def boundary_sidecar_to_json(problem: BoundaryProblem) -> dict:
-    """Trace sidecar: enough to map a flow back without the complex."""
-    return {
-        "n_vars": problem.n_vars,
-        "central": list(problem.central),
-        "equation_rhs": problem.equation_rhs.tolist(),
-        "loop_weight": problem.loop_weight.tolist(),
-        "da": da_system_to_json(problem.da),
-        "tubes": [
-            {"q": t.q, "var": t.var, "copy": t.copy, "sign": t.sign,
-             "cols": {str(r): c for r, c in sorted(t.boundary_cols.items())}}
-            for t in problem.tubes
-        ],
-    }
-
-
 # fixed names of the boundary-problem files, keyed as in manifest["files"]["b2"]
 BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.vec", "gamma": "b2_gamma.vec",
-                  "complex": "b2_complex.json", "trace": "b2_trace.json"}
+                  "complex": "b2_complex.json", "da": "da.json"}
 
 
 def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
-    """Write d2/W/gamma plus the complex and trace sidecar as ``BOUNDARY_FILES``."""
+    """Write d2, W, gamma, the complex and the difference-average system as
+    ``BOUNDARY_FILES``, each fact once: the rest of the problem is derived
+    from these on read."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = BOUNDARY_FILES
@@ -171,13 +177,14 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
     write_vector(out_dir / names["weights"], problem.weights)
     write_vector(out_dir / names["gamma"], problem.gamma)
     write_json(out_dir / names["complex"], complex_to_json(problem.K), indent=None)
-    write_json(out_dir / names["trace"], boundary_sidecar_to_json(problem))
+    write_json(out_dir / names["da"], da_system_to_json(problem.da), indent=None)
 
 
 def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem`` (``path_weights`` is not written
-    and reads back as None); rejects a weight or demand vector whose length
-    differs from the row count of d2, naming the file."""
+    and reads back as None; the tubes are rebuilt from the complex and the
+    difference-average system); rejects a weight or demand vector whose
+    length differs from the row count of d2, naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -187,15 +194,13 @@ def read_boundary_problem(src) -> BoundaryProblem:
         if vectors[key].size != d2.n_rows:
             raise DimensionError(f"{src / names[key]} has {vectors[key].size} entries "
                                  f"but {names['d2']} has {d2.n_rows} rows")
-    sidecar = read_json(src / names["trace"])
-    tubes = [TubeRef(t["q"], t["var"], t["copy"], t["sign"],
-                     {int(r): c for r, c in t["cols"].items()}) for t in sidecar["tubes"]]
-    return BoundaryProblem(
-        K=complex_from_json(read_json(src / names["complex"])), d2=d2,
-        central=sidecar["central"], tubes=tubes,
-        equation_rhs=np.array(sidecar["equation_rhs"], dtype=np.float64),
-        loop_weight=np.array(sidecar["loop_weight"], dtype=np.float64),
-        da=da_system_from_json(sidecar["da"]), **vectors)
+    K = complex_from_json(read_json(src / names["complex"]))
+    da = da_system_from_json(read_json(src / names["da"]))
+    try:
+        tubes = tube_refs(da, K)
+    except ComplexStructureError as exc:
+        raise ComplexStructureError(f"{src / names['complex']} and {names['da']}: {exc}") from None
+    return BoundaryProblem(K=K, d2=d2, tubes=tubes, da=da, **vectors)
 
 
 # -- reduction chains -----------------------------------------------------------
@@ -217,10 +222,6 @@ def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
         write_matrix(out_dir / a_name, system.A)
         write_vector(out_dir / b_name, system.b)
         files[stage] = [a_name, b_name]
-    write_json(out_dir / "da.json", da_system_to_json(chain.da))
-    write_matrix(out_dir / "da_matrix.mtx", chain.da.as_matrix())
-    write_vector(out_dir / "da_rhs.vec", chain.da.rhs_vector())
-    files["da"] = ["da.json", "da_matrix.mtx", "da_rhs.vec"]
     write_boundary_problem(out_dir, chain.problem)
     files["b2"] = BOUNDARY_FILES
     write_json(out_dir / "manifest.json", {

@@ -36,6 +36,17 @@ ROUTE_DIRECT = "direct"
 
 @dataclass(frozen=True)
 class BoundaryRouteReport:
+    """Outcome of one route solve.
+
+    ``inner_ratio`` is measured with the same LU factor that made the solve
+    (see ``_refined_solve``), so it shares that factor's error and reads
+    low: on the 348-triangle planted complex of the tests it was about 10x
+    below the inner error against a dense solve (3.9e-14 vs 4.7e-13 on the
+    Laplacian route).  ``inner_converged`` compares it with ``eps_inner``;
+    ``ok`` rests on the independent LSQR certificate ``projection_residual``
+    of ``d2 f``.
+    """
+
     route: str
     eps_inner: float
     inner_converged: bool

@@ -19,7 +19,7 @@ from lin2complex.b2_reduce import (
     spectral_certificate,
 )
 from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, validate
-from lin2complex.da_reduce import average_row, difference_row, plain_da_system
+from lin2complex.da_reduce import average_row, difference_row, gz2_to_da, plain_da_system
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
@@ -31,6 +31,7 @@ from _gen import (
     infeasible_da_instance,
     planted_da_instance,
     random_da_instance,
+    random_gz2_system,
     three_per_row_system,
 )
 
@@ -516,3 +517,17 @@ def test_spectral_certificate_lanczos_failure_is_a_failed_check(monkeypatch):
     assert report["lambda_max"].ok
     assert not any(report[name].ok for name in ("condition_number", "lambda_min", "nullity"))
     assert "no convergence" in report["nullity"].note
+
+
+def test_derived_fields_match_the_construction():
+    # central, equation_rhs and loop_weight are read off K, gamma and weights
+    da, _, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)
+    assert not da.is_unit()
+    b = da.pattern_rhs()
+    P = build_boundary_problem(da, b)
+    base = np.array([row.weight * row.scale ** 2 for row in da.rows])
+    assert np.array_equal(P.equation_rhs, b)
+    assert np.array_equal(P.loop_weight, base)
+    assert P.central == np.searchsorted(P.K.tri_group, np.arange(da.n_vars)).tolist()
+    _, P.weights = compute_edge_weights(P, 5.0)
+    assert np.array_equal(P.loop_weight, base)

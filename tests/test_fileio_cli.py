@@ -66,8 +66,9 @@ def test_complex_json_round_trip():
     assert boundary2(K2).equals(P.d2)
 
 
-def test_sidecar_maps_solution_without_complex(tmp_path):
-    # map_solution reads only fields that come from the trace sidecar
+def test_read_problem_maps_solution_back(tmp_path):
+    # map_solution reads the central triangles off the complex and the
+    # right-hand sides off gamma, both derived on read
     rng = np.random.default_rng(3)
     sys, b, x_star = planted_da_instance(rng, 3, 3, 1)
     P = reduce_da_to_b2(sys, b)
@@ -105,7 +106,7 @@ def test_cli_reduce_verify_solve(tmp_path):
                "--out-dir", str(out), "--eps", "1e-3"])
     assert rc == 0
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
-                 "b2_complex.json", "b2_trace.json", "da.json"):
+                 "b2_complex.json", "da.json"):
         assert (out / name).exists()
 
     rc = main(["verify", "--dir", str(out)])
@@ -157,7 +158,7 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
 @pytest.mark.parametrize("stage,expect", [
     ("gz", ["A_gz.mtx", "b_gz.vec"]),
     ("gz2", ["A_gz2.mtx", "b_gz2.vec"]),
-    ("da", ["da.json", "da_matrix.mtx", "da_rhs.vec"]),
+    ("da", ["da.json"]),
     ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.json"]),
 ])
 def test_cli_reduce_stages(tmp_path, stage, expect):
@@ -171,8 +172,7 @@ def test_cli_reduce_stages(tmp_path, stage, expect):
     names = [*files.pop("b2").values(), *(name for group in files.values() for name in group)]
     assert sorted(names) == sorted([
         "original_A.mtx", "original_b.vec", "A_gz.mtx", "b_gz.vec", "A_gz2.mtx", "b_gz2.vec",
-        "da.json", "da_matrix.mtx", "da_rhs.vec", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec",
-        "b2_complex.json", "b2_trace.json"])
+        "da.json", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec", "b2_complex.json"])
     for name in expect + ["manifest.json"]:
         assert name in names + ["manifest.json"], name
         assert (out / name).exists(), name
@@ -223,7 +223,7 @@ def test_cli_reduce_deterministic(tmp_path):
     main(args + ["--out-dir", str(tmp_path / "out1")])
     main(args + ["--out-dir", str(tmp_path / "out2")])
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
-                 "b2_complex.json", "b2_trace.json", "da.json"):
+                 "b2_complex.json", "da.json"):
         assert filecmp.cmp(tmp_path / "out1" / name, tmp_path / "out2" / name,
                            shallow=False), name
 
@@ -410,11 +410,11 @@ def test_cli_replay_missing_sidecar_is_one_line_error(tmp_path):
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
-    (out / "b2_trace.json").unlink()
+    (out / "da.json").unlink()
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     message = str(exc.value.code)
-    assert "b2_trace.json" in message and "\n" not in message
+    assert "da.json" in message and "\n" not in message
 
 
 def test_maxflow_demo_script_network_replays(tmp_path):
@@ -477,3 +477,67 @@ def test_cli_maxflow_demo_missing_key_is_one_line_error(tmp_path, key):
         main(["maxflow-demo", "--network", str(tmp_path / "net.json")])
     message = str(exc.value.code)
     assert message.startswith("error:") and repr(key) in message and "\n" not in message
+
+
+def test_vector_file_holds_shortest_round_trip_text(tmp_path):
+    v = [0.1, 1200.0, -0.0, 2.0 ** -1074, 1 / 3]
+    fileio.write_vector(tmp_path / "v.vec", v)
+    assert (tmp_path / "v.vec").read_text() == "0.1\n1200\n-0\n5e-324\n0.3333333333333333\n"
+    back = fileio.read_vector(tmp_path / "v.vec")
+    assert np.array_equal(back, v) and np.signbit(back[2])
+
+
+def _one_line_error(exc) -> str:
+    message = str(exc.value.code)
+    assert message.startswith("error:") and "\n" not in message, message
+    return message
+
+
+def test_cli_reduce_non_numeric_rhs_is_one_line_error(tmp_path):
+    _write_general(tmp_path)
+    (tmp_path / "b.vec").write_text("1.0\n2.0\nthree\n4.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(tmp_path / "out")])
+    message = _one_line_error(exc)
+    assert "b.vec" in message and "three" in message
+
+
+def test_cli_verify_malformed_matrix_body_is_one_line_error(tmp_path):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    lines = (out / "b2_d2.mtx").read_text().splitlines(keepends=True)
+    lines[-1] = "1 x 1\n"
+    (out / "b2_d2.mtx").write_text("".join(lines))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dir", str(out)])
+    assert "b2_d2.mtx" in _one_line_error(exc)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "b2_complex.json", "da.json"])
+def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    text = (out / name).read_text()
+    (out / name).write_text(text[: len(text) // 2])
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    assert name in _one_line_error(exc)
+
+
+def test_cli_replay_da_of_another_system_is_one_line_error(tmp_path):
+    # the tubes are rebuilt from da.json and the complex, so the two must fit
+    out, other = tmp_path / "out", tmp_path / "other"
+    for seed, directory in ((0, out), (1, other)):
+        fileio.write_chain(directory, reduce_chain(
+            planted_general_system(np.random.default_rng(seed), 4 + seed, 4, max_entry=9)[0],
+            1e-3))
+    (out / "da.json").write_text((other / "da.json").read_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    message = _one_line_error(exc)
+    assert "b2_complex.json" in message and "da.json" in message

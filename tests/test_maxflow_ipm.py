@@ -205,6 +205,38 @@ def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
         <= 1e-9 * np.linalg.norm(demand)
 
 
+def test_network_is_validated_once_across_bisection_probes(monkeypatch):
+    # the gamma-in-image check is a tight reference solve; the probes of
+    # estimate_f_star are copies of the network and share its outcome
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sparse_core.least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(maxflow_ipm, "least_squares", counted)
+    net = _demo_network(average=True)
+    net.f_star = estimate_f_star(net, rounds=3)
+    run_ipm(net, 20)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault", ["gamma", "capacity"])
+@pytest.mark.parametrize("entry", ["run_ipm", "estimate_f_star"])
+def test_invalid_network_raises_after_a_passed_check(fault, entry):
+    net = _demo_network(average=False)
+    net.validate()
+    if fault == "gamma":
+        net.gamma[net.K.loops[0, 0]] += 1.0  # one loop edge only: not in im(d2)
+    else:
+        net.capacities[0] = -1.0
+    with pytest.raises(NetworkError):
+        if entry == "run_ipm":
+            run_ipm(net, 10)
+        else:
+            estimate_f_star(net, rounds=2)
+
+
 def test_progress_step_factors_once_however_often_it_halves(monkeypatch):
     factorizations, lsqr_calls = [], []
     splu, lsqr = sparse_core.spla.splu, sparse_core.spla.lsqr
