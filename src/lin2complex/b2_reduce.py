@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,8 +45,7 @@ class ReductionError(ValueError):
     """The difference-average input cannot be encoded."""
 
 
-@dataclass(frozen=True)
-class TubeRef:
+class TubeRef(NamedTuple):
     """Provenance of one tube: which equation/variable/copy it encodes and
     the triangle column carrying each of the three loop edges."""
 
@@ -181,8 +181,8 @@ def tube_refs(sys: WeightedDASystem, K: Complex2) -> list[TubeRef]:
     start = np.cumsum(sizes)[var] - 6 * (n_attach[var] - rank)
     cols = start[:, None] + np.where((sign > 0)[:, None], _tube_template(1)[2],
                                      _tube_template(-1)[2])
-    return [TubeRef(q, v, copy, sg, dict(zip((1, 2, 3), c)))
-            for v, q, copy, sg, c in zip(*attach.T.tolist(), cols.tolist())]
+    return [TubeRef(q, v, copy, sg, {1: c1, 2: c2, 3: c3})
+            for v, q, copy, sg, (c1, c2, c3) in zip(*attach.T.tolist(), cols.tolist())]
 
 
 def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:

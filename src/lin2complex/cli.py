@@ -74,7 +74,7 @@ def cmd_solve(args) -> int:
         print(f"direct solve: projected residual {res.projected_residual_norm:.3e}")
         return 0 if res.converged else 1
 
-    K = fileio.complex_from_json(fileio.read_json(args.complex))
+    K = fileio.read_complex(args.complex)
     d = fileio.read_vector(args.rhs)
     solver = (solve_boundary_via_laplacian if args.route == "laplacian"
               else solve_boundary_via_gram)

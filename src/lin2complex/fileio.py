@@ -1,4 +1,5 @@
-"""On-disk formats: Matrix Market matrices, plain-text vectors, JSON manifests.
+"""On-disk formats: Matrix Market matrices, plain-text vectors, JSON manifests
+and int32 archives of complexes.
 
 The readers raise ``ArtifactError``, naming the file, when a file exists but
 cannot be parsed."""
@@ -6,6 +7,7 @@ cannot be parsed."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -124,17 +126,23 @@ COMPLEX_FIELDS = {
 }
 
 
+def _complex_columns(K: Complex2) -> dict[str, np.ndarray]:
+    return {name: getattr(K, attr) if col is None else getattr(K, attr)[:, col]
+            for name, (_, attr, col, _) in COMPLEX_FIELDS.items()}
+
+
 def complex_to_json(K: Complex2) -> dict:
     """Columnar form of the complex: ``n_vertices`` and one flat int list per
     field of ``COMPLEX_FIELDS``."""
-    columns = {name: getattr(K, attr) if col is None else getattr(K, attr)[:, col]
-               for name, (_, attr, col, _) in COMPLEX_FIELDS.items()}
-    return {"n_vertices": K.n_vertices, **{name: a.tolist() for name, a in columns.items()}}
+    return {"n_vertices": K.n_vertices,
+            **{name: a.tolist() for name, a in _complex_columns(K).items()}}
 
 
-def complex_from_json(obj: dict) -> Complex2:
-    """Read the columnar form; rejects missing fields, fields of one table
-    with different lengths and ids out of range, naming the field."""
+def complex_from_json(obj) -> Complex2:
+    """Read the columnar form, from a dict or any mapping of int arrays such
+    as the members of a ``write_complex`` archive; rejects missing fields,
+    fields of one table with different lengths and ids out of range, naming
+    the field."""
     cols = {}
     for name in ["n_vertices", *COMPLEX_FIELDS]:
         a = np.asarray(obj.get(name, "missing"))
@@ -159,11 +167,49 @@ def complex_from_json(obj: dict) -> Complex2:
                                           for attr, a in arrays.items()})
 
 
+# member dtype and timestamp of a complex archive; a fixed timestamp (the
+# earliest a zip can hold) keeps the bytes independent of the clock
+_ARCHIVE_DTYPE = np.dtype("<i4")
+_ARCHIVE_DATE = (1980, 1, 1, 0, 0, 0)
+
+
+def write_complex(path, K: Complex2) -> None:
+    """The columns of ``complex_to_json`` as an uncompressed zip of
+    little-endian int32 ``.npy`` members, ``n_vertices.npy`` and one per
+    field of ``COMPLEX_FIELDS``; equal complexes give equal bytes.  Raises
+    ``OverflowError``, writing nothing, when a value does not fit in int32."""
+    columns = {"n_vertices": np.asarray(K.n_vertices), **_complex_columns(K)}
+    limits = np.iinfo(_ARCHIVE_DTYPE)
+    for name, a in columns.items():
+        if a.size and (a.min() < limits.min or a.max() > limits.max):
+            raise OverflowError(f"complex field {name!r} has a value outside int32; "
+                                f"{path} is not written")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, a in columns.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy", _ARCHIVE_DATE), "w") as fh:
+                np.lib.format.write_array(fh, a.astype(_ARCHIVE_DTYPE), allow_pickle=False)
+
+
+def read_complex(path) -> Complex2:
+    """Inverse of ``write_complex``, checked by ``complex_from_json``, which
+    reads the members.  An archive that does not open or holds a member that
+    does not load (pickled objects are refused) raises ``ArtifactError``; a
+    missing or malformed field raises ``ComplexStructureError``.  Both name
+    the file."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as members:
+            return complex_from_json(members)
+    except ComplexStructureError as exc:
+        raise ComplexStructureError(f"{path}: {exc}") from None
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ArtifactError(f"{path} is not an archive of int arrays: {exc}") from None
+
+
 # -- boundary problems --------------------------------------------------------
 
 # fixed names of the boundary-problem files, keyed as in manifest["files"]["b2"]
 BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.vec", "gamma": "b2_gamma.vec",
-                  "complex": "b2_complex.json", "da": "da.json"}
+                  "complex": "b2_complex.npz", "da": "da.json"}
 
 
 def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
@@ -176,7 +222,7 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
     write_matrix(out_dir / names["d2"], problem.d2)
     write_vector(out_dir / names["weights"], problem.weights)
     write_vector(out_dir / names["gamma"], problem.gamma)
-    write_json(out_dir / names["complex"], complex_to_json(problem.K), indent=None)
+    write_complex(out_dir / names["complex"], problem.K)
     write_json(out_dir / names["da"], da_system_to_json(problem.da), indent=None)
 
 
@@ -194,7 +240,7 @@ def read_boundary_problem(src) -> BoundaryProblem:
         if vectors[key].size != d2.n_rows:
             raise DimensionError(f"{src / names[key]} has {vectors[key].size} entries "
                                  f"but {names['d2']} has {d2.n_rows} rows")
-    K = complex_from_json(read_json(src / names["complex"]))
+    K = read_complex(src / names["complex"])
     da = da_system_from_json(read_json(src / names["da"]))
     try:
         tubes = tube_refs(da, K)

@@ -1,6 +1,9 @@
+import copy
 import filecmp
 import json
 import tempfile
+import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +109,7 @@ def test_cli_reduce_verify_solve(tmp_path):
                "--out-dir", str(out), "--eps", "1e-3"])
     assert rc == 0
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
-                 "b2_complex.json", "da.json"):
+                 "b2_complex.npz", "da.json"):
         assert (out / name).exists()
 
     rc = main(["verify", "--dir", str(out)])
@@ -159,7 +162,7 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
     ("gz", ["A_gz.mtx", "b_gz.vec"]),
     ("gz2", ["A_gz2.mtx", "b_gz2.vec"]),
     ("da", ["da.json"]),
-    ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.json"]),
+    ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.npz"]),
 ])
 def test_cli_reduce_stages(tmp_path, stage, expect):
     # the default output holds every stage's files and the manifest lists them
@@ -172,7 +175,7 @@ def test_cli_reduce_stages(tmp_path, stage, expect):
     names = [*files.pop("b2").values(), *(name for group in files.values() for name in group)]
     assert sorted(names) == sorted([
         "original_A.mtx", "original_b.vec", "A_gz.mtx", "b_gz.vec", "A_gz2.mtx", "b_gz2.vec",
-        "da.json", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec", "b2_complex.json"])
+        "da.json", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec", "b2_complex.npz"])
     for name in expect + ["manifest.json"]:
         assert name in names + ["manifest.json"], name
         assert (out / name).exists(), name
@@ -223,7 +226,7 @@ def test_cli_reduce_deterministic(tmp_path):
     main(args + ["--out-dir", str(tmp_path / "out1")])
     main(args + ["--out-dir", str(tmp_path / "out2")])
     for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
-                 "b2_complex.json", "da.json"):
+                 "b2_complex.npz", "da.json"):
         assert filecmp.cmp(tmp_path / "out1" / name, tmp_path / "out2" / name,
                            shallow=False), name
 
@@ -299,10 +302,10 @@ def test_cli_solve_routes(tmp_path, route):
     rng = np.random.default_rng(5)
     sys, b, _ = planted_da_instance(rng, 2, 2, 1)
     P = reduce_da_to_b2(sys, b)
-    fileio.write_json(tmp_path / "complex.json", fileio.complex_to_json(P.K))
+    fileio.write_complex(tmp_path / "complex.npz", P.K)
     d = rng.integers(-3, 4, size=P.n_edges).astype(float)
     fileio.write_vector(tmp_path / "d.vec", d)
-    rc = main(["solve", "--route", route, "--complex", str(tmp_path / "complex.json"),
+    rc = main(["solve", "--route", route, "--complex", str(tmp_path / "complex.npz"),
                "--rhs", str(tmp_path / "d.vec"), "--eps", "1e-4",
                "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -316,10 +319,10 @@ def test_cli_solve_route_guards_oversized_dense(tmp_path):
     rng = np.random.default_rng(6)
     sys, b, _ = planted_da_instance(rng, 2, 2, 1)
     P = reduce_da_to_b2(sys, b)
-    fileio.write_json(tmp_path / "complex.json", fileio.complex_to_json(P.K))
+    fileio.write_complex(tmp_path / "complex.npz", P.K)
     fileio.write_vector(tmp_path / "d.vec", np.ones(P.n_edges))
     rc = main(["solve", "--route", "laplacian", "--complex",
-               str(tmp_path / "complex.json"), "--rhs", str(tmp_path / "d.vec"),
+               str(tmp_path / "complex.npz"), "--rhs", str(tmp_path / "d.vec"),
                "--eps", "1e-4", "--dense-limit", "3", "--out-dir", str(tmp_path)])
     assert rc == 2
 
@@ -516,7 +519,7 @@ def test_cli_verify_malformed_matrix_body_is_one_line_error(tmp_path):
     assert "b2_d2.mtx" in _one_line_error(exc)
 
 
-@pytest.mark.parametrize("name", ["manifest.json", "b2_complex.json", "da.json"])
+@pytest.mark.parametrize("name", ["manifest.json", "da.json"])
 def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
     _write_general(tmp_path)
     out = tmp_path / "out"
@@ -540,4 +543,96 @@ def test_cli_replay_da_of_another_system_is_one_line_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     message = _one_line_error(exc)
-    assert "b2_complex.json" in message and "da.json" in message
+    assert "b2_complex.npz" in message and "da.json" in message
+
+
+# -- complex archives ------------------------------------------------------------
+
+def _planted_complex():
+    sys, b, _ = planted_da_instance(np.random.default_rng(2), 3, 3, 1)
+    return reduce_da_to_b2(sys, b).K
+
+
+def _edit_archive(path, edits):
+    """Rewrite the archive at ``path`` with each member named in ``edits``
+    replaced by ``edit(old array)``, or dropped where the edit is None."""
+    with np.load(path) as members:
+        arrays = {name: members[name] for name in members}
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, a in arrays.items():
+            edit = edits.get(name, lambda a: a)
+            if edit is not None:
+                with archive.open(f"{name}.npy", "w") as fh:
+                    np.lib.format.write_array(fh, edit(a), allow_pickle=True)
+
+
+def test_complex_archive_holds_one_int32_member_per_field(tmp_path):
+    K = _planted_complex()
+    fileio.write_complex(tmp_path / "c.npz", K)
+    with np.load(tmp_path / "c.npz", allow_pickle=False) as members:
+        assert set(members) == {"n_vertices", *fileio.COMPLEX_FIELDS}
+        assert {members[name].dtype.str for name in members} == {"<i4"}
+        assert {name: members[name].tolist() for name in members} == fileio.complex_to_json(K)
+    assert fileio.complex_to_json(fileio.read_complex(tmp_path / "c.npz")) == \
+        fileio.complex_to_json(K)
+
+
+def test_complex_archive_bytes_ignore_the_clock(tmp_path, monkeypatch):
+    K, localtime = _planted_complex(), time.localtime
+    for stamp in (0, 10 ** 9):
+        monkeypatch.setattr(time, "time", lambda: float(stamp))
+        monkeypatch.setattr(time, "localtime", lambda secs=None: localtime(stamp))
+        fileio.write_complex(tmp_path / f"{stamp}.npz", K)
+    assert (tmp_path / "0.npz").read_bytes() == (tmp_path / f"{10 ** 9}.npz").read_bytes()
+
+
+def test_write_complex_refuses_values_beyond_int32(tmp_path):
+    K = copy.copy(_planted_complex())
+    K.n_vertices = 2 ** 31
+    with pytest.raises(OverflowError, match="n_vertices"):
+        fileio.write_complex(tmp_path / "c.npz", K)
+    assert not (tmp_path / "c.npz").exists()
+
+
+@pytest.mark.parametrize("field,edit", [("tri_v1", lambda a: a[:-1]),
+                                        ("loop_r3", lambda a: a[:-1]),
+                                        ("loop_r1", lambda a: a + 10 ** 6),
+                                        ("tri_v0", lambda a: -1 - a)],
+                         ids=["tri_v1-short", "loop_r3-short", "loop_r1-beyond",
+                              "tri_v0-negative"])
+def test_complex_archive_rejects_bad_fields(tmp_path, field, edit):
+    from lin2complex.complex2 import ComplexStructureError
+
+    path = tmp_path / "b2_complex.npz"
+    fileio.write_complex(path, _planted_complex())
+    _edit_archive(path, {field: edit})
+    with pytest.raises(ComplexStructureError, match=field) as exc:
+        fileio.read_complex(path)
+    assert str(path) in str(exc.value)
+
+
+ARCHIVE_FAULTS = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "not-a-zip": lambda path: path.write_bytes(b"n_vertices,tri_v0\n3,0\n"),
+    "missing-member": lambda path: _edit_archive(path, {"central": None}),
+    "float-member": lambda path: _edit_archive(path, {"edge_q": lambda a: a + 0.5}),
+    "object-member": lambda path: _edit_archive(path, {"edge_q": lambda a: a.astype(object)}),
+}
+
+
+@pytest.mark.parametrize("fault", ARCHIVE_FAULTS)
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_malformed_complex_archive_is_one_line_error(tmp_path, command, fault):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    ARCHIVE_FAULTS[fault](out / "b2_complex.npz")
+    argv = (["solve", "--manifest", str(out), "--out-dir", str(out)] if command == "solve"
+            else ["verify", "--dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert "b2_complex.npz" in message
+    if fault == "object-member":
+        assert "allow_pickle=False" in message
