@@ -37,7 +37,9 @@ from .sparse_core import (
     DimensionError,
     SparseMatrix,
     gram_low_eigenvalues,
+    norm_product,
     rank_from_singular_values,
+    zero_eigenvalue_count,
 )
 
 
@@ -449,13 +451,6 @@ def reduce_reg(sys: WeightedDASystem, b, eps_da: float,
     return problem, eps_b2
 
 
-# Eigenvalues of G = d2^T d2 at or below this count as zero.  d2 is +-1, so
-# ||G|| <= 12, and the zero eigenvalues that Lanczos returns sit at the
-# rounding level, 1.5-2.6e-16; the smallest nonzero eigenvalue seen was
-# 9e-14, on a 23,890-triangle complex of a 40x40 three-per-row system.
-ZERO_EIGENVALUE = 1e-14
-
-
 @dataclass(frozen=True)
 class CertificateCheck:
     name: str
@@ -477,12 +472,6 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def _norm_product(M: SparseMatrix) -> int:
-    """||M||_1 ||M||_inf of an integer-exact matrix, in integer arithmetic."""
-    D = abs(M.to_int_csr())
-    return int(D.sum(axis=0).max()) * int(D.sum(axis=1).max())
-
-
 def _low_spectrum(d2: SparseMatrix, k: int) -> tuple[int | None, float | None, str]:
     """(nullity, smallest nonzero eigenvalue, note) of d2^T d2 from its k
     smallest eigenvalues.  The nullity is None when Lanczos fails, and the
@@ -492,7 +481,7 @@ def _low_spectrum(d2: SparseMatrix, k: int) -> tuple[int | None, float | None, s
         eig = gram_low_eigenvalues(d2, k)
     except ArpackError as exc:
         return None, None, f"Lanczos failed: {exc}"
-    nullity = int(np.count_nonzero(eig <= ZERO_EIGENVALUE))
+    nullity = zero_eigenvalue_count(eig)
     zeros = (f"largest zero eigenvalue {eig[nullity - 1]:.3g}" if nullity
              else "no zero eigenvalue")
     if nullity == eig.size:
@@ -516,9 +505,10 @@ def spectral_certificate(problem: BoundaryProblem,
       column and at most four triangles an edge make it 12 at most.
     - The nullity and lambda_min come from the k = nullity(A) + 3 smallest
       eigenvalues of the exact integer Gram matrix d2^T d2
-      (``gram_low_eigenvalues``), those at or below ``ZERO_EIGENVALUE``
-      counting as zero.  The nullity check passes only when fewer than k
-      are zero; otherwise the count is a lower bound.
+      (``gram_low_eigenvalues``), those of magnitude at or below
+      ``sparse_core.ZERO_EIGENVALUE`` counting as zero.  The nullity check
+      passes only when fewer than k are zero; otherwise the count is a lower
+      bound.
     - The condition number is the upper bound sqrt(lambda_max / lambda_min).
 
     When Lanczos fails, or finds no nonzero eigenvalue, the checks that need
@@ -531,7 +521,7 @@ def spectral_certificate(problem: BoundaryProblem,
     lam_min_a = float(sa[rank_a - 1] ** 2) if rank_a else 0.0
     nullity_a = pattern.n_cols - rank_a
 
-    lam_max = float(_norm_product(problem.d2))
+    lam_max = float(norm_product(problem.d2))
     k = nullity_a + 3
     nullity, lam_min, note = _low_spectrum(problem.d2, k)
     found = lam_min is not None

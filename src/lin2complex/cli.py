@@ -16,7 +16,7 @@ from .da_reduce import CLASS_G, GeneralSystem
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
 from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
 from .pipeline import reduce_chain, solve_chain
-from .sparse_core import DenseGuardError, DimensionError, least_squares
+from .sparse_core import DimensionError, least_squares
 
 
 def _load_general(args) -> GeneralSystem:
@@ -79,8 +79,8 @@ def cmd_solve(args) -> int:
     solver = (solve_boundary_via_laplacian if args.route == "laplacian"
               else solve_boundary_via_gram)
     try:
-        f, report = solver(K, d, eps, dense_limit=args.dense_limit)
-    except (DenseGuardError, ValueError) as exc:
+        f, report = solver(K, d, eps)
+    except ValueError as exc:
         print(f"error: {exc}")
         return 2
     fileio.write_vector(out / "f.vec", f)
@@ -179,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eps", type=float, default=None,
                     help="accuracy; defaults to 1e-6, or to the recorded "
                          "value when replaying a manifest")
-    ps.add_argument("--dense-limit", type=int, default=3000)
     ps.add_argument("--out-dir", default=".")
     ps.set_defaults(func=cmd_solve)
 

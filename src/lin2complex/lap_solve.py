@@ -3,10 +3,12 @@
 Both routes rest on the same fact: the image of d1^T meets the image of d2
 only at zero, so projecting an approximate solve of L1 x = d (or of
 d2 d2^T x = d) through f = d2^T x lands near the projection of d onto the
-image of d2.  The inner accuracy eps_inner is derived from spectral data.
-The inner solve is one sparse LU of the column-equilibrated operator's
-augmented system (``sparse_core.lu_solver``) with one refinement step; one
-more correction solve with the same factor measures it, and the route is
+image of d2.  The inner accuracy eps_inner is derived from sparse spectral
+data, the same at every size: the integer bound ||d2||_1 ||d2||_inf on
+sigma_max(d2)^2 and the operator's smallest nonzero eigenvalue from
+shift-invert Lanczos (``sparse_core.gram_low_eigenvalues``).  The inner solve
+is one sparse LU of the column-equilibrated operator's augmented system
+(``sparse_core.lu_solver``) with one refinement step, and the route is
 judged by the independent LSQR certificate ``projection_residual``.
 """
 
@@ -16,35 +18,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .complex2 import Complex2, boundary2, laplacian1
+from .complex2 import Complex2, boundary1, boundary2, laplacian1
 from .sparse_core import (
-    DENSE_GUARD_DEFAULT,
-    MODE_DENSE,
-    MODE_ITERATIVE,
     SparseMatrix,
+    gram_low_eigenvalues,
     lu_solver,
+    norm_product,
     projection_residual,
-    rank_from_singular_values,
-    spectral_summary,
+    zero_eigenvalue_count,
 )
 
 ROUTE_LAPLACIAN = "laplacian"
 ROUTE_GRAM = "gram"
-ROUTE_DIRECT = "direct"
 
 
 @dataclass(frozen=True)
 class BoundaryRouteReport:
     """Outcome of one route solve.
 
-    ``inner_ratio`` is measured with the same LU factor that made the solve
-    (see ``_refined_solve``), so it shares that factor's error and reads
-    low: on the 348-triangle planted complex of the tests it was about 10x
-    below the inner error against a dense solve (3.9e-14 vs 4.7e-13 on the
-    Laplacian route).  ``inner_converged`` compares it with ``eps_inner``;
-    ``ok`` rests on the independent LSQR certificate ``projection_residual``
-    of ``d2 f``.
+    ``inner_ratio`` is the upper bound ``||op r|| / (lambda_min ||op x||)``
+    on the inner error ``||P d - op x|| / ||op x||``, with ``r = d - op x``
+    and ``P`` the projection onto the image of the symmetric ``op``; it
+    holds because ``||op r|| = ||op P r|| >= lambda_min ||P r||``.
+    ``inner_converged`` compares it with ``eps_inner``; ``ok`` needs that
+    and the independent LSQR certificate ``projection_residual`` of
+    ``d2 f``, unless the instance is degenerate.
     """
 
     route: str
@@ -55,39 +55,48 @@ class BoundaryRouteReport:
     projected_residual: float
     projected_rhs_norm: float
     degenerate: bool
-    spectral_mode: str
     ok: bool
 
 
-def _min_nonzero_sq_singular(M: SparseMatrix) -> float:
-    s = np.linalg.svd(M.to_dense(), compute_uv=False)
-    rank = rank_from_singular_values(s, M.n_rows, M.n_cols)
-    if rank == 0:
-        raise ValueError("operator is zero; no nonzero singular value")
-    return float(s[rank - 1])
+def _gram_lambda_min(M: SparseMatrix) -> float:
+    """Smallest nonzero eigenvalue of ``M^T M``: Lanczos for the k smallest,
+    k doubling from 4 until a nonzero one shows.  Raises ``ValueError`` when
+    all ``n_cols - 1`` that Lanczos can return are zero."""
+    k = 4
+    while True:
+        eig = gram_low_eigenvalues(M, k)
+        nullity = zero_eigenvalue_count(eig)
+        if nullity < eig.size:
+            return float(eig[nullity])
+        if eig.size >= M.n_cols - 1:
+            raise ValueError(f"all {eig.size} computed eigenvalues of the "
+                             "Gram matrix are zero; no nonzero eigenvalue")
+        k *= 2
 
 
-def _refined_solve(op: SparseMatrix, d: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Least-squares x for ``op x ~ d`` from one factorization, refined once;
-    returns (x, ratio, fill).
+def _l0_lambda_min(K: Complex2) -> float:
+    """Smallest nonzero eigenvalue of ``L0 = d1 d1^T``, the 1-skeleton's
+    graph Laplacian, whose nullity is its component count c."""
+    # imported here, as in ``complex2.validate``
+    from scipy.sparse.csgraph import connected_components
 
-    ``ratio = ||op w|| / ||op x||`` with ``w`` one more correction solve for
-    the residual ``d - op x``, so ``op w`` estimates ``P d - op x``; it is 0
-    when both norms are 0 and inf when only ``||op x||`` is.
-    """
+    edge = K.edge
+    graph = sp.csr_matrix((np.ones(len(edge)), (edge[:, 0], edge[:, 1])),
+                          shape=(K.n_vertices, K.n_vertices))
+    c, _ = connected_components(graph, directed=False)
+    return float(gram_low_eigenvalues(boundary1(K).T, c + 1)[c])
+
+
+def _refined_solve(op: SparseMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares x for ``op x ~ d`` from one factorization, refined
+    once; returns (x, fill)."""
     solve, fill = lu_solver(op)
-    csr = op.to_csr()
     x = solve(d)
-    x += solve(d - csr @ x)
-    op_x = csr @ x
-    w_norm = float(np.linalg.norm(csr @ solve(d - op_x)))
-    x_norm = float(np.linalg.norm(op_x))
-    ratio = w_norm / x_norm if x_norm > 0.0 else (0.0 if w_norm == 0.0 else math.inf)
-    return x, ratio, fill
+    x += solve(d - op.to_csr() @ x)
+    return x, fill
 
 
-def _solve_route(K: Complex2, d, delta: float, route: str,
-                 dense_limit: int, sigma_min_floor: float | None):
+def _solve_route(K: Complex2, d, delta: float, route: str):
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
     if d.size != d2.n_rows:
@@ -102,27 +111,23 @@ def _solve_route(K: Complex2, d, delta: float, route: str,
 
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
-        report = BoundaryRouteReport(route, delta, True, 0.0, 0.0, 0.0, 0.0, False,
-                                     "trivial", True)
+        report = BoundaryRouteReport(route, delta, True, 0.0, 0.0, 0.0, 0.0, False, True)
         return np.zeros(d2.n_cols), report
 
-    dense_ok = max(op.n_rows, d2.n_rows, d2.n_cols) <= dense_limit
-    if dense_ok:
-        mode = MODE_DENSE
-        sigma_max_d2 = float(np.linalg.svd(d2.to_dense(), compute_uv=False)[0])
-        sigma_min_op = _min_nonzero_sq_singular(op)
-    else:
-        mode = MODE_ITERATIVE
-        sigma_max_d2 = spectral_summary(d2, MODE_ITERATIVE).sigma_max
-        if sigma_min_floor is None:
-            raise ValueError(
-                "beyond the dense limit a lower bound on the operator's minimum "
-                "nonzero singular value must be supplied")
-        sigma_min_op = sigma_min_floor
-
-    eps = delta * math.sqrt(sigma_min_op) / (sigma_max_d2 ** 2 * d_norm)
+    # d2 d2^T and d2^T d2 share their nonzero spectrum; since d1 d2 = 0 that
+    # of L1 is the union of it and L0's
+    lam_min = _gram_lambda_min(d2)
+    if route == ROUTE_LAPLACIAN:
+        lam_min = min(lam_min, _l0_lambda_min(K))
+    eps = delta * math.sqrt(lam_min) / (norm_product(d2) * d_norm)
     eps = min(eps, 0.5)
-    x, ratio, fill = _refined_solve(op, d)
+
+    x, fill = _refined_solve(op, d)
+    csr = op.to_csr()
+    op_x = csr @ x
+    bound = float(np.linalg.norm(csr @ (d - op_x))) / lam_min
+    x_norm = float(np.linalg.norm(op_x))
+    ratio = bound / x_norm if x_norm > 0.0 else (0.0 if bound == 0.0 else math.inf)
     converged = ratio <= eps
     f = d2.T.matvec(x)
 
@@ -130,28 +135,23 @@ def _solve_route(K: Complex2, d, delta: float, route: str,
     degenerate = proj_norm <= 1e-10 * d_norm
     ok = degenerate or (converged and proj_res <= delta * proj_norm + 1e-12 * d_norm)
     report = BoundaryRouteReport(route, eps, converged, ratio, fill,
-                                 proj_res, proj_norm, degenerate, mode, ok)
+                                 proj_res, proj_norm, degenerate, ok)
     return f, report
 
 
-def solve_boundary_via_laplacian(K: Complex2, d, delta: float,
-                                 dense_limit: int = DENSE_GUARD_DEFAULT,
-                                 sigma_min_floor: float | None = None):
+def solve_boundary_via_laplacian(K: Complex2, d, delta: float):
     """Solve d2 f ~ d through the combinatorial Laplacian.
 
-    Picks the inner accuracy eps = delta * sigma_min(L1)^(1/2) /
-    (sigma_max(d2)^2 ||d||), solves L1 x ~ d, and returns f = d2^T x; the
-    report's ``inner_converged`` is ``inner_ratio <= eps``.  When
-    the projection of d onto the image of d2 vanishes while d does not, the
+    Picks the inner accuracy eps = delta * lambda_min(L1)^(1/2) /
+    (||d2||_1 ||d2||_inf ||d||), solves L1 x ~ d, and returns f = d2^T x;
+    the report's ``inner_converged`` is ``inner_ratio <= eps``.  When the
+    projection of d onto the image of d2 vanishes while d does not, the
     instance is flagged degenerate (the relative guarantee is vacuous).
+    Raises ``ValueError`` when d2 has no nonzero singular value.
     """
-    return _solve_route(K, d, delta, ROUTE_LAPLACIAN, dense_limit,
-                        sigma_min_floor)
+    return _solve_route(K, d, delta, ROUTE_LAPLACIAN)
 
 
-def solve_boundary_via_gram(K: Complex2, d, delta: float,
-                            dense_limit: int = DENSE_GUARD_DEFAULT,
-                            sigma_min_floor: float | None = None):
+def solve_boundary_via_gram(K: Complex2, d, delta: float):
     """Same contract as the Laplacian route with d2 d2^T as the inner operator."""
-    return _solve_route(K, d, delta, ROUTE_GRAM, dense_limit,
-                        sigma_min_floor)
+    return _solve_route(K, d, delta, ROUTE_GRAM)

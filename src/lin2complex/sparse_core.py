@@ -9,9 +9,10 @@ one sparse LU of a quasi-definite augmented system (``AugmentedSystem``)
 that the weighted boundary solve, the ``lap_solve`` inner solves and the
 maxflow Newton steps share, the column-equilibrated least-squares solves of
 the weighted boundary problem (that LU, and LSQR as the iterative
-reference), dense/iterative spectral summaries, and the shift-invert
-Lanczos eigenvalues of an integer Gram matrix that the spectral certificate
-reads.
+reference), and the sparse spectral data that the spectral certificate and
+the ``lap_solve`` routes read: the integer norm bound on the largest
+eigenvalue and the shift-invert Lanczos eigenvalues of an integer Gram
+matrix.  ``spectral_summary`` is the dense reference for small matrices.
 """
 
 from __future__ import annotations
@@ -23,18 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DENSE_GUARD_DEFAULT = 3000
-
-MODE_DENSE = "dense_svd"
-MODE_ITERATIVE = "iterative_estimate"
-
 
 class DimensionError(ValueError):
     """Operand shapes do not match."""
-
-
-class DenseGuardError(ValueError):
-    """A dense-mode computation was requested beyond the size guard."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -399,8 +391,7 @@ def projection_residual(A: SparseMatrix, x, b,
 class SpectralSummary:
     sigma_max: float
     sigma_min_nonzero: float | None
-    rank: int | None
-    method: str
+    rank: int
 
     def condition_number(self) -> float:
         if self.sigma_min_nonzero is None or self.sigma_min_nonzero == 0.0:
@@ -415,10 +406,48 @@ def rank_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> int:
     return int(np.sum(s > tol))
 
 
+def spectral_summary(A: SparseMatrix) -> SpectralSummary:
+    """Singular-value summary from a dense SVD, exact to machine precision;
+    the dense reference for small matrices."""
+    if min(A.n_rows, A.n_cols) == 0 or A.nnz == 0:
+        return SpectralSummary(0.0, None, 0)
+    s = np.linalg.svd(A.to_dense(), compute_uv=False)
+    rank = rank_from_singular_values(s, A.n_rows, A.n_cols)
+    sigma_min = float(s[rank - 1]) if rank > 0 else None
+    return SpectralSummary(float(s[0]), sigma_min, rank)
+
+
+def norm_product(M: SparseMatrix) -> int:
+    """||M||_1 ||M||_inf of an integer-exact matrix, in integer arithmetic;
+    it bounds sigma_max(M)^2, since ||M||_2^2 <= ||M||_1 ||M||_inf."""
+    D = abs(M.to_int_csr())
+    return int(D.sum(axis=0).max()) * int(D.sum(axis=1).max())
+
+
 # Shift of the Lanczos solve in ``gram_low_eigenvalues``: it makes
 # G + GRAM_SHIFT I positive definite, so its LU exists although G is
-# singular, and puts the zero eigenvalues nearest the shift.
-GRAM_SHIFT = 1e-4
+# singular, and puts the zero eigenvalues nearest the shift.  The smallest
+# nonzero eigenvalue lambda maps to 1 / (lambda + shift) against the zeros'
+# 1 / shift, so a larger shift brings the two closer and Lanczos takes
+# longer to split them: on a 25,250-triangle complex of a 40x40
+# three-per-row system ``eigsh`` took 0.64 s at 1e-4 and takes 0.17 s at
+# 1e-8, with the same eigenvalues.  Both shifts find the same lambda far
+# below them too (1.65e-13 on a 23,890-triangle complex).
+GRAM_SHIFT = 1e-8
+
+# Eigenvalues of a Gram matrix with |lambda| at or below this count as zero.
+# For G = d2^T d2, d2 is +-1 and ||G|| <= 12; at GRAM_SHIFT the zero
+# eigenvalues that Lanczos returns sit at the rounding level and come out
+# negative (-1e-16..-2e-17), so the test compares |lambda|.  The smallest
+# nonzero eigenvalue seen was 9e-14, on a 23,890-triangle complex of a
+# 40x40 three-per-row system.
+ZERO_EIGENVALUE = 1e-14
+
+
+def zero_eigenvalue_count(eig: np.ndarray) -> int:
+    """How many of the ascending Gram eigenvalues ``eig`` are zero; they
+    come first, so ``eig[count]`` is the smallest nonzero one."""
+    return int(np.count_nonzero(np.abs(eig) <= ZERO_EIGENVALUE))
 
 
 def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
@@ -442,46 +471,3 @@ def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
     vals = spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
                       OPinv=inverse, v0=v0, return_eigenvectors=False)
     return np.sort(vals)
-
-
-def spectral_summary(A: SparseMatrix, mode: str = MODE_DENSE,
-                     dense_limit: int = DENSE_GUARD_DEFAULT) -> SpectralSummary:
-    """Singular-value summary: dense SVD or a power-iteration estimate.
-
-    Dense mode is exact to machine precision but guarded by ``dense_limit``
-    on the smaller dimension.  Iterative mode estimates sigma_max within 1%
-    by power iteration on A^T A and reports sigma_min/rank as unavailable.
-    """
-    if mode == MODE_DENSE:
-        if min(A.n_rows, A.n_cols) > dense_limit:
-            raise DenseGuardError(
-                f"dense mode limited to min(dims) <= {dense_limit}, "
-                f"got {A.shape}")
-        if min(A.n_rows, A.n_cols) == 0 or A.nnz == 0:
-            return SpectralSummary(0.0, None, 0, MODE_DENSE)
-        s = np.linalg.svd(A.to_dense(), compute_uv=False)
-        rank = rank_from_singular_values(s, A.n_rows, A.n_cols)
-        sigma_min = float(s[rank - 1]) if rank > 0 else None
-        return SpectralSummary(float(s[0]), sigma_min, rank, MODE_DENSE)
-    if mode == MODE_ITERATIVE:
-        if A.nnz == 0 or min(A.n_rows, A.n_cols) == 0:
-            return SpectralSummary(0.0, None, None, MODE_ITERATIVE)
-        csr = A.to_csr()
-        n = A.n_cols
-        # deterministic start vector; the index ramp breaks symmetric ties
-        v = np.ones(n) + np.arange(n) / (3.0 * n + 1.0)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(500):
-            w = csr.T @ (csr @ v)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                return SpectralSummary(0.0, None, None, MODE_ITERATIVE)
-            new_sigma = float(np.sqrt(nw))
-            v = w / nw
-            if sigma > 0.0 and abs(new_sigma - sigma) <= 1e-8 * sigma:
-                sigma = new_sigma
-                break
-            sigma = new_sigma
-        return SpectralSummary(sigma, None, None, MODE_ITERATIVE)
-    raise ValueError(f"unknown mode {mode!r}")

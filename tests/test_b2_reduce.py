@@ -519,6 +519,14 @@ def test_spectral_certificate_lanczos_failure_is_a_failed_check(monkeypatch):
     assert "no convergence" in report["nullity"].note
 
 
+def test_low_spectrum_counts_negative_rounding_zeros(monkeypatch):
+    # at the Lanczos shift the zero eigenvalues come out slightly negative
+    monkeypatch.setattr(b2_reduce, "gram_low_eigenvalues",
+                        lambda M, k: np.array([-9e-17, -2e-17, 1e-9]))
+    nullity, lam_min, _ = b2_reduce._low_spectrum(SparseMatrix.identity(4), 3)
+    assert (nullity, lam_min) == (2, 1e-9)
+
+
 def test_derived_fields_match_the_construction():
     # central, equation_rhs and loop_weight are read off K, gamma and weights
     da, _, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)

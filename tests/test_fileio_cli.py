@@ -315,16 +315,19 @@ def test_cli_solve_routes(tmp_path, route):
     assert report["lu_fill"] >= 1.0
 
 
-def test_cli_solve_route_guards_oversized_dense(tmp_path):
-    rng = np.random.default_rng(6)
-    sys, b, _ = planted_da_instance(rng, 2, 2, 1)
+def test_cli_solve_route_beyond_3000_edges(tmp_path):
+    # no dense limit: the route runs, and its exit code follows ``ok``
+    rng = np.random.default_rng(11)
+    sys, b, _ = planted_da_instance(rng, 16, 80, 16)
     P = reduce_da_to_b2(sys, b)
+    assert P.n_edges > 3000
     fileio.write_complex(tmp_path / "complex.npz", P.K)
-    fileio.write_vector(tmp_path / "d.vec", np.ones(P.n_edges))
+    fileio.write_vector(tmp_path / "d.vec", rng.integers(-4, 5, size=P.n_edges).astype(float))
     rc = main(["solve", "--route", "laplacian", "--complex",
                str(tmp_path / "complex.npz"), "--rhs", str(tmp_path / "d.vec"),
-               "--eps", "1e-4", "--dense-limit", "3", "--out-dir", str(tmp_path)])
-    assert rc == 2
+               "--eps", "1e-4", "--out-dir", str(tmp_path)])
+    report = fileio.read_json(tmp_path / "solve_report.json")
+    assert rc == (0 if report["ok"] else 1)
 
 
 def test_cli_maxflow_demo(tmp_path):

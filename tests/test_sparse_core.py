@@ -5,10 +5,7 @@ from hypothesis import given, settings, strategies as st
 from lin2complex.sparse_core import (
     LU_DELTA,
     AugmentedSystem,
-    DenseGuardError,
     DimensionError,
-    MODE_DENSE,
-    MODE_ITERATIVE,
     SparseMatrix,
     iterative_solve,
     least_squares,
@@ -229,25 +226,6 @@ def test_spectral_summary_disk_rank():
     s = spectral_summary(SparseMatrix.from_dense(DISK_D2))
     assert s.rank == 3
     assert s.condition_number() < 10
-
-
-def test_spectral_summary_dense_guard():
-    A = SparseMatrix.identity(5)
-    with pytest.raises(DenseGuardError):
-        spectral_summary(A, MODE_DENSE, dense_limit=3)
-
-
-def test_spectral_summary_iterative_agrees_with_dense():
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(50):
-        dense = rng.normal(size=(rng.integers(3, 9), rng.integers(3, 9)))
-        A = SparseMatrix.from_dense(dense)
-        sd = spectral_summary(A, MODE_DENSE)
-        si = spectral_summary(A, MODE_ITERATIVE)
-        assert si.sigma_min_nonzero is None and si.rank is None
-        worst = max(worst, abs(si.sigma_max - sd.sigma_max) / sd.sigma_max)
-    assert worst < 0.01
 
 
 def test_spectral_summary_zero_matrix():
