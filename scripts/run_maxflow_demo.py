@@ -2,8 +2,9 @@
 """Interior-point maxflow on a 2-complex flow network built from an equation.
 
 Builds the complex for x0 - x1 = 1 (or an average equation with --average),
-runs the log-barrier method, and writes a CSV trace plus a network file the
-CLI can replay with `lin2complex maxflow-demo --network net.json`.
+brackets the optimal flow value between a routed flow and a weak-duality
+bound, runs the log-barrier method, and writes a CSV trace plus a network
+file the CLI can replay with `lin2complex maxflow-demo --network net.json`.
 
 Example:
     python scripts/run_maxflow_demo.py --steps 300 --out-dir /tmp/flow
@@ -18,7 +19,7 @@ import numpy as np
 from lin2complex import fileio
 from lin2complex.b2_reduce import reduce_da_to_b2
 from lin2complex.da_reduce import average_row, difference_row, plain_da_system
-from lin2complex.maxflow_ipm import FlowNetwork2, estimate_f_star, run_ipm
+from lin2complex.maxflow_ipm import FlowNetwork2, f_star_bracket, run_ipm
 
 
 def main():
@@ -39,9 +40,11 @@ def main():
     problem = reduce_da_to_b2(sys_da, b)
     net = FlowNetwork2(problem.K, np.full(problem.n_triangles, args.capacity),
                        problem.gamma)
-    net.f_star = estimate_f_star(net)
+    # a routed flow of value `lower` and a weak-duality bound `upper` bracket f*
+    lower, upper, _ = f_star_bracket(net)
+    net.f_star = lower
     print(f"network: {problem.n_edges} edges, {problem.n_triangles} triangles, "
-          f"estimated optimal flow value {net.f_star:.4f}")
+          f"optimal flow value certified in [{lower:.12g}, {upper:.12g}]")
 
     result = run_ipm(net, args.steps)
     print(f"routed fraction alpha = {result.alpha:.4f}, "

@@ -298,10 +298,6 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     return f[central].copy()
 
 
-def map_solution(problem: BoundaryProblem, f) -> np.ndarray:
-    return map_soln_b2_to_da(problem.da, problem.equation_rhs, f, problem.central)
-
-
 def epsilon_feasible(eps_da: float, nnz_a: int) -> float:
     """Accuracy to request from the boundary solve in the feasible case."""
     return eps_da / (42.0 * nnz_a)

@@ -1,22 +1,19 @@
 """Log-barrier interior point method for gamma-maxflow on 2-complex networks.
 
-The LP maximizes F subject to d2 f = F gamma and -c <= f <= c.  Each
-iteration takes a progress step (a Newton step that also raises the routed
-fraction by alpha') and a centering step (a Newton step at fixed fraction);
-both reduce to applying the pseudo-inverse of d2 H^-1 d2^T, realized as the
-minimum-norm solve in the H^(-1/2)-scaled variable through one sparse LU of
-the quasi-definite KKT matrix (``sparse_core.AugmentedSystem``, whose
-pattern each network builds once) and one refinement step.  The Newton step
-is linear in the demand increment, so a progress step makes one
-factorization and solves for the barrier part and the demand direction as
-two columns, and halves a rejected increment without solving again; a
-centering step makes one factorization and solves one column.
+The LP maximizes F subject to d2 f = F gamma and -c <= f <= c.  ``run_ipm``
+alternates progress steps (Newton steps that also raise the routed fraction
+by alpha') with centering steps; ``f_star_bracket`` follows one barrier path
+in (f, F) to a certified bracket on the optimum.  A Newton step applies the
+pseudo-inverse of d2 H^-1 d2^T through one sparse LU of the quasi-definite
+KKT matrix (``sparse_core.AugmentedSystem``, whose pattern each network
+builds once) and one refinement step; it is linear in the demand increment,
+so one factorization gives the barrier part and the demand direction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,9 +59,8 @@ class FlowNetwork2:
         return self._d2_csr
 
     def kkt(self) -> AugmentedSystem:
-        """The pattern of the Newton system ``[[I, B], [B^T, -delta I]]``
-        with ``B = (d2 H^-1/2)^T`` (triangles by edges), built once per
-        network."""
+        """The pattern of the Newton system ``[[I, B], [B^T, -delta I]]`` with
+        ``B = (d2 H^-1/2)^T`` (triangles by edges), built once per network."""
         if self._kkt is None:
             d2 = self.d2()
             self._kkt = AugmentedSystem(d2.n_cols, d2.n_rows, d2.cols, d2.rows)
@@ -72,8 +68,7 @@ class FlowNetwork2:
 
     def validate(self) -> None:
         """Check the sizes, positive capacities and gamma in im(d2).  The
-        image check is a tight reference solve, so the gamma it passed is
-        kept and copies made by ``dataclasses.replace`` share it."""
+        image check is a tight reference solve; it runs once per gamma."""
         d2 = self.d2()
         if self.capacities.size != d2.n_cols:
             raise NetworkError("capacity vector length does not match the triangles")
@@ -87,8 +82,7 @@ class FlowNetwork2:
         g_norm = float(np.linalg.norm(self.gamma))
         if g_norm > 0.0:
             # ||d2 x - gamma|| at a tight solve converges to the out-of-image
-            # component directly, without the cancellation a Pythagorean
-            # split through ||P gamma|| would suffer
+            # part directly, without the cancellation of a split via ||P gamma||
             res = least_squares(d2, self.gamma, rel_tol=1e-10)
             if res.residual_norm > 1e-8 * g_norm:
                 raise NetworkError("gamma is not in the image of d2")
@@ -152,11 +146,10 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     and unit = H^(-1/2) M^+ gamma.  Both come from one factorization of the
     KKT matrix with ``B = M^T``, unequilibrated because equilibration would
     change which z has minimum norm: ``K [z; y] = [0; rhs]`` gives
-    ``z = M^T (M M^T + delta I)^-1 rhs``.  Near the capacity boundary H
-    spans many orders, and delta damps the directions that only
-    near-boundary triangles carry, so one refinement step solves again for
-    the residual ``rhs - M z`` with the same factor.  Returns (base, unit),
-    or (base, None) from one-column solves when ``with_demand`` is false.
+    ``z = M^T (M M^T + delta I)^-1 rhs``.  Near the capacity boundary H spans
+    many orders and delta damps the directions only near-boundary triangles
+    carry, so one refinement step solves for ``rhs - M z`` with the same
+    factor.  Returns (base, unit), or (base, None) when not ``with_demand``.
     """
     g, h = barrier_derivatives(net, BarrierState(f))
     inv_sqrt = 1.0 / np.sqrt(h)
@@ -273,55 +266,62 @@ def run_ipm(net: FlowNetwork2, steps: int,
     return IPMResult(best.f, best.alpha, tuple(best.step_log))
 
 
-def estimate_f_star(net: FlowNetwork2, lo: float = 0.0, hi: float | None = None,
-                    steps: int | None = None, rounds: int = 12,
-                    threshold: float = 0.97) -> float:
-    """Bisection estimate of the optimal flow value.
+def _dual_bound(net: FlowNetwork2, f):
+    """(bound, lam): ``F <= c^T |d2^T lam| / |gamma^T lam|`` for the multiplier
+    block lam of the KKT solve of ``d2 H^-1 g`` at f, by weak duality."""
+    g, h = barrier_derivatives(net, BarrierState(f))
+    lu = net.kkt().factor(net.d2().vals / np.sqrt(h[net.d2().cols]))
+    lam = lu.solve(np.concatenate([np.zeros(f.size), net.d2_csr() @ (g / h)]))[f.size:]
+    dot = abs(float(net.gamma @ lam))
+    return float(net.capacities @ np.abs(net.d2_csr().T @ lam)) / dot if dot else math.inf, lam
 
-    Every probe runs the IPM with f_star set to the candidate F and measures
-    the flow value actually routed by the final iterate (a least-squares fit
-    of d2 f against gamma, credited only when d2 f fits F gamma); the fit
-    steers the bisection and the best fit is returned.  The step budget
-    defaults to enough progress steps to push the routed fraction past
-    ``threshold``.  On the two demo networks of
-    ``scripts/run_maxflow_demo.py`` six rounds land within 1e-10 of the LP
-    optimum 2.0.
+
+def f_star_bracket(net: FlowNetwork2):
+    """Certified bracket ``(lower, upper, lam)`` on the optimal flow value.
+
+    One barrier path minimises ``-t F + phi(f)`` subject to ``d2 f = F gamma``
+    (Boyd & Vandenberghe, Convex Optimization, 11.3): Newton steps
+    ``base + inc unit`` (``_newton_parts``), ``inc = (t - g^T unit - unit^T H
+    base) / (unit^T H unit)``, damped to a squared decrement of 1e-3; t *= 10.
+    A stage's push along unit to the capacity boundary, a flow with
+    ``d2 f = F gamma`` to 1e-9 relative, is the lower bound, ``_dual_bound``
+    the upper.  Stops at a gap of 1e-9 or the first push that fails (the
+    float floor); raises ``NetworkError`` if no finite bracket results.
     """
-    net.validate()  # before the probes copy the network, so they share the check
-    g_norm = float(np.linalg.norm(net.gamma))
-    if g_norm == 0.0:
-        return 0.0
-    t = net.d2().n_cols
-    base = 1.0 / (6.0 * math.sqrt(t))
-    if steps is None:
-        steps = int(1.4 / base) + 20
-    if hi is None:
-        # any routable flow satisfies |F| ||gamma||_inf <= sum of capacities
-        hi = float(np.sum(net.capacities)) / max(np.max(np.abs(net.gamma)), 1e-30)
+    net.validate()
+    c, gamma, d2 = net.capacities, net.gamma, net.d2_csr()
+    if not np.any(gamma):
+        return 0.0, math.inf, None  # a zero demand routes any flow value
+    f, F, upper = np.zeros(c.size), 0.0, math.inf
+    t0 = c.size * float(np.max(np.abs(gamma)) / np.sum(c))  # F <= sum(c) / max|gamma|
+    for t in t0 * np.logspace(0, 39, 40):
+        for _ in range(50):
+            base, unit = _newton_parts(net, f, with_demand=True)
+            g, h = barrier_derivatives(net, BarrierState(f))
+            inc = (t - g @ unit - unit @ (h * base)) / (unit @ (h * unit))
+            step = base + inc * unit
+            decrement = float(step @ (h * step))  # squared; -slope of -t F + phi(f)
+            s, v0, slope = 1.0, barrier_value(net, f), t * inc - decrement / 4
+            while s > 1e-10 and barrier_value(net, f + s * step) > v0 + s * slope:
+                s *= 0.5
+            if decrement <= 1e-3 or s <= 1e-10 or F > upper:  # F > upper: drifted off
+                break
+            f, F = f + s * step, F + s * inc
+        with np.errstate(divide="ignore"):
+            F_push = F + np.min(np.where(unit > 0.0, c - f, c + f) / np.abs(unit))
+        flow = np.clip(f + (F_push - F) * unit, -c, c)
+        if not np.linalg.norm(d2 @ flow - F_push * gamma) <= 1e-9 * F_push * np.linalg.norm(gamma):
+            break
+        lower, (upper, lam) = float(F_push), _dual_bound(net, f)
+        if upper - lower <= 1e-9 * lower:
+            break
+    else:
+        raise NetworkError("the barrier path ran out of stages before its bracket closed")
+    if not math.isfinite(upper):
+        raise NetworkError("the barrier path gave no finite bracket on f*")
+    return lower, upper, lam
 
-    schedule = lambda state, step: min(base, (1.0 - state.alpha) * 0.5)
-    d2 = net.d2_csr()
-    net.kkt()  # built before the probes copy the network, so they share it
-    gamma_sq = float(net.gamma @ net.gamma)
-    best = 0.0
-    for _ in range(rounds):
-        mid = 0.5 * (lo + hi)
-        trial = replace(net, f_star=mid)
-        try:
-            result = run_ipm(trial, steps, alpha_schedule=schedule, target=0.995)
-        except StepRejectedError:
-            result = None
-        fit = 0.0
-        if result is not None:
-            # credit the flow value actually routed by the final iterate, and
-            # nothing when d2 f does not fit a multiple of gamma
-            routed = d2 @ result.f
-            fit = float(routed @ net.gamma) / gamma_sq
-            if np.linalg.norm(routed - fit * net.gamma) > 1e-3 * abs(fit) * math.sqrt(gamma_sq):
-                fit = 0.0
-            best = max(best, fit)
-        if fit >= threshold * mid:
-            lo = mid
-        else:
-            hi = mid
-    return best
+
+def estimate_f_star(net: FlowNetwork2, rounds: int | None = None) -> float:
+    """``f_star_bracket``'s lower bound; ``rounds`` is ignored (it counted bisection rounds)."""
+    return f_star_bracket(net)[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .b2_reduce import BoundaryProblem, map_solution, reduce_reg
+from .b2_reduce import BoundaryProblem, map_soln_b2_to_da, reduce_reg
 from .da_reduce import (
     GeneralSystem,
     WeightedDASystem,
@@ -102,7 +102,8 @@ class ChainSolveReport:
 
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     """Map a boundary flow back through every stage to the original variables."""
-    x_da = map_solution(chain.problem, f)
+    P = chain.problem
+    x_da = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
     x_gz2 = map_da_solution_back(chain.gz2, x_da)
     x_gz = chain.gz2_back(x_gz2)
     return chain.gz_back(x_gz)

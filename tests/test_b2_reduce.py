@@ -13,7 +13,6 @@ from lin2complex.b2_reduce import (
     compute_edge_weights,
     epsilon_feasible,
     map_soln_b2_to_da,
-    map_solution,
     reduce_da_to_b2,
     reduce_reg,
     spectral_certificate,
@@ -136,7 +135,7 @@ def test_exact_round_trip_group_constant():
     P = reduce_da_to_b2(sys, b)
     f = group_indicator(P) @ x_star
     assert np.allclose(P.d2.to_dense() @ f, P.gamma)
-    x = map_solution(P, f)
+    x = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
     assert np.allclose(x, x_star)
 
 
@@ -145,7 +144,7 @@ def test_exact_round_trip_dense_least_squares():
     sys, b, _ = planted_da_instance(rng, 3, 5, 3)
     P = reduce_da_to_b2(sys, b)
     f = dense_lstsq(P.d2.to_dense(), P.gamma)
-    x = map_solution(P, f)
+    x = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
     A = sys.pattern_matrix().to_dense()
     assert np.linalg.norm(A @ x - b, np.inf) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
@@ -154,7 +153,7 @@ def test_map_soln_zero_when_atb_zero():
     sys = plain_da_system(2, [difference_row(0, 1), difference_row(1, 0)])
     b = np.array([3.0, 3.0])
     P = reduce_da_to_b2(sys, b)
-    x = map_solution(P, np.full(P.n_triangles, 7.0))
+    x = map_soln_b2_to_da(P.da, P.equation_rhs, np.full(P.n_triangles, 7.0), P.central)
     assert np.array_equal(x, [0.0, 0.0])
 
 
@@ -371,7 +370,7 @@ def test_general_case_approximate_mapping():
         P, eps_b2 = reduce_reg(sys, b, eps_da=eps_da)
         res = least_squares(P.weighted_matrix(), P.weighted_rhs(), eps_b2)
         assert res.converged
-        x = map_solution(P, res.x)
+        x = map_soln_b2_to_da(P.da, P.equation_rhs, res.x, P.central)
         A = sys.pattern_matrix().to_dense()
         pib = dense_project(A, b)
         assert np.linalg.norm(A @ x - pib) <= eps_da * np.linalg.norm(pib) + 1e-12

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import cli, complex2, fileio
-from lin2complex.b2_reduce import map_solution, reduce_da_to_b2
+from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2
 from lin2complex.cli import main
 from lin2complex.complex2 import boundary2, validate
 from lin2complex.da_reduce import gz2_to_da
@@ -70,13 +70,14 @@ def test_complex_json_round_trip():
 
 
 def test_read_problem_maps_solution_back(tmp_path):
-    # map_solution reads the central triangles off the complex and the
+    # the central triangles are read off the complex and the
     # right-hand sides off gamma, both derived on read
     rng = np.random.default_rng(3)
     sys, b, x_star = planted_da_instance(rng, 3, 3, 1)
     P = reduce_da_to_b2(sys, b)
     fileio.write_boundary_problem(tmp_path, P)
-    x = map_solution(fileio.read_boundary_problem(tmp_path), group_indicator(P) @ x_star)
+    Q = fileio.read_boundary_problem(tmp_path)
+    x = map_soln_b2_to_da(Q.da, Q.equation_rhs, group_indicator(P) @ x_star, Q.central)
     assert np.allclose(x, x_star)
 
 

@@ -1,3 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -13,6 +20,7 @@ from lin2complex.maxflow_ipm import (
     barrier_value,
     centering_step,
     estimate_f_star,
+    f_star_bracket,
     initial_state,
     progress_step,
     run_ipm,
@@ -158,8 +166,14 @@ def test_demand_outside_image_rejected():
 def test_estimate_f_star_single_tube():
     net = single_tube_network()
     net.f_star = None
-    est = estimate_f_star(net, rounds=10)
-    assert est == pytest.approx(2.0, abs=0.15)
+    est = estimate_f_star(net)
+    assert est == pytest.approx(2.0, rel=1e-9)
+
+
+def test_estimate_f_star_zero_demand_is_zero():
+    net = single_tube_network()
+    net.gamma = np.zeros_like(net.gamma)
+    assert estimate_f_star(net) == 0.0
 
 
 def _demo_network(average: bool) -> FlowNetwork2:
@@ -193,7 +207,7 @@ def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
     # pins the whole path, not just the end state: the bisection outcome
     # depends on every probe's accepted increments, alpha on every halving
     net = _demo_network(average)
-    net.f_star = estimate_f_star(net, rounds=6)
+    net.f_star = estimate_f_star(net)
     result = run_ipm(net, 300)
     assert net.f_star == pytest.approx(f_star, rel=1e-9)
     assert result.alpha == pytest.approx(alpha, rel=1e-12)
@@ -216,7 +230,7 @@ def test_network_is_validated_once_across_bisection_probes(monkeypatch):
 
     monkeypatch.setattr(maxflow_ipm, "least_squares", counted)
     net = _demo_network(average=True)
-    net.f_star = estimate_f_star(net, rounds=3)
+    net.f_star = estimate_f_star(net)
     run_ipm(net, 20)
     assert len(calls) == 1
 
@@ -234,7 +248,7 @@ def test_invalid_network_raises_after_a_passed_check(fault, entry):
         if entry == "run_ipm":
             run_ipm(net, 10)
         else:
-            estimate_f_star(net, rounds=2)
+            estimate_f_star(net)
 
 
 def test_progress_step_factors_once_however_often_it_halves(monkeypatch):
@@ -292,3 +306,73 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
                 1.0, np.linalg.norm(inc * net.gamma))
         centered, none = maxflow_ipm._newton_parts(net, f, with_demand=False)
         assert none is None and np.array_equal(centered, base)
+
+
+def _planted_networks():
+    """Difference-average complexes with capacities drawn from [0.5, 2]: the
+    optimum saturates an irregular set of triangles, unlike the demo networks."""
+    rng = np.random.default_rng(2026)
+    for spec in [(2, 3, 1), (3, 4, 2)] * 2:
+        sys_da, b, _ = planted_da_instance(rng, *spec)
+        P = reduce_da_to_b2(sys_da, b)
+        yield FlowNetwork2(P.K, rng.uniform(0.5, 2.0, P.n_triangles), P.gamma)
+
+
+@pytest.mark.parametrize("net", list(_planted_networks()))
+def test_f_star_bracket_holds_the_lp_optimum_on_planted_networks(net):
+    optimum = _lp_max_flow(net)
+    lower, upper, lam = f_star_bracket(net)
+    assert optimum * (1 - 1e-6) <= lower <= optimum * (1 + 1e-8)
+    assert estimate_f_star(net) == lower
+    # weak duality recomputed from the multipliers alone, without the library
+    d2 = net.d2().to_dense()
+    dual = net.capacities @ np.abs(d2.T @ lam) / abs(net.gamma @ lam)
+    assert dual == pytest.approx(upper, rel=1e-12)
+    assert dual >= optimum
+    assert lower <= upper
+
+
+def test_demo_network_bracket_closes():
+    for average in (False, True):
+        lower, upper, _ = f_star_bracket(_demo_network(average))
+        assert upper - lower <= 1e-9 * lower
+        assert lower == pytest.approx(2.0, rel=1e-9)
+
+
+def test_bracket_without_dual_bound_raises(monkeypatch):
+    monkeypatch.setattr(maxflow_ipm, "_dual_bound", lambda net, f: (math.inf, None))
+    with pytest.raises(NetworkError):
+        estimate_f_star(_demo_network(average=False))
+
+
+def test_bracket_without_feasible_push_raises(monkeypatch):
+    # a demand direction that routes 1.001 gamma per unit of F: no stage
+    # yields a flow with d2 f = F gamma, so there is no lower bound
+    parts = maxflow_ipm._newton_parts
+
+    def drifting(net, f, with_demand):
+        base, unit = parts(net, f, with_demand)
+        return base, 1.001 * unit
+    monkeypatch.setattr(maxflow_ipm, "_newton_parts", drifting)
+    with pytest.raises(NetworkError):
+        estimate_f_star(_demo_network(average=True))
+
+
+def test_f_star_and_ipm_leave_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 15 MB of resident memory
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from lin2complex.b2_reduce import reduce_da_to_b2
+        from lin2complex.da_reduce import difference_row, plain_da_system
+        from lin2complex.maxflow_ipm import FlowNetwork2, estimate_f_star, run_ipm
+        P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+        net = FlowNetwork2(P.K, np.ones(P.n_triangles), P.gamma)
+        net.f_star = estimate_f_star(net)
+        assert run_ipm(net, 50).alpha > 0.0
+        print("scipy.optimize" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
