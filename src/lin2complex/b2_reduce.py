@@ -43,6 +43,11 @@ from .sparse_core import (
 )
 
 
+# tolerance of the spectral certificate's eigenvalue and condition-number
+# comparisons
+CERTIFICATE_SLACK = 1e-8
+
+
 class ReductionError(ValueError):
     """The difference-average input cannot be encoded."""
 
@@ -335,8 +340,7 @@ class PathWeights:
         return dict(Counter(zip(self.tube_q[self.path_tube].tolist(), self.path_edge.tolist())))
 
 
-def compute_edge_weights(problem: BoundaryProblem, alpha: float,
-                         positive_weights: bool = False):
+def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     """General-case edge weights from BFS shortest-path trees.
 
     Per group a BFS tree rooted at the central triangle (neighbors visited
@@ -347,8 +351,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float,
     weighted minimum match the source system's minimum.  k_{q,e} counts the
     equation-q paths through edge e and l_q is the total length of equation
     q's paths; interior edges get weight alpha * sum_q k_{q,e} l_q (zero
-    allowed, or floored at alpha * 1e-6 when ``positive_weights``) while
-    loop edges keep their base weight.
+    allowed) while loop edges keep their base weight.
 
     One ``breadth_first_order`` from a virtual node joined to every central
     triangle serves all groups at once, since groups share no interior edge.
@@ -411,18 +414,14 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float,
     weights = np.ones(m)
     weights[K.loops] = problem.loop_weight[:, None]
     interior = K.kind == INTERIOR
-    w = alpha * mass[interior]
-    if positive_weights:
-        w[w == 0.0] = alpha * 1e-6
-    weights[interior] = w
+    weights[interior] = alpha * mass[interior]
 
     keys = [(tube.q, tube.var, tube.copy) for tube in tubes]
     return PathWeights(alpha, l_q, keys, tube_q, path_tube, path_edge), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b, eps_da: float,
-               alpha: float | None = None,
-               positive_weights: bool = False):
+               alpha: float | None = None):
     """General-case reduction: weighted boundary problem plus its accuracy.
 
     alpha defaults to 2 / eps_da^2.  The returned accuracy is the minimum of
@@ -435,7 +434,7 @@ def reduce_reg(sys: WeightedDASystem, b, eps_da: float,
     problem = build_boundary_problem(sys, b)
     if alpha is None:
         alpha = 2.0 / eps_da ** 2
-    pw, weights = compute_edge_weights(problem, alpha, positive_weights)
+    pw, weights = compute_edge_weights(problem, alpha)
     problem.weights = weights
     problem.path_weights = pw
 
@@ -485,8 +484,7 @@ def _low_spectrum(d2: SparseMatrix, k: int) -> tuple[int | None, float | None, s
     return nullity, float(eig[nullity]), f"{zeros}, smallest nonzero {eig[nullity]:.3g}"
 
 
-def spectral_certificate(problem: BoundaryProblem,
-                         slack: float = 1e-8) -> CertificateReport:
+def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     """Certify the eigenvalue and null-space bounds of the constructed operator.
 
     Checks lambda_max(d2^T d2) <= 12, the condition-number bound
@@ -527,6 +525,7 @@ def spectral_certificate(problem: BoundaryProblem,
     nnz_a = pattern.nnz
     kappa_bound = 1e9 * nnz_a ** 4.5 * kappa_a ** 2
     lam_floor = min(lam_min_a ** 2, 1.0) / (1e16 * d ** 7)
+    slack = CERTIFICATE_SLACK
     checks = (
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0 + slack),
         CertificateCheck("condition_number", kappa2, kappa_bound,

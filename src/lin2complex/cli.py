@@ -12,7 +12,7 @@ import numpy as np
 from . import fileio
 from .b2_reduce import spectral_certificate
 from .complex2 import ComplexStructureError, boundary2, validate
-from .da_reduce import CLASS_G, GeneralSystem
+from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
 from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
 from .pipeline import reduce_chain, solve_chain
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (FileNotFoundError, fileio.ArtifactError, ComplexStructureError, DimensionError,
-            NetworkError) as exc:
+            MatrixClassError, NetworkError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

@@ -104,15 +104,14 @@ def _positive_row_sums(A: SparseMatrix) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Back maps.  Kept as small declarative objects so a provenance manifest can
-# serialize and replay them.
+# Back maps.  Small value objects, so the maps of two reductions of one
+# system compare equal.
 
 @dataclass(frozen=True)
 class ShiftBack:
     """Drop the appended variable and subtract it from every original one."""
 
     n: int
-    kind: str = "shift"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -122,16 +121,10 @@ class ShiftBack:
 @dataclass(frozen=True)
 class DropTailBack:
     n: int
-    kind: str = "drop_tail"
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64).ravel()
         return x[: self.n].copy()
-
-
-def back_map_from_json(obj: dict):
-    """Rebuild a back map from its manifest entry ``{"kind": ..., "n": ...}``."""
-    return {"shift": ShiftBack, "drop_tail": DropTailBack}[obj["kind"]](int(obj["n"]))
 
 
 def to_zero_rowsum(sys: GeneralSystem):

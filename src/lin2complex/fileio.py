@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +18,11 @@ from .b2_reduce import BoundaryProblem, tube_refs
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import (
     CLASS_G,
-    CLASS_GZ,
-    CLASS_GZ2,
     DARow,
     GeneralSystem,
     WeightedDASystem,
-    back_map_from_json,
+    to_pow2,
+    to_zero_rowsum,
 )
 from .pipeline import ChainArtifacts
 from .sparse_core import DimensionError, SparseMatrix
@@ -251,41 +249,38 @@ def read_boundary_problem(src) -> BoundaryProblem:
 
 # -- reduction chains -----------------------------------------------------------
 
-# the general systems of a chain: stage -> (matrix file, rhs file, class tag)
-SYSTEM_FILES = {"original": ("original_A.mtx", "original_b.vec", CLASS_G),
-                "gz": ("A_gz.mtx", "b_gz.vec", CLASS_GZ),
-                "gz2": ("A_gz2.mtx", "b_gz2.vec", CLASS_GZ2)}
+# fixed names of the original system's files, as in manifest["files"]["original"]
+ORIGINAL_FILES = ("original_A.mtx", "original_b.vec")
 
 
 def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
-    """Write every stage of ``chain`` and ``manifest.json``, which records the
-    file names, the back maps, the accuracy targets, alpha and ``seed``."""
+    """Write the original system, the boundary problem and ``manifest.json``,
+    which records the file names, the accuracy targets, alpha and ``seed``.
+    The stages in between are not written: ``read_chain`` re-derives them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for stage, (a_name, b_name, _) in SYSTEM_FILES.items():
-        system = getattr(chain, stage)
-        write_matrix(out_dir / a_name, system.A)
-        write_vector(out_dir / b_name, system.b)
-        files[stage] = [a_name, b_name]
+    a_name, b_name = ORIGINAL_FILES
+    write_matrix(out_dir / a_name, chain.original.A)
+    write_vector(out_dir / b_name, chain.original.b)
     write_boundary_problem(out_dir, chain.problem)
-    files["b2"] = BOUNDARY_FILES
     write_json(out_dir / "manifest.json", {
-        "seed": seed, "eps": chain.eps, "files": files,
-        "back_maps": [asdict(chain.gz_back), asdict(chain.gz2_back)],
-        "da_n_original": chain.gz2.A.n_cols, "eps_da_theory": chain.eps_da_theory,
-        "eps_b2_theory": chain.eps_b2_theory, "alpha": chain.alpha,
+        "seed": seed, "eps": chain.eps,
+        "files": {"original": list(ORIGINAL_FILES), "b2": BOUNDARY_FILES},
+        "eps_da_theory": chain.eps_da_theory, "eps_b2_theory": chain.eps_b2_theory,
+        "alpha": chain.alpha,
     })
 
 
 def read_chain(src) -> ChainArtifacts:
-    """Rebuild the chain that ``write_chain`` wrote to ``src``."""
+    """Rebuild the chain that ``write_chain`` wrote to ``src``: G_z and G_z2
+    and their back maps come from the stage functions ``reduce_chain`` runs,
+    which reject an original system outside class G (``MatrixClassError``)."""
     src = Path(src)
     manifest = read_json(src / "manifest.json")
-    original, gz, gz2 = (GeneralSystem(read_matrix(src / a_name), read_vector(src / b_name),
-                                       tag)
-                         for a_name, b_name, tag in SYSTEM_FILES.values())
-    gz_back, gz2_back = (back_map_from_json(spec) for spec in manifest["back_maps"])
+    a_name, b_name = ORIGINAL_FILES
+    original = GeneralSystem(read_matrix(src / a_name), read_vector(src / b_name), CLASS_G)
+    gz, gz_back = to_zero_rowsum(original)
+    gz2, gz2_back = to_pow2(gz)
     return ChainArtifacts(original, gz, gz_back, gz2, gz2_back, read_boundary_problem(src),
                           manifest["eps"], manifest["eps_da_theory"],
                           manifest["eps_b2_theory"], manifest["alpha"])

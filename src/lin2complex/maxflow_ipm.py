@@ -22,6 +22,10 @@ from .complex2 import Complex2, boundary2
 from .sparse_core import AugmentedSystem, SparseMatrix, least_squares
 
 
+# run_ipm stops once the routed fraction alpha reaches IPM_TARGET
+IPM_TARGET = 0.995
+
+
 class NetworkError(ValueError):
     """The flow network violates its invariants."""
 
@@ -196,14 +200,14 @@ def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,
     raise StepRejectedError("progress step rejected after exhausting retries")
 
 
-def centering_step(net: FlowNetwork2, state: BarrierState,
-                   max_halvings: int = 40) -> BarrierState:
-    """Newton step with zero demand increment; damped until the barrier
-    does not increase and the iterate stays strictly interior."""
+def centering_step(net: FlowNetwork2, state: BarrierState) -> BarrierState:
+    """Newton step with zero demand increment; damped (at most 40 halvings)
+    until the barrier does not increase and the iterate stays strictly
+    interior."""
     delta, _ = _newton_parts(net, state.f, with_demand=False)
     v0 = barrier_value(net, state.f)
     eta = 1.0
-    for _ in range(max_halvings):
+    for _ in range(40):
         f_new = state.f + eta * delta
         if _strictly_interior(net, f_new) and barrier_value(net, f_new) <= v0 + 1e-12:
             new = state.copy()
@@ -221,21 +225,17 @@ class IPMResult:
     log: tuple[StepRecord, ...]
 
 
-def run_ipm(net: FlowNetwork2, steps: int,
-            alpha_schedule=None, target: float = 0.995) -> IPMResult:
+def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     """Alternate progress and centering steps; returns the best state reached.
 
-    The default schedule requests a fixed fraction 1/(20 sqrt(t)) per step,
-    clipped so alpha stays below 1.
+    Each step requests a fixed fraction 1/(20 sqrt(t)) of the demand,
+    clipped so alpha stays below 1, and the run stops once alpha reaches
+    ``IPM_TARGET``.
     """
     net.validate()
     if net.f_star is None:
         net.f_star = estimate_f_star(net)
-    t = net.d2().n_cols
-    if alpha_schedule is None:
-        base = 1.0 / (20.0 * math.sqrt(t))
-        alpha_schedule = lambda state, step: min(base, (1.0 - state.alpha) * 0.5)
-
+    base = 1.0 / (20.0 * math.sqrt(net.d2().n_cols))
     d2 = net.d2_csr()
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
     state = initial_state(net)
@@ -243,7 +243,7 @@ def run_ipm(net: FlowNetwork2, steps: int,
     for step in range(steps):
         if float(np.linalg.norm(net.gamma)) == 0.0:
             break
-        inc = alpha_schedule(state, step)
+        inc = min(base, (1.0 - state.alpha) * 0.5)
         if inc <= 0.0:
             break
         before = state.alpha
@@ -261,7 +261,7 @@ def run_ipm(net: FlowNetwork2, steps: int,
                                          res / gnorm if gnorm else res, 0))
         if state.alpha > best.alpha:
             best = state.copy()
-        if state.alpha >= target:
+        if state.alpha >= IPM_TARGET:
             break
     return IPMResult(best.f, best.alpha, tuple(best.step_log))
 

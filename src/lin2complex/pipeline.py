@@ -35,6 +35,11 @@ from .sparse_core import iterative_solve, lu_solve, projected_rhs
 # stalls beyond ~1e2, so the pipeline caps it and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
 
+# the LSQR fallback after the LU round: at most LSQR_ROUNDS rounds of at
+# most LSQR_MAX_ITER iterations each
+LSQR_ROUNDS = 4
+LSQR_MAX_ITER = 30000
+
 
 @dataclass
 class ChainArtifacts:
@@ -58,22 +63,21 @@ class ChainArtifacts:
 
 
 def reduce_chain(sys: GeneralSystem, eps: float,
-                 alpha: float | None = None,
-                 alpha_cap: float = ALPHA_CAP_DEFAULT) -> ChainArtifacts:
+                 alpha: float | None = None) -> ChainArtifacts:
     """Run every reduction stage and build the weighted boundary problem.
 
     The worst-case accuracy recipe gives eps_da values whose alpha = 2/eps^2
-    exceeds float64 range on ordinary inputs, so alpha is capped (override
-    with ``alpha``); the solve loop compensates by verifying the end-to-end
-    accuracy directly.
+    exceeds float64 range on ordinary inputs, so alpha is capped at
+    ``ALPHA_CAP_DEFAULT`` (override with ``alpha``); the solve loop
+    compensates by verifying the end-to-end accuracy directly.  A system
+    outside class G raises ``MatrixClassError`` from ``to_zero_rowsum``.
     """
-    sys.validate_class()
     gz, gz_back = to_zero_rowsum(sys)
     gz2, gz2_back = to_pow2(gz)
     da, _, _ = gz2_to_da(gz2, alpha=1.0)
     eps_da = choose_epsilon_da(eps, gz2)
     if alpha is None:
-        alpha = min(2.0 / eps_da ** 2, alpha_cap)
+        alpha = min(2.0 / eps_da ** 2, ALPHA_CAP_DEFAULT)
     b_norm = da.pattern_rhs()
     problem, eps_b2 = reduce_reg(da, b_norm, eps_da=min(max(eps_da, 1e-12), 1.0),
                                  alpha=alpha)
@@ -109,48 +113,44 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     return chain.gz_back(x_gz)
 
 
-def _boundary_rounds(W_d2, w_gamma, tol_start, max_rounds, max_iter):
+def _boundary_rounds(W_d2, w_gamma, eps_b2):
     """Candidate flows as (f, method, tolerance, iterations, fill): one sparse
-    LU solve, unless its factorization raises, then LSQR rounds whose
-    tolerance tightens 100x a round.  With no LSQR round to fall back on, a
-    factorization error propagates."""
+    LU solve, unless its factorization raises, then ``LSQR_ROUNDS`` LSQR
+    rounds whose tolerance starts from ``eps_b2`` clipped to [1e-7, 0.1] and
+    tightens 100x a round."""
     fill = None
     try:
         f, fill = lu_solve(W_d2, w_gamma)
     except (RuntimeError, MemoryError):
-        if max_rounds < 1:
-            raise
+        pass
     else:
         yield f, "lu", None, 0, fill
-    tol = tol_start
-    for _ in range(max_rounds):
-        f, iters = iterative_solve(W_d2, w_gamma, tol, max_iter)
+    tol = min(max(eps_b2, 1e-7), 0.1)
+    for _ in range(LSQR_ROUNDS):
+        f, iters = iterative_solve(W_d2, w_gamma, tol, LSQR_MAX_ITER)
         yield f, "lsqr", tol, iters, fill
         tol = max(tol / 100.0, 1e-14)
 
 
 def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
-                            eps: float,
-                            tol_start: float = 1e-7,
-                            max_rounds: int = 4,
-                            max_iter: int | None = 30000):
+                            eps: float, eps_b2: float):
     """Solve a weighted boundary problem to a certified accuracy.
 
     The first round solves (W^(1/2) d2, W^(1/2) gamma) with one sparse LU
     (``lu_solve``); if the factorization raises or its answer does not
-    certify, up to ``max_rounds`` column-equilibrated LSQR rounds follow,
-    from ``tol_start`` and tightening 100x a round.  Every round's flow is
-    carried down the chain by ``map_back_fn``, and the projected-residual
-    certificate of the original system alone decides whether to stop; the
-    projection P b it measures against is computed once.  Returns the best
-    (x, report) seen; with ``max_rounds=0`` a failed factorization raises.
+    certify, up to ``LSQR_ROUNDS`` column-equilibrated LSQR rounds follow,
+    from the boundary accuracy ``eps_b2`` and tightening 100x a round.
+    Every round's flow is carried down the chain by ``map_back_fn``, and the
+    projected-residual certificate of the original system alone decides
+    whether to stop; the projection P b it measures against is computed
+    once.  Returns the best (x, report) seen.
     """
     A = original.A
     pib = projected_rhs(A, original.b, rel_tol=min(eps / 100, 1e-6))
     pnorm = float(np.linalg.norm(pib))
     total_iter = 0
     best = None
-    rounds = _boundary_rounds(W_d2, w_gamma, tol_start, max_rounds, max_iter)
+    rounds = _boundary_rounds(W_d2, w_gamma, eps_b2)
     for attempt, (f, method, tol, iters, fill) in enumerate(rounds, 1):
         total_iter += iters
         x = map_back_fn(f)
@@ -175,29 +175,20 @@ def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
     return best
 
 
-def solve_chain(chain: ChainArtifacts,
-                tol_start: float | None = None,
-                max_rounds: int = 4,
-                max_iter: int | None = 30000):
+def solve_chain(chain: ChainArtifacts):
     """Solve the weighted boundary problem and certify the mapped-back answer.
 
-    Delegates to the adaptive driver; LSQR fallback rounds start from
-    ``tol_start`` (default: the larger of the theoretical boundary tolerance
-    and 1e-7).  No reference solve is spent at the boundary level since
-    certification happens on the original system.
+    Delegates to the adaptive driver; LSQR fallback rounds start from the
+    theoretical boundary accuracy.  No reference solve is spent at the
+    boundary level since certification happens on the original system.
     """
-    if tol_start is None:
-        tol_start = min(max(chain.eps_b2_theory, 1e-7), 0.1)
     return adaptive_boundary_solve(
         chain.problem.weighted_matrix(), chain.problem.weighted_rhs(),
-        lambda f: map_back(chain, f), chain.original, chain.eps,
-        tol_start=tol_start, max_rounds=max_rounds, max_iter=max_iter)
+        lambda f: map_back(chain, f), chain.original, chain.eps, chain.eps_b2_theory)
 
 
-def solve_general(sys: GeneralSystem, eps: float,
-                  alpha: float | None = None,
-                  alpha_cap: float = ALPHA_CAP_DEFAULT):
+def solve_general(sys: GeneralSystem, eps: float, alpha: float | None = None):
     """Convenience wrapper: reduce, solve, map back."""
-    chain = reduce_chain(sys, eps, alpha=alpha, alpha_cap=alpha_cap)
+    chain = reduce_chain(sys, eps, alpha=alpha)
     x, report = solve_chain(chain)
     return x, report, chain

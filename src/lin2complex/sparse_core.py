@@ -363,27 +363,24 @@ def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
     return solve(b), fill
 
 
-def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8,
-                  max_iter: int | None = None) -> np.ndarray:
+def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8) -> np.ndarray:
     """P b, the projection of b onto the column space of A, from a
     high-accuracy LSQR solve (zero when b or A is zero)."""
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError("operand shapes do not match the matrix")
-    if max_iter is None:
-        max_iter = 16 * (A.n_rows + A.n_cols) + 800
     if float(np.linalg.norm(b)) == 0.0 or A.nnz == 0:
         return np.zeros(A.n_rows)
     csr = A.to_csr()
-    x_ref, _ = _lsqr_once(csr, b, max(rel_tol / 100.0, 1e-15), max_iter)
+    x_ref, _ = _lsqr_once(csr, b, max(rel_tol / 100.0, 1e-15),
+                          16 * (A.n_rows + A.n_cols) + 800)
     return csr @ x_ref
 
 
 def projection_residual(A: SparseMatrix, x, b,
-                        rel_tol: float = 1e-8,
-                        max_iter: int | None = None) -> tuple[float, float]:
+                        rel_tol: float = 1e-8) -> tuple[float, float]:
     """Return (||Ax - P b||, ||P b||) with P b from ``projected_rhs``."""
-    pib = projected_rhs(A, b, rel_tol, max_iter)
+    pib = projected_rhs(A, b, rel_tol)
     return float(np.linalg.norm(A.matvec(x) - pib)), float(np.linalg.norm(pib))
 
 

@@ -128,7 +128,7 @@ def test_criterion_04_spectral_certificates():
         for sys_da, b in corpus:
             P = reduce_da_to_b2(sys_da, b)
             assert P.n_triangles <= 2000
-            report = spectral_certificate(P, slack=1e-8)
+            report = spectral_certificate(P)
             assert report.ok, report
 
 

@@ -201,14 +201,6 @@ def test_edge_weights_single_difference():
     assert np.all(weights[loop] == 1.0)
 
 
-def test_edge_weights_positive_floor():
-    sys, b = single_difference(1.0)
-    P = reduce_da_to_b2(sys, b)
-    _, weights = compute_edge_weights(P, alpha=2.0, positive_weights=True)
-    assert np.all(weights > 0.0)
-    assert weights.min() == pytest.approx(2.0 * 1e-6)
-
-
 def _paths_by_bfs_oracle(P):
     """Independent BFS over adjacency reconstructed from the dense operator.
 

@@ -4,11 +4,12 @@ here rather than break a benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
-from lin2complex import cli, fileio
+from lin2complex import cli, fileio, maxflow_ipm
 from lin2complex.sparse_core import SparseMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -22,6 +23,14 @@ def test_traced_functions_resolve():
                if not callable(getattr(importlib.import_module(f"lin2complex.{module}"),
                                        function, None))]
     assert not missing, missing
+
+
+def test_bound_parameters_exist():
+    # bench/tracing.py binds progress_step's arguments by name, and the
+    # flow_ipm workload passes estimate_f_star's rounds by keyword
+    for fn, names in ((maxflow_ipm.progress_step, {"state", "alpha_prime", "max_retries"}),
+                      (maxflow_ipm.estimate_f_star, {"rounds"})):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_reduce_output_passes_the_benchmark_triangle_check(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2
 from lin2complex.cli import main
 from lin2complex.complex2 import boundary2, validate
 from lin2complex.da_reduce import gz2_to_da
-from lin2complex.pipeline import reduce_chain, solve_general
+from lin2complex.pipeline import reduce_chain, solve_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
 
 from _gen import (
@@ -160,13 +160,12 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
 
 
 @pytest.mark.parametrize("stage,expect", [
-    ("gz", ["A_gz.mtx", "b_gz.vec"]),
-    ("gz2", ["A_gz2.mtx", "b_gz2.vec"]),
     ("da", ["da.json"]),
     ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.npz"]),
 ])
 def test_cli_reduce_stages(tmp_path, stage, expect):
-    # the default output holds every stage's files and the manifest lists them
+    # the output holds the original system and the boundary problem, and the
+    # manifest lists them
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
@@ -175,13 +174,29 @@ def test_cli_reduce_stages(tmp_path, stage, expect):
     files = json.loads((out / "manifest.json").read_text())["files"]
     names = [*files.pop("b2").values(), *(name for group in files.values() for name in group)]
     assert sorted(names) == sorted([
-        "original_A.mtx", "original_b.vec", "A_gz.mtx", "b_gz.vec", "A_gz2.mtx", "b_gz2.vec",
+        "original_A.mtx", "original_b.vec",
         "da.json", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec", "b2_complex.npz"])
     for name in expect + ["manifest.json"]:
         assert name in names + ["manifest.json"], name
         assert (out / name).exists(), name
     if stage == "b2":
         assert main(["verify", "--dir", str(out)]) == 0
+
+
+def test_chain_replays_from_the_original_and_the_boundary_problem(tmp_path):
+    # G_z and G_z2 are re-derived on read, so neither they nor their back
+    # maps are on disk
+    sys, _ = planted_general_system(np.random.default_rng(6), 4, 4, max_entry=9)
+    chain = reduce_chain(sys, 1e-3)
+    fileio.write_chain(tmp_path, chain)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert not {"back_maps", "da_n_original"} & set(manifest)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        "original_A.mtx", "original_b.vec", "da.json", "b2_d2.mtx", "b2_W.vec",
+        "b2_gamma.vec", "b2_complex.npz", "manifest.json"])
+    read = fileio.read_chain(tmp_path)
+    assert (read.gz.class_tag, read.gz2.class_tag) == (chain.gz.class_tag, chain.gz2.class_tag)
+    assert np.array_equal(solve_chain(read)[0], solve_chain(chain)[0])
 
 
 @settings(max_examples=15, deadline=None)
@@ -508,6 +523,39 @@ def test_cli_reduce_non_numeric_rhs_is_one_line_error(tmp_path):
               "--out-dir", str(tmp_path / "out")])
     message = _one_line_error(exc)
     assert "b.vec" in message and "three" in message
+
+
+@pytest.mark.parametrize("entry,reason", [("1.5", "integers"),
+                                          ("9007199254740993", "2^53")],
+                         ids=["non-integer", "beyond-2^53"])
+def test_cli_reduce_matrix_outside_class_g_is_one_line_error(tmp_path, entry, reason):
+    _write_general(tmp_path)
+    lines = (tmp_path / "A.mtx").read_text().splitlines(keepends=True)
+    row, col, _ = lines[-1].split()
+    lines[-1] = f"{row} {col} {entry}\n"
+    text = "".join(lines)
+    (tmp_path / "A.mtx").write_text(text if "." not in entry else
+                                    text.replace(" integer ", " real ", 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(tmp_path / "out")])
+    assert reason in _one_line_error(exc)
+
+
+def test_cli_replay_original_outside_class_g_is_one_line_error(tmp_path):
+    # the replay re-derives G_z from original_A.mtx, which checks its class
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    A = fileio.read_matrix(out / "original_A.mtx")
+    vals = A.vals.copy()
+    vals[0] += 0.5
+    fileio.write_matrix(out / "original_A.mtx",
+                        SparseMatrix.from_arrays(A.n_rows, A.n_cols, A.rows, A.cols, vals))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    assert "integers" in _one_line_error(exc)
 
 
 def test_cli_verify_malformed_matrix_body_is_one_line_error(tmp_path):
