@@ -38,7 +38,7 @@ from .sparse_core import (
     SparseMatrix,
     gram_low_eigenvalues,
     norm_product,
-    rank_from_singular_values,
+    spectral_summary,
     zero_eigenvalue_count,
 )
 
@@ -52,15 +52,16 @@ class ReductionError(ValueError):
     """The difference-average input cannot be encoded."""
 
 
-class TubeRef(NamedTuple):
-    """Provenance of one tube: which equation/variable/copy it encodes and
-    the triangle column carrying each of the three loop edges."""
+class Tubes(NamedTuple):
+    """Provenance of the tubes, one entry each: the equation, variable and
+    copy it encodes, its sign, and in ``cols`` (n, 3) the triangle column
+    carrying each of the three loop slots."""
 
-    q: int
-    var: int
-    copy: int
-    sign: int
-    boundary_cols: dict[int, int]
+    q: np.ndarray
+    var: np.ndarray
+    copy: np.ndarray
+    sign: np.ndarray
+    cols: np.ndarray
 
 
 @dataclass
@@ -78,13 +79,13 @@ class BoundaryProblem:
     d2: SparseMatrix
     gamma: np.ndarray
     weights: np.ndarray
-    tubes: list[TubeRef]
+    tubes: Tubes
     da: WeightedDASystem
     path_weights: "PathWeights | None" = None
 
     @property
-    def central(self) -> list[int]:
-        return self.K.central.tolist()
+    def central(self) -> np.ndarray:
+        return self.K.central
 
     @property
     def equation_rhs(self) -> np.ndarray:
@@ -166,7 +167,7 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
 
 
-def tube_refs(sys: WeightedDASystem, K: Complex2) -> list[TubeRef]:
+def tube_refs(sys: WeightedDASystem, K: Complex2) -> Tubes:
     """The tubes of the complex that ``build_boundary_problem`` makes from ``sys``.
 
     A variable with h attachments owns 11h - 4 consecutive triangles: its
@@ -188,8 +189,7 @@ def tube_refs(sys: WeightedDASystem, K: Complex2) -> list[TubeRef]:
     start = np.cumsum(sizes)[var] - 6 * (n_attach[var] - rank)
     cols = start[:, None] + np.where((sign > 0)[:, None], _tube_template(1)[2],
                                      _tube_template(-1)[2])
-    return [TubeRef(q, v, copy, sg, {1: c1, 2: c2, 3: c3})
-            for v, q, copy, sg, (c1, c2, c3) in zip(*attach.T.tolist(), cols.tolist())]
+    return Tubes(attach[:, 1], var, attach[:, 2], sign, cols)
 
 
 def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
@@ -252,19 +252,15 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
         np.repeat(np.arange(sys.n_vars), n_tri),
         np.where(positive, corners[:, tris_p], corners[:, tris_n]).reshape(-1, 3),
         np.repeat(var, 6))
-    edge, edge_group, _ = _by_variable(
+    edge, _, _ = _by_variable(
         np.concatenate([c[3] for c in cells]) + np.repeat(vert0, n_edge)[:, None],
         np.repeat(np.arange(sys.n_vars), n_edge), tube_edges.reshape(-1, 2), np.repeat(var, 6))
     central = at[np.cumsum(n_tri) - n_tri]
 
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
-    unset = np.full(len(edge), -1)
     K = Complex2(
         n_vert, tri, tri_group, np.concatenate([loop_edges.reshape(-1, 2), edge]),
         np.concatenate([np.full(3 * d, LOOP), np.full(len(edge), INTERIOR)]),
-        group=np.concatenate([np.full(3 * d, -1), edge_group]),
-        q=np.concatenate([np.repeat(np.arange(d), 3), unset]),
-        r=np.concatenate([np.tile([1, 2, 3], d), unset]),
         central=central, loops=np.arange(3 * d).reshape(d, 3),
     )
     d2 = boundary2(K)
@@ -291,8 +287,8 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     side (A^T c = 0), in which case zero is optimal.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
-    central = list(central)
-    if len(central) != sys.n_vars:
+    central = np.asarray(central, dtype=np.int64)
+    if central.size != sys.n_vars:
         raise DimensionError("central triangle list does not match the variable count")
     b_norm = np.asarray(b, dtype=np.float64).ravel()
     c = np.array([math.sqrt(r.weight) * r.scale for r in sys.rows]) * b_norm
@@ -315,29 +311,30 @@ class PathWeights:
 
     Entry i of ``path_tube`` and ``path_edge`` says that tube path_tube[i]'s
     path crosses edge path_edge[i]; each tube's entries run from its
-    boundary triangle up to the central triangle.  ``tube_keys`` and
-    ``tube_q`` give each tube's (equation, variable, copy) and equation.
+    boundary triangle up to the central triangle.
     """
 
-    alpha: float
     l_q: np.ndarray
-    tube_keys: list[tuple[int, int, int]]
-    tube_q: np.ndarray
+    tubes: Tubes
     path_tube: np.ndarray
     path_edge: np.ndarray
 
     @property
     def paths(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
-        """Edge ids of each path, from the central triangle outward."""
+        """Edge ids of each path, from the central triangle outward, keyed
+        by the tube's (equation, variable, copy)."""
+        tubes = self.tubes
         upward = self.path_edge[np.argsort(self.path_tube, kind="stable")]
-        ends = np.cumsum(np.bincount(self.path_tube, minlength=len(self.tube_keys)))
+        ends = np.cumsum(np.bincount(self.path_tube, minlength=tubes.q.size))
+        keys = zip(tubes.q.tolist(), tubes.var.tolist(), tubes.copy.tolist())
         return {key: tuple(reversed(part.tolist()))
-                for key, part in zip(self.tube_keys, np.split(upward, ends[:-1]))}
+                for key, part in zip(keys, np.split(upward, ends[:-1]))}
 
     @property
     def k_qe(self) -> dict[tuple[int, int], int]:
         """Number of equation-q paths through edge e, keyed (q, e)."""
-        return dict(Counter(zip(self.tube_q[self.path_tube].tolist(), self.path_edge.tolist())))
+        return dict(Counter(zip(self.tubes.q[self.path_tube].tolist(),
+                                self.path_edge.tolist())))
 
 
 def compute_edge_weights(problem: BoundaryProblem, alpha: float):
@@ -365,12 +362,9 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     t, m = K.n_triangles, K.n_edges
     adj = triangle_adjacency(K)
     tubes = problem.tubes
-    tube_q = np.array([tube.q for tube in tubes], dtype=np.int64)
-    cols = np.array([[tube.boundary_cols[r] for r in (1, 2, 3)] for tube in tubes],
-                    dtype=np.int64).reshape(-1, 3)
-    roots = np.unique(np.asarray(problem.central, dtype=np.int64))
+    roots = np.unique(problem.central)
 
-    no_transit = np.isin(np.arange(t), cols) & ~np.isin(np.arange(t), roots)
+    no_transit = np.isin(np.arange(t), tubes.cols) & ~np.isin(np.arange(t), roots)
     degree = np.diff(adj.indptr)
     out_degree = np.where(no_transit, 0, degree)
     indptr = np.concatenate(([0], np.cumsum(out_degree), [out_degree.sum() + roots.size]))
@@ -378,12 +372,12 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(t + 1, t + 1))
     _, pred = breadth_first_order(graph, t, directed=True, return_predecessors=True)
     parent = pred[:t].astype(np.int64)
-    targets = cols[:, 0]
+    targets = tubes.cols[:, 0]
     lost = np.flatnonzero(parent[targets] < 0)
     if lost.size:
-        tube = tubes[int(lost[0])]
+        i = int(lost[0])
         raise ReductionError(
-            f"group {tube.var} is disconnected; no path to equation {tube.q}")
+            f"group {tubes.var[i]} is disconnected; no path to equation {tubes.q[i]}")
 
     # the tree edge into each node: the first (lowest-id) interior edge it
     # shares with its parent, found among the sorted (row, column) entries
@@ -394,14 +388,14 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
 
     # walk every path up one step at a time, dropping those at their root
     walked = [np.zeros((2, 0), dtype=np.int64)]
-    active, node = np.arange(len(tubes)), targets
+    active, node = np.arange(targets.size), targets
     while active.size:
         edge = parent_edge[node]
         up = edge >= 0
         active, node = active[up], parent[node[up]]
         walked.append(np.stack([active, edge[up]]))
     path_tube, path_edge = np.concatenate(walked, axis=1)
-    q_of = tube_q[path_tube]
+    q_of = tubes.q[path_tube]
 
     l_q = np.bincount(q_of, minlength=problem.n_equations).astype(np.float64)
     _, multiplicity = np.unique(q_of * m + path_edge, return_counts=True)
@@ -415,9 +409,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     weights[K.loops] = problem.loop_weight[:, None]
     interior = K.kind == INTERIOR
     weights[interior] = alpha * mass[interior]
-
-    keys = [(tube.q, tube.var, tube.copy) for tube in tubes]
-    return PathWeights(alpha, l_q, keys, tube_q, path_tube, path_edge), weights
+    return PathWeights(l_q, tubes, path_tube, path_edge), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b, eps_da: float,
@@ -509,11 +501,10 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     it fail and the nullity check's note says why.
     """
     pattern = problem.pattern_matrix()
-    sa = np.linalg.svd(pattern.to_dense(), compute_uv=False)
-    rank_a = rank_from_singular_values(sa, pattern.n_rows, pattern.n_cols)
-    kappa_a = float(sa[0] / sa[rank_a - 1]) if rank_a else math.inf
-    lam_min_a = float(sa[rank_a - 1] ** 2) if rank_a else 0.0
-    nullity_a = pattern.n_cols - rank_a
+    sa = spectral_summary(pattern)
+    kappa_a = sa.sigma_max / sa.sigma_min_nonzero if sa.rank else math.inf
+    lam_min_a = sa.sigma_min_nonzero ** 2 if sa.rank else 0.0
+    nullity_a = pattern.n_cols - sa.rank
 
     lam_max = float(norm_product(problem.d2))
     k = nullity_a + 3

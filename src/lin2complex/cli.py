@@ -19,14 +19,9 @@ from .pipeline import reduce_chain, solve_chain
 from .sparse_core import DimensionError, least_squares
 
 
-def _load_general(args) -> GeneralSystem:
-    A = fileio.read_matrix(args.matrix)
-    b = fileio.read_vector(args.rhs)
-    return GeneralSystem(A, b, CLASS_G)
-
-
 def cmd_reduce(args) -> int:
-    chain = reduce_chain(_load_general(args), args.eps, alpha=args.alpha)
+    original = GeneralSystem(*fileio.read_system(args.matrix, args.rhs), CLASS_G)
+    chain = reduce_chain(original, args.eps, alpha=args.alpha)
     fileio.write_chain(args.out_dir, chain, seed=args.seed)
     print(f"wrote chain artifacts to {args.out_dir}")
     return 0
@@ -60,9 +55,7 @@ def cmd_solve(args) -> int:
     eps = args.eps if args.eps is not None else 1e-6
 
     if args.route == "direct":
-        A = fileio.read_matrix(args.matrix)
-        b = fileio.read_vector(args.rhs)
-        res = least_squares(A, b, eps)
+        res = least_squares(*fileio.read_system(args.matrix, args.rhs), eps)
         fileio.write_vector(out / "x.vec", res.x)
         fileio.write_json(out / "solve_report.json", {
             "route": "direct", "converged": res.converged,

@@ -39,17 +39,14 @@ class OrientedTriangle:
 class EdgeRecord:
     """An oriented edge; ``(tail, head)`` is the stored +1 direction.
 
-    kind is "loop" (demand-carrying, tagged with equation q and slot r),
-    "interior" (shared by exactly two triangles of one group), or
+    kind is "loop" (demand-carrying, listed in the loop table of one
+    equation), "interior" (shared by exactly two triangles of one group), or
     "boundary" (free edge of a standalone patch awaiting gluing).
     """
 
     tail: int
     head: int
     kind: str
-    q: int | None = None
-    r: int | None = None
-    group: int | None = None
 
 
 def _column(values, width: int | None = None) -> np.ndarray:
@@ -61,21 +58,18 @@ class Complex2:
     """An oriented 2-complex as integer arrays.
 
     ``tri`` (t, 3) vertex triples and ``tri_group`` (t,) their groups;
-    ``edge`` (m, 2) stored (tail, head) directions, ``kind`` (m,) int8 codes
-    into ``EDGE_KINDS``, and ``group``, ``q``, ``r`` (m,) with -1 for none;
-    ``central`` (G,) the central triangle of each group (-1: none) and
-    ``loops`` (d, 3) the loop-edge ids of each equation, by slot.
+    ``edge`` (m, 2) stored (tail, head) directions and ``kind`` (m,) int8
+    codes into ``EDGE_KINDS``; ``central`` (G,) the central triangle of each
+    group (-1: none) and ``loops`` (d, 3) the loop-edge ids of each
+    equation, by slot.
     """
 
-    def __init__(self, n_vertices: int, tri, tri_group, edge, kind,
-                 group=None, q=None, r=None, central=(), loops=()):
+    def __init__(self, n_vertices: int, tri, tri_group, edge, kind, central=(), loops=()):
         self.n_vertices = int(n_vertices)
         self.tri = _column(tri, 3)
         self.tri_group = _column(tri_group)
         self.edge = _column(edge, 2)
         self.kind = np.asarray(kind, dtype=np.int8).ravel()
-        self.group, self.q, self.r = (np.full(self.kind.size, -1, dtype=np.int64)
-                                      if a is None else _column(a) for a in (group, q, r))
         self.central = _column(central)
         self.loops = _column(loops, 3)
         self.n_edges, self.n_triangles = int(self.kind.size), len(self.tri)
@@ -83,9 +77,8 @@ class Complex2:
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
         """Per-edge records, materialized on every access; for inspection only."""
-        tags = np.stack([self.q, self.r, self.group], axis=1).tolist()
-        return tuple(EdgeRecord(u, v, EDGE_KINDS[k], *(None if x < 0 else x for x in tag))
-                     for (u, v), k, tag in zip(self.edge.tolist(), self.kind.tolist(), tags))
+        return tuple(EdgeRecord(u, v, EDGE_KINDS[k])
+                     for (u, v), k in zip(self.edge.tolist(), self.kind.tolist()))
 
     @property
     def triangles(self) -> tuple[OrientedTriangle, ...]:
@@ -263,7 +256,7 @@ def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
         count = count[np.searchsorted(keys, order_keys)]
     kind = np.where(count == 1, BOUNDARY, INTERIOR)
     return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind,
-                    group=np.zeros(len(edge)), central=[0] if len(tri) else [])
+                    central=[0] if len(tri) else [])
 
 
 def boundary2(K: Complex2) -> SparseMatrix:
@@ -360,8 +353,9 @@ def validate(K: Complex2) -> ValidationReport:
             return fail(f"triangle {bad} references an unknown vertex")
         return fail(f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}")
 
-    equation = np.arange(len(K.loops))[:, None]
-    consistent = (_take(K.kind, K.loops) == LOOP) & (_take(K.q, K.loops) == equation)
+    # every loop-table entry is a loop edge that the table lists once
+    listed = np.bincount(K.loops[(K.loops >= 0) & (K.loops < m)], minlength=m)
+    consistent = (_take(K.kind, K.loops) == LOOP) & (_take(listed, K.loops) == 1)
     q = _first(~consistent.all(axis=1))
     if q >= 0:
         return fail(f"loop-edge table of equation {q} is inconsistent")

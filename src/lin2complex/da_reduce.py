@@ -295,8 +295,6 @@ class AuxRecord:
 class DAReductionTrace:
     n_original: int
     aux_assignment_order: tuple[AuxRecord, ...]
-    row_weights: tuple[float, ...]
-    aux_counts: tuple[int, ...]
 
 
 def complete_solution(trace: DAReductionTrace, x_main) -> np.ndarray:
@@ -360,8 +358,6 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     main_rows: list[DARow] = []
     aux_rows_per_source: list[list[DARow]] = []
     aux_records: list[AuxRecord] = []
-    row_weights: list[float] = []
-    aux_counts: list[int] = []
     next_var = n
 
     for i, coef in enumerate(row_data):
@@ -372,8 +368,6 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
             w = alpha / (alpha + 1.0)
             main_rows.append(DARow(row.kind, row.i, row.j, row.k, w, row.rhs, row.scale))
             aux_rows_per_source.append([])
-            row_weights.append(w)
-            aux_counts.append(0)
             continue
 
         work = dict(coef)
@@ -415,8 +409,6 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
         aux_here = [DARow(r_.kind, r_.i, r_.j, r_.k, w_aux, r_.rhs, r_.scale)
                     for r_ in aux_here]
         aux_rows_per_source.append(aux_here)
-        row_weights.append(w_aux)
-        aux_counts.append(len(aux_here))
 
     aux_rows = [row for rows in aux_rows_per_source for row in rows]
     system = WeightedDASystem(
@@ -425,12 +417,7 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
         n_main=len(main_rows),
         n_aux=len(aux_rows),
     )
-    trace = DAReductionTrace(
-        n_original=n,
-        aux_assignment_order=tuple(aux_records),
-        row_weights=tuple(row_weights),
-        aux_counts=tuple(aux_counts),
-    )
+    trace = DAReductionTrace(n_original=n, aux_assignment_order=tuple(aux_records))
     return system, system.rhs_vector(), trace
 
 

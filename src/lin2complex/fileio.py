@@ -118,7 +118,6 @@ COMPLEX_FIELDS = {
     "tri_group": ("tri", "tri_group", None, "central"),
     "edge_tail": ("edge", "edge", 0, "vertex"), "edge_head": ("edge", "edge", 1, "vertex"),
     "edge_kind": ("edge", "kind", None, "kind"),
-    **{f"edge_{attr}": ("edge", attr, None, None) for attr in ("group", "q", "r")},
     "central": ("central", "central", None, "tri"),
     **{f"loop_r{i + 1}": ("loop", "loops", i, "edge") for i in range(3)},
 }
@@ -140,7 +139,8 @@ def complex_from_json(obj) -> Complex2:
     """Read the columnar form, from a dict or any mapping of int arrays such
     as the members of a ``write_complex`` archive; rejects missing fields,
     fields of one table with different lengths and ids out of range, naming
-    the field."""
+    the field, and ignores other keys, such as the ``edge_group``,
+    ``edge_q`` and ``edge_r`` columns of older archives."""
     cols = {}
     for name in ["n_vertices", *COMPLEX_FIELDS]:
         a = np.asarray(obj.get(name, "missing"))
@@ -155,7 +155,7 @@ def complex_from_json(obj) -> Complex2:
                                         f"entries, the other {table} fields {size[table]}")
     for name, (_, _, _, bound) in COMPLEX_FIELDS.items():
         low, a = (-1 if name == "central" else 0), cols[name]
-        if bound and a.size and (a.min() < low or a.max() >= size[bound]):
+        if a.size and (a.min() < low or a.max() >= size[bound]):
             raise ComplexStructureError(
                 f"complex field {name!r} has an id outside [{low}, {size[bound]})")
     arrays: dict[str, list[np.ndarray]] = {}
@@ -271,6 +271,17 @@ def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
     })
 
 
+def read_system(matrix_path, rhs_path) -> tuple[SparseMatrix, np.ndarray]:
+    """The matrix and right-hand side of ``A x = b`` from their files;
+    rejects a vector whose length differs from the row count of the matrix,
+    naming both files."""
+    A, b = read_matrix(matrix_path), read_vector(rhs_path)
+    if b.size != A.n_rows:
+        raise DimensionError(f"{rhs_path} has {b.size} entries "
+                             f"but {matrix_path} has {A.n_rows} rows")
+    return A, b
+
+
 def read_chain(src) -> ChainArtifacts:
     """Rebuild the chain that ``write_chain`` wrote to ``src``: G_z and G_z2
     and their back maps come from the stage functions ``reduce_chain`` runs,
@@ -278,7 +289,7 @@ def read_chain(src) -> ChainArtifacts:
     src = Path(src)
     manifest = read_json(src / "manifest.json")
     a_name, b_name = ORIGINAL_FILES
-    original = GeneralSystem(read_matrix(src / a_name), read_vector(src / b_name), CLASS_G)
+    original = GeneralSystem(*read_system(src / a_name, src / b_name), CLASS_G)
     gz, gz_back = to_zero_rowsum(original)
     gz2, gz2_back = to_pow2(gz)
     return ChainArtifacts(original, gz, gz_back, gz2, gz2_back, read_boundary_problem(src),

@@ -396,20 +396,14 @@ class SpectralSummary:
         return self.sigma_max / self.sigma_min_nonzero
 
 
-def rank_from_singular_values(s: np.ndarray, n_rows: int, n_cols: int) -> int:
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = max(n_rows, n_cols) * np.finfo(np.float64).eps * s[0]
-    return int(np.sum(s > tol))
-
-
 def spectral_summary(A: SparseMatrix) -> SpectralSummary:
     """Singular-value summary from a dense SVD, exact to machine precision;
-    the dense reference for small matrices."""
+    the dense reference for small matrices.  Singular values at or below
+    max(shape) * machine epsilon * sigma_max count as zero."""
     if min(A.n_rows, A.n_cols) == 0 or A.nnz == 0:
         return SpectralSummary(0.0, None, 0)
     s = np.linalg.svd(A.to_dense(), compute_uv=False)
-    rank = rank_from_singular_values(s, A.n_rows, A.n_cols)
+    rank = int(np.sum(s > max(A.n_rows, A.n_cols) * np.finfo(np.float64).eps * s[0]))
     sigma_min = float(s[rank - 1]) if rank > 0 else None
     return SpectralSummary(float(s[0]), sigma_min, rank)
 

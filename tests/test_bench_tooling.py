@@ -10,6 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from lin2complex import cli, fileio, maxflow_ipm
+from lin2complex.b2_reduce import build_boundary_problem, compute_edge_weights
+from lin2complex.complex2 import boundary2
+from lin2complex.da_reduce import CLASS_G, GeneralSystem, gz2_to_da, to_pow2, to_zero_rowsum
 from lin2complex.sparse_core import SparseMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,3 +46,28 @@ def test_reduce_output_passes_the_benchmark_triangle_check(tmp_path, monkeypatch
     assert cli.main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                      "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
     assert workloads.triangle_count_holds(out)
+
+
+def test_hooks_and_oracle_read_the_library_results(monkeypatch):
+    # the tracing hooks read sizes and l_q off the results of the calls they
+    # wrap, and the flow_ipm oracle reads the complex's edge and triangle
+    # records; a renamed attribute must fail here, not in a --trace 1 run
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    hooks = {function: hook for _, function, _, hook in tracing.INSTRUMENTS}
+    A = SparseMatrix.from_dense([[2, -1, 0], [0, 3, 1], [1, 0, -2]])
+    gz2, _ = to_pow2(to_zero_rowsum(GeneralSystem(A, np.array([1.0, 4.0, -1.0]), CLASS_G))[0])
+    da_result = gz2_to_da(gz2)
+    P = build_boundary_problem(da_result[0])
+    weights_result = compute_edge_weights(P, 2.0)
+
+    tr = tracing.Tracer()
+    for function, result in (("gz2_to_da", da_result), ("build_boundary_problem", P),
+                             ("compute_edge_weights", weights_result)):
+        hooks[function](tr, None, (), {}, result, None)
+    da = da_result[0]
+    assert tr.counts == {"da_reduce.rows": da.n_rows, "da_reduce.vars": da.n_vars,
+                         "b2_reduce.triangles": P.n_triangles, "b2_reduce.edges": P.n_edges}
+    assert tr.extrema == {"b2_reduce.l_q_max": weights_result[0].l_q.max()}
+    assert np.array_equal(workloads._boundary_oracle(P.K), boundary2(P.K).to_dense())

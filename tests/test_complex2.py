@@ -217,10 +217,11 @@ def test_group_interior_nullity_is_one():
     P = reduce_da_to_b2(sys, b)
     d2 = P.d2.to_dense()
     groups = P.K.tri_group
+    interior = np.array([e.kind == EDGE_INTERIOR for e in P.K.edges])
     for g in range(P.n_vars):
         cols = np.where(groups == g)[0]
-        rows = [eid for eid, e in enumerate(P.K.edges)
-                if e.kind == EDGE_INTERIOR and e.group == g]
+        # an interior edge lies in two triangles of one group
+        rows = np.flatnonzero(interior & np.any(d2[:, cols] != 0, axis=1))
         M = d2[np.ix_(rows, cols)]
         assert dense_nullity(M) == 1
         # spanned by the all-ones flow
@@ -234,13 +235,12 @@ DISK_KINDS = "BBBIII"
 
 
 def make_complex(n_vertices, tri, edges, kinds, tri_group=None, central=(0,),
-                 loops=(), edge_q=None) -> Complex2:
+                 loops=()) -> Complex2:
     """A complex given column by column: ``kinds`` holds one letter per edge
     (L, I, B), ``central`` the central triangle of each group (-1: none) and
     ``loops`` the three loop-edge ids of each equation."""
     tri_group = [0] * len(tri) if tri_group is None else tri_group
     return Complex2(n_vertices, tri, tri_group, edges, [KINDS[k] for k in kinds],
-                    group=[-1 if k == "L" else 0 for k in kinds], q=edge_q,
                     central=central, loops=loops)
 
 
@@ -291,7 +291,8 @@ def test_validate_missing_edge():
 def test_validate_inconsistent_loop_table():
     K = disk_with(loops=[(0, 1, 2)])
     assert violation(K) == "loop-edge table of equation 0 is inconsistent"
-    K = disk_with(kinds="LLLIII", edge_q=[0, 0, 1, -1, -1, -1], loops=[(0, 1, 2)])
+    # loop edge 2 listed by two equations
+    K = disk_with(kinds="LLLLLI", loops=[(0, 1, 2), (3, 4, 2)])
     assert violation(K) == "loop-edge table of equation 0 is inconsistent"
 
 
@@ -310,14 +311,14 @@ def test_validate_boundary_edge_count():
 
 
 def test_validate_loop_edge_count():
-    K = disk_with(kinds="LLLIII", edge_q=[0, 0, 0, -1, -1, -1], loops=[(0, 1, 2)])
+    K = disk_with(kinds="LLLIII", loops=[(0, 1, 2)])
     assert violation(K) == "loop edge 0 lies in 1 triangles"
 
 
 def test_validate_unbalanced_loop_signs():
     a, b, c = DISK_TRIANGLES[1]
     tri = [DISK_TRIANGLES[0], (a, c, b), DISK_TRIANGLES[2]]
-    K = disk_with(tri=tri, kinds="BBBLLL", edge_q=[-1, -1, -1, 0, 0, 0], loops=[(3, 4, 5)])
+    K = disk_with(tri=tri, kinds="BBBLLL", loops=[(3, 4, 5)])
     assert violation(K) == "loop edge 4 has unbalanced induced signs"
 
 

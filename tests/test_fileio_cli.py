@@ -90,7 +90,8 @@ def test_boundary_problem_round_trip(tmp_path):
     assert Q.d2.equals(P.d2)
     for name in ("gamma", "weights", "equation_rhs", "loop_weight"):
         assert np.array_equal(getattr(Q, name), getattr(P, name)), name
-    assert (Q.central, Q.tubes, Q.da) == (P.central, P.tubes, P.da)
+    assert np.array_equal(Q.central, P.central) and Q.da == P.da
+    assert all(np.array_equal(a, b) for a, b in zip(Q.tubes, P.tubes))
     assert Q.path_weights is None
 
 
@@ -392,7 +393,7 @@ def test_complex_json_is_columnar():
 
 
 @pytest.mark.parametrize("field", ["tri_v1", "tri_group", "edge_head", "edge_kind",
-                                   "edge_r", "loop_r3"])
+                                   "tri_v2", "loop_r3"])
 def test_complex_json_rejects_mismatched_lengths(field):
     from lin2complex.complex2 import ComplexStructureError
 
@@ -418,8 +419,8 @@ def test_complex_json_rejects_missing_field_and_non_int_values():
     from lin2complex.complex2 import ComplexStructureError
 
     obj = _complex_obj()
-    obj["edge_q"][0] = 0.5
-    with pytest.raises(ComplexStructureError, match="edge_q"):
+    obj["edge_kind"][0] = 0.5
+    with pytest.raises(ComplexStructureError, match="edge_kind"):
         fileio.complex_from_json(obj)
     obj = _complex_obj()
     del obj["central"]
@@ -457,7 +458,7 @@ def test_maxflow_demo_script_network_replays(tmp_path):
                  "--steps", "60"]) == 0
 
 
-@pytest.mark.parametrize("name", ["b2_W.vec", "b2_gamma.vec"])
+@pytest.mark.parametrize("name", ["b2_W.vec", "b2_gamma.vec", "original_b.vec"])
 def test_cli_replay_vector_length_mismatch_is_one_line_error(tmp_path, name):
     _write_general(tmp_path)
     out = tmp_path / "out"
@@ -523,6 +524,17 @@ def test_cli_reduce_non_numeric_rhs_is_one_line_error(tmp_path):
               "--out-dir", str(tmp_path / "out")])
     message = _one_line_error(exc)
     assert "b.vec" in message and "three" in message
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["solve", "--route", "direct"]])
+def test_cli_short_rhs_is_one_line_error(tmp_path, command):
+    _write_general(tmp_path)
+    (tmp_path / "b.vec").write_text("1.0\n2.0\n3.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(tmp_path / "out")])
+    message = _one_line_error(exc)
+    assert "b.vec" in message and "A.mtx" in message
 
 
 @pytest.mark.parametrize("entry,reason", [("1.5", "integers"),
@@ -629,6 +641,32 @@ def test_complex_archive_holds_one_int32_member_per_field(tmp_path):
         fileio.complex_to_json(K)
 
 
+def _earlier_edge_columns(K) -> dict[str, list[int]]:
+    """The per-edge columns that archives and network JSON used to carry:
+    an interior edge's group, a loop edge's equation and slot 1-3, -1 where
+    none."""
+    group, q, r = np.full((3, K.n_edges), -1)
+    d2 = boundary2(K).to_csr()
+    interior = K.kind == complex2.INTERIOR
+    group[interior] = K.tri_group[d2.indices[d2.indptr[:-1]]][interior]
+    q[K.loops] = np.arange(len(K.loops))[:, None]
+    r[K.loops] = [1, 2, 3]
+    return {"edge_group": group.tolist(), "edge_q": q.tolist(), "edge_r": r.tolist()}
+
+
+def test_complex_with_the_earlier_edge_columns_reads_back(tmp_path):
+    K = _planted_complex()
+    new = fileio.complex_to_json(K)
+    old = {**new, **_earlier_edge_columns(K)}
+    assert set(old) - set(new) == {"edge_group", "edge_q", "edge_r"}
+    assert fileio.complex_to_json(fileio.complex_from_json(old)) == new
+    with zipfile.ZipFile(tmp_path / "c.npz", "w") as archive:
+        for name, values in old.items():
+            with archive.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, np.asarray(values, dtype="<i4"))
+    assert fileio.complex_to_json(fileio.read_complex(tmp_path / "c.npz")) == new
+
+
 def test_complex_archive_bytes_ignore_the_clock(tmp_path, monkeypatch):
     K, localtime = _planted_complex(), time.localtime
     for stamp in (0, 10 ** 9):
@@ -667,8 +705,8 @@ ARCHIVE_FAULTS = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
     "not-a-zip": lambda path: path.write_bytes(b"n_vertices,tri_v0\n3,0\n"),
     "missing-member": lambda path: _edit_archive(path, {"central": None}),
-    "float-member": lambda path: _edit_archive(path, {"edge_q": lambda a: a + 0.5}),
-    "object-member": lambda path: _edit_archive(path, {"edge_q": lambda a: a.astype(object)}),
+    "float-member": lambda path: _edit_archive(path, {"edge_kind": lambda a: a + 0.5}),
+    "object-member": lambda path: _edit_archive(path, {"edge_kind": lambda a: a.astype(object)}),
 }
 
 

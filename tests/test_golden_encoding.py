@@ -75,8 +75,8 @@ def test_golden_encoding(name):
     assert prod.nnz == 0
 
     csr = P.d2.to_csr()
-    tubes = np.array([[t.q, t.var, t.copy, t.sign] + [t.boundary_cols[r] for r in (1, 2, 3)]
-                      for t in P.tubes], dtype=np.int64)
+    T = P.tubes
+    tubes = np.column_stack([T.q, T.var, T.copy, T.sign, T.cols]).astype(np.int64)
     got = {
         "t": P.n_triangles,
         "d2": _digest(csr.indptr.astype(np.int64), csr.indices.astype(np.int64),
