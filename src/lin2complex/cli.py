@@ -28,7 +28,8 @@ def cmd_reduce(args) -> int:
 
 
 def _replay_manifest(args, out: Path) -> int:
-    """Solve from previously written artifacts, replaying the recorded back maps."""
+    """Solve from previously written artifacts; ``read_chain`` re-derives
+    the back maps from the original system."""
     chain = fileio.read_chain(args.manifest)
     if args.eps is not None:
         chain.eps = args.eps

@@ -297,19 +297,6 @@ class DAReductionTrace:
     aux_assignment_order: tuple[AuxRecord, ...]
 
 
-def complete_solution(trace: DAReductionTrace, x_main) -> np.ndarray:
-    """Extend main-variable values so every auxiliary equation holds exactly."""
-    x_main = np.asarray(x_main, dtype=np.float64).ravel()
-    if x_main.size != trace.n_original:
-        raise DimensionError("main solution has the wrong length")
-    n_total = trace.n_original + len(trace.aux_assignment_order)
-    x = np.zeros(n_total)
-    x[: trace.n_original] = x_main
-    for rec in trace.aux_assignment_order:
-        x[rec.new_var] = 0.5 * (x[rec.pair[0]] + x[rec.pair[1]])
-    return x
-
-
 def _classify_scaled_da(coef: dict[int, int], rhs: float):
     """Recognize rows that are a power-of-two multiple of a canonical pattern.
 

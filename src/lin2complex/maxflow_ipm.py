@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex2 import Complex2, boundary2
-from .sparse_core import AugmentedSystem, SparseMatrix, least_squares
+from .sparse_core import AugmentedSystem, SparseMatrix, projected_rhs
 
 
 # run_ipm stops once the routed fraction alpha reaches IPM_TARGET
@@ -72,7 +72,7 @@ class FlowNetwork2:
 
     def validate(self) -> None:
         """Check the sizes, positive capacities and gamma in im(d2).  The
-        image check is a tight reference solve; it runs once per gamma."""
+        image check is one tight projection solve; it runs once per gamma."""
         d2 = self.d2()
         if self.capacities.size != d2.n_cols:
             raise NetworkError("capacity vector length does not match the triangles")
@@ -83,13 +83,11 @@ class FlowNetwork2:
         if self._gamma_in_image is not None and np.array_equal(self._gamma_in_image,
                                                                 self.gamma):
             return
-        g_norm = float(np.linalg.norm(self.gamma))
-        if g_norm > 0.0:
-            # ||d2 x - gamma|| at a tight solve converges to the out-of-image
-            # part directly, without the cancellation of a split via ||P gamma||
-            res = least_squares(d2, self.gamma, rel_tol=1e-10)
-            if res.residual_norm > 1e-8 * g_norm:
-                raise NetworkError("gamma is not in the image of d2")
+        # gamma - P gamma from a tight solve is the out-of-image part directly,
+        # without the cancellation of a split via ||P gamma||
+        outside = self.gamma - projected_rhs(d2, self.gamma, 1e-10)
+        if np.linalg.norm(outside) > 1e-8 * np.linalg.norm(self.gamma):
+            raise NetworkError("gamma is not in the image of d2")
         self._gamma_in_image = self.gamma.copy()
 
 

@@ -26,7 +26,7 @@ from .da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
-from .sparse_core import iterative_solve, lu_solve, projected_rhs
+from .sparse_core import certify_rounds, solve_rounds
 
 # the theoretical alpha = 2/eps_da^2 is astronomically large for composed
 # accuracy targets, and the weighted operator's conditioning worsens with it:
@@ -34,11 +34,6 @@ from .sparse_core import iterative_solve, lu_solve, projected_rhs
 # 1e2, 2e-2 at 1e8 on a 12x10 criterion-11 system) and the LSQR fallback
 # stalls beyond ~1e2, so the pipeline caps it and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
-
-# the LSQR fallback after the LU round: at most LSQR_ROUNDS rounds of at
-# most LSQR_MAX_ITER iterations each
-LSQR_ROUNDS = 4
-LSQR_MAX_ITER = 30000
 
 
 @dataclass
@@ -113,66 +108,32 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     return chain.gz_back(x_gz)
 
 
-def _boundary_rounds(W_d2, w_gamma, eps_b2):
-    """Candidate flows as (f, method, tolerance, iterations, fill): one sparse
-    LU solve, unless its factorization raises, then ``LSQR_ROUNDS`` LSQR
-    rounds whose tolerance starts from ``eps_b2`` clipped to [1e-7, 0.1] and
-    tightens 100x a round."""
-    fill = None
-    try:
-        f, fill = lu_solve(W_d2, w_gamma)
-    except (RuntimeError, MemoryError):
-        pass
-    else:
-        yield f, "lu", None, 0, fill
-    tol = min(max(eps_b2, 1e-7), 0.1)
-    for _ in range(LSQR_ROUNDS):
-        f, iters = iterative_solve(W_d2, w_gamma, tol, LSQR_MAX_ITER)
-        yield f, "lsqr", tol, iters, fill
-        tol = max(tol / 100.0, 1e-14)
-
-
 def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
                             eps: float, eps_b2: float):
     """Solve a weighted boundary problem to a certified accuracy.
 
-    The first round solves (W^(1/2) d2, W^(1/2) gamma) with one sparse LU
-    (``lu_solve``); if the factorization raises or its answer does not
-    certify, up to ``LSQR_ROUNDS`` column-equilibrated LSQR rounds follow,
-    from the boundary accuracy ``eps_b2`` and tightening 100x a round.
-    Every round's flow is carried down the chain by ``map_back_fn``, and the
-    projected-residual certificate of the original system alone decides
-    whether to stop; the projection P b it measures against is computed
-    once.  Returns the best (x, report) seen.
+    The candidates of ``sparse_core.solve_rounds`` solve (W^(1/2) d2,
+    W^(1/2) gamma): one sparse LU, then, if the factorization raises or its
+    answer does not certify, up to ``LSQR_ROUNDS`` column-equilibrated LSQR
+    rounds from the boundary accuracy ``eps_b2``, tightening 100x a round.
+    Every round's flow is carried down the chain by ``map_back_fn``, and
+    ``certify_rounds`` on the original system alone decides whether to
+    stop.  Returns the best (x, report) seen.
     """
-    A = original.A
-    pib = projected_rhs(A, original.b, rel_tol=min(eps / 100, 1e-6))
-    pnorm = float(np.linalg.norm(pib))
-    total_iter = 0
-    best = None
-    rounds = _boundary_rounds(W_d2, w_gamma, eps_b2)
-    for attempt, (f, method, tol, iters, fill) in enumerate(rounds, 1):
-        total_iter += iters
-        x = map_back_fn(f)
-        proj = float(np.linalg.norm(A.matvec(x) - pib))
-        ratio = proj / pnorm if pnorm > 0 else 0.0
-        report = ChainSolveReport(
-            converged=ratio <= eps,
-            rounds=attempt,
-            eps_requested=eps,
-            achieved_ratio=ratio,
-            projected_residual=proj,
-            projected_rhs_norm=pnorm,
-            b2_tolerance=tol,
-            b2_iterations=total_iter,
-            method=method,
-            lu_fill=fill,
-        )
-        if best is None or report.achieved_ratio < best[1].achieved_ratio:
-            best = (x, report)
-        if report.converged:
-            return x, report
-    return best
+    v = certify_rounds(solve_rounds(W_d2, w_gamma, eps_b2), original.A, original.b,
+                       eps, map_back_fn)
+    return v.x, ChainSolveReport(
+        converged=v.converged,
+        rounds=v.rounds,
+        eps_requested=eps,
+        achieved_ratio=v.ratio,
+        projected_residual=v.projected_residual,
+        projected_rhs_norm=v.projected_rhs_norm,
+        b2_tolerance=v.round.tolerance,
+        b2_iterations=v.iterations,
+        method=v.round.method,
+        lu_fill=v.round.fill,
+    )
 
 
 def solve_chain(chain: ChainArtifacts):

@@ -1,24 +1,23 @@
-"""Sparse-matrix substrate, the boundary solvers and spectral summaries.
+"""Sparse-matrix substrate, the least-squares driver and spectral summaries.
 
 Every reduction stage and every verification pass funnels its linear algebra
 through this module: a canonical COO matrix type with an integer-exactness
-flag, an LSQR-backed least-squares driver whose convergence test is the
-projected residual (the right-hand side projected onto the column space is
-estimated by re-running the same solver at a 100x tighter tolerance), the
-one sparse LU of a quasi-definite augmented system (``AugmentedSystem``)
-that the weighted boundary solve, the ``lap_solve`` inner solves and the
-maxflow Newton steps share, the column-equilibrated least-squares solves of
-the weighted boundary problem (that LU, and LSQR as the iterative
-reference), and the sparse spectral data that the spectral certificate and
-the ``lap_solve`` routes read: the integer norm bound on the largest
-eigenvalue and the shift-invert Lanczos eigenvalues of an integer Gram
-matrix.  ``spectral_summary`` is the dense reference for small matrices.
+flag; the one sparse LU of a quasi-definite augmented system
+(``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
+inner solves and the maxflow Newton steps share; the one least-squares
+driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
+then column-equilibrated LSQR rounds) are judged by their projected residual
+against P b, the projection of b onto the column space from one tight LSQR
+solve (``certify_rounds``); and the sparse spectral data that the spectral
+certificate and the ``lap_solve`` routes read: the integer norm bound on the
+largest eigenvalue and the shift-invert Lanczos eigenvalues of an integer
+Gram matrix.  ``spectral_summary`` is the dense reference for small matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -191,56 +190,6 @@ def _lsqr_once(csr, b, tol, iter_lim):
     return out[0], int(out[2])
 
 
-def least_squares(A: SparseMatrix, b, rel_tol: float,
-                  max_iter: int | None = None) -> LeastSquaresResult:
-    """Approximately minimize ||Ax - b||_2 with LSQR.
-
-    The returned ``x`` satisfies ||Ax - P b|| <= rel_tol * ||P b|| whenever
-    ``converged`` is true, where P b (the projection of b onto the column
-    space) is estimated by running the same solver at a 100x tighter
-    tolerance.  LSQR's own stopping rule is only a proxy for that criterion,
-    so the candidate solve is re-run at a 10x tighter setting, a bounded
-    number of times, until the measured criterion holds.
-    """
-    if not (0.0 < rel_tol < 1.0):
-        raise ValueError("rel_tol must lie in (0, 1)")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != A.n_rows:
-        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
-    if max_iter is None:
-        max_iter = 8 * (A.n_rows + A.n_cols) + 400
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0 or A.nnz == 0:
-        x = np.zeros(A.n_cols)
-        return LeastSquaresResult(x, b_norm, 0.0, 0.0, 0, True)
-    csr = A.to_csr()
-
-    tight = max(rel_tol / 100.0, 1e-15)
-    x_ref, it_ref = _lsqr_once(csr, b, tight, 4 * max_iter)
-    pib = csr @ x_ref
-    pib_norm = float(np.linalg.norm(pib))
-
-    total_it = it_ref
-    tol = rel_tol
-    converged = False
-    x = x_ref
-    proj = 0.0
-    for _ in range(7):
-        x, itn = _lsqr_once(csr, b, max(tol, 1e-15), max_iter)
-        total_it += itn
-        proj = float(np.linalg.norm(csr @ x - pib))
-        if proj <= rel_tol * pib_norm + 1e-14 * b_norm:
-            converged = True
-            break
-        if itn >= max_iter:
-            # the iteration budget, not the tolerance, was binding; a
-            # tighter tolerance would retrace the same run
-            break
-        tol *= 0.1
-    residual = float(np.linalg.norm(csr @ x - b))
-    return LeastSquaresResult(x, residual, proj, pib_norm, total_it, converged)
-
-
 def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Column scales ``D = diag(1 / ||A[:, j]||)`` and the values of ``A D``,
     aligned with ``A.rows`` / ``A.cols``; all-zero columns keep scale 1."""
@@ -251,9 +200,15 @@ def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     return scale, A.vals * scale[A.cols]
 
 
-def iterative_solve(A: SparseMatrix, b, tol: float,
-                    max_iter: int | None = None) -> tuple[np.ndarray, int]:
-    """One column-equilibrated LSQR pass; for callers that certify accuracy
+# the LSQR fallback after the LU round of ``solve_rounds``: at most
+# LSQR_ROUNDS rounds of at most LSQR_MAX_ITER iterations each
+LSQR_ROUNDS = 4
+LSQR_MAX_ITER = 30000
+
+
+def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
+    """One column-equilibrated LSQR pass of at most ``LSQR_MAX_ITER``
+    iterations; returns (x, iterations), for callers that certify accuracy
     externally.
 
     LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
@@ -265,13 +220,11 @@ def iterative_solve(A: SparseMatrix, b, tol: float,
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
-    if max_iter is None:
-        max_iter = 8 * (A.n_rows + A.n_cols) + 400
     if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
         return np.zeros(A.n_cols), 0
     scale, vals = _unit_columns(A)
     scaled = sp.csr_matrix((vals, (A.rows, A.cols)), shape=(A.n_rows, A.n_cols))
-    y, itn = _lsqr_once(scaled, b, max(tol, 1e-15), max_iter)
+    y, itn = _lsqr_once(scaled, b, max(tol, 1e-15), LSQR_MAX_ITER)
     return scale * y, itn
 
 
@@ -382,6 +335,100 @@ def projection_residual(A: SparseMatrix, x, b,
     """Return (||Ax - P b||, ||P b||) with P b from ``projected_rhs``."""
     pib = projected_rhs(A, b, rel_tol)
     return float(np.linalg.norm(A.matvec(x) - pib)), float(np.linalg.norm(pib))
+
+
+class Round(NamedTuple):
+    """One candidate of ``solve_rounds``: the solution, its method ("lu" or
+    "lsqr"), the LSQR tolerance (None for the LU round), the LSQR
+    iterations and the LU fill (None if the factorization raised)."""
+
+    x: np.ndarray
+    method: str
+    tolerance: float | None
+    iterations: int
+    fill: float | None
+
+
+def solve_rounds(A: SparseMatrix, b, tol: float):
+    """Candidate least-squares solutions of ``A x ~ b``, cheapest first.
+
+    One ``lu_solve`` (skipped if its factorization raises), then up to
+    ``LSQR_ROUNDS`` ``iterative_solve`` rounds whose tolerance starts from
+    ``tol`` clipped to [1e-7, 0.1] and tightens 100x a round.  The rounds
+    are computed lazily, so a caller that stops at a certified candidate
+    pays for no later round.
+    """
+    fill = None
+    try:
+        x, fill = lu_solve(A, b)
+    except (RuntimeError, MemoryError):
+        pass
+    else:
+        yield Round(x, "lu", None, 0, fill)
+    tol = min(max(tol, 1e-7), 0.1)
+    for _ in range(LSQR_ROUNDS):
+        x, iters = iterative_solve(A, b, tol)
+        yield Round(x, "lsqr", tol, iters, fill)
+        tol = max(tol / 100.0, 1e-14)
+
+
+class Verdict(NamedTuple):
+    """The candidate ``certify_rounds`` keeps: x, its round and round
+    number, the LSQR iterations up to it, ||A x - P b||, ||P b||, their
+    ratio, and whether the ratio is at most eps."""
+
+    x: np.ndarray
+    round: Round
+    rounds: int
+    iterations: int
+    projected_residual: float
+    projected_rhs_norm: float
+    ratio: float
+    converged: bool
+
+
+def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict:
+    """Judge candidates by the projected-residual certificate of ``A x ~ b``.
+
+    Each candidate's solution is carried to x by ``to_x`` (as is when None)
+    and certifies when ||A x - P b|| <= eps ||P b||, with P b from one
+    ``projected_rhs`` at ``min(eps / 100, 1e-6)``.  Stops at the first
+    candidate that certifies; otherwise returns the best one seen.
+    """
+    pib = projected_rhs(A, b, rel_tol=min(eps / 100, 1e-6))
+    pnorm = float(np.linalg.norm(pib))
+    iterations = 0
+    best = None
+    for attempt, rnd in enumerate(rounds, 1):
+        iterations += rnd.iterations
+        x = rnd.x if to_x is None else to_x(rnd.x)
+        proj = float(np.linalg.norm(A.matvec(x) - pib))
+        ratio = proj / pnorm if pnorm > 0 else 0.0
+        verdict = Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
+        if best is None or ratio < best.ratio:
+            best = verdict
+        if verdict.converged:
+            return verdict
+    return best
+
+
+def least_squares(A: SparseMatrix, b, rel_tol: float) -> LeastSquaresResult:
+    """Approximately minimize ||Ax - b||_2, certified.
+
+    Draws candidates from ``solve_rounds`` and judges them on ``A`` with
+    ``certify_rounds``: ``converged`` means ||Ax - P b|| <= rel_tol ||P b||.
+    ``iterations`` counts the LSQR iterations of the fallback rounds up to
+    the returned one (0 when the LU round certifies).
+    """
+    if not (0.0 < rel_tol < 1.0):
+        raise ValueError("rel_tol must lie in (0, 1)")
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != A.n_rows:
+        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
+    v = certify_rounds(solve_rounds(A, b, rel_tol), A, b, rel_tol)
+    residual = float(np.linalg.norm(A.matvec(v.x) - b))
+    return LeastSquaresResult(v.x, residual, v.projected_residual,
+                              v.projected_rhs_norm, v.iterations, v.converged)
 
 
 @dataclass(frozen=True)

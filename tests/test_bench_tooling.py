@@ -12,8 +12,9 @@ import numpy as np
 from lin2complex import cli, fileio, maxflow_ipm
 from lin2complex.b2_reduce import build_boundary_problem, compute_edge_weights
 from lin2complex.complex2 import boundary2
-from lin2complex.da_reduce import CLASS_G, GeneralSystem, gz2_to_da, to_pow2, to_zero_rowsum
-from lin2complex.sparse_core import SparseMatrix
+from lin2complex.da_reduce import CLASS_G, GeneralSystem, gz2_to_da
+from lin2complex.pipeline import adaptive_boundary_solve, map_back, reduce_chain
+from lin2complex.sparse_core import SparseMatrix, iterative_solve, least_squares
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,25 +50,40 @@ def test_reduce_output_passes_the_benchmark_triangle_check(tmp_path, monkeypatch
 
 
 def test_hooks_and_oracle_read_the_library_results(monkeypatch):
-    # the tracing hooks read sizes and l_q off the results of the calls they
-    # wrap, and the flow_ipm oracle reads the complex's edge and triangle
-    # records; a renamed attribute must fail here, not in a --trace 1 run
+    # the tracing hooks read sizes, l_q, iteration counts and solve outcomes
+    # off the results of the calls they wrap, and the flow_ipm oracle reads
+    # the complex's edge and triangle records; a renamed attribute or a
+    # changed return shape must fail here, not in a --trace 1 run
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     workloads = importlib.import_module("workloads")
     hooks = {function: hook for _, function, _, hook in tracing.INSTRUMENTS}
     A = SparseMatrix.from_dense([[2, -1, 0], [0, 3, 1], [1, 0, -2]])
-    gz2, _ = to_pow2(to_zero_rowsum(GeneralSystem(A, np.array([1.0, 4.0, -1.0]), CLASS_G))[0])
-    da_result = gz2_to_da(gz2)
+    b = np.array([1.0, 4.0, -1.0])
+    chain = reduce_chain(GeneralSystem(A, b, CLASS_G), 1e-3)
+    da_result = gz2_to_da(chain.gz2)
     P = build_boundary_problem(da_result[0])
     weights_result = compute_edge_weights(P, 2.0)
+    ls_result = least_squares(A, b, 1e-8)
+    iterative_result = iterative_solve(A, b, 1e-8)
+    solve_result = adaptive_boundary_solve(
+        chain.problem.weighted_matrix(), chain.problem.weighted_rhs(),
+        lambda f: map_back(chain, f), chain.original, chain.eps, chain.eps_b2_theory)
 
     tr = tracing.Tracer()
     for function, result in (("gz2_to_da", da_result), ("build_boundary_problem", P),
-                             ("compute_edge_weights", weights_result)):
+                             ("compute_edge_weights", weights_result),
+                             ("least_squares", ls_result),
+                             ("iterative_solve", iterative_result),
+                             ("adaptive_boundary_solve", solve_result)):
         hooks[function](tr, None, (), {}, result, None)
-    da = da_result[0]
+    da, report = da_result[0], solve_result[1]
+    assert report.converged and report.rounds == 1
     assert tr.counts == {"da_reduce.rows": da.n_rows, "da_reduce.vars": da.n_vars,
-                         "b2_reduce.triangles": P.n_triangles, "b2_reduce.edges": P.n_edges}
-    assert tr.extrema == {"b2_reduce.l_q_max": weights_result[0].l_q.max()}
+                         "b2_reduce.triangles": P.n_triangles, "b2_reduce.edges": P.n_edges,
+                         "sparse_core.least_squares.iters": ls_result.iterations,
+                         "sparse_core.iterative_solve.iters": iterative_result[1],
+                         "pipeline.solves": 1, "pipeline.first_round": 1}
+    assert tr.extrema == {"b2_reduce.l_q_max": weights_result[0].l_q.max(),
+                          "pipeline.achieved_ratio.max": report.achieved_ratio}
     assert np.array_equal(workloads._boundary_oracle(P.K), boundary2(P.K).to_dense())

@@ -14,7 +14,6 @@ from lin2complex.da_reduce import (
     MatrixClassError,
     average_row,
     choose_epsilon_da,
-    complete_solution,
     difference_row,
     gz2_to_da,
     map_da_solution_back,
@@ -201,11 +200,20 @@ def test_aux_variables_belong_to_one_row():
         assert len(rows_owning) == 1
 
 
+def _complete_solution(trace, x_main):
+    """Extend main-variable values along the recorded auxiliary assignments:
+    each auxiliary variable is the average of its pair."""
+    x = np.concatenate([x_main, np.zeros(len(trace.aux_assignment_order))])
+    for rec in trace.aux_assignment_order:
+        x[rec.new_var] = 0.5 * (x[rec.pair[0]] + x[rec.pair[1]])
+    return x
+
+
 def test_complete_solution_satisfies_aux_rows():
     rng = np.random.default_rng(14)
     sys = random_gz2_system(rng, 5, 3)
     da, _, trace = gz2_to_da(sys)
-    x = complete_solution(trace, rng.normal(size=trace.n_original))
+    x = _complete_solution(trace, rng.normal(size=trace.n_original))
     pat = da.pattern_matrix().to_dense()
     aux = pat[da.n_main:]
     assert np.allclose(aux @ x, 0.0, atol=1e-12)
@@ -225,7 +233,7 @@ def test_null_vectors_extend_through_reduction():
             continue
         _, _, vt = np.linalg.svd(A)
         for null_vec in vt[-nullity:]:
-            ext = complete_solution(trace, null_vec)
+            ext = _complete_solution(trace, null_vec)
             assert np.allclose(B @ ext, 0.0, atol=1e-10)
 
 

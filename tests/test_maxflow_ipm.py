@@ -219,16 +219,16 @@ def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
         <= 1e-9 * np.linalg.norm(demand)
 
 
-def test_network_is_validated_once_across_bisection_probes(monkeypatch):
-    # the gamma-in-image check is a tight reference solve; the probes of
-    # estimate_f_star are copies of the network and share its outcome
+def test_network_is_validated_once_across_f_star_and_ipm(monkeypatch):
+    # the gamma-in-image check is a tight projection solve; estimate_f_star
+    # and run_ipm on the same network share its outcome
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sparse_core.least_squares(*args, **kwargs)
+        return sparse_core.projected_rhs(*args, **kwargs)
 
-    monkeypatch.setattr(maxflow_ipm, "least_squares", counted)
+    monkeypatch.setattr(maxflow_ipm, "projected_rhs", counted)
     net = _demo_network(average=True)
     net.f_star = estimate_f_star(net)
     run_ipm(net, 20)

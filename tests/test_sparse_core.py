@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lin2complex import sparse_core
+from lin2complex.b2_reduce import reduce_reg
 from lin2complex.sparse_core import (
     LU_DELTA,
     AugmentedSystem,
@@ -13,6 +15,8 @@ from lin2complex.sparse_core import (
     projection_residual,
     spectral_summary,
 )
+
+from _gen import dense_project, infeasible_da_instance
 
 # the 6x3 disk boundary operator reused across the suite
 DISK_D2 = np.array([
@@ -116,12 +120,34 @@ def test_least_squares_result_invariants():
     assert res.residual_norm ** 2 >= res.projected_residual_norm ** 2 - 1e-9
 
 
-def test_least_squares_reports_non_convergence():
+def test_least_squares_reports_non_convergence(monkeypatch):
+    # no LU round, and LSQR rounds of one iteration each
+    def fail(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sparse_core.spla, "splu", fail)
+    monkeypatch.setattr(sparse_core, "LSQR_MAX_ITER", 1)
     rng = np.random.default_rng(2)
     dense = rng.normal(size=(30, 20))
     b = rng.normal(size=30)
-    res = least_squares(SparseMatrix.from_dense(dense), b, 1e-12, max_iter=1)
+    res = least_squares(SparseMatrix.from_dense(dense), b, 1e-12)
     assert not res.converged
+    assert res.iterations > 0
+
+
+def test_least_squares_converged_holds_against_a_dense_projection():
+    # criterion 7's weighted boundary problems: whenever least_squares
+    # claims convergence, the true ratio against a dense projection meets it
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        sys_da, b = infeasible_da_instance(rng, int(rng.integers(2, 7)),
+                                           int(rng.integers(0, 5)))
+        P, eps_b2 = reduce_reg(sys_da, b, eps_da=0.25)
+        A, rhs = P.weighted_matrix(), P.weighted_rhs()
+        res = least_squares(A, rhs, eps_b2)
+        pib = dense_project(A.to_dense(), rhs)
+        ratio = np.linalg.norm(A @ res.x - pib) / np.linalg.norm(pib)
+        assert not res.converged or ratio <= eps_b2
 
 
 def test_least_squares_rejects_bad_tolerance():
