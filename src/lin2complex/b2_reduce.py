@@ -13,6 +13,7 @@ eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -139,14 +140,19 @@ def _attachments(sys: WeightedDASystem) -> np.ndarray:
     return attach[np.argsort(attach[:, 0], kind="stable")]
 
 
+@functools.cache
 def _tube_template(sign: int):
     """Triangles and connecting edges of one tube as indices into the tube's
     corner row (three hole vertices, then the three loop vertices), and the
-    boundary triangle of each loop slot."""
+    boundary triangle of each loop slot; cached per sign, as read-only
+    arrays."""
     tris, by_slot = tube_cells((0, 1, 2), (3, 4, 5), sign)
     sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
     connecting = np.unique(sides[(sides[:, 0] < 3) & (sides[:, 1] >= 3)], axis=0)
-    return np.array(tris), connecting, np.array([by_slot[r] for r in (1, 2, 3)])
+    arrays = np.array(tris), connecting, np.array([by_slot[r] for r in (1, 2, 3)])
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _sphere_template(n_holes: int):
@@ -360,7 +366,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
         raise ValueError("alpha must be positive")
     K = problem.K
     t, m = K.n_triangles, K.n_edges
-    adj = triangle_adjacency(K)
+    adj = triangle_adjacency(problem.d2, K.kind)
     tubes = problem.tubes
     roots = np.unique(problem.central)
 

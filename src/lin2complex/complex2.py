@@ -118,24 +118,14 @@ def _missing_edge(u, v, eid) -> tuple[int, int]:
     return (min(a, b), max(a, b))
 
 
-def _incidence(K: Complex2) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids and induced signs (t, 3) of every triangle's three sides."""
-    u, v = K.tri, np.roll(K.tri, -1, axis=1)
-    eid = _lookup(K, u, v)
-    if (eid < 0).any():
-        raise ComplexStructureError(
-            f"triangle references missing edge {_missing_edge(u, v, eid)}")
-    return eid, np.where(K.edge[eid, 0] == u, 1, -1)
-
-
-def _interior_pairs(K: Complex2, eid: np.ndarray):
-    """(t1, t2, edge id) of every interior edge with exactly two triangles."""
-    flat = eid.ravel()
-    order = np.argsort(flat, kind="stable")
-    count = np.bincount(flat, minlength=K.n_edges)
-    start = np.concatenate(([0], np.cumsum(count)[:-1]))
-    edges = np.flatnonzero((K.kind == INTERIOR) & (count == 2))
-    return order[start[edges]] // 3, order[start[edges] + 1] // 3, edges
+def _boundary(K: Complex2, u: np.ndarray, eid: np.ndarray) -> SparseMatrix:
+    """d2 from the edge ids ``eid`` (t, 3) of the triangle sides that start
+    at the vertices ``u``: +1 where a side runs along its edge's stored
+    direction, -1 where it runs against it."""
+    sign = np.where(K.edge[eid, 0] == u, 1, -1)
+    cols = np.repeat(np.arange(K.n_triangles), 3)
+    return SparseMatrix.from_arrays(K.n_edges, K.n_triangles, eid.ravel(), cols,
+                                    sign.ravel())
 
 
 @functools.cache
@@ -266,10 +256,12 @@ def boundary2(K: Complex2) -> SparseMatrix:
     edge orientation, -1 when reversed, 0 when e is not a side of T; every
     column has exactly three nonzeros.
     """
-    eid, sign = _incidence(K)
-    cols = np.repeat(np.arange(K.n_triangles), 3)
-    return SparseMatrix.from_arrays(K.n_edges, K.n_triangles, eid.ravel(), cols,
-                                    sign.ravel())
+    u, v = K.tri, np.roll(K.tri, -1, axis=1)
+    eid = _lookup(K, u, v)
+    if (eid < 0).any():
+        raise ComplexStructureError(
+            f"triangle references missing edge {_missing_edge(u, v, eid)}")
+    return _boundary(K, u, eid)
 
 
 def boundary1(K: Complex2) -> SparseMatrix:
@@ -288,24 +280,27 @@ def laplacian1(K: Complex2) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The first violation found, or ok with the ``boundary2(K)`` that the
-    d1 d2 = 0 check built."""
+    """The first violation found, or ok with the d2 (``boundary2(K)``) that
+    the checks built."""
 
     ok: bool
     violation: str | None = None
     d2: SparseMatrix | None = None
 
 
-def triangle_adjacency(K: Complex2) -> sp.csr_matrix:
-    """Adjacency over interior edges as a t x t CSR matrix.
+def triangle_adjacency(d2: SparseMatrix, kind: np.ndarray) -> sp.csr_matrix:
+    """Adjacency over interior edges as a t x t CSR matrix, read off ``d2``
+    and the edge kinds.
 
-    Entry (T1, T2) holds the id of an interior edge the two triangles share
-    (edge 0 is an explicit zero); column indices are sorted in every row.
-    Triangles sharing several interior edges keep one entry per edge,
-    ordered by edge id.
+    An interior edge with exactly two triangles joins the two columns of its
+    row of ``d2``.  Entry (T1, T2) holds the id of an interior edge the two
+    triangles share (edge 0 is an explicit zero); column indices are sorted
+    in every row.  Triangles sharing several interior edges keep one entry
+    per edge, ordered by edge id.
     """
-    t = K.n_triangles
-    a, b, e = _interior_pairs(K, _incidence(K)[0])
+    t, start = d2.n_cols, d2.to_csr().indptr
+    e = np.flatnonzero((kind == INTERIOR) & (np.diff(start) == 2))
+    a, b = d2.cols[start[e]], d2.cols[start[e] + 1]
     rows, cols, eids = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(e, 2)
     order = np.lexsort((eids, cols, rows))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=t))))
@@ -325,7 +320,13 @@ def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def validate(K: Complex2) -> ValidationReport:
     """Check the structural invariants in time linear in the size of K;
-    returns the first violation, or ok with the d2 it built."""
+    returns the first violation, or ok with the d2 it built.
+
+    One edge lookup gives every triangle side's edge id and sign; d2 is
+    built from them once, and the incidence counts, the sign balance, the
+    interior-edge connectivity (``triangle_adjacency``) and d1 d2 = 0 are
+    all read off it.
+    """
     def fail(msg: str) -> ValidationReport:
         return ValidationReport(False, msg)
 
@@ -352,6 +353,7 @@ def validate(K: Complex2) -> ValidationReport:
         if unknown[bad]:
             return fail(f"triangle {bad} references an unknown vertex")
         return fail(f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}")
+    d2 = _boundary(K, u, eid)
 
     # every loop-table entry is a loop edge that the table lists once
     listed = np.bincount(K.loops[(K.loops >= 0) & (K.loops < m)], minlength=m)
@@ -360,9 +362,9 @@ def validate(K: Complex2) -> ValidationReport:
     if q >= 0:
         return fail(f"loop-edge table of equation {q} is inconsistent")
 
-    count = np.bincount(eid.ravel(), minlength=m)
-    sign_sum = np.bincount(eid.ravel(), weights=np.where(K.edge[eid, 0] == u, 1, -1).ravel(),
-                           minlength=m)
+    # no triangle has an edge twice without a repeated vertex, so a row of
+    # d2 has one entry per incident triangle
+    count, sign_sum = np.diff(d2.to_csr().indptr), d2 @ np.ones(t)
     kind = K.kind
     count_ok = np.select([kind == INTERIOR, kind == BOUNDARY, kind == LOOP],
                          [count == 2, count == 1, (count == 2) | (count == 4)], False)
@@ -380,7 +382,8 @@ def validate(K: Complex2) -> ValidationReport:
     # resident memory in processes that never validate or weight a complex
     from scipy.sparse.csgraph import connected_components
 
-    a, b, _ = _interior_pairs(K, eid)
+    adj = triangle_adjacency(d2, kind)
+    a, b = np.repeat(np.arange(t), np.diff(adj.indptr)), adj.indices
     same = K.tri_group[a] == K.tri_group[b]
     graph = sp.csr_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
     _, label = connected_components(graph, directed=False)
@@ -389,7 +392,6 @@ def validate(K: Complex2) -> ValidationReport:
     if split >= 0:
         return fail(f"group {pieces[split]} is not connected over interior edges")
 
-    d2 = boundary2(K)
     prod = boundary1(K).to_int_csr() @ d2.to_int_csr()
     prod.eliminate_zeros()
     if prod.nnz != 0:

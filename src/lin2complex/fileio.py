@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.io
-import scipy.sparse as sp
 
 from .b2_reduce import BoundaryProblem, tube_refs
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
@@ -33,11 +32,7 @@ class ArtifactError(ValueError):
 
 
 def write_matrix(path, A: SparseMatrix) -> None:
-    coo = sp.coo_matrix(
-        (A.vals.astype(np.int64) if A.integer_exact else A.vals, (A.rows, A.cols)),
-        shape=A.shape,
-    )
-    scipy.io.mmwrite(str(path), coo)
+    scipy.io.mmwrite(str(path), A.to_int_csr() if A.integer_exact else A.to_csr())
 
 
 def read_matrix(path) -> SparseMatrix:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complex2 import Complex2, boundary2
 from .sparse_core import AugmentedSystem, SparseMatrix, projected_rhs
@@ -43,7 +42,6 @@ class FlowNetwork2:
     gamma: np.ndarray
     f_star: float | None = None
     _d2: SparseMatrix | None = field(default=None, repr=False)
-    _d2_csr: sp.csr_matrix | None = field(default=None, repr=False)
     _kkt: AugmentedSystem | None = field(default=None, repr=False)
     _gamma_in_image: np.ndarray | None = field(default=None, repr=False)
 
@@ -55,12 +53,6 @@ class FlowNetwork2:
         if self._d2 is None:
             self._d2 = boundary2(self.K)
         return self._d2
-
-    def d2_csr(self) -> sp.csr_matrix:
-        """``d2`` in CSR form, built once per network."""
-        if self._d2_csr is None:
-            self._d2_csr = self.d2().to_csr()
-        return self._d2_csr
 
     def kkt(self) -> AugmentedSystem:
         """The pattern of the Newton system ``[[I, B], [B^T, -delta I]]`` with
@@ -157,7 +149,7 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     inv_sqrt = 1.0 / np.sqrt(h)
     d2 = net.d2()
     lu = net.kkt().factor(d2.vals * inv_sqrt[d2.cols])
-    csr = net.d2_csr()
+    csr = d2.to_csr()
     rhs = np.column_stack([csr @ (g / h)] + ([net.gamma] if with_demand else []))
     top = np.zeros((f.size, rhs.shape[1]))
 
@@ -234,7 +226,7 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     if net.f_star is None:
         net.f_star = estimate_f_star(net)
     base = 1.0 / (20.0 * math.sqrt(net.d2().n_cols))
-    d2 = net.d2_csr()
+    d2 = net.d2().to_csr()
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
     state = initial_state(net)
     best = state.copy()
@@ -268,10 +260,11 @@ def _dual_bound(net: FlowNetwork2, f):
     """(bound, lam): ``F <= c^T |d2^T lam| / |gamma^T lam|`` for the multiplier
     block lam of the KKT solve of ``d2 H^-1 g`` at f, by weak duality."""
     g, h = barrier_derivatives(net, BarrierState(f))
-    lu = net.kkt().factor(net.d2().vals / np.sqrt(h[net.d2().cols]))
-    lam = lu.solve(np.concatenate([np.zeros(f.size), net.d2_csr() @ (g / h)]))[f.size:]
+    d2 = net.d2()
+    lu = net.kkt().factor(d2.vals / np.sqrt(h[d2.cols]))
+    lam = lu.solve(np.concatenate([np.zeros(f.size), d2.to_csr() @ (g / h)]))[f.size:]
     dot = abs(float(net.gamma @ lam))
-    return float(net.capacities @ np.abs(net.d2_csr().T @ lam)) / dot if dot else math.inf, lam
+    return float(net.capacities @ np.abs(d2.to_csr().T @ lam)) / dot if dot else math.inf, lam
 
 
 def f_star_bracket(net: FlowNetwork2):
@@ -287,7 +280,7 @@ def f_star_bracket(net: FlowNetwork2):
     float floor); raises ``NetworkError`` if no finite bracket results.
     """
     net.validate()
-    c, gamma, d2 = net.capacities, net.gamma, net.d2_csr()
+    c, gamma, d2 = net.capacities, net.gamma, net.d2().to_csr()
     if not np.any(gamma):
         return 0.0, math.inf, None  # a zero demand routes any flow value
     f, F, upper = np.zeros(c.size), 0.0, math.inf

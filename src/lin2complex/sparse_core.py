@@ -1,9 +1,9 @@
 """Sparse-matrix substrate, the least-squares driver and spectral summaries.
 
 Every reduction stage and every verification pass funnels its linear algebra
-through this module: a canonical COO matrix type with an integer-exactness
-flag; the one sparse LU of a quasi-definite augmented system
-(``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
+through this module: a sparse matrix type that keeps one canonical CSR and
+an integer-exactness flag; the one sparse LU of a quasi-definite augmented
+system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
 inner solves and the maxflow Newton steps share; the one least-squares
 driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
 then column-equilibrated LSQR rounds) are judged by their projected residual
@@ -33,23 +33,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """An m x n sparse matrix in canonical COO form.
+    """An m x n sparse matrix, stored as one canonical scipy CSR.
 
-    Entries are sorted row-major then by column, duplicate coordinates are
-    coalesced by summation, and explicit zeros are dropped, so two equal
-    matrices serialize identically.  ``integer_exact`` records that every
-    stored value is an exact integer; reduction outputs keep this flag so
-    chain-complex identities can be checked in integer arithmetic.
+    The CSR is built once: duplicate coordinates are summed (in scipy's
+    order, so three or more float duplicates may round unlike a
+    left-to-right sum), explicit zeros are dropped and the columns of every
+    row are sorted, so two equal matrices serialize identically.  Its
+    arrays are read-only, so ``to_csr`` hands out the stored matrix itself
+    and a caller that writes into it raises.  ``rows``, ``cols`` and
+    ``vals`` are the entries in row-major order (int64, int64, float64).
+    ``integer_exact`` records that every stored value is an exact integer;
+    reduction outputs keep this flag so chain-complex identities can be
+    checked in integer arithmetic.
     """
 
-    n_rows: int
-    n_cols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    integer_exact: bool
+    def __init__(self, csr: sp.csr_matrix):
+        """Canonicalize ``csr`` in place and keep it; the ``from_*``
+        constructors pass a float64 CSR that nothing else holds."""
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        for a in (csr.data, csr.indices, csr.indptr):
+            a.setflags(write=False)
+        self._csr = csr
+        self.n_rows, self.n_cols = csr.shape
+        self.vals = csr.data
+        self.cols = _readonly(csr.indices.astype(np.int64))
+        self.rows = _readonly(np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                                        np.diff(csr.indptr)))
+        self.integer_exact = bool(np.all(self.vals == np.rint(self.vals)))
 
     @staticmethod
     def from_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> "SparseMatrix":
@@ -63,24 +75,7 @@ class SparseMatrix:
                 raise DimensionError(f"row index out of range for {n_rows} rows")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise DimensionError(f"column index out of range for {n_cols} columns")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            first = np.empty(rows.size, dtype=bool)
-            first[0] = True
-            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            idx = np.cumsum(first) - 1
-            summed = np.zeros(idx[-1] + 1, dtype=np.float64)
-            np.add.at(summed, idx, vals)
-            rows, cols, vals = rows[first], cols[first], summed
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        integer_exact = bool(np.all(vals == np.rint(vals)))
-        return SparseMatrix(
-            int(n_rows), int(n_cols),
-            _readonly(rows), _readonly(cols), _readonly(vals),
-            integer_exact,
-        )
+        return SparseMatrix(sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)))
 
     @staticmethod
     def from_entries(n_rows: int, n_cols: int,
@@ -96,18 +91,15 @@ class SparseMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise DimensionError("expected a 2-d array")
-        rows, cols = np.nonzero(a)
-        return SparseMatrix.from_arrays(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
+        return SparseMatrix(sp.csr_matrix(a))
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        idx = np.arange(n)
-        return SparseMatrix.from_arrays(n, n, idx, idx, np.ones(n))
+        return SparseMatrix(sp.identity(n, dtype=np.float64, format="csr"))
 
     @staticmethod
     def from_scipy(m) -> "SparseMatrix":
-        coo = sp.coo_matrix(m)
-        return SparseMatrix.from_arrays(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
+        return SparseMatrix(sp.csr_matrix(m, dtype=np.float64, copy=True))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,25 +110,19 @@ class SparseMatrix:
         return int(self.vals.size)
 
     def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
-        )
+        """The stored CSR itself; its arrays are read-only."""
+        return self._csr
 
     def to_int_csr(self) -> sp.csr_matrix:
         if not self.integer_exact:
             raise ValueError("matrix is not integer-exact")
-        return sp.csr_matrix(
-            (self.vals.astype(np.int64), (self.rows, self.cols)),
-            shape=(self.n_rows, self.n_cols),
-        )
+        return self._csr.astype(np.int64)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.rows, self.cols] = self.vals
-        return out
+        return self._csr.toarray()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_arrays(self.n_cols, self.n_rows, self.cols, self.rows, self.vals)
+        return SparseMatrix(self._csr.T.tocsr())
 
     @property
     def T(self) -> "SparseMatrix":
@@ -146,7 +132,7 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.size != self.n_cols:
             raise DimensionError(f"expected vector of length {self.n_cols}, got {x.size}")
-        return self.to_csr() @ x
+        return self._csr @ x
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -158,12 +144,13 @@ class SparseMatrix:
         return float(np.sum(np.abs(self.vals)))
 
     def row_scaled(self, scale) -> "SparseMatrix":
+        """``diag(scale) A``; the rows that a zero scale empties are dropped."""
         scale = np.asarray(scale, dtype=np.float64).ravel()
         if scale.size != self.n_rows:
             raise DimensionError("row scale length mismatch")
-        return SparseMatrix.from_arrays(
-            self.n_rows, self.n_cols, self.rows, self.cols, self.vals * scale[self.rows]
-        )
+        csr = self._csr.copy()
+        csr.data *= scale[self.rows]
+        return SparseMatrix(csr)
 
     def equals(self, other: "SparseMatrix") -> bool:
         return (
@@ -223,7 +210,8 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
         return np.zeros(A.n_cols), 0
     scale, vals = _unit_columns(A)
-    scaled = sp.csr_matrix((vals, (A.rows, A.cols)), shape=(A.n_rows, A.n_cols))
+    csr = A.to_csr()
+    scaled = sp.csr_matrix((vals, csr.indices, csr.indptr), shape=A.shape)
     y, itn = _lsqr_once(scaled, b, max(tol, 1e-15), LSQR_MAX_ITER)
     return scale * y, itn
 
@@ -374,8 +362,8 @@ def solve_rounds(A: SparseMatrix, b, tol: float):
 
 class Verdict(NamedTuple):
     """The candidate ``certify_rounds`` keeps: x, its round and round
-    number, the LSQR iterations up to it, ||A x - P b||, ||P b||, their
-    ratio, and whether the ratio is at most eps."""
+    number, the LSQR iterations of every round run, ||A x - P b||, ||P b||,
+    their ratio, and whether the ratio is at most eps."""
 
     x: np.ndarray
     round: Round
@@ -393,7 +381,8 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
     Each candidate's solution is carried to x by ``to_x`` (as is when None)
     and certifies when ||A x - P b|| <= eps ||P b||, with P b from one
     ``projected_rhs`` at ``min(eps / 100, 1e-6)``.  Stops at the first
-    candidate that certifies; otherwise returns the best one seen.
+    candidate that certifies; otherwise returns the best one seen.  Either
+    way ``iterations`` counts the LSQR iterations of every round it ran.
     """
     pib = projected_rhs(A, b, rel_tol=min(eps / 100, 1e-6))
     pnorm = float(np.linalg.norm(pib))
@@ -409,7 +398,7 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
             best = verdict
         if verdict.converged:
             return verdict
-    return best
+    return best._replace(iterations=iterations)
 
 
 def least_squares(A: SparseMatrix, b, rel_tol: float) -> LeastSquaresResult:
@@ -417,8 +406,8 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> LeastSquaresResult:
 
     Draws candidates from ``solve_rounds`` and judges them on ``A`` with
     ``certify_rounds``: ``converged`` means ||Ax - P b|| <= rel_tol ||P b||.
-    ``iterations`` counts the LSQR iterations of the fallback rounds up to
-    the returned one (0 when the LU round certifies).
+    ``iterations`` counts the LSQR iterations of every fallback round run
+    (0 when the LU round certifies).
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lin2complex import cli, complex2, fileio
+from lin2complex import complex2, fileio
 from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2
 from lin2complex.cli import main
 from lin2complex.complex2 import boundary2, validate
@@ -253,16 +253,22 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
           "--out-dir", str(out), "--eps", "1e-3"])
-    calls = []
+    # every d2 (boundary2's and validate's) is built by complex2._boundary
+    # from one edge lookup
+    calls = {"_boundary": 0, "_lookup": 0}
 
-    def counted(K):
-        calls.append(K)
-        return boundary2(K)
+    def counted(name):
+        honest = getattr(complex2, name)
 
-    for module in (complex2, cli):
-        monkeypatch.setattr(module, "boundary2", counted)
+        def call(*args):
+            calls[name] += 1
+            return honest(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(complex2, name, counted(name))
     assert main(["verify", "--dir", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == {"_boundary": 1, "_lookup": 1}
 
 
 def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
