@@ -296,8 +296,7 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     central = np.asarray(central, dtype=np.int64)
     if central.size != sys.n_vars:
         raise DimensionError("central triangle list does not match the variable count")
-    b_norm = np.asarray(b, dtype=np.float64).ravel()
-    c = np.array([math.sqrt(r.weight) * r.scale for r in sys.rows]) * b_norm
+    c = sys.row_factors() * np.asarray(b, dtype=np.float64).ravel()
     atb = sys.as_matrix().T.matvec(c)
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
     if np.all(np.abs(atb) <= 1e-12 * scale):
@@ -418,11 +417,12 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     return PathWeights(l_q, tubes, path_tube, path_edge), weights
 
 
-def reduce_reg(sys: WeightedDASystem, b, eps_da: float,
+def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,
                alpha: float | None = None):
     """General-case reduction: weighted boundary problem plus its accuracy.
 
-    alpha defaults to 2 / eps_da^2.  The returned accuracy is the minimum of
+    ``b`` is passed to ``build_boundary_problem``; alpha defaults to
+    2 / eps_da^2.  The returned accuracy is the minimum of
     eps_da / sqrt(3 (1 + ||b||^2 nnz(A) max|A|^2 / alpha)) and eps_da / 10;
     two candidate accuracy formulas exist for this setting; the
     smaller one wins.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys as _sys
 from pathlib import Path
 
@@ -78,14 +79,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}")
         return 2
     fileio.write_vector(out / "f.vec", f)
-    fileio.write_json(out / "solve_report.json", {
-        "route": report.route, "eps_inner": report.eps_inner,
-        "inner_converged": report.inner_converged,
-        "inner_ratio": report.inner_ratio, "lu_fill": report.lu_fill,
-        "projected_residual": report.projected_residual,
-        "projected_rhs_norm": report.projected_rhs_norm,
-        "degenerate": report.degenerate, "ok": report.ok,
-    })
+    fileio.write_json(out / "solve_report.json", dataclasses.asdict(report))
     print(f"{args.route} solve: projected residual {report.projected_residual:.3e}"
           f"{' (degenerate rhs)' if report.degenerate else ''}")
     return 0 if report.ok else 1

@@ -249,16 +249,15 @@ class WeightedDASystem:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    def row_factors(self) -> np.ndarray:
+        """Each row's weight^(1/2) * scale."""
+        return np.array([math.sqrt(r.weight) * r.scale for r in self.rows])
+
     def as_matrix(self) -> SparseMatrix:
-        entries = []
-        for r, row in enumerate(self.rows):
-            factor = math.sqrt(row.weight) * row.scale
-            for (c, v) in row.pattern_entries():
-                entries.append((r, c, factor * v))
-        return SparseMatrix.from_entries(self.n_rows, self.n_vars, entries)
+        return self.pattern_matrix().row_scaled(self.row_factors())
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array([math.sqrt(r.weight) * r.scale * r.rhs for r in self.rows])
+        return self.row_factors() * self.pattern_rhs()
 
     def pattern_matrix(self) -> SparseMatrix:
         entries = []
@@ -297,8 +296,9 @@ class DAReductionTrace:
     aux_assignment_order: tuple[AuxRecord, ...]
 
 
-def _classify_scaled_da(coef: dict[int, int], rhs: float):
-    """Recognize rows that are a power-of-two multiple of a canonical pattern.
+def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
+    """Recognize rows that are a power-of-two multiple of a canonical pattern,
+    returned as that pattern's row with the given weight.
 
     Zero-auxiliary rows must take the weighted already-canonical branch for
     the exact-reduction identity to hold, so the match is up to scale.
@@ -306,9 +306,9 @@ def _classify_scaled_da(coef: dict[int, int], rhs: float):
     if len(coef) == 2:
         (va, ca), (vb, cb) = sorted(coef.items())
         if ca > 0 > cb and ca == -cb and _is_pow2(ca):
-            return DARow(KIND_DIFFERENCE, va, vb, None, 1.0, rhs / ca, float(ca)), ca
+            return difference_row(va, vb, rhs / ca, weight, float(ca))
         if cb > 0 > ca and cb == -ca and _is_pow2(cb):
-            return DARow(KIND_DIFFERENCE, vb, va, None, 1.0, rhs / cb, float(cb)), cb
+            return difference_row(vb, va, rhs / cb, weight, float(cb))
         return None
     if len(coef) == 3 and rhs == 0.0:
         pos = sorted((v, c) for v, c in coef.items() if c > 0)
@@ -317,7 +317,7 @@ def _classify_scaled_da(coef: dict[int, int], rhs: float):
             (vi, ci), (vj, cj) = pos
             (vk, ck) = neg[0]
             if ci == cj and ck == -2 * ci and _is_pow2(ci):
-                return DARow(KIND_AVERAGE, vi, vj, vk, 1.0, 0.0, float(ci)), ci
+                return average_row(vi, vj, vk, weight, float(ci))
     return None
 
 
@@ -343,22 +343,19 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     row_data = sys.row_dicts()
 
     main_rows: list[DARow] = []
-    aux_rows_per_source: list[list[DARow]] = []
+    aux_rows: list[DARow] = []
     aux_records: list[AuxRecord] = []
     next_var = n
 
     for i, coef in enumerate(row_data):
         rhs = float(sys.b[i])
-        canonical = _classify_scaled_da(coef, rhs)
+        canonical = _classify_scaled_da(coef, rhs, alpha / (alpha + 1.0))
         if canonical is not None:
-            row, _ = canonical
-            w = alpha / (alpha + 1.0)
-            main_rows.append(DARow(row.kind, row.i, row.j, row.k, w, row.rhs, row.scale))
-            aux_rows_per_source.append([])
+            main_rows.append(canonical)
             continue
 
         work = dict(coef)
-        aux_here: list[DARow] = []
+        first_aux = len(aux_records)
         for s in (-1, 1):
             r = 0
             while sum(1 for c in work.values() if c * s > 0) > 1:
@@ -376,7 +373,6 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
                         if work[v] == 0:
                             del work[v]
                     work[t] = work.get(t, 0) + 2 * step
-                    aux_here.append(average_row(a, bvar, t, scale=float(1 << r)))
                     aux_records.append(AuxRecord(t, (a, bvar), s, r, i))
                 r += 1
                 if r > 64:
@@ -391,13 +387,11 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
         if ca != -cb or not _is_pow2(ca):
             raise MatrixClassError(f"row {i}: terminal row is not a scaled difference")
         scale = float(ca)
-        main_rows.append(DARow(KIND_DIFFERENCE, va, vb, None, 1.0, rhs / scale, scale))
-        w_aux = alpha * len(aux_here)
-        aux_here = [DARow(r_.kind, r_.i, r_.j, r_.k, w_aux, r_.rhs, r_.scale)
-                    for r_ in aux_here]
-        aux_rows_per_source.append(aux_here)
+        main_rows.append(difference_row(va, vb, rhs / scale, 1.0, scale))
+        here = aux_records[first_aux:]
+        aux_rows.extend(average_row(*rec.pair, rec.new_var, alpha * len(here),
+                                    float(1 << rec.bit)) for rec in here)
 
-    aux_rows = [row for rows in aux_rows_per_source for row in rows]
     system = WeightedDASystem(
         n_vars=next_var,
         rows=tuple(main_rows + aux_rows),

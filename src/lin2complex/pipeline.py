@@ -73,9 +73,7 @@ def reduce_chain(sys: GeneralSystem, eps: float,
     eps_da = choose_epsilon_da(eps, gz2)
     if alpha is None:
         alpha = min(2.0 / eps_da ** 2, ALPHA_CAP_DEFAULT)
-    b_norm = da.pattern_rhs()
-    problem, eps_b2 = reduce_reg(da, b_norm, eps_da=min(max(eps_da, 1e-12), 1.0),
-                                 alpha=alpha)
+    problem, eps_b2 = reduce_reg(da, eps_da=min(max(eps_da, 1e-12), 1.0), alpha=alpha)
     return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, problem, eps, eps_da,
                           eps_b2, alpha)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lin2complex import lap_solve
+from lin2complex import lap_solve, sparse_core
 from lin2complex.b2_reduce import reduce_da_to_b2
 from lin2complex.complex2 import (
     boundary1,
@@ -152,6 +152,10 @@ def test_inner_converged_matches_dense_check_on_planted_complex(solver):
     assert report.inner_ratio >= dense_ratio
     assert report.inner_converged and report.inner_ratio <= report.eps_inner
     assert report.ok
+    # the route's judge bounds the outer error too: ||d2 f - Q d||, Q the
+    # projection onto the image of d2
+    qd = d2 @ np.linalg.lstsq(d2, d, rcond=None)[0]
+    assert report.projected_residual >= np.linalg.norm(d2 @ f - qd)
 
 
 def test_zero_demand_trivial():
@@ -171,3 +175,23 @@ def test_routes_beyond_3000_edges_need_no_floor():
         f, report = solver(K, d, 1e-4)
         assert np.isfinite(report.eps_inner) and report.eps_inner > 0.0
         assert f.shape == (K.n_triangles,)
+        # the worst-case eps_inner is below what float64 refinement reaches
+        # here, and ok does not need it
+        assert report.ok and not report.degenerate
+
+
+@pytest.mark.parametrize("solver", ROUTES)
+def test_route_solve_runs_no_lsqr(solver, monkeypatch):
+    lsqr_calls = []
+    lsqr = sparse_core.spla.lsqr
+
+    def counting_lsqr(*args, **kwargs):
+        lsqr_calls.append(1)
+        return lsqr(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_core.spla, "lsqr", counting_lsqr)
+    K, rng = planted_complex()
+    d = rng.integers(-4, 5, size=K.n_edges).astype(float)
+    _, report = solver(K, d, 1e-4)
+    assert report.ok
+    assert not lsqr_calls
