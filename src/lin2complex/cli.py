@@ -38,18 +38,23 @@ def _replay_manifest(args, out: Path) -> int:
     fileio.write_vector(out / "x.vec", x)
     fileio.write_json(out / "solve_report.json", {
         "route": "manifest-replay", "converged": report.converged,
-        "eps": report.eps_requested, "achieved_ratio": report.achieved_ratio,
+        "eps": chain.eps, "achieved_ratio": report.achieved_ratio,
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
-        "b2_tolerance": report.b2_tolerance,
-        "b2_iterations": report.b2_iterations,
-        "method": report.method, "lu_fill": report.lu_fill,
+        "b2_tolerance": report.round.tolerance,
+        "b2_iterations": report.iterations,
+        "method": report.round.method, "lu_fill": report.round.fill,
     })
     print(f"replay solve: ratio {report.achieved_ratio:.3e} vs eps {chain.eps:.3e}")
     return 0 if report.converged else 1
 
 
 def cmd_solve(args) -> int:
+    needs = (() if args.manifest else ("matrix", "rhs") if args.route == "direct"
+             else ("complex", "rhs"))
+    missing = " and ".join(f"--{name}" for name in needs if getattr(args, name) is None)
+    if missing:
+        raise SystemExit(f"error: solve --route {args.route} needs {missing} (or --manifest)")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.manifest:
@@ -139,6 +144,16 @@ def cmd_maxflow_demo(args) -> int:
     return 0
 
 
+def _between(low: float, high: float):
+    """An argparse type: a float strictly between ``low`` and ``high``."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {text}")
+        return value
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lin2complex",
                                 description="reduce sparse linear equations onto "
@@ -150,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--matrix", required=True)
     pr.add_argument("--rhs", required=True)
     pr.add_argument("--out-dir", required=True)
-    pr.add_argument("--eps", type=float, default=1e-3)
-    pr.add_argument("--alpha", type=float, default=None)
+    pr.add_argument("--eps", type=_between(0.0, 1.0), default=1e-3)
+    pr.add_argument("--alpha", type=_between(0.0, np.inf), default=None)
     pr.set_defaults(func=cmd_reduce)
 
     ps = sub.add_parser("solve", help="solve directly, via Laplacian/Gram routes, "
@@ -164,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--manifest", default=None,
                     help="artifact directory written by reduce; replays the "
                          "chain from files and maps the solution back")
-    ps.add_argument("--eps", type=float, default=None,
+    ps.add_argument("--eps", type=_between(0.0, 1.0), default=None,
                     help="accuracy; defaults to 1e-6, or to the recorded "
                          "value when replaying a manifest")
     ps.add_argument("--out-dir", default=".")

@@ -7,10 +7,10 @@ image of d2.  The inner accuracy eps_inner is derived from sparse spectral
 data, the same at every size: the integer bound ||d2||_1 ||d2||_inf on
 sigma_max(d2)^2 and the operator's smallest nonzero eigenvalue from
 shift-invert Lanczos (``sparse_core.gram_low_eigenvalues``).  The inner solve
-is one sparse LU of the column-equilibrated operator's augmented system
-(``sparse_core.lu_solver``) with one refinement step.  The route is judged
-by the bound that solve proves on its own error: with ``P`` the projection
-onto the image of ``op`` and ``Q`` that onto the image of d2,
+is one sparse LU of the column-equilibrated operator's augmented system,
+refined once (``sparse_core.lu_solve``).  The route is judged by the bound
+that solve proves on its own error: with ``P`` the projection onto the
+image of ``op`` and ``Q`` that onto the image of d2,
 ``||op r|| / lambda_min >= ||P d - op x||`` for ``r = d - op x``, and
 ``Q op x = d2 d2^T x = d2 f`` because d1 d2 = 0, so the bound also holds for
 ``||Q d - d2 f||``.
@@ -28,7 +28,7 @@ from .complex2 import Complex2, boundary1, boundary2, laplacian1
 from .sparse_core import (
     SparseMatrix,
     gram_low_eigenvalues,
-    lu_solver,
+    lu_solve,
     norm_product,
     zero_eigenvalue_count,
 )
@@ -95,15 +95,6 @@ def _l0_lambda_min(K: Complex2) -> float:
     return float(gram_low_eigenvalues(boundary1(K).T, c + 1)[c])
 
 
-def _refined_solve(op: SparseMatrix, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares x for ``op x ~ d`` from one factorization, refined
-    once; returns (x, fill)."""
-    solve, fill = lu_solver(op)
-    x = solve(d)
-    x += solve(d - op.to_csr() @ x)
-    return x, fill
-
-
 def _solve_route(K: Complex2, d, delta: float, route: str):
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
@@ -130,7 +121,7 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
     eps = delta * math.sqrt(lam_min) / (norm_product(d2) * d_norm)
     eps = min(eps, 0.5)
 
-    x, fill = _refined_solve(op, d)
+    x, fill = lu_solve(op, d)
     csr = op.to_csr()
     op_x = csr @ x
     bound = float(np.linalg.norm(csr @ (d - op_x))) / lam_min

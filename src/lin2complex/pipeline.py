@@ -4,10 +4,11 @@ The chain is general system -> zero row sums -> power-of-two rows ->
 difference-average -> weighted boundary problem.  Solving goes the other
 way: a solve of the weighted boundary problem is mapped back through every
 stage, and the final accuracy is certified against the original system.
-The first solve is one sparse LU; only when it fails or does not certify do
-LSQR rounds follow.  The theoretical accuracy targets compose to values far
-below what float64 can resolve, so the LSQR rounds start from a practical
-tolerance and tighten until the certified end-to-end accuracy is met.
+The first solve is one sparse LU, refined once; only when it fails or does
+not certify do LSQR rounds follow.  The theoretical accuracy targets
+compose to values far below what float64 can resolve, so the LSQR rounds
+start from a practical tolerance and tighten until the certified end-to-end
+accuracy is met.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from .sparse_core import certify_rounds, solve_rounds
 
 # the theoretical alpha = 2/eps_da^2 is astronomically large for composed
 # accuracy targets, and the weighted operator's conditioning worsens with it:
-# the LU round's certificate ratio grows about 100x per 100x alpha (3e-8 at
-# 1e2, 2e-2 at 1e8 on a 12x10 criterion-11 system) and the LSQR fallback
-# stalls beyond ~1e2, so the pipeline caps it and verifies accuracy end to end
+# the refined LU round's certificate ratio on a 10x12 criterion-11 system is
+# 3e-13 at 1e2, 1e-6 at 1e6 and 6e-3 at 1e8.  Of criterion 11's 20 systems
+# the LU round certifies all at 1e2 and 1e6 but 13 at 1e8, where LSQR rounds
+# rescue 2 more, so the pipeline caps it and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
 
 
@@ -78,25 +80,6 @@ def reduce_chain(sys: GeneralSystem, eps: float,
                           eps_b2, alpha)
 
 
-@dataclass
-class ChainSolveReport:
-    """Outcome of the reported round.  ``method`` is "lu" or "lsqr";
-    ``b2_tolerance`` is that LSQR round's tolerance (None for the LU round),
-    ``b2_iterations`` counts LSQR iterations over all rounds, and ``lu_fill``
-    is (nnz L + nnz U) / nnz K of the LU factorization (None if it raised)."""
-
-    converged: bool
-    rounds: int
-    eps_requested: float
-    achieved_ratio: float
-    projected_residual: float
-    projected_rhs_norm: float
-    b2_tolerance: float | None
-    b2_iterations: int
-    method: str
-    lu_fill: float | None
-
-
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     """Map a boundary flow back through every stage to the original variables."""
     P = chain.problem
@@ -110,37 +93,22 @@ def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
                             eps: float, eps_b2: float):
     """Solve a weighted boundary problem to a certified accuracy.
 
-    The candidates of ``sparse_core.solve_rounds`` solve (W^(1/2) d2,
-    W^(1/2) gamma): one sparse LU, then, if the factorization raises or its
-    answer does not certify, up to ``LSQR_ROUNDS`` column-equilibrated LSQR
-    rounds from the boundary accuracy ``eps_b2``, tightening 100x a round.
-    Every round's flow is carried down the chain by ``map_back_fn``, and
-    ``certify_rounds`` on the original system alone decides whether to
-    stop.  Returns the best (x, report) seen.
+    Draws the candidates of ``sparse_core.solve_rounds`` for (W^(1/2) d2,
+    W^(1/2) gamma), whose LSQR rounds start from the boundary accuracy
+    ``eps_b2``, carries each one down the chain by ``map_back_fn``, and lets
+    ``certify_rounds`` on the original system alone decide when to stop.
+    Returns (x, verdict) of the best candidate seen, the verdict being
+    ``certify_rounds``' own ``sparse_core.Verdict``.
     """
     v = certify_rounds(solve_rounds(W_d2, w_gamma, eps_b2), original.A, original.b,
                        eps, map_back_fn)
-    return v.x, ChainSolveReport(
-        converged=v.converged,
-        rounds=v.rounds,
-        eps_requested=eps,
-        achieved_ratio=v.ratio,
-        projected_residual=v.projected_residual,
-        projected_rhs_norm=v.projected_rhs_norm,
-        b2_tolerance=v.round.tolerance,
-        b2_iterations=v.iterations,
-        method=v.round.method,
-        lu_fill=v.round.fill,
-    )
+    return v.x, v
 
 
 def solve_chain(chain: ChainArtifacts):
-    """Solve the weighted boundary problem and certify the mapped-back answer.
-
-    Delegates to the adaptive driver; LSQR fallback rounds start from the
-    theoretical boundary accuracy.  No reference solve is spent at the
-    boundary level since certification happens on the original system.
-    """
+    """Solve the weighted boundary problem and certify the mapped-back answer
+    on the original system with ``adaptive_boundary_solve``, from the
+    theoretical boundary accuracy; returns (x, verdict)."""
     return adaptive_boundary_solve(
         chain.problem.weighted_matrix(), chain.problem.weighted_rhs(),
         lambda f: map_back(chain, f), chain.original, chain.eps, chain.eps_b2_theory)

@@ -6,12 +6,13 @@ an integer-exactness flag; the one sparse LU of a quasi-definite augmented
 system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
 inner solves and the maxflow Newton steps share; the one least-squares
 driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
-then column-equilibrated LSQR rounds) are judged by their projected residual
-against P b, the projection of b onto the column space from one tight LSQR
-solve (``certify_rounds``); and the sparse spectral data that the spectral
-certificate and the ``lap_solve`` routes read: the integer norm bound on the
-largest eigenvalue and the shift-invert Lanczos eigenvalues of an integer
-Gram matrix.  ``spectral_summary`` is the dense reference for small matrices.
+refined once, then column-equilibrated LSQR rounds) are judged by their
+projected residual against P b, the projection of b onto the column space
+from one tight LSQR solve (``certify_rounds``); and the sparse spectral
+data that the spectral certificate and the ``lap_solve`` routes read: the
+integer norm bound on the largest eigenvalue and the shift-invert Lanczos
+eigenvalues of an integer Gram matrix.  ``spectral_summary`` is the dense
+reference for small matrices.
 """
 
 from __future__ import annotations
@@ -121,12 +122,9 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._csr.T.tocsr())
-
     @property
     def T(self) -> "SparseMatrix":
-        return self.transpose()
+        return SparseMatrix(self._csr.T.tocsr())
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -223,9 +221,9 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
 # that the certificate judges: at 1e-10, 10 of 20 planted 40x40 chains
 # missed eps = 1e-3, at 1e-14 the worst ratio was 1.6e-5.  1e-14 keeps it two
 # orders above the rounding level (~1e-16) of the O(1) entries, so the
-# regularization, not rounding, sets the null-space pivots.  The ``lap_solve``
-# and maxflow callers of ``AugmentedSystem`` undo the bias with one
-# refinement step.
+# regularization, not rounding, sets the null-space pivots.  ``lu_solve``
+# and the maxflow Newton step undo the bias with one refinement step each
+# (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996).
 LU_DELTA = 1e-14
 
 
@@ -266,17 +264,24 @@ class AugmentedSystem:
         return (lu.L.nnz + lu.U.nnz) / self.indices.size
 
 
-def lu_solver(A: SparseMatrix):
-    """Column-equilibrated least squares from one sparse LU; returns
-    (solve, fill) with ``solve(b)`` the x for one right-hand side and fill =
-    (nnz L + nnz U) / nnz K.
+def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
+    """Column-equilibrated least squares of ``A x ~ b`` from one sparse LU,
+    refined once; returns (x, fill) with fill = (nnz L + nnz U) / nnz K, and
+    (0, 0.0) for a zero A or b.
 
     With ``B`` the unit-column scaling of A restricted to its nonzero rows
-    and columns, ``AugmentedSystem`` factors ``K`` once and ``solve`` solves
+    and columns, ``AugmentedSystem`` factors ``K`` once and solves
     ``K [r; y] = [b; 0]``, i.e. ``(B^T B + delta I) y = B^T b``; ``x = D y``
-    as in ``iterative_solve`` and all-zero columns get 0.  Raises
-    ``RuntimeError`` when the factorization fails.
+    as in ``iterative_solve`` and all-zero columns get 0.  The same factor
+    then solves for the residual ``b - A x`` and adds the correction (one
+    refinement step), which undoes delta's bias.  Raises ``RuntimeError``
+    when the factorization fails.
     """
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != A.n_rows:
+        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
+    if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
+        return np.zeros(A.n_cols), 0.0
     scale, vals = _unit_columns(A)
     rows, r = np.unique(A.rows, return_inverse=True)
     cols, c = np.unique(A.cols, return_inverse=True)
@@ -284,24 +289,14 @@ def lu_solver(A: SparseMatrix):
     system = AugmentedSystem(m, n, r, c)
     lu = system.factor(vals)
 
-    def solve(b) -> np.ndarray:
+    def solve(rhs) -> np.ndarray:
         x = np.zeros(A.n_cols)
-        sol = lu.solve(np.concatenate([b[rows], np.zeros(n)]))
+        sol = lu.solve(np.concatenate([rhs[rows], np.zeros(n)]))
         x[cols] = scale[cols] * sol[m:]
         return x
-    return solve, system.fill(lu)
-
-
-def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
-    """One ``lu_solver`` solve of ``A x ~ b``; returns (x, fill), and
-    (0, 0.0) for a zero A or b."""
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != A.n_rows:
-        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
-    if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
-        return np.zeros(A.n_cols), 0.0
-    solve, fill = lu_solver(A)
-    return solve(b), fill
+    x = solve(b)
+    x += solve(b - A.to_csr() @ x)
+    return x, system.fill(lu)
 
 
 def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8) -> np.ndarray:
@@ -340,7 +335,7 @@ class Round(NamedTuple):
 def solve_rounds(A: SparseMatrix, b, tol: float):
     """Candidate least-squares solutions of ``A x ~ b``, cheapest first.
 
-    One ``lu_solve`` (skipped if its factorization raises), then up to
+    One refined ``lu_solve`` (skipped if its factorization raises), then up to
     ``LSQR_ROUNDS`` ``iterative_solve`` rounds whose tolerance starts from
     ``tol`` clipped to [1e-7, 0.1] and tightens 100x a round.  The rounds
     are computed lazily, so a caller that stops at a certified candidate
@@ -371,7 +366,7 @@ class Verdict(NamedTuple):
     iterations: int
     projected_residual: float
     projected_rhs_norm: float
-    ratio: float
+    achieved_ratio: float
     converged: bool
 
 
@@ -394,7 +389,7 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
         proj = float(np.linalg.norm(A.matvec(x) - pib))
         ratio = proj / pnorm if pnorm > 0 else 0.0
         verdict = Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
-        if best is None or ratio < best.ratio:
+        if best is None or ratio < best.achieved_ratio:
             best = verdict
         if verdict.converged:
             return verdict

@@ -228,11 +228,11 @@ def test_cli_replay_matches_library_bit_for_bit(seed):
         written = json.loads((out / "solve_report.json").read_text())
     assert written == {
         "route": "manifest-replay", "converged": report.converged,
-        "eps": report.eps_requested, "achieved_ratio": report.achieved_ratio,
+        "eps": chain.eps, "achieved_ratio": report.achieved_ratio,
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
-        "b2_tolerance": report.b2_tolerance, "b2_iterations": report.b2_iterations,
-        "method": report.method, "lu_fill": report.lu_fill,
+        "b2_tolerance": report.round.tolerance, "b2_iterations": report.iterations,
+        "method": report.round.method, "lu_fill": report.round.fill,
     }
 
 
@@ -614,6 +614,40 @@ def test_cli_replay_da_of_another_system_is_one_line_error(tmp_path):
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     message = _one_line_error(exc)
     assert "b2_complex.npz" in message and "da.json" in message
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["reduce", "--eps", "2"], "--eps"),
+    (["reduce", "--eps", "0"], "--eps"),
+    (["solve", "--eps", "2"], "--eps"),
+    (["reduce", "--alpha", "-1"], "--alpha"),
+    (["reduce", "--alpha", "0"], "--alpha"),
+    (["reduce", "--alpha", "inf"], "--alpha"),
+    (["reduce", "--alpha", "nan"], "--alpha"),
+])
+def test_cli_out_of_range_option_is_rejected_when_parsed(tmp_path, capsys, argv, option):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"error: argument {option}:" in capsys.readouterr().err
+    # rejected before any stage ran or wrote
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["solve"], ("--matrix", "--rhs")),
+    (["solve", "--route", "direct", "--matrix", "A.mtx"], ("--rhs",)),
+    (["solve", "--route", "laplacian"], ("--complex", "--rhs")),
+    (["solve", "--route", "gram", "--complex", "K.npz"], ("--rhs",)),
+])
+def test_cli_solve_route_missing_input_is_one_line_error(tmp_path, argv, options):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "out")])
+    message = _one_line_error(exc)
+    assert all(option in message for option in options)
 
 
 # -- complex archives ------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_inner_converged_matches_dense_check_on_planted_complex(solver):
     op = (laplacian1(K).to_dense() if solver is solve_boundary_via_laplacian
           else d2 @ d2.T)
     # the route's own inner solve, replayed: same operator, same factorization
-    x, fill = lap_solve._refined_solve(SparseMatrix.from_dense(op), d)
+    x, fill = sparse_core.lu_solve(SparseMatrix.from_dense(op), d)
     assert np.array_equal(boundary2(K).T.matvec(x), f) and report.lu_fill == fill >= 1.0
     pd = op @ np.linalg.lstsq(op, d, rcond=None)[0]
     dense_ratio = np.linalg.norm(op @ x - pd) / np.linalg.norm(pd)

@@ -21,11 +21,22 @@ def _criterion11_system():
     return sys
 
 
+def _criterion11_draw(k: int):
+    """Draw ``k`` (from 0) of criterion 11's corpus, the acceptance recipe."""
+    rng = np.random.default_rng(11)
+    for _ in range(k + 1):
+        n = int(rng.integers(4, 13))
+        m = int(rng.integers(max(2, n - 2), n + 3))
+        sys, _ = planted_general_system(rng, n, m, max_entry=50, row_nnz=3,
+                                        kappa_max=1e4)
+    return sys
+
+
 def test_lu_round_certifies():
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
-    assert (report.method, report.rounds, report.b2_iterations) == ("lu", 1, 0)
-    assert report.converged and report.b2_tolerance is None and report.lu_fill >= 1.0
+    assert (report.round.method, report.rounds, report.iterations) == ("lu", 1, 0)
+    assert report.converged and report.round.tolerance is None and report.round.fill >= 1.0
     assert _certified(sys, x)
 
 
@@ -36,8 +47,8 @@ def test_failed_factorization_falls_back_to_lsqr(monkeypatch):
     monkeypatch.setattr(sparse_core.spla, "splu", fail)
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
-    assert report.method == "lsqr" and report.lu_fill is None
-    assert report.converged and report.b2_iterations > 0
+    assert report.round.method == "lsqr" and report.round.fill is None
+    assert report.converged and report.iterations > 0
     assert _certified(sys, x)
 
 
@@ -46,8 +57,18 @@ def test_uncertified_lu_answer_falls_back_to_lsqr(monkeypatch):
     monkeypatch.setattr(sparse_core, "LU_DELTA", 1e-2)
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
-    assert report.method == "lsqr" and report.rounds >= 2 and report.lu_fill >= 1.0
+    assert report.round.method == "lsqr" and report.rounds >= 2 and report.round.fill >= 1.0
     assert report.converged and _certified(sys, x)
+
+
+def test_refined_lu_round_certifies_at_large_alpha():
+    # an 11x12 system at alpha = 1e6: unrefined, the LU round missed
+    # eps = 1e-3 (ratio 1.3e-3) and four LSQR rounds failed after it
+    sys = _criterion11_draw(11)
+    assert sys.A.shape == (11, 12)
+    x, report, _ = solve_general(sys, 1e-3, alpha=1e6)
+    assert (report.round.method, report.rounds) == ("lu", 1) and report.converged
+    assert _certified(sys, x)
 
 
 def test_rank_deficient_system_certifies_on_lu_round():
@@ -58,7 +79,7 @@ def test_rank_deficient_system_certifies_on_lu_round():
     s = np.linalg.svd(sys.A.to_dense(), compute_uv=False)
     assert s[-1] < 1e-12 * s[0]
     x, report, _ = solve_general(sys, 1e-3)
-    assert (report.method, report.rounds) == ("lu", 1)
+    assert (report.round.method, report.rounds) == ("lu", 1)
     assert _certified(sys, x)
 
 
@@ -67,5 +88,5 @@ def test_ladder_scale_solve_certifies():
     sys = three_per_row_system(8, 80)
     x, report, chain = solve_general(sys, 1e-3)
     assert chain.problem.n_triangles >= 49_000
-    assert (report.method, report.rounds) == ("lu", 1)
+    assert (report.round.method, report.rounds) == ("lu", 1)
     assert _certified(sys, x)
