@@ -2,7 +2,6 @@
 combinatorial-Laplacian systems on oriented 2-complexes."""
 
 from .sparse_core import (
-    LeastSquaresResult,
     SparseMatrix,
     SpectralSummary,
     least_squares,

@@ -37,10 +37,9 @@ from .da_reduce import KIND_AVERAGE, KIND_DIFFERENCE, WeightedDASystem
 from .sparse_core import (
     DimensionError,
     SparseMatrix,
-    gram_low_eigenvalues,
+    gram_spectrum,
     norm_product,
     spectral_summary,
-    zero_eigenvalue_count,
 )
 
 
@@ -82,7 +81,6 @@ class BoundaryProblem:
     weights: np.ndarray
     tubes: Tubes
     da: WeightedDASystem
-    path_weights: "PathWeights | None" = None
 
     @property
     def central(self) -> np.ndarray:
@@ -432,9 +430,7 @@ def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,
     problem = build_boundary_problem(sys, b)
     if alpha is None:
         alpha = 2.0 / eps_da ** 2
-    pw, weights = compute_edge_weights(problem, alpha)
-    problem.weights = weights
-    problem.path_weights = pw
+    _, problem.weights = compute_edge_weights(problem, alpha)
 
     pattern = problem.pattern_matrix()
     b_norm = float(np.linalg.norm(problem.equation_rhs))
@@ -465,23 +461,6 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def _low_spectrum(d2: SparseMatrix, k: int) -> tuple[int | None, float | None, str]:
-    """(nullity, smallest nonzero eigenvalue, note) of d2^T d2 from its k
-    smallest eigenvalues.  The nullity is None when Lanczos fails, and the
-    eigenvalue is None when all k eigenvalues are zero, so that the count
-    is only a lower bound."""
-    try:
-        eig = gram_low_eigenvalues(d2, k)
-    except ArpackError as exc:
-        return None, None, f"Lanczos failed: {exc}"
-    nullity = zero_eigenvalue_count(eig)
-    zeros = (f"largest zero eigenvalue {eig[nullity - 1]:.3g}" if nullity
-             else "no zero eigenvalue")
-    if nullity == eig.size:
-        return nullity, None, f"{zeros}; all {eig.size} computed are zero"
-    return nullity, float(eig[nullity]), f"{zeros}, smallest nonzero {eig[nullity]:.3g}"
-
-
 def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     """Certify the eigenvalue and null-space bounds of the constructed operator.
 
@@ -495,12 +474,10 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     - lambda_max is the integer ||d2||_1 ||d2||_inf, a proof rather than an
       estimate since ||M||_2^2 <= ||M||_1 ||M||_inf; three nonzeros a
       column and at most four triangles an edge make it 12 at most.
-    - The nullity and lambda_min come from the k = nullity(A) + 3 smallest
-      eigenvalues of the exact integer Gram matrix d2^T d2
-      (``gram_low_eigenvalues``), those of magnitude at or below
-      ``sparse_core.ZERO_EIGENVALUE`` counting as zero.  The nullity check
-      passes only when fewer than k are zero; otherwise the count is a lower
-      bound.
+    - The nullity and lambda_min come from ``sparse_core.gram_spectrum`` of
+      d2: the smallest eigenvalues of the exact integer Gram matrix d2^T d2,
+      asked for at k = nullity(A) + 3 and more until a nonzero one shows, so
+      the nullity is exact even where it is k or more.
     - The condition number is the upper bound sqrt(lambda_max / lambda_min).
 
     When Lanczos fails, or finds no nonzero eigenvalue, the checks that need
@@ -513,10 +490,16 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     nullity_a = pattern.n_cols - sa.rank
 
     lam_max = float(norm_product(problem.d2))
-    k = nullity_a + 3
-    nullity, lam_min, note = _low_spectrum(problem.d2, k)
-    found = lam_min is not None
-    kappa2 = math.sqrt(lam_max / lam_min) if found else math.inf
+    try:
+        eig, nullity = gram_spectrum(problem.d2, nullity_a + 3)
+    except (ArpackError, ValueError) as exc:
+        nullity, lam_min, note = math.nan, math.nan, f"Lanczos failed: {exc}"
+    else:
+        lam_min = float(eig[nullity])
+        zeros = (f"largest zero eigenvalue {eig[nullity - 1]:.3g}" if nullity
+                 else "no zero eigenvalue")
+        note = f"{zeros}, smallest nonzero {lam_min:.3g}"
+    kappa2 = math.sqrt(lam_max / lam_min) if lam_min > 0.0 else math.inf
 
     d = problem.n_equations
     nnz_a = pattern.nnz
@@ -527,9 +510,8 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0 + slack),
         CertificateCheck("condition_number", kappa2, kappa_bound,
                          kappa2 <= kappa_bound + slack),
-        CertificateCheck("lambda_min", lam_min if found else math.nan, lam_floor,
-                         found and lam_min + slack >= lam_floor),
-        CertificateCheck("nullity", math.nan if nullity is None else float(nullity),
-                         float(nullity_a), found and nullity == nullity_a, note),
+        CertificateCheck("lambda_min", lam_min, lam_floor, lam_min + slack >= lam_floor),
+        CertificateCheck("nullity", float(nullity), float(nullity_a), nullity == nullity_a,
+                         note),
     )
     return CertificateReport(all(c.ok for c in checks), checks)

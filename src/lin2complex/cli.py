@@ -23,7 +23,7 @@ from .sparse_core import DimensionError, least_squares
 def cmd_reduce(args) -> int:
     original = GeneralSystem(*fileio.read_system(args.matrix, args.rhs), CLASS_G)
     chain = reduce_chain(original, args.eps, alpha=args.alpha)
-    fileio.write_chain(args.out_dir, chain, seed=args.seed)
+    fileio.write_chain(args.out_dir, chain)
     print(f"wrote chain artifacts to {args.out_dir}")
     return 0
 
@@ -62,17 +62,18 @@ def cmd_solve(args) -> int:
     eps = args.eps if args.eps is not None else 1e-6
 
     if args.route == "direct":
-        res = least_squares(*fileio.read_system(args.matrix, args.rhs), eps)
-        fileio.write_vector(out / "x.vec", res.x)
+        A, b = fileio.read_system(args.matrix, args.rhs)
+        report = least_squares(A, b, eps)
+        fileio.write_vector(out / "x.vec", report.x)
         fileio.write_json(out / "solve_report.json", {
-            "route": "direct", "converged": res.converged,
-            "residual_norm": res.residual_norm,
-            "projected_residual_norm": res.projected_residual_norm,
-            "projected_rhs_norm": res.projected_rhs_norm,
-            "iterations": res.iterations,
+            "route": "direct", "converged": report.converged,
+            "residual_norm": float(np.linalg.norm(A.matvec(report.x) - b)),
+            "projected_residual": report.projected_residual,
+            "projected_rhs_norm": report.projected_rhs_norm,
+            "iterations": report.iterations,
         })
-        print(f"direct solve: projected residual {res.projected_residual_norm:.3e}")
-        return 0 if res.converged else 1
+        print(f"direct solve: projected residual {report.projected_residual:.3e}")
+        return 0 if report.converged else 1
 
     K = fileio.read_complex(args.complex)
     d = fileio.read_vector(args.rhs)
@@ -158,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lin2complex",
                                 description="reduce sparse linear equations onto "
                                             "2-complex boundary operators and solve them")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in manifests")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("reduce", help="run the reduction chain and write artifacts")

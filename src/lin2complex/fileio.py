@@ -220,10 +220,9 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
 
 
 def read_boundary_problem(src) -> BoundaryProblem:
-    """Inverse of ``write_boundary_problem`` (``path_weights`` is not written
-    and reads back as None; the tubes are rebuilt from the complex and the
-    difference-average system); rejects a weight or demand vector whose
-    length differs from the row count of d2, naming the file."""
+    """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
+    complex and the difference-average system); rejects a weight or demand
+    vector whose length differs from the row count of d2, naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -248,9 +247,9 @@ def read_boundary_problem(src) -> BoundaryProblem:
 ORIGINAL_FILES = ("original_A.mtx", "original_b.vec")
 
 
-def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
+def write_chain(out_dir, chain: ChainArtifacts) -> None:
     """Write the original system, the boundary problem and ``manifest.json``,
-    which records the file names, the accuracy targets, alpha and ``seed``.
+    which records the file names, the accuracy targets and alpha.
     The stages in between are not written: ``read_chain`` re-derives them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,7 +258,7 @@ def write_chain(out_dir, chain: ChainArtifacts, seed: int = 0) -> None:
     write_vector(out_dir / b_name, chain.original.b)
     write_boundary_problem(out_dir, chain.problem)
     write_json(out_dir / "manifest.json", {
-        "seed": seed, "eps": chain.eps,
+        "eps": chain.eps,
         "files": {"original": list(ORIGINAL_FILES), "b2": BOUNDARY_FILES},
         "eps_da_theory": chain.eps_da_theory, "eps_b2_theory": chain.eps_b2_theory,
         "alpha": chain.alpha,

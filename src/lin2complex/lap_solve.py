@@ -6,7 +6,7 @@ d2 d2^T x = d) through f = d2^T x lands near the projection of d onto the
 image of d2.  The inner accuracy eps_inner is derived from sparse spectral
 data, the same at every size: the integer bound ||d2||_1 ||d2||_inf on
 sigma_max(d2)^2 and the operator's smallest nonzero eigenvalue from
-shift-invert Lanczos (``sparse_core.gram_low_eigenvalues``).  The inner solve
+shift-invert Lanczos (``sparse_core.gram_spectrum``).  The inner solve
 is one sparse LU of the column-equilibrated operator's augmented system,
 refined once (``sparse_core.lu_solve``).  The route is judged by the bound
 that solve proves on its own error: with ``P`` the projection onto the
@@ -25,13 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex2 import Complex2, boundary1, boundary2, laplacian1
-from .sparse_core import (
-    SparseMatrix,
-    gram_low_eigenvalues,
-    lu_solve,
-    norm_product,
-    zero_eigenvalue_count,
-)
+from .sparse_core import SparseMatrix, gram_spectrum, lu_solve, norm_product
 
 ROUTE_LAPLACIAN = "laplacian"
 ROUTE_GRAM = "gram"
@@ -66,22 +60,6 @@ class BoundaryRouteReport:
     ok: bool
 
 
-def _gram_lambda_min(M: SparseMatrix) -> float:
-    """Smallest nonzero eigenvalue of ``M^T M``: Lanczos for the k smallest,
-    k doubling from 4 until a nonzero one shows.  Raises ``ValueError`` when
-    all ``n_cols - 1`` that Lanczos can return are zero."""
-    k = 4
-    while True:
-        eig = gram_low_eigenvalues(M, k)
-        nullity = zero_eigenvalue_count(eig)
-        if nullity < eig.size:
-            return float(eig[nullity])
-        if eig.size >= M.n_cols - 1:
-            raise ValueError(f"all {eig.size} computed eigenvalues of the "
-                             "Gram matrix are zero; no nonzero eigenvalue")
-        k *= 2
-
-
 def _l0_lambda_min(K: Complex2) -> float:
     """Smallest nonzero eigenvalue of ``L0 = d1 d1^T``, the 1-skeleton's
     graph Laplacian, whose nullity is its component count c."""
@@ -92,7 +70,8 @@ def _l0_lambda_min(K: Complex2) -> float:
     graph = sp.csr_matrix((np.ones(len(edge)), (edge[:, 0], edge[:, 1])),
                           shape=(K.n_vertices, K.n_vertices))
     c, _ = connected_components(graph, directed=False)
-    return float(gram_low_eigenvalues(boundary1(K).T, c + 1)[c])
+    eig, nullity = gram_spectrum(boundary1(K).T, c + 1)
+    return float(eig[nullity])
 
 
 def _solve_route(K: Complex2, d, delta: float, route: str):
@@ -115,7 +94,8 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
 
     # d2 d2^T and d2^T d2 share their nonzero spectrum; since d1 d2 = 0 that
     # of L1 is the union of it and L0's
-    lam_min = _gram_lambda_min(d2)
+    eig, nullity = gram_spectrum(d2, 4)
+    lam_min = float(eig[nullity])
     if route == ROUTE_LAPLACIAN:
         lam_min = min(lam_min, _l0_lambda_min(K))
     eps = delta * math.sqrt(lam_min) / (norm_product(d2) * d_norm)

@@ -99,10 +99,6 @@ class BarrierState:
 
     f: np.ndarray
     alpha: float = 0.0
-    step_log: list[StepRecord] = field(default_factory=list)
-
-    def copy(self) -> "BarrierState":
-        return BarrierState(self.f.copy(), self.alpha, list(self.step_log))
 
 
 def initial_state(net: FlowNetwork2) -> BarrierState:
@@ -182,10 +178,7 @@ def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,
     for _ in range(max_retries):
         f_new = state.f + (base + (inc * net.f_star) * unit)
         if _strictly_interior(net, f_new):
-            new = state.copy()
-            new.f = f_new
-            new.alpha = state.alpha + inc
-            return new
+            return BarrierState(f_new, state.alpha + inc)
         inc *= 0.5
     raise StepRejectedError("progress step rejected after exhausting retries")
 
@@ -200,12 +193,9 @@ def centering_step(net: FlowNetwork2, state: BarrierState) -> BarrierState:
     for _ in range(40):
         f_new = state.f + eta * delta
         if _strictly_interior(net, f_new) and barrier_value(net, f_new) <= v0 + 1e-12:
-            new = state.copy()
-            new.f = f_new
-            return new
+            return BarrierState(f_new, state.alpha)
         eta *= 0.5
-    new = state.copy()
-    return new
+    return BarrierState(state.f.copy(), state.alpha)
 
 
 @dataclass(frozen=True)
@@ -216,11 +206,13 @@ class IPMResult:
 
 
 def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
-    """Alternate progress and centering steps; returns the best state reached.
+    """Alternate progress and centering steps; returns the last state and
+    the log of every half-step.
 
     Each step requests a fixed fraction 1/(20 sqrt(t)) of the demand,
     clipped so alpha stays below 1, and the run stops once alpha reaches
-    ``IPM_TARGET``.
+    ``IPM_TARGET``.  A progress step that returns always increases alpha,
+    so the last state is also the one with the largest alpha.
     """
     net.validate()
     if net.f_star is None:
@@ -229,7 +221,13 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     d2 = net.d2().to_csr()
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
     state = initial_state(net)
-    best = state.copy()
+    log = []
+
+    def record(step: int, kind: str, halvings: int) -> None:
+        res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
+        log.append(StepRecord(step, kind, state.alpha, barrier_value(net, state.f),
+                              res / gnorm if gnorm else res, halvings))
+
     for step in range(steps):
         if float(np.linalg.norm(net.gamma)) == 0.0:
             break
@@ -240,20 +238,12 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
         state = progress_step(net, state, inc)
         halvings = int(round(math.log2(inc / (state.alpha - before)))) \
             if state.alpha > before else 0
-        res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
-        state.step_log.append(StepRecord(step, "progress", state.alpha,
-                                         barrier_value(net, state.f),
-                                         res / gnorm if gnorm else res, halvings))
+        record(step, "progress", halvings)
         state = centering_step(net, state)
-        res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
-        state.step_log.append(StepRecord(step, "centering", state.alpha,
-                                         barrier_value(net, state.f),
-                                         res / gnorm if gnorm else res, 0))
-        if state.alpha > best.alpha:
-            best = state.copy()
+        record(step, "centering", 0)
         if state.alpha >= IPM_TARGET:
             break
-    return IPMResult(best.f, best.alpha, tuple(best.step_log))
+    return IPMResult(state.f, state.alpha, tuple(log))
 
 
 def _dual_bound(net: FlowNetwork2, f):

@@ -10,9 +10,10 @@ refined once, then column-equilibrated LSQR rounds) are judged by their
 projected residual against P b, the projection of b onto the column space
 from one tight LSQR solve (``certify_rounds``); and the sparse spectral
 data that the spectral certificate and the ``lap_solve`` routes read: the
-integer norm bound on the largest eigenvalue and the shift-invert Lanczos
-eigenvalues of an integer Gram matrix.  ``spectral_summary`` is the dense
-reference for small matrices.
+integer norm bound on the largest eigenvalue, and the low spectrum and
+nullity of an exact integer Gram matrix from shift-invert Lanczos
+(``gram_spectrum``, the one place that decides which eigenvalues are
+zero).  ``spectral_summary`` is the dense reference for small matrices.
 """
 
 from __future__ import annotations
@@ -158,16 +159,6 @@ class SparseMatrix:
             and bool(np.array_equal(self.cols, other.cols))
             and bool(np.array_equal(self.vals, other.vals))
         )
-
-
-@dataclass(frozen=True)
-class LeastSquaresResult:
-    x: np.ndarray
-    residual_norm: float
-    projected_residual_norm: float
-    projected_rhs_norm: float
-    iterations: int
-    converged: bool
 
 
 def _lsqr_once(csr, b, tol, iter_lim):
@@ -396,23 +387,20 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
     return best._replace(iterations=iterations)
 
 
-def least_squares(A: SparseMatrix, b, rel_tol: float) -> LeastSquaresResult:
+def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
     """Approximately minimize ||Ax - b||_2, certified.
 
     Draws candidates from ``solve_rounds`` and judges them on ``A`` with
-    ``certify_rounds``: ``converged`` means ||Ax - P b|| <= rel_tol ||P b||.
-    ``iterations`` counts the LSQR iterations of every fallback round run
-    (0 when the LU round certifies).
+    ``certify_rounds``, whose ``Verdict`` it returns: ``converged`` means
+    ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the LSQR
+    iterations of every fallback round run (0 when the LU round certifies).
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
-    v = certify_rounds(solve_rounds(A, b, rel_tol), A, b, rel_tol)
-    residual = float(np.linalg.norm(A.matvec(v.x) - b))
-    return LeastSquaresResult(v.x, residual, v.projected_residual,
-                              v.projected_rhs_norm, v.iterations, v.converged)
+    return certify_rounds(solve_rounds(A, b, rel_tol), A, b, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -466,12 +454,6 @@ GRAM_SHIFT = 1e-8
 ZERO_EIGENVALUE = 1e-14
 
 
-def zero_eigenvalue_count(eig: np.ndarray) -> int:
-    """How many of the ascending Gram eigenvalues ``eig`` are zero; they
-    come first, so ``eig[count]`` is the smallest nonzero one."""
-    return int(np.count_nonzero(np.abs(eig) <= ZERO_EIGENVALUE))
-
-
 def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
     """The ``k`` smallest eigenvalues of ``G = M^T M``, ascending (at most
     ``n_cols - 1`` of them).
@@ -493,3 +475,24 @@ def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
     vals = spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
                       OPinv=inverse, v0=v0, return_eigenvectors=False)
     return np.sort(vals)
+
+
+def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
+    """The low spectrum of ``G = M^T M`` and its nullity: (eig, nullity).
+
+    ``eig`` holds the ``k`` smallest eigenvalues, ascending, from
+    ``gram_low_eigenvalues``, with ``k`` doubled until a nonzero one shows;
+    the first ``nullity`` are zero (``|lambda| <= ZERO_EIGENVALUE``), so
+    ``eig[nullity]`` is the smallest nonzero eigenvalue.  Raises
+    ``ValueError`` when all ``n_cols - 1`` eigenvalues that Lanczos can
+    return are zero, and as ``gram_low_eigenvalues`` does.
+    """
+    while True:
+        eig = gram_low_eigenvalues(M, k)
+        nullity = int(np.count_nonzero(np.abs(eig) <= ZERO_EIGENVALUE))
+        if nullity < eig.size:
+            return eig, nullity
+        if eig.size >= M.n_cols - 1:
+            raise ValueError(f"all {eig.size} computed eigenvalues of the "
+                             "Gram matrix are zero; no nonzero eigenvalue")
+        k *= 2

@@ -488,6 +488,20 @@ def test_spectral_certificate_fails_on_nullity_mismatch():
     assert (report["nullity"].value, report["nullity"].bound) == (2.0, 1.0)
 
 
+def test_spectral_certificate_reports_a_nullity_beyond_k():
+    # five disjoint difference rows (nullity 5) against a difference chain
+    # (nullity 1): Lanczos is first asked for k = 4 eigenvalues, all zero,
+    # and the reported nullity is the exact 5, not the lower bound 4
+    disjoint = plain_da_system(10, [difference_row(2 * i, 2 * i + 1) for i in range(5)])
+    chain = plain_da_system(10, [difference_row(i, i + 1) for i in range(9)])
+    P = dataclasses.replace(reduce_da_to_b2(disjoint, np.arange(5.0)), da=chain)
+    report = spectral_certificate(P)
+    assert not report.ok and not report["nullity"].ok
+    assert (report["nullity"].value, report["nullity"].bound) == (5.0, 1.0)
+    assert report["lambda_min"].value > 0.0
+    assert "smallest nonzero" in report["nullity"].note
+
+
 def test_spectral_certificate_at_ladder_scale():
     problem = reduce_chain(three_per_row_system(120, 40), 1e-3).problem
     assert problem.n_triangles > 20_000
@@ -510,12 +524,12 @@ def test_spectral_certificate_lanczos_failure_is_a_failed_check(monkeypatch):
     assert "no convergence" in report["nullity"].note
 
 
-def test_low_spectrum_counts_negative_rounding_zeros(monkeypatch):
+def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
     # at the Lanczos shift the zero eigenvalues come out slightly negative
-    monkeypatch.setattr(b2_reduce, "gram_low_eigenvalues",
+    monkeypatch.setattr(sparse_core, "gram_low_eigenvalues",
                         lambda M, k: np.array([-9e-17, -2e-17, 1e-9]))
-    nullity, lam_min, _ = b2_reduce._low_spectrum(SparseMatrix.identity(4), 3)
-    assert (nullity, lam_min) == (2, 1e-9)
+    eig, nullity = sparse_core.gram_spectrum(SparseMatrix.identity(4), 3)
+    assert (nullity, eig[nullity]) == (2, 1e-9)
 
 
 def test_derived_fields_match_the_construction():

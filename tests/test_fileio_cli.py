@@ -92,7 +92,6 @@ def test_boundary_problem_round_trip(tmp_path):
         assert np.array_equal(getattr(Q, name), getattr(P, name)), name
     assert np.array_equal(Q.central, P.central) and Q.da == P.da
     assert all(np.array_equal(a, b) for a, b in zip(Q.tubes, P.tubes))
-    assert Q.path_weights is None
 
 
 def _write_general(tmp_path, rng_seed=0):
@@ -318,6 +317,10 @@ def test_cli_solve_direct(tmp_path):
     assert rc == 0
     x = fileio.read_vector(tmp_path / "x.vec")
     assert np.allclose(x, [1.0, 2.0], atol=1e-6)
+    report = fileio.read_json(tmp_path / "solve_report.json")
+    assert set(report) == {"route", "converged", "residual_norm", "projected_residual",
+                           "projected_rhs_norm", "iterations"}
+    assert report["residual_norm"] == float(np.linalg.norm(A @ x - b))
 
 
 @pytest.mark.parametrize("route", ["laplacian", "gram"])

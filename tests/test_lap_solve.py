@@ -112,8 +112,8 @@ def test_inner_accuracy_formula():
 
         lam = np.linalg.eigvalsh(laplacian1(K).to_dense())
         lam_min = min(x for x in lam if x > 1e-9)
-        sparse_lam_min = min(lap_solve._gram_lambda_min(boundary2(K)),
-                             lap_solve._l0_lambda_min(K))
+        eig, nullity = sparse_core.gram_spectrum(boundary2(K), 4)
+        sparse_lam_min = min(eig[nullity], lap_solve._l0_lambda_min(K))
         assert sparse_lam_min == pytest.approx(lam_min, rel=1e-9)
         norm_bound = np.abs(d2).sum(axis=0).max() * np.abs(d2).sum(axis=1).max()
         # the integer bound is exact; the dense value carries rounding
@@ -122,16 +122,18 @@ def test_inner_accuracy_formula():
         assert report.eps_inner == pytest.approx(min(expected, 0.5), rel=1e-9)
 
 
-def test_gram_lambda_min_doubles_past_the_nullity():
+def test_gram_spectrum_doubles_past_the_nullity():
     # five disjoint difference rows: d2 has nullity 5, more zeros than the
     # first 4 eigenvalues Lanczos is asked for
     sys = plain_da_system(10, [difference_row(2 * i, 2 * i + 1) for i in range(5)])
     d2 = boundary2(reduce_da_to_b2(sys, np.arange(5.0)).K)
     lam = np.linalg.eigvalsh(d2.to_dense().T @ d2.to_dense())
     assert np.count_nonzero(lam < 1e-9) == 5
-    assert lap_solve._gram_lambda_min(d2) == pytest.approx(lam[5], rel=1e-8)
+    eig, nullity = sparse_core.gram_spectrum(d2, 4)
+    assert nullity == 5
+    assert eig[nullity] == pytest.approx(lam[5], rel=1e-8)
     with pytest.raises(ValueError, match="no nonzero eigenvalue"):
-        lap_solve._gram_lambda_min(SparseMatrix.from_entries(3, 5, []))
+        sparse_core.gram_spectrum(SparseMatrix.from_entries(3, 5, []), 4)
 
 
 @pytest.mark.parametrize("solver", ROUTES)

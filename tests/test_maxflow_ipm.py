@@ -112,7 +112,7 @@ def test_centering_preserves_demand_and_barrier():
         bump = rng.normal(scale=0.02, size=state.f.size)
         trial = state.f + bump - d2.T @ np.linalg.lstsq(d2.T, bump, rcond=None)[0]
         if np.all(np.abs(trial) < net.capacities * 0.98):
-            state = BarrierState(trial, state.alpha, state.step_log)
+            state = BarrierState(trial, state.alpha)
 
 
 def test_run_ipm_single_tube_reaches_optimum():

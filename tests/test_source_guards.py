@@ -17,3 +17,20 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_only_sparse_core_decides_which_eigenvalues_are_zero():
+    # every Gram spectrum goes through sparse_core.gram_spectrum, so the
+    # zero test lives in one module
+    hidden = {"gram_low_eigenvalues", "ZERO_EIGENVALUE"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "sparse_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {node.name} if isinstance(node, ast.alias) else set())
+            found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+                      for name in names & hidden]
+    assert not found, f"only sparse_core may name these: {found}"
