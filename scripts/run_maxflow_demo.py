@@ -24,7 +24,9 @@ from lin2complex.maxflow_ipm import FlowNetwork2, f_star_bracket, run_ipm
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--steps", type=int, default=300)
+    ap.add_argument("--steps", type=int, default=300,
+                    help="the most progress steps run_ipm takes; it stops once "
+                         "alpha reaches 0.995")
     ap.add_argument("--capacity", type=float, default=1.0)
     ap.add_argument("--average", action="store_true",
                     help="use x0 + x1 - 2 x2 = 0 with a side difference equation")

@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("maxflow-demo", help="interior-point maxflow demo")
     pm.add_argument("--network", required=True)
-    pm.add_argument("--steps", type=int, default=500)
+    pm.add_argument("--steps", type=int, default=500,
+                    help="the most progress steps; the run stops once alpha reaches 0.995")
     pm.add_argument("--trace", default=None)
     pm.set_defaults(func=cmd_maxflow_demo)
     return p

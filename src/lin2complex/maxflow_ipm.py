@@ -2,12 +2,13 @@
 
 The LP maximizes F subject to d2 f = F gamma and -c <= f <= c.  ``run_ipm``
 alternates progress steps (Newton steps that also raise the routed fraction
-by alpha') with centering steps; ``f_star_bracket`` follows one barrier path
-in (f, F) to a certified bracket on the optimum.  A Newton step applies the
-pseudo-inverse of d2 H^-1 d2^T through one sparse LU of the quasi-definite
-KKT matrix (``sparse_core.AugmentedSystem``, whose pattern each network
-builds once) and one refinement step; it is linear in the demand increment,
-so one factorization gives the barrier part and the demand direction.
+by alpha', doubled after every step that did not halve it) with centering
+steps; ``f_star_bracket`` follows one barrier path in (f, F) to a certified
+bracket on the optimum.  A Newton step applies the pseudo-inverse of
+d2 H^-1 d2^T through one sparse LU of the quasi-definite KKT matrix
+(``sparse_core.AugmentedSystem``, whose pattern each network builds once)
+and one refinement step; it is linear in the demand increment, so one
+factorization gives the barrier part and the demand direction.
 """
 
 from __future__ import annotations
@@ -206,13 +207,17 @@ class IPMResult:
 
 
 def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
-    """Alternate progress and centering steps; returns the last state and
-    the log of every half-step.
+    """Alternate at most ``steps`` progress and centering steps; returns the
+    last state and the log of every half-step.
 
-    Each step requests a fixed fraction 1/(20 sqrt(t)) of the demand,
-    clipped so alpha stays below 1, and the run stops once alpha reaches
-    ``IPM_TARGET``.  A progress step that returns always increases alpha,
-    so the last state is also the one with the largest alpha.
+    Long steps (Wright, Primal-Dual Interior-Point Methods, 1997): the first
+    progress step requests ``base = 1/(20 sqrt(t))`` of the demand.  After a
+    step that was not halved the next request is twice the increment it
+    achieved, after a halved one the increment it achieved.  No request
+    falls below ``base`` or exceeds ``(1 - alpha)/2``, so alpha stays below
+    1, and the run stops once alpha reaches ``IPM_TARGET``.  A progress step
+    that returns always increases alpha, so the last state is also the one
+    with the largest alpha.
     """
     net.validate()
     if net.f_star is None:
@@ -222,22 +227,22 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
     state = initial_state(net)
     log = []
+    if float(np.linalg.norm(net.gamma)) == 0.0:
+        return IPMResult(state.f, state.alpha, ())
 
     def record(step: int, kind: str, halvings: int) -> None:
         res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))
         log.append(StepRecord(step, kind, state.alpha, barrier_value(net, state.f),
                               res / gnorm if gnorm else res, halvings))
 
+    request = base
     for step in range(steps):
-        if float(np.linalg.norm(net.gamma)) == 0.0:
-            break
-        inc = min(base, (1.0 - state.alpha) * 0.5)
-        if inc <= 0.0:
-            break
+        inc = min(max(request, base), (1.0 - state.alpha) * 0.5)
         before = state.alpha
         state = progress_step(net, state, inc)
-        halvings = int(round(math.log2(inc / (state.alpha - before)))) \
-            if state.alpha > before else 0
+        achieved = state.alpha - before
+        halvings = int(round(math.log2(inc / achieved))) if achieved > 0.0 else 0
+        request = achieved if halvings else 2.0 * achieved
         record(step, "progress", halvings)
         state = centering_step(net, state)
         record(step, "centering", 0)

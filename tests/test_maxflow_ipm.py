@@ -13,6 +13,7 @@ from lin2complex import maxflow_ipm, sparse_core
 from lin2complex.b2_reduce import reduce_da_to_b2
 from lin2complex.da_reduce import average_row, difference_row, plain_da_system
 from lin2complex.maxflow_ipm import (
+    IPM_TARGET,
     BarrierState,
     FlowNetwork2,
     NetworkError,
@@ -200,8 +201,8 @@ def _lp_max_flow(net: FlowNetwork2) -> float:
 
 
 @pytest.mark.parametrize("average,f_star,alpha,n_log", [
-    (False, 1.9999999999644766, 0.9969379416225436, 152),
-    (True, 1.999999999977745, 0.9966500088219177, 294),
+    (False, 1.9999999999644766, 0.9954238666012832, 24),
+    (True, 1.999999999977745, 0.9955364117577113, 26),
 ], ids=["difference", "average"])
 def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
     # pins the whole path, not just the end state: the bisection outcome
@@ -330,6 +331,53 @@ def test_f_star_bracket_holds_the_lp_optimum_on_planted_networks(net):
     assert dual == pytest.approx(upper, rel=1e-12)
     assert dual >= optimum
     assert lower <= upper
+
+
+@pytest.mark.parametrize("net", list(_planted_networks()))
+def test_run_ipm_takes_long_steps_on_planted_networks(net):
+    net.f_star = estimate_f_star(net)
+    result = run_ipm(net, 300)
+    assert result.alpha >= IPM_TARGET
+    assert sum(rec.kind == "progress" for rec in result.log) <= 20
+    assert np.all(np.abs(result.f) < net.capacities)
+    demand = net.f_star * net.gamma
+    assert np.linalg.norm(net.d2().to_dense() @ result.f - result.alpha * demand) \
+        <= 1e-9 * np.linalg.norm(demand)
+
+
+@pytest.mark.parametrize("above_optimum", [False, True], ids=["planted", "above-optimum"])
+def test_run_ipm_doubles_the_request_only_after_an_unhalved_step(above_optimum, monkeypatch):
+    # the fourth planted network halves one step on its way to the target;
+    # with f* above the optimum the steps near alpha = 2 / 2.2 halve
+    if above_optimum:
+        net = _demo_network(average=False)
+        net.f_star = 2.2
+    else:
+        net = list(_planted_networks())[3]
+        net.f_star = estimate_f_star(net)
+    calls = []
+
+    def recorded(network, state, alpha_prime, max_retries=40):
+        result = progress_step(network, state, alpha_prime, max_retries)
+        calls.append((state.alpha, alpha_prime, result.alpha - state.alpha))
+        return result
+
+    monkeypatch.setattr(maxflow_ipm, "progress_step", recorded)
+    run_ipm(net, 40)
+    base = 1.0 / (20.0 * math.sqrt(net.d2().n_cols))
+    doubled = halved = 0
+    for (_, request, achieved), (alpha, following, _) in zip(calls, calls[1:]):
+        cap = (1.0 - alpha) / 2.0
+        if achieved > 0.75 * request:  # (alpha + request) - alpha may round
+            assert following == pytest.approx(min(2.0 * achieved, cap), rel=1e-12)
+            doubled += following > request
+        else:
+            assert following <= max(achieved, base)
+            halved += 1
+    for alpha, request, _ in calls:
+        assert request <= (1.0 - alpha) / 2.0
+        assert request >= base or request == (1.0 - alpha) / 2.0
+    assert doubled and halved
 
 
 def test_demo_network_bracket_closes():
