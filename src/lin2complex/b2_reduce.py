@@ -33,7 +33,7 @@ from .complex2 import (
     triangle_adjacency,
     tube_cells,
 )
-from .da_reduce import KIND_AVERAGE, KIND_DIFFERENCE, WeightedDASystem
+from .da_reduce import WeightedDASystem
 from .sparse_core import (
     DimensionError,
     SparseMatrix,
@@ -127,14 +127,14 @@ class BoundaryProblem:
 
 def _attachments(sys: WeightedDASystem) -> np.ndarray:
     """Tube attachments (var, q, copy, sign), one row each, grouped by
-    variable and in equation order within a variable."""
-    rows = []
-    for q, row in enumerate(sys.rows):
-        if row.kind == KIND_DIFFERENCE:
-            rows += [(row.i, q, 1, 1), (row.j, q, 1, -1)]
-        else:
-            rows += [(row.i, q, 1, 1), (row.j, q, 1, 1), (row.k, q, 1, -1), (row.k, q, 2, -1)]
-    attach = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    variable and in equation order within a variable: i and j of a
+    difference row with signs +1 and -1; i and j of an average row with +1,
+    then two copies of its k with -1."""
+    d = sys.n_rows
+    sign = np.where(sys.average[:, None], (1, 1, -1, -1), (1, -1, 0, 0))
+    used = sign != 0
+    attach = np.stack([sys.var[:, [0, 1, 2, 2]][used], np.nonzero(used)[0],
+                       np.broadcast_to((1, 1, 1, 2), (d, 4))[used], sign[used]], axis=1)
     return attach[np.argsort(attach[:, 0], kind="stable")]
 
 
@@ -153,13 +153,6 @@ def _tube_template(sign: int):
     return arrays
 
 
-def _sphere_template(n_holes: int):
-    """(n_vertices, triangles, hole cycles, edges sorted by endpoints) of one sphere."""
-    n_local, tris, holes = sphere_cells(n_holes)
-    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
-    return n_local, np.array(tris), np.array(holes), np.unique(sides, axis=0)
-
-
 def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     """Sphere and tube rows regrouped variable by variable, each variable's
     sphere rows first; returns the rows, their variables and the new
@@ -171,16 +164,18 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
 
 
-def tube_refs(sys: WeightedDASystem, K: Complex2) -> Tubes:
+def tube_refs(sys: WeightedDASystem, K: Complex2, attach: np.ndarray | None = None) -> Tubes:
     """The tubes of the complex that ``build_boundary_problem`` makes from ``sys``.
 
     A variable with h attachments owns 11h - 4 consecutive triangles: its
-    sphere of 5h - 4, then six per tube in the order of its attachments.
-    The template of each tube's sign names the triangle carrying each loop
-    slot.  Raises ``ComplexStructureError`` when the group sizes, central
-    triangles or loops of ``K`` do not fit ``sys``.
+    sphere of 5h - 4, then six per tube in the order of its attachments
+    (``attach``, computed from ``sys`` when not given).  The template of
+    each tube's sign names the triangle carrying each loop slot.  Raises
+    ``ComplexStructureError`` when the group sizes, central triangles or
+    loops of ``K`` do not fit ``sys``.
     """
-    attach = _attachments(sys)
+    if attach is None:
+        attach = _attachments(sys)
     var, _, _, sign = attach.T
     n_attach = np.bincount(var, minlength=sys.n_vars)
     sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
@@ -209,41 +204,45 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     Cells are laid out as the three loop edges of every equation, then per
     variable its sphere (triangles, then edges sorted by endpoints) followed
     by one tube per attachment (six triangles, six connecting edges sorted
-    by endpoints).  Spheres and tubes are fixed templates shifted by array
-    offsets, one template per hole count and per tube sign.
+    by endpoints).  Everything is built in whole-array passes over the
+    system's columns: one ``sphere_cells`` call lays out every variable's
+    sphere and holes in closed form, one sort of the sphere sides gives
+    their sorted edges, and each tube is one of two fixed templates (by
+    sign) indexed by its corners.
     """
     d = sys.n_rows
     if b is None:
-        b_norm = np.array([row.rhs for row in sys.rows], dtype=np.float64)
+        b_norm = sys.rhs.copy()
     else:
         b_norm = np.asarray(b, dtype=np.float64).ravel()
         if b_norm.size != d:
             raise DimensionError(f"expected {d} right-hand sides, got {b_norm.size}")
-    for q, row in enumerate(sys.rows):
-        if row.kind == KIND_AVERAGE and b_norm[q] != 0.0:
-            raise ReductionError(f"average equation {q} has nonzero right-hand side")
+    q_bad = np.flatnonzero(sys.average & (b_norm != 0.0))
+    if q_bad.size:
+        raise ReductionError(f"average equation {q_bad[0]} has nonzero right-hand side")
 
     attach = _attachments(sys)
     holes_of = np.bincount(attach[:, 0], minlength=sys.n_vars)
     if not holes_of.all():
         raise ReductionError(f"variable {int(np.argmin(holes_of))} appears in no equation")
-    spheres = {h: _sphere_template(h) for h in set(holes_of.tolist())}
-    cells = [spheres[h] for h in holes_of.tolist()]
-    n_local = np.array([c[0] for c in cells], dtype=np.int64)
-    n_tri = np.array([len(c[1]) for c in cells], dtype=np.int64)
-    n_edge = np.array([len(c[3]) for c in cells], dtype=np.int64)
+    n_sphere_vertices, sphere_tri, holes = sphere_cells(holes_of)
+    n_vert = 3 * d + n_sphere_vertices
+    sphere_tri, holes = sphere_tri + 3 * d, holes + 3 * d
+    u, v = sphere_tri, np.roll(sphere_tri, -1, axis=1)
+    # the spheres own disjoint ascending vertex ranges, so one sort of the
+    # side keys lists every sphere's edges sorted, sphere after sphere (a
+    # sort, not np.unique, whose hash table is several times slower here)
+    keys = np.sort((np.minimum(u, v) * n_vert + np.maximum(u, v)).ravel())
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    sphere_edge = np.stack(np.divmod(keys, n_vert), axis=1)
 
     # linear-work guard: cell creation must stay proportional to nnz
-    nnz_pattern = sum(len(r.pattern_entries()) for r in sys.rows)
-    ops = 6 * d + int(np.sum(n_local + n_edge + n_tri + 12 * holes_of))
-    if ops > 80 * max(nnz_pattern, 1) + 48:
+    ops = 6 * d + n_sphere_vertices + len(sphere_edge) + len(sphere_tri) + 12 * len(attach)
+    if ops > 80 * max(sys.pattern_nnz, 1) + 48:
         raise ReductionError("construction exceeded the linear budget")
 
-    n_vert = 3 * d + int(n_local.sum())
-    vert0 = 3 * d + np.cumsum(n_local) - n_local
     loop_vertices = np.arange(3 * d).reshape(d, 3)
     var, q, _, sign = attach.T
-    holes = np.concatenate([c[2] for c in cells]) + np.repeat(vert0, holes_of)[:, None]
     corners = np.concatenate([holes, loop_vertices[q]], axis=1)
     (tris_p, conn_p, _), (tris_n, conn_n, _) = _tube_template(1), _tube_template(-1)
     positive = (sign > 0)[:, None, None]
@@ -251,14 +250,14 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     order = np.argsort(ends[:, :, 0] * n_vert + ends[:, :, 1], axis=1)
     tube_edges = np.take_along_axis(ends, order[:, :, None], axis=1)
 
+    n_tri = 5 * holes_of - 4
     tri, tri_group, at = _by_variable(
-        np.concatenate([c[1] for c in cells]) + np.repeat(vert0, n_tri)[:, None],
-        np.repeat(np.arange(sys.n_vars), n_tri),
+        sphere_tri, np.repeat(np.arange(sys.n_vars), n_tri),
         np.where(positive, corners[:, tris_p], corners[:, tris_n]).reshape(-1, 3),
         np.repeat(var, 6))
     edge, _, _ = _by_variable(
-        np.concatenate([c[3] for c in cells]) + np.repeat(vert0, n_edge)[:, None],
-        np.repeat(np.arange(sys.n_vars), n_edge), tube_edges.reshape(-1, 2), np.repeat(var, 6))
+        sphere_edge, np.repeat(np.arange(sys.n_vars), 9 * holes_of - 6),
+        tube_edges.reshape(-1, 2), np.repeat(var, 6))
     central = at[np.cumsum(n_tri) - n_tri]
 
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
@@ -269,12 +268,11 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     )
     d2 = boundary2(K)
 
-    loop_weight = np.array([row.weight * row.scale ** 2 for row in sys.rows],
-                           dtype=np.float64)
+    loop_weight = sys.weight * sys.scale ** 2
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
     weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(len(edge))])
     return BoundaryProblem(K=K, d2=d2, gamma=gamma, weights=weights,
-                           tubes=tube_refs(sys, K), da=sys)
+                           tubes=tube_refs(sys, K, attach), da=sys)
 
 
 def reduce_da_to_b2(sys: WeightedDASystem, b) -> BoundaryProblem:
@@ -294,8 +292,11 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     central = np.asarray(central, dtype=np.int64)
     if central.size != sys.n_vars:
         raise DimensionError("central triangle list does not match the variable count")
-    c = sys.row_factors() * np.asarray(b, dtype=np.float64).ravel()
-    atb = sys.as_matrix().T.matvec(c)
+    factors = sys.row_factors()
+    c = factors * np.asarray(b, dtype=np.float64).ravel()
+    # A^T c for A = diag(factors) P: scaling by the pattern's 1, -1 and -2
+    # is exact, so this is A^T c bit for bit
+    atb = sys.pattern_matrix().to_csr().T @ (factors * c)
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
     if np.all(np.abs(atb) <= 1e-12 * scale):
         return np.zeros(sys.n_vars)
@@ -432,10 +433,11 @@ def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,
         alpha = 2.0 / eps_da ** 2
     _, problem.weights = compute_edge_weights(problem, alpha)
 
-    pattern = problem.pattern_matrix()
+    # the pattern's largest entry is the -2 of an average row, or else 1
+    max_abs = 2.0 if sys.average.any() else float(sys.n_rows > 0)
     b_norm = float(np.linalg.norm(problem.equation_rhs))
     formula = eps_da / math.sqrt(
-        3.0 * (1.0 + b_norm ** 2 * pattern.nnz * pattern.max_abs() ** 2 / alpha))
+        3.0 * (1.0 + b_norm ** 2 * sys.pattern_nnz * max_abs ** 2 / alpha))
     eps_b2 = min(formula, eps_da / 10.0)
     return problem, eps_b2
 

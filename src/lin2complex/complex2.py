@@ -10,7 +10,6 @@ induce opposite signs on it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,30 +127,6 @@ def _boundary(K: Complex2, u: np.ndarray, eid: np.ndarray) -> SparseMatrix:
                                     sign.ravel())
 
 
-@functools.cache
-def sphere_cells(n_holes: int):
-    """Combinatorial cells of a sphere with ``n_holes`` 3-edge boundary cycles.
-
-    Iterative: start from one triangle (a disk), then repeatedly subdivide
-    the rightmost triangle by an inner triangular hole joined through six
-    connecting edges.  Returns (n_vertices, triangles, hole_cycles), cached
-    per hole count; every hole cycle is oriented the way the surrounding
-    triangles traverse it.
-    """
-    triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
-    holes: list[tuple[int, int, int]] = [(0, 1, 2)]
-    n_vertices = 3
-    host = 0
-    for _ in range(n_holes - 1):
-        a, b, c = triangles.pop(host)
-        p, q, r = n_vertices, n_vertices + 1, n_vertices + 2
-        n_vertices += 3
-        host = len(triangles)
-        triangles.extend(_annulus_cells((a, b, c), (p, q, r)))
-        holes.append((p, q, r))
-    return n_vertices, tuple(triangles), tuple(holes)
-
-
 def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
     """Six oriented triangles filling the annulus between two 3-cycles.
 
@@ -162,6 +137,45 @@ def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
     a, b, c = outer
     p, q, r = inner
     return [(a, b, p), (b, c, r), (c, a, q), (a, p, q), (p, b, r), (c, q, r)]
+
+
+# the cells of ``_annulus_cells`` as indices into the corner row (a, b, c, p, q, r)
+_ANNULUS = np.array(_annulus_cells((0, 1, 2), (3, 4, 5)))
+
+
+def sphere_cells(n_holes):
+    """Combinatorial cells of spheres with 3-edge boundary cycles, in closed form.
+
+    ``n_holes`` is one hole count or an array of them; the spheres follow
+    one another, sphere i on 3 h_i consecutive vertices.  A sphere with h
+    holes is the disk (0, 1, 2) with h - 1 annuli (``_annulus_cells``) cut
+    into it.  Annulus s has inner cycle (3s, 3s+1, 3s+2) and outer cycle
+    (0, 1, 2) for s = 1, and (0, 1, 3(s-1)) after that: the first triangle
+    of annulus s-1, which annulus s replaces.  So the sphere keeps annuli
+    1..h-2 without their first triangle, then the whole annulus h-1: 5h - 4
+    triangles.  Its hole cycles are (3i, 3i+1, 3i+2) for i < h, each
+    oriented the way the surrounding triangles traverse it.
+
+    Returns (n_vertices, triangles, hole_cycles), the last two int64 arrays
+    of 5h - 4 and h rows per sphere, sphere after sphere.
+    """
+    h = np.asarray(n_holes, dtype=np.int64).ravel()
+    if h.size and h.min() < 1:
+        raise ValueError("a sphere needs at least one hole")
+    n_tri = 5 * h - 4
+    owner = np.repeat(np.arange(h.size), n_tri)
+    hh = h[owner]
+    j = np.arange(owner.size) - (np.cumsum(n_tri) - n_tri)[owner]
+    last = j >= 5 * (hh - 2)
+    s = np.where(last, hh - 1, j // 5 + 1)
+    cell = np.where(last, j - 5 * (hh - 2), j % 5 + 1)
+    corners = np.stack([np.zeros_like(s), np.ones_like(s), np.where(s == 1, 2, 3 * (s - 1)),
+                        3 * s, 3 * s + 1, 3 * s + 2], axis=1)
+    tri = np.take_along_axis(corners, _ANNULUS[cell], axis=1)
+    tri[hh == 1] = (0, 1, 2)
+    tri += 3 * (np.cumsum(h) - h)[owner, None]
+    holes = 3 * np.arange(int(h.sum()))[:, None] + np.arange(3)
+    return 3 * int(h.sum()), tri, holes
 
 
 def tube_cells(hole_cycle: tuple[int, int, int], loop_cycle: tuple[int, int, int],
@@ -271,10 +285,12 @@ def boundary1(K: Complex2) -> SparseMatrix:
                                     np.repeat(np.arange(m), 2), np.tile([-1.0, 1.0], m))
 
 
-def laplacian1(K: Complex2) -> SparseMatrix:
-    """First combinatorial Laplacian d1^T d1 + d2 d2^T (symmetric PSD)."""
-    d1 = boundary1(K).to_int_csr()
-    d2 = boundary2(K).to_int_csr()
+def laplacian1(K: Complex2, d1: SparseMatrix | None = None,
+               d2: SparseMatrix | None = None) -> SparseMatrix:
+    """First combinatorial Laplacian d1^T d1 + d2 d2^T (symmetric PSD);
+    ``d1`` and ``d2``, when given, are ``boundary1(K)`` and ``boundary2(K)``."""
+    d1 = (boundary1(K) if d1 is None else d1).to_int_csr()
+    d2 = (boundary2(K) if d2 is None else d2).to_int_csr()
     return SparseMatrix.from_scipy(d1.T @ d1 + d2 @ d2.T)
 
 

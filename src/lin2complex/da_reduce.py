@@ -38,6 +38,14 @@ def _is_pow2(p: int) -> bool:
     return p >= 1 and (p & (p - 1)) == 0
 
 
+def _pow2_ceil(p: np.ndarray) -> np.ndarray:
+    """The least power of two at or above each p >= 1, exact for floats:
+    ``frexp`` splits p into m 2^e with m in [0.5, 1), and p is a power of
+    two exactly when m is 0.5."""
+    mant, exp = np.frexp(p)
+    return np.where(mant == 0.5, p, np.ldexp(1.0, exp))
+
+
 @dataclass(frozen=True)
 class GeneralSystem:
     """Integer system A x = b tagged with its position in the chain."""
@@ -52,6 +60,15 @@ class GeneralSystem:
             raise DimensionError("rhs length does not match the matrix")
 
     def validate_class(self) -> None:
+        """Raise ``MatrixClassError`` unless the system lies in its class.
+
+        Every class needs integer entries and right-hand side below 2^53, no
+        all-zero row or column, and row sums whose power-of-two padding stays
+        below 2^53; G_z adds zero row sums and G_z2 positive-entry row sums
+        that are powers of two.  Each check is one array pass (``bincount``
+        and ``frexp``); the float sums are exact because every partial sum
+        is an integer below 2^53.
+        """
         A = self.A
         if not A.integer_exact:
             raise MatrixClassError("entries must be integers")
@@ -66,28 +83,23 @@ class GeneralSystem:
         # power of two.  Float sums of nonnegative integers below 2^53 are
         # exact while below 2^53 and never fall back under it, so the
         # comparison with 2^52 is exact.
-        pos = np.bincount(A.rows, weights=np.maximum(A.vals, 0.0), minlength=A.n_rows)
+        pos = _positive_row_sums(A)
         neg = np.bincount(A.rows, weights=np.maximum(-A.vals, 0.0), minlength=A.n_rows)
         if np.any(np.maximum(pos, neg) > EXACT_LIMIT / 2):
             raise MatrixClassError(
                 "a row's positive-coefficient sum rounds up to a power of two "
                 "of at least 2^53, beyond the exact-integer range of float64")
-        row_nnz = np.zeros(A.n_rows, dtype=np.int64)
-        col_nnz = np.zeros(A.n_cols, dtype=np.int64)
-        np.add.at(row_nnz, A.rows, 1)
-        np.add.at(col_nnz, A.cols, 1)
+        row_nnz = np.bincount(A.rows, minlength=A.n_rows)
+        col_nnz = np.bincount(A.cols, minlength=A.n_cols)
         if np.any(row_nnz == 0) or np.any(col_nnz == 0):
             raise MatrixClassError("all-zero rows and columns are not allowed")
         if self.class_tag in (CLASS_GZ, CLASS_GZ2):
-            sums = np.zeros(A.n_rows)
-            np.add.at(sums, A.rows, A.vals)
-            if np.any(sums != 0.0):
+            if np.any(_row_sums(A) != 0.0):
                 raise MatrixClassError("row sums must be zero")
         if self.class_tag == CLASS_GZ2:
-            for p in _positive_row_sums(A):
-                if not _is_pow2(p):
-                    raise MatrixClassError(
-                        "positive entries of every row must sum to a power of 2")
+            if np.any((pos < 1.0) | (_pow2_ceil(pos) != pos)):
+                raise MatrixClassError(
+                    "positive entries of every row must sum to a power of 2")
 
     def row_dicts(self) -> list[dict[int, int]]:
         out: list[dict[int, int]] = [dict() for _ in range(self.A.n_rows)]
@@ -96,11 +108,14 @@ class GeneralSystem:
         return out
 
 
+def _row_sums(A: SparseMatrix) -> np.ndarray:
+    return np.bincount(A.rows, weights=A.vals, minlength=A.n_rows)
+
+
 def _positive_row_sums(A: SparseMatrix) -> np.ndarray:
-    sums = np.zeros(A.n_rows, dtype=np.int64)
-    pos = A.vals > 0
-    np.add.at(sums, A.rows[pos], A.vals[pos].astype(np.int64))
-    return sums
+    """Each row's sum of positive entries, in float64: exact while the sums
+    of the integer entries stay below 2^53, which ``validate_class`` checks."""
+    return np.bincount(A.rows, weights=np.maximum(A.vals, 0.0), minlength=A.n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +151,7 @@ def to_zero_rowsum(sys: GeneralSystem):
     """
     sys.validate_class()
     A, b = sys.A, sys.b
-    row_sums = np.zeros(A.n_rows)
-    np.add.at(row_sums, A.rows, A.vals)
+    row_sums = _row_sums(A)
     if np.all(row_sums == 0.0):
         return GeneralSystem(A, b, CLASS_GZ), DropTailBack(A.n_cols)
     nz = np.flatnonzero(row_sums)
@@ -164,7 +178,7 @@ def to_pow2(sys: GeneralSystem):
     p = _positive_row_sums(A)
     if np.any(p < 1):
         raise MatrixClassError("every nonzero zero-sum row has positive sum >= 1")
-    g = np.array([(1 << int(pi - 1).bit_length()) - int(pi) for pi in p], dtype=np.int64)
+    g = _pow2_ceil(p) - p
     n, d = A.n_cols, A.n_rows
     nz = np.flatnonzero(g)
     A2 = SparseMatrix.from_arrays(
@@ -228,49 +242,134 @@ def average_row(i: int, j: int, k: int,
     return DARow(KIND_AVERAGE, i, j, k, weight, 0.0, scale)
 
 
-@dataclass(frozen=True)
+# the pattern coefficients of a row's variables (i, j, k), by kind
+_DIFFERENCE_COEF = (1.0, -1.0, 0.0)
+_AVERAGE_COEF = (1.0, 1.0, -2.0)
+
+
 class WeightedDASystem:
-    """A difference-average system split into main and auxiliary rows."""
+    """A difference-average system split into main and auxiliary rows,
+    stored once, as columns.
 
-    n_vars: int
-    rows: tuple[DARow, ...]
-    n_main: int
-    n_aux: int
+    Row q is an average row where ``average[q]`` and a difference row
+    otherwise; ``var[q]`` holds its variables (i, j, k), with k = -1 for a
+    difference row, and ``weight``, ``rhs`` and ``scale`` are as in
+    ``DARow``.  The first ``n_main`` rows are the main rows, the other
+    ``n_aux`` the auxiliary ones.  The arrays are read-only.
 
-    def __post_init__(self):
-        if self.n_main + self.n_aux != len(self.rows):
+    ``WeightedDASystem(n_vars, rows, n_main, n_aux)`` takes ``DARow``
+    records and ``from_columns`` the arrays; both check every row and raise
+    ``ValueError`` naming the first bad one.  ``rows`` materializes the
+    records on every access, for inspection only.  Two systems are equal
+    when their sizes and columns are.
+    """
+
+    def __init__(self, n_vars: int, rows: Sequence[DARow], n_main: int, n_aux: int):
+        rows = tuple(rows)
+        self._store(n_vars, n_main, n_aux, [r.kind == KIND_AVERAGE for r in rows],
+                    [(r.i, r.j, -1 if r.k is None else r.k) for r in rows],
+                    [r.weight for r in rows], [r.rhs for r in rows], [r.scale for r in rows])
+
+    @classmethod
+    def from_columns(cls, n_vars: int, average, var, weight, rhs, scale,
+                     n_main: int, n_aux: int) -> "WeightedDASystem":
+        system = cls.__new__(cls)
+        system._store(n_vars, n_main, n_aux, average, var, weight, rhs, scale)
+        return system
+
+    def _store(self, n_vars, n_main, n_aux, average, var, weight, rhs, scale) -> None:
+        self.n_vars, self.n_main, self.n_aux = int(n_vars), int(n_main), int(n_aux)
+        # copies, so that freezing them leaves the caller's arrays alone
+        self.average = np.array(average, dtype=bool).ravel()
+        self.var = np.array(var, dtype=np.int64).reshape(-1, 3)
+        self.weight, self.rhs, self.scale = (np.array(a, dtype=np.float64).ravel()
+                                             for a in (weight, rhs, scale))
+        d = self.average.size
+        if any(len(a) != d for a in (self.var, self.weight, self.rhs, self.scale)):
+            raise ValueError("the row columns differ in length")
+        if self.n_main + self.n_aux != d:
             raise ValueError("row partition does not match the row list")
-        for row in self.rows:
-            vs = (row.i, row.j) if row.k is None else (row.i, row.j, row.k)
-            if not all(0 <= v < self.n_vars for v in vs):
-                raise ValueError("row references an unknown variable")
+        for a in (self.average, self.var, self.weight, self.rhs, self.scale):
+            a.setflags(write=False)
+        self._pattern = None
+        self._check_rows()
+
+    def _check_rows(self) -> None:
+        """Raise ``ValueError`` at the first row that ``DARow`` would refuse
+        or that names a variable outside ``range(n_vars)``."""
+        i, j, k = self.var.T
+        avg = self.average
+        unknown = (self.var < 0) | (self.var >= self.n_vars)
+        unknown[:, 2] &= avg
+        faults = np.array([
+            ~avg & ((k != -1) | (i == j)),
+            avg & ((i == j) | (j == k) | (i == k)),
+            avg & (self.rhs != 0.0),
+            ~((self.weight > 0.0) & (self.scale > 0.0)),
+            unknown.any(axis=1),
+        ]).reshape(5, -1)
+        messages = ("difference rows need two distinct variables",
+                    "average rows need three distinct variables",
+                    "average rows have zero right-hand side",
+                    "weight and scale must be positive",
+                    f"a variable id outside [0, {self.n_vars})")
+        bad = np.flatnonzero(faults.any(axis=0))
+        if bad.size:
+            q = int(bad[0])
+            raise ValueError(f"row {q}: {messages[int(np.argmax(faults[:, q]))]}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.average.size
+
+    @property
+    def pattern_nnz(self) -> int:
+        """The number of pattern entries: two a difference row, three an average row."""
+        return 2 * self.n_rows + int(np.count_nonzero(self.average))
+
+    @property
+    def rows(self) -> tuple[DARow, ...]:
+        """Per-row records, materialized on every access; for inspection only."""
+        return tuple(DARow(KIND_AVERAGE if a else KIND_DIFFERENCE, i, j, k if a else None,
+                           w, r, s)
+                     for a, (i, j, k), w, r, s in zip(
+                         self.average.tolist(), self.var.tolist(), self.weight.tolist(),
+                         self.rhs.tolist(), self.scale.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedDASystem):
+            return NotImplemented
+        return ((self.n_vars, self.n_main, self.n_aux) == (other.n_vars, other.n_main, other.n_aux)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("average", "var", "weight", "rhs", "scale")))
+
+    __hash__ = None
 
     def row_factors(self) -> np.ndarray:
         """Each row's weight^(1/2) * scale."""
-        return np.array([math.sqrt(r.weight) * r.scale for r in self.rows])
+        return np.sqrt(self.weight) * self.scale
 
     def as_matrix(self) -> SparseMatrix:
         return self.pattern_matrix().row_scaled(self.row_factors())
 
     def rhs_vector(self) -> np.ndarray:
-        return self.row_factors() * self.pattern_rhs()
+        return self.row_factors() * self.rhs
 
     def pattern_matrix(self) -> SparseMatrix:
-        entries = []
-        for r, row in enumerate(self.rows):
-            for (c, v) in row.pattern_entries():
-                entries.append((r, c, v))
-        return SparseMatrix.from_entries(self.n_rows, self.n_vars, entries)
+        """The unscaled pattern rows, built on the first call and kept: the
+        system never changes."""
+        if self._pattern is None:
+            used = self.var >= 0
+            coef = np.where(self.average[:, None], _AVERAGE_COEF, _DIFFERENCE_COEF)
+            self._pattern = SparseMatrix.from_arrays(
+                self.n_rows, self.n_vars, np.nonzero(used)[0], self.var[used], coef[used])
+        return self._pattern
 
     def pattern_rhs(self) -> np.ndarray:
-        return np.array([r.rhs for r in self.rows])
+        return self.rhs.copy()
 
     def is_unit(self) -> bool:
-        return all(r.weight == 1.0 and r.scale == 1.0 for r in self.rows)
+        return bool(np.all(self.weight == 1.0) and np.all(self.scale == 1.0))
 
 
 def plain_da_system(n_vars: int, rows: Sequence[DARow]) -> WeightedDASystem:
@@ -298,7 +397,8 @@ class DAReductionTrace:
 
 def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
     """Recognize rows that are a power-of-two multiple of a canonical pattern,
-    returned as that pattern's row with the given weight.
+    returned as that pattern's row (average, (i, j, k), weight, rhs, scale)
+    with the given weight.
 
     Zero-auxiliary rows must take the weighted already-canonical branch for
     the exact-reduction identity to hold, so the match is up to scale.
@@ -306,9 +406,9 @@ def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
     if len(coef) == 2:
         (va, ca), (vb, cb) = sorted(coef.items())
         if ca > 0 > cb and ca == -cb and _is_pow2(ca):
-            return difference_row(va, vb, rhs / ca, weight, float(ca))
+            return False, (va, vb, -1), weight, rhs / ca, float(ca)
         if cb > 0 > ca and cb == -ca and _is_pow2(cb):
-            return difference_row(vb, va, rhs / cb, weight, float(cb))
+            return False, (vb, va, -1), weight, rhs / cb, float(cb)
         return None
     if len(coef) == 3 and rhs == 0.0:
         pos = sorted((v, c) for v, c in coef.items() if c > 0)
@@ -317,7 +417,7 @@ def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
             (vi, ci), (vj, cj) = pos
             (vk, ck) = neg[0]
             if ci == cj and ck == -2 * ci and _is_pow2(ci):
-                return average_row(vi, vj, vk, weight, float(ci))
+                return True, (vi, vj, vk), weight, 0.0, float(ci)
     return None
 
 
@@ -342,8 +442,9 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     n = sys.A.n_cols
     row_data = sys.row_dicts()
 
-    main_rows: list[DARow] = []
-    aux_rows: list[DARow] = []
+    # rows as (average, (i, j, k), weight, rhs, scale), filled into the columns
+    main_rows: list[tuple] = []
+    aux_rows: list[tuple] = []
     aux_records: list[AuxRecord] = []
     next_var = n
 
@@ -387,17 +488,13 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
         if ca != -cb or not _is_pow2(ca):
             raise MatrixClassError(f"row {i}: terminal row is not a scaled difference")
         scale = float(ca)
-        main_rows.append(difference_row(va, vb, rhs / scale, 1.0, scale))
+        main_rows.append((False, (va, vb, -1), 1.0, rhs / scale, scale))
         here = aux_records[first_aux:]
-        aux_rows.extend(average_row(*rec.pair, rec.new_var, alpha * len(here),
-                                    float(1 << rec.bit)) for rec in here)
+        aux_rows.extend((True, (*rec.pair, rec.new_var), alpha * len(here), 0.0,
+                         float(1 << rec.bit)) for rec in here)
 
-    system = WeightedDASystem(
-        n_vars=next_var,
-        rows=tuple(main_rows + aux_rows),
-        n_main=len(main_rows),
-        n_aux=len(aux_rows),
-    )
+    columns = zip(*main_rows, *aux_rows) if main_rows or aux_rows else ((),) * 5
+    system = WeightedDASystem.from_columns(next_var, *columns, len(main_rows), len(aux_rows))
     trace = DAReductionTrace(n_original=n, aux_assignment_order=tuple(aux_records))
     return system, system.rhs_vector(), trace
 
@@ -407,7 +504,7 @@ def map_da_solution_back(sys: GeneralSystem, x_b) -> np.ndarray:
     x_b = np.asarray(x_b, dtype=np.float64).ravel()
     if x_b.size < sys.A.n_cols:
         raise DimensionError("solution vector is shorter than the variable count")
-    atb = sys.A.T.matvec(sys.b)
+    atb = sys.A.to_csr().T @ sys.b
     if np.all(atb == 0.0):
         return np.zeros(sys.A.n_cols)
     return x_b[: sys.A.n_cols].copy()
@@ -430,5 +527,5 @@ def choose_epsilon_da(eps_a: float, sys: GeneralSystem) -> float:
 
 def nnz_growth_ratio(sys: GeneralSystem, da: WeightedDASystem) -> float:
     """Measured constant C in nnz(B) <= C nnz(A) log2(2 + max|A|)."""
-    nnz_b = sum(len(r.pattern_entries()) for r in da.rows)
+    nnz_b = da.pattern_nnz
     return nnz_b / (sys.A.nnz * math.log2(2.0 + sys.A.max_abs()))

@@ -17,7 +17,8 @@ from .b2_reduce import BoundaryProblem, tube_refs
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import (
     CLASS_G,
-    DARow,
+    KIND_AVERAGE,
+    KIND_DIFFERENCE,
     GeneralSystem,
     WeightedDASystem,
     to_pow2,
@@ -76,32 +77,61 @@ def read_json(path):
 
 # -- difference-average systems ---------------------------------------------
 
-def da_row_to_json(row: DARow) -> dict:
-    return {"kind": row.kind, "i": row.i, "j": row.j, "k": row.k,
-            "weight": row.weight, "scale": row.scale, "rhs": row.rhs}
-
-
-def da_row_from_json(obj: dict) -> DARow:
-    return DARow(obj["kind"], obj["i"], obj["j"], obj.get("k"),
-                 obj.get("weight", 1.0), obj.get("rhs", 0.0), obj.get("scale", 1.0))
+# the optional fields of a da.json row and their defaults; "kind", "i" and
+# "j" are required, and "k" too in an average row
+_DA_ROW_DEFAULTS = {"k": None, "weight": 1.0, "rhs": 0.0, "scale": 1.0}
 
 
 def da_system_to_json(sys: WeightedDASystem) -> dict:
-    return {
-        "n_vars": sys.n_vars,
-        "n_main": sys.n_main,
-        "n_aux": sys.n_aux,
-        "rows": [da_row_to_json(r) for r in sys.rows],
-    }
+    rows = [{"kind": KIND_AVERAGE if avg else KIND_DIFFERENCE, "i": i, "j": j,
+             "k": k if avg else None, "weight": w, "scale": s, "rhs": r}
+            for avg, (i, j, k), w, r, s in zip(sys.average.tolist(), sys.var.tolist(),
+                                               sys.weight.tolist(), sys.rhs.tolist(),
+                                               sys.scale.tolist())]
+    return {"n_vars": sys.n_vars, "n_main": sys.n_main, "n_aux": sys.n_aux, "rows": rows}
 
 
-def da_system_from_json(obj: dict) -> WeightedDASystem:
-    return WeightedDASystem(
-        n_vars=obj["n_vars"],
-        rows=tuple(da_row_from_json(r) for r in obj["rows"]),
-        n_main=obj["n_main"],
-        n_aux=obj["n_aux"],
-    )
+def _da_row(q: int, row) -> tuple:
+    """Row q of a da.json system as (average, (i, j, k), weight, rhs, scale);
+    raises ``ArtifactError`` naming the row when a field is missing or of
+    the wrong type, or the kind is unknown."""
+    if not isinstance(row, dict):
+        raise ArtifactError(f"row {q}: not an object")
+    row = {**_DA_ROW_DEFAULTS, **row}
+    for name in ("kind", "i", "j"):
+        if name not in row:
+            raise ArtifactError(f"row {q}: no {name!r}")
+    if row["kind"] not in (KIND_DIFFERENCE, KIND_AVERAGE):
+        raise ArtifactError(f"row {q}: unknown kind {row['kind']!r}")
+    average = row["kind"] == KIND_AVERAGE
+    if average and row["k"] is None:
+        raise ArtifactError(f"row {q}: an average row needs 'k'")
+    ids = (row["i"], row["j"], -1 if row["k"] is None else row["k"])
+    if any(type(v) is not int for v in ids):
+        raise ArtifactError(f"row {q}: a variable id is not an integer")
+    numbers = (row["weight"], row["rhs"], row["scale"])
+    if any(type(v) not in (int, float) for v in numbers):
+        raise ArtifactError(f"row {q}: a weight, rhs or scale is not a number")
+    return (average, ids, *numbers)
+
+
+def da_system_from_json(obj) -> WeightedDASystem:
+    """The system of ``da_system_to_json``, its columns filled straight from
+    the rows.  Raises ``ArtifactError`` naming the first bad row: a missing
+    field, a non-integer or out-of-range id, an unknown kind, a non-positive
+    weight or scale, or an average row with a nonzero rhs."""
+    sizes = [obj.get(name) if isinstance(obj, dict) else None
+             for name in ("n_vars", "n_main", "n_aux")]
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if any(type(v) is not int for v in sizes) or not isinstance(rows, list):
+        raise ArtifactError("expected an object with integers 'n_vars', 'n_main' and "
+                            "'n_aux' and a list 'rows'")
+    parsed = [_da_row(q, row) for q, row in enumerate(rows)]
+    columns = zip(*parsed) if parsed else ((),) * 5
+    try:
+        return WeightedDASystem.from_columns(sizes[0], *columns, *sizes[1:])
+    except (ValueError, OverflowError) as exc:
+        raise ArtifactError(str(exc)) from None
 
 
 # -- complexes ----------------------------------------------------------------
@@ -222,7 +252,8 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
 def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
     complex and the difference-average system); rejects a weight or demand
-    vector whose length differs from the row count of d2, naming the file."""
+    vector whose length differs from the row count of d2 and a malformed
+    row of ``da.json`` (``da_system_from_json``), naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -233,7 +264,12 @@ def read_boundary_problem(src) -> BoundaryProblem:
             raise DimensionError(f"{src / names[key]} has {vectors[key].size} entries "
                                  f"but {names['d2']} has {d2.n_rows} rows")
     K = read_complex(src / names["complex"])
-    da = da_system_from_json(read_json(src / names["da"]))
+    da_path = src / names["da"]
+    da_obj = read_json(da_path)
+    try:
+        da = da_system_from_json(da_obj)
+    except ArtifactError as exc:
+        raise ArtifactError(f"{da_path}: {exc}") from None
     try:
         tubes = tube_refs(da, K)
     except ComplexStructureError as exc:

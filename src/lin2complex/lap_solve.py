@@ -60,9 +60,10 @@ class BoundaryRouteReport:
     ok: bool
 
 
-def _l0_lambda_min(K: Complex2) -> float:
+def _l0_lambda_min(K: Complex2, d1: SparseMatrix | None = None) -> float:
     """Smallest nonzero eigenvalue of ``L0 = d1 d1^T``, the 1-skeleton's
-    graph Laplacian, whose nullity is its component count c."""
+    graph Laplacian, whose nullity is its component count c; ``d1``, when
+    given, is ``boundary1(K)``."""
     # imported here, as in ``complex2.validate``
     from scipy.sparse.csgraph import connected_components
 
@@ -70,17 +71,19 @@ def _l0_lambda_min(K: Complex2) -> float:
     graph = sp.csr_matrix((np.ones(len(edge)), (edge[:, 0], edge[:, 1])),
                           shape=(K.n_vertices, K.n_vertices))
     c, _ = connected_components(graph, directed=False)
-    eig, nullity = gram_spectrum(boundary1(K).T, c + 1)
+    eig, nullity = gram_spectrum((boundary1(K) if d1 is None else d1).T, c + 1)
     return float(eig[nullity])
 
 
 def _solve_route(K: Complex2, d, delta: float, route: str):
+    """One route solve; builds d2, and d1 on the Laplacian route, once."""
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
     if d.size != d2.n_rows:
         raise ValueError(f"demand length {d.size} != {d2.n_rows} edges")
     if route == ROUTE_LAPLACIAN:
-        op = laplacian1(K)
+        d1 = boundary1(K)
+        op = laplacian1(K, d1, d2)
     elif route == ROUTE_GRAM:
         gram = d2.to_int_csr() @ d2.to_int_csr().T
         op = SparseMatrix.from_scipy(gram)
@@ -97,7 +100,7 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
     eig, nullity = gram_spectrum(d2, 4)
     lam_min = float(eig[nullity])
     if route == ROUTE_LAPLACIAN:
-        lam_min = min(lam_min, _l0_lambda_min(K))
+        lam_min = min(lam_min, _l0_lambda_min(K, d1))
     eps = delta * math.sqrt(lam_min) / (norm_product(d2) * d_norm)
     eps = min(eps, 0.5)
 

@@ -65,6 +65,51 @@ def test_sphere_boundary_components_have_three_edges():
         assert len(cycles) == b
 
 
+def iterative_sphere_cells(n_holes: int):
+    """The sphere construction as a loop, the oracle of the closed form:
+    start from one triangle (a disk), then repeatedly replace the first
+    triangle of the last annulus by an annulus around a new hole."""
+    triangles = [(0, 1, 2)]
+    holes = [(0, 1, 2)]
+    n_vertices = 3
+    host = 0
+    for _ in range(n_holes - 1):
+        a, b, c = triangles.pop(host)
+        p, q, r = n_vertices, n_vertices + 1, n_vertices + 2
+        n_vertices += 3
+        host = len(triangles)
+        triangles.extend([(a, b, p), (b, c, r), (c, a, q), (a, p, q), (p, b, r), (c, q, r)])
+        holes.append((p, q, r))
+    return n_vertices, triangles, holes
+
+
+def test_closed_form_sphere_matches_the_iterative_construction():
+    for h in range(1, 65):
+        n_vertices, triangles, holes = iterative_sphere_cells(h)
+        got = sphere_cells(h)
+        assert got[0] == n_vertices, h
+        assert np.array_equal(got[1], np.array(triangles)), h
+        assert np.array_equal(got[2], np.array(holes)), h
+
+
+def test_sphere_cells_lays_out_many_spheres_one_after_another():
+    counts = [3, 1, 2, 7, 1, 1, 4]
+    n_vertices, triangles, holes = sphere_cells(counts)
+    offset, want_tri, want_holes = 0, [], []
+    for h in counts:
+        n, tris, cycles = iterative_sphere_cells(h)
+        want_tri.append(np.array(tris) + offset)
+        want_holes.append(np.array(cycles) + offset)
+        offset += n
+    assert n_vertices == offset
+    assert np.array_equal(triangles, np.concatenate(want_tri))
+    assert np.array_equal(holes, np.concatenate(want_holes))
+    empty = sphere_cells([])
+    assert empty[0] == 0 and empty[1].shape == (0, 3) and empty[2].shape == (0, 3)
+    with pytest.raises(ValueError):
+        sphere_cells([2, 0])
+
+
 def test_sphere_rejects_zero_boundary():
     with pytest.raises(ValueError):
         triangulate_punctured_sphere(0)

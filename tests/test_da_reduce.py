@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lin2complex.b2_reduce import _attachments
 from lin2complex.da_reduce import (
     CLASS_G,
     CLASS_GZ,
@@ -12,6 +13,8 @@ from lin2complex.da_reduce import (
     DropTailBack,
     GeneralSystem,
     MatrixClassError,
+    WeightedDASystem,
+    _pow2_ceil,
     average_row,
     choose_epsilon_da,
     difference_row,
@@ -25,7 +28,13 @@ from lin2complex.da_reduce import (
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
-from _gen import dense_nullity, random_gz2_system
+from _gen import (
+    dense_nullity,
+    infeasible_da_instance,
+    planted_da_instance,
+    random_da_instance,
+    random_gz2_system,
+)
 
 
 def system(dense, b, tag=CLASS_G) -> GeneralSystem:
@@ -365,3 +374,74 @@ def test_gz2_class_validation():
         GeneralSystem(SparseMatrix.from_dense([[3, -3]]), [0.0], CLASS_GZ2).validate_class()
     with pytest.raises(MatrixClassError):
         gz2_to_da(system([[1, -2]], [0.0], CLASS_GZ2))
+
+
+# -- the columnar difference-average system ----------------------------------------
+
+def _gen_systems():
+    """Unit systems from every ``_gen`` family, and weighted, scaled ones
+    from ``gz2_to_da`` of random power-of-two systems."""
+    rng = np.random.default_rng(22)
+    out = [random_da_instance(rng, 6, 5)[0], planted_da_instance(rng, 3, 4, 2)[0],
+           infeasible_da_instance(rng, 5, 4)[0]]
+    for _ in range(4):
+        out.append(gz2_to_da(random_gz2_system(rng, 6, 4, max_pow=5), alpha=3.0)[0])
+    return out
+
+
+def _record_attachments(sys) -> np.ndarray:
+    """The tube attachments (var, q, copy, sign) walked off the records."""
+    rows = []
+    for q, row in enumerate(sys.rows):
+        if row.kind == "difference":
+            rows += [(row.i, q, 1, 1), (row.j, q, 1, -1)]
+        else:
+            rows += [(row.i, q, 1, 1), (row.j, q, 1, 1), (row.k, q, 1, -1), (row.k, q, 2, -1)]
+    attach = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return attach[np.argsort(attach[:, 0], kind="stable")]
+
+
+def test_columns_agree_with_record_oracles():
+    systems = _gen_systems()
+    assert any(not sys.is_unit() for sys in systems)
+    for sys in systems:
+        rows = sys.rows
+        entries = [(q, c, v) for q, row in enumerate(rows) for c, v in row.pattern_entries()]
+        want = SparseMatrix.from_entries(sys.n_rows, sys.n_vars, entries)
+        assert sys.pattern_matrix().equals(want)
+        assert sys.pattern_nnz == len(entries)
+        factors = np.array([math.sqrt(r.weight) * r.scale for r in rows])
+        assert np.array_equal(sys.row_factors(), factors)
+        assert np.array_equal(sys.rhs_vector(), factors * np.array([r.rhs for r in rows]))
+        assert sys.is_unit() == all(r.weight == 1.0 and r.scale == 1.0 for r in rows)
+        assert np.array_equal(_attachments(sys), _record_attachments(sys))
+        # the records rebuild the same columns
+        assert WeightedDASystem(sys.n_vars, rows, sys.n_main, sys.n_aux) == sys
+
+
+def test_columns_are_read_only_and_checked_row_by_row():
+    sys = plain_da_system(3, [difference_row(0, 1), average_row(0, 1, 2)])
+    assert np.array_equal(sys.var, [[0, 1, -1], [0, 1, 2]])
+    assert sys.average.tolist() == [False, True]
+    with pytest.raises(ValueError):
+        sys.weight[0] = 2.0
+    good = dict(average=[False, True], var=[(0, 1, -1), (0, 1, 2)], weight=[1.0, 1.0],
+                rhs=[1.0, 0.0], scale=[1.0, 2.0])
+    assert WeightedDASystem.from_columns(3, *good.values(), 1, 1).rows[1] == average_row(
+        0, 1, 2, scale=2.0)
+    for change, message in ((dict(var=[(0, 1, -1), (0, 3, 2)]), r"row 1: .* outside \[0, 3\)"),
+                            (dict(var=[(0, 0, -1), (0, 1, 2)]), "row 0: difference rows"),
+                            (dict(var=[(0, 1, -1), (0, 1, 1)]), "row 1: average rows need"),
+                            (dict(rhs=[1.0, 2.0]), "row 1: average rows have zero"),
+                            (dict(scale=[0.0, 1.0]), "row 0: weight and scale")):
+        with pytest.raises(ValueError, match=message):
+            WeightedDASystem.from_columns(3, *{**good, **change}.values(), 1, 1)
+    with pytest.raises(ValueError, match="row partition"):
+        WeightedDASystem.from_columns(3, *good.values(), 2, 1)
+
+
+def test_pow2_ceil_matches_the_integer_rule():
+    p = [1, 2, 3, 5, 7, 8, 9, 1000, 1023, 1024, 1025]
+    p += [2 ** e + d for e in range(2, 53) for d in (-1, 0, 1) if 2 ** e + d <= 2 ** 52]
+    want = [1 << (v - 1).bit_length() for v in p]
+    assert _pow2_ceil(np.array(p, dtype=np.float64)).tolist() == want

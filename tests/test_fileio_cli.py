@@ -605,6 +605,45 @@ def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
     assert name in _one_line_error(exc)
 
 
+# a malformed row of da.json as (row, field, value): the row is an index, or
+# "average" for the first average row, and a value of None deletes the field
+DA_ROW_FAULTS = {
+    "missing field": (0, "i", None),
+    "string id": (1, "j", "1"),
+    "fractional id": (0, "i", 0.5),
+    "id out of range": (2, "i", 10 ** 6),
+    "negative id": (1, "j", -1),
+    "unknown kind": (0, "kind", "sum"),
+    "zero weight": (1, "weight", 0),
+    "negative scale": (0, "scale", -1.0),
+    "average with rhs": ("average", "rhs", 1.0),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("fault", DA_ROW_FAULTS)
+def test_cli_malformed_da_row_is_one_line_error(tmp_path, fault, command):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    da = json.loads((out / "da.json").read_text())
+    q, field, value = DA_ROW_FAULTS[fault]
+    if q == "average":
+        q = next(q for q, row in enumerate(da["rows"]) if row["kind"] == "average")
+    if value is None:
+        del da["rows"][q][field]
+    else:
+        da["rows"][q][field] = value
+    (out / "da.json").write_text(json.dumps(da))
+    argv = (["verify", "--dir", str(out)] if command == "verify"
+            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert "da.json" in message and f"row {q}" in message, message
+
+
 def test_cli_replay_da_of_another_system_is_one_line_error(tmp_path):
     # the tubes are rebuilt from da.json and the complex, so the two must fit
     out, other = tmp_path / "out", tmp_path / "other"

@@ -34,3 +34,16 @@ def test_only_sparse_core_decides_which_eigenvalues_are_zero():
             found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names & hidden]
     assert not found, f"only sparse_core may name these: {found}"
+
+
+def test_only_the_record_modules_call_pattern_entries():
+    # the difference-average system is stored as columns, which every other
+    # module reads whole; a per-row walk over DARow records is how the
+    # Python-level constructions crept back in
+    allowed = {"da_reduce.py", "fileio.py"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if path.name not in allowed
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pattern_entries"]
+    assert not found, f"pattern_entries walks the records: {found}"
