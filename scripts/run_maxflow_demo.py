@@ -18,13 +18,14 @@ import numpy as np
 
 from lin2complex import fileio
 from lin2complex.b2_reduce import reduce_da_to_b2
+from lin2complex.cli import positive_int
 from lin2complex.da_reduce import average_row, difference_row, plain_da_system
 from lin2complex.maxflow_ipm import FlowNetwork2, f_star_bracket, run_ipm
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--steps", type=int, default=300,
+    ap.add_argument("--steps", type=positive_int, default=300,
                     help="the most progress steps run_ipm takes; it stops once "
                          "alpha reaches 0.995")
     ap.add_argument("--capacity", type=float, default=1.0)

@@ -28,9 +28,7 @@ from .complex2 import (
     LOOP,
     Complex2,
     ComplexStructureError,
-    boundary2,
     sphere_cells,
-    triangle_adjacency,
     tube_cells,
 )
 from .da_reduce import WeightedDASystem
@@ -140,14 +138,27 @@ def _attachments(sys: WeightedDASystem) -> np.ndarray:
 
 @functools.cache
 def _tube_template(sign: int):
-    """Triangles and connecting edges of one tube as indices into the tube's
-    corner row (three hole vertices, then the three loop vertices), and the
-    boundary triangle of each loop slot; cached per sign, as read-only
-    arrays."""
+    """One tube as indices into its corner row (three hole vertices, then
+    the three loop vertices); cached per sign, as read-only arrays.
+
+    Returns its six triangles; its six connecting edges as (loop corner,
+    hole corner) pairs sorted by loop corner, then hole corner; the
+    boundary triangle of each loop slot; and each triangle's sides
+    (``tri``, ``roll(tri, -1)``) as indices into the tube's twelve edges:
+    the hole sides (0, 1), (1, 2), (2, 0), the loop slots (3, 4), (4, 5),
+    (5, 3), then the connecting edges.  Every loop vertex is below every
+    hole vertex and each cycle ascends, so the connecting edges are also
+    in the order of their vertex pairs.
+    """
     tris, by_slot = tube_cells((0, 1, 2), (3, 4, 5), sign)
-    sides = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2), axis=1)
-    connecting = np.unique(sides[(sides[:, 0] < 3) & (sides[:, 1] >= 3)], axis=0)
-    arrays = np.array(tris), connecting, np.array([by_slot[r] for r in (1, 2, 3)])
+    tris = np.array(tris)
+    lo = np.minimum(tris, np.roll(tris, -1, axis=1))
+    hi = np.maximum(tris, np.roll(tris, -1, axis=1))
+    connecting = np.unique(np.stack([hi, lo], axis=2)[(lo < 3) & (hi >= 3)], axis=0)
+    edges = np.concatenate([[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
+                            connecting[:, ::-1]])
+    sides = np.argmax((edges[:, 0] == lo[..., None]) & (edges[:, 1] == hi[..., None]), axis=2)
+    arrays = tris, connecting, np.array([by_slot[r] for r in (1, 2, 3)]), sides
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -208,7 +219,10 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     system's columns: one ``sphere_cells`` call lays out every variable's
     sphere and holes in closed form, one sort of the sphere sides gives
     their sorted edges, and each tube is one of two fixed templates (by
-    sign) indexed by its corners.
+    sign) indexed by its corners.  d2 comes from the same layout, three
+    entries a triangle: a sphere side's edge is its key's rank in that
+    sort, and a tube side's edge is fixed by the template.  No edge is
+    looked up in the finished complex; ``d2`` equals ``boundary2(K)``.
     """
     d = sys.n_rows
     if b is None:
@@ -228,13 +242,20 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     n_sphere_vertices, sphere_tri, holes = sphere_cells(holes_of)
     n_vert = 3 * d + n_sphere_vertices
     sphere_tri, holes = sphere_tri + 3 * d, holes + 3 * d
-    u, v = sphere_tri, np.roll(sphere_tri, -1, axis=1)
-    # the spheres own disjoint ascending vertex ranges, so one sort of the
-    # side keys lists every sphere's edges sorted, sphere after sphere (a
+    # the keys of the sphere triangles' sides, then of the hole sides, which
+    # are sphere sides too.  The spheres own disjoint ascending vertex
+    # ranges, so one sort lists every sphere's edges sorted, sphere after
+    # sphere, and a side's edge is the number of distinct keys below it (a
     # sort, not np.unique, whose hash table is several times slower here)
-    keys = np.sort((np.minimum(u, v) * n_vert + np.maximum(u, v)).ravel())
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    sphere_edge = np.stack(np.divmod(keys, n_vert), axis=1)
+    u = np.concatenate([sphere_tri, holes])
+    v = np.roll(u, -1, axis=1)
+    keys = (np.minimum(u, v) * n_vert + np.maximum(u, v)).ravel()
+    order = np.argsort(keys)
+    new = np.diff(keys[order], prepend=-1) != 0
+    sphere_edge = np.stack(np.divmod(keys[order][new], n_vert), axis=1)
+    side = np.empty_like(order)
+    side[order] = np.cumsum(new) - 1
+    side = side.reshape(-1, 3)
 
     # linear-work guard: cell creation must stay proportional to nnz
     ops = 6 * d + n_sphere_vertices + len(sphere_edge) + len(sphere_tri) + 12 * len(attach)
@@ -244,29 +265,41 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     loop_vertices = np.arange(3 * d).reshape(d, 3)
     var, q, _, sign = attach.T
     corners = np.concatenate([holes, loop_vertices[q]], axis=1)
-    (tris_p, conn_p, _), (tris_n, conn_n, _) = _tube_template(1), _tube_template(-1)
+    (tris_p, conn_p, _, sides_p), (tris_n, conn_n, _, sides_n) = (_tube_template(1),
+                                                                 _tube_template(-1))
     positive = (sign > 0)[:, None, None]
-    ends = np.sort(np.where(positive, corners[:, conn_p], corners[:, conn_n]), axis=2)
-    order = np.argsort(ends[:, :, 0] * n_vert + ends[:, :, 1], axis=1)
-    tube_edges = np.take_along_axis(ends, order[:, :, None], axis=1)
-
     n_tri = 5 * holes_of - 4
-    tri, tri_group, at = _by_variable(
+    tri, tri_group, tri_at = _by_variable(
         sphere_tri, np.repeat(np.arange(sys.n_vars), n_tri),
         np.where(positive, corners[:, tris_p], corners[:, tris_n]).reshape(-1, 3),
         np.repeat(var, 6))
-    edge, _, _ = _by_variable(
+    edge, _, edge_at = _by_variable(
         sphere_edge, np.repeat(np.arange(sys.n_vars), 9 * holes_of - 6),
-        tube_edges.reshape(-1, 2), np.repeat(var, 6))
-    central = at[np.cumsum(n_tri) - n_tri]
-
+        np.where(positive, corners[:, conn_p], corners[:, conn_n]).reshape(-1, 2),
+        np.repeat(var, 6))
+    central = tri_at[np.cumsum(n_tri) - n_tri]
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
     K = Complex2(
         n_vert, tri, tri_group, np.concatenate([loop_edges.reshape(-1, 2), edge]),
         np.concatenate([np.full(3 * d, LOOP), np.full(len(edge), INTERIOR)]),
         central=central, loops=np.arange(3 * d).reshape(d, 3),
     )
-    d2 = boundary2(K)
+
+    # d2 as a CSC, three entries a column: the edge of every triangle side,
+    # in the triangles' input order, moved to their columns.  A tube's
+    # twelve edges are listed in its template's order: hole sides, loop
+    # slots, connecting edges
+    edge_id = 3 * d + edge_at
+    tube_edge = np.concatenate([edge_id[side[len(sphere_tri):]], 3 * q[:, None] + (0, 1, 2),
+                                edge_id[len(sphere_edge):].reshape(-1, 6)], axis=1)
+    eid = np.empty((K.n_triangles, 3), dtype=np.int64)
+    eid[tri_at] = np.concatenate([
+        edge_id[side[:len(sphere_tri)]],
+        np.where(positive, tube_edge[:, sides_p], tube_edge[:, sides_n]).reshape(-1, 3)])
+    sign_of_side = np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0)
+    d2 = SparseMatrix.from_scipy(sp.csc_matrix(
+        (sign_of_side.ravel(), eid.ravel(), np.arange(0, eid.size + 1, 3)),
+        shape=(K.n_edges, K.n_triangles)))
 
     loop_weight = sys.weight * sys.scale ** 2
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
@@ -341,74 +374,144 @@ class PathWeights:
                                 self.path_edge.tolist())))
 
 
-def compute_edge_weights(problem: BoundaryProblem, alpha: float):
-    """General-case edge weights from BFS shortest-path trees.
+@functools.cache
+def _into_slot1(sign: int) -> np.ndarray:
+    """For each hole side of a tube of the given sign (0: (w1, w2), 1:
+    (w2, w3), 2: (w1, w3)), the connecting edge (0..5, as ``_tube_template``
+    orders them) that the outer triangle on that side shares with the
+    slot-1 boundary triangle, -1 where the two do not meet; cached per
+    sign, read-only."""
+    _, _, slots, sides = _tube_template(sign)
+    into = np.full(3, -1)
+    for tri_sides in sides:
+        hole, shared = tri_sides[tri_sides < 3], np.intersect1d(tri_sides, sides[slots[0]])
+        if hole.size and shared.size:
+            into[hole[0]] = shared[0] - 6
+    into.setflags(write=False)
+    return into
 
-    Per group a BFS tree rooted at the central triangle (neighbors visited
-    in ascending column order) yields one minimal path per slot-1 boundary
-    triangle.  Demand-carrying triangles are targets, never transit nodes:
-    paths that cut through them would pin weight onto the edges of the
-    slot-2/3 boundary triangles, whose freedom is exactly what makes the
-    weighted minimum match the source system's minimum.  k_{q,e} counts the
-    equation-q paths through edge e and l_q is the total length of equation
-    q's paths; interior edges get weight alpha * sum_q k_{q,e} l_q (zero
-    allowed) while loop edges keep their base weight.
 
-    One ``breadth_first_order`` from a virtual node joined to every central
-    triangle serves all groups at once, since groups share no interior edge.
-    Returns (PathWeights, weight vector).
+# The cases of ``_sphere_paths``.  Row i holds the (count, start, step,
+# even, hole, side) of case i as constant + h * (...) + rank * (...).
+_Z = (0, 0, 0, 0, 0, 0)
+_SPHERE_PATHS = np.array([
+    # one hole: the central triangle (0, 1, 2) has the hole side (0, 2)
+    [(0, 0, 0, 0, 1, 2), _Z, _Z],
+    # two holes, central triangle (0, 1, 3): hole 0 for sign +, then -;
+    # hole 1 for sign +, then -
+    [(0, 0, 0, 0, 0, 0), _Z, _Z],
+    [(2, 2, 1, 0, 1, 2), _Z, _Z],
+    [(1, 2, 0, 0, 9, 0), _Z, _Z],
+    [(1, 5, 0, 0, 10, 2), _Z, _Z],
+    # three or more holes, central triangle (1, 2, 5): hole 0 for sign +
+    # past (2, 5) and (2, 4), then for sign - over (1, 2)
+    [(2, 0, -1, 0, 1, 2), (0, 4, 0, 0, 0, 0), _Z],
+    [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 2, 0), _Z],
+    # hole s >= 1 for either sign: the fan around vertex 1, then (3s, 3s + 2)
+    [(-1, 0, 1, 2, -3, 2), (0, 2, 0, 0, 4, 0), (2, 0, 0, 0, 5, 0)],
+])
+_SPHERE_PATHS.setflags(write=False)
+
+
+def _sphere_paths(h: np.ndarray, rank: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Shortest paths across spheres, in closed form, one per tube.
+
+    A tube of sign ``positive`` on hole ``rank`` of a sphere with ``h``
+    holes (``sphere_cells``) is entered over one side of that hole.  Its
+    path leaves the sphere's central (first) triangle, crosses ``count``
+    sphere edges, ``start + step k + even [k even]`` for k = 0, 1, ...,
+    and then the hole side ``side`` (0: (w1, w2), 1: (w2, w3), 2: (w1, w3)
+    of the hole cycle), whose edge is ``hole``.  Returns the (n, 6) array of
+    (count, start, step, even, hole, side).
+
+    Edge ids are local: the sphere's edges sorted by vertex pair.  For
+    h >= 3 vertex 0 has 2h neighbours above it, so (1, 2) is edge 2h,
+    (1, 3s) is 2h + 2s - 1 and (1, 3s + 2) is 2h + 2s for s = 1..h-1;
+    (2, 4) and (2, 5) follow at 4h - 1 and 4h, then five edges for each
+    hole s >= 1, of which (3s, 3s + 2) is the second, at 4h + 5s - 3.
+    The central triangle (1, 2, 5) reaches hole s >= 1 down the fan (1, 5),
+    (1, 3), (1, 8), (1, 6), ..., (1, 3s + 2) around vertex 1 and then
+    crosses (3s, 3s + 2).  Hole 0 is reached over the central triangle's
+    own side (1, 2), or over (0, 2) past (2, 5) and (2, 4).  With one or
+    two holes the central triangle is (0, 1, 2) or (0, 1, 3), and the
+    paths are listed one by one.  Each case is a row of ``_SPHERE_PATHS``.
+
+    These are the paths of a breadth-first search from the central
+    triangle that visits neighbours in ascending column order and never
+    passes through a demand-carrying triangle; the tests check the two
+    against each other.
     """
-    from scipy.sparse.csgraph import breadth_first_order  # see complex2.validate
+    negative = (~positive).astype(np.int64)
+    case = np.where(h == 1, 0, np.where(h == 2, 1 + 2 * (rank > 0) + negative,
+                                        np.where(rank == 0, 5 + negative, 7)))
+    coef = _SPHERE_PATHS[case]
+    return coef[:, 0] + coef[:, 1] * h[:, None] + coef[:, 2] * rank[:, None]
 
+
+def compute_edge_weights(problem: BoundaryProblem, alpha: float):
+    """General-case edge weights from shortest triangle paths.
+
+    Each tube gets one minimal path from its group's central triangle to
+    its slot-1 boundary triangle: the path of a breadth-first search that
+    visits neighbours in ascending column order.  Demand-carrying triangles
+    are targets, never transit nodes: paths that cut through them would pin
+    weight onto the edges of the slot-2/3 boundary triangles, whose freedom
+    is exactly what makes the weighted minimum match the source system's
+    minimum.  k_{q,e} counts the equation-q paths through edge e and l_q is
+    the total length of equation q's paths; interior edges get weight
+    alpha * sum_q k_{q,e} l_q (zero allowed) while loop edges keep their
+    base weight.
+
+    The paths are laid out from the cell templates, not searched for.  In
+    edge ids local to its group a path depends only on the variable's hole
+    count, the tube's rank among the variable's attachments and its sign:
+    it crosses the sphere (``_sphere_paths``), a hole side into the tube,
+    and the connecting edge into the slot-1 triangle (``_into_slot1``).  So
+    ``problem`` must be laid out as ``build_boundary_problem`` lays it out;
+    a tube's rank is read off its slot-1 column.  Returns (PathWeights,
+    weight vector).
+    """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    K = problem.K
-    t, m = K.n_triangles, K.n_edges
-    adj = triangle_adjacency(problem.d2, K.kind)
-    tubes = problem.tubes
-    roots = np.unique(problem.central)
+    K, tubes = problem.K, problem.tubes
+    m = K.n_edges
+    size = np.bincount(K.tri_group, minlength=problem.n_vars)
+    holes = (size + 4) // 11
+    n_edges = 15 * holes - 6
+    edge0 = 3 * problem.n_equations + np.cumsum(n_edges) - n_edges
 
-    no_transit = np.isin(np.arange(t), tubes.cols) & ~np.isin(np.arange(t), roots)
-    degree = np.diff(adj.indptr)
-    out_degree = np.where(no_transit, 0, degree)
-    indptr = np.concatenate(([0], np.cumsum(out_degree), [out_degree.sum() + roots.size]))
-    indices = np.concatenate((adj.indices[np.repeat(~no_transit, degree)], roots))
-    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(t + 1, t + 1))
-    _, pred = breadth_first_order(graph, t, directed=True, return_predecessors=True)
-    parent = pred[:t].astype(np.int64)
-    targets = tubes.cols[:, 0]
-    lost = np.flatnonzero(parent[targets] < 0)
-    if lost.size:
-        i = int(lost[0])
-        raise ReductionError(
-            f"group {tubes.var[i]} is disconnected; no path to equation {tubes.q[i]}")
+    var, positive = tubes.var, tubes.sign > 0
+    h = holes[var]
+    slot1 = np.where(positive, _tube_template(1)[2][0], _tube_template(-1)[2][0])
+    rank = (tubes.cols[:, 0] - slot1 - (np.cumsum(size) - size)[var] - (5 * h - 4)) // 6
+    count, start, step, even, hole, side = _sphere_paths(h, rank, positive).T
+    connecting = 9 * h - 6 + 6 * rank + np.where(positive, _into_slot1(1)[side],
+                                                 _into_slot1(-1)[side])
 
-    # the tree edge into each node: the first (lowest-id) interior edge it
-    # shares with its parent, found among the sorted (row, column) entries
-    child = np.flatnonzero((parent >= 0) & (parent < t))
-    entry_keys = np.repeat(np.arange(t), degree) * t + adj.indices
-    parent_edge = np.full(t, -1, dtype=np.int64)
-    parent_edge[child] = adj.data[np.searchsorted(entry_keys, parent[child] * t + child)]
+    # each path from its boundary triangle up: the connecting edge, the
+    # hole side, then the sphere edges k = count - 1 .. 0
+    length = count + 2
+    end = np.cumsum(length)
+    first = end - length
+    k = np.repeat(end - 1, length) - np.arange(length.sum())
+    base = edge0[var]
+    path_edge = (np.repeat(base + start, length) + np.repeat(step, length) * k
+                 + np.repeat(even, length) * (1 - (k & 1)))
+    path_edge[first] = base + connecting
+    path_edge[first + 1] = base + hole
+    path_tube = np.repeat(np.arange(var.size), length)
 
-    # walk every path up one step at a time, dropping those at their root
-    walked = [np.zeros((2, 0), dtype=np.int64)]
-    active, node = np.arange(targets.size), targets
-    while active.size:
-        edge = parent_edge[node]
-        up = edge >= 0
-        active, node = active[up], parent[node[up]]
-        walked.append(np.stack([active, edge[up]]))
-    path_tube, path_edge = np.concatenate(walked, axis=1)
-    q_of = tubes.q[path_tube]
+    l_q = np.bincount(tubes.q, weights=length, minlength=problem.n_equations)
+    # a path crosses an edge at most once, so only an equation with more
+    # than four tubes can put five of its paths on one edge
+    if np.any(np.bincount(tubes.q) > 4):
+        keys = np.sort(tubes.q[path_tube] * m + path_edge)
+        if np.any(keys[4:] == keys[:-4]):
+            raise ReductionError("an edge cannot carry more than four paths of one equation")
 
-    l_q = np.bincount(q_of, minlength=problem.n_equations).astype(np.float64)
-    _, multiplicity = np.unique(q_of * m + path_edge, return_counts=True)
-    if multiplicity.max(initial=0) > 4:
-        raise ReductionError("an edge cannot carry more than four paths of one equation")
-
-    # the weight mass of a tree edge is the total l_q of the boundary
-    # triangles whose paths cross it
-    mass = np.bincount(path_edge, weights=l_q[q_of], minlength=m)
+    # the weight mass of an edge is the total l_q of the boundary triangles
+    # whose paths cross it
+    mass = np.bincount(path_edge, weights=np.repeat(l_q[tubes.q], length), minlength=m)
     weights = np.ones(m)
     weights[K.loops] = problem.loop_weight[:, None]
     interior = K.kind == INTERIOR

@@ -155,6 +155,14 @@ def _between(low: float, high: float):
     return number
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lin2complex",
                                 description="reduce sparse linear equations onto "
@@ -193,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("maxflow-demo", help="interior-point maxflow demo")
     pm.add_argument("--network", required=True)
-    pm.add_argument("--steps", type=int, default=500,
+    pm.add_argument("--steps", type=positive_int, default=500,
                     help="the most progress steps; the run stops once alpha reaches 0.995")
     pm.add_argument("--trace", default=None)
     pm.set_defaults(func=cmd_maxflow_demo)

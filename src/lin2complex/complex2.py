@@ -306,7 +306,7 @@ class ValidationReport:
 
 def triangle_adjacency(d2: SparseMatrix, kind: np.ndarray) -> sp.csr_matrix:
     """Adjacency over interior edges as a t x t CSR matrix, read off ``d2``
-    and the edge kinds.
+    and the edge kinds; ``validate`` reads each group's connectivity off it.
 
     An interior edge with exactly two triangles joins the two columns of its
     row of ``d2``.  Entry (T1, T2) holds the id of an interior edge the two
@@ -329,6 +329,14 @@ def _first(flags: np.ndarray) -> int:
     return int(hits[0]) if hits.size else -1
 
 
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, as ``np.unique``
+    gives them, from a sort and a neighbour compare: numpy's hash-based
+    ``unique`` is several times slower on integer keys."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])[:keys.size]]
+
+
 def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """a[ids], with -1 where an id is out of range."""
     return np.append(a, -1)[np.where((ids >= 0) & (ids < a.size), ids, a.size)]
@@ -347,7 +355,7 @@ def validate(K: Complex2) -> ValidationReport:
         return ValidationReport(False, msg)
 
     t, m = K.n_triangles, K.n_edges
-    groups = np.unique(K.tri_group)
+    groups = _unique(K.tri_group)
     central = _take(K.central, groups)
     g = _first((central < 0) | (_take(K.tri_group, central) != groups))
     if g >= 0:
@@ -403,7 +411,7 @@ def validate(K: Complex2) -> ValidationReport:
     same = K.tri_group[a] == K.tri_group[b]
     graph = sp.csr_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
     _, label = connected_components(graph, directed=False)
-    pieces = np.unique(K.tri_group * max(t, 1) + label) // max(t, 1)
+    pieces = _unique(K.tri_group * max(t, 1) + label) // max(t, 1)
     split = _first(pieces[1:] == pieces[:-1])
     if split >= 0:
         return fail(f"group {pieces[split]} is not connected over interior edges")

@@ -224,23 +224,40 @@ class AugmentedSystem:
     1995).
 
     The canonical CSC pattern of ``K`` is built once from B's entry
-    coordinates ``(rows, cols)``, which must be distinct; ``factor`` then
-    writes the values of one ``B`` into it and makes one SuperLU (COLAMD)
-    factorization, so a caller that refactors the same pattern rewrites
-    values only.  ``K [r; y] = [c; e]`` gives
-    ``y = (B^T B + delta I)^-1 (B^T c - e)`` and ``r = c - B y``.
+    coordinates ``(rows, cols)``, which must be distinct: column j < m holds
+    the 1 on the diagonal, then row j of B at rows m + c, and column m + c
+    holds column c of B, then the -delta; B's entries are ordered by row and
+    by column with one stable sort each.  ``factor`` then writes the values
+    of one ``B`` into it and makes one SuperLU (COLAMD) factorization, so a
+    caller that refactors the same pattern rewrites values only.
+    ``K [r; y] = [c; e]`` gives ``y = (B^T B + delta I)^-1 (B^T c - e)`` and
+    ``r = c - B y``.
     """
 
     def __init__(self, m: int, n: int, rows, cols):
-        diag = np.arange(m + n)
-        i = np.concatenate([diag, rows, m + cols])
-        j = np.concatenate([diag, m + cols, rows])
-        # entry k of the COO arrays carries the value k + 1 (exact in float64),
-        # so the canonical CSC's data says where each entry went
-        pattern = sp.csc_matrix((np.arange(1.0, i.size + 1), (i, j)), shape=(m + n, m + n))
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        nnz = rows.size
+        in_row, in_col = np.bincount(rows, minlength=m), np.bincount(cols, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate([in_row, in_col]) + 1)])
+        top, bottom = self.indptr[:m], self.indptr[m:-1]
+        # ``order`` says which entry of (1s, -deltas, vals, vals), the data
+        # that ``factor`` assembles, lands at each position of the CSC
+        self.order = np.empty(self.indptr[-1], dtype=np.int64)
+        self.indices = np.empty_like(self.order)
+        # stable sorts (timsort): every caller passes B's entries in row or
+        # in column order, so one of the two sorts takes linear time
+        by_row = np.argsort(rows * n + cols, kind="stable")
+        by_col = np.argsort(cols * m + rows, kind="stable")
+        at_row = np.arange(nnz) + np.repeat(top + 1 - (np.cumsum(in_row) - in_row), in_row)
+        at_col = np.arange(nnz) + np.repeat(bottom - (np.cumsum(in_col) - in_col), in_col)
+        for at, index, value in (
+                (top, np.arange(m), np.arange(m)),
+                (self.indptr[m + 1:] - 1, m + np.arange(n), m + np.arange(n)),
+                (at_col, rows[by_col], m + n + by_col),
+                (at_row, m + cols[by_row], m + n + nnz + by_row)):
+            self.indices[at], self.order[at] = index, value
         self.m, self.n = m, n
-        self.order = pattern.data.astype(np.int64) - 1
-        self.indices, self.indptr = pattern.indices, pattern.indptr
 
     def factor(self, vals) -> spla.SuperLU:
         """SuperLU of ``K`` with B's values ``vals`` aligned with ``rows``
@@ -274,10 +291,13 @@ def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
     if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
         return np.zeros(A.n_cols), 0.0
     scale, vals = _unit_columns(A)
-    rows, r = np.unique(A.rows, return_inverse=True)
-    cols, c = np.unique(A.cols, return_inverse=True)
+    # B's rows and columns: A's nonzero ones, numbered in order
+    used_row = np.bincount(A.rows, minlength=A.n_rows) > 0
+    used_col = np.bincount(A.cols, minlength=A.n_cols) > 0
+    rows, cols = np.flatnonzero(used_row), np.flatnonzero(used_col)
     m, n = rows.size, cols.size
-    system = AugmentedSystem(m, n, r, c)
+    system = AugmentedSystem(m, n, (np.cumsum(used_row) - 1)[A.rows],
+                             (np.cumsum(used_col) - 1)[A.cols])
     lu = system.factor(vals)
 
     def solve(rhs) -> np.ndarray:

@@ -8,7 +8,10 @@ from explicitly formed projectors, ranks from dense SVD.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
+from lin2complex.complex2 import INTERIOR, triangle_adjacency
 from lin2complex.da_reduce import (
     CLASS_G,
     CLASS_GZ2,
@@ -213,3 +216,56 @@ def group_indicator(problem) -> np.ndarray:
     for t, g in enumerate(problem.K.tri_group):
         H[t, g] = 1.0
     return H
+
+
+def bfs_edge_weights(problem, alpha: float):
+    """The edge weights of ``b2_reduce.compute_edge_weights`` from a global
+    breadth-first search instead of the cell templates.
+
+    One ``breadth_first_order`` from a virtual node joined to every central
+    triangle, over the interior-edge adjacency read off ``d2``, with the
+    demand-carrying triangles as targets that are never passed through; each
+    path is walked up the tree one level at a time.  Returns (l_q,
+    path_tube, path_edge, weights), the path entries level by level.
+    """
+    K = problem.K
+    t, m = K.n_triangles, K.n_edges
+    adj = triangle_adjacency(problem.d2, K.kind)
+    tubes = problem.tubes
+    roots = np.unique(problem.central)
+
+    no_transit = np.isin(np.arange(t), tubes.cols) & ~np.isin(np.arange(t), roots)
+    degree = np.diff(adj.indptr)
+    out_degree = np.where(no_transit, 0, degree)
+    indptr = np.concatenate(([0], np.cumsum(out_degree), [out_degree.sum() + roots.size]))
+    indices = np.concatenate((adj.indices[np.repeat(~no_transit, degree)], roots))
+    graph = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(t + 1, t + 1))
+    _, pred = breadth_first_order(graph, t, directed=True, return_predecessors=True)
+    parent = pred[:t].astype(np.int64)
+    targets = tubes.cols[:, 0]
+    assert np.all(parent[targets] >= 0), "a slot-1 triangle is unreachable"
+
+    # the tree edge into each node: the first (lowest-id) interior edge it
+    # shares with its parent, found among the sorted (row, column) entries
+    child = np.flatnonzero((parent >= 0) & (parent < t))
+    entry_keys = np.repeat(np.arange(t), degree) * t + adj.indices
+    parent_edge = np.full(t, -1, dtype=np.int64)
+    parent_edge[child] = adj.data[np.searchsorted(entry_keys, parent[child] * t + child)]
+
+    walked = [np.zeros((2, 0), dtype=np.int64)]
+    active, node = np.arange(targets.size), targets
+    while active.size:
+        edge = parent_edge[node]
+        up = edge >= 0
+        active, node = active[up], parent[node[up]]
+        walked.append(np.stack([active, edge[up]]))
+    path_tube, path_edge = np.concatenate(walked, axis=1)
+    q_of = tubes.q[path_tube]
+
+    l_q = np.bincount(q_of, minlength=problem.n_equations).astype(np.float64)
+    mass = np.bincount(path_edge, weights=l_q[q_of], minlength=m)
+    weights = np.ones(m)
+    weights[K.loops] = problem.loop_weight[:, None]
+    interior = K.kind == INTERIOR
+    weights[interior] = alpha * mass[interior]
+    return l_q, path_tube, path_edge, weights

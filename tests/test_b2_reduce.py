@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lin2complex import b2_reduce, sparse_core
+from lin2complex import b2_reduce, complex2, sparse_core
 from lin2complex.b2_reduce import (
+    PathWeights,
     ReductionError,
     Tubes,
     build_boundary_problem,
@@ -18,18 +19,20 @@ from lin2complex.b2_reduce import (
     reduce_reg,
     spectral_certificate,
 )
-from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, validate
+from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, boundary2, validate
 from lin2complex.da_reduce import average_row, difference_row, gz2_to_da, plain_da_system
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import (
+    bfs_edge_weights,
     dense_lstsq,
     dense_nullity,
     dense_project,
     group_indicator,
     infeasible_da_instance,
     planted_da_instance,
+    planted_general_system,
     random_da_instance,
     random_gz2_system,
     three_per_row_system,
@@ -544,3 +547,82 @@ def test_derived_fields_match_the_construction():
     assert np.array_equal(P.central, np.searchsorted(P.K.tri_group, np.arange(da.n_vars)))
     _, P.weights = compute_edge_weights(P, 5.0)
     assert np.array_equal(P.loop_weight, base)
+
+
+# -- the build's d2 and paths against the lookups they replace ---------------------
+
+def _criterion_11_problems():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(4, 13))
+        m = int(rng.integers(max(2, n - 2), n + 3))
+        sys_g, _ = planted_general_system(rng, n, m, max_entry=50, row_nnz=3, kappa_max=1e4)
+        yield reduce_chain(sys_g, 1e-3).problem
+
+
+def _rung_problems():
+    for n in (20, 40, 80):
+        yield reduce_chain(three_per_row_system(7, n), 1e-3).problem
+
+
+def _average_row_problems():
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        # every extra row beyond the covering difference path is an average
+        sys, b = random_da_instance(rng, int(rng.integers(3, 9)), int(rng.integers(1, 9)),
+                                    p_average=1.0)
+        yield reduce_da_to_b2(sys, b)
+
+
+def _hole_count_problems():
+    # variables 2k and 2k+1 share h difference rows of alternating
+    # direction, so both have h holes and every rank has a tube of either
+    # sign; the pairs cover h = 1..256, sixteen pairs a system
+    for first in range(1, 257, 16):
+        rows = []
+        for k, h in enumerate(range(first, first + 16)):
+            rows += [difference_row(2 * k + r % 2, 2 * k + 1 - r % 2) for r in range(h)]
+        yield reduce_da_to_b2(plain_da_system(32, rows), np.zeros(len(rows)))
+
+
+PROBLEM_FAMILIES = {
+    "criterion-11": _criterion_11_problems,
+    "rungs-20-40-80": _rung_problems,
+    "average-rows": _average_row_problems,
+    "hole-counts-1-256": _hole_count_problems,
+}
+
+
+@pytest.mark.parametrize("family", PROBLEM_FAMILIES)
+def test_build_matches_the_lookups_it_replaces(family):
+    # d2 is boundary2's, and the paths and weights are those of a global
+    # breadth-first search, bit for bit
+    for P in PROBLEM_FAMILIES[family]():
+        d2 = boundary2(P.K)
+        assert P.d2.equals(d2)
+        assert P.d2.to_csr().indices.dtype == d2.to_csr().indices.dtype
+
+        pw, weights = compute_edge_weights(P, 7.0)
+        l_q, path_tube, path_edge, oracle_weights = bfs_edge_weights(P, 7.0)
+        assert np.array_equal(pw.l_q, l_q)
+        assert np.array_equal(weights, oracle_weights)
+        # every tube's path, edge by edge from its boundary triangle up
+        assert np.array_equal(np.bincount(pw.path_tube), np.bincount(path_tube))
+        assert np.array_equal(pw.path_edge[np.argsort(pw.path_tube, kind="stable")],
+                              path_edge[np.argsort(path_tube, kind="stable")])
+        if family != "hole-counts-1-256":  # 11M path entries: the arrays say it all
+            oracle = PathWeights(l_q, P.tubes, path_tube, path_edge)
+            assert pw.paths == oracle.paths and pw.k_qe == oracle.k_qe
+
+
+def test_reduce_chain_looks_up_no_edge_and_no_adjacency(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("reduce_chain looked its own cells up")
+
+    for module in (complex2, b2_reduce):
+        for name in ("_lookup", "triangle_adjacency", "boundary2"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    problem = reduce_chain(three_per_row_system(5, 12), 1e-3).problem
+    monkeypatch.undo()
+    assert problem.d2.equals(boundary2(problem.K)) and validate(problem.K).ok

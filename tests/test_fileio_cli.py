@@ -679,6 +679,30 @@ def test_cli_out_of_range_option_is_rejected_when_parsed(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_maxflow_demo_steps_below_one_rejected_when_parsed(tmp_path, capsys, steps):
+    # the network file is never read: the option fails first
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow-demo", "--network", str(tmp_path / "net.json"), "--steps", steps])
+    assert exc.value.code == 2
+    assert "error: argument --steps: must be at least 1" in capsys.readouterr().err
+
+
+def test_maxflow_demo_script_rejects_steps_below_one(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    run = subprocess.run([sys.executable, str(repo / "scripts" / "run_maxflow_demo.py"),
+                          "--steps", "0", "--out-dir", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 2 and "argument --steps" in run.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, options", [
     (["solve"], ("--matrix", "--rhs")),
     (["solve", "--route", "direct", "--matrix", "A.mtx"], ("--rhs",)),

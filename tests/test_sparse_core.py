@@ -251,6 +251,35 @@ def test_augmented_system_solves_the_dense_kkt_matrix():
         assert system.fill(lu) >= 1.0
 
 
+@pytest.mark.parametrize("order", ["rows", "columns", "shuffled"])
+def test_augmented_system_pattern_is_the_canonical_csc(order):
+    # the canonical CSC is unique, so K's arrays equal those of scipy's COO
+    # construction, whatever order B's entries come in
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(9)
+    for m, n in ((1, 1), (7, 5), (40, 23)):
+        B = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+        B[0, 0] = 1.0
+        rows, cols = np.nonzero(B)
+        if order == "columns":
+            by_col = np.lexsort((rows, cols))
+            rows, cols = rows[by_col], cols[by_col]
+        elif order == "shuffled":
+            shuffle = rng.permutation(rows.size)
+            rows, cols = rows[shuffle], cols[shuffle]
+        vals = B[rows, cols]
+        diag = np.arange(m + n)
+        K = sp.csc_matrix((np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals]),
+                           (np.concatenate([diag, rows, m + cols]),
+                            np.concatenate([diag, m + cols, rows]))), shape=(m + n, m + n))
+        system = AugmentedSystem(m, n, rows, cols)
+        data = np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals])[system.order]
+        assert np.array_equal(system.indices, K.indices)
+        assert np.array_equal(system.indptr, K.indptr)
+        assert np.array_equal(data, K.data)
+
+
 def test_iterative_solve_zero_rhs():
     dense, _ = _badly_scaled_matrix()
     x, iters = iterative_solve(SparseMatrix.from_dense(dense), np.zeros(40), 1e-8)
