@@ -329,7 +329,7 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     c = factors * np.asarray(b, dtype=np.float64).ravel()
     # A^T c for A = diag(factors) P: scaling by the pattern's 1, -1 and -2
     # is exact, so this is A^T c bit for bit
-    atb = sys.pattern_matrix().to_csr().T @ (factors * c)
+    atb = sys.pattern_rmatvec(factors * c)
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
     if np.all(np.abs(atb) <= 1e-12 * scale):
         return np.zeros(sys.n_vars)

@@ -359,11 +359,26 @@ class WeightedDASystem:
         """The unscaled pattern rows, built on the first call and kept: the
         system never changes."""
         if self._pattern is None:
-            used = self.var >= 0
-            coef = np.where(self.average[:, None], _AVERAGE_COEF, _DIFFERENCE_COEF)
-            self._pattern = SparseMatrix.from_arrays(
-                self.n_rows, self.n_vars, np.nonzero(used)[0], self.var[used], coef[used])
+            self._pattern = SparseMatrix.from_arrays(self.n_rows, self.n_vars,
+                                                     *self._pattern_coo())
         return self._pattern
+
+    def _pattern_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pattern's (row, variable, coefficient) entries, row by row."""
+        used = self.var >= 0
+        coef = np.where(self.average[:, None], _AVERAGE_COEF, _DIFFERENCE_COEF)
+        return np.nonzero(used)[0], self.var[used], coef[used]
+
+    def pattern_rmatvec(self, y) -> np.ndarray:
+        """``P^T y`` for the pattern ``P``, without building it: one
+        ``np.bincount`` over the entries.  It adds each variable's terms in
+        row order, as the CSR transpose product does, so the two agree bit
+        for bit."""
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if y.size != self.n_rows:
+            raise DimensionError(f"expected vector of length {self.n_rows}, got {y.size}")
+        row, var, coef = self._pattern_coo()
+        return np.bincount(var, weights=coef * y[row], minlength=self.n_vars)
 
     def pattern_rhs(self) -> np.ndarray:
         return self.rhs.copy()

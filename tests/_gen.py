@@ -196,6 +196,16 @@ def planted_general_system(rng: np.random.Generator, n_vars: int, n_rows: int,
     return GeneralSystem(sys.A, b, CLASS_G), x_star
 
 
+def criterion11_systems():
+    """Criterion 11's 20 draws, in order: ``default_rng(11)``, 4 to 12
+    columns, planted, at most three nonzeros a row."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(4, 13))
+        m = int(rng.integers(max(2, n - 2), n + 3))
+        yield planted_general_system(rng, n, m, max_entry=50, row_nnz=3, kappa_max=1e4)[0]
+
+
 def three_per_row_system(seed: int, n: int) -> GeneralSystem:
     """Square system with exactly three nonzeros a row, entries in [-50, 50],
     every column covered, and a planted integer solution."""

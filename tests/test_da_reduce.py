@@ -419,6 +419,18 @@ def test_columns_agree_with_record_oracles():
         assert WeightedDASystem(sys.n_vars, rows, sys.n_main, sys.n_aux) == sys
 
 
+def test_pattern_rmatvec_is_the_transpose_product():
+    # bit for bit, on systems with average rows, unit and weighted alike
+    rng = np.random.default_rng(23)
+    systems = [sys for sys in _gen_systems() if sys.average.any()]
+    assert len(systems) >= 4 and any(not sys.is_unit() for sys in systems)
+    for sys in systems:
+        for y in (rng.normal(size=sys.n_rows), sys.row_factors() ** 2 * sys.rhs):
+            assert np.array_equal(sys.pattern_rmatvec(y), sys.pattern_matrix().to_csr().T @ y)
+    with pytest.raises(ValueError):
+        systems[0].pattern_rmatvec(np.zeros(systems[0].n_rows + 1))
+
+
 def test_columns_are_read_only_and_checked_row_by_row():
     sys = plain_da_system(3, [difference_row(0, 1), average_row(0, 1, 2)])
     assert np.array_equal(sys.var, [[0, 1, -1], [0, 1, 2]])

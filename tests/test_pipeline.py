@@ -6,7 +6,12 @@ import numpy as np
 from lin2complex import sparse_core
 from lin2complex.pipeline import solve_general
 
-from _gen import dense_project, planted_general_system, three_per_row_system
+from _gen import (
+    criterion11_systems,
+    dense_project,
+    planted_general_system,
+    three_per_row_system,
+)
 
 
 def _certified(sys, x) -> bool:
@@ -23,13 +28,7 @@ def _criterion11_system():
 
 def _criterion11_draw(k: int):
     """Draw ``k`` (from 0) of criterion 11's corpus, the acceptance recipe."""
-    rng = np.random.default_rng(11)
-    for _ in range(k + 1):
-        n = int(rng.integers(4, 13))
-        m = int(rng.integers(max(2, n - 2), n + 3))
-        sys, _ = planted_general_system(rng, n, m, max_entry=50, row_nnz=3,
-                                        kappa_max=1e4)
-    return sys
+    return list(criterion11_systems())[k]
 
 
 def test_lu_round_certifies():
@@ -69,6 +68,20 @@ def test_refined_lu_round_certifies_at_large_alpha():
     x, report, _ = solve_general(sys, 1e-3, alpha=1e6)
     assert (report.round.method, report.rounds) == ("lu", 1) and report.converged
     assert _certified(sys, x)
+
+
+def test_lu_round_certifies_every_criterion11_draw_at_two_alphas():
+    # README: at alpha = 1e6 all 20 draws certify in the LU round; at the
+    # default 1e2 the worst dense ratio is 8.5e-13
+    for alpha, worst in ((1e2, 1e-11), (1e6, 1e-3)):
+        ratios = []
+        for sys in criterion11_systems():
+            x, report, _ = solve_general(sys, 1e-3, alpha=alpha)
+            assert (report.round.method, report.rounds) == ("lu", 1) and report.converged
+            A = sys.A.to_dense()
+            pib = dense_project(A, sys.b)
+            ratios.append(np.linalg.norm(A @ x - pib) / np.linalg.norm(pib))
+        assert len(ratios) == 20 and max(ratios) <= worst, (alpha, max(ratios))
 
 
 def test_rank_deficient_system_certifies_on_lu_round():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lin2complex import sparse_core
 from lin2complex.b2_reduce import reduce_reg
+from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import (
     LU_DELTA,
     AugmentedSystem,
@@ -16,7 +17,12 @@ from lin2complex.sparse_core import (
     spectral_summary,
 )
 
-from _gen import dense_project, infeasible_da_instance
+from _gen import (
+    criterion11_systems,
+    dense_project,
+    infeasible_da_instance,
+    three_per_row_system,
+)
 
 # the 6x3 disk boundary operator reused across the suite
 DISK_D2 = np.array([
@@ -249,6 +255,24 @@ def test_augmented_system_solves_the_dense_kkt_matrix():
         sol = lu.solve(rhs)
         assert np.linalg.norm(K @ sol - rhs) <= 1e-10 * np.linalg.norm(rhs)
         assert system.fill(lu) >= 1.0
+
+
+def test_fill_is_the_materialized_factor_size(monkeypatch):
+    # fill reads lu.nnz, the entries SuperLU stores; only this test builds
+    # lu.L and lu.U, on criterion 11's chains and a 24.7k-triangle rung
+    fills = []
+    fill = AugmentedSystem.fill
+
+    def materialized(system, lu):
+        fills.append((fill(system, lu), (lu.L.nnz + lu.U.nnz) / system.indices.size))
+        return fills[-1][0]
+    monkeypatch.setattr(AugmentedSystem, "fill", materialized)
+    for sys in [*criterion11_systems(), three_per_row_system(8, 40)]:
+        problem = reduce_chain(sys, 1e-3).problem
+        lu_solve(problem.weighted_matrix(), problem.weighted_rhs())
+    assert len(fills) == 21
+    for got, want in fills:
+        assert abs(got - want) <= 0.01 * want
 
 
 @pytest.mark.parametrize("order", ["rows", "columns", "shuffled"])
