@@ -4,11 +4,11 @@ The chain is general system -> zero row sums -> power-of-two rows ->
 difference-average -> weighted boundary problem.  Solving goes the other
 way: a solve of the weighted boundary problem is mapped back through every
 stage, and the final accuracy is certified against the original system.
-The first solve is one sparse LU, refined once; only when it fails or does
-not certify do LSQR rounds follow.  The theoretical accuracy targets
-compose to values far below what float64 can resolve, so the LSQR rounds
-start from a practical tolerance and tighten until the certified end-to-end
-accuracy is met.
+The first solve is one symmetric sparse LU, refined once; only when it
+fails or does not certify does a pivoted LU follow, and LSQR rounds after
+that.  The theoretical accuracy targets compose to values far below what
+float64 can resolve, so the LSQR rounds start from a practical tolerance
+and tighten until the certified end-to-end accuracy is met.
 """
 
 from __future__ import annotations

@@ -6,14 +6,18 @@ an integer-exactness flag; the one sparse LU of a quasi-definite augmented
 system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
 inner solves and the maxflow Newton steps share; the one least-squares
 driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
-refined once, then column-equilibrated LSQR rounds) are judged by their
-projected residual against P b, the projection of b onto the column space
-from one tight LSQR solve (``certify_rounds``); and the sparse spectral
-data that the spectral certificate and the ``lap_solve`` routes read: the
-integer norm bound on the largest eigenvalue, and the low spectrum and
-nullity of an exact integer Gram matrix from shift-invert Lanczos
+refined once, first symmetric without pivoting and then, if that answer
+does not certify, with COLAMD and partial pivoting, then column-equilibrated
+LSQR rounds) are judged by their projected residual against P b, the
+projection of b onto the column space from one tight LSQR solve
+(``certify_rounds``); and the sparse spectral data that the spectral
+certificate and the ``lap_solve`` routes read: the integer norm bound on the
+largest eigenvalue, and the low spectrum and nullity of an exact integer
+Gram matrix from shift-invert Lanczos over a symmetric factor
 (``gram_spectrum``, the one place that decides which eigenvalues are
-zero).  ``spectral_summary`` is the dense reference for small matrices.
+zero).  The two symmetric factors share one SuperLU setting,
+``SYMMETRIC_LU``; the ``lap_solve`` routes and the maxflow Newton steps keep
+pivoting.  ``spectral_summary`` is the dense reference for small matrices.
 """
 
 from __future__ import annotations
@@ -176,7 +180,7 @@ def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     return scale, A.vals * scale[A.cols]
 
 
-# the LSQR fallback after the LU round of ``solve_rounds``: at most
+# the LSQR fallback after the LU rounds of ``solve_rounds``: at most
 # LSQR_ROUNDS rounds of at most LSQR_MAX_ITER iterations each
 LSQR_ROUNDS = 4
 LSQR_MAX_ITER = 30000
@@ -217,6 +221,23 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
 # (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996).
 LU_DELTA = 1e-14
 
+# SuperLU's settings for the two symmetric matrices this module factors: the
+# quasi-definite K of the first LU round of ``solve_rounds`` and the positive
+# definite G + GRAM_SHIFT I of ``gram_low_eigenvalues``.  Both have a
+# triangular factor for every symmetric ordering without pivoting (Vanderbei,
+# SIAM J. Optim. 1995), so SuperLU orders the matrix plus its transpose by
+# minimum degree, permutes rows and columns alike and takes each diagonal
+# entry as its pivot, at ``factor``'s unrelaxed supernodes and one-column
+# panels.  COLAMD with
+# partial pivoting spent fill on K that this ordering does not (2.74 against
+# 2.00 on a 24.7k-triangle chain, 5.34 against 2.78 at 195.7k).  A no-pivot
+# factor's stability is bounded only by ||B||^2 / delta (Gill, Saunders &
+# Shinnerl, SIAM J. Matrix Anal. Appl. 1996), so ``solve_rounds`` follows it
+# with a COLAMD round when its answer does not certify, and ``lu_solve``'s
+# other callers keep pivoting.
+SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                "options": {"SymmetricMode": True}, "relax": 1, "panel_size": 1}
+
 
 class AugmentedSystem:
     """The quasi-definite ``K = [[I, B], [B^T, -LU_DELTA I]]`` for one
@@ -228,8 +249,9 @@ class AugmentedSystem:
     the 1 on the diagonal, then row j of B at rows m + c, and column m + c
     holds column c of B, then the -delta; B's entries are ordered by row and
     by column with one stable sort each.  ``factor`` then writes the values
-    of one ``B`` into it and makes one SuperLU factorization (COLAMD,
-    partial pivoting, no relaxed supernodes, panels one column wide), so a
+    of one ``B`` into it and makes one SuperLU factorization (no relaxed
+    supernodes, panels one column wide), either symmetric and without
+    pivoting (``SYMMETRIC_LU``) or with COLAMD and partial pivoting, so a
     caller that refactors the same pattern rewrites values only.
     ``K [r; y] = [c; e]`` gives ``y = (B^T B + delta I)^-1 (B^T c - e)`` and
     ``r = c - B y``.
@@ -260,12 +282,16 @@ class AugmentedSystem:
             self.indices[at], self.order[at] = index, value
         self.m, self.n = m, n
 
-    def factor(self, vals) -> spla.SuperLU:
+    def factor(self, vals, symmetric: bool = False) -> spla.SuperLU:
         """SuperLU of ``K`` with B's values ``vals`` aligned with ``rows``
-        / ``cols``; ``splu`` raises ``RuntimeError`` when it fails."""
+        / ``cols``, at ``SYMMETRIC_LU`` when ``symmetric`` and with COLAMD
+        and partial pivoting otherwise; ``splu`` raises ``RuntimeError``
+        when it fails."""
         data = np.concatenate([np.ones(self.m), np.full(self.n, -LU_DELTA), vals, vals])
         size = self.m + self.n
         K = sp.csc_matrix((data[self.order], self.indices, self.indptr), shape=(size, size))
+        if symmetric:
+            return spla.splu(K, **SYMMETRIC_LU)
         # No relaxed supernodes (relax=1 merges no columns) and panels one
         # column wide: B has 1-3 entries a column, so SuperLU's default
         # relaxed supernodes and 10-column panels only pad dense blocks.  The
@@ -286,13 +312,14 @@ class AugmentedSystem:
         return lu.nnz / self.indices.size
 
 
-def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
+def lu_solve(A: SparseMatrix, b, symmetric: bool = False) -> tuple[np.ndarray, float]:
     """Column-equilibrated least squares of ``A x ~ b`` from one sparse LU,
     refined once; returns (x, fill) with fill ``AugmentedSystem.fill``
     (about (nnz L + nnz U) / nnz K), and (0, 0.0) for a zero A or b.
 
     With ``B`` the unit-column scaling of A restricted to its nonzero rows
-    and columns, ``AugmentedSystem`` factors ``K`` once and solves
+    and columns, ``AugmentedSystem`` factors ``K`` once (without pivoting
+    when ``symmetric``, see ``SYMMETRIC_LU``) and solves
     ``K [r; y] = [b; 0]``, i.e. ``(B^T B + delta I) y = B^T b``; ``x = D y``
     as in ``iterative_solve`` and all-zero columns get 0.  The same factor
     then solves for the residual ``b - A x`` and adds the correction (one
@@ -312,7 +339,7 @@ def lu_solve(A: SparseMatrix, b) -> tuple[np.ndarray, float]:
     m, n = rows.size, cols.size
     system = AugmentedSystem(m, n, (np.cumsum(used_row) - 1)[A.rows],
                              (np.cumsum(used_col) - 1)[A.cols])
-    lu = system.factor(vals)
+    lu = system.factor(vals, symmetric)
 
     def solve(rhs) -> np.ndarray:
         x = np.zeros(A.n_cols)
@@ -346,9 +373,10 @@ def projection_residual(A: SparseMatrix, x, b,
 
 
 class Round(NamedTuple):
-    """One candidate of ``solve_rounds``: the solution, its method ("lu" or
-    "lsqr"), the LSQR tolerance (None for the LU round), the LSQR
-    iterations and the LU fill (None if the factorization raised)."""
+    """One candidate of ``solve_rounds``: the solution, its method ("lu" for
+    the symmetric factor, "lu_colamd" for the pivoted one, or "lsqr"), the
+    LSQR tolerance (None for an LU round), the LSQR iterations and the fill
+    of the latest LU factor (None if every factorization so far raised)."""
 
     x: np.ndarray
     method: str
@@ -360,19 +388,22 @@ class Round(NamedTuple):
 def solve_rounds(A: SparseMatrix, b, tol: float):
     """Candidate least-squares solutions of ``A x ~ b``, cheapest first.
 
-    One refined ``lu_solve`` (skipped if its factorization raises), then up to
-    ``LSQR_ROUNDS`` ``iterative_solve`` rounds whose tolerance starts from
-    ``tol`` clipped to [1e-7, 0.1] and tightens 100x a round.  The rounds
-    are computed lazily, so a caller that stops at a certified candidate
-    pays for no later round.
+    Two refined ``lu_solve`` rounds, each skipped if its factorization
+    raises: the symmetric factor without pivoting ("lu"), then the COLAMD
+    factor with partial pivoting ("lu_colamd") in case the first answer
+    does not certify.  Then up to ``LSQR_ROUNDS`` ``iterative_solve``
+    rounds whose tolerance starts from ``tol`` clipped to [1e-7, 0.1] and
+    tightens 100x a round.  The rounds are computed lazily, so a caller
+    that stops at a certified candidate pays for no later round: one
+    symmetric factor when the first round certifies.
     """
     fill = None
-    try:
-        x, fill = lu_solve(A, b)
-    except (RuntimeError, MemoryError):
-        pass
-    else:
-        yield Round(x, "lu", None, 0, fill)
+    for method, symmetric in (("lu", True), ("lu_colamd", False)):
+        try:
+            x, fill = lu_solve(A, b, symmetric)
+        except (RuntimeError, MemoryError):
+            continue
+        yield Round(x, method, None, 0, fill)
     tol = min(max(tol, 1e-7), 0.1)
     for _ in range(LSQR_ROUNDS):
         x, iters = iterative_solve(A, b, tol)
@@ -427,7 +458,7 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
     Draws candidates from ``solve_rounds`` and judges them on ``A`` with
     ``certify_rounds``, whose ``Verdict`` it returns: ``converged`` means
     ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the LSQR
-    iterations of every fallback round run (0 when the LU round certifies).
+    iterations of every fallback round run (0 when an LU round certifies).
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
@@ -482,7 +513,9 @@ GRAM_SHIFT = 1e-8
 # Eigenvalues of a Gram matrix with |lambda| at or below this count as zero.
 # For G = d2^T d2, d2 is +-1 and ||G|| <= 12; at GRAM_SHIFT the zero
 # eigenvalues that Lanczos returns sit at the rounding level and come out
-# negative (-1e-16..-2e-17), so the test compares |lambda|.  The smallest
+# negative, so the test compares |lambda|: 1.5e-16..1.8e-16 in magnitude
+# over the ``SYMMETRIC_LU`` factor on complexes of 2.1k-48k triangles, and
+# 7e-17..1.0e-16 over a COLAMD factor with partial pivoting.  The smallest
 # nonzero eigenvalue seen was 9e-14, on a 23,890-triangle complex of a
 # 40x40 three-per-row system.
 ZERO_EIGENVALUE = 1e-14
@@ -495,15 +528,16 @@ def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
     ``G`` is formed in integer arithmetic from the int CSR of an
     integer-exact ``M``, so it is exact.  ARPACK's Lanczos (``eigsh``) runs
     in shift-invert mode at ``-GRAM_SHIFT``, with one SuperLU factorization
-    of ``G + GRAM_SHIFT I`` as the inverse operator and a fixed start
-    vector, so repeated calls return the same values.  Raises ``ValueError``
+    of the positive definite ``G + GRAM_SHIFT I`` at ``SYMMETRIC_LU`` as the
+    inverse operator and a fixed start vector, so repeated calls return the
+    same values.  Raises ``ValueError``
     for a matrix that is not integer-exact and ``spla.ArpackError`` when
     Lanczos does not converge.
     """
     D = M.to_int_csr()
     G = (D.T @ D).astype(np.float64).tocsc()
     n = G.shape[0]
-    lu = spla.splu(G + GRAM_SHIFT * sp.identity(n, format="csc"))
+    lu = spla.splu(G + GRAM_SHIFT * sp.identity(n, format="csc"), **SYMMETRIC_LU)
     inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
     vals = spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",

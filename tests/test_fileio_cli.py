@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lin2complex import complex2, fileio
 from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2
-from lin2complex.cli import main
+from lin2complex.cli import build_parser, main
 from lin2complex.complex2 import boundary2, validate
 from lin2complex.da_reduce import gz2_to_da
 from lin2complex.pipeline import reduce_chain, solve_chain, solve_general
@@ -123,6 +123,23 @@ def test_cli_reduce_verify_solve(tmp_path):
     x = fileio.read_vector(out / "x.vec")
     A = sys.A.to_dense()
     assert np.linalg.norm(A @ x - sys.b) <= 1e-3 * np.linalg.norm(sys.b)
+
+
+def test_one_parser_serves_every_main_call_of_a_process(tmp_path, capsys):
+    # main parses with the one parser a process builds; the options of one
+    # call, whatever its subcommand, do not reach the next
+    assert build_parser() is build_parser()
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+                 "--out-dir", str(out), "--eps", "0.25"]) == 0
+    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
+    assert "[SKIP] spectral certificate" in capsys.readouterr().out
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert "[SKIP]" not in capsys.readouterr().out
+    verify = build_parser().parse_args(["verify", "--dir", str(out)])
+    assert (verify.command, verify.cert_limit) == ("verify", 4000)
+    assert not hasattr(verify, "eps") and not hasattr(verify, "matrix")
 
 
 # a criterion-11-sized 5x5 system with |A_ij| <= 50; its complex has 2,940

@@ -60,6 +60,49 @@ def test_uncertified_lu_answer_falls_back_to_lsqr(monkeypatch):
     assert report.converged and _certified(sys, x)
 
 
+def _spoil_symmetric_factor(monkeypatch, spoil):
+    """Let ``spoil(splu, K, settings)`` stand in for SuperLU's symmetric
+    factor only; the COLAMD factor stays as it is."""
+    splu = sparse_core.spla.splu
+
+    def factor(K, **settings):
+        if settings == sparse_core.SYMMETRIC_LU:
+            return spoil(splu, K, settings)
+        return splu(K, **settings)
+    monkeypatch.setattr(sparse_core.spla, "splu", factor)
+
+
+def test_biased_symmetric_answer_certifies_in_the_colamd_round(monkeypatch):
+    # the symmetric factor of 2 K: its answer, refined once, is 3/4 of the
+    # least-squares one, so the COLAMD round certifies before any LSQR round
+    _spoil_symmetric_factor(monkeypatch, lambda splu, K, settings: splu(2.0 * K, **settings))
+    sys = _criterion11_system()
+    x, report, _ = solve_general(sys, 1e-3)
+    assert (report.round.method, report.rounds, report.iterations) == ("lu_colamd", 2, 0)
+    assert report.converged and report.round.fill >= 1.0
+    assert _certified(sys, x)
+
+
+def test_failed_symmetric_factor_falls_back_to_the_colamd_round(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    _spoil_symmetric_factor(monkeypatch, fail)
+    sys = _criterion11_system()
+    x, report, _ = solve_general(sys, 1e-3)
+    assert (report.round.method, report.rounds, report.iterations) == ("lu_colamd", 1, 0)
+    assert report.converged and _certified(sys, x)
+
+
+def test_symmetric_round_keeps_the_fill_low_on_a_ladder_rung():
+    # 2.00 at 24.7k triangles; COLAMD with partial pivoting gave 2.74
+    sys = three_per_row_system(8, 40)
+    x, report, _ = solve_general(sys, 1e-3)
+    assert (report.round.method, report.rounds) == ("lu", 1)
+    assert report.round.fill <= 2.2
+    assert _certified(sys, x)
+
+
 def test_refined_lu_round_certifies_at_large_alpha():
     # an 11x12 system at alpha = 1e6: unrefined, the LU round missed
     # eps = 1e-3 (ratio 1.3e-3) and four LSQR rounds failed after it

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import sparse_core
 from lin2complex.b2_reduce import reduce_reg
+from lin2complex.da_reduce import CLASS_G, GeneralSystem
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import (
     LU_DELTA,
@@ -302,6 +306,26 @@ def test_augmented_system_pattern_is_the_canonical_csc(order):
         assert np.array_equal(system.indices, K.indices)
         assert np.array_equal(system.indptr, K.indptr)
         assert np.array_equal(data, K.data)
+
+
+def test_gram_spectrum_matches_a_dense_eigvalsh_on_a_ladder_rung():
+    # build_ladder's recipe (bench/gen.py) at n = 3, 2,104 triangles: the
+    # symmetric factor of G + GRAM_SHIFT I finds the dense nullity, and its
+    # zero eigenvalues stay at the rounding level (1.6e-16 measured)
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    A, x_star = gen.planted_system(np.random.default_rng(11), 3, 3, 50, None, 3, 3)
+    sys = GeneralSystem(SparseMatrix.from_dense(A), A @ x_star, CLASS_G)
+    d2 = reduce_chain(sys, 1e-3).problem.d2
+    eig, nullity = sparse_core.gram_spectrum(d2, 4)
+    D = d2.to_dense()
+    dense = np.linalg.eigvalsh(D.T @ D)
+    zero = dense <= dense.size * np.finfo(float).eps * dense[-1]
+    assert d2.n_cols > 2000 and nullity == int(zero.sum()) > 0
+    assert np.all(np.abs(eig[:nullity]) <= 1e-15)
+    assert eig[nullity] == pytest.approx(dense[~zero][0], rel=1e-6)
 
 
 def test_iterative_solve_zero_rhs():
