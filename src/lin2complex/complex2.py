@@ -306,7 +306,9 @@ class ValidationReport:
 
 def triangle_adjacency(d2: SparseMatrix, kind: np.ndarray) -> sp.csr_matrix:
     """Adjacency over interior edges as a t x t CSR matrix, read off ``d2``
-    and the edge kinds; ``validate`` reads each group's connectivity off it.
+    and the edge kinds.  The library does not call it (``validate`` reads
+    its connectivity graph straight off ``d2``); the tests' breadth-first
+    weight oracle and the benchmark tracer use it.
 
     An interior edge with exactly two triangles joins the two columns of its
     row of ``d2``.  Entry (T1, T2) holds the id of an interior edge the two
@@ -348,8 +350,9 @@ def validate(K: Complex2) -> ValidationReport:
 
     One edge lookup gives every triangle side's edge id and sign; d2 is
     built from them once, and the incidence counts, the sign balance, the
-    interior-edge connectivity (``triangle_adjacency``) and d1 d2 = 0 are
-    all read off it.
+    interior-edge connectivity and d1 d2 = 0 are all read off it.  The
+    connectivity graph joins the two triangles of each interior edge's row
+    of d2 when they share a group, with no adjacency matrix in between.
     """
     def fail(msg: str) -> ValidationReport:
         return ValidationReport(False, msg)
@@ -406,10 +409,12 @@ def validate(K: Complex2) -> ValidationReport:
     # resident memory in processes that never validate or weight a complex
     from scipy.sparse.csgraph import connected_components
 
-    adj = triangle_adjacency(d2, kind)
-    a, b = np.repeat(np.arange(t), np.diff(adj.indptr)), adj.indices
+    # every interior edge lies in two triangles (checked above), and its row
+    # of d2 joins them when they share a group
+    start = d2.to_csr().indptr[np.flatnonzero(kind == INTERIOR)]
+    a, b = d2.cols[start], d2.cols[start + 1]
     same = K.tri_group[a] == K.tri_group[b]
-    graph = sp.csr_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
+    graph = sp.coo_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
     _, label = connected_components(graph, directed=False)
     pieces = _unique(K.tri_group * max(t, 1) + label) // max(t, 1)
     split = _first(pieces[1:] == pieces[:-1])

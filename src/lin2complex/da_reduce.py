@@ -34,8 +34,9 @@ class MatrixClassError(ValueError):
 EXACT_LIMIT = 2.0 ** 53
 
 
-def _is_pow2(p: int) -> bool:
-    return p >= 1 and (p & (p - 1)) == 0
+def _is_pow2(m: np.ndarray) -> np.ndarray:
+    """Whether each int64 m is a power of two: m >= 1 with one bit set."""
+    return (m > 0) & ((m & (m - 1)) == 0)
 
 
 def _pow2_ceil(p: np.ndarray) -> np.ndarray:
@@ -100,12 +101,6 @@ class GeneralSystem:
             if np.any((pos < 1.0) | (_pow2_ceil(pos) != pos)):
                 raise MatrixClassError(
                     "positive entries of every row must sum to a power of 2")
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.A.n_rows)]
-        for r, c, v in zip(self.A.rows, self.A.cols, self.A.vals):
-            out[int(r)][int(c)] = int(v)
-        return out
 
 
 def _row_sums(A: SparseMatrix) -> np.ndarray:
@@ -404,36 +399,123 @@ class AuxRecord:
     source_row: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DAReductionTrace:
+    """The auxiliary variables of ``gz2_to_da``, as columns: variable
+    ``n_original + a`` replaces the pair ``pair[a]`` of row ``source_row[a]``,
+    whose coefficients of sign ``sign[a]`` both have bit ``bit[a]`` set.
+    ``aux_assignment_order`` builds the ``AuxRecord``s, in id order, each
+    time it is read; the chain never reads it."""
+
     n_original: int
-    aux_assignment_order: tuple[AuxRecord, ...]
+    pair: np.ndarray
+    sign: np.ndarray
+    bit: np.ndarray
+    source_row: np.ndarray
+
+    @property
+    def aux_assignment_order(self) -> tuple[AuxRecord, ...]:
+        return tuple(AuxRecord(self.n_original + a, (i, j), s, r, q)
+                     for a, ((i, j), s, r, q) in enumerate(zip(
+                         self.pair.tolist(), self.sign.tolist(), self.bit.tolist(),
+                         self.source_row.tolist())))
 
 
-def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
-    """Recognize rows that are a power-of-two multiple of a canonical pattern,
-    returned as that pattern's row (average, (i, j, k), weight, rhs, scale)
-    with the given weight.
+def _canonical_rows(A: SparseMatrix, b: np.ndarray, coef: np.ndarray):
+    """The rows that are a power-of-two multiple of a canonical pattern: a
+    two-entry row ``c x(i) - c x(j)``, or a three-entry row
+    ``c x(i) + c x(j) - 2c x(k)`` with zero right-hand side, c a power of two.
+    Returns (mask, average, var, scale) over all rows, where var holds
+    (i, j, k), k = -1 for a difference, i < j in an average, and scale is c;
+    var and scale mean nothing off the mask."""
+    d = A.n_rows
+    start, size = A.to_csr().indptr[:-1], np.diff(A.to_csr().indptr)
+    mask, average = np.zeros(d, bool), np.zeros(d, bool)
+    var, scale = np.zeros((d, 3), np.int64), np.zeros(d, np.int64)
 
-    Zero-auxiliary rows must take the weighted already-canonical branch for
-    the exact-reduction identity to hold, so the match is up to scale.
+    two = np.flatnonzero(size == 2)
+    e = start[two, None] + [0, 1]
+    c = coef[e]
+    var[two, :2] = np.where(c[:, :1] < 0, A.cols[e][:, ::-1], A.cols[e])  # positive first
+    var[two, 2] = -1
+    scale[two] = np.abs(c[:, 0])
+    mask[two] = (c[:, 0] == -c[:, 1]) & _is_pow2(scale[two])
+
+    three = np.flatnonzero((size == 3) & (b == 0.0))
+    e = start[three, None] + [0, 1, 2]
+    # the positive entries first, each side in variable order
+    e = np.take_along_axis(e, np.argsort(coef[e] < 0, axis=1, kind="stable"), axis=1)
+    c = coef[e]
+    ok = ((c[:, 1] > 0) & (c[:, 2] < 0) & (c[:, 0] == c[:, 1]) & (c[:, 2] == -2 * c[:, 0])
+          & _is_pow2(c[:, 0]))
+    var[three], scale[three], mask[three], average[three] = A.cols[e], c[:, 0], ok, ok
+    return mask, average, var, scale
+
+
+def _pair_levels(group: np.ndarray, var: np.ndarray, mag: np.ndarray,
+                 n_groups: int, first_id: int):
+    """Bitwise pair-and-replace in every group at once, all bit levels in
+    one pass of array operations.
+
+    ``group``, ``var`` and ``mag`` list the coefficients as (group, variable,
+    magnitude), sorted by group and variable.  The pairing runs levels
+    r = 0, 1, ... while a group holds more than one item: at level r the
+    group pairs its items with bit r set, the original variables in index
+    order and then the auxiliary ones of level r - 1 in creation order, and
+    each pair loses 2^r from both and becomes one auxiliary item of 2^(r+1).
+    The magnitudes keep their sum S, so a group of two or more items whose
+    S = 2^P runs levels 0 .. P-1 and ends with the one auxiliary item of
+    level P-1; if S is not a power of two, its lowest set bit's level has
+    an odd number of items to pair and the group fails there.  Level r of a
+    sound group pairs ``o_r`` original items (those with bit r set) and the
+    ``a_(r-1)`` auxiliary ones of level r - 1, and makes
+    ``a_r = (o_r + a_(r-1)) / 2 = (sum over s <= r of o_s 2^s) / 2^(r+1)``
+    new ones, so every level's pairs are known up front.
+
+    Returns (aux, survivor_var, survivor_mag, failed).  ``aux`` is the
+    auxiliary variables as (group, level, left, right) columns ordered by
+    (group, level, pair), which is their id order from ``first_id`` up;
+    left and right are ids in that numbering.  A group's survivor is its
+    last item (-1 and 0 for an empty or failed group), and ``failed`` flags
+    the groups of two or more items whose S is not a power of two.
     """
-    if len(coef) == 2:
-        (va, ca), (vb, cb) = sorted(coef.items())
-        if ca > 0 > cb and ca == -cb and _is_pow2(ca):
-            return False, (va, vb, -1), weight, rhs / ca, float(ca)
-        if cb > 0 > ca and cb == -ca and _is_pow2(cb):
-            return False, (vb, va, -1), weight, rhs / cb, float(cb)
-        return None
-    if len(coef) == 3 and rhs == 0.0:
-        pos = sorted((v, c) for v, c in coef.items() if c > 0)
-        neg = [(v, c) for v, c in coef.items() if c < 0]
-        if len(pos) == 2 and len(neg) == 1:
-            (vi, ci), (vj, cj) = pos
-            (vk, ck) = neg[0]
-            if ci == cj and ck == -2 * ci and _is_pow2(ci):
-                return True, (vi, vj, vk), weight, 0.0, float(ci)
-    return None
+    items = np.bincount(group, minlength=n_groups)
+    total = np.zeros(n_groups, np.int64)
+    np.add.at(total, group, mag)
+    failed = (items > 1) & ~_is_pow2(total)
+    paired = (items > 1) & ~failed
+    levels = int(total[paired].max(initial=1)).bit_length() - 1  # the largest P
+
+    # the set bits of the paired groups' items, by (group, level, variable)
+    e = np.flatnonzero(paired[group])
+    entry, level = np.nonzero((mag[e, None] >> np.arange(levels)) & 1)
+    cell = group[e][entry] * levels + level
+    order = np.argsort(cell, kind="stable")
+    bit_var = var[e][entry][order]
+    o = np.bincount(cell, minlength=n_groups * levels).reshape(n_groups, levels)
+    a = np.cumsum(o << np.arange(levels), axis=1) >> np.arange(1, levels + 1)
+    o, a = o.ravel(), a.ravel()
+    o_start, a_start = np.cumsum(o) - o, np.cumsum(a) - a
+
+    cell = np.repeat(np.arange(a.size), a)  # each auxiliary variable's (group, level)
+    pair = np.arange(cell.size) - a_start[cell]
+
+    def item(pos):
+        """The variable at place ``pos`` of its cell's level: an original
+        one while ``pos < o``, then one made at the level below."""
+        original = pos < o[cell]
+        made = first_id + a_start[np.maximum(cell - 1, 0)] + pos - o[cell]
+        return np.where(original, bit_var[np.where(original, o_start[cell] + pos, 0)], made)
+
+    aux = (*np.divmod(cell, levels), item(2 * pair), item(2 * pair + 1))
+    survivor_var = np.full(n_groups, -1, np.int64)
+    survivor_mag = np.zeros(n_groups, np.int64)
+    single = np.flatnonzero(items[group] == 1)
+    survivor_var[group[single]], survivor_mag[group[single]] = var[single], mag[single]
+    g = np.flatnonzero(paired)
+    last = g * levels + np.frexp(total[g].astype(np.float64))[1] - 2  # level P - 1
+    survivor_var[g], survivor_mag[g] = first_id + a_start[last], total[g]
+    return aux, survivor_var, survivor_mag, failed
 
 
 def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
@@ -444,73 +526,67 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     variable through an average constraint scaled by 2^r, until the row is a
     scaled difference.  Rows that already match a canonical pattern (up to a
     power-of-two scale) are kept with weight alpha/(alpha+1); the auxiliary
-    rows of source row i carry weight alpha * |aux_i|.
+    rows of source row i carry weight alpha * |aux_i|.  Auxiliary variables
+    are numbered from ``n`` by (row, sign, bit, pair), negative sign first.
+
+    The pairing of every (row, sign) group at every bit level is one pass
+    of array operations (``_pair_levels``): a level's pair count follows
+    from the bits below it, so nothing loops over rows or levels.  The
+    row-by-row loop it replaces is the tests' oracle.
 
     Returns (system, rhs, trace) where rhs is the weighted right-hand side
-    aligned with ``system.as_matrix()``.
+    aligned with ``system.as_matrix()`` and trace a ``DAReductionTrace``.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if sys.class_tag != CLASS_GZ2:
         raise MatrixClassError("gz2_to_da expects a power-of-two system")
     sys.validate_class()
-    n = sys.A.n_cols
-    row_data = sys.row_dicts()
+    A, b = sys.A, sys.b
+    n, d = A.n_cols, A.n_rows
+    coef = A.vals.astype(np.int64)  # integers below 2^53, so exact
+    canonical, average, var, scale = _canonical_rows(A, b, coef)
 
-    # rows as (average, (i, j, k), weight, rhs, scale), filled into the columns
-    main_rows: list[tuple] = []
-    aux_rows: list[tuple] = []
-    aux_records: list[AuxRecord] = []
-    next_var = n
+    # the (row, sign) groups of the other rows, negative sign first
+    group = 2 * A.rows + (coef > 0)
+    entries = np.flatnonzero(~canonical[A.rows])
+    entries = entries[np.argsort(group[entries], kind="stable")]
+    aux, survivor, survivor_mag, failed = _pair_levels(
+        group[entries], A.cols[entries], np.abs(coef[entries]), 2 * d, n)
+    aux_group, level, left, right = aux
 
-    for i, coef in enumerate(row_data):
-        rhs = float(sys.b[i])
-        canonical = _classify_scaled_da(coef, rhs, alpha / (alpha + 1.0))
-        if canonical is not None:
-            main_rows.append(canonical)
-            continue
+    # each reduced row ends as a difference of its two survivors
+    reduced = np.flatnonzero(~canonical)
+    neg, pos = survivor[2 * reduced], survivor[2 * reduced + 1]
+    neg_mag, pos_mag = survivor_mag[2 * reduced], survivor_mag[2 * reduced + 1]
+    # as (row, phase, message): the first fault a row-by-row pass would meet
+    # is the least, by row, then the negative sign, the positive sign and
+    # the terminal check
+    faults = [(g // 2, g % 2, "odd-cardinality bit set; input is not in class G_z2")
+              for g in np.flatnonzero(failed)[:1].tolist()]
+    faults += [(int(q), 2, "reduction did not reach a difference")
+               for q in reduced[(neg < 0) | (pos < 0)][:1]]
+    faults += [(int(q), 2, "terminal row is not a scaled difference")
+               for q in reduced[(neg >= 0) & (pos >= 0)
+                                & ((pos_mag != neg_mag) | ~_is_pow2(pos_mag))][:1]]
+    if faults:
+        q, _, message = min(faults)
+        raise MatrixClassError(f"row {q}: {message}")
+    var[reduced] = np.stack([pos, neg, np.full(reduced.size, -1)], axis=1)
+    scale[reduced] = pos_mag
 
-        work = dict(coef)
-        first_aux = len(aux_records)
-        for s in (-1, 1):
-            r = 0
-            while sum(1 for c in work.values() if c * s > 0) > 1:
-                odd = sorted(v for v, c in work.items()
-                             if c * s > 0 and (abs(c) >> r) & 1)
-                if len(odd) % 2 != 0:
-                    raise MatrixClassError(
-                        f"row {i}: odd-cardinality bit set; input is not in class G_z2")
-                for a, bvar in zip(odd[0::2], odd[1::2]):
-                    t = next_var
-                    next_var += 1
-                    step = s * (1 << r)
-                    for v in (a, bvar):
-                        work[v] -= step
-                        if work[v] == 0:
-                            del work[v]
-                    work[t] = work.get(t, 0) + 2 * step
-                    aux_records.append(AuxRecord(t, (a, bvar), s, r, i))
-                r += 1
-                if r > 64:
-                    raise MatrixClassError(f"row {i}: pairing did not terminate")
-
-        items = sorted(work.items())
-        if len(items) != 2:
-            raise MatrixClassError(f"row {i}: reduction did not reach a difference")
-        (va, ca), (vb, cb) = items
-        if ca < 0 < cb:
-            (va, ca), (vb, cb) = (vb, cb), (va, ca)
-        if ca != -cb or not _is_pow2(ca):
-            raise MatrixClassError(f"row {i}: terminal row is not a scaled difference")
-        scale = float(ca)
-        main_rows.append((False, (va, vb, -1), 1.0, rhs / scale, scale))
-        here = aux_records[first_aux:]
-        aux_rows.extend((True, (*rec.pair, rec.new_var), alpha * len(here), 0.0,
-                         float(1 << rec.bit)) for rec in here)
-
-    columns = zip(*main_rows, *aux_rows) if main_rows or aux_rows else ((),) * 5
-    system = WeightedDASystem.from_columns(next_var, *columns, len(main_rows), len(aux_rows))
-    trace = DAReductionTrace(n_original=n, aux_assignment_order=tuple(aux_records))
+    source_row = aux_group // 2
+    per_row = np.bincount(source_row, minlength=d)
+    scale = scale.astype(np.float64)
+    main = (average, var, np.where(canonical, alpha / (alpha + 1.0), 1.0),
+            np.where(average, 0.0, b / scale), scale)
+    aux_rows = (np.ones(left.size, bool),
+                np.stack([left, right, n + np.arange(left.size)], axis=1),
+                alpha * per_row[source_row], np.zeros(left.size), np.ldexp(1.0, level))
+    system = WeightedDASystem.from_columns(
+        n + left.size, *(np.concatenate(c) for c in zip(main, aux_rows)), d, left.size)
+    trace = DAReductionTrace(n, np.stack([left, right], axis=1),
+                             np.where(aux_group % 2 == 1, 1, -1), level, source_row)
     return system, system.rhs_vector(), trace
 
 

@@ -46,10 +46,15 @@ def read_matrix(path) -> SparseMatrix:
 
 def write_vector(path, v) -> None:
     """One entry a line, each the shortest text that reads back exactly:
-    ``repr``, less the ".0" of an integral value."""
+    ``repr``, less the ".0" of an integral value.  ``repr`` runs once per
+    distinct float64 bit pattern (not per distinct value, which would merge
+    0.0 and -0.0), and the lines index into those texts."""
     v = np.asarray(v, dtype=np.float64).ravel()
+    bits, line = np.unique(v.view(np.uint64), return_inverse=True)
+    text = np.array([repr(x).removesuffix(".0") for x in bits.view(np.float64).tolist()],
+                    dtype=object)
     with open(path, "w") as fh:
-        fh.write(("\n".join(map(repr, v.tolist())) + "\n").replace(".0\n", "\n"))
+        fh.write("\n".join(text[line].tolist()) + "\n")
 
 
 def read_vector(path) -> np.ndarray:
@@ -115,6 +120,30 @@ def _da_row(q: int, row) -> tuple:
     return (average, ids, *numbers)
 
 
+def _types(column: list) -> set:
+    return {type(v) for v in column}
+
+
+def _da_columns(rows: list):
+    """The columns (average, i, j, k, weight, rhs, scale) of da.json rows,
+    checked a column at a time (one list per field and one set of the types
+    in it) with ``_da_row``'s checks, or stricter ones; None when one fails."""
+    if _types(rows) - {dict}:
+        return None
+    kind, i, j, k = ([row.get(name) for row in rows] for name in ("kind", "i", "j", "k"))
+    numbers = [[row.get(name, _DA_ROW_DEFAULTS[name]) for row in rows]
+               for name in ("weight", "rhs", "scale")]
+    if (_types(kind) - {str} or set(kind) - {KIND_DIFFERENCE, KIND_AVERAGE}
+            or _types(i) - {int} or _types(j) - {int} or _types(k) - {int, type(None)}
+            or any(_types(column) - {int, float} for column in numbers)):
+        return None
+    average = np.array(kind, dtype=str) == KIND_AVERAGE
+    no_k = np.array([v is None for v in k], dtype=bool)
+    if np.any(average & no_k):
+        return None
+    return (average, i, j, [-1 if v is None else v for v in k], *numbers)
+
+
 def da_system_from_json(obj) -> WeightedDASystem:
     """The system of ``da_system_to_json``, its columns filled straight from
     the rows.  Raises ``ArtifactError`` naming the first bad row: a missing
@@ -126,10 +155,18 @@ def da_system_from_json(obj) -> WeightedDASystem:
     if any(type(v) is not int for v in sizes) or not isinstance(rows, list):
         raise ArtifactError("expected an object with integers 'n_vars', 'n_main' and "
                             "'n_aux' and a list 'rows'")
-    parsed = [_da_row(q, row) for q, row in enumerate(rows)]
-    columns = zip(*parsed) if parsed else ((),) * 5
+    columns = _da_columns(rows)
+    if columns is None:
+        # a column check failed: row by row, _da_row raises at the first bad
+        # row with its message, and rows that pass a stricter check than
+        # its own (a dict subclass, say) parse as before
+        average, ids, *numbers = zip(*[_da_row(q, row) for q, row in enumerate(rows)])
+        columns = (average, *zip(*ids), *numbers)
+    average, i, j, k, *numbers = columns
     try:
-        return WeightedDASystem.from_columns(sizes[0], *columns, *sizes[1:])
+        return WeightedDASystem.from_columns(sizes[0], average,
+                                             np.array([i, j, k], dtype=np.int64).T,
+                                             *numbers, *sizes[1:])
     except (ValueError, OverflowError) as exc:
         raise ArtifactError(str(exc)) from None
 

@@ -15,7 +15,10 @@ from lin2complex.complex2 import INTERIOR, triangle_adjacency
 from lin2complex.da_reduce import (
     CLASS_G,
     CLASS_GZ2,
+    AuxRecord,
     GeneralSystem,
+    MatrixClassError,
+    WeightedDASystem,
     average_row,
     difference_row,
     plain_da_system,
@@ -218,6 +221,103 @@ def three_per_row_system(seed: int, n: int) -> GeneralSystem:
         A[r, cols] = rng.integers(1, 51, size=3) * rng.choice((-1.0, 1.0), size=3)
     x_star = rng.integers(-6, 7, size=n).astype(float)
     return GeneralSystem(SparseMatrix.from_dense(A), A @ x_star, CLASS_G)
+
+
+# -- the row-by-row pairing oracle ----------------------------------------------
+
+def _is_pow2(p: int) -> bool:
+    return p >= 1 and (p & (p - 1)) == 0
+
+
+def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
+    """Recognize rows that are a power-of-two multiple of a canonical pattern,
+    returned as that pattern's row (average, (i, j, k), weight, rhs, scale)
+    with the given weight."""
+    if len(coef) == 2:
+        (va, ca), (vb, cb) = sorted(coef.items())
+        if ca > 0 > cb and ca == -cb and _is_pow2(ca):
+            return False, (va, vb, -1), weight, rhs / ca, float(ca)
+        if cb > 0 > ca and cb == -ca and _is_pow2(cb):
+            return False, (vb, va, -1), weight, rhs / cb, float(cb)
+        return None
+    if len(coef) == 3 and rhs == 0.0:
+        pos = sorted((v, c) for v, c in coef.items() if c > 0)
+        neg = [(v, c) for v, c in coef.items() if c < 0]
+        if len(pos) == 2 and len(neg) == 1:
+            (vi, ci), (vj, cj) = pos
+            (vk, ck) = neg[0]
+            if ci == cj and ck == -2 * ci and _is_pow2(ci):
+                return True, (vi, vj, vk), weight, 0.0, float(ci)
+    return None
+
+
+def loop_gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
+    """``da_reduce.gz2_to_da`` as a per-row Python loop over coefficient
+    dicts, the oracle for its array rounds.  Returns (system, rhs, aux
+    records in id order).
+
+    Row by row, and per sign (negative first), the variables whose current
+    coefficient has bit r set are paired in ascending index order and each
+    pair is replaced by a fresh variable, r = 0, 1, ..., until one variable
+    of that sign is left.  The class check is the caller's.
+    """
+    n = sys.A.n_cols
+    row_data: list[dict[int, int]] = [dict() for _ in range(sys.A.n_rows)]
+    for r, c, v in zip(sys.A.rows, sys.A.cols, sys.A.vals):
+        row_data[int(r)][int(c)] = int(v)
+
+    main_rows: list[tuple] = []
+    aux_rows: list[tuple] = []
+    aux_records: list[AuxRecord] = []
+    next_var = n
+    for i, coef in enumerate(row_data):
+        rhs = float(sys.b[i])
+        canonical = _classify_scaled_da(coef, rhs, alpha / (alpha + 1.0))
+        if canonical is not None:
+            main_rows.append(canonical)
+            continue
+
+        work = dict(coef)
+        first_aux = len(aux_records)
+        for s in (-1, 1):
+            r = 0
+            while sum(1 for c in work.values() if c * s > 0) > 1:
+                odd = sorted(v for v, c in work.items()
+                             if c * s > 0 and (abs(c) >> r) & 1)
+                if len(odd) % 2 != 0:
+                    raise MatrixClassError(
+                        f"row {i}: odd-cardinality bit set; input is not in class G_z2")
+                for a, bvar in zip(odd[0::2], odd[1::2]):
+                    t = next_var
+                    next_var += 1
+                    step = s * (1 << r)
+                    for v in (a, bvar):
+                        work[v] -= step
+                        if work[v] == 0:
+                            del work[v]
+                    work[t] = work.get(t, 0) + 2 * step
+                    aux_records.append(AuxRecord(t, (a, bvar), s, r, i))
+                r += 1
+                if r > 64:
+                    raise MatrixClassError(f"row {i}: pairing did not terminate")
+
+        items = sorted(work.items())
+        if len(items) != 2:
+            raise MatrixClassError(f"row {i}: reduction did not reach a difference")
+        (va, ca), (vb, cb) = items
+        if ca < 0 < cb:
+            (va, ca), (vb, cb) = (vb, cb), (va, ca)
+        if ca != -cb or not _is_pow2(ca):
+            raise MatrixClassError(f"row {i}: terminal row is not a scaled difference")
+        scale = float(ca)
+        main_rows.append((False, (va, vb, -1), 1.0, rhs / scale, scale))
+        here = aux_records[first_aux:]
+        aux_rows.extend((True, (*rec.pair, rec.new_var), alpha * len(here), 0.0,
+                         float(1 << rec.bit)) for rec in here)
+
+    columns = zip(*main_rows, *aux_rows) if main_rows or aux_rows else ((),) * 5
+    system = WeightedDASystem.from_columns(next_var, *columns, len(main_rows), len(aux_rows))
+    return system, system.rhs_vector(), tuple(aux_records)
 
 
 def group_indicator(problem) -> np.ndarray:

@@ -373,6 +373,21 @@ def test_validate_disconnected_group():
     assert violation(K) == "group 0 is not connected over interior edges"
 
 
+def test_validate_builds_no_triangle_adjacency(monkeypatch):
+    from lin2complex import complex2
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("validate built the triangle adjacency")
+
+    monkeypatch.setattr(complex2, "triangle_adjacency", forbidden)
+    assert validate(disk_complex()).ok
+    K = make_complex(6, [(0, 1, 2), (3, 4, 5)],
+                     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "BBBBBB")
+    assert violation(K) == "group 0 is not connected over interior edges"
+    P = reduce_da_to_b2(*random_da_instance(np.random.default_rng(3), 6, 4))
+    assert validate(P.K).ok
+
+
 def test_validate_chain_identity(monkeypatch):
     from lin2complex import complex2
 

@@ -25,15 +25,18 @@ from lin2complex.da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
+from lin2complex import da_reduce
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import (
     dense_nullity,
     infeasible_da_instance,
+    loop_gz2_to_da,
     planted_da_instance,
     random_da_instance,
     random_gz2_system,
+    three_per_row_system,
 )
 
 
@@ -156,6 +159,79 @@ def test_pairing_average_with_zero_rhs_kept():
     da, _, _ = gz2_to_da(sys)
     assert da.rows[0].kind == "average"
     assert da.n_aux == 0
+
+
+def _assert_matches_the_loop(sys, alpha):
+    da, rhs, trace = gz2_to_da(sys, alpha=alpha)
+    oracle, oracle_rhs, records = loop_gz2_to_da(sys, alpha=alpha)
+    assert (da.n_vars, da.n_main, da.n_aux) == (oracle.n_vars, oracle.n_main, oracle.n_aux)
+    for name in ("average", "var", "weight", "rhs", "scale"):
+        ours, theirs = getattr(da, name), getattr(oracle, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+    assert rhs.tobytes() == oracle_rhs.tobytes()
+    assert trace.n_original == sys.A.n_cols
+    assert trace.aux_assignment_order == records
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+def test_array_pairing_matches_the_loop_on_random_systems(alpha):
+    for seed in range(56):
+        rng = np.random.default_rng(seed)
+        sys = random_gz2_system(rng, int(rng.integers(4, 9)), int(rng.integers(3, 9)),
+                                max_pow=1 + seed % 7)
+        _assert_matches_the_loop(sys, alpha)
+
+
+def test_array_pairing_matches_the_loop_on_a_ladder_rung():
+    gz2, _ = to_pow2(to_zero_rowsum(three_per_row_system(8, 40))[0])
+    _assert_matches_the_loop(gz2, 1.0)
+
+
+@pytest.mark.parametrize("dense, message", [
+    # row 0 is fine, row 1 ends as 3 x0 - 3 x1, row 2 has three odd coefficients
+    ([[1, -1, 0, 0], [3, -3, 0, 0], [1, 1, 1, -3]],
+     "row 1: terminal row is not a scaled difference"),
+    # a lower row's terminal check comes before a higher row's first level
+    ([[2, 2, 0, 0], [1, 1, 1, -3]], "row 0: reduction did not reach a difference"),
+    ([[1, 1, 1, -3], [2, 2, 0, 0]],
+     "row 0: odd-cardinality bit set; input is not in class G_z2"),
+])
+def test_pairing_guards_name_the_lowest_failing_row(monkeypatch, dense, message):
+    # the class check rejects all of these first; without it the pairing's
+    # own guards speak, as the row-by-row loop's did
+    monkeypatch.setattr(GeneralSystem, "validate_class", lambda self: None)
+    sys = system(dense, [0.0] * len(dense), CLASS_GZ2)
+    with pytest.raises(MatrixClassError) as ours:
+        gz2_to_da(sys)
+    with pytest.raises(MatrixClassError) as theirs:
+        loop_gz2_to_da(sys)
+    assert str(ours.value) == str(theirs.value) == message
+
+
+def test_pairing_guards_agree_with_the_loop_off_class(monkeypatch):
+    monkeypatch.setattr(GeneralSystem, "validate_class", lambda self: None)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        dense = rng.integers(-6, 7, size=(4, 5)) * (rng.random((4, 5)) < 0.6)
+        if np.all(dense == 0, axis=1).any():
+            continue
+        sys = system(dense, rng.integers(-1, 2, size=4).astype(float), CLASS_GZ2)
+        outcomes = []
+        for reduce in (gz2_to_da, loop_gz2_to_da):
+            try:
+                outcomes.append(reduce(sys)[0])
+            except MatrixClassError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_reduce_chain_builds_no_aux_records(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("reduce_chain built an AuxRecord")
+
+    monkeypatch.setattr(da_reduce, "AuxRecord", forbidden)
+    chain = reduce_chain(three_per_row_system(5, 12), 1e-3)
+    assert chain.problem.da.n_aux > 0
 
 
 @settings(max_examples=25, deadline=None)

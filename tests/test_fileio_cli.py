@@ -47,6 +47,27 @@ def test_vector_round_trip(tmp_path):
     assert np.array_equal(fileio.read_vector(tmp_path / "v.vec"), v)
 
 
+def _per_entry_text(v) -> str:
+    """The vector format written one entry at a time."""
+    return ("\n".join(map(repr, np.asarray(v, dtype=float).tolist())) + "\n").replace(".0\n", "\n")
+
+
+@pytest.mark.parametrize("v", [
+    [0.0, -0.0, 1.0, -0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324,
+     1 / 3, 1 / 3, 2.5, 2.5, -7.0, 12345.0, 1e-7, 1.0, float("nan")],
+    [],
+])
+def test_vector_text_equals_the_per_entry_format(tmp_path, v):
+    fileio.write_vector(tmp_path / "v.vec", np.array(v))
+    text = (tmp_path / "v.vec").read_text()
+    assert text == _per_entry_text(v)
+    if not v:
+        assert text == "\n"
+    back = fileio.read_vector(tmp_path / "v.vec")
+    assert np.array_equal(back, v, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(v))
+
+
 def test_da_system_json_round_trip():
     rng = np.random.default_rng(1)
     sys = random_gz2_system(rng, 5, 3)
