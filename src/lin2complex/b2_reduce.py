@@ -471,8 +471,8 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     a tube's rank is read off its slot-1 column.  Returns (PathWeights,
     weight vector).
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     K, tubes = problem.K, problem.tubes
     m = K.n_edges
     size = np.bincount(K.tri_group, minlength=problem.n_vars)
@@ -527,7 +527,9 @@ def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,
     2 / eps_da^2.  The returned accuracy is the minimum of
     eps_da / sqrt(3 (1 + ||b||^2 nnz(A) max|A|^2 / alpha)) and eps_da / 10;
     two candidate accuracy formulas exist for this setting; the
-    smaller one wins.
+    smaller one wins.  The chain no longer calls it (``reduce_chain`` builds
+    the problem at its own alpha); the tests of criteria 5-7 still use it,
+    and ``bench/tracing.py`` instruments it.
     """
     if not (0.0 < eps_da <= 1.0):
         raise ValueError("eps_da must lie in (0, 1]")

@@ -142,7 +142,9 @@ def to_zero_rowsum(sys: GeneralSystem):
 
     If the row sums are already zero the column would be all-zero and is
     dropped; the back map then keeps all n entries.  Either way the residual
-    of (A', x') equals the residual of (A, back_map(x')) identically.
+    of (A', x') equals the residual of (A, back_map(x')) identically.  The
+    input's class-G check covers the output: it bounds the new entries, row
+    sums of A, and the output's positive row sums by 2^52.
     """
     sys.validate_class()
     A, b = sys.A, sys.b
@@ -154,9 +156,7 @@ def to_zero_rowsum(sys: GeneralSystem):
         A.n_rows, A.n_cols + 1, np.concatenate([A.rows, nz]),
         np.concatenate([A.cols, np.full(nz.size, A.n_cols)]),
         np.concatenate([A.vals, -row_sums[nz]]))
-    out = GeneralSystem(A2, b, CLASS_GZ)
-    out.validate_class()
-    return out, ShiftBack(A.n_cols)
+    return GeneralSystem(A2, b, CLASS_GZ), ShiftBack(A.n_cols)
 
 
 def to_pow2(sys: GeneralSystem):
@@ -164,15 +164,14 @@ def to_pow2(sys: GeneralSystem):
 
     Row i gains g_i = 2^ceil(log2 p_i) - p_i on the new variable and -g_i on
     its twin; one extra row ties the twins together with rhs 0.  The back map
-    drops the two appended variables.
+    drops the two appended variables.  The input's class check covers the
+    output: it bounds p_i, and so each g_i and rounded-up sum, by 2^52.
     """
     if sys.class_tag not in (CLASS_GZ, CLASS_GZ2):
         raise MatrixClassError("to_pow2 expects a zero-row-sum system")
     sys.validate_class()
     A, b = sys.A, sys.b
     p = _positive_row_sums(A)
-    if np.any(p < 1):
-        raise MatrixClassError("every nonzero zero-sum row has positive sum >= 1")
     g = _pow2_ceil(p) - p
     n, d = A.n_cols, A.n_rows
     nz = np.flatnonzero(g)
@@ -180,10 +179,7 @@ def to_pow2(sys: GeneralSystem):
         d + 1, n + 2, np.concatenate([A.rows, nz, nz, [d, d]]),
         np.concatenate([A.cols, np.full(nz.size, n), np.full(nz.size, n + 1), [n, n + 1]]),
         np.concatenate([A.vals, g[nz], -g[nz], [1.0, -1.0]]))
-    b2 = np.concatenate([b, [0.0]])
-    out = GeneralSystem(A2, b2, CLASS_GZ2)
-    out.validate_class()
-    return out, DropTailBack(n)
+    return GeneralSystem(A2, np.concatenate([b, [0.0]]), CLASS_GZ2), DropTailBack(n)
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,7 @@ ORIGINAL_FILES = ("original_A.mtx", "original_b.vec")
 
 def write_chain(out_dir, chain: ChainArtifacts) -> None:
     """Write the original system, the boundary problem and ``manifest.json``,
-    which records the file names, the accuracy targets and alpha.
+    which records the file names, eps and alpha.
     The stages in between are not written: ``read_chain`` re-derives them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,7 +333,6 @@ def write_chain(out_dir, chain: ChainArtifacts) -> None:
     write_json(out_dir / "manifest.json", {
         "eps": chain.eps,
         "files": {"original": list(ORIGINAL_FILES), "b2": BOUNDARY_FILES},
-        "eps_da_theory": chain.eps_da_theory, "eps_b2_theory": chain.eps_b2_theory,
         "alpha": chain.alpha,
     })
 
@@ -349,16 +348,33 @@ def read_system(matrix_path, rhs_path) -> tuple[SparseMatrix, np.ndarray]:
     return A, b
 
 
+def _manifest_number(manifest, key: str, low: float, high: float, path) -> float:
+    """``manifest[key]``, which must be a JSON number strictly between
+    ``low`` and ``high``; raises ``ArtifactError`` naming ``path``."""
+    value = manifest.get(key)
+    if type(value) not in (int, float) or not low < value < high:
+        raise ArtifactError(f"{path}: {key!r} must be a number in ({low:g}, {high:g}), "
+                            f"got {value!r}")
+    return value
+
+
 def read_chain(src) -> ChainArtifacts:
     """Rebuild the chain that ``write_chain`` wrote to ``src``: G_z and G_z2
     and their back maps come from the stage functions ``reduce_chain`` runs,
-    which reject an original system outside class G (``MatrixClassError``)."""
+    which reject an original system outside class G (``MatrixClassError``).
+    A manifest that is not an object, or whose eps is not a number in (0, 1)
+    or alpha not a positive finite number, raises ``ArtifactError``; other
+    keys, such as the accuracy targets older manifests hold, are ignored."""
     src = Path(src)
-    manifest = read_json(src / "manifest.json")
+    path = src / "manifest.json"
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"{path} is not a JSON object")
+    eps = _manifest_number(manifest, "eps", 0.0, 1.0, path)
+    alpha = _manifest_number(manifest, "alpha", 0.0, np.inf, path)
     a_name, b_name = ORIGINAL_FILES
     original = GeneralSystem(*read_system(src / a_name, src / b_name), CLASS_G)
     gz, gz_back = to_zero_rowsum(original)
     gz2, gz2_back = to_pow2(gz)
     return ChainArtifacts(original, gz, gz_back, gz2, gz2_back, read_boundary_problem(src),
-                          manifest["eps"], manifest["eps_da_theory"],
-                          manifest["eps_b2_theory"], manifest["alpha"])
+                          eps, alpha)

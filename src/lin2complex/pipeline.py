@@ -6,9 +6,9 @@ way: a solve of the weighted boundary problem is mapped back through every
 stage, and the final accuracy is certified against the original system.
 The first solve is one symmetric sparse LU, refined once; only when it
 fails or does not certify does a pivoted LU follow, and LSQR rounds after
-that.  The theoretical accuracy targets compose to values far below what
-float64 can resolve, so the LSQR rounds start from a practical tolerance
-and tighten until the certified end-to-end accuracy is met.
+that.  The chain derives none of the paper's composed accuracy targets,
+which lie far below what float64 can resolve: alpha is a fixed default, and
+the certificate on the original system alone judges every candidate.
 """
 
 from __future__ import annotations
@@ -17,24 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .b2_reduce import BoundaryProblem, map_soln_b2_to_da, reduce_reg
+from .b2_reduce import (
+    BoundaryProblem,
+    build_boundary_problem,
+    compute_edge_weights,
+    map_soln_b2_to_da,
+)
 from .da_reduce import (
     GeneralSystem,
     WeightedDASystem,
-    choose_epsilon_da,
     gz2_to_da,
     map_da_solution_back,
     to_pow2,
     to_zero_rowsum,
 )
-from .sparse_core import certify_rounds, solve_rounds
+from .sparse_core import LSQR_TOL_FLOOR, certify_rounds, solve_rounds
 
-# the theoretical alpha = 2/eps_da^2 is astronomically large for composed
+# the chain's fixed alpha.  The paper's 2/eps_da^2 is huge for composed
 # accuracy targets, and the weighted operator's conditioning worsens with it:
 # the refined LU round's certificate ratio on a 10x12 criterion-11 system is
 # 3e-13 at 1e2, 1e-6 at 1e6 and 6e-3 at 1e8.  Of criterion 11's 20 systems
 # the LU round certifies all at 1e2 and 1e6 but 13 at 1e8, where LSQR rounds
-# rescue 2 more, so the pipeline caps it and verifies accuracy end to end
+# rescue 2 more, so the chain fixes alpha and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
 
 
@@ -50,8 +54,6 @@ class ChainArtifacts:
     gz2_back: object
     problem: BoundaryProblem
     eps: float
-    eps_da_theory: float
-    eps_b2_theory: float
     alpha: float
 
     @property
@@ -63,21 +65,20 @@ def reduce_chain(sys: GeneralSystem, eps: float,
                  alpha: float | None = None) -> ChainArtifacts:
     """Run every reduction stage and build the weighted boundary problem.
 
-    The worst-case accuracy recipe gives eps_da values whose alpha = 2/eps^2
-    exceeds float64 range on ordinary inputs, so alpha is capped at
-    ``ALPHA_CAP_DEFAULT`` (override with ``alpha``); the solve loop
-    compensates by verifying the end-to-end accuracy directly.  A system
-    outside class G raises ``MatrixClassError`` from ``to_zero_rowsum``.
+    The edge weights use ``alpha``, or ``ALPHA_CAP_DEFAULT`` when None;
+    ``eps`` is kept for the solve's certificate and derives nothing.  An
+    ``eps`` outside (0, 1) raises ``ValueError``, and a system outside
+    class G ``MatrixClassError`` from ``to_zero_rowsum``.
     """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
     gz, gz_back = to_zero_rowsum(sys)
     gz2, gz2_back = to_pow2(gz)
     da, _, _ = gz2_to_da(gz2, alpha=1.0)
-    eps_da = choose_epsilon_da(eps, gz2)
-    if alpha is None:
-        alpha = min(2.0 / eps_da ** 2, ALPHA_CAP_DEFAULT)
-    problem, eps_b2 = reduce_reg(da, eps_da=min(max(eps_da, 1e-12), 1.0), alpha=alpha)
-    return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, problem, eps, eps_da,
-                          eps_b2, alpha)
+    alpha = ALPHA_CAP_DEFAULT if alpha is None else alpha
+    problem = build_boundary_problem(da)
+    _, problem.weights = compute_edge_weights(problem, alpha)
+    return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, problem, eps, alpha)
 
 
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
@@ -89,29 +90,27 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     return chain.gz_back(x_gz)
 
 
-def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem,
-                            eps: float, eps_b2: float):
+def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem, eps: float):
     """Solve a weighted boundary problem to a certified accuracy.
 
     Draws the candidates of ``sparse_core.solve_rounds`` for (W^(1/2) d2,
-    W^(1/2) gamma), whose LSQR rounds start from the boundary accuracy
-    ``eps_b2``, carries each one down the chain by ``map_back_fn``, and lets
+    W^(1/2) gamma), whose LSQR rounds start from ``LSQR_TOL_FLOOR``,
+    carries each one down the chain by ``map_back_fn``, and lets
     ``certify_rounds`` on the original system alone decide when to stop.
     Returns (x, verdict) of the best candidate seen, the verdict being
     ``certify_rounds``' own ``sparse_core.Verdict``.
     """
-    v = certify_rounds(solve_rounds(W_d2, w_gamma, eps_b2), original.A, original.b,
-                       eps, map_back_fn)
+    v = certify_rounds(solve_rounds(W_d2, w_gamma, LSQR_TOL_FLOOR), original.A,
+                       original.b, eps, map_back_fn)
     return v.x, v
 
 
 def solve_chain(chain: ChainArtifacts):
     """Solve the weighted boundary problem and certify the mapped-back answer
-    on the original system with ``adaptive_boundary_solve``, from the
-    theoretical boundary accuracy; returns (x, verdict)."""
+    on the original system at ``chain.eps``; returns (x, verdict)."""
     return adaptive_boundary_solve(
         chain.problem.weighted_matrix(), chain.problem.weighted_rhs(),
-        lambda f: map_back(chain, f), chain.original, chain.eps, chain.eps_b2_theory)
+        lambda f: map_back(chain, f), chain.original, chain.eps)
 
 
 def solve_general(sys: GeneralSystem, eps: float, alpha: float | None = None):

@@ -184,6 +184,7 @@ def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
 # LSQR_ROUNDS rounds of at most LSQR_MAX_ITER iterations each
 LSQR_ROUNDS = 4
 LSQR_MAX_ITER = 30000
+LSQR_TOL_FLOOR = 1e-7
 
 
 def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
@@ -392,8 +393,8 @@ def solve_rounds(A: SparseMatrix, b, tol: float):
     raises: the symmetric factor without pivoting ("lu"), then the COLAMD
     factor with partial pivoting ("lu_colamd") in case the first answer
     does not certify.  Then up to ``LSQR_ROUNDS`` ``iterative_solve``
-    rounds whose tolerance starts from ``tol`` clipped to [1e-7, 0.1] and
-    tightens 100x a round.  The rounds are computed lazily, so a caller
+    rounds whose tolerance starts from ``tol`` clipped to [``LSQR_TOL_FLOOR``,
+    0.1] and tightens 100x a round.  The rounds are computed lazily, so a caller
     that stops at a certified candidate pays for no later round: one
     symmetric factor when the first round certifies.
     """
@@ -404,7 +405,7 @@ def solve_rounds(A: SparseMatrix, b, tol: float):
         except (RuntimeError, MemoryError):
             continue
         yield Round(x, method, None, 0, fill)
-    tol = min(max(tol, 1e-7), 0.1)
+    tol = min(max(tol, LSQR_TOL_FLOOR), 0.1)
     for _ in range(LSQR_ROUNDS):
         x, iters = iterative_solve(A, b, tol)
         yield Round(x, "lsqr", tol, iters, fill)

@@ -76,7 +76,7 @@ def test_hooks_and_oracle_read_the_library_results(monkeypatch, tmp_path):
     iterative_result = iterative_solve(A, b, 1e-8)
     solve_result = adaptive_boundary_solve(
         chain.problem.weighted_matrix(), chain.problem.weighted_rhs(),
-        lambda f: map_back(chain, f), chain.original, chain.eps, chain.eps_b2_theory)
+        lambda f: map_back(chain, f), chain.original, chain.eps)
     fileio.write_vector(tmp_path / "b.vec", b)
     # the 14-triangle network of scripts/run_maxflow_demo.py
     demo = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))

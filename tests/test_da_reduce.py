@@ -334,6 +334,35 @@ def test_pow2_output_class_invariants(seed):
     out.validate_class()  # zero row sums and power-of-two positive sums
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stage_outputs_pass_their_class_check(seed, at_limit):
+    # neither to_zero_rowsum nor to_pow2 checks its output: the class-G check
+    # of the input bounds every new entry and every rounded-up positive sum
+    # by 2^52.  Entries reach 7 * 2^47, and with at_limit a last row on three
+    # new columns has positive or negative entries that sum to exactly 2^52.
+    rng = np.random.default_rng(seed)
+    m, n = (int(v) for v in rng.integers(1, 5, size=2))
+    dense = rng.integers(-7, 8, size=(m, n)) * (rng.random((m, n)) < 0.6)
+    k = np.arange(max(m, n))
+    dense[k % m, k % n] = rng.choice([-3, -1, 1, 2, 5], size=k.size)  # no empty row or column
+    dense = dense.astype(float) * 2.0 ** int(rng.integers(0, 48))
+    if at_limit:
+        part = float(rng.integers(1, 2 ** 52))
+        limit_row = [part, 2.0 ** 52 - part, -float(rng.integers(1, 2 ** 52 + 1))]
+        dense = np.block([[dense, np.zeros((m, 3))],
+                          [np.zeros((1, n)), rng.choice([-1.0, 1.0]) * np.array([limit_row])]])
+    b = rng.integers(-5, 6, size=dense.shape[0]).astype(float)
+    sys = system(dense.tolist(), b.tolist())
+    sys.validate_class()
+    gz, _ = to_zero_rowsum(sys)
+    gz.validate_class()
+    gz2, _ = to_pow2(gz)
+    gz2.validate_class()
+    if at_limit:
+        assert np.maximum(gz2.A.to_dense()[m], 0.0).sum() == 2.0 ** 52
+
+
 def test_nnz_growth_ratio_bounded():
     rng = np.random.default_rng(21)
     worst = 0.0

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import complex2, fileio
-from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2
+from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2, reduce_reg
 from lin2complex.cli import build_parser, main
 from lin2complex.complex2 import boundary2, validate
-from lin2complex.da_reduce import gz2_to_da
+from lin2complex.da_reduce import choose_epsilon_da, gz2_to_da
 from lin2complex.pipeline import reduce_chain, solve_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
 
@@ -237,6 +237,56 @@ def test_chain_replays_from_the_original_and_the_boundary_problem(tmp_path):
     assert np.array_equal(solve_chain(read)[0], solve_chain(chain)[0])
 
 
+def test_manifest_with_the_earlier_accuracy_targets_replays(tmp_path):
+    # manifests written before the chain stopped deriving accuracy targets
+    # also hold eps_da_theory and eps_b2_theory, computed as below; the
+    # replay ignores them and writes the x of solve_general, byte for byte
+    sys, _ = planted_general_system(np.random.default_rng(6), 4, 4, max_entry=9)
+    x, report, chain = solve_general(sys, 1e-3)
+    fileio.write_chain(tmp_path, chain)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"eps", "files", "alpha"}
+    eps_da = choose_epsilon_da(chain.eps, chain.gz2)
+    _, eps_b2 = reduce_reg(chain.da, eps_da=eps_da, alpha=chain.alpha)
+    fileio.write_json(tmp_path / "manifest.json",
+                      {**manifest, "eps_da_theory": eps_da, "eps_b2_theory": eps_b2})
+    assert main(["solve", "--manifest", str(tmp_path), "--out-dir", str(tmp_path)]) == (
+        0 if report.converged else 1)
+    fileio.write_vector(tmp_path / "library_x.vec", x)
+    assert (tmp_path / "x.vec").read_bytes() == (tmp_path / "library_x.vec").read_bytes()
+
+
+# a malformed manifest.json as (edit of the written manifest, text its error
+# names); the CLI's parsers take eps in (0, 1) and alpha in (0, inf) alike
+MANIFEST_FAULTS = {
+    "a list": (lambda m: [m], "not a JSON object"),
+    "no eps": (lambda m: {k: v for k, v in m.items() if k != "eps"}, "'eps'"),
+    "string eps": (lambda m: {**m, "eps": "0.001"}, "'eps'"),
+    "eps of 1": (lambda m: {**m, "eps": 1}, "'eps'"),
+    "boolean eps": (lambda m: {**m, "eps": True}, "'eps'"),
+    "no alpha": (lambda m: {k: v for k, v in m.items() if k != "alpha"}, "'alpha'"),
+    "zero alpha": (lambda m: {**m, "alpha": 0}, "'alpha'"),
+    "infinite alpha": (lambda m: {**m, "alpha": float("inf")}, "'alpha'"),
+    "nan alpha": (lambda m: {**m, "alpha": float("nan")}, "'alpha'"),
+}
+
+
+@pytest.mark.parametrize("fault", MANIFEST_FAULTS)
+def test_cli_replay_malformed_manifest_is_one_line_error(tmp_path, fault):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    edit, named = MANIFEST_FAULTS[fault]
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps(edit(manifest)))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
+    message = _one_line_error(exc)
+    assert "manifest.json" in message and named in message, message
+    assert not (out / "x.vec").exists()
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_cli_replay_matches_library_bit_for_bit(seed):
@@ -257,8 +307,7 @@ def test_cli_replay_matches_library_bit_for_bit(seed):
             assert np.array_equal(getattr(read, stage).b, getattr(chain, stage).b)
         assert (read.gz_back, read.gz2_back, read.da) == (chain.gz_back, chain.gz2_back,
                                                           chain.da)
-        assert (read.eps, read.eps_da_theory, read.eps_b2_theory, read.alpha) == (
-            chain.eps, chain.eps_da_theory, chain.eps_b2_theory, chain.alpha)
+        assert (read.eps, read.alpha) == (chain.eps, chain.alpha)
         rc = main(["solve", "--manifest", str(out), "--out-dir", str(out)])
         assert rc == (0 if report.converged else 1)
         assert np.array_equal(fileio.read_vector(out / "x.vec"), x)

@@ -2,9 +2,12 @@
 fallback, and the projected-residual certificate as the only judge."""
 
 import numpy as np
+import pytest
 
-from lin2complex import sparse_core
-from lin2complex.pipeline import solve_general
+from lin2complex import fileio, sparse_core
+from lin2complex.da_reduce import GeneralSystem, choose_epsilon_da
+from lin2complex.pipeline import ALPHA_CAP_DEFAULT, reduce_chain, solve_general
+from lin2complex.sparse_core import SparseMatrix
 
 from _gen import (
     criterion11_systems,
@@ -146,3 +149,48 @@ def test_ladder_scale_solve_certifies():
     assert chain.problem.n_triangles >= 49_000
     assert (report.round.method, report.rounds) == ("lu", 1)
     assert _certified(sys, x)
+
+
+# -- the chain's parameters and class checks ------------------------------------------
+
+def test_chain_checks_each_stage_class_once(monkeypatch, tmp_path):
+    # to_zero_rowsum checks G, to_pow2 G_z and gz2_to_da G_z2; each check
+    # covers the output of the stage before it
+    calls = []
+    check = GeneralSystem.validate_class
+    monkeypatch.setattr(GeneralSystem, "validate_class",
+                        lambda self: calls.append(self.class_tag) or check(self))
+    chain = reduce_chain(_criterion11_draw(0), 1e-3)
+    assert calls == ["G", "G_z", "G_z2"]
+    fileio.write_chain(tmp_path, chain)
+    calls.clear()
+    fileio.read_chain(tmp_path)
+    assert calls == ["G", "G_z"]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, float("nan")])
+def test_reduce_chain_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match="eps"):
+        reduce_chain(_criterion11_draw(0), eps)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_non_finite_alpha_is_rejected(alpha):
+    # either would make NaN weights and so a NaN x
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        solve_general(_criterion11_draw(0), 1e-3, alpha=alpha)
+
+
+@pytest.mark.parametrize("dense, b, eps, recipe_alpha", [
+    ([[1]], [1.0], 0.5, 64.0),
+    ([[1]], [1.0], 0.9, 16 / 0.81),
+    ([[1, -1]], [0.0], 0.5, 8.0),
+])
+def test_chain_alpha_does_not_follow_the_accuracy_recipe(dense, b, eps, recipe_alpha):
+    # at a large eps the paper's recipe 2 / eps_da^2 falls below the default;
+    # the chain's alpha is the default at every eps
+    sys = GeneralSystem(SparseMatrix.from_dense(dense), b)
+    chain = reduce_chain(sys, eps)
+    assert 2.0 / choose_epsilon_da(eps, chain.gz2) ** 2 == pytest.approx(recipe_alpha)
+    assert chain.alpha == ALPHA_CAP_DEFAULT
+    assert np.array_equal(chain.problem.weights, reduce_chain(sys, 1e-3).problem.weights)
