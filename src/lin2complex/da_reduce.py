@@ -533,8 +533,8 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     Returns (system, rhs, trace) where rhs is the weighted right-hand side
     aligned with ``system.as_matrix()`` and trace a ``DAReductionTrace``.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if sys.class_tag != CLASS_GZ2:
         raise MatrixClassError("gz2_to_da expects a power-of-two system")
     sys.validate_class()

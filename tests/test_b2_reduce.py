@@ -473,7 +473,7 @@ def test_spectral_certificate_agrees_with_dense():
         nullity, lam_min, lam_max = _dense_gram_spectrum(P)
         assert report.ok
         assert report["nullity"].value == nullity
-        assert report["lambda_min"].value == pytest.approx(lam_min, rel=1e-8)
+        assert report.lambda_min == pytest.approx(lam_min, rel=1e-8)
         # the integer bound is exact; the dense value carries rounding
         assert report["lambda_max"].value >= lam_max * (1 - 1e-12)
 
@@ -488,7 +488,7 @@ def test_spectral_certificate_fails_on_nullity_mismatch():
     P = dataclasses.replace(reduce_da_to_b2(deficient, np.array([1.0, 1.0, 0.0])), da=full)
     report = spectral_certificate(P)
     assert not report.ok and not report["nullity"].ok
-    assert (report["nullity"].value, report["nullity"].bound) == (2.0, 1.0)
+    assert report["nullity"].value == 2.0 and math.isnan(report["nullity"].bound)
 
 
 def test_spectral_certificate_reports_a_nullity_beyond_k():
@@ -500,8 +500,8 @@ def test_spectral_certificate_reports_a_nullity_beyond_k():
     P = dataclasses.replace(reduce_da_to_b2(disjoint, np.arange(5.0)), da=chain)
     report = spectral_certificate(P)
     assert not report.ok and not report["nullity"].ok
-    assert (report["nullity"].value, report["nullity"].bound) == (5.0, 1.0)
-    assert report["lambda_min"].value > 0.0
+    assert report["nullity"].value == 5.0 and math.isnan(report["nullity"].bound)
+    assert report.lambda_min > 0.0
     assert "smallest nonzero" in report["nullity"].note
 
 
@@ -514,17 +514,67 @@ def test_spectral_certificate_at_ladder_scale():
     assert report["lambda_max"].value == 12.0
 
 
-def test_spectral_certificate_lanczos_failure_is_a_failed_check(monkeypatch):
+@pytest.fixture
+def no_lanczos(monkeypatch):
     def fail(*args, **kwargs):
         raise sparse_core.spla.ArpackNoConvergence("no convergence", [], [])
 
     monkeypatch.setattr(sparse_core.spla, "eigsh", fail)
+
+
+def test_spectral_certificate_stands_when_lanczos_fails(no_lanczos):
+    # the verdict is exact; Lanczos only reports
     sys, b = single_difference()
     report = spectral_certificate(reduce_da_to_b2(sys, b))
-    assert not report.ok
-    assert report["lambda_max"].ok
-    assert not any(report[name].ok for name in ("condition_number", "lambda_min", "nullity"))
-    assert "no convergence" in report["nullity"].note
+    assert report.ok and report["lambda_max"].ok and report["nullity"].ok
+    note = report["nullity"].note
+    assert "Lanczos failed" in note and "no convergence" in note
+    assert math.isnan(report["nullity"].value) and math.isnan(report.lambda_min)
+
+
+def _deficient_with_full_da():
+    # the complex of a rank-deficient system (nullity 2) against a full-rank
+    # difference-average system of the same shape (nullity 1)
+    deficient = plain_da_system(4, [difference_row(0, 1), difference_row(0, 1),
+                                    difference_row(2, 3)])
+    full = plain_da_system(4, [difference_row(0, 1), difference_row(1, 2),
+                               difference_row(2, 3)])
+    return dataclasses.replace(reduce_da_to_b2(deficient, np.array([1.0, 1.0, 0.0])), da=full)
+
+
+def _with_a_flipped_triangle():
+    # two vertices of one sphere triangle swapped, and d2 = boundary2(K)
+    rng = np.random.default_rng(43)
+    P = reduce_da_to_b2(*random_da_instance(rng, 6, 4))
+    K = P.K
+    tri = K.tri.copy()
+    tri[P.central[2], [0, 1]] = tri[P.central[2], [1, 0]]
+    flipped = complex2.Complex2(K.n_vertices, tri, K.tri_group, K.edge, K.kind,
+                                central=K.central, loops=K.loops)
+    return dataclasses.replace(P, K=flipped, d2=boundary2(flipped))
+
+
+@pytest.mark.parametrize("build", [_deficient_with_full_da, _with_a_flipped_triangle])
+def test_nullity_identity_fails_without_lanczos(no_lanczos, build):
+    P = build()
+    report = spectral_certificate(P)
+    assert not report.ok and not report["nullity"].ok and report["lambda_max"].ok
+    # the first nonzero of the dense d2 H minus the pattern on the loop edges
+    rest = P.d2.to_dense() @ group_indicator(P)
+    rest[P.K.loops] -= P.pattern_matrix().to_dense()[:, None, :]
+    edge, var = np.argwhere(rest)[0]
+    assert f"is {rest[edge, var]:g} at edge {edge}, variable {var}" in report["nullity"].note
+    assert "Lanczos failed" in report["nullity"].note
+
+
+def test_nullity_identity_needs_a_group_for_every_variable(no_lanczos):
+    # a variable without triangles has a zero pattern column here, so d2 H
+    # would match the pattern while the pattern has one more null vector
+    sys, b = single_difference()
+    wider = plain_da_system(sys.n_vars + 1, [difference_row(0, 1)])
+    report = spectral_certificate(dataclasses.replace(reduce_da_to_b2(sys, b), da=wider))
+    assert not report["nullity"].ok
+    assert report["nullity"].note.startswith("the triangle groups and loops do not fit")
 
 
 def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):

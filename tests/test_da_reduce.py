@@ -187,6 +187,14 @@ def test_array_pairing_matches_the_loop_on_a_ladder_rung():
     _assert_matches_the_loop(gz2, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_gz2_to_da_rejects_alpha_outside_the_positive_reals(alpha):
+    # nan and inf too: the guard names alpha, not a row whose weight it made
+    gz2, _ = to_pow2(to_zero_rowsum(three_per_row_system(8, 6))[0])
+    with pytest.raises(ValueError, match=r"^alpha must be positive and finite, got "):
+        gz2_to_da(gz2, alpha=alpha)
+
+
 @pytest.mark.parametrize("dense, message", [
     # row 0 is fine, row 1 ends as 3 x0 - 3 x1, row 2 has three odd coefficients
     ([[1, -1, 0, 0], [3, -3, 0, 0], [1, 1, 1, -3]],

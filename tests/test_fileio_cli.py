@@ -155,7 +155,7 @@ def test_one_parser_serves_every_main_call_of_a_process(tmp_path, capsys):
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
                  "--out-dir", str(out), "--eps", "0.25"]) == 0
     assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
-    assert "[SKIP] spectral certificate" in capsys.readouterr().out
+    assert "[SKIP] Lanczos spectrum" in capsys.readouterr().out
     assert main(["verify", "--dir", str(out)]) == 0
     assert "[SKIP]" not in capsys.readouterr().out
     verify = build_parser().parse_args(["verify", "--dir", str(out)])
@@ -369,14 +369,51 @@ def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     spectral = [line for line in texts[0].splitlines() if "spectral" in line]
-    assert len(spectral) == 4 and all(line.startswith("[PASS]") for line in spectral)
+    assert len(spectral) == 2 and all(line.startswith("[PASS]") for line in spectral)
     assert "[SKIP]" not in texts[0]
     nullity = next(line for line in spectral if "nullity" in line)
     assert "largest zero eigenvalue" in nullity and "smallest nonzero" in nullity
 
     assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
     text = capsys.readouterr().out
-    assert "[SKIP] spectral certificate (t=2940" in text and "spectral lambda" not in text
+    assert "[SKIP] Lanczos spectrum (t=2940" in text and "largest zero" not in text
+
+
+def test_cli_verify_beyond_the_cert_limit_runs_the_exact_checks(tmp_path, capsys):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+          "--out-dir", str(out), "--eps", "1e-3"])
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "[PASS] spectral lambda_max: value 12 vs bound 12" in lines
+    assert any(line.startswith("[PASS] spectral nullity:") for line in lines)
+    skipped = [line for line in lines if line.startswith("[SKIP]")]
+    assert len(skipped) == 1 and skipped[0].startswith("[SKIP] Lanczos spectrum (t=")
+    assert skipped[0].endswith(" beyond --cert-limit 100)")
+
+    # a da.json whose first difference row is reversed still loads, and
+    # only the nullity identity sees that its pattern is not the complex's
+    da = fileio.read_json(out / "da.json")
+    row = next(r for r in da["rows"] if r["kind"] == "difference")
+    row["i"], row["j"] = row["j"], row["i"]
+    fileio.write_json(out / "da.json", da)
+    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] spectral nullity: d2 H minus")
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_cli_verify_cert_limit_below_one_rejected_when_parsed(tmp_path, capsys, limit):
+    # the artifact directory is never read: the option fails first
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dir", str(tmp_path / "missing"), "--cert-limit", limit])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --cert-limit: must be at least 1" in err
+    assert err.strip().splitlines()[-1].startswith("lin2complex verify: error:")
 
 
 def test_cli_verify_catches_corruption(tmp_path):

@@ -47,3 +47,19 @@ def test_only_the_record_modules_call_pattern_entries():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "pattern_entries"]
     assert not found, f"pattern_entries walks the records: {found}"
+
+
+def test_only_sparse_core_names_the_dense_svd():
+    # spectral_summary is a dense reference for the tests and the benchmark's
+    # tracer, which the package re-exports; no certificate reads it
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("sparse_core.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "spectral_summary":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, f"only sparse_core may name spectral_summary: {found}"
