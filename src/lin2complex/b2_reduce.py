@@ -196,6 +196,23 @@ def tube_refs(sys: WeightedDASystem, K: Complex2, attach: np.ndarray | None = No
     return Tubes(attach[:, 1], var, attach[:, 2], sign, cols)
 
 
+def _sphere_edges(cycles: np.ndarray, n_vert: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted edges of the sphere triangles and hole cycles ``cycles``,
+    and the edge of each of their sides, (len(cycles), 3).
+
+    The spheres own disjoint ascending vertex ranges, so one sort of the
+    sides' keys lists every sphere's edges sorted, sphere after sphere, and
+    a side's edge is the number of distinct keys below it (a sort, not
+    np.unique, whose hash table is several times slower here)."""
+    u, v = cycles, np.roll(cycles, -1, axis=1)
+    keys = (np.minimum(u, v) * n_vert + np.maximum(u, v)).ravel()
+    order = np.argsort(keys)
+    new = np.diff(keys[order], prepend=-1) != 0
+    side = np.empty_like(order)
+    side[order] = np.cumsum(new) - 1
+    return np.stack(np.divmod(keys[order][new], n_vert), axis=1), side.reshape(-1, 3)
+
+
 def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     """Construct the 2-complex encoding of a difference-average system.
 
@@ -236,20 +253,9 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     n_sphere_vertices, sphere_tri, holes = sphere_cells(holes_of)
     n_vert = 3 * d + n_sphere_vertices
     sphere_tri, holes = sphere_tri + 3 * d, holes + 3 * d
-    # the keys of the sphere triangles' sides, then of the hole sides, which
-    # are sphere sides too.  The spheres own disjoint ascending vertex
-    # ranges, so one sort lists every sphere's edges sorted, sphere after
-    # sphere, and a side's edge is the number of distinct keys below it (a
-    # sort, not np.unique, whose hash table is several times slower here)
-    u = np.concatenate([sphere_tri, holes])
-    v = np.roll(u, -1, axis=1)
-    keys = (np.minimum(u, v) * n_vert + np.maximum(u, v)).ravel()
-    order = np.argsort(keys)
-    new = np.diff(keys[order], prepend=-1) != 0
-    sphere_edge = np.stack(np.divmod(keys[order][new], n_vert), axis=1)
-    side = np.empty_like(order)
-    side[order] = np.cumsum(new) - 1
-    side = side.reshape(-1, 3)
+    # the hole sides are sphere sides too; the sort's arrays go before d2
+    # is built, where the build peaks
+    sphere_edge, side = _sphere_edges(np.concatenate([sphere_tri, holes]), n_vert)
 
     # linear-work guard: cell creation must stay proportional to nnz
     ops = 6 * d + n_sphere_vertices + len(sphere_edge) + len(sphere_tri) + 12 * len(attach)
@@ -290,10 +296,7 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     eid[tri_at] = np.concatenate([
         edge_id[side[:len(sphere_tri)]],
         np.where(positive, tube_edge[:, sides_p], tube_edge[:, sides_n]).reshape(-1, 3)])
-    sign_of_side = np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0)
-    d2 = SparseMatrix.from_scipy(sp.csc_matrix(
-        (sign_of_side.ravel(), eid.ravel(), np.arange(0, eid.size + 1, 3)),
-        shape=(K.n_edges, K.n_triangles)))
+    d2 = SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0))
 
     loop_weight = sys.weight * sys.scale ** 2
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
@@ -335,20 +338,65 @@ def epsilon_feasible(eps_da: float, nnz_a: int) -> float:
     return eps_da / (42.0 * nnz_a)
 
 
-@dataclass
+class _Paths(NamedTuple):
+    """Each tube's path in closed form, by global edge ids: from the central
+    triangle it crosses the sphere edges ``start + step k + even [k even]``
+    for k < ``count``, then the hole side ``hole`` into the tube and the
+    edge ``connecting`` into the slot-1 boundary triangle."""
+
+    count: np.ndarray
+    start: np.ndarray
+    step: np.ndarray
+    even: np.ndarray
+    hole: np.ndarray
+    connecting: np.ndarray
+
+
+def _tube_paths(paths: _Paths) -> tuple[np.ndarray, np.ndarray]:
+    """The (path_tube, path_edge) arrays of ``PathWeights``, one entry per
+    edge of every path, each path from its boundary triangle up: the
+    connecting edge, the hole side, then the sphere edges k = count - 1 .. 0."""
+    length = paths.count + 2
+    end = np.cumsum(length)
+    first = end - length
+    k = np.repeat(end - 1, length) - np.arange(length.sum())
+    path_edge = (np.repeat(paths.start, length) + np.repeat(paths.step, length) * k
+                 + np.repeat(paths.even, length) * (1 - (k & 1)))
+    path_edge[first] = paths.connecting
+    path_edge[first + 1] = paths.hole
+    return np.repeat(np.arange(length.size), length), path_edge
+
+
 class PathWeights:
     """Shortest triangle paths from each central triangle to the slot-1
-    boundary triangles, and the per-edge path statistics derived from them.
+    boundary triangles: ``l_q``, the total length of each equation's paths,
+    and the paths themselves.
 
     Entry i of ``path_tube`` and ``path_edge`` says that tube path_tube[i]'s
     path crosses edge path_edge[i]; each tube's entries run from its
-    boundary triangle up to the central triangle.
+    boundary triangle up to the central triangle.  The two arrays hold one
+    entry per path edge, Θ(sum h^2) over spheres of h holes, and no weight
+    needs them: ``compute_edge_weights`` hands over each path's closed form
+    (``paths``), and the arrays are laid out on first access.
     """
 
-    l_q: np.ndarray
-    tubes: Tubes
-    path_tube: np.ndarray
-    path_edge: np.ndarray
+    def __init__(self, l_q: np.ndarray, tubes: Tubes, path_tube=None, path_edge=None, *,
+                 paths: _Paths | None = None):
+        self.l_q, self.tubes, self._closed_form = l_q, tubes, paths
+        if path_tube is not None:
+            self._arrays = (path_tube, path_edge)
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return _tube_paths(self._closed_form)
+
+    @property
+    def path_tube(self) -> np.ndarray:
+        return self._arrays[0]
+
+    @property
+    def path_edge(self) -> np.ndarray:
+        return self._arrays[1]
 
     @property
     def paths(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
@@ -407,7 +455,7 @@ _SPHERE_PATHS = np.array([
 _SPHERE_PATHS.setflags(write=False)
 
 
-def _sphere_paths(h: np.ndarray, rank: np.ndarray, positive: np.ndarray) -> np.ndarray:
+def _sphere_paths(h: np.ndarray, rank: np.ndarray, positive: np.ndarray):
     """Shortest paths across spheres, in closed form, one per tube.
 
     A tube of sign ``positive`` on hole ``rank`` of a sphere with ``h``
@@ -415,8 +463,9 @@ def _sphere_paths(h: np.ndarray, rank: np.ndarray, positive: np.ndarray) -> np.n
     path leaves the sphere's central (first) triangle, crosses ``count``
     sphere edges, ``start + step k + even [k even]`` for k = 0, 1, ...,
     and then the hole side ``side`` (0: (w1, w2), 1: (w2, w3), 2: (w1, w3)
-    of the hole cycle), whose edge is ``hole``.  Returns the (n, 6) array of
-    (count, start, step, even, hole, side).
+    of the hole cycle), whose edge is ``hole``.  Returns each tube's case,
+    its row of ``_SPHERE_PATHS``, and the (6, n) array whose rows are
+    count, start, step, even, hole and side.
 
     Edge ids are local: the sphere's edges sorted by vertex pair.  For
     h >= 3 vertex 0 has 2h neighbours above it, so (1, 2) is edge 2h,
@@ -438,8 +487,14 @@ def _sphere_paths(h: np.ndarray, rank: np.ndarray, positive: np.ndarray) -> np.n
     negative = (~positive).astype(np.int64)
     case = np.where(h == 1, 0, np.where(h == 2, 1 + 2 * (rank > 0) + negative,
                                         np.where(rank == 0, 5 + negative, 7)))
-    coef = _SPHERE_PATHS[case]
-    return coef[:, 0] + coef[:, 1] * h[:, None] + coef[:, 2] * rank[:, None]
+    # field by field, adding the h and rank terms only to the fields that
+    # have them: one (n, 3, 6) gather and its strided sums took twice as long
+    const, per_h, per_rank = _SPHERE_PATHS.transpose(1, 2, 0)
+    fields = const[:, case]
+    for coef, x in ((per_h, h), (per_rank, rank)):
+        for f in np.flatnonzero(coef.any(axis=1)):
+            fields[f] += coef[f, case] * x
+    return case, fields
 
 
 def compute_edge_weights(problem: BoundaryProblem, alpha: float):
@@ -462,8 +517,20 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     it crosses the sphere (``_sphere_paths``), a hole side into the tube,
     and the connecting edge into the slot-1 triangle (``_into_slot1``).  So
     ``problem`` must be laid out as ``build_boundary_problem`` lays it out;
-    a tube's rank is read off its slot-1 column.  Returns (PathWeights,
-    weight vector).
+    a tube's rank is read off its slot-1 column.
+
+    No path is listed.  The paths on one sphere in one ``_SPHERE_PATHS``
+    case, a family, share start, step and even, so they share their k-th
+    sphere edge, and that edge's mass is the l_q of the family's paths with
+    count > k: a suffix sum, from a difference array of +l_q at k = 0 and
+    -l_q at count.  The hole side and the connecting edge add two entries
+    a path.  Every summand is an integer far below 2^53, so the float sums
+    are exact in any order, and the weights are those of the listed paths
+    bit for bit.  A family has as many slots as its longest path crosses
+    sphere edges, at most 2h - 3 on a sphere of h holes, so time and memory
+    are linear in the number of tubes and edges, O(t).  Returns
+    (PathWeights, weight vector); the PathWeights lays its paths out only
+    when they are read.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -478,39 +545,50 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     h = holes[var]
     slot1 = np.where(positive, _tube_template(1)[2][0], _tube_template(-1)[2][0])
     rank = (tubes.cols[:, 0] - slot1 - (np.cumsum(size) - size)[var] - (5 * h - 4)) // 6
-    count, start, step, even, hole, side = _sphere_paths(h, rank, positive).T
+    case, (count, start, step, even, hole, side) = _sphere_paths(h, rank, positive)
     connecting = 9 * h - 6 + 6 * rank + np.where(positive, _into_slot1(1)[side],
                                                  _into_slot1(-1)[side])
-
-    # each path from its boundary triangle up: the connecting edge, the
-    # hole side, then the sphere edges k = count - 1 .. 0
-    length = count + 2
-    end = np.cumsum(length)
-    first = end - length
-    k = np.repeat(end - 1, length) - np.arange(length.sum())
     base = edge0[var]
-    path_edge = (np.repeat(base + start, length) + np.repeat(step, length) * k
-                 + np.repeat(even, length) * (1 - (k & 1)))
-    path_edge[first] = base + connecting
-    path_edge[first + 1] = base + hole
-    path_tube = np.repeat(np.arange(var.size), length)
+    paths = _Paths(count, base + start, step, even, base + hole, base + connecting)
+    l_q = np.bincount(tubes.q, weights=count + 2, minlength=problem.n_equations)
 
-    l_q = np.bincount(tubes.q, weights=length, minlength=problem.n_equations)
     # a path crosses an edge at most once, so only an equation with more
-    # than four tubes can put five of its paths on one edge
-    if np.any(np.bincount(tubes.q) > 4):
-        keys = np.sort(tubes.q[path_tube] * m + path_edge)
+    # than four tubes can put five of its paths on one edge; only those
+    # equations' paths are listed
+    crowded = np.flatnonzero(np.bincount(tubes.q)[tubes.q] > 4)
+    if crowded.size:
+        path_tube, path_edge = _tube_paths(_Paths(*(a[crowded] for a in paths)))
+        keys = np.sort(tubes.q[crowded[path_tube]] * m + path_edge)
         if np.any(keys[4:] == keys[:-4]):
             raise ReductionError("an edge cannot carry more than four paths of one equation")
 
+    # a family is keyed (variable, case), and its slots are k = 0 .. count
+    # of its longest path, the one of rank h - 1 where count grows with rank
+    family = len(_SPHERE_PATHS) * var + case
+    slots = np.zeros(len(_SPHERE_PATHS) * problem.n_vars, dtype=np.int64)
+    slots[family] = count + _SPHERE_PATHS[case, 2, 0] * (h - 1 - rank) + 1
+    at = np.cumsum(slots) - slots
+    w, n = l_q[tubes.q], int(slots.sum())
+    suffix = np.cumsum(np.bincount(at[family], weights=w, minlength=n)
+                       - np.bincount(at[family] + count, weights=w, minlength=n))
+    member = np.zeros(slots.size, dtype=np.int64)  # any tube of the family
+    member[family] = np.arange(var.size)
+    used = np.flatnonzero(slots > 1)
+    reach = slots[used] - 1
+    k = np.arange(reach.sum()) - np.repeat(np.cumsum(reach) - reach, reach)
+    i = np.repeat(member[used], reach)
+    sphere_edge = paths.start[i] + paths.step[i] * k + paths.even[i] * (1 - (k & 1))
+
     # the weight mass of an edge is the total l_q of the boundary triangles
-    # whose paths cross it
-    mass = np.bincount(path_edge, weights=np.repeat(l_q[tubes.q], length), minlength=m)
-    weights = np.ones(m)
+    # whose paths cross it; an interior edge weighs alpha times its mass,
+    # a loop edge its equation's base weight, and any other edge 1
+    weights = np.bincount(np.concatenate([sphere_edge, paths.hole, paths.connecting]),
+                          weights=np.concatenate([suffix[np.repeat(at[used], reach) + k], w, w]),
+                          minlength=m)
+    weights *= alpha
+    weights[K.kind != INTERIOR] = 1.0
     weights[K.loops] = problem.loop_weight[:, None]
-    interior = K.kind == INTERIOR
-    weights[interior] = alpha * mass[interior]
-    return PathWeights(l_q, tubes, path_tube, path_edge), weights
+    return PathWeights(l_q, tubes, paths=paths), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,
@@ -574,8 +652,8 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
     - The nullity check is an identity.  With H the t x n indicator of the
       triangle groups, every group is nonempty, d2 H is zero outside the
       loop table, and each of equation q's loop edges carries row q of P:
-      one pass over d2's 3t entries keyed by (edge, group), less P's on the
-      loop edges, all small integers, so the float sums are exact.  Given
+      one sparse product of d2's CSR with H's (t entries), less P placed on
+      the loop edges, all small integers, so the float sums are exact.  Given
       ``validate(problem.K).ok`` and ``problem.d2 = boundary2(problem.K)``
       (every interior edge in two triangles of opposite signs, each group
       connected over interior edges and holding a central triangle),
@@ -595,11 +673,12 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
     size = np.bincount(K.tri_group, minlength=problem.n_vars)
     mismatch = "the triangle groups and loops do not fit the system"
     if size.size == problem.n_vars and size.all() and len(K.loops) == pattern.n_rows:
-        rest = SparseMatrix.from_arrays(
-            d2.n_rows, problem.n_vars,
-            np.concatenate([d2.rows, K.loops[pattern.rows].ravel()]),
-            np.concatenate([K.tri_group[d2.cols], np.repeat(pattern.cols, 3)]),
-            np.concatenate([d2.vals, -np.repeat(pattern.vals, 3)]))
+        t = problem.n_triangles
+        H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
+        placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars,
+                                          K.loops[pattern.rows].ravel(),
+                                          np.repeat(pattern.cols, 3), np.repeat(pattern.vals, 3))
+        rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
         mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
                     f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
     note = mismatch or "d2 H is the pattern on the loop edges and zero elsewhere"

@@ -92,6 +92,17 @@ def cmd_solve(args) -> int:
     return 0 if report.ok else 1
 
 
+def _check_structure(problem, check) -> None:
+    """The complex's invariants and d2 = boundary2(K); the d2 built for
+    the comparison goes when this returns, before the certificate runs."""
+    report = validate(problem.K)
+    check("complex structure", report.ok, report.violation or "")
+    # a valid K comes back with the boundary2(K) whose d1 d2 = 0 validate
+    # checked, so equality implies d1 d2 = 0 for the stored d2
+    d2 = report.d2 if report.ok else boundary2(problem.K)
+    check("d2 is the boundary operator of the complex", problem.d2.equals(d2))
+
+
 def cmd_verify(args) -> int:
     src = Path(args.dir)
     ok = True
@@ -102,12 +113,7 @@ def cmd_verify(args) -> int:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}{': ' + detail if detail else ''}")
 
     problem = fileio.read_boundary_problem(src)
-    report = validate(problem.K)
-    check("complex structure", report.ok, report.violation or "")
-    # a valid K comes back with the boundary2(K) whose d1 d2 = 0 validate
-    # checked, so equality implies d1 d2 = 0 for the stored d2
-    d2 = report.d2 if report.ok else boundary2(problem.K)
-    check("d2 is the boundary operator of the complex", problem.d2.equals(d2))
+    _check_structure(problem, check)
 
     pattern = problem.pattern_matrix()
     l1 = pattern.entry_abs_sum()

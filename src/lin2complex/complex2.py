@@ -120,11 +120,9 @@ def _missing_edge(u, v, eid) -> tuple[int, int]:
 def _boundary(K: Complex2, u: np.ndarray, eid: np.ndarray) -> SparseMatrix:
     """d2 from the edge ids ``eid`` (t, 3) of the triangle sides that start
     at the vertices ``u``: +1 where a side runs along its edge's stored
-    direction, -1 where it runs against it."""
-    sign = np.where(K.edge[eid, 0] == u, 1, -1)
-    cols = np.repeat(np.arange(K.n_triangles), 3)
-    return SparseMatrix.from_arrays(K.n_edges, K.n_triangles, eid.ravel(), cols,
-                                    sign.ravel())
+    direction, -1 where it runs against it.  ``eid`` is d2's CSC, three
+    entries a column, converted to CSR once."""
+    return SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == u, 1.0, -1.0))
 
 
 def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
@@ -279,10 +277,9 @@ def boundary2(K: Complex2) -> SparseMatrix:
 
 
 def boundary1(K: Complex2) -> SparseMatrix:
-    """The oriented vertex-edge incidence matrix: -1 at the tail, +1 at the head."""
-    m = K.n_edges
-    return SparseMatrix.from_arrays(K.n_vertices, m, K.edge.ravel(),
-                                    np.repeat(np.arange(m), 2), np.tile([-1.0, 1.0], m))
+    """The oriented vertex-edge incidence matrix: -1 at the tail, +1 at the
+    head; ``K.edge`` is its CSC, two entries a column."""
+    return SparseMatrix.from_columns(K.n_vertices, K.edge, (-1.0, 1.0))
 
 
 def laplacian1(K: Complex2, d1: SparseMatrix | None = None,
@@ -344,28 +341,22 @@ def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.append(a, -1)[np.where((ids >= 0) & (ids < a.size), ids, a.size)]
 
 
-def validate(K: Complex2) -> ValidationReport:
-    """Check the structural invariants in time linear in the size of K;
-    returns the first violation, or ok with the d2 it built.
-
-    One edge lookup gives every triangle side's edge id and sign; d2 is
-    built from them once, and the incidence counts, the sign balance, the
-    interior-edge connectivity and d1 d2 = 0 are all read off it.  The
-    connectivity graph joins the two triangles of each interior edge's row
-    of d2 when they share a group, with no adjacency matrix in between.
-    """
-    def fail(msg: str) -> ValidationReport:
-        return ValidationReport(False, msg)
-
-    t, m = K.n_triangles, K.n_edges
+def _central_violation(K: Complex2) -> str | None:
+    """Every group must hold a central triangle of its own."""
     groups = _unique(K.tri_group)
     central = _take(K.central, groups)
     g = _first((central < 0) | (_take(K.tri_group, central) != groups))
-    if g >= 0:
-        if central[g] < 0:
-            return fail(f"group {groups[g]} has no central triangle")
-        return fail(f"central triangle of group {groups[g]} is invalid")
+    if g < 0:
+        return None
+    if central[g] < 0:
+        return f"group {groups[g]} has no central triangle"
+    return f"central triangle of group {groups[g]} is invalid"
 
+
+def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
+    """(None, d2) from one lookup of every triangle side, or the first
+    violation that the lookup meets and no d2."""
+    t = K.n_triangles
     u, v = K.tri, np.roll(K.tri, -1, axis=1)
     repeated = (u == v).any(axis=1)
     unknown = ((u < 0) | (u >= K.n_vertices)).any(axis=1)
@@ -374,55 +365,90 @@ def validate(K: Complex2) -> ValidationReport:
     first_ok = t and not (repeated[0] or unknown[0])
     eid = _lookup(K, u, v) if first_ok else np.full((t, 3), -1)
     bad = _first(repeated | unknown | (eid < 0).any(axis=1))
-    if bad >= 0:
-        if repeated[bad]:
-            return fail(f"triangle {bad} has repeated vertices")
-        if unknown[bad]:
-            return fail(f"triangle {bad} references an unknown vertex")
-        return fail(f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}")
-    d2 = _boundary(K, u, eid)
+    if bad < 0:
+        return None, _boundary(K, u, eid)
+    if repeated[bad]:
+        return f"triangle {bad} has repeated vertices", None
+    if unknown[bad]:
+        return f"triangle {bad} references an unknown vertex", None
+    return f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}", None
 
-    # every loop-table entry is a loop edge that the table lists once
+
+def _loop_violation(K: Complex2) -> str | None:
+    """Every loop-table entry must be a loop edge that the table lists once."""
+    m = K.n_edges
     listed = np.bincount(K.loops[(K.loops >= 0) & (K.loops < m)], minlength=m)
     consistent = (_take(K.kind, K.loops) == LOOP) & (_take(listed, K.loops) == 1)
     q = _first(~consistent.all(axis=1))
-    if q >= 0:
-        return fail(f"loop-edge table of equation {q} is inconsistent")
+    return f"loop-edge table of equation {q} is inconsistent" if q >= 0 else None
 
+
+def _incidence_violation(K: Complex2, d2: SparseMatrix) -> str | None:
+    """The triangle count and sign balance of every edge, off the rows of d2."""
     # no triangle has an edge twice without a repeated vertex, so a row of
     # d2 has one entry per incident triangle
-    count, sign_sum = np.diff(d2.to_csr().indptr), d2 @ np.ones(t)
+    count, sign_sum = np.diff(d2.to_csr().indptr), d2 @ np.ones(K.n_triangles)
     kind = K.kind
     count_ok = np.select([kind == INTERIOR, kind == BOUNDARY, kind == LOOP],
                          [count == 2, count == 1, (count == 2) | (count == 4)], False)
     e = _first(~count_ok | ((kind != BOUNDARY) & (sign_sum != 0)))
-    if e >= 0:
-        k = int(kind[e])
-        if not 0 <= k < len(EDGE_KINDS):
-            return fail(f"edge {e} has unknown kind {k}")
-        if not count_ok[e]:
-            return fail(f"{EDGE_KINDS[k]} edge {e} lies in {count[e]} triangles")
-        balance = "equal" if k == INTERIOR else "unbalanced"
-        return fail(f"{EDGE_KINDS[k]} edge {e} has {balance} induced signs")
+    if e < 0:
+        return None
+    k = int(kind[e])
+    if not 0 <= k < len(EDGE_KINDS):
+        return f"edge {e} has unknown kind {k}"
+    if not count_ok[e]:
+        return f"{EDGE_KINDS[k]} edge {e} lies in {count[e]} triangles"
+    balance = "equal" if k == INTERIOR else "unbalanced"
+    return f"{EDGE_KINDS[k]} edge {e} has {balance} induced signs"
 
+
+def _split_group(K: Complex2, d2: SparseMatrix) -> str | None:
+    """Every group must be connected over its interior edges; each interior
+    edge lies in two triangles (``_incidence_violation``), and its row of d2
+    joins them when they share a group."""
     # imported here: loading scipy.sparse.csgraph costs about 1.3 MB of
     # resident memory in processes that never validate or weight a complex
     from scipy.sparse.csgraph import connected_components
 
-    # every interior edge lies in two triangles (checked above), and its row
-    # of d2 joins them when they share a group
-    start = d2.to_csr().indptr[np.flatnonzero(kind == INTERIOR)]
-    a, b = d2.cols[start], d2.cols[start + 1]
+    t, csr = K.n_triangles, d2.to_csr()
+    start = csr.indptr[np.flatnonzero(K.kind == INTERIOR)]
+    a, b = csr.indices[start], csr.indices[start + 1]
     same = K.tri_group[a] == K.tri_group[b]
     graph = sp.coo_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
     _, label = connected_components(graph, directed=False)
     pieces = _unique(K.tri_group * max(t, 1) + label) // max(t, 1)
     split = _first(pieces[1:] == pieces[:-1])
-    if split >= 0:
-        return fail(f"group {pieces[split]} is not connected over interior edges")
+    return f"group {pieces[split]} is not connected over interior edges" if split >= 0 else None
 
-    prod = boundary1(K).to_int_csr() @ d2.to_int_csr()
-    prod.eliminate_zeros()
-    if prod.nnz != 0:
-        return fail("d1 d2 != 0")
+
+def _chain_violation(K: Complex2, d2: SparseMatrix) -> str | None:
+    """d1 d2 = 0, on the stored float CSRs and exactly: every entry is +-1,
+    so each entry of the product sums at most three +-1 terms, one a side of
+    its triangle."""
+    return "d1 d2 != 0" if (boundary1(K).to_csr() @ d2.to_csr()).count_nonzero() else None
+
+
+def validate(K: Complex2) -> ValidationReport:
+    """Check the structural invariants; returns the first violation, or ok
+    with the d2 it built.
+
+    One edge lookup gives every triangle side's edge id and sign; d2 is
+    built from them once, and the incidence counts, the sign balance, the
+    interior-edge connectivity and d1 d2 = 0 are all read off it.  The
+    connectivity graph joins the two triangles of each interior edge's row
+    of d2 when they share a group, with no adjacency matrix in between.
+    Time and memory are linear in the size of K: each check is a pass over
+    d2's 3t entries or the m edges and lets its arrays go before the next
+    one, so that beside d2 no step holds more than O(t + m) entries (the
+    product d1 d2 at most 3t).
+    """
+    violation = _central_violation(K)
+    if violation is None:
+        violation, d2 = _side_matrix(K)
+    if violation is None:
+        violation = (_loop_violation(K) or _incidence_violation(K, d2)
+                     or _split_group(K, d2) or _chain_violation(K, d2))
+    if violation is not None:
+        return ValidationReport(False, violation)
     return ValidationReport(True, None, d2)

@@ -22,6 +22,7 @@ pivoting.  ``spectral_summary`` is the dense reference for small matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -48,7 +49,9 @@ class SparseMatrix:
     row are sorted, so two equal matrices serialize identically.  Its
     arrays are read-only, so ``to_csr`` hands out the stored matrix itself
     and a caller that writes into it raises.  ``rows``, ``cols`` and
-    ``vals`` are the entries in row-major order (int64, int64, float64).
+    ``vals`` are the entries in row-major order (int64, int64, float64);
+    ``vals`` is the CSR's own array, and the two index arrays, 16 bytes an
+    entry beside the CSR's 12, are made on first access.
     ``integer_exact`` records that every stored value is an exact integer;
     reduction outputs keep this flag so chain-complex identities can be
     checked in integer arithmetic.
@@ -64,10 +67,16 @@ class SparseMatrix:
         self._csr = csr
         self.n_rows, self.n_cols = csr.shape
         self.vals = csr.data
-        self.cols = _readonly(csr.indices.astype(np.int64))
-        self.rows = _readonly(np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                                        np.diff(csr.indptr)))
         self.integer_exact = bool(np.all(self.vals == np.rint(self.vals)))
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return _readonly(np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                                   np.diff(self._csr.indptr)))
+
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        return _readonly(self._csr.indices.astype(np.int64))
 
     @staticmethod
     def from_arrays(n_rows: int, n_cols: int, rows, cols, vals) -> "SparseMatrix":
@@ -82,6 +91,23 @@ class SparseMatrix:
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise DimensionError(f"column index out of range for {n_cols} columns")
         return SparseMatrix(sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)))
+
+    @staticmethod
+    def from_columns(n_rows: int, rows, vals) -> "SparseMatrix":
+        """The matrix whose column j holds ``vals[j]`` at the rows ``rows[j]``,
+        for an (n_cols, k) array ``rows``, k entries a column, and ``vals``
+        of its shape or broadcast to it.  The arrays are already a CSC, which
+        is converted to CSR once, with no COO in between; a row listed twice
+        in one column is summed.  Raises ``DimensionError`` for a row out of
+        range, as ``from_arrays`` does."""
+        rows = np.asarray(rows)
+        n_cols, k = rows.shape
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise DimensionError(f"row index out of range for {n_rows} rows")
+        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), rows.shape)
+        csc = sp.csc_matrix((vals.ravel(), rows.ravel(), np.arange(n_cols + 1) * k),
+                            shape=(n_rows, n_cols))
+        return SparseMatrix(csc.tocsr())
 
     @staticmethod
     def from_entries(n_rows: int, n_cols: int,
@@ -156,11 +182,13 @@ class SparseMatrix:
         return SparseMatrix(csr)
 
     def equals(self, other: "SparseMatrix") -> bool:
+        """Equal shapes and entries, compared on the two canonical CSRs."""
+        a, b = self._csr, other._csr
         return (
             self.shape == other.shape
             and self.nnz == other.nnz
-            and bool(np.array_equal(self.rows, other.rows))
-            and bool(np.array_equal(self.cols, other.cols))
+            and bool(np.array_equal(a.indptr, b.indptr))
+            and bool(np.array_equal(a.indices, b.indices))
             and bool(np.array_equal(self.vals, other.vals))
         )
 
@@ -495,9 +523,19 @@ def spectral_summary(A: SparseMatrix) -> SpectralSummary:
 
 def norm_product(M: SparseMatrix) -> int:
     """||M||_1 ||M||_inf of an integer-exact matrix, in integer arithmetic;
-    it bounds sigma_max(M)^2, since ||M||_2^2 <= ||M||_1 ||M||_inf."""
-    D = abs(M.to_int_csr())
-    return int(D.sum(axis=0).max()) * int(D.sum(axis=1).max())
+    it bounds sigma_max(M)^2, since ||M||_2^2 <= ||M||_1 ||M||_inf.
+
+    The column sums are a ``bincount`` of the stored entries' magnitudes
+    over their columns, and the row sums the steps of their running sum at
+    the CSR's row starts, with no copy of the matrix: every partial sum is
+    an integer, exact in float64 below 2^53.  Raises ``ValueError`` for a
+    matrix that is not integer-exact."""
+    if not M.integer_exact:
+        raise ValueError("matrix is not integer-exact")
+    csr, size = M.to_csr(), np.abs(M.vals)
+    rows = np.diff(np.concatenate(([0.0], np.cumsum(size)))[csr.indptr])
+    cols = np.bincount(csr.indices, weights=size, minlength=M.n_cols)
+    return int(cols.max(initial=0)) * int(rows.max(initial=0))
 
 
 # Shift of the Lanczos solve in ``gram_low_eigenvalues``: it makes

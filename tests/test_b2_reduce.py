@@ -676,3 +676,32 @@ def test_reduce_chain_looks_up_no_edge_and_no_adjacency(monkeypatch):
     problem = reduce_chain(three_per_row_system(5, 12), 1e-3).problem
     monkeypatch.undo()
     assert problem.d2.equals(boundary2(problem.K)) and validate(problem.K).ok
+
+
+def test_reduce_chain_lists_no_path(monkeypatch):
+    # the weights come from per-family suffix sums; the path arrays are laid
+    # out only when read, and only the four-path guard's crowded equations
+    # would list theirs
+    def forbidden(*args, **kwargs):
+        pytest.fail("the paths were listed")
+
+    monkeypatch.setattr(b2_reduce, "_tube_paths", forbidden)
+    chain = reduce_chain(three_per_row_system(5, 12), 1e-3)
+    pw, weights = compute_edge_weights(chain.problem, chain.alpha)
+    assert np.array_equal(weights, chain.problem.weights)
+    with pytest.raises(pytest.fail.Exception, match="the paths were listed"):
+        pw.path_edge
+    monkeypatch.undo()
+    l_q, path_tube, path_edge, oracle_weights = bfs_edge_weights(chain.problem, chain.alpha)
+    assert np.array_equal(weights, oracle_weights) and np.array_equal(pw.l_q, l_q)
+    assert np.array_equal(pw.path_edge[np.argsort(pw.path_tube, kind="stable")],
+                          path_edge[np.argsort(path_tube, kind="stable")])
+
+
+def test_sphere_path_families_share_their_edges():
+    # the paths of one case on one sphere cross the same k-th edge: start,
+    # step and even do not depend on the rank, and only the count does, in
+    # the one case that holds several ranks
+    rank_coef = b2_reduce._SPHERE_PATHS[:, 2]
+    assert not rank_coef[:, 1:4].any()
+    assert np.flatnonzero(rank_coef[:, 0]).tolist() == [len(rank_coef) - 1]

@@ -96,6 +96,49 @@ def test_stored_csr_matches_a_numpy_coalesce(entries, scale):
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_from_columns_is_from_arrays(seed, k):
+    # k entries a column, repeated rows included, some of which cancel
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(0, 6))
+    rows = rng.integers(0, n_rows, size=(n_cols, k))
+    vals = rng.choice([-1.0, 1.0, 2.0], size=(n_cols, k))
+    built = SparseMatrix.from_columns(n_rows, rows, vals)
+    expected = SparseMatrix.from_arrays(n_rows, n_cols, rows.ravel(),
+                                        np.repeat(np.arange(n_cols), k), vals.ravel())
+    assert built.equals(expected) and built.shape == (n_rows, n_cols)
+    assert built.to_csr().indices.dtype == expected.to_csr().indices.dtype
+    assert np.array_equal(built.rows, expected.rows) and np.array_equal(built.cols, expected.cols)
+    assert built.to_csr().has_canonical_format
+
+
+def test_from_columns_rejects_a_row_out_of_range():
+    for rows in ([[0, 3]], [[-1, 0]]):
+        with pytest.raises(DimensionError, match="row index out of range for 3 rows"):
+            SparseMatrix.from_columns(3, rows, (-1.0, 1.0))
+
+
+def _norm_product_by_int_csr(M: SparseMatrix) -> int:
+    """The formula ``norm_product`` used before it read the stored arrays."""
+    D = abs(M.to_int_csr())
+    return int(D.sum(axis=0).max()) * int(D.sum(axis=1).max())
+
+
+def test_norm_product_is_the_int_csr_formula():
+    d2s = [reduce_chain(s, 1e-3).problem.d2 for s in criterion11_systems()]
+    d2s += [reduce_chain(three_per_row_system(8, n), 1e-3).problem.d2 for n in (6, 40)]
+    rng = np.random.default_rng(4)
+    sparse_ints = rng.integers(-9, 10, size=(7, 5)) * (rng.random((7, 5)) < 0.4)
+    others = [SparseMatrix.from_dense(sparse_ints), SparseMatrix.from_dense(DISK_D2),
+              SparseMatrix.from_arrays(4, 3, [1], [2], [-5.0])]
+    for M in d2s + others:
+        assert sparse_core.norm_product(M) == _norm_product_by_int_csr(M)
+    assert {sparse_core.norm_product(d2) for d2 in d2s} <= {6, 12}  # three a column, 2 or 4 a row
+    with pytest.raises(ValueError, match="not integer-exact"):
+        sparse_core.norm_product(SparseMatrix.from_dense([[0.5, 1.0]]))
+
+
 def test_matvec_identity():
     A = SparseMatrix.identity(2)
     assert np.array_equal(A @ np.array([3.0, -1.0]), np.array([3.0, -1.0]))
