@@ -11,7 +11,7 @@ Example:
 """
 
 import argparse
-import csv
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from lin2complex.da_reduce import average_row, difference_row, plain_da_system
 from lin2complex.maxflow_ipm import FlowNetwork2, f_star_bracket, run_ipm
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=positive_int, default=300,
                     help="the most progress steps run_ipm takes; it stops once "
@@ -32,7 +32,7 @@ def main():
     ap.add_argument("--average", action="store_true",
                     help="use x0 + x1 - 2 x2 = 0 with a side difference equation")
     ap.add_argument("--out-dir", default="maxflow_out")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.average:
         sys_da = plain_da_system(3, [average_row(0, 1, 2), difference_row(0, 1)])
@@ -55,12 +55,7 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "kind", "alpha", "barrier", "residual"])
-        for rec in result.log:
-            writer.writerow([rec.step, rec.kind, f"{rec.alpha:.12g}",
-                             f"{rec.barrier:.12g}", f"{rec.residual:.6e}"])
+    fileio.write_ipm_trace(out / "trace.csv", result.log)
     fileio.write_json(out / "net.json", {
         "complex": fileio.complex_to_json(problem.K),
         "capacities": net.capacities.tolist(),
@@ -68,7 +63,8 @@ def main():
         "f_star": net.f_star,
     })
     print(f"trace and network written to {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -257,11 +257,9 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     # is built, where the build peaks
     sphere_edge, side = _sphere_edges(np.concatenate([sphere_tri, holes]), n_vert)
 
-    # linear-work guard: cell creation must stay proportional to nnz
-    ops = 6 * d + n_sphere_vertices + len(sphere_edge) + len(sphere_tri) + 12 * len(attach)
-    if ops > 80 * max(sys.pattern_nnz, 1) + 48:
-        raise ReductionError("construction exceeded the linear budget")
-
+    # linear in nnz by construction: with a difference rows, b average rows and
+    # n variables, the H = 2a + 4b tubes make 3d + 3H vertices, 11H - 4n triangles
+    # and 3d + 15H - 6n edges, at most 22 and 33 times the nnz 2a + 3b of the pattern
     loop_vertices = np.arange(3 * d).reshape(d, 3)
     var, q, _, sign = attach.T
     corners = np.concatenate([holes, loop_vertices[q]], axis=1)
@@ -528,14 +526,14 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     are exact in any order, and the weights are those of the listed paths
     bit for bit.  A family has as many slots as its longest path crosses
     sphere edges, at most 2h - 3 on a sphere of h holes, so time and memory
-    are linear in the number of tubes and edges, O(t).  Returns
-    (PathWeights, weight vector); the PathWeights lays its paths out only
-    when they are read.
+    are linear in the number of tubes and edges, O(t).  An equation has at
+    most four tubes, so k_{q,e} <= 4 holds by construction and is not
+    checked.  Returns (PathWeights, weight vector); the PathWeights lays
+    its paths out only when they are read.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     K, tubes = problem.K, problem.tubes
-    m = K.n_edges
     size = np.bincount(K.tri_group, minlength=problem.n_vars)
     holes = (size + 4) // 11
     n_edges = 15 * holes - 6
@@ -552,15 +550,9 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     paths = _Paths(count, base + start, step, even, base + hole, base + connecting)
     l_q = np.bincount(tubes.q, weights=count + 2, minlength=problem.n_equations)
 
-    # a path crosses an edge at most once, so only an equation with more
-    # than four tubes can put five of its paths on one edge; only those
-    # equations' paths are listed
-    crowded = np.flatnonzero(np.bincount(tubes.q)[tubes.q] > 4)
-    if crowded.size:
-        path_tube, path_edge = _tube_paths(_Paths(*(a[crowded] for a in paths)))
-        keys = np.sort(tubes.q[crowded[path_tube]] * m + path_edge)
-        if np.any(keys[4:] == keys[:-4]):
-            raise ReductionError("an edge cannot carry more than four paths of one equation")
+    # an edge carries at most four of an equation's paths: a path crosses
+    # an edge at most once, and ``_attachments``, whence the build and the
+    # reader take their tubes, gives an equation two or four tubes
 
     # a family is keyed (variable, case), and its slots are k = 0 .. count
     # of its longest path, the one of rank h - 1 where count grows with rank
@@ -584,7 +576,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     # a loop edge its equation's base weight, and any other edge 1
     weights = np.bincount(np.concatenate([sphere_edge, paths.hole, paths.connecting]),
                           weights=np.concatenate([suffix[np.repeat(at[used], reach) + k], w, w]),
-                          minlength=m)
+                          minlength=K.n_edges)
     weights *= alpha
     weights[K.kind != INTERIOR] = 1.0
     weights[K.loops] = problem.loop_weight[:, None]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import sys as _sys
@@ -97,8 +96,8 @@ def _check_structure(problem, check) -> None:
     the comparison goes when this returns, before the certificate runs."""
     report = validate(problem.K)
     check("complex structure", report.ok, report.violation or "")
-    # a valid K comes back with the boundary2(K) whose d1 d2 = 0 validate
-    # checked, so equality implies d1 d2 = 0 for the stored d2
+    # a valid K comes back with its boundary2(K), whose d1 d2 = 0 holds by
+    # construction (``validate``), so equality carries it to the stored d2
     d2 = report.d2 if report.ok else boundary2(problem.K)
     check("d2 is the boundary operator of the complex", problem.d2.equals(d2))
 
@@ -141,12 +140,7 @@ def cmd_maxflow_demo(args) -> int:
                        np.array(net_obj["gamma"]), net_obj.get("f_star"))
     result = run_ipm(net, args.steps)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "kind", "alpha", "barrier", "residual"])
-            for rec in result.log:
-                writer.writerow([rec.step, rec.kind, f"{rec.alpha:.12g}",
-                                 f"{rec.barrier:.12g}", f"{rec.residual:.6e}"])
+        fileio.write_ipm_trace(args.trace, result.log)
     print(f"maxflow demo: alpha = {result.alpha:.4f} after {len(result.log)} half-steps")
     return 0
 

@@ -422,33 +422,27 @@ def _split_group(K: Complex2, d2: SparseMatrix) -> str | None:
     return f"group {pieces[split]} is not connected over interior edges" if split >= 0 else None
 
 
-def _chain_violation(K: Complex2, d2: SparseMatrix) -> str | None:
-    """d1 d2 = 0, on the stored float CSRs and exactly: every entry is +-1,
-    so each entry of the product sums at most three +-1 terms, one a side of
-    its triangle."""
-    return "d1 d2 != 0" if (boundary1(K).to_csr() @ d2.to_csr()).count_nonzero() else None
-
-
 def validate(K: Complex2) -> ValidationReport:
     """Check the structural invariants; returns the first violation, or ok
     with the d2 it built.
 
     One edge lookup gives every triangle side's edge id and sign; d2 is
-    built from them once, and the incidence counts, the sign balance, the
-    interior-edge connectivity and d1 d2 = 0 are all read off it.  The
-    connectivity graph joins the two triangles of each interior edge's row
-    of d2 when they share a group, with no adjacency matrix in between.
-    Time and memory are linear in the size of K: each check is a pass over
-    d2's 3t entries or the m edges and lets its arrays go before the next
-    one, so that beside d2 no step holds more than O(t + m) entries (the
-    product d1 d2 at most 3t).
+    built from them once, and the incidence counts, the sign balance and
+    the interior-edge connectivity are all read off it.  The connectivity
+    graph joins the two triangles of each interior edge's row of d2 when
+    they share a group, with no adjacency matrix in between.  Each check is
+    a pass over d2's 3t entries or the m edges and lets its arrays go before
+    the next one, so time and memory are linear in the size of K.
+
+    d1 d2 = 0 holds by construction: ``_lookup`` gives each side u -> v the
+    edge {u, v} and ``_boundary`` signs it +1 exactly when that edge is
+    stored as (u, v), so each column of d2 runs u -> v -> w -> u.
     """
     violation = _central_violation(K)
     if violation is None:
         violation, d2 = _side_matrix(K)
     if violation is None:
-        violation = (_loop_violation(K) or _incidence_violation(K, d2)
-                     or _split_group(K, d2) or _chain_violation(K, d2))
+        violation = _loop_violation(K) or _incidence_violation(K, d2) or _split_group(K, d2)
     if violation is not None:
         return ValidationReport(False, violation)
     return ValidationReport(True, None, d2)

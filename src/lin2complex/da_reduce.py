@@ -34,11 +34,6 @@ class MatrixClassError(ValueError):
 EXACT_LIMIT = 2.0 ** 53
 
 
-def _is_pow2(m: np.ndarray) -> np.ndarray:
-    """Whether each int64 m is a power of two: m >= 1 with one bit set."""
-    return (m > 0) & ((m & (m - 1)) == 0)
-
-
 def _pow2_ceil(p: np.ndarray) -> np.ndarray:
     """The least power of two at or above each p >= 1, exact for floats:
     ``frexp`` splits p into m 2^e with m in [0.5, 1), and p is a power of
@@ -421,29 +416,23 @@ def _canonical_rows(A: SparseMatrix, b: np.ndarray, coef: np.ndarray):
     """The rows that are a power-of-two multiple of a canonical pattern: a
     two-entry row ``c x(i) - c x(j)``, or a three-entry row
     ``c x(i) + c x(j) - 2c x(k)`` with zero right-hand side, c a power of two.
-    Returns (mask, average, var, scale) over all rows, where var holds
-    (i, j, k), k = -1 for a difference, i < j in an average, and scale is c;
-    var and scale mean nothing off the mask."""
+    The class check has proved the rest of the pattern: a G_z2 row sums to
+    zero and its positive entries to a power of two, so every two-entry row
+    is canonical, and so is a three-entry row with zero right-hand side and
+    two equal positive entries.  Returns (mask, average, var, scale) over
+    all rows, where var holds (i, j, k) with i < j and scale is c for the
+    average rows; ``gz2_to_da`` pairs the differences down like the other
+    rows."""
     d = A.n_rows
     start, size = A.to_csr().indptr[:-1], np.diff(A.to_csr().indptr)
-    mask, average = np.zeros(d, bool), np.zeros(d, bool)
+    mask, average = size == 2, np.zeros(d, bool)
     var, scale = np.zeros((d, 3), np.int64), np.zeros(d, np.int64)
-
-    two = np.flatnonzero(size == 2)
-    e = start[two, None] + [0, 1]
-    c = coef[e]
-    var[two, :2] = np.where(c[:, :1] < 0, A.cols[e][:, ::-1], A.cols[e])  # positive first
-    var[two, 2] = -1
-    scale[two] = np.abs(c[:, 0])
-    mask[two] = (c[:, 0] == -c[:, 1]) & _is_pow2(scale[two])
-
     three = np.flatnonzero((size == 3) & (b == 0.0))
     e = start[three, None] + [0, 1, 2]
     # the positive entries first, each side in variable order
     e = np.take_along_axis(e, np.argsort(coef[e] < 0, axis=1, kind="stable"), axis=1)
     c = coef[e]
-    ok = ((c[:, 1] > 0) & (c[:, 2] < 0) & (c[:, 0] == c[:, 1]) & (c[:, 2] == -2 * c[:, 0])
-          & _is_pow2(c[:, 0]))
+    ok = (c[:, 1] > 0) & (c[:, 2] < 0) & (c[:, 0] == c[:, 1])
     var[three], scale[three], mask[three], average[three] = A.cols[e], c[:, 0], ok, ok
     return mask, average, var, scale
 
@@ -459,27 +448,23 @@ def _pair_levels(group: np.ndarray, var: np.ndarray, mag: np.ndarray,
     group pairs its items with bit r set, the original variables in index
     order and then the auxiliary ones of level r - 1 in creation order, and
     each pair loses 2^r from both and becomes one auxiliary item of 2^(r+1).
-    The magnitudes keep their sum S, so a group of two or more items whose
-    S = 2^P runs levels 0 .. P-1 and ends with the one auxiliary item of
-    level P-1; if S is not a power of two, its lowest set bit's level has
-    an odd number of items to pair and the group fails there.  Level r of a
-    sound group pairs ``o_r`` original items (those with bit r set) and the
-    ``a_(r-1)`` auxiliary ones of level r - 1, and makes
+    The magnitudes keep their sum S, a power of two 2^P on the G_z2 rows of
+    ``gz2_to_da``, so a group of two or more items runs levels 0 .. P-1 and
+    ends with the one auxiliary item of level P-1.  Level r pairs ``o_r``
+    original items (those with bit r set) and the ``a_(r-1)`` auxiliary
+    ones of level r - 1, and makes
     ``a_r = (o_r + a_(r-1)) / 2 = (sum over s <= r of o_s 2^s) / 2^(r+1)``
     new ones, so every level's pairs are known up front.
 
-    Returns (aux, survivor_var, survivor_mag, failed).  ``aux`` is the
-    auxiliary variables as (group, level, left, right) columns ordered by
-    (group, level, pair), which is their id order from ``first_id`` up;
-    left and right are ids in that numbering.  A group's survivor is its
-    last item (-1 and 0 for an empty or failed group), and ``failed`` flags
-    the groups of two or more items whose S is not a power of two.
+    Returns (aux, survivor, total): the auxiliary variables as (group,
+    level, left, right) columns ordered by (group, level, pair), which is
+    their id order from ``first_id`` up (left and right are ids in that
+    numbering), each group's last item (-1 for an empty group) and its S.
     """
     items = np.bincount(group, minlength=n_groups)
     total = np.zeros(n_groups, np.int64)
     np.add.at(total, group, mag)
-    failed = (items > 1) & ~_is_pow2(total)
-    paired = (items > 1) & ~failed
+    paired = items > 1
     levels = int(total[paired].max(initial=1)).bit_length() - 1  # the largest P
 
     # the set bits of the paired groups' items, by (group, level, variable)
@@ -504,14 +489,13 @@ def _pair_levels(group: np.ndarray, var: np.ndarray, mag: np.ndarray,
         return np.where(original, bit_var[np.where(original, o_start[cell] + pos, 0)], made)
 
     aux = (*np.divmod(cell, levels), item(2 * pair), item(2 * pair + 1))
-    survivor_var = np.full(n_groups, -1, np.int64)
-    survivor_mag = np.zeros(n_groups, np.int64)
+    survivor = np.full(n_groups, -1, np.int64)
     single = np.flatnonzero(items[group] == 1)
-    survivor_var[group[single]], survivor_mag[group[single]] = var[single], mag[single]
+    survivor[group[single]] = var[single]
     g = np.flatnonzero(paired)
     last = g * levels + np.frexp(total[g].astype(np.float64))[1] - 2  # level P - 1
-    survivor_var[g], survivor_mag[g] = first_id + a_start[last], total[g]
-    return aux, survivor_var, survivor_mag, failed
+    survivor[g] = first_id + a_start[last]
+    return aux, survivor, total
 
 
 def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
@@ -528,7 +512,8 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     The pairing of every (row, sign) group at every bit level is one pass
     of array operations (``_pair_levels``): a level's pair count follows
     from the bits below it, so nothing loops over rows or levels.  The
-    row-by-row loop it replaces is the tests' oracle.
+    row-by-row loop it replaces is the tests' oracle.  Only the class check
+    at entry can fail: a G_z2 row always pairs down to a scaled difference.
 
     Returns (system, rhs, trace) where rhs is the weighted right-hand side
     aligned with ``system.as_matrix()`` and trace a ``DAReductionTrace``.
@@ -543,33 +528,21 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     coef = A.vals.astype(np.int64)  # integers below 2^53, so exact
     canonical, average, var, scale = _canonical_rows(A, b, coef)
 
-    # the (row, sign) groups of the other rows, negative sign first
+    # the (row, sign) groups of every row but the canonical averages, negative sign first
     group = 2 * A.rows + (coef > 0)
-    entries = np.flatnonzero(~canonical[A.rows])
+    entries = np.flatnonzero(~average[A.rows])
     entries = entries[np.argsort(group[entries], kind="stable")]
-    aux, survivor, survivor_mag, failed = _pair_levels(
+    aux, survivor, total = _pair_levels(
         group[entries], A.cols[entries], np.abs(coef[entries]), 2 * d, n)
     aux_group, level, left, right = aux
 
-    # each reduced row ends as a difference of its two survivors
-    reduced = np.flatnonzero(~canonical)
-    neg, pos = survivor[2 * reduced], survivor[2 * reduced + 1]
-    neg_mag, pos_mag = survivor_mag[2 * reduced], survivor_mag[2 * reduced + 1]
-    # as (row, phase, message): the first fault a row-by-row pass would meet
-    # is the least, by row, then the negative sign, the positive sign and
-    # the terminal check
-    faults = [(g // 2, g % 2, "odd-cardinality bit set; input is not in class G_z2")
-              for g in np.flatnonzero(failed)[:1].tolist()]
-    faults += [(int(q), 2, "reduction did not reach a difference")
-               for q in reduced[(neg < 0) | (pos < 0)][:1]]
-    faults += [(int(q), 2, "terminal row is not a scaled difference")
-               for q in reduced[(neg >= 0) & (pos >= 0)
-                                & ((pos_mag != neg_mag) | ~_is_pow2(pos_mag))][:1]]
-    if faults:
-        q, _, message = min(faults)
-        raise MatrixClassError(f"row {q}: {message}")
-    var[reduced] = np.stack([pos, neg, np.full(reduced.size, -1)], axis=1)
-    scale[reduced] = pos_mag
+    # each of these rows ends as 2^P times the difference of its survivors:
+    # a G_z2 row sums to zero and its positive entries to 2^P, so either
+    # sign's magnitudes sum to 2^P, every level below P pairs an even count
+    # and each sign ends in one survivor of magnitude 2^P
+    reduced = ~average
+    var[reduced, :2], var[reduced, 2] = survivor.reshape(d, 2)[reduced, ::-1], -1
+    scale[reduced] = total[1::2][reduced]
 
     source_row = aux_group // 2
     per_row = np.bincount(source_row, minlength=d)

@@ -6,6 +6,7 @@ cannot be parsed."""
 
 from __future__ import annotations
 
+import csv
 import json
 import zipfile
 from pathlib import Path
@@ -64,6 +65,16 @@ def read_vector(path) -> np.ndarray:
         return np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ArtifactError(f"{path} is not a vector of numbers: {exc}") from None
+
+
+def write_ipm_trace(path, log) -> None:
+    """The step log of ``maxflow_ipm.run_ipm`` as CSV, one row a half-step."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "kind", "alpha", "barrier", "residual"])
+        for rec in log:
+            writer.writerow([rec.step, rec.kind, f"{rec.alpha:.12g}",
+                             f"{rec.barrier:.12g}", f"{rec.residual:.6e}"])
 
 
 def write_json(path, obj, indent: int | None = 1) -> None:
@@ -288,12 +299,17 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
 
 def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
-    complex and the difference-average system); rejects a weight or demand
-    vector whose length differs from the row count of d2 and a malformed
-    row of ``da.json`` (``da_system_from_json``), naming the file."""
+    complex and the difference-average system); rejects a d2 entry other
+    than +1 and -1, a weight or demand vector whose length differs from the
+    row count of d2 and a malformed row of ``da.json``
+    (``da_system_from_json``), naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
+    bad = d2.vals[np.abs(d2.vals) != 1.0]
+    if bad.size:
+        raise ArtifactError(f"{src / names['d2']} holds the entry {bad[0]:g}; "
+                            "a boundary operator's entries are +1 and -1")
     vectors = {}
     for key in ("weights", "gamma"):
         vectors[key] = read_vector(src / names[key])

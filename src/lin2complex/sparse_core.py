@@ -52,7 +52,7 @@ class SparseMatrix:
     ``vals`` are the entries in row-major order (int64, int64, float64);
     ``vals`` is the CSR's own array, and the two index arrays, 16 bytes an
     entry beside the CSR's 12, are made on first access.
-    ``integer_exact`` records that every stored value is an exact integer;
+    ``integer_exact`` records that every stored value is a finite integer;
     reduction outputs keep this flag so chain-complex identities can be
     checked in integer arithmetic.
     """
@@ -67,7 +67,8 @@ class SparseMatrix:
         self._csr = csr
         self.n_rows, self.n_cols = csr.shape
         self.vals = csr.data
-        self.integer_exact = bool(np.all(self.vals == np.rint(self.vals)))
+        self.integer_exact = bool(np.isfinite(self.vals).all()
+                                  and np.all(self.vals == np.rint(self.vals)))
 
     @functools.cached_property
     def rows(self) -> np.ndarray:

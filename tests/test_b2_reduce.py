@@ -10,7 +10,6 @@ from lin2complex import b2_reduce, complex2, sparse_core
 from lin2complex.b2_reduce import (
     PathWeights,
     ReductionError,
-    Tubes,
     build_boundary_problem,
     compute_edge_weights,
     epsilon_feasible,
@@ -18,6 +17,7 @@ from lin2complex.b2_reduce import (
     reduce_da_to_b2,
     reduce_reg,
     spectral_certificate,
+    tube_refs,
 )
 from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, boundary2, validate
 from lin2complex.da_reduce import average_row, difference_row, gz2_to_da, plain_da_system
@@ -386,31 +386,6 @@ def test_group_indicator_maps_null_spaces():
         assert np.allclose(d2 @ (H @ null_vec), 0.0, atol=1e-12)
 
 
-def test_construction_budget_guard_raises(monkeypatch):
-    # the linear-work guard must hold under ``python -O`` too, so it raises
-    # instead of asserting
-    cells = b2_reduce.sphere_cells
-
-    def inflated(n_holes):
-        n_vertices, triangles, holes = cells(n_holes)
-        return 100 * n_vertices, triangles, holes
-
-    monkeypatch.setattr(b2_reduce, "sphere_cells", inflated)
-    sys, b = single_difference()
-    with pytest.raises(ReductionError, match="linear budget"):
-        reduce_da_to_b2(sys, b)
-
-
-def test_edge_weights_path_multiplicity_guard_raises():
-    sys, b = single_difference(1.0)
-    P = reduce_da_to_b2(sys, b)
-    # five copies of one tube route five equation-0 paths over the same edges
-    crowded = dataclasses.replace(
-        P, tubes=Tubes(*(np.concatenate([a, a[[0, 0, 0, 0]]]) for a in P.tubes)))
-    with pytest.raises(ReductionError, match="four paths"):
-        compute_edge_weights(crowded, alpha=1.0)
-
-
 def test_construction_deterministic():
     rng1, rng2 = np.random.default_rng(99), np.random.default_rng(99)
     s1, b1 = random_da_instance(rng1, 5, 4)
@@ -665,6 +640,25 @@ def test_build_matches_the_lookups_it_replaces(family):
             assert pw.paths == oracle.paths and pw.k_qe == oracle.k_qe
 
 
+@pytest.mark.parametrize("family", PROBLEM_FAMILIES)
+def test_build_counts_are_linear_in_the_pattern(family):
+    # the build checks neither its size nor its tubes a row: with a
+    # difference rows, b average rows and n variables it makes H = 2a + 4b
+    # tubes, two a difference row and four an average row, 3d + 3H
+    # vertices, 11H - 4n triangles and 3d + 15H - 6n edges
+    for P in PROBLEM_FAMILIES[family]():
+        da = P.da
+        b = int(np.count_nonzero(da.average))
+        a, d, n = da.n_rows - b, da.n_rows, da.n_vars
+        H = 2 * a + 4 * b
+        assert da.pattern_nnz == 2 * a + 3 * b
+        assert (P.K.n_vertices, P.n_triangles, P.n_edges) == (
+            3 * d + 3 * H, 11 * H - 4 * n, 3 * d + 15 * H - 6 * n)
+        per_row = np.bincount(P.tubes.q, minlength=d)
+        assert np.array_equal(per_row, np.where(da.average, 4, 2)) and per_row.max() <= 4
+        assert np.array_equal(np.bincount(tube_refs(da, P.K).q, minlength=d), per_row)
+
+
 def test_reduce_chain_looks_up_no_edge_and_no_adjacency(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("reduce_chain looked its own cells up")
@@ -680,8 +674,7 @@ def test_reduce_chain_looks_up_no_edge_and_no_adjacency(monkeypatch):
 
 def test_reduce_chain_lists_no_path(monkeypatch):
     # the weights come from per-family suffix sums; the path arrays are laid
-    # out only when read, and only the four-path guard's crowded equations
-    # would list theirs
+    # out only when read
     def forbidden(*args, **kwargs):
         pytest.fail("the paths were listed")
 

@@ -20,7 +20,6 @@ from lin2complex.complex2 import (
     validate,
 )
 from lin2complex.b2_reduce import reduce_da_to_b2
-from lin2complex.sparse_core import SparseMatrix
 
 from _gen import dense_nullity, dense_rank, random_da_instance
 
@@ -388,15 +387,49 @@ def test_validate_builds_no_triangle_adjacency(monkeypatch):
     assert validate(P.K).ok
 
 
-def test_validate_chain_identity(monkeypatch):
+def test_validate_builds_no_boundary1(monkeypatch):
+    # d1 d2 = 0 holds for validate's d2 by construction, so validate has no
+    # d1 to build
     from lin2complex import complex2
 
-    honest = complex2.boundary1
+    def forbidden(*args, **kwargs):
+        pytest.fail("validate built boundary1")
 
-    def swapped_first_edge(K):
-        d1 = honest(K)
-        return SparseMatrix.from_arrays(d1.n_rows, d1.n_cols, d1.rows, d1.cols,
-                                        np.where(d1.cols == 0, -d1.vals, d1.vals))
+    monkeypatch.setattr(complex2, "boundary1", forbidden)
+    assert validate(disk_complex()).ok
+    P = reduce_da_to_b2(*random_da_instance(np.random.default_rng(3), 6, 4))
+    assert validate(P.K).ok
 
-    monkeypatch.setattr(complex2, "boundary1", swapped_first_edge)
-    assert violation(disk_with()) == "d1 d2 != 0"
+
+def _stored_otherwise(K: Complex2, flip: np.ndarray, new_id: np.ndarray) -> Complex2:
+    """K with the edges where ``flip`` holds stored the other way round, and
+    edge e renumbered ``new_id[e]``; the loop table follows the ids."""
+    edge, kind = np.empty_like(K.edge), np.empty_like(K.kind)
+    edge[new_id] = np.where(flip[:, None], K.edge[:, ::-1], K.edge)
+    kind[new_id] = K.kind
+    return Complex2(K.n_vertices, K.tri, K.tri_group, edge, kind,
+                    central=K.central, loops=new_id[K.loops])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_validated_d2_is_a_cycle_however_the_edges_are_stored(seed):
+    # validate does not check d1 d2 = 0: its d2 signs each triangle's sides
+    # along the stored edges, so d1 sends every column to zero whatever
+    # direction and id each edge is stored with
+    rng = np.random.default_rng(seed)
+    sys, b = random_da_instance(rng, int(rng.integers(2, 7)), int(rng.integers(0, 5)))
+    built = (reduce_da_to_b2(sys, b).K, disk_complex(),
+             triangulate_punctured_sphere(int(rng.integers(1, 6))),
+             triangulate_tube(("opposite", "identical")[int(rng.integers(2))]))
+    for K in built:
+        m = K.n_edges
+        flip, new_id = rng.random(m) < 0.5, rng.permutation(m)
+        for altered in (K, _stored_otherwise(K, flip, np.arange(m)),
+                        _stored_otherwise(K, np.zeros(m, bool), new_id),
+                        _stored_otherwise(K, flip, new_id)):
+            report = validate(altered)
+            assert report.ok, report.violation
+            product = boundary1(altered).to_int_csr() @ report.d2.to_int_csr()
+            product.eliminate_zeros()
+            assert product.nnz == 0

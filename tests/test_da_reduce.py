@@ -195,44 +195,6 @@ def test_gz2_to_da_rejects_alpha_outside_the_positive_reals(alpha):
         gz2_to_da(gz2, alpha=alpha)
 
 
-@pytest.mark.parametrize("dense, message", [
-    # row 0 is fine, row 1 ends as 3 x0 - 3 x1, row 2 has three odd coefficients
-    ([[1, -1, 0, 0], [3, -3, 0, 0], [1, 1, 1, -3]],
-     "row 1: terminal row is not a scaled difference"),
-    # a lower row's terminal check comes before a higher row's first level
-    ([[2, 2, 0, 0], [1, 1, 1, -3]], "row 0: reduction did not reach a difference"),
-    ([[1, 1, 1, -3], [2, 2, 0, 0]],
-     "row 0: odd-cardinality bit set; input is not in class G_z2"),
-])
-def test_pairing_guards_name_the_lowest_failing_row(monkeypatch, dense, message):
-    # the class check rejects all of these first; without it the pairing's
-    # own guards speak, as the row-by-row loop's did
-    monkeypatch.setattr(GeneralSystem, "validate_class", lambda self: None)
-    sys = system(dense, [0.0] * len(dense), CLASS_GZ2)
-    with pytest.raises(MatrixClassError) as ours:
-        gz2_to_da(sys)
-    with pytest.raises(MatrixClassError) as theirs:
-        loop_gz2_to_da(sys)
-    assert str(ours.value) == str(theirs.value) == message
-
-
-def test_pairing_guards_agree_with_the_loop_off_class(monkeypatch):
-    monkeypatch.setattr(GeneralSystem, "validate_class", lambda self: None)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        dense = rng.integers(-6, 7, size=(4, 5)) * (rng.random((4, 5)) < 0.6)
-        if np.all(dense == 0, axis=1).any():
-            continue
-        sys = system(dense, rng.integers(-1, 2, size=4).astype(float), CLASS_GZ2)
-        outcomes = []
-        for reduce in (gz2_to_da, loop_gz2_to_da):
-            try:
-                outcomes.append(reduce(sys)[0])
-            except MatrixClassError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-
-
 def test_reduce_chain_builds_no_aux_records(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("reduce_chain built an AuxRecord")

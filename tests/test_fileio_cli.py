@@ -591,6 +591,23 @@ def test_maxflow_demo_script_network_replays(tmp_path):
                  "--steps", "60"]) == 0
 
 
+def test_maxflow_demo_script_trace_equals_the_cli_replay(tmp_path, capsys):
+    # the script and ``maxflow-demo`` write their traces with one writer,
+    # and the network the script writes replays to the same run
+    import importlib.util
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_maxflow_demo.py"
+    spec = importlib.util.spec_from_file_location("run_maxflow_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.main(["--steps", "20", "--out-dir", str(tmp_path)]) == 0
+    assert main(["maxflow-demo", "--network", str(tmp_path / "net.json"), "--steps", "20",
+                 "--trace", str(tmp_path / "replay.csv")]) == 0
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert trace.startswith(b"step,kind,alpha,barrier,residual\r\n")
+    assert trace == (tmp_path / "replay.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["b2_W.vec", "b2_gamma.vec", "original_b.vec"])
 def test_cli_replay_vector_length_mismatch_is_one_line_error(tmp_path, name):
     _write_general(tmp_path)
@@ -714,6 +731,28 @@ def test_cli_verify_malformed_matrix_body_is_one_line_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dir", str(out)])
     assert "b2_d2.mtx" in _one_line_error(exc)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("value", ["2", "2.5", "inf", "nan"])
+def test_cli_d2_entry_other_than_unit_is_one_line_error(tmp_path, value, command):
+    # read_boundary_problem refuses the entry before any check or solve
+    # reads d2, so neither command ends in a traceback
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    lines = (out / "b2_d2.mtx").read_text().splitlines(keepends=True)
+    row, col, _ = lines[-1].split()
+    lines[-1] = f"{row} {col} {value}\n"
+    lines[0] = lines[0].replace(" integer ", " real ", 1)
+    (out / "b2_d2.mtx").write_text("".join(lines))
+    argv = (["verify", "--dir", str(out)] if command == "verify"
+            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert "b2_d2.mtx" in message and "+1 and -1" in message, message
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "da.json"])

@@ -46,6 +46,23 @@ def test_canonical_form_coalesces_and_sorts():
     assert A.integer_exact
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_values_are_not_integer_exact(tmp_path, value):
+    # inf equals its own rint, but no int64 holds it: the matrix must not
+    # be cast, nor written as an integer matrix
+    A = SparseMatrix.from_arrays(1, 2, [0, 0], [0, 1], [1.0, value])
+    assert not A.integer_exact
+    with pytest.raises(ValueError, match="not integer-exact"):
+        A.to_int_csr()
+    with pytest.raises(ValueError, match="not integer-exact"):
+        sparse_core.norm_product(A)
+    from lin2complex import fileio
+
+    fileio.write_matrix(tmp_path / "A.mtx", A)
+    back = fileio.read_matrix(tmp_path / "A.mtx")
+    assert np.array_equal(back.vals, A.vals, equal_nan=True)
+
+
 def test_canonical_order_row_major():
     A = SparseMatrix.from_entries(3, 3, [(2, 0, 1.0), (0, 2, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     coords = list(zip(A.rows.tolist(), A.cols.tolist()))
