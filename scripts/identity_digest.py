@@ -14,6 +14,10 @@ The lines cover:
 
 - every file ``reduce`` writes, for criterion 11's 20 draws and for the
   ``build_ladder`` rungs of seeds 1-3;
+- the arrays ``read_boundary_problem`` reads back from each of those
+  directories (d2's ``indptr``, ``indices`` and values, W and gamma), which
+  do not depend on the files' encoding: a change of format moves the file
+  lines, and these show that the values read back are the same;
 - ``solve_general``'s x on criterion 11's 20 draws;
 - ``verify``'s stdout on the 5x5 system;
 - the f of the ``flow_ipm`` Laplacian and Gram route items of seeds 1-3.
@@ -83,6 +87,16 @@ def reduce_digest(A, b, directory: Path) -> str:
     return files_digest(directory / "out")
 
 
+def problem_digest(directory: Path) -> str:
+    """``arrays_digest`` of d2's CSR arrays, W and gamma as
+    ``read_boundary_problem`` returns them from ``directory``."""
+    from lin2complex import fileio
+
+    problem = fileio.read_boundary_problem(directory)
+    d2 = problem.d2.to_csr()
+    return arrays_digest([d2.indptr, d2.indices, d2.data, problem.weights, problem.gamma])
+
+
 def digests(out: Path):
     """(name, sha256) pairs, in a fixed order."""
     import _gen
@@ -98,6 +112,7 @@ def digests(out: Path):
                                                kappa_max=1e4)
         yield f"reduce criterion-11 draw {k}", reduce_digest(sys_g.A.to_dense(), sys_g.b,
                                                              out / f"c11-{k}")
+        yield f"arrays criterion-11 draw {k}", problem_digest(out / f"c11-{k}" / "out")
         xs.append(solve_general(sys_g, float(EPS))[0])
     yield "solve_general x, criterion-11 draws", arrays_digest(xs)
 
@@ -110,6 +125,8 @@ def digests(out: Path):
                                    f"verify {rc_verify}")
             yield (f"reduce build_ladder seed {seed} {item.name}",
                    files_digest(item.directory / "out"))
+            yield (f"arrays build_ladder seed {seed} {item.name}",
+                   problem_digest(item.directory / "out"))
 
     directory = out / "5x5"
     reduce_digest(A_5X5, B_5X5, directory)

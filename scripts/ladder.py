@@ -22,6 +22,9 @@ own.  A line holds:
 - ``weights_peak_mb`` and ``validate_peak_mb``: the ``tracemalloc`` peak of
   ``compute_edge_weights`` and of ``validate`` above what was held at the
   call, from a second pass;
+- ``write_s`` and ``read_s``: the wall time of ``fileio.write_chain`` and
+  of ``fileio.read_boundary_problem`` in a temporary directory, each the
+  best of three;
 - ``solve_s`` (best of three), ``method``, ``fill``, ``ratio`` (the
   certificate's), ``true_ratio`` (||A x - b|| / ||b||) and ``certified`` of
   ``solve_chain``, and ``max_weight``;
@@ -35,6 +38,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -77,6 +81,7 @@ def measure(n: int) -> dict:
                                        spectral_certificate)
     from lin2complex.complex2 import validate
     from lin2complex.da_reduce import gz2_to_da, to_pow2, to_zero_rowsum
+    from lin2complex.fileio import read_boundary_problem, write_chain
     from lin2complex.pipeline import ALPHA_CAP_DEFAULT, ChainArtifacts, solve_chain
 
     def stages(system):
@@ -94,6 +99,9 @@ def measure(n: int) -> dict:
         raise RuntimeError(f"rung {n}: {report.violation or certificate.checks}")
     chain = ChainArtifacts(system, gz, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)
     (x, verdict), solve_s = _timed(solve_chain, chain)
+    with tempfile.TemporaryDirectory() as tmp:
+        _, write_s = _timed(write_chain, tmp, chain)
+        _, read_s = _timed(read_boundary_problem, tmp)
     b = system.b
     true_ratio = float(np.linalg.norm(system.A.matvec(x) - b) / np.linalg.norm(b))
 
@@ -110,6 +118,7 @@ def measure(n: int) -> dict:
         "weights_s": round(weights_s, 4), "validate_s": round(validate_s, 4),
         "exact_checks_s": round(exact_s, 4),
         "weights_peak_mb": round(weights_peak, 2), "validate_peak_mb": round(validate_peak, 2),
+        "write_s": round(write_s, 4), "read_s": round(read_s, 4),
         "solve_s": round(solve_s, 4), "method": verdict.round.method,
         "fill": None if verdict.round.fill is None else round(verdict.round.fill, 3),
         "ratio": float(f"{verdict.achieved_ratio:.3g}"), "true_ratio": float(f"{true_ratio:.3g}"),

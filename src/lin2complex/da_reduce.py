@@ -66,14 +66,15 @@ class GeneralSystem:
         is an integer below 2^53.
         """
         A = self.A
-        if not A.integer_exact:
-            raise MatrixClassError("entries must be integers")
-        if not np.all(self.b == np.rint(self.b)):
-            raise MatrixClassError("right-hand side must be integral")
+        # the magnitude first: an entry of 2^63 or more is not integer_exact
         if A.max_abs() >= EXACT_LIMIT or np.any(np.abs(self.b) >= EXACT_LIMIT):
             raise MatrixClassError(
                 "entries and right-hand side must have magnitude below 2^53, "
                 "the exact-integer range of float64")
+        if not A.integer_exact:
+            raise MatrixClassError("entries must be integers")
+        if not np.all(self.b == np.rint(self.b)):
+            raise MatrixClassError("right-hand side must be integral")
         # after to_zero_rowsum a row's positive sum is the larger of its
         # positive and negative sums here, and to_pow2 rounds that up to a
         # power of two.  Float sums of nonnegative integers below 2^53 are

@@ -1,5 +1,5 @@
-"""On-disk formats: Matrix Market matrices, plain-text vectors, JSON manifests
-and int32 archives of complexes.
+"""On-disk formats: Matrix Market matrices, vectors as ``.npy`` arrays or
+plain text, JSON manifests and int32 archives of complexes.
 
 The readers raise ``ArtifactError``, naming the file, when a file exists but
 cannot be parsed."""
@@ -45,12 +45,24 @@ def read_matrix(path) -> SparseMatrix:
     return SparseMatrix.from_scipy(coo)
 
 
+NPY_SUFFIX = ".npy"  # a vector file named so is binary, any other is text
+
+
 def write_vector(path, v) -> None:
-    """One entry a line, each the shortest text that reads back exactly:
+    """A vector file, in the encoding its suffix names.
+
+    A path ending in ``.npy`` holds a 1-D little-endian float64 array in
+    NumPy's ``.npy`` format, written with ``allow_pickle=False``, so equal
+    vectors give equal bytes and every bit reads back.  Any other path holds
+    one entry a line, each the shortest text that reads back exactly:
     ``repr``, less the ".0" of an integral value.  ``repr`` runs once per
     distinct float64 bit pattern (not per distinct value, which would merge
     0.0 and -0.0), and the lines index into those texts."""
     v = np.asarray(v, dtype=np.float64).ravel()
+    if str(path).endswith(NPY_SUFFIX):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, v.astype("<f8", copy=False), allow_pickle=False)
+        return
     bits, line = np.unique(v.view(np.uint64), return_inverse=True)
     text = np.array([repr(x).removesuffix(".0") for x in bits.view(np.float64).tolist()],
                     dtype=object)
@@ -59,9 +71,25 @@ def write_vector(path, v) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    """The float64 vector of a ``write_vector`` file, in the encoding its
+    suffix names.  A ``.npy`` file is read by NumPy's ``.npy`` reader with
+    ``allow_pickle=False`` (no zip or pickle dispatch, so anything that does
+    not start with the ``.npy`` magic is refused as such) and must hold a
+    1-D integer or float array.  A file that does not parse, or holds
+    another array, raises ``ArtifactError`` naming it."""
+    if str(path).endswith(NPY_SUFFIX):
+        try:
+            with open(path, "rb") as fh:
+                a = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ArtifactError(f"{path} is not a .npy array: {exc}") from None
+        if a.ndim != 1 or a.dtype.kind not in "iuf":
+            raise ArtifactError(f"{path} holds a {a.ndim}-d {a.dtype} array; a vector "
+                                "file holds a 1-d array of integers or floats")
+        return a.astype(np.float64, copy=False)
     try:
+        with open(path) as fh:  # bytes that are not text raise UnicodeDecodeError
+            tokens = fh.read().split()
         return np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ArtifactError(f"{path} is not a vector of numbers: {exc}") from None
@@ -279,7 +307,7 @@ def read_complex(path) -> Complex2:
 # -- boundary problems --------------------------------------------------------
 
 # fixed names of the boundary-problem files, keyed as in manifest["files"]["b2"]
-BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.vec", "gamma": "b2_gamma.vec",
+BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.npy", "gamma": "b2_gamma.npy",
                   "complex": "b2_complex.npz", "da": "da.json"}
 
 
@@ -301,8 +329,9 @@ def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
     complex and the difference-average system); rejects a d2 entry other
     than +1 and -1, a weight or demand vector whose length differs from the
-    row count of d2 and a malformed row of ``da.json``
-    (``da_system_from_json``), naming the file."""
+    row count of d2 (``DimensionError``), a weight that is negative, nan or
+    infinite, a demand that is nan or infinite and a malformed row of
+    ``da.json`` (``da_system_from_json``), naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -311,11 +340,19 @@ def read_boundary_problem(src) -> BoundaryProblem:
         raise ArtifactError(f"{src / names['d2']} holds the entry {bad[0]:g}; "
                             "a boundary operator's entries are +1 and -1")
     vectors = {}
-    for key in ("weights", "gamma"):
-        vectors[key] = read_vector(src / names[key])
-        if vectors[key].size != d2.n_rows:
-            raise DimensionError(f"{src / names[key]} has {vectors[key].size} entries "
+    for key, what in (("weights", "finite and non-negative"), ("gamma", "finite")):
+        path = src / names[key]
+        v = vectors[key] = read_vector(path)
+        if v.size != d2.n_rows:
+            raise DimensionError(f"{path} has {v.size} entries "
                                  f"but {names['d2']} has {d2.n_rows} rows")
+        bad = ~np.isfinite(v)
+        if key == "weights":
+            bad |= v < 0  # zero stays: W has real zeros
+        if bad.any():
+            q = int(np.argmax(bad))
+            raise ArtifactError(f"{path} holds {v[q]:g} at entry {q}; "
+                                f"its entries must be {what}")
     K = read_complex(src / names["complex"])
     da_path = src / names["da"]
     da_obj = read_json(da_path)

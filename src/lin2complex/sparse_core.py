@@ -52,7 +52,8 @@ class SparseMatrix:
     ``vals`` are the entries in row-major order (int64, int64, float64);
     ``vals`` is the CSR's own array, and the two index arrays, 16 bytes an
     entry beside the CSR's 12, are made on first access.
-    ``integer_exact`` records that every stored value is a finite integer;
+    ``integer_exact`` records that every stored value is an integer that
+    int64 holds (magnitude below 2^63);
     reduction outputs keep this flag so chain-complex identities can be
     checked in integer arithmetic.
     """
@@ -67,7 +68,8 @@ class SparseMatrix:
         self._csr = csr
         self.n_rows, self.n_cols = csr.shape
         self.vals = csr.data
-        self.integer_exact = bool(np.isfinite(self.vals).all()
+        # |v| < 2^63 holds for no nan or inf and for every value an int64 holds
+        self.integer_exact = bool((np.abs(self.vals) < 2.0 ** 63).all()
                                   and np.all(self.vals == np.rint(self.vals)))
 
     @functools.cached_property

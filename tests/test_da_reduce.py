@@ -433,6 +433,16 @@ def test_entries_beyond_exact_range_rejected(value):
         GeneralSystem(SparseMatrix.from_dense([[1, -1]]), [float(value)]).validate_class()
 
 
+@pytest.mark.parametrize("value", [2.0 ** 63, 1e300, -np.inf])
+def test_entries_beyond_int64_are_rejected_for_their_magnitude(value):
+    # such an entry is not integer_exact, yet it is an integer (or an
+    # infinity): the class check names its range, not its integrality
+    A = SparseMatrix.from_arrays(1, 2, [0, 0], [0, 1], [value, -3])
+    assert not A.integer_exact
+    with pytest.raises(MatrixClassError, match=r"2\^53"):
+        GeneralSystem(A, [0.0]).validate_class()
+
+
 def test_pow2_round_up_beyond_exact_range_rejected():
     # the positive sum 2^52 + 1 rounds up to 2^53; 2^52 itself is still exact
     A = SparseMatrix.from_arrays(1, 3, [0, 0, 0], [0, 1, 2], [2 ** 52, 1, -(2 ** 52 + 1)])

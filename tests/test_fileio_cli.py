@@ -130,7 +130,7 @@ def test_cli_reduce_verify_solve(tmp_path):
                "--rhs", str(tmp_path / "b.vec"),
                "--out-dir", str(out), "--eps", "1e-3"])
     assert rc == 0
-    for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
+    for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.npy", "b2_W.npy",
                  "b2_complex.npz", "da.json"):
         assert (out / name).exists()
 
@@ -199,7 +199,7 @@ def test_cli_replay_certifies_badly_scaled_chain(tmp_path):
 
 @pytest.mark.parametrize("stage,expect", [
     ("da", ["da.json"]),
-    ("b2", ["b2_d2.mtx", "b2_gamma.vec", "b2_complex.npz"]),
+    ("b2", ["b2_d2.mtx", "b2_gamma.npy", "b2_complex.npz"]),
 ])
 def test_cli_reduce_stages(tmp_path, stage, expect):
     # the output holds the original system and the boundary problem, and the
@@ -213,7 +213,7 @@ def test_cli_reduce_stages(tmp_path, stage, expect):
     names = [*files.pop("b2").values(), *(name for group in files.values() for name in group)]
     assert sorted(names) == sorted([
         "original_A.mtx", "original_b.vec",
-        "da.json", "b2_d2.mtx", "b2_W.vec", "b2_gamma.vec", "b2_complex.npz"])
+        "da.json", "b2_d2.mtx", "b2_W.npy", "b2_gamma.npy", "b2_complex.npz"])
     for name in expect + ["manifest.json"]:
         assert name in names + ["manifest.json"], name
         assert (out / name).exists(), name
@@ -230,8 +230,8 @@ def test_chain_replays_from_the_original_and_the_boundary_problem(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert not {"back_maps", "da_n_original"} & set(manifest)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
-        "original_A.mtx", "original_b.vec", "da.json", "b2_d2.mtx", "b2_W.vec",
-        "b2_gamma.vec", "b2_complex.npz", "manifest.json"])
+        "original_A.mtx", "original_b.vec", "da.json", "b2_d2.mtx", "b2_W.npy",
+        "b2_gamma.npy", "b2_complex.npz", "manifest.json"])
     read = fileio.read_chain(tmp_path)
     assert (read.gz.class_tag, read.gz2.class_tag) == (chain.gz.class_tag, chain.gz2.class_tag)
     assert np.array_equal(solve_chain(read)[0], solve_chain(chain)[0])
@@ -328,7 +328,7 @@ def test_cli_reduce_deterministic(tmp_path):
             "--rhs", str(tmp_path / "b.vec"), "--eps", "1e-3"]
     main(args + ["--out-dir", str(tmp_path / "out1")])
     main(args + ["--out-dir", str(tmp_path / "out2")])
-    for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.vec", "b2_W.vec",
+    for name in ("manifest.json", "b2_d2.mtx", "b2_gamma.npy", "b2_W.npy",
                  "b2_complex.npz", "da.json"):
         assert filecmp.cmp(tmp_path / "out1" / name, tmp_path / "out2" / name,
                            shallow=False), name
@@ -608,14 +608,13 @@ def test_maxflow_demo_script_trace_equals_the_cli_replay(tmp_path, capsys):
     assert trace == (tmp_path / "replay.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["b2_W.vec", "b2_gamma.vec", "original_b.vec"])
+@pytest.mark.parametrize("name", ["b2_W.npy", "b2_gamma.npy", "original_b.vec"])
 def test_cli_replay_vector_length_mismatch_is_one_line_error(tmp_path, name):
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
-    lines = (out / name).read_text().splitlines(keepends=True)
-    (out / name).write_text("".join(lines[:-1]))
+    fileio.write_vector(out / name, fileio.read_vector(out / name)[:-1])
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     message = str(exc.value.code)
@@ -995,3 +994,175 @@ def test_cli_malformed_complex_archive_is_one_line_error(tmp_path, command, faul
     assert "b2_complex.npz" in message
     if fault == "object-member":
         assert "allow_pickle=False" in message
+
+
+# -- vector files: .npy and text ------------------------------------------------------
+
+def test_npy_vector_round_trip_is_bit_exact(tmp_path):
+    # the .npy encoding moves the float64 bits themselves: signed zeros,
+    # subnormals, integers beyond 2^53 and values near the float64 limit
+    from lin2complex.da_reduce import GeneralSystem
+
+    P = reduce_chain(GeneralSystem(SparseMatrix.from_dense(A_5X5), B_5X5), 1e-3).problem
+    assert np.count_nonzero(P.weights == 0.0) > 0
+    for name, v in (("edge", np.array([-0.0, 5e-324, 2.0 ** 53 + 2, 1.7e308, 0.0, 1 / 3])),
+                    ("weights", P.weights), ("empty", np.zeros(0))):
+        path = tmp_path / f"{name}.npy"
+        fileio.write_vector(path, v)
+        back = fileio.read_vector(path)
+        assert back.dtype == np.float64 and back.shape == v.shape
+        assert np.array_equal(back.view(np.uint64), v.view(np.uint64)), name
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            assert np.lib.format.read_array_header_1_0(fh) == (v.shape, False, np.dtype("<f8"))
+        # equal vectors give equal bytes
+        fileio.write_vector(tmp_path / "again.npy", v.copy())
+        assert (tmp_path / "again.npy").read_bytes() == path.read_bytes()
+
+
+def test_npy_vector_of_integers_or_another_float_width_reads_as_float64(tmp_path):
+    for a in (np.array([3, -4, 0], dtype=np.int32), np.array([0.5, -2.0], dtype=">f4")):
+        np.save(tmp_path / "v.npy", a)
+        back = fileio.read_vector(tmp_path / "v.npy")
+        assert back.dtype == np.float64 and np.array_equal(back, a)
+
+
+def test_boundary_problem_files_are_npy_vectors(tmp_path):
+    sys, _ = planted_general_system(np.random.default_rng(4), 4, 4, max_entry=9)
+    P = reduce_chain(sys, 1e-3).problem
+    fileio.write_boundary_problem(tmp_path, P)
+    for key, attr in (("weights", "weights"), ("gamma", "gamma")):
+        name = fileio.BOUNDARY_FILES[key]
+        assert name.endswith(".npy")
+        assert np.array_equal(np.load(tmp_path / name, allow_pickle=False).view(np.uint64),
+                              getattr(P, attr).view(np.uint64))
+
+
+def test_npy_vector_of_the_wrong_length_is_a_dimension_error(tmp_path):
+    from lin2complex.sparse_core import DimensionError
+
+    sys, _ = planted_general_system(np.random.default_rng(4), 4, 4, max_entry=9)
+    fileio.write_boundary_problem(tmp_path, reduce_chain(sys, 1e-3).problem)
+    path = tmp_path / fileio.BOUNDARY_FILES["gamma"]
+    fileio.write_vector(path, np.append(fileio.read_vector(path), 0.0))
+    with pytest.raises(DimensionError, match="b2_gamma.npy"):
+        fileio.read_boundary_problem(tmp_path)
+
+
+def _save_object_array(path):
+    a = np.load(path, allow_pickle=False).astype(object)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, a, allow_pickle=True)
+
+
+# a malformed .npy vector as (edit of the written file, text its error holds)
+NPY_FAULTS = {
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+                  "not a .npy array"),
+    "pickled-objects": (_save_object_array, "allow_pickle=False"),
+    "complex": (lambda path: np.save(path, np.load(path) + 0j), "complex128"),
+    "2-d": (lambda path: np.save(path, np.load(path)[None, :]), "2-d"),
+    "text": (lambda path: path.write_text("".join(f"{v!r}\n" for v in np.load(path).tolist())),
+             "magic string"),
+}
+
+
+@pytest.mark.parametrize("name", ["b2_W.npy", "b2_gamma.npy"])
+@pytest.mark.parametrize("fault", NPY_FAULTS)
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_cli_malformed_npy_vector_is_one_line_error(tmp_path, command, fault, name):
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    edit, named = NPY_FAULTS[fault]
+    edit(out / name)
+    argv = (["verify", "--dir", str(out)] if command == "verify"
+            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert name in message and named in message, message
+    assert not (out / "x.vec").exists()
+
+
+# an entry out of range as (file, value); it replaces the first nonzero entry
+RANGE_FAULTS = {
+    "nan-weight": ("b2_W.npy", np.nan), "negative-weight": ("b2_W.npy", -5.0),
+    "inf-weight": ("b2_W.npy", np.inf), "nan-demand": ("b2_gamma.npy", np.nan),
+    "inf-demand": ("b2_gamma.npy", np.inf), "minus-inf-demand": ("b2_gamma.npy", -np.inf),
+}
+
+
+@pytest.mark.parametrize("fault", RANGE_FAULTS)
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_cli_weight_or_demand_out_of_range_is_one_line_error(tmp_path, capsys, command, fault):
+    # on the 5x5 system, whose W holds real zeros, verify used to pass all
+    # its checks with such a W, and the replay to print "ratio nan"
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    name, value = RANGE_FAULTS[fault]
+    v = fileio.read_vector(out / name)
+    assert name != "b2_W.npy" or np.count_nonzero(v == 0.0) > 0
+    q = int(np.flatnonzero(v)[0])
+    v[q] = value
+    fileio.write_vector(out / name, v)
+    capsys.readouterr()
+    argv = (["verify", "--dir", str(out)] if command == "verify"
+            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert name in message and f"at entry {q}" in message, message
+    assert "must be finite" in message
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_rhs_as_npy_matches_the_text_runs(tmp_path):
+    # reduce and the direct solve read --rhs in either encoding to the same bits
+    sys, _ = _write_general(tmp_path)
+    fileio.write_vector(tmp_path / "b.npy", sys.b)
+    for rhs in ("b.vec", "b.npy"):
+        assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs",
+                     str(tmp_path / rhs), "--out-dir", str(tmp_path / f"reduce-{rhs}")]) == 0
+        assert main(["solve", "--route", "direct", "--matrix", str(tmp_path / "A.mtx"),
+                     "--rhs", str(tmp_path / rhs), "--out-dir",
+                     str(tmp_path / f"direct-{rhs}")]) == 0
+    for kind in ("reduce", "direct"):
+        one, two = tmp_path / f"{kind}-b.vec", tmp_path / f"{kind}-b.npy"
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), (kind, name)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_cli_directory_with_text_weights_is_one_line_error(tmp_path, command):
+    # a directory written while W and gamma were text holds b2_W.vec and
+    # b2_gamma.vec; no reader falls back to them
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    for name in ("b2_W", "b2_gamma"):
+        fileio.write_vector(out / f"{name}.vec", fileio.read_vector(out / f"{name}.npy"))
+        (out / f"{name}.npy").unlink()
+    argv = (["verify", "--dir", str(out)] if command == "verify"
+            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "b2_W.npy" in _one_line_error(exc)
+
+
+def test_cli_binary_rhs_under_a_text_name_is_one_line_error(tmp_path):
+    # only the suffix selects the encoding: .npy bytes named b.vec are text
+    # that does not decode
+    sys, _ = _write_general(tmp_path)
+    fileio.write_vector(tmp_path / "b.npy", sys.b)
+    (tmp_path / "b.vec").write_bytes((tmp_path / "b.npy").read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(tmp_path / "out")])
+    assert "b.vec is not a vector of numbers" in _one_line_error(exc)

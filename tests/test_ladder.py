@@ -14,7 +14,8 @@ ladder = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ladder)
 
 FIELDS = {"n", "nnz", "triangles", "edges", "t_per_nnz", "stages_s", "build_s", "weights_s",
-          "validate_s", "exact_checks_s", "weights_peak_mb", "validate_peak_mb", "solve_s",
+          "validate_s", "exact_checks_s", "weights_peak_mb", "validate_peak_mb", "write_s",
+          "read_s", "solve_s",
           "method", "fill", "ratio", "true_ratio", "certified", "max_weight", "peak_rss_mb"}
 
 
@@ -29,7 +30,8 @@ def test_ladder_prints_one_line_a_rung_with_every_field():
     assert rung["n"] == 6 and rung["nnz"] == 18
     assert rung["triangles"] > 0 and rung["edges"] > rung["triangles"]
     assert abs(rung["t_per_nnz"] - rung["triangles"] / rung["nnz"]) < 0.01
-    for name in ("stages_s", "build_s", "weights_s", "validate_s", "exact_checks_s", "solve_s"):
+    for name in ("stages_s", "build_s", "weights_s", "validate_s", "exact_checks_s", "write_s",
+                 "read_s", "solve_s"):
         assert 0.0 < rung[name] < 60.0
     assert 0.0 < rung["weights_peak_mb"] and 0.0 < rung["validate_peak_mb"]
     assert rung["peak_rss_mb"] > rung["validate_peak_mb"]

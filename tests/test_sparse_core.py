@@ -63,6 +63,23 @@ def test_non_finite_values_are_not_integer_exact(tmp_path, value):
     assert np.array_equal(back.vals, A.vals, equal_nan=True)
 
 
+@pytest.mark.parametrize("value, exact", [(1e300, False), (2.0 ** 63, False),
+                                          (-(2.0 ** 63), False), (2.0 ** 63 - 1024, True),
+                                          (-(2.0 ** 62), True)])
+def test_integer_exact_means_int64_holds_every_value(tmp_path, value, exact):
+    # a finite integral value of 2^63 or more used to be cast to int64 and
+    # written as -9223372036854775808 under an "integer" header
+    from lin2complex import fileio
+
+    A = SparseMatrix.from_dense([[value, 1.0]])
+    assert A.integer_exact is exact
+    fileio.write_matrix(tmp_path / "A.mtx", A)
+    header = (tmp_path / "A.mtx").read_text().splitlines()[0]
+    assert ("integer" if exact else "real") in header
+    back = fileio.read_matrix(tmp_path / "A.mtx")
+    assert back.integer_exact is exact and np.array_equal(back.vals, A.vals)
+
+
 def test_canonical_order_row_major():
     A = SparseMatrix.from_entries(3, 3, [(2, 0, 1.0), (0, 2, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
     coords = list(zip(A.rows.tolist(), A.cols.tolist()))
