@@ -374,15 +374,12 @@ class PathWeights:
     path crosses edge path_edge[i]; each tube's entries run from its
     boundary triangle up to the central triangle.  The two arrays hold one
     entry per path edge, Θ(sum h^2) over spheres of h holes, and no weight
-    needs them: ``compute_edge_weights`` hands over each path's closed form
-    (``paths``), and the arrays are laid out on first access.
+    needs them: ``compute_edge_weights`` hands over each path's closed form,
+    from which the arrays are laid out on first access.
     """
 
-    def __init__(self, l_q: np.ndarray, tubes: Tubes, path_tube=None, path_edge=None, *,
-                 paths: _Paths | None = None):
+    def __init__(self, l_q: np.ndarray, tubes: Tubes, paths: _Paths):
         self.l_q, self.tubes, self._closed_form = l_q, tubes, paths
-        if path_tube is not None:
-            self._arrays = (path_tube, path_edge)
 
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +577,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     weights *= alpha
     weights[K.kind != INTERIOR] = 1.0
     weights[K.loops] = problem.loop_weight[:, None]
-    return PathWeights(l_q, tubes, paths=paths), weights
+    return PathWeights(l_q, tubes, paths), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,

@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, fileio.ArtifactError, ComplexStructureError, DimensionError,
+    except (OSError, fileio.ArtifactError, ComplexStructureError, DimensionError,
             MatrixClassError, NetworkError) as exc:
         raise SystemExit(f"error: {exc}") from None
 

@@ -13,7 +13,7 @@ projection of b onto the column space from one tight LSQR solve
 (``certify_rounds``); and the sparse spectral data that the spectral
 certificate and the ``lap_solve`` routes read: the integer norm bound on the
 largest eigenvalue, and the low spectrum and nullity of an exact integer
-Gram matrix from shift-invert Lanczos over a symmetric factor
+Gram matrix from shift-invert Lanczos over one symmetric factor
 (``gram_spectrum``, the one place that decides which eigenvalues are
 zero).  The two symmetric factors share one SuperLU setting,
 ``SYMMETRIC_LU``; the ``lap_solve`` routes and the maxflow Newton steps keep
@@ -255,7 +255,7 @@ LU_DELTA = 1e-14
 
 # SuperLU's settings for the two symmetric matrices this module factors: the
 # quasi-definite K of the first LU round of ``solve_rounds`` and the positive
-# definite G + GRAM_SHIFT I of ``gram_low_eigenvalues``.  Both have a
+# definite G + GRAM_SHIFT I of ``gram_spectrum``.  Both have a
 # triangular factor for every symmetric ordering without pivoting (Vanderbei,
 # SIAM J. Optim. 1995), so SuperLU orders the matrix plus its transpose by
 # minimum degree, permutes rows and columns alike and takes each diagonal
@@ -276,11 +276,10 @@ class AugmentedSystem:
     sparsity pattern of an m x n matrix ``B`` (Vanderbei, SIAM J. Optim.
     1995).
 
-    The canonical CSC pattern of ``K`` is built once from B's entry
-    coordinates ``(rows, cols)``, which must be distinct: column j < m holds
-    the 1 on the diagonal, then row j of B at rows m + c, and column m + c
-    holds column c of B, then the -delta; B's entries are ordered by row and
-    by column with one stable sort each.  ``factor`` then writes the values
+    The canonical CSC pattern of ``K`` is built once, by one COO to CSC
+    conversion, from B's entry coordinates ``(rows, cols)``, which must be
+    distinct; ``order`` says which of the values that ``factor`` lists lands
+    at each position of the CSC.  ``factor`` then writes the values
     of one ``B`` into it and makes one SuperLU factorization (no relaxed
     supernodes, panels one column wide), either symmetric and without
     pivoting (``SYMMETRIC_LU``) or with COLAMD and partial pivoting, so a
@@ -290,28 +289,16 @@ class AugmentedSystem:
     """
 
     def __init__(self, m: int, n: int, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        nnz = rows.size
-        in_row, in_col = np.bincount(rows, minlength=m), np.bincount(cols, minlength=n)
-        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate([in_row, in_col]) + 1)])
-        top, bottom = self.indptr[:m], self.indptr[m:-1]
-        # ``order`` says which entry of (1s, -deltas, vals, vals), the data
-        # that ``factor`` assembles, lands at each position of the CSC
-        self.order = np.empty(self.indptr[-1], dtype=np.int64)
-        self.indices = np.empty_like(self.order)
-        # stable sorts (timsort): every caller passes B's entries in row or
-        # in column order, so one of the two sorts takes linear time
-        by_row = np.argsort(rows * n + cols, kind="stable")
-        by_col = np.argsort(cols * m + rows, kind="stable")
-        at_row = np.arange(nnz) + np.repeat(top + 1 - (np.cumsum(in_row) - in_row), in_row)
-        at_col = np.arange(nnz) + np.repeat(bottom - (np.cumsum(in_col) - in_col), in_col)
-        for at, index, value in (
-                (top, np.arange(m), np.arange(m)),
-                (self.indptr[m + 1:] - 1, m + np.arange(n), m + np.arange(n)),
-                (at_col, rows[by_col], m + n + by_col),
-                (at_row, m + cols[by_row], m + n + nnz + by_row)):
-            self.indices[at], self.order[at] = index, value
+        diag = np.arange(m + n)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        # K's entries numbered in the order ``factor`` lists their values:
+        # the m ones, the n -deltas, B, then B^T
+        K = sp.coo_matrix((np.arange(m + n + 2 * rows.size),
+                           (np.concatenate([diag, rows, m + cols]),
+                            np.concatenate([diag, m + cols, rows]))),
+                          shape=(m + n, m + n)).tocsc()
+        K.sort_indices()
+        self.indptr, self.indices, self.order = K.indptr, K.indices, K.data
         self.m, self.n = m, n
 
     def factor(self, vals, symmetric: bool = False) -> spla.SuperLU:
@@ -541,7 +528,7 @@ def norm_product(M: SparseMatrix) -> int:
     return int(cols.max(initial=0)) * int(rows.max(initial=0))
 
 
-# Shift of the Lanczos solve in ``gram_low_eigenvalues``: it makes
+# Shift of the Lanczos solve in ``gram_spectrum``: it makes
 # G + GRAM_SHIFT I positive definite, so its LU exists although G is
 # singular, and puts the zero eigenvalues nearest the shift.  The smallest
 # nonzero eigenvalue lambda maps to 1 / (lambda + shift) against the zeros'
@@ -563,18 +550,21 @@ GRAM_SHIFT = 1e-8
 ZERO_EIGENVALUE = 1e-14
 
 
-def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
-    """The ``k`` smallest eigenvalues of ``G = M^T M``, ascending (at most
-    ``n_cols - 1`` of them).
+def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
+    """The low spectrum of ``G = M^T M`` and its nullity: (eig, nullity).
 
     ``G`` is formed in integer arithmetic from the int CSR of an
     integer-exact ``M``, so it is exact.  ARPACK's Lanczos (``eigsh``) runs
     in shift-invert mode at ``-GRAM_SHIFT``, with one SuperLU factorization
     of the positive definite ``G + GRAM_SHIFT I`` at ``SYMMETRIC_LU`` as the
     inverse operator and a fixed start vector, so repeated calls return the
-    same values.  Raises ``ValueError``
-    for a matrix that is not integer-exact and ``spla.ArpackError`` when
-    Lanczos does not converge.
+    same values.  ``eig`` holds the ``k`` smallest eigenvalues, ascending,
+    with ``k`` doubled over the same factor until a nonzero one shows; the
+    first ``nullity`` are zero (``|lambda| <= ZERO_EIGENVALUE``), so
+    ``eig[nullity]`` is the smallest nonzero eigenvalue.  Raises
+    ``ValueError`` for a matrix that is not integer-exact and when all
+    ``n_cols - 1`` eigenvalues that Lanczos can return are zero, and
+    ``spla.ArpackError`` when Lanczos does not converge.
     """
     D = M.to_int_csr()
     G = (D.T @ D).astype(np.float64).tocsc()
@@ -582,27 +572,13 @@ def gram_low_eigenvalues(M: SparseMatrix, k: int) -> np.ndarray:
     lu = spla.splu(G + GRAM_SHIFT * sp.identity(n, format="csc"), **SYMMETRIC_LU)
     inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
-    vals = spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
-                      OPinv=inverse, v0=v0, return_eigenvectors=False)
-    return np.sort(vals)
-
-
-def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
-    """The low spectrum of ``G = M^T M`` and its nullity: (eig, nullity).
-
-    ``eig`` holds the ``k`` smallest eigenvalues, ascending, from
-    ``gram_low_eigenvalues``, with ``k`` doubled until a nonzero one shows;
-    the first ``nullity`` are zero (``|lambda| <= ZERO_EIGENVALUE``), so
-    ``eig[nullity]`` is the smallest nonzero eigenvalue.  Raises
-    ``ValueError`` when all ``n_cols - 1`` eigenvalues that Lanczos can
-    return are zero, and as ``gram_low_eigenvalues`` does.
-    """
     while True:
-        eig = gram_low_eigenvalues(M, k)
+        eig = np.sort(spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
+                                 OPinv=inverse, v0=v0, return_eigenvectors=False))
         nullity = int(np.count_nonzero(np.abs(eig) <= ZERO_EIGENVALUE))
         if nullity < eig.size:
             return eig, nullity
-        if eig.size >= M.n_cols - 1:
+        if eig.size >= n - 1:
             raise ValueError(f"all {eig.size} computed eigenvalues of the "
                              "Gram matrix are zero; no nonzero eigenvalue")
         k *= 2

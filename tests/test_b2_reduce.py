@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lin2complex import b2_reduce, complex2, sparse_core
 from lin2complex.b2_reduce import (
-    PathWeights,
     ReductionError,
     build_boundary_problem,
     compute_edge_weights,
@@ -554,8 +553,8 @@ def test_nullity_identity_needs_a_group_for_every_variable(no_lanczos):
 
 def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
     # at the Lanczos shift the zero eigenvalues come out slightly negative
-    monkeypatch.setattr(sparse_core, "gram_low_eigenvalues",
-                        lambda M, k: np.array([-9e-17, -2e-17, 1e-9]))
+    monkeypatch.setattr(sparse_core.spla, "eigsh",
+                        lambda *args, **kwargs: np.array([-9e-17, -2e-17, 1e-9]))
     eig, nullity = sparse_core.gram_spectrum(SparseMatrix.identity(4), 3)
     assert (nullity, eig[nullity]) == (2, 1e-9)
 
@@ -635,9 +634,6 @@ def test_build_matches_the_lookups_it_replaces(family):
         assert np.array_equal(np.bincount(pw.path_tube), np.bincount(path_tube))
         assert np.array_equal(pw.path_edge[np.argsort(pw.path_tube, kind="stable")],
                               path_edge[np.argsort(path_tube, kind="stable")])
-        if family != "hole-counts-1-256":  # 11M path entries: the arrays say it all
-            oracle = PathWeights(l_q, P.tubes, path_tube, path_edge)
-            assert pw.paths == oracle.paths and pw.k_qe == oracle.k_qe
 
 
 @pytest.mark.parametrize("family", PROBLEM_FAMILIES)

@@ -675,6 +675,23 @@ def test_cli_reduce_non_numeric_rhs_is_one_line_error(tmp_path):
     assert "b.vec" in message and "three" in message
 
 
+@pytest.mark.parametrize("argv, make", [
+    (["reduce", "--matrix", "A.mtx", "--rhs", "bad", "--out-dir", "out"], Path.mkdir),
+    (["reduce", "--matrix", "A.mtx", "--rhs", "b.vec", "--out-dir", "bad"], Path.touch),
+    (["solve", "--manifest", "bad", "--out-dir", "out"], Path.touch),
+    (["maxflow-demo", "--network", "bad"], Path.mkdir),
+], ids=["reduce-rhs-directory", "reduce-out-dir-file", "solve-manifest-file",
+        "maxflow-demo-network-directory"])
+def test_cli_path_of_the_wrong_kind_is_one_line_error(tmp_path, monkeypatch, argv, make):
+    # IsADirectoryError, FileExistsError and NotADirectoryError name the path
+    _write_general(tmp_path)
+    make(tmp_path / "bad")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert "'bad" in _one_line_error(exc)
+
+
 @pytest.mark.parametrize("command", [["reduce"], ["solve", "--route", "direct"]])
 def test_cli_short_rhs_is_one_line_error(tmp_path, command):
     _write_general(tmp_path)

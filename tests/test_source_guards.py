@@ -19,10 +19,8 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
-def test_only_sparse_core_decides_which_eigenvalues_are_zero():
-    # every Gram spectrum goes through sparse_core.gram_spectrum, so the
-    # zero test lives in one module
-    hidden = {"gram_low_eigenvalues", "ZERO_EIGENVALUE"}
+def _named_outside_sparse_core(hidden):
+    """Where a library module other than sparse_core names one of ``hidden``."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "sparse_core.py":
@@ -33,7 +31,23 @@ def test_only_sparse_core_decides_which_eigenvalues_are_zero():
                      else {node.name} if isinstance(node, ast.alias) else set())
             found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names & hidden]
+    return found
+
+
+def test_only_sparse_core_decides_which_eigenvalues_are_zero():
+    # every Gram spectrum goes through sparse_core.gram_spectrum, so the
+    # zero test lives in one module
+    found = _named_outside_sparse_core({"ZERO_EIGENVALUE"})
     assert not found, f"only sparse_core may name these: {found}"
+
+
+def test_only_sparse_core_calls_the_scipy_solvers():
+    # every factorization, eigensolve and least-squares iteration goes through
+    # sparse_core, so the SuperLU settings, LU_DELTA and GRAM_SHIFT live in
+    # one module
+    found = _named_outside_sparse_core(
+        {"splu", "spsolve", "factorized", "eigsh", "eigs", "svds", "lsqr", "lsmr"})
+    assert not found, f"only sparse_core may call scipy's solvers: {found}"
 
 
 def test_only_the_record_modules_call_pattern_entries():

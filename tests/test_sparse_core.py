@@ -3,11 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import sparse_core
-from lin2complex.b2_reduce import reduce_reg
-from lin2complex.da_reduce import CLASS_G, GeneralSystem
+from lin2complex.b2_reduce import reduce_da_to_b2, reduce_reg
+from lin2complex.complex2 import boundary2
+from lin2complex.da_reduce import CLASS_G, GeneralSystem, difference_row, plain_da_system
+from lin2complex.maxflow_ipm import FlowNetwork2
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import (
     LU_DELTA,
@@ -356,12 +359,20 @@ def test_fill_is_the_materialized_factor_size(monkeypatch):
         assert abs(got - want) <= 0.01 * want
 
 
+def _assert_dense_kkt_pattern(system, B, vals):
+    # the canonical CSC is unique, so K's arrays equal those of the CSC that
+    # scipy makes of the dense K
+    m, n = B.shape
+    K = sp.csc_matrix(np.block([[np.eye(m), B], [B.T, -LU_DELTA * np.eye(n)]]))
+    data = np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals])[system.order]
+    assert np.array_equal(system.indices, K.indices)
+    assert np.array_equal(system.indptr, K.indptr)
+    assert np.array_equal(data, K.data)
+
+
 @pytest.mark.parametrize("order", ["rows", "columns", "shuffled"])
 def test_augmented_system_pattern_is_the_canonical_csc(order):
-    # the canonical CSC is unique, so K's arrays equal those of scipy's COO
-    # construction, whatever order B's entries come in
-    import scipy.sparse as sp
-
+    # whatever order B's entries come in
     rng = np.random.default_rng(9)
     for m, n in ((1, 1), (7, 5), (40, 23)):
         B = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
@@ -373,16 +384,16 @@ def test_augmented_system_pattern_is_the_canonical_csc(order):
         elif order == "shuffled":
             shuffle = rng.permutation(rows.size)
             rows, cols = rows[shuffle], cols[shuffle]
-        vals = B[rows, cols]
-        diag = np.arange(m + n)
-        K = sp.csc_matrix((np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals]),
-                           (np.concatenate([diag, rows, m + cols]),
-                            np.concatenate([diag, m + cols, rows]))), shape=(m + n, m + n))
-        system = AugmentedSystem(m, n, rows, cols)
-        data = np.concatenate([np.ones(m), np.full(n, -LU_DELTA), vals, vals])[system.order]
-        assert np.array_equal(system.indices, K.indices)
-        assert np.array_equal(system.indptr, K.indptr)
-        assert np.array_equal(data, K.data)
+        _assert_dense_kkt_pattern(AugmentedSystem(m, n, rows, cols), B, B[rows, cols])
+
+
+def test_flow_network_kkt_is_the_canonical_csc():
+    # the maxflow Newton system's B = d2^T, triangles by edges, entered in
+    # d2's row-major order
+    P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+    net = FlowNetwork2(P.K, np.ones(P.n_triangles), P.gamma)
+    d2 = net.d2()
+    _assert_dense_kkt_pattern(net.kkt(), d2.to_dense().T, d2.vals)
 
 
 def test_gram_spectrum_matches_a_dense_eigvalsh_on_a_ladder_rung():
@@ -403,6 +414,25 @@ def test_gram_spectrum_matches_a_dense_eigvalsh_on_a_ladder_rung():
     assert d2.n_cols > 2000 and nullity == int(zero.sum()) > 0
     assert np.all(np.abs(eig[:nullity]) <= 1e-15)
     assert eig[nullity] == pytest.approx(dense[~zero][0], rel=1e-6)
+
+
+def test_gram_spectrum_factors_once_while_k_doubles(monkeypatch):
+    # five disjoint difference rows: G has nullity 5, so k doubles from 4 to
+    # 8, and both Lanczos runs go over the one factor of G + GRAM_SHIFT I
+    sys = plain_da_system(10, [difference_row(2 * i, 2 * i + 1) for i in range(5)])
+    d2 = boundary2(reduce_da_to_b2(sys, np.arange(5.0)).K)
+    splu, calls = sparse_core.spla.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(sparse_core.spla, "splu", counted)
+    eig, nullity = sparse_core.gram_spectrum(d2, 4)
+    D = d2.to_dense()
+    dense = np.linalg.eigvalsh(D.T @ D)
+    zero = dense <= dense.size * np.finfo(float).eps * dense[-1]
+    assert (len(calls), eig.size, nullity) == (1, 8, 5)
+    assert nullity == int(zero.sum())
 
 
 def test_iterative_solve_zero_rhs():
