@@ -19,8 +19,9 @@ The lines cover:
   do not depend on the files' encoding: a change of format moves the file
   lines, and these show that the values read back are the same;
 - ``solve_general``'s x on criterion 11's 20 draws;
-- ``verify``'s stdout on the 5x5 system;
-- the f of the ``flow_ipm`` Laplacian and Gram route items of seeds 1-3.
+- ``verify``'s stdout and ``solve --route direct``'s x on the 5x5 system;
+- f* and the final f of the ``flow_ipm`` IPM items, and the f of its
+  Laplacian and Gram route items, of seeds 1-3.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def digests(out: Path):
     """(name, sha256) pairs, in a fixed order."""
     import _gen
     import workloads
+    from lin2complex import fileio
     from lin2complex.pipeline import solve_general
 
     rng = np.random.default_rng(11)
@@ -132,6 +134,10 @@ def digests(out: Path):
     reduce_digest(A_5X5, B_5X5, directory)
     yield "verify stdout, 5x5", hashlib.sha256(
         cli_stdout(["verify", "--dir", str(directory / "out")]).encode()).hexdigest()
+    cli_stdout(["solve", "--route", "direct", "--matrix", str(directory / "A.mtx"), "--rhs",
+                str(directory / "b.vec"), "--out-dir", str(directory / "direct")])
+    yield "solve --route direct x, 5x5", arrays_digest(
+        [fileio.read_vector(directory / "direct" / "x.vec")])
 
     for seed in SEEDS:
         for item in workloads.WORKLOADS["flow_ipm"].items(np.random.default_rng(seed),
@@ -140,6 +146,10 @@ def digests(out: Path):
                 routes = item.work(item.directory)
                 yield (f"route f flow_ipm seed {seed} {item.name}",
                        arrays_digest(f for f, _ in routes))
+            else:
+                f_star, result = item.work(item.directory)
+                yield (f"f* and f flow_ipm seed {seed} {item.name}",
+                       arrays_digest([[f_star], result.f]))
 
 
 def main(argv=None) -> int:

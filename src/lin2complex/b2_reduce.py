@@ -526,7 +526,9 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     are linear in the number of tubes and edges, O(t).  An equation has at
     most four tubes, so k_{q,e} <= 4 holds by construction and is not
     checked.  Returns (PathWeights, weight vector); the PathWeights lays
-    its paths out only when they are read.
+    its paths out only when they are read.  Raises ``ReductionError``,
+    naming alpha, when a weight is not finite: alpha times a mass can
+    overflow float64.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -574,9 +576,12 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     weights = np.bincount(np.concatenate([sphere_edge, paths.hole, paths.connecting]),
                           weights=np.concatenate([suffix[np.repeat(at[used], reach) + k], w, w]),
                           minlength=K.n_edges)
-    weights *= alpha
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        weights *= alpha
     weights[K.kind != INTERIOR] = 1.0
     weights[K.loops] = problem.loop_weight[:, None]
+    if not np.all(np.isfinite(weights)):
+        raise ReductionError(f"alpha {alpha:g} makes an edge weight overflow float64")
     return PathWeights(l_q, tubes, paths), weights
 
 

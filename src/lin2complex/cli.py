@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .b2_reduce import spectral_certificate
+from .b2_reduce import ReductionError, spectral_certificate
 from .complex2 import ComplexStructureError, boundary2, validate
 from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
@@ -63,7 +63,11 @@ def cmd_solve(args) -> int:
 
     if args.route == "direct":
         A, b = fileio.read_system(args.matrix, args.rhs)
-        report = least_squares(A, b, eps)
+        try:
+            report = least_squares(A, b, eps)
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
         fileio.write_vector(out / "x.vec", report.x)
         fileio.write_json(out / "solve_report.json", {
             "route": "direct", "converged": report.converged,
@@ -218,7 +222,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, fileio.ArtifactError, ComplexStructureError, DimensionError,
-            MatrixClassError, NetworkError) as exc:
+            MatrixClassError, NetworkError, ReductionError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

@@ -183,12 +183,13 @@ def to_pow2(sys: GeneralSystem):
 
 @dataclass(frozen=True)
 class DARow:
-    """One difference or average equation in canonical form.
+    """One difference or average equation in canonical form, as a record.
 
     The stored equation is ``pattern . x = rhs`` with pattern x(i) - x(j)
     or x(i) + x(j) - 2 x(k); ``scale`` is the power-of-two factor divided
     out during canonicalization and ``weight`` the least-squares row weight,
-    so the matrix row is weight^(1/2) * scale * pattern.
+    so the matrix row is weight^(1/2) * scale * pattern.  The record checks
+    nothing: ``WeightedDASystem`` checks the rows it is built from.
     """
 
     kind: str
@@ -198,20 +199,6 @@ class DARow:
     weight: float = 1.0
     rhs: float = 0.0
     scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind == KIND_DIFFERENCE:
-            if self.k is not None or self.i == self.j:
-                raise ValueError("difference rows need two distinct variables")
-        elif self.kind == KIND_AVERAGE:
-            if self.k is None or len({self.i, self.j, self.k}) != 3:
-                raise ValueError("average rows need three distinct variables")
-            if self.rhs != 0.0:
-                raise ValueError("average rows have zero right-hand side")
-        else:
-            raise ValueError(f"unknown row kind {self.kind!r}")
-        if self.weight <= 0.0 or self.scale <= 0.0:
-            raise ValueError("weight and scale must be positive")
 
     def pattern_entries(self) -> list[tuple[int, float]]:
         if self.kind == KIND_DIFFERENCE:
@@ -242,29 +229,15 @@ class WeightedDASystem:
     otherwise; ``var[q]`` holds its variables (i, j, k), with k = -1 for a
     difference row, and ``weight``, ``rhs`` and ``scale`` are as in
     ``DARow``.  The first ``n_main`` rows are the main rows, the other
-    ``n_aux`` the auxiliary ones.  The arrays are read-only.
-
-    ``WeightedDASystem(n_vars, rows, n_main, n_aux)`` takes ``DARow``
-    records and ``from_columns`` the arrays; both check every row and raise
-    ``ValueError`` naming the first bad one.  ``rows`` materializes the
-    records on every access, for inspection only.  Two systems are equal
-    when their sizes and columns are.
+    ``n_aux`` the auxiliary ones.  The constructor copies the columns,
+    makes them read-only and checks every row, raising ``ValueError``
+    naming the first bad one.  ``rows`` materializes ``DARow`` records on
+    every access, for inspection only.  Two systems are equal when their
+    sizes and columns are.
     """
 
-    def __init__(self, n_vars: int, rows: Sequence[DARow], n_main: int, n_aux: int):
-        rows = tuple(rows)
-        self._store(n_vars, n_main, n_aux, [r.kind == KIND_AVERAGE for r in rows],
-                    [(r.i, r.j, -1 if r.k is None else r.k) for r in rows],
-                    [r.weight for r in rows], [r.rhs for r in rows], [r.scale for r in rows])
-
-    @classmethod
-    def from_columns(cls, n_vars: int, average, var, weight, rhs, scale,
-                     n_main: int, n_aux: int) -> "WeightedDASystem":
-        system = cls.__new__(cls)
-        system._store(n_vars, n_main, n_aux, average, var, weight, rhs, scale)
-        return system
-
-    def _store(self, n_vars, n_main, n_aux, average, var, weight, rhs, scale) -> None:
+    def __init__(self, n_vars: int, average, var, weight, rhs, scale,
+                 n_main: int, n_aux: int):
         self.n_vars, self.n_main, self.n_aux = int(n_vars), int(n_main), int(n_aux)
         # copies, so that freezing them leaves the caller's arrays alone
         self.average = np.array(average, dtype=bool).ravel()
@@ -282,8 +255,8 @@ class WeightedDASystem:
         self._check_rows()
 
     def _check_rows(self) -> None:
-        """Raise ``ValueError`` at the first row that ``DARow`` would refuse
-        or that names a variable outside ``range(n_vars)``."""
+        """Raise ``ValueError`` at the first row that breaks a row rule or
+        names a variable outside ``range(n_vars)``."""
         i, j, k = self.var.T
         avg = self.average
         unknown = (self.var < 0) | (self.var >= self.n_vars)
@@ -367,50 +340,37 @@ class WeightedDASystem:
         row, var, coef = self._pattern_coo()
         return np.bincount(var, weights=coef * y[row], minlength=self.n_vars)
 
-    def pattern_rhs(self) -> np.ndarray:
-        return self.rhs.copy()
-
     def is_unit(self) -> bool:
         return bool(np.all(self.weight == 1.0) and np.all(self.scale == 1.0))
 
 
 def plain_da_system(n_vars: int, rows: Sequence[DARow]) -> WeightedDASystem:
-    """A unit-weight, unit-scale system; all rows count as main rows."""
+    """A unit-weight, unit-scale system of ``DARow`` records; all rows count
+    as main rows.  Raises ``ValueError`` naming the first row of unknown
+    kind; ``WeightedDASystem`` checks the other row rules."""
     rows = tuple(rows)
+    for q, r in enumerate(rows):
+        if r.kind not in (KIND_DIFFERENCE, KIND_AVERAGE):
+            raise ValueError(f"row {q}: unknown row kind {r.kind!r}")
     if any(r.weight != 1.0 or r.scale != 1.0 for r in rows):
         raise ValueError("plain systems must have unit weights and scales")
-    return WeightedDASystem(n_vars, rows, len(rows), 0)
-
-
-@dataclass(frozen=True)
-class AuxRecord:
-    new_var: int
-    pair: tuple[int, int]
-    sign: int
-    bit: int
-    source_row: int
+    ones = np.ones(len(rows))
+    return WeightedDASystem(n_vars, [r.kind == KIND_AVERAGE for r in rows],
+                            [(r.i, r.j, -1 if r.k is None else r.k) for r in rows],
+                            ones, [r.rhs for r in rows], ones, len(rows), 0)
 
 
 @dataclass(frozen=True, eq=False)
 class DAReductionTrace:
     """The auxiliary variables of ``gz2_to_da``, as columns: variable
     ``n_original + a`` replaces the pair ``pair[a]`` of row ``source_row[a]``,
-    whose coefficients of sign ``sign[a]`` both have bit ``bit[a]`` set.
-    ``aux_assignment_order`` builds the ``AuxRecord``s, in id order, each
-    time it is read; the chain never reads it."""
+    whose coefficients of sign ``sign[a]`` both have bit ``bit[a]`` set."""
 
     n_original: int
     pair: np.ndarray
     sign: np.ndarray
     bit: np.ndarray
     source_row: np.ndarray
-
-    @property
-    def aux_assignment_order(self) -> tuple[AuxRecord, ...]:
-        return tuple(AuxRecord(self.n_original + a, (i, j), s, r, q)
-                     for a, ((i, j), s, r, q) in enumerate(zip(
-                         self.pair.tolist(), self.sign.tolist(), self.bit.tolist(),
-                         self.source_row.tolist())))
 
 
 def _canonical_rows(A: SparseMatrix, b: np.ndarray, coef: np.ndarray):
@@ -553,7 +513,7 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     aux_rows = (np.ones(left.size, bool),
                 np.stack([left, right, n + np.arange(left.size)], axis=1),
                 alpha * per_row[source_row], np.zeros(left.size), np.ldexp(1.0, level))
-    system = WeightedDASystem.from_columns(
+    system = WeightedDASystem(
         n + left.size, *(np.concatenate(c) for c in zip(main, aux_rows)), d, left.size)
     trace = DAReductionTrace(n, np.stack([left, right], axis=1),
                              np.where(aux_group % 2 == 1, 1, -1), level, source_row)

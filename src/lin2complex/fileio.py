@@ -135,28 +135,25 @@ def da_system_to_json(sys: WeightedDASystem) -> dict:
     return {"n_vars": sys.n_vars, "n_main": sys.n_main, "n_aux": sys.n_aux, "rows": rows}
 
 
-def _da_row(q: int, row) -> tuple:
-    """Row q of a da.json system as (average, (i, j, k), weight, rhs, scale);
-    raises ``ArtifactError`` naming the row when a field is missing or of
-    the wrong type, or the kind is unknown."""
+def _da_row(q: int, row) -> None:
+    """Raise ``ArtifactError`` naming row q of a da.json system when it
+    fails a check of ``_da_columns``: a field is missing or of the wrong
+    type, or the kind is unknown."""
     if not isinstance(row, dict):
         raise ArtifactError(f"row {q}: not an object")
     row = {**_DA_ROW_DEFAULTS, **row}
     for name in ("kind", "i", "j"):
         if name not in row:
             raise ArtifactError(f"row {q}: no {name!r}")
-    if row["kind"] not in (KIND_DIFFERENCE, KIND_AVERAGE):
+    if type(row["kind"]) is not str or row["kind"] not in (KIND_DIFFERENCE, KIND_AVERAGE):
         raise ArtifactError(f"row {q}: unknown kind {row['kind']!r}")
-    average = row["kind"] == KIND_AVERAGE
-    if average and row["k"] is None:
+    if row["kind"] == KIND_AVERAGE and row["k"] is None:
         raise ArtifactError(f"row {q}: an average row needs 'k'")
     ids = (row["i"], row["j"], -1 if row["k"] is None else row["k"])
     if any(type(v) is not int for v in ids):
         raise ArtifactError(f"row {q}: a variable id is not an integer")
-    numbers = (row["weight"], row["rhs"], row["scale"])
-    if any(type(v) not in (int, float) for v in numbers):
+    if any(type(row[name]) not in (int, float) for name in ("weight", "rhs", "scale")):
         raise ArtifactError(f"row {q}: a weight, rhs or scale is not a number")
-    return (average, ids, *numbers)
 
 
 def _types(column: list) -> set:
@@ -166,8 +163,8 @@ def _types(column: list) -> set:
 def _da_columns(rows: list):
     """The columns (average, i, j, k, weight, rhs, scale) of da.json rows,
     checked a column at a time (one list per field and one set of the types
-    in it) with ``_da_row``'s checks, or stricter ones; None when one fails."""
-    if _types(rows) - {dict}:
+    in it); None when a check fails."""
+    if not all(issubclass(t, dict) for t in _types(rows)):
         return None
     kind, i, j, k = ([row.get(name) for row in rows] for name in ("kind", "i", "j", "k"))
     numbers = [[row.get(name, _DA_ROW_DEFAULTS[name]) for row in rows]
@@ -196,16 +193,12 @@ def da_system_from_json(obj) -> WeightedDASystem:
                             "'n_aux' and a list 'rows'")
     columns = _da_columns(rows)
     if columns is None:
-        # a column check failed: row by row, _da_row raises at the first bad
-        # row with its message, and rows that pass a stricter check than
-        # its own (a dict subclass, say) parse as before
-        average, ids, *numbers = zip(*[_da_row(q, row) for q, row in enumerate(rows)])
-        columns = (average, *zip(*ids), *numbers)
+        for q, row in enumerate(rows):
+            _da_row(q, row)  # raises at the first row that failed a column check
     average, i, j, k, *numbers = columns
     try:
-        return WeightedDASystem.from_columns(sizes[0], average,
-                                             np.array([i, j, k], dtype=np.int64).T,
-                                             *numbers, *sizes[1:])
+        return WeightedDASystem(sizes[0], average, np.array([i, j, k], dtype=np.int64).T,
+                                *numbers, *sizes[1:])
     except (ValueError, OverflowError) as exc:
         raise ArtifactError(str(exc)) from None
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex2 import Complex2, boundary1, boundary2, laplacian1
-from .sparse_core import SparseMatrix, gram_spectrum, lu_solve, norm_product
+from .sparse_core import SparseMatrix, gram_spectrum, lu_solve, norm_product, refuse_non_finite
 
 ROUTE_LAPLACIAN = "laplacian"
 ROUTE_GRAM = "gram"
@@ -81,6 +81,7 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
     d2 = boundary2(K)
     if d.size != d2.n_rows:
         raise ValueError(f"demand length {d.size} != {d2.n_rows} edges")
+    refuse_non_finite("the demand", d)
     if route == ROUTE_LAPLACIAN:
         d1 = boundary1(K)
         op = laplacian1(K, d1, d2)
@@ -131,7 +132,8 @@ def solve_boundary_via_laplacian(K: Complex2, d, delta: float):
     ``ok`` rests on the solve's own error bound.  When the projection of d
     onto the image of d2 provably vanishes while d does not, the instance
     is flagged degenerate (the relative guarantee is vacuous).
-    Raises ``ValueError`` when d2 has no nonzero singular value.
+    Raises ``ValueError`` when d2 has no nonzero singular value and for a
+    nan or infinite demand.
     """
     return _solve_route(K, d, delta, ROUTE_LAPLACIAN)
 

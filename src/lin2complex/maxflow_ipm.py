@@ -14,6 +14,7 @@ factorization gives the barrier part and the demand direction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +43,16 @@ class FlowNetwork2:
     capacities: np.ndarray
     gamma: np.ndarray
     f_star: float | None = None
-    _d2: SparseMatrix | None = field(default=None, repr=False)
-    _kkt: AugmentedSystem | None = field(default=None, repr=False)
-    _gamma_in_image: np.ndarray | None = field(default=None, repr=False)
+    _d2: SparseMatrix | None = field(default=None, init=False, repr=False)
+    _kkt: AugmentedSystem | None = field(default=None, init=False, repr=False)
+    _gamma_in_image: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.capacities = np.asarray(self.capacities, dtype=np.float64).ravel()
-        self.gamma = np.asarray(self.gamma, dtype=np.float64).ravel()
+        try:
+            self.capacities = np.asarray(self.capacities, dtype=np.float64).ravel()
+            self.gamma = np.asarray(self.gamma, dtype=np.float64).ravel()
+        except (TypeError, ValueError) as exc:
+            raise NetworkError(f"capacities and demands must be numbers: {exc}") from None
 
     def d2(self) -> SparseMatrix:
         if self._d2 is None:
@@ -64,15 +68,21 @@ class FlowNetwork2:
         return self._kkt
 
     def validate(self) -> None:
-        """Check the sizes, positive capacities and gamma in im(d2).  The
-        image check is one tight projection solve; it runs once per gamma."""
+        """Check the sizes, positive finite capacities, finite demands, a
+        finite f_star when set and gamma in im(d2).  The image check is one
+        tight projection solve; it runs once per gamma."""
         d2 = self.d2()
         if self.capacities.size != d2.n_cols:
             raise NetworkError("capacity vector length does not match the triangles")
         if self.gamma.size != d2.n_rows:
             raise NetworkError("demand vector length does not match the edges")
-        if np.any(self.capacities <= 0.0):
-            raise NetworkError("capacities must be strictly positive")
+        if not np.all((self.capacities > 0.0) & (self.capacities < math.inf)):
+            raise NetworkError("capacities must be strictly positive and finite")
+        if not np.all(np.isfinite(self.gamma)):
+            raise NetworkError("demands must be finite")
+        if self.f_star is not None and not (isinstance(self.f_star, numbers.Real)
+                                            and math.isfinite(self.f_star)):
+            raise NetworkError(f"f_star must be a finite number, got {self.f_star!r}")
         if self._gamma_in_image is not None and np.array_equal(self._gamma_in_image,
                                                                 self.gamma):
             return

@@ -451,8 +451,10 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
     Each candidate's solution is carried to x by ``to_x`` (as is when None)
     and certifies when ||A x - P b|| <= eps ||P b||, with P b from one
     ``projected_rhs`` at ``min(eps / 100, 1e-6)``.  Stops at the first
-    candidate that certifies; otherwise returns the best one seen.  Either
-    way ``iterations`` counts the LSQR iterations of every round it ran.
+    candidate that certifies; otherwise returns the best one seen, where a
+    finite ratio beats a nan one.  Either way ``iterations`` counts the LSQR
+    iterations of every round it ran.  Only ``||P b|| == 0`` gives ratio 0,
+    so a nan ``||P b||`` certifies nothing.
     """
     pib = projected_rhs(A, b, rel_tol=min(eps / 100, 1e-6))
     pnorm = float(np.linalg.norm(pib))
@@ -462,13 +464,22 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
         iterations += rnd.iterations
         x = rnd.x if to_x is None else to_x(rnd.x)
         proj = float(np.linalg.norm(A.matvec(x) - pib))
-        ratio = proj / pnorm if pnorm > 0 else 0.0
+        ratio = 0.0 if pnorm == 0.0 else proj / pnorm
         verdict = Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
-        if best is None or ratio < best.achieved_ratio:
+        if best is None or ratio < best.achieved_ratio or np.isnan(best.achieved_ratio):
             best = verdict
         if verdict.converged:
             return verdict
     return best._replace(iterations=iterations)
+
+
+def refuse_non_finite(what: str, v: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``what`` and the first nan or infinite
+    entry of ``v``."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        q = int(np.argmax(bad))
+        raise ValueError(f"{what} holds {v[q]:g} at entry {q}; its entries must be finite")
 
 
 def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
@@ -478,12 +489,15 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
     ``certify_rounds``, whose ``Verdict`` it returns: ``converged`` means
     ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the LSQR
     iterations of every fallback round run (0 when an LU round certifies).
+    Raises ``ValueError`` for a nan or infinite entry of ``A`` or ``b``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
+    refuse_non_finite("the matrix", A.vals)
+    refuse_non_finite("the right-hand side", b)
     return certify_rounds(solve_rounds(A, b, rel_tol), A, b, rel_tol)
 
 

@@ -7,6 +7,8 @@ from explicitly formed projectors, ranks from dense SVD.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
@@ -15,7 +17,6 @@ from lin2complex.complex2 import INTERIOR, triangle_adjacency
 from lin2complex.da_reduce import (
     CLASS_G,
     CLASS_GZ2,
-    AuxRecord,
     GeneralSystem,
     MatrixClassError,
     WeightedDASystem,
@@ -251,6 +252,18 @@ def _classify_scaled_da(coef: dict[int, int], rhs: float, weight: float):
     return None
 
 
+class AuxRecord(NamedTuple):
+    """One auxiliary variable of ``loop_gz2_to_da``: ``new_var`` replaces
+    the pair ``pair`` of row ``source_row``, whose coefficients of sign
+    ``sign`` both have bit ``bit`` set."""
+
+    new_var: int
+    pair: tuple[int, int]
+    sign: int
+    bit: int
+    source_row: int
+
+
 def loop_gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     """``da_reduce.gz2_to_da`` as a per-row Python loop over coefficient
     dicts, the oracle for its array rounds.  Returns (system, rhs, aux
@@ -316,7 +329,7 @@ def loop_gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
                          float(1 << rec.bit)) for rec in here)
 
     columns = zip(*main_rows, *aux_rows) if main_rows or aux_rows else ((),) * 5
-    system = WeightedDASystem.from_columns(next_var, *columns, len(main_rows), len(aux_rows))
+    system = WeightedDASystem(next_var, *columns, len(main_rows), len(aux_rows))
     return system, system.rhs_vector(), tuple(aux_records)
 
 

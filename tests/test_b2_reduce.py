@@ -125,9 +125,9 @@ def test_unused_variable_rejected():
 def test_non_unit_system_rejected_on_unit_surface():
     from lin2complex.da_reduce import WeightedDASystem
 
-    rows = (difference_row(0, 1, weight=2.0),)
+    weighted = WeightedDASystem(2, [False], [(0, 1, -1)], [2.0], [0.0], [1.0], 1, 0)
     with pytest.raises(ReductionError):
-        reduce_da_to_b2(WeightedDASystem(2, rows, 1, 0), np.array([1.0]))
+        reduce_da_to_b2(weighted, np.array([1.0]))
 
 
 # -- feasible round trips ---------------------------------------------------------
@@ -202,6 +202,14 @@ def test_edge_weights_single_difference():
             assert weights[eid] == 0.0
     loop = [eid for eid, e in enumerate(P.K.edges) if e.kind == EDGE_LOOP]
     assert np.all(weights[loop] == 1.0)
+
+
+def test_edge_weights_refuse_an_alpha_that_overflows():
+    # alpha times an edge's mass of l_q = 4 is inf in float64
+    P = reduce_da_to_b2(*single_difference(1.0))
+    with pytest.raises(ReductionError, match=r"^alpha 1e\+308 makes an edge weight overflow"):
+        compute_edge_weights(P, 1e308)
+    assert np.all(np.isfinite(compute_edge_weights(P, 1e307)[1]))
 
 
 def _paths_by_bfs_oracle(P):
@@ -563,7 +571,7 @@ def test_derived_fields_match_the_construction():
     # central, equation_rhs and loop_weight are read off K, gamma and weights
     da, _, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)
     assert not da.is_unit()
-    b = da.pattern_rhs()
+    b = da.rhs
     P = build_boundary_problem(da, b)
     base = np.array([row.weight * row.scale ** 2 for row in da.rows])
     assert np.array_equal(P.equation_rhs, b)

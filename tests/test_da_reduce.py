@@ -25,7 +25,6 @@ from lin2complex.da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
-from lin2complex import da_reduce
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
@@ -119,9 +118,9 @@ def test_pairing_worked_example():
     assert main.rhs == pytest.approx(1.0 / 8.0)
     # the positive side collapses through three fresh variables, pairing
     # (x0,x1), then (x0, first), then (x1-side remainder, second)
-    pos = [r for r in trace.aux_assignment_order if r.sign == 1]
-    assert [r.pair for r in pos] == [(0, 1), (0, 7), (1, 8)]
-    assert [r.bit for r in pos] == [0, 1, 2]
+    pos = trace.sign == 1
+    assert trace.pair[pos].tolist() == [[0, 1], [0, 7], [1, 8]]
+    assert trace.bit[pos].tolist() == [0, 1, 2]
     assert all(r.rhs == 0.0 for r in da.rows[1:])
 
 
@@ -170,7 +169,10 @@ def _assert_matches_the_loop(sys, alpha):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
     assert rhs.tobytes() == oracle_rhs.tobytes()
     assert trace.n_original == sys.A.n_cols
-    assert trace.aux_assignment_order == records
+    assert [r.new_var for r in records] == list(range(trace.n_original, da.n_vars))
+    assert [tuple(p) for p in trace.pair.tolist()] == [r.pair for r in records]
+    for name in ("sign", "bit", "source_row"):
+        assert getattr(trace, name).tolist() == [getattr(r, name) for r in records], name
 
 
 @pytest.mark.parametrize("alpha", [1.0, 3.0])
@@ -193,15 +195,6 @@ def test_gz2_to_da_rejects_alpha_outside_the_positive_reals(alpha):
     gz2, _ = to_pow2(to_zero_rowsum(three_per_row_system(8, 6))[0])
     with pytest.raises(ValueError, match=r"^alpha must be positive and finite, got "):
         gz2_to_da(gz2, alpha=alpha)
-
-
-def test_reduce_chain_builds_no_aux_records(monkeypatch):
-    def forbidden(*args, **kwargs):
-        pytest.fail("reduce_chain built an AuxRecord")
-
-    monkeypatch.setattr(da_reduce, "AuxRecord", forbidden)
-    chain = reduce_chain(three_per_row_system(5, 12), 1e-3)
-    assert chain.problem.da.n_aux > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -244,11 +237,10 @@ def test_aux_variables_belong_to_one_row():
     sys = random_gz2_system(rng, 6, 4)
     da, _, trace = gz2_to_da(sys)
     owner = {}
-    for rec in trace.aux_assignment_order:
-        assert rec.new_var not in owner
-        owner[rec.new_var] = rec.source_row
+    for a, (pair, source_row) in enumerate(zip(trace.pair.tolist(), trace.source_row.tolist())):
+        owner[trace.n_original + a] = source_row
         # pairs reference only previously created variables
-        assert max(rec.pair) < rec.new_var
+        assert max(pair) < trace.n_original + a
     for row in da.rows[da.n_main:]:
         touching = {v for v in (row.i, row.j, row.k) if v is not None and v >= trace.n_original}
         rows_owning = {owner[v] for v in touching}
@@ -258,9 +250,9 @@ def test_aux_variables_belong_to_one_row():
 def _complete_solution(trace, x_main):
     """Extend main-variable values along the recorded auxiliary assignments:
     each auxiliary variable is the average of its pair."""
-    x = np.concatenate([x_main, np.zeros(len(trace.aux_assignment_order))])
-    for rec in trace.aux_assignment_order:
-        x[rec.new_var] = 0.5 * (x[rec.pair[0]] + x[rec.pair[1]])
+    x = np.concatenate([x_main, np.zeros(len(trace.pair))])
+    for a, (i, j) in enumerate(trace.pair.tolist()):
+        x[trace.n_original + a] = 0.5 * (x[i] + x[j])
     return x
 
 
@@ -400,27 +392,26 @@ def test_choose_epsilon_da_zero_rhs():
 # -- row and system validation ----------------------------------------------------
 
 def test_da_row_validation():
-    with pytest.raises(ValueError):
-        DARow("difference", 1, 1)
-    with pytest.raises(ValueError):
-        DARow("average", 0, 1, 1)
-    with pytest.raises(ValueError):
-        DARow("average", 0, 1, 2, rhs=1.0)
-    with pytest.raises(ValueError):
-        DARow("sideways", 0, 1)
+    # DARow is a plain record: the system it goes into names the bad row
+    for row, message in ((DARow("difference", 1, 1), "row 1: difference rows"),
+                         (DARow("average", 0, 1, 1), "row 1: average rows need"),
+                         (DARow("average", 0, 1, 2, rhs=1.0), "row 1: average rows have zero"),
+                         (DARow("sideways", 0, 1), "row 1: unknown row kind 'sideways'")):
+        with pytest.raises(ValueError, match=message):
+            plain_da_system(3, [difference_row(0, 1), row])
 
 
 def test_weighted_system_matrix_layout():
     from lin2complex.da_reduce import WeightedDASystem
 
-    rows = (difference_row(0, 1, rhs=2.0), average_row(0, 1, 2, weight=4.0, scale=2.0))
-    full = WeightedDASystem(3, rows, 1, 1)
+    full = WeightedDASystem(3, [False, True], [(0, 1, -1), (0, 1, 2)], [1.0, 4.0],
+                            [2.0, 0.0], [1.0, 2.0], 1, 1)
     dense = full.as_matrix().to_dense()
     assert np.array_equal(dense[0], [1.0, -1.0, 0.0])
     assert np.array_equal(dense[1], [4.0, 4.0, -8.0])  # sqrt(4) * 2 * pattern
     assert full.rhs_vector()[0] == 2.0
     assert not full.is_unit()
-    assert plain_da_system(3, rows[:1]).is_unit()
+    assert plain_da_system(3, [difference_row(0, 1, rhs=2.0)]).is_unit()
 
 
 @pytest.mark.parametrize("value", [2 ** 53 + 1, 2 ** 62 + 5])
@@ -500,8 +491,6 @@ def test_columns_agree_with_record_oracles():
         assert np.array_equal(sys.rhs_vector(), factors * np.array([r.rhs for r in rows]))
         assert sys.is_unit() == all(r.weight == 1.0 and r.scale == 1.0 for r in rows)
         assert np.array_equal(_attachments(sys), _record_attachments(sys))
-        # the records rebuild the same columns
-        assert WeightedDASystem(sys.n_vars, rows, sys.n_main, sys.n_aux) == sys
 
 
 def test_pattern_rmatvec_is_the_transpose_product():
@@ -524,7 +513,7 @@ def test_columns_are_read_only_and_checked_row_by_row():
         sys.weight[0] = 2.0
     good = dict(average=[False, True], var=[(0, 1, -1), (0, 1, 2)], weight=[1.0, 1.0],
                 rhs=[1.0, 0.0], scale=[1.0, 2.0])
-    assert WeightedDASystem.from_columns(3, *good.values(), 1, 1).rows[1] == average_row(
+    assert WeightedDASystem(3, *good.values(), 1, 1).rows[1] == average_row(
         0, 1, 2, scale=2.0)
     for change, message in ((dict(var=[(0, 1, -1), (0, 3, 2)]), r"row 1: .* outside \[0, 3\)"),
                             (dict(var=[(0, 0, -1), (0, 1, 2)]), "row 0: difference rows"),
@@ -532,9 +521,9 @@ def test_columns_are_read_only_and_checked_row_by_row():
                             (dict(rhs=[1.0, 2.0]), "row 1: average rows have zero"),
                             (dict(scale=[0.0, 1.0]), "row 0: weight and scale")):
         with pytest.raises(ValueError, match=message):
-            WeightedDASystem.from_columns(3, *{**good, **change}.values(), 1, 1)
+            WeightedDASystem(3, *{**good, **change}.values(), 1, 1)
     with pytest.raises(ValueError, match="row partition"):
-        WeightedDASystem.from_columns(3, *good.values(), 2, 1)
+        WeightedDASystem(3, *good.values(), 2, 1)
 
 
 def test_pow2_ceil_matches_the_integer_rule():

@@ -447,6 +447,22 @@ def test_cli_solve_direct(tmp_path):
     assert report["residual_norm"] == float(np.linalg.norm(A @ x - b))
 
 
+@pytest.mark.parametrize("A, b", [([[1, 0], [0, 1]], [1.0, np.nan]),
+                                  ([[1, 0], [0, np.inf]], [1.0, 1.0])],
+                         ids=["nan-rhs", "inf-matrix"])
+def test_cli_solve_direct_non_finite_input_is_one_line_error(tmp_path, capsys, A, b):
+    # the nan rhs used to write "converged": true with nan residuals and exit
+    # 0, the inf entry to do the same after 30,000 LSQR iterations
+    fileio.write_matrix(tmp_path / "A.mtx", SparseMatrix.from_dense(A))
+    fileio.write_vector(tmp_path / "b.vec", b)
+    rc = main(["solve", "--route", "direct", "--matrix", str(tmp_path / "A.mtx"),
+               "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2 and len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "at entry 1; its entries must be finite" in lines[0]
+    assert not (tmp_path / "solve_report.json").exists()
+
+
 @pytest.mark.parametrize("route", ["laplacian", "gram"])
 def test_cli_solve_routes(tmp_path, route):
     rng = np.random.default_rng(5)
@@ -636,6 +652,40 @@ def test_cli_maxflow_demo_short_capacities_is_one_line_error(tmp_path):
     assert message.startswith("error:") and "capacity" in message and "\n" not in message
 
 
+# a malformed number of a maxflow-demo network as (key, value, named): a
+# capacity or demand replaces the first entry, an f_star the whole value,
+# and the error names ``named``
+NETWORK_FAULTS = {
+    "string-capacity": ("capacities", "x", "numbers"),
+    "nan-capacity": ("capacities", np.nan, "capacities"),
+    "inf-capacity": ("capacities", np.inf, "capacities"),
+    "nan-demand": ("gamma", np.nan, "demands"),
+    "string-f-star": ("f_star", "x", "f_star"),
+    "nan-f-star": ("f_star", np.nan, "f_star"),
+    "inf-f-star": ("f_star", np.inf, "f_star"),
+}
+
+
+@pytest.mark.parametrize("fault", NETWORK_FAULTS)
+def test_cli_maxflow_demo_malformed_number_is_one_line_error(tmp_path, fault):
+    # each used to end in a traceback: ValueError, TypeError,
+    # StepRejectedError or SuperLU's "Factor is exactly singular"
+    from lin2complex.da_reduce import difference_row, plain_da_system
+
+    P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+    net = {"complex": fileio.complex_to_json(P.K), "capacities": [1.0] * P.n_triangles,
+           "gamma": P.gamma.tolist(), "f_star": 2.0}
+    key, value, named = NETWORK_FAULTS[fault]
+    if key == "f_star":
+        net[key] = value
+    else:
+        net[key][0] = value
+    fileio.write_json(tmp_path / "net.json", net)
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow-demo", "--network", str(tmp_path / "net.json")])
+    assert named in _one_line_error(exc)
+
+
 @pytest.mark.parametrize("key", ["complex", "capacities", "gamma"])
 def test_cli_maxflow_demo_missing_key_is_one_line_error(tmp_path, key):
     from lin2complex.da_reduce import difference_row, plain_da_system
@@ -663,6 +713,18 @@ def _one_line_error(exc) -> str:
     message = str(exc.value.code)
     assert message.startswith("error:") and "\n" not in message, message
     return message
+
+
+def test_cli_reduce_alpha_that_overflows_is_one_line_error(tmp_path):
+    # alpha times an interior edge's mass overflows to inf; reduce used to
+    # write that W, which verify and solve --manifest then refused
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(out), "--alpha", "1e308"])
+    assert "alpha 1e+308 makes an edge weight overflow" in _one_line_error(exc)
+    assert not out.exists()
 
 
 def test_cli_reduce_non_numeric_rhs_is_one_line_error(tmp_path):

@@ -40,6 +40,17 @@ def test_feasible_demand(solver):
 
 
 @pytest.mark.parametrize("solver", ROUTES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_demand_is_refused(solver, bad):
+    # the routes used to solve with it and report a nan ratio
+    K = tiny_complex()
+    d = np.ones(K.n_edges)
+    d[3] = bad
+    with pytest.raises(ValueError, match=f"demand holds {bad:g} at entry 3"):
+        solver(K, d, 1e-4)
+
+
+@pytest.mark.parametrize("solver", ROUTES)
 def test_gradient_demand_is_degenerate(solver):
     rng = np.random.default_rng(2)
     K = tiny_complex()

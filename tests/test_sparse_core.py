@@ -16,7 +16,9 @@ from lin2complex.sparse_core import (
     LU_DELTA,
     AugmentedSystem,
     DimensionError,
+    Round,
     SparseMatrix,
+    certify_rounds,
     iterative_solve,
     least_squares,
     lu_solve,
@@ -290,6 +292,22 @@ def test_least_squares_rejects_bad_tolerance():
     A = SparseMatrix.identity(2)
     with pytest.raises(ValueError):
         least_squares(A, np.ones(2), 1.5)
+
+
+def test_a_nan_certificate_certifies_nothing():
+    # a nan ||P b|| used to give ratio 0, so a nan rhs certified
+    A = SparseMatrix.identity(2)
+    with pytest.raises(ValueError, match="right-hand side holds nan at entry 1"):
+        least_squares(A, [1.0, np.nan], 1e-6)
+    lu = Round(np.array([1.0, 0.0]), "lu", None, 0, None)
+    verdict = certify_rounds(iter([lu]), A, [1.0, np.nan], 1e-6)
+    assert not verdict.converged and np.isnan(verdict.achieved_ratio)
+    # a finite ratio beats a nan one for the best candidate
+    rounds = [lu._replace(x=np.array([np.nan, 0.0])),
+              Round(np.array([0.5, 0.5]), "lsqr", 1e-3, 7, None)]
+    best = certify_rounds(iter(rounds), A, [1.0, 1.0], 1e-6)
+    assert not best.converged and best.round.method == "lsqr"
+    assert best.achieved_ratio == pytest.approx(0.5) and best.iterations == 7
 
 
 def _badly_scaled_matrix():
