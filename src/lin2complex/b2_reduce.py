@@ -36,6 +36,7 @@ from .sparse_core import (
     DimensionError,
     SparseMatrix,
     gram_spectrum,
+    narrow_gap,
     norm_product,
 )
 
@@ -656,10 +657,11 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
 
     ``sparse_core.gram_spectrum`` of d2 (the smallest eigenvalues of the
     exact integer d2^T d2, from k = 4 until a nonzero one shows) gives the
-    nullity check's value and the gap in its note, and the report's
-    ``lambda_min``; nan and the reason when Lanczos fails.  No check reads
-    them.  The two that did could not fail: Lanczos calls only
-    lambda_min > 1e-14 nonzero and lambda_max <= 12, so the condition number
+    nullity check's value and the gap in its note, flagged when
+    ``sparse_core.narrow_gap`` holds, and the report's ``lambda_min``; nan
+    and the reason when Lanczos fails.  No check reads them.  The two that
+    did could not fail: Lanczos calls only lambda_min > 1e-14 nonzero and
+    lambda_max <= 12, so the condition number
     sqrt(lambda_max / lambda_min) < 3.5e7 <= 1e9 nnz(A)^(9/2) kappa(A)^2,
     and lambda_min > 1e-16 >= min(lambda_min(A^T A)^2, 1) / (1e16 d^7).
     """
@@ -687,6 +689,8 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
             zeros = (f"largest zero eigenvalue {eig[nullity - 1]:.3g}" if nullity
                      else "no zero eigenvalue")
             note += f"; Lanczos nullity {nullity}, {zeros}, smallest nonzero {lam_min:.3g}"
+            if narrow_gap(lam_min):
+                note += " (within 1e3 of the zero threshold: the count may be off)"
     lam_max = float(norm_product(d2))
     checks = (
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0),

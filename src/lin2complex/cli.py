@@ -12,7 +12,7 @@ import numpy as np
 
 from . import fileio
 from .b2_reduce import ReductionError, spectral_certificate
-from .complex2 import ComplexStructureError, boundary2, validate
+from .complex2 import ComplexStructureError, validate
 from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
 from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
@@ -96,14 +96,25 @@ def cmd_solve(args) -> int:
 
 
 def _check_structure(problem, check) -> None:
-    """The complex's invariants and d2 = boundary2(K); the d2 built for
-    the comparison goes when this returns, before the certificate runs."""
+    """The complex's invariants and d2 = boundary2(K), from ``validate``'s
+    one side pass, whose d2 comes back whenever every triangle side is an
+    edge and goes when this returns, before the certificate runs."""
     report = validate(problem.K)
     check("complex structure", report.ok, report.violation or "")
-    # a valid K comes back with its boundary2(K), whose d1 d2 = 0 holds by
-    # construction (``validate``), so equality carries it to the stored d2
-    d2 = report.d2 if report.ok else boundary2(problem.K)
-    check("d2 is the boundary operator of the complex", problem.d2.equals(d2))
+    # a valid K's d2 has d1 d2 = 0 by construction (``validate``), so
+    # equality carries it to the stored d2
+    check("d2 is the boundary operator of the complex",
+          report.d2 is not None and problem.d2.equals(report.d2),
+          "" if report.d2 is not None else "the complex has none to compare with")
+    # each loop edge carries its equation's rhs and every other edge 0, as
+    # the build writes them, so the compare is exact
+    gamma, names = problem.gamma, fileio.BOUNDARY_FILES
+    expected = np.zeros(max(gamma.size, problem.K.n_edges))
+    expected[problem.K.loops] = problem.da.rhs[:, None]
+    bad = np.flatnonzero(gamma != expected[:gamma.size])[:1]
+    check(f"{names['gamma']} is the rhs of {names['da']} on the loop edges, 0 elsewhere",
+          not bad.size, "".join(f"entry {e} is {gamma[e]:g}, expected {expected[e]:g}"
+                                for e in bad))
 
 
 def cmd_verify(args) -> int:

@@ -110,13 +110,6 @@ def _lookup(K: Complex2, u, v) -> np.ndarray:
     return np.where(sorted_keys[pos] == want, order[pos], -1)
 
 
-def _missing_edge(u, v, eid) -> tuple[int, int]:
-    """The key of the first induced edge that the complex lacks."""
-    t, side = divmod(int(np.flatnonzero(eid.ravel() < 0)[0]), 3)
-    a, b = int(u[t, side]), int(v[t, side])
-    return (min(a, b), max(a, b))
-
-
 def _boundary(K: Complex2, u: np.ndarray, eid: np.ndarray) -> SparseMatrix:
     """d2 from the edge ids ``eid`` (t, 3) of the triangle sides that start
     at the vertices ``u``: +1 where a side runs along its edge's stored
@@ -266,14 +259,13 @@ def boundary2(K: Complex2) -> SparseMatrix:
 
     Entry (e, T) is +1 when T's induced direction on e matches the stored
     edge orientation, -1 when reversed, 0 when e is not a side of T; every
-    column has exactly three nonzeros.
+    column has exactly three nonzeros.  Raises ``ComplexStructureError``
+    with ``validate``'s violation when a side maps to no single edge.
     """
-    u, v = K.tri, np.roll(K.tri, -1, axis=1)
-    eid = _lookup(K, u, v)
-    if (eid < 0).any():
-        raise ComplexStructureError(
-            f"triangle references missing edge {_missing_edge(u, v, eid)}")
-    return _boundary(K, u, eid)
+    violation, d2 = _side_matrix(K)
+    if violation is not None:
+        raise ComplexStructureError(violation)
+    return d2
 
 
 def boundary1(K: Complex2) -> SparseMatrix:
@@ -293,8 +285,8 @@ def laplacian1(K: Complex2, d1: SparseMatrix | None = None,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The first violation found, or ok with the d2 (``boundary2(K)``) that
-    the checks built."""
+    """The first violation found, or ok; ``d2`` is ``boundary2(K)`` whenever
+    the side pass built it, even when a later check fails."""
 
     ok: bool
     violation: str | None = None
@@ -354,16 +346,16 @@ def _central_violation(K: Complex2) -> str | None:
 
 
 def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
-    """(None, d2) from one lookup of every triangle side, or the first
-    violation that the lookup meets and no d2."""
-    t = K.n_triangles
+    """(None, d2) from one lookup of every triangle side, or the first fault
+    of the side pass and no d2: a duplicate edge, else the first triangle
+    with a repeated vertex, an unknown vertex or a side that is no edge."""
     u, v = K.tri, np.roll(K.tri, -1, axis=1)
+    try:
+        eid = _lookup(K, u, v)
+    except ComplexStructureError as exc:
+        return str(exc), None
     repeated = (u == v).any(axis=1)
     unknown = ((u < 0) | (u >= K.n_vertices)).any(axis=1)
-    # as in a scan over the triangles, a duplicate edge raises only once
-    # the first triangle reaches its edge lookup
-    first_ok = t and not (repeated[0] or unknown[0])
-    eid = _lookup(K, u, v) if first_ok else np.full((t, 3), -1)
     bad = _first(repeated | unknown | (eid < 0).any(axis=1))
     if bad < 0:
         return None, _boundary(K, u, eid)
@@ -371,7 +363,9 @@ def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
         return f"triangle {bad} has repeated vertices", None
     if unknown[bad]:
         return f"triangle {bad} references an unknown vertex", None
-    return f"triangle {bad} references missing edge {_missing_edge(u, v, eid)}", None
+    side = int(np.argmax(eid[bad] < 0))
+    edge = tuple(sorted((int(u[bad, side]), int(v[bad, side]))))
+    return f"triangle {bad} references missing edge {edge}", None
 
 
 def _loop_violation(K: Complex2) -> str | None:
@@ -423,8 +417,8 @@ def _split_group(K: Complex2, d2: SparseMatrix) -> str | None:
 
 
 def validate(K: Complex2) -> ValidationReport:
-    """Check the structural invariants; returns the first violation, or ok
-    with the d2 it built.
+    """Check the structural invariants; returns the first violation, and the
+    d2 it built whenever every triangle side is an edge.
 
     One edge lookup gives every triangle side's edge id and sign; d2 is
     built from them once, and the incidence counts, the sign balance and
@@ -438,11 +432,7 @@ def validate(K: Complex2) -> ValidationReport:
     edge {u, v} and ``_boundary`` signs it +1 exactly when that edge is
     stored as (u, v), so each column of d2 runs u -> v -> w -> u.
     """
-    violation = _central_violation(K)
-    if violation is None:
-        violation, d2 = _side_matrix(K)
-    if violation is None:
-        violation = _loop_violation(K) or _incidence_violation(K, d2) or _split_group(K, d2)
-    if violation is not None:
-        return ValidationReport(False, violation)
-    return ValidationReport(True, None, d2)
+    side, d2 = _side_matrix(K)
+    violation = (_central_violation(K) or side or _loop_violation(K)
+                 or _incidence_violation(K, d2) or _split_group(K, d2))
+    return ValidationReport(violation is None, violation, d2)

@@ -264,12 +264,14 @@ class WeightedDASystem:
         faults = np.array([
             ~avg & ((k != -1) | (i == j)),
             avg & ((i == j) | (j == k) | (i == k)),
+            ~(np.isfinite(self.weight) & np.isfinite(self.scale) & np.isfinite(self.rhs)),
             avg & (self.rhs != 0.0),
             ~((self.weight > 0.0) & (self.scale > 0.0)),
             unknown.any(axis=1),
-        ]).reshape(5, -1)
+        ]).reshape(6, -1)
         messages = ("difference rows need two distinct variables",
                     "average rows need three distinct variables",
+                    "weight, scale and right-hand side must be finite",
                     "average rows have zero right-hand side",
                     "weight and scale must be positive",
                     f"a variable id outside [0, {self.n_vars})")

@@ -184,7 +184,8 @@ def da_system_from_json(obj) -> WeightedDASystem:
     """The system of ``da_system_to_json``, its columns filled straight from
     the rows.  Raises ``ArtifactError`` naming the first bad row: a missing
     field, a non-integer or out-of-range id, an unknown kind, a non-positive
-    weight or scale, or an average row with a nonzero rhs."""
+    weight or scale, a weight, scale or rhs that is not finite, or an
+    average row with a nonzero rhs."""
     sizes = [obj.get(name) if isinstance(obj, dict) else None
              for name in ("n_vars", "n_main", "n_aux")]
     rows = obj.get("rows") if isinstance(obj, dict) else None

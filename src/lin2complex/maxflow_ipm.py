@@ -69,8 +69,8 @@ class FlowNetwork2:
 
     def validate(self) -> None:
         """Check the sizes, positive finite capacities, finite demands, a
-        finite f_star when set and gamma in im(d2).  The image check is one
-        tight projection solve; it runs once per gamma."""
+        positive finite f_star when set and gamma in im(d2).  The image
+        check is one tight projection solve; it runs once per gamma."""
         d2 = self.d2()
         if self.capacities.size != d2.n_cols:
             raise NetworkError("capacity vector length does not match the triangles")
@@ -81,8 +81,8 @@ class FlowNetwork2:
         if not np.all(np.isfinite(self.gamma)):
             raise NetworkError("demands must be finite")
         if self.f_star is not None and not (isinstance(self.f_star, numbers.Real)
-                                            and math.isfinite(self.f_star)):
-            raise NetworkError(f"f_star must be a finite number, got {self.f_star!r}")
+                                            and 0 < self.f_star < math.inf):
+            raise NetworkError(f"f_star must be a positive finite number, got {self.f_star!r}")
         if self._gamma_in_image is not None and np.array_equal(self._gamma_in_image,
                                                                 self.gamma):
             return
@@ -230,15 +230,16 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     with the largest alpha.
     """
     net.validate()
+    state = initial_state(net)
+    if float(np.linalg.norm(net.gamma)) == 0.0:
+        # nothing to route, and no f_star: validate refuses the 0 it would be
+        return IPMResult(state.f, state.alpha, ())
     if net.f_star is None:
         net.f_star = estimate_f_star(net)
     base = 1.0 / (20.0 * math.sqrt(net.d2().n_cols))
     d2 = net.d2().to_csr()
     gnorm = float(np.linalg.norm(net.f_star * net.gamma))
-    state = initial_state(net)
     log = []
-    if float(np.linalg.norm(net.gamma)) == 0.0:
-        return IPMResult(state.f, state.alpha, ())
 
     def record(step: int, kind: str, halvings: int) -> None:
         res = float(np.linalg.norm(d2 @ state.f - state.alpha * net.f_star * net.gamma))

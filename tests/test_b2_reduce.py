@@ -567,6 +567,18 @@ def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
     assert (nullity, eig[nullity]) == (2, 1e-9)
 
 
+@pytest.mark.parametrize("lam, flagged", [(5e-12, True), (9e-12, True), (2e-11, False)])
+def test_nullity_note_flags_a_gap_near_the_zero_threshold(monkeypatch, lam, flagged):
+    # the report's smallest nonzero eigenvalue falls up the ladder; within
+    # 1e3 of ZERO_EIGENVALUE the note says that the count may soon be wrong
+    monkeypatch.setattr(sparse_core.spla, "eigsh",
+                        lambda *args, **kwargs: np.array([-1e-16, lam, 1.0, 2.0]))
+    check = spectral_certificate(reduce_da_to_b2(*single_difference()))["nullity"]
+    flag = " (within 1e3 of the zero threshold: the count may be off)"
+    assert check.ok and f"smallest nonzero {lam:.3g}" in check.note
+    assert check.note.endswith(flag) is flagged
+
+
 def test_derived_fields_match_the_construction():
     # central, equation_rhs and loop_weight are read off K, gamma and weights
     da, _, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)

@@ -332,6 +332,32 @@ def test_validate_missing_edge():
     assert violation(disk_with(tri=tri)) == "triangle 2 references missing edge (0, 1)"
 
 
+def test_validate_duplicate_edge():
+    # the side pass reports the duplicate that _lookup meets, which used to
+    # raise out of validate
+    edges = DISK_EDGE_ORDER[:-1] + [DISK_EDGE_ORDER[0]]
+    assert violation(disk_with(edges=edges)) == "duplicate edge (1, 2)"
+
+
+def test_boundary2_raises_the_violation_of_validate():
+    tri = DISK_TRIANGLES[:2]
+    for K in (disk_with(tri=tri + [(0, 1, 2)]), disk_with(tri=tri + [(1, 3, 7)]),
+              disk_with(tri=tri + [(3, 3, 1)]),
+              disk_with(edges=DISK_EDGE_ORDER[:-1] + [DISK_EDGE_ORDER[0]])):
+        with pytest.raises(ComplexStructureError) as exc:
+            boundary2(K)
+        assert str(exc.value) == violation(K)
+
+
+def test_validate_returns_d2_when_a_later_check_fails():
+    # every side is an edge, so the side pass builds d2 whatever fails next
+    for K in (disk_with(central=(-1,)), disk_with(loops=[(0, 1, 2)]),
+              disk_with(kinds="IBBIII")):
+        report = validate(K)
+        assert not report.ok and np.array_equal(report.d2.to_dense(), DISK_D2)
+    assert validate(disk_with(tri=DISK_TRIANGLES[:2] + [(0, 1, 2)])).d2 is None
+
+
 def test_validate_inconsistent_loop_table():
     K = disk_with(loops=[(0, 1, 2)])
     assert violation(K) == "loop-edge table of equation 0 is inconsistent"

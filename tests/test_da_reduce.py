@@ -526,6 +526,19 @@ def test_columns_are_read_only_and_checked_row_by_row():
         WeightedDASystem(3, *good.values(), 2, 1)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_scale_or_rhs_is_refused(value):
+    # inf > 0 held, so an infinite weight or scale passed the positive rule
+    good = dict(average=[False, True], var=[(0, 1, -1), (0, 1, 2)], weight=[1.0, 1.0],
+                rhs=[1.0, 0.0], scale=[1.0, 2.0])
+    for name, q in (("weight", 0), ("scale", 1), ("rhs", 0), ("rhs", 1)):
+        column = list(good[name])
+        column[q] = value
+        with pytest.raises(ValueError, match=f"^row {q}: weight, scale and right-hand "
+                                             "side must be finite$"):
+            WeightedDASystem(3, *{**good, name: column}.values(), 1, 1)
+
+
 def test_pow2_ceil_matches_the_integer_rule():
     p = [1, 2, 3, 5, 7, 8, 9, 1000, 1023, 1024, 1025]
     p += [2 ** e + d for e in range(2, 53) for d in (-1, 0, 1) if 2 ** e + d <= 2 ** 52]

@@ -355,6 +355,96 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
         monkeypatch.setattr(complex2, name, counted(name))
     assert main(["verify", "--dir", str(out)]) == 0
     assert calls == {"_boundary": 1, "_lookup": 1}
+    # an invalid complex whose sides are all edges: validate's d2 is the one
+    # compared, where verify used to build boundary2(K) a second time
+    _tamper_complex(out, "flipped-triangle")
+    calls.update(_boundary=0, _lookup=0)
+    assert main(["verify", "--dir", str(out)]) == 1
+    assert calls == {"_boundary": 1, "_lookup": 1}
+
+
+def _tamper_complex(out, case: str) -> complex2.Complex2:
+    """Rewrite ``out``'s complex with one fault: a triangle side that is no
+    edge, an edge stored twice, or a triangle turned over (its sides still
+    edges, two triangles inducing one sign on each of them)."""
+    path = out / fileio.BOUNDARY_FILES["complex"]
+    K = fileio.read_complex(path)
+    tri, edge = K.tri.copy(), K.edge.copy()
+    if case == "missing-edge":
+        a, b = tri[-1, 1:]
+        joined = edge[(edge == a).any(axis=1) | (edge == b).any(axis=1)]
+        tri[-1, 0] = min(set(range(K.n_vertices)) - set(joined.ravel().tolist()))
+    elif case == "duplicate-edge":
+        edge[-1] = edge[-2]
+    else:
+        tri[0] = tri[0, ::-1]
+    K = complex2.Complex2(K.n_vertices, tri, K.tri_group, edge, K.kind, K.central, K.loops)
+    fileio.write_complex(path, K)
+    return K
+
+
+def _check_names(text: str) -> list[str]:
+    return [line.split("] ", 1)[1].split(":")[0] for line in text.splitlines()]
+
+
+@pytest.mark.parametrize("case, fault", [("missing-edge", "references missing edge"),
+                                         ("duplicate-edge", "duplicate edge"),
+                                         ("flipped-triangle", "has equal induced signs")])
+def test_cli_verify_reports_every_structural_fault_and_runs_on(tmp_path, capsys, case, fault):
+    # verify used to abort on a missing or duplicate edge with one error:
+    # line, as boundary2 raised out of its fallback and _lookup out of validate
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 0
+    names = _check_names(capsys.readouterr().out)
+    K = _tamper_complex(out, case)
+    assert main(["verify", "--dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "error:" not in captured.out + captured.err
+    assert _check_names(captured.out) == names
+    report = validate(K)
+    assert fault in report.violation
+    assert lines[0] == f"[FAIL] complex structure: {report.violation}"
+    assert lines[1].startswith("[FAIL] d2 is the boundary operator of the complex")
+    assert all(line.startswith("[PASS]") for line in lines[2:])
+    if case == "flipped-triangle":
+        assert report.d2.equals(complex2._side_matrix(K)[1])
+    else:
+        assert report.d2 is None
+        assert lines[1].endswith(": the complex has none to compare with")
+        with pytest.raises(complex2.ComplexStructureError) as exc:
+            boundary2(K)
+        assert str(exc.value) == report.violation
+
+
+def test_cli_verify_checks_gamma_against_da_json(tmp_path, capsys):
+    # the demands of one equation's three loop edges raised by 1 used to pass
+    # verify; gamma is now compared with da.json's rhs, exactly
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    path = out / fileio.BOUNDARY_FILES["gamma"]
+    gamma = fileio.read_vector(path)
+    loops = fileio.read_complex(out / fileio.BOUNDARY_FILES["complex"]).loops
+    # one equation's loop edges, then the first other edge (the build lists
+    # the loop edges first)
+    for edit in (loops[0], [loops.size]):
+        tampered = gamma.copy()
+        tampered[edit] += 1.0
+        fileio.write_vector(path, tampered)
+        capsys.readouterr()
+        assert main(["verify", "--dir", str(out)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[FAIL]")]
+        e = int(np.min(edit))
+        assert failed == [f"[FAIL] b2_gamma.npy is the rhs of da.json on the loop edges, "
+                          f"0 elsewhere: entry {e} is {tampered[e]:g}, "
+                          f"expected {gamma[e]:g}"]
 
 
 def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
@@ -663,6 +753,8 @@ NETWORK_FAULTS = {
     "string-f-star": ("f_star", "x", "f_star"),
     "nan-f-star": ("f_star", np.nan, "f_star"),
     "inf-f-star": ("f_star", np.inf, "f_star"),
+    "zero-f-star": ("f_star", 0, "f_star"),
+    "negative-f-star": ("f_star", -2.0, "f_star"),
 }
 
 
@@ -858,6 +950,9 @@ DA_ROW_FAULTS = {
     "zero weight": (1, "weight", 0),
     "negative scale": (0, "scale", -1.0),
     "average with rhs": ("average", "rhs", 1.0),
+    "infinite weight": (1, "weight", float("inf")),
+    "infinite scale": (2, "scale", float("inf")),
+    "nan rhs": (0, "rhs", float("nan")),
 }
 
 

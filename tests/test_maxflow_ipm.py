@@ -147,6 +147,11 @@ def test_run_ipm_zero_demand():
     result = run_ipm(net, 50)
     assert result.alpha == 0.0
     assert np.all(result.f == 0.0)
+    # without an f_star none is estimated, so a second run validates too
+    net.f_star = None
+    for _ in range(2):
+        assert run_ipm(net, 50).alpha == 0.0
+    assert net.f_star is None
 
 
 def test_zero_capacity_rejected():
@@ -385,6 +390,15 @@ def test_demo_network_bracket_closes():
         lower, upper, _ = f_star_bracket(_demo_network(average))
         assert upper - lower <= 1e-9 * lower
         assert lower == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("f_star", [0, 0.0, -2.0, -math.inf])
+def test_non_positive_f_star_is_refused(f_star):
+    # run_ipm reported alpha 0.9954 for an f_star of 0 and of -2
+    net = _demo_network(average=False)
+    net.f_star = f_star
+    with pytest.raises(NetworkError, match="^f_star must be a positive finite number"):
+        run_ipm(net, 10)
 
 
 def test_bracket_without_dual_bound_raises(monkeypatch):
