@@ -1,30 +1,11 @@
 """Reductions from sparse integer linear equations to boundary-operator and
 combinatorial-Laplacian systems on oriented 2-complexes."""
 
-from .sparse_core import (
-    SparseMatrix,
-    SpectralSummary,
-    least_squares,
-    projection_residual,
-    spectral_summary,
-)
-from .complex2 import (
-    Complex2,
-    EdgeRecord,
-    OrientedTriangle,
-    boundary1,
-    boundary2,
-    laplacian1,
-    triangulate_punctured_sphere,
-    triangulate_tube,
-    validate,
-)
+from .sparse_core import SparseMatrix, least_squares
+from .complex2 import Complex2, boundary1, boundary2, laplacian1, validate
 from .da_reduce import (
-    DARow,
     GeneralSystem,
     WeightedDASystem,
-    average_row,
-    choose_epsilon_da,
     difference_row,
     gz2_to_da,
     map_da_solution_back,
@@ -35,10 +16,8 @@ from .da_reduce import (
 from .b2_reduce import (
     BoundaryProblem,
     compute_edge_weights,
-    epsilon_feasible,
     map_soln_b2_to_da,
     reduce_da_to_b2,
-    reduce_reg,
     spectral_certificate,
 )
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian

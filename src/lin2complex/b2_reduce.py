@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,9 +103,6 @@ class BoundaryProblem:
     @property
     def n_edges(self) -> int:
         return self.d2.n_rows
-
-    def loop_rows(self, q: int) -> tuple[int, int, int]:
-        return tuple(self.K.loops[q].tolist())
 
     def pattern_matrix(self) -> SparseMatrix:
         return self.da.pattern_matrix()
@@ -332,11 +328,6 @@ def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
     return f[central].copy()
 
 
-def epsilon_feasible(eps_da: float, nnz_a: int) -> float:
-    """Accuracy to request from the boundary solve in the feasible case."""
-    return eps_da / (42.0 * nnz_a)
-
-
 class _Paths(NamedTuple):
     """Each tube's path in closed form, by global edge ids: from the central
     triangle it crosses the sphere edges ``start + step k + even [k even]``
@@ -351,65 +342,16 @@ class _Paths(NamedTuple):
     connecting: np.ndarray
 
 
-def _tube_paths(paths: _Paths) -> tuple[np.ndarray, np.ndarray]:
-    """The (path_tube, path_edge) arrays of ``PathWeights``, one entry per
-    edge of every path, each path from its boundary triangle up: the
-    connecting edge, the hole side, then the sphere edges k = count - 1 .. 0."""
-    length = paths.count + 2
-    end = np.cumsum(length)
-    first = end - length
-    k = np.repeat(end - 1, length) - np.arange(length.sum())
-    path_edge = (np.repeat(paths.start, length) + np.repeat(paths.step, length) * k
-                 + np.repeat(paths.even, length) * (1 - (k & 1)))
-    path_edge[first] = paths.connecting
-    path_edge[first + 1] = paths.hole
-    return np.repeat(np.arange(length.size), length), path_edge
-
-
-class PathWeights:
+class PathWeights(NamedTuple):
     """Shortest triangle paths from each central triangle to the slot-1
     boundary triangles: ``l_q``, the total length of each equation's paths,
-    and the paths themselves.
+    and each of the ``tubes``' paths in closed form (``closed_form``, one
+    entry a tube).  Listed edge by edge, the paths hold Θ(sum h^2) entries
+    over spheres of h holes, and no weight needs them."""
 
-    Entry i of ``path_tube`` and ``path_edge`` says that tube path_tube[i]'s
-    path crosses edge path_edge[i]; each tube's entries run from its
-    boundary triangle up to the central triangle.  The two arrays hold one
-    entry per path edge, Θ(sum h^2) over spheres of h holes, and no weight
-    needs them: ``compute_edge_weights`` hands over each path's closed form,
-    from which the arrays are laid out on first access.
-    """
-
-    def __init__(self, l_q: np.ndarray, tubes: Tubes, paths: _Paths):
-        self.l_q, self.tubes, self._closed_form = l_q, tubes, paths
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _tube_paths(self._closed_form)
-
-    @property
-    def path_tube(self) -> np.ndarray:
-        return self._arrays[0]
-
-    @property
-    def path_edge(self) -> np.ndarray:
-        return self._arrays[1]
-
-    @property
-    def paths(self) -> dict[tuple[int, int, int], tuple[int, ...]]:
-        """Edge ids of each path, from the central triangle outward, keyed
-        by the tube's (equation, variable, copy)."""
-        tubes = self.tubes
-        upward = self.path_edge[np.argsort(self.path_tube, kind="stable")]
-        ends = np.cumsum(np.bincount(self.path_tube, minlength=tubes.q.size))
-        keys = zip(tubes.q.tolist(), tubes.var.tolist(), tubes.copy.tolist())
-        return {key: tuple(reversed(part.tolist()))
-                for key, part in zip(keys, np.split(upward, ends[:-1]))}
-
-    @property
-    def k_qe(self) -> dict[tuple[int, int], int]:
-        """Number of equation-q paths through edge e, keyed (q, e)."""
-        return dict(Counter(zip(self.tubes.q[self.path_tube].tolist(),
-                                self.path_edge.tolist())))
+    l_q: np.ndarray
+    tubes: Tubes
+    closed_form: _Paths
 
 
 @functools.cache
@@ -526,8 +468,8 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     sphere edges, at most 2h - 3 on a sphere of h holes, so time and memory
     are linear in the number of tubes and edges, O(t).  An equation has at
     most four tubes, so k_{q,e} <= 4 holds by construction and is not
-    checked.  Returns (PathWeights, weight vector); the PathWeights lays
-    its paths out only when they are read.  Raises ``ReductionError``,
+    checked.  Returns (PathWeights, weight vector); the PathWeights holds
+    the paths in closed form only.  Raises ``ReductionError``,
     naming alpha, when a weight is not finite: alpha times a mass can
     overflow float64.
     """

@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
 
 def cmd_maxflow_demo(args) -> int:
     net_obj = fileio.read_json(args.network)
+    if not isinstance(net_obj, dict):
+        raise NetworkError(f"{args.network} is not a JSON object")
     for key in ("complex", "capacities", "gamma"):
         if key not in net_obj:
             raise NetworkError(f"{args.network} has no {key!r} entry")

@@ -1,4 +1,4 @@
-"""Oriented 2-complex data model, triangulation builders, boundary operators.
+"""Oriented 2-complex data model, sphere and tube cell templates, boundary operators.
 
 The complex is stored purely combinatorially, as integer arrays: oriented
 triangles (vertex triples up to even permutation), oriented edges, a
@@ -20,7 +20,6 @@ from .sparse_core import SparseMatrix
 # the int8 code of an edge kind is its index in EDGE_KINDS
 EDGE_KINDS = (EDGE_LOOP, EDGE_INTERIOR, EDGE_BOUNDARY) = ("loop", "interior", "boundary")
 LOOP, INTERIOR, BOUNDARY = range(3)
-ORIENTATION_OPPOSITE, ORIENTATION_IDENTICAL = "opposite", "identical"
 
 
 class ComplexStructureError(ValueError):
@@ -186,72 +185,6 @@ def tube_cells(hole_cycle: tuple[int, int, int], loop_cycle: tuple[int, int, int
     # inner-edge triangles in _annulus_cells order: (a,p,q)=3, (c,q,r)=5, (p,b,r)=4
     by_slot = {1: 3, 2: 5, 3: 4} if sign > 0 else {1: 4, 2: 5, 3: 3}
     return _annulus_cells((w1, w3, w2), inner), by_slot
-
-
-def _patch(n_vertices: int, triangles, cycles) -> Complex2:
-    """``from_triangles`` with the boundary edges, those of ``cycles``,
-    oriented along their cycle."""
-    K = from_triangles(n_vertices, triangles)
-    tails = _column(cycles)
-    heads = np.roll(_column(cycles, 3), -1, axis=1).ravel()
-    K.edge[_lookup(K, tails, heads)] = np.stack([tails, heads], axis=1)
-    return K
-
-
-def triangulate_punctured_sphere(n_boundary: int) -> Complex2:
-    """Oriented triangulation of a sphere with ``n_boundary`` punctures.
-
-    Produces exactly 5b-4 triangles, 9b-6 edges and 3b vertices; every
-    boundary component is a 3-edge cycle.
-    """
-    if n_boundary < 1:
-        raise ValueError("a punctured sphere needs at least one boundary component")
-    n_vertices, triangles, holes = sphere_cells(n_boundary)
-    return _patch(n_vertices, triangles, holes)
-
-
-def triangulate_tube(orientation_match: str,
-                     hole_cycle: tuple[int, int, int] = (0, 1, 2),
-                     loop_cycle: tuple[int, int, int] = (3, 4, 5)) -> Complex2:
-    """Standalone oriented tube between two 3-cycles: 6 triangles, 12 edges.
-
-    ``orientation_match`` is "opposite" for a positive coefficient (the two
-    boundary components are traversed with opposite orientations) and
-    "identical" for a negative one.
-    """
-    if orientation_match not in (ORIENTATION_OPPOSITE, ORIENTATION_IDENTICAL):
-        raise ValueError(f"unknown orientation_match {orientation_match!r}")
-    if set(hole_cycle) & set(loop_cycle):
-        raise ValueError("boundary triples must be disjoint")
-    sign = 1 if orientation_match == ORIENTATION_OPPOSITE else -1
-    triangles, _ = tube_cells(hole_cycle, loop_cycle, sign)
-    n_vertices = max(max(hole_cycle), max(loop_cycle)) + 1
-    return _patch(n_vertices, triangles, [hole_cycle, loop_cycle])
-
-
-def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
-    """Build a one-group complex from oriented triangles alone.
-
-    Edge kinds are inferred from incidence (one triangle: boundary, two:
-    interior).  ``edge_order`` optionally fixes the edge rows as a list of
-    (tail, head) pairs; by default edges are sorted lexicographically with
-    the smaller endpoint first.
-    """
-    tri = _column(triangles, 3)
-    base = max(n_vertices, int(tri.max(initial=-1)) + 1)
-    keys, count = np.unique(_edge_keys(tri, np.roll(tri, -1, axis=1), base),
-                            return_counts=True)
-    if edge_order is None:
-        edge = np.stack(np.divmod(keys, base), axis=1)
-    else:
-        edge = _column(edge_order, 2)
-        order_keys = _edge_keys(edge[:, 0], edge[:, 1], base)
-        if not np.array_equal(np.sort(order_keys), keys):
-            raise ComplexStructureError("edge_order does not cover the triangle edges")
-        count = count[np.searchsorted(keys, order_keys)]
-    kind = np.where(count == 1, BOUNDARY, INTERIOR)
-    return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind,
-                    central=[0] if len(tri) else [])
 
 
 def boundary2(K: Complex2) -> SparseMatrix:

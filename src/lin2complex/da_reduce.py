@@ -200,11 +200,6 @@ class DARow:
     rhs: float = 0.0
     scale: float = 1.0
 
-    def pattern_entries(self) -> list[tuple[int, float]]:
-        if self.kind == KIND_DIFFERENCE:
-            return [(self.i, 1.0), (self.j, -1.0)]
-        return [(self.i, 1.0), (self.j, 1.0), (self.k, -2.0)]
-
 
 def difference_row(i: int, j: int, rhs: float = 0.0,
                    weight: float = 1.0, scale: float = 1.0) -> DARow:
@@ -231,9 +226,8 @@ class WeightedDASystem:
     ``DARow``.  The first ``n_main`` rows are the main rows, the other
     ``n_aux`` the auxiliary ones.  The constructor copies the columns,
     makes them read-only and checks every row, raising ``ValueError``
-    naming the first bad one.  ``rows`` materializes ``DARow`` records on
-    every access, for inspection only.  Two systems are equal when their
-    sizes and columns are.
+    naming the first bad one.  Two systems are equal when their sizes and
+    columns are.
     """
 
     def __init__(self, n_vars: int, average, var, weight, rhs, scale,
@@ -289,15 +283,6 @@ class WeightedDASystem:
         """The number of pattern entries: two a difference row, three an average row."""
         return 2 * self.n_rows + int(np.count_nonzero(self.average))
 
-    @property
-    def rows(self) -> tuple[DARow, ...]:
-        """Per-row records, materialized on every access; for inspection only."""
-        return tuple(DARow(KIND_AVERAGE if a else KIND_DIFFERENCE, i, j, k if a else None,
-                           w, r, s)
-                     for a, (i, j, k), w, r, s in zip(
-                         self.average.tolist(), self.var.tolist(), self.weight.tolist(),
-                         self.rhs.tolist(), self.scale.tolist()))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedDASystem):
             return NotImplemented
@@ -310,9 +295,6 @@ class WeightedDASystem:
     def row_factors(self) -> np.ndarray:
         """Each row's weight^(1/2) * scale."""
         return np.sqrt(self.weight) * self.scale
-
-    def as_matrix(self) -> SparseMatrix:
-        return self.pattern_matrix().row_scaled(self.row_factors())
 
     def rhs_vector(self) -> np.ndarray:
         return self.row_factors() * self.rhs
@@ -479,7 +461,9 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     at entry can fail: a G_z2 row always pairs down to a scaled difference.
 
     Returns (system, rhs, trace) where rhs is the weighted right-hand side
-    aligned with ``system.as_matrix()`` and trace a ``DAReductionTrace``.
+    ``system.rhs_vector()``, aligned with the weighted rows
+    ``pattern_matrix().row_scaled(row_factors())``, and trace a
+    ``DAReductionTrace``.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -531,24 +515,3 @@ def map_da_solution_back(sys: GeneralSystem, x_b) -> np.ndarray:
     if np.all(atb == 0.0):
         return np.zeros(sys.A.n_cols)
     return x_b[: sys.A.n_cols].copy()
-
-
-def choose_epsilon_da(eps_a: float, sys: GeneralSystem) -> float:
-    """Accuracy to request from the difference-average solve.
-
-    eps_a / (sqrt(n m) * max|A| * ||b||_2); with b = 0 any x is optimal and
-    eps_a itself is returned.
-    """
-    if not (0.0 < eps_a < 1.0):
-        raise ValueError("eps_a must lie in (0, 1)")
-    b_norm = float(np.linalg.norm(sys.b))
-    if b_norm == 0.0:
-        return eps_a
-    n, m = sys.A.n_cols, sys.A.n_rows
-    return eps_a / (math.sqrt(n * m) * sys.A.max_abs() * b_norm)
-
-
-def nnz_growth_ratio(sys: GeneralSystem, da: WeightedDASystem) -> float:
-    """Measured constant C in nnz(B) <= C nnz(A) log2(2 + max|A|)."""
-    nnz_b = da.pattern_nnz
-    return nnz_b / (sys.A.nnz * math.log2(2.0 + sys.A.max_abs()))

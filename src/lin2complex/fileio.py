@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import zipfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,7 @@ def read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-text bytes
             raise ArtifactError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -135,49 +136,38 @@ def da_system_to_json(sys: WeightedDASystem) -> dict:
     return {"n_vars": sys.n_vars, "n_main": sys.n_main, "n_aux": sys.n_aux, "rows": rows}
 
 
-def _da_row(q: int, row) -> None:
-    """Raise ``ArtifactError`` naming row q of a da.json system when it
-    fails a check of ``_da_columns``: a field is missing or of the wrong
-    type, or the kind is unknown."""
-    if not isinstance(row, dict):
-        raise ArtifactError(f"row {q}: not an object")
-    row = {**_DA_ROW_DEFAULTS, **row}
-    for name in ("kind", "i", "j"):
-        if name not in row:
-            raise ArtifactError(f"row {q}: no {name!r}")
-    if type(row["kind"]) is not str or row["kind"] not in (KIND_DIFFERENCE, KIND_AVERAGE):
-        raise ArtifactError(f"row {q}: unknown kind {row['kind']!r}")
-    if row["kind"] == KIND_AVERAGE and row["k"] is None:
-        raise ArtifactError(f"row {q}: an average row needs 'k'")
-    ids = (row["i"], row["j"], -1 if row["k"] is None else row["k"])
-    if any(type(v) is not int for v in ids):
-        raise ArtifactError(f"row {q}: a variable id is not an integer")
-    if any(type(row[name]) not in (int, float) for name in ("weight", "rhs", "scale")):
-        raise ArtifactError(f"row {q}: a weight, rhs or scale is not a number")
-
-
-def _types(column: list) -> set:
-    return {type(v) for v in column}
+# the rules of a da.json row, in the order they are checked
+_DA_ROW_RULES = ("not an object", "no 'kind'", "no 'i'", "no 'j'", "unknown kind {!r}",
+                 "an average row needs 'k'", "a variable id is not an integer",
+                 "a weight, rhs or scale is not a number")
 
 
 def _da_columns(rows: list):
-    """The columns (average, i, j, k, weight, rhs, scale) of da.json rows,
-    checked a column at a time (one list per field and one set of the types
-    in it); None when a check fails."""
-    if not all(issubclass(t, dict) for t in _types(rows)):
-        return None
+    """The columns (average, var, weight, rhs, scale) of da.json rows, one
+    list per field, checked in one pass; raises ``ArtifactError`` naming the
+    first bad row and the first of ``_DA_ROW_RULES`` it breaks."""
+    objects = [isinstance(row, dict) for row in rows]
+    rows = [row if ok else {} for row, ok in zip(rows, objects)]
     kind, i, j, k = ([row.get(name) for row in rows] for name in ("kind", "i", "j", "k"))
     numbers = [[row.get(name, _DA_ROW_DEFAULTS[name]) for row in rows]
                for name in ("weight", "rhs", "scale")]
-    if (_types(kind) - {str} or set(kind) - {KIND_DIFFERENCE, KIND_AVERAGE}
-            or _types(i) - {int} or _types(j) - {int} or _types(k) - {int, type(None)}
-            or any(_types(column) - {int, float} for column in numbers)):
-        return None
-    average = np.array(kind, dtype=str) == KIND_AVERAGE
-    no_k = np.array([v is None for v in k], dtype=bool)
-    if np.any(average & no_k):
-        return None
-    return (average, i, j, [-1 if v is None else v for v in k], *numbers)
+    average = [v == KIND_AVERAGE for v in kind]
+    faults = np.array([
+        [not ok for ok in objects],
+        *([name not in row for row in rows] for name in ("kind", "i", "j")),
+        [type(v) is not str or v not in (KIND_DIFFERENCE, KIND_AVERAGE) for v in kind],
+        [avg and v is None for avg, v in zip(average, k)],
+        [type(a) is not int or type(b) is not int or (c is not None and type(c) is not int)
+         for a, b, c in zip(i, j, k)],
+        [any(type(v) not in (int, float) for v in row) for row in zip(*numbers)],
+    ], dtype=bool)
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        q = int(bad[0])
+        rule = _DA_ROW_RULES[int(np.argmax(faults[:, q]))]
+        raise ArtifactError(f"row {q}: {rule.format(kind[q])}")
+    var = np.array([i, j, [-1 if v is None else v for v in k]], dtype=np.int64).T
+    return (average, var, *numbers)
 
 
 def da_system_from_json(obj) -> WeightedDASystem:
@@ -192,14 +182,8 @@ def da_system_from_json(obj) -> WeightedDASystem:
     if any(type(v) is not int for v in sizes) or not isinstance(rows, list):
         raise ArtifactError("expected an object with integers 'n_vars', 'n_main' and "
                             "'n_aux' and a list 'rows'")
-    columns = _da_columns(rows)
-    if columns is None:
-        for q, row in enumerate(rows):
-            _da_row(q, row)  # raises at the first row that failed a column check
-    average, i, j, k, *numbers = columns
     try:
-        return WeightedDASystem(sizes[0], average, np.array([i, j, k], dtype=np.int64).T,
-                                *numbers, *sizes[1:])
+        return WeightedDASystem(sizes[0], *_da_columns(rows), *sizes[1:])
     except (ValueError, OverflowError) as exc:
         raise ArtifactError(str(exc)) from None
 
@@ -236,6 +220,9 @@ def complex_from_json(obj) -> Complex2:
     fields of one table with different lengths and ids out of range, naming
     the field, and ignores other keys, such as the ``edge_group``,
     ``edge_q`` and ``edge_r`` columns of older archives."""
+    if not isinstance(obj, Mapping):
+        raise ComplexStructureError(f"a complex is an object of flat int lists, "
+                                    f"not a {type(obj).__name__}")
     cols = {}
     for name in ["n_vertices", *COMPLEX_FIELDS]:
         a = np.asarray(obj.get(name, "missing"))

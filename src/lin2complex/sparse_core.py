@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,24 +113,11 @@ class SparseMatrix:
         return SparseMatrix(csc.tocsr())
 
     @staticmethod
-    def from_entries(n_rows: int, n_cols: int,
-                     entries: Iterable[tuple[int, int, float]]) -> "SparseMatrix":
-        entries = list(entries)
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] for e in entries]
-        return SparseMatrix.from_arrays(n_rows, n_cols, rows, cols, vals)
-
-    @staticmethod
     def from_dense(a) -> "SparseMatrix":
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise DimensionError("expected a 2-d array")
         return SparseMatrix(sp.csr_matrix(a))
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(sp.identity(n, dtype=np.float64, format="csr"))
 
     @staticmethod
     def from_scipy(m) -> "SparseMatrix":

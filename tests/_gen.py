@@ -2,21 +2,38 @@
 
 Oracles here are deliberately independent of the library's solve paths:
 minimum residuals come from numpy lstsq/pinv on dense arrays, projections
-from explicitly formed projectors, ranks from dense SVD.
+from explicitly formed projectors, ranks from dense SVD.  The builders of
+standalone patches, the paper's accuracy recipe and the per-row and
+per-path views live here too: the tests use them and no product path does.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from lin2complex.complex2 import INTERIOR, triangle_adjacency
+from lin2complex.complex2 import (
+    BOUNDARY,
+    INTERIOR,
+    Complex2,
+    ComplexStructureError,
+    _edge_keys,
+    _lookup,
+    sphere_cells,
+    triangle_adjacency,
+    tube_cells,
+)
 from lin2complex.da_reduce import (
     CLASS_G,
     CLASS_GZ2,
+    KIND_AVERAGE,
+    KIND_DIFFERENCE,
+    DARow,
     GeneralSystem,
     MatrixClassError,
     WeightedDASystem,
@@ -52,6 +69,122 @@ def dense_rank(A_dense) -> int:
 def dense_nullity(A_dense) -> int:
     A_dense = np.asarray(A_dense, float)
     return A_dense.shape[1] - dense_rank(A_dense)
+
+
+# -- standalone patches -------------------------------------------------------
+
+ORIENTATION_OPPOSITE, ORIENTATION_IDENTICAL = "opposite", "identical"
+
+
+def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
+    """Build a one-group complex from oriented triangles alone.
+
+    Edge kinds are inferred from incidence (one triangle: boundary, two:
+    interior).  ``edge_order`` optionally fixes the edge rows as a list of
+    (tail, head) pairs; by default edges are sorted lexicographically with
+    the smaller endpoint first.
+    """
+    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    base = max(n_vertices, int(tri.max(initial=-1)) + 1)
+    keys, count = np.unique(_edge_keys(tri, np.roll(tri, -1, axis=1), base),
+                            return_counts=True)
+    if edge_order is None:
+        edge = np.stack(np.divmod(keys, base), axis=1)
+    else:
+        edge = np.asarray(edge_order, dtype=np.int64).reshape(-1, 2)
+        order_keys = _edge_keys(edge[:, 0], edge[:, 1], base)
+        if not np.array_equal(np.sort(order_keys), keys):
+            raise ComplexStructureError("edge_order does not cover the triangle edges")
+        count = count[np.searchsorted(keys, order_keys)]
+    kind = np.where(count == 1, BOUNDARY, INTERIOR)
+    return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind,
+                    central=[0] if len(tri) else [])
+
+
+def _patch(n_vertices: int, triangles, cycles) -> Complex2:
+    """``from_triangles`` with the boundary edges, those of ``cycles``,
+    oriented along their cycle."""
+    K = from_triangles(n_vertices, triangles)
+    cycles = np.asarray(cycles, dtype=np.int64).reshape(-1, 3)
+    tails, heads = cycles.ravel(), np.roll(cycles, -1, axis=1).ravel()
+    K.edge[_lookup(K, tails, heads)] = np.stack([tails, heads], axis=1)
+    return K
+
+
+def triangulate_punctured_sphere(n_boundary: int) -> Complex2:
+    """Oriented triangulation of a sphere with ``n_boundary`` punctures.
+
+    Produces exactly 5b-4 triangles, 9b-6 edges and 3b vertices; every
+    boundary component is a 3-edge cycle.
+    """
+    if n_boundary < 1:
+        raise ValueError("a punctured sphere needs at least one boundary component")
+    n_vertices, triangles, holes = sphere_cells(n_boundary)
+    return _patch(n_vertices, triangles, holes)
+
+
+def triangulate_tube(orientation_match: str,
+                     hole_cycle: tuple[int, int, int] = (0, 1, 2),
+                     loop_cycle: tuple[int, int, int] = (3, 4, 5)) -> Complex2:
+    """Standalone oriented tube between two 3-cycles: 6 triangles, 12 edges.
+
+    ``orientation_match`` is "opposite" for a positive coefficient (the two
+    boundary components are traversed with opposite orientations) and
+    "identical" for a negative one.
+    """
+    if orientation_match not in (ORIENTATION_OPPOSITE, ORIENTATION_IDENTICAL):
+        raise ValueError(f"unknown orientation_match {orientation_match!r}")
+    if set(hole_cycle) & set(loop_cycle):
+        raise ValueError("boundary triples must be disjoint")
+    sign = 1 if orientation_match == ORIENTATION_OPPOSITE else -1
+    triangles, _ = tube_cells(hole_cycle, loop_cycle, sign)
+    n_vertices = max(max(hole_cycle), max(loop_cycle)) + 1
+    return _patch(n_vertices, triangles, [hole_cycle, loop_cycle])
+
+
+# -- row records ------------------------------------------------------------------
+
+def da_rows(sys: WeightedDASystem) -> tuple[DARow, ...]:
+    """The ``DARow`` records of a system's columns."""
+    return tuple(DARow(KIND_AVERAGE if a else KIND_DIFFERENCE, i, j, k if a else None,
+                       w, r, s)
+                 for a, (i, j, k), w, r, s in zip(
+                     sys.average.tolist(), sys.var.tolist(), sys.weight.tolist(),
+                     sys.rhs.tolist(), sys.scale.tolist()))
+
+
+def pattern_entries(row: DARow) -> list[tuple[int, float]]:
+    """A record's pattern entries as (variable, coefficient) pairs."""
+    if row.kind == KIND_DIFFERENCE:
+        return [(row.i, 1.0), (row.j, -1.0)]
+    return [(row.i, 1.0), (row.j, 1.0), (row.k, -2.0)]
+
+
+# -- the paper's accuracy recipe -------------------------------------------------
+
+def epsilon_feasible(eps_da: float, nnz_a: int) -> float:
+    """Accuracy to request from the boundary solve in the feasible case."""
+    return eps_da / (42.0 * nnz_a)
+
+
+def choose_epsilon_da(eps_a: float, sys: GeneralSystem) -> float:
+    """Accuracy to request from the difference-average solve.
+
+    eps_a / (sqrt(n m) * max|A| * ||b||_2); with b = 0 any x is optimal and
+    eps_a itself is returned.
+    """
+    if not (0.0 < eps_a < 1.0):
+        raise ValueError("eps_a must lie in (0, 1)")
+    b_norm = float(np.linalg.norm(sys.b))
+    if b_norm == 0.0:
+        return eps_a
+    n, m = sys.A.n_cols, sys.A.n_rows
+    return eps_a / (math.sqrt(n * m) * sys.A.max_abs() * b_norm)
+
+
+def nnz_growth_ratio(sys: GeneralSystem, da: WeightedDASystem) -> float:
+    """Measured constant C in nnz(B) <= C nnz(A) log2(2 + max|A|)."""
+    return da.pattern_nnz / (sys.A.nnz * math.log2(2.0 + sys.A.max_abs()))
 
 
 # -- difference-average instances ----------------------------------------------
@@ -109,7 +242,7 @@ def planted_da_instance(rng: np.random.Generator, n_seed: int, n_grow: int,
             rows.append(difference_row(v, (v + 1) % n))
     sys = plain_da_system(n, rows)
     b = np.array([x_star[r.i] - x_star[r.j] if r.kind == "difference" else 0.0
-                  for r in sys.rows])
+                  for r in da_rows(sys)])
     assert np.allclose(sys.pattern_matrix().to_dense() @ x_star, b)
     return sys, b, x_star
 
@@ -120,7 +253,7 @@ def infeasible_da_instance(rng: np.random.Generator, n_vars: int, extra_rows: in
     a repeated difference pattern with conflicting right-hand sides."""
     sys, b = random_da_instance(rng, n_vars, extra_rows, p_average)
     i, j = map(int, rng.choice(n_vars, size=2, replace=False))
-    rows = list(sys.rows) + [difference_row(i, j), difference_row(j, i)]
+    rows = list(da_rows(sys)) + [difference_row(i, j), difference_row(j, i)]
     b = np.concatenate([b, [1.0, float(rng.integers(0, 3))]])
     return plain_da_system(n_vars, rows), b
 
@@ -392,3 +525,48 @@ def bfs_edge_weights(problem, alpha: float):
     interior = K.kind == INTERIOR
     weights[interior] = alpha * mass[interior]
     return l_q, path_tube, path_edge, weights
+
+
+# -- the listed paths of a PathWeights --------------------------------------------
+
+def _tube_paths(closed_form) -> tuple[np.ndarray, np.ndarray]:
+    """The (path_tube, path_edge) arrays of a ``PathWeights``' closed form,
+    one entry per edge of every path, each path from its boundary triangle
+    up: the connecting edge, the hole side, then the sphere edges
+    k = count - 1 .. 0.  Entry i says that tube path_tube[i]'s path crosses
+    edge path_edge[i]."""
+    length = closed_form.count + 2
+    end = np.cumsum(length)
+    first = end - length
+    k = np.repeat(end - 1, length) - np.arange(length.sum())
+    path_edge = (np.repeat(closed_form.start, length) + np.repeat(closed_form.step, length) * k
+                 + np.repeat(closed_form.even, length) * (1 - (k & 1)))
+    path_edge[first] = closed_form.connecting
+    path_edge[first + 1] = closed_form.hole
+    return np.repeat(np.arange(length.size), length), path_edge
+
+
+def path_tube(pw) -> np.ndarray:
+    return _tube_paths(pw.closed_form)[0]
+
+
+def path_edge(pw) -> np.ndarray:
+    return _tube_paths(pw.closed_form)[1]
+
+
+def paths(pw) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """Edge ids of each path, from the central triangle outward, keyed by
+    the tube's (equation, variable, copy)."""
+    tubes = pw.tubes
+    tube, edge = _tube_paths(pw.closed_form)
+    upward = edge[np.argsort(tube, kind="stable")]
+    ends = np.cumsum(np.bincount(tube, minlength=tubes.q.size))
+    keys = zip(tubes.q.tolist(), tubes.var.tolist(), tubes.copy.tolist())
+    return {key: tuple(reversed(part.tolist()))
+            for key, part in zip(keys, np.split(upward, ends[:-1]))}
+
+
+def k_qe(pw) -> dict[tuple[int, int], int]:
+    """Number of equation-q paths through edge e, keyed (q, e)."""
+    tube, edge = _tube_paths(pw.closed_form)
+    return dict(Counter(zip(pw.tubes.q[tube].tolist(), edge.tolist())))

@@ -13,14 +13,13 @@ import pytest
 
 from lin2complex.b2_reduce import (
     build_boundary_problem,
-    epsilon_feasible,
     map_soln_b2_to_da,
     reduce_da_to_b2,
     reduce_reg,
     spectral_certificate,
 )
-from lin2complex.complex2 import boundary1, boundary2, from_triangles, validate
-from lin2complex.da_reduce import CLASS_GZ2, GeneralSystem, gz2_to_da, nnz_growth_ratio
+from lin2complex.complex2 import boundary1, boundary2, validate
+from lin2complex.da_reduce import CLASS_GZ2, GeneralSystem, gz2_to_da
 from lin2complex.lap_solve import (
     solve_boundary_via_gram,
     solve_boundary_via_laplacian,
@@ -38,11 +37,15 @@ from lin2complex.pipeline import solve_general
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import (
+    da_rows,
     dense_lstsq,
     dense_nullity,
     dense_project,
+    epsilon_feasible,
+    from_triangles,
     group_indicator,
     infeasible_da_instance,
+    nnz_growth_ratio,
     planted_da_instance,
     planted_general_system,
     random_da_instance,
@@ -205,7 +208,7 @@ def test_criterion_08_da_reduction_exactness():
             da, _, _ = gz2_to_da(sys_g, alpha=alpha)
             max_ratio = max(max_ratio, nnz_growth_ratio(sys_g, da))
             A = sys_g.A.to_dense()
-            B = da.as_matrix().to_dense()
+            B = da.pattern_matrix().row_scaled(da.row_factors()).to_dense()
             cB = da.rhs_vector()
             n = sys_g.A.n_cols
             for _ in range(3):
@@ -225,7 +228,7 @@ def test_criterion_08_da_reduction_exactness():
         sys_w = GeneralSystem(SparseMatrix.from_dense([[3, 5, -1, -7]]), [1.0],
                               CLASS_GZ2)
         da_w, _, _ = gz2_to_da(sys_w)
-        main = da_w.rows[0]
+        main = da_rows(da_w)[0]
         assert main.kind == "difference" and main.scale == 8.0
         assert main.rhs == pytest.approx(1.0 / 8.0)
         assert da_w.n_aux == 6

@@ -4,6 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import b2_reduce, complex2, sparse_core
@@ -11,7 +12,6 @@ from lin2complex.b2_reduce import (
     ReductionError,
     build_boundary_problem,
     compute_edge_weights,
-    epsilon_feasible,
     map_soln_b2_to_da,
     reduce_da_to_b2,
     reduce_reg,
@@ -23,11 +23,14 @@ from lin2complex.da_reduce import average_row, difference_row, gz2_to_da, plain_
 from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
+import _gen
 from _gen import (
     bfs_edge_weights,
+    da_rows,
     dense_lstsq,
     dense_nullity,
     dense_project,
+    epsilon_feasible,
     group_indicator,
     infeasible_da_instance,
     planted_da_instance,
@@ -65,7 +68,7 @@ def test_single_average_shape():
     P = reduce_da_to_b2(sys, b)
     assert P.n_triangles == 32  # 11 * 4 - 4 * 3
     d2 = P.d2.to_dense()
-    for row_id in P.loop_rows(0):
+    for row_id in P.K.loops[0]:
         entries = sorted(d2[row_id][d2[row_id] != 0].tolist())
         assert entries == [-1.0, -1.0, 1.0, 1.0]
 
@@ -93,9 +96,9 @@ def test_structural_row_patterns():
         nz = d2[eid][d2[eid] != 0]
         if e.kind == EDGE_INTERIOR:
             assert sorted(nz.tolist()) == [-1.0, 1.0]
-    for q, row in enumerate(sys.rows):
+    for q, row in enumerate(da_rows(sys)):
         tubes = np.flatnonzero(P.tubes.q == q)
-        for slot, row_id in enumerate(P.loop_rows(q)):
+        for slot, row_id in enumerate(P.K.loops[q]):
             vals = {P.tubes.sign[t]: d2[row_id, P.tubes.cols[t, slot]] for t in tubes}
             assert vals[1] == 1.0
             if row.kind == "difference":
@@ -190,11 +193,11 @@ def test_edge_weights_single_difference():
     P = reduce_da_to_b2(sys, b)
     pw, weights = compute_edge_weights(P, alpha=2.0)
     # each sphere is one triangle; path = sphere -> tube outer -> boundary
-    assert all(len(p) == 2 for p in pw.paths.values())
+    assert all(len(p) == 2 for p in _gen.paths(pw).values())
     assert pw.l_q[0] == 4.0
     # weighted interior edges carry alpha * k * l; untouched ones stay 0
     interior = [eid for eid, e in enumerate(P.K.edges) if e.kind == EDGE_INTERIOR]
-    on_path = {eid for p in pw.paths.values() for eid in p}
+    on_path = {eid for p in _gen.paths(pw).values() for eid in p}
     for eid in interior:
         if eid in on_path:
             assert weights[eid] == pytest.approx(2.0 * 1 * 4.0)
@@ -259,18 +262,18 @@ def test_edge_weights_match_explicit_enumeration(seed):
     # stored paths are shortest: lengths equal oracle BFS distances
     dist = _paths_by_bfs_oracle(P)
     for q, var, copy, slot1 in zip(P.tubes.q, P.tubes.var, P.tubes.copy, P.tubes.cols[:, 0]):
-        path = pw.paths[(q, var, copy)]
+        path = _gen.paths(pw)[(q, var, copy)]
         assert len(path) == dist[slot1]
     # k counts from explicit path listing agree with the tree accumulation
     k_explicit = {}
-    for (q, _, _), path in pw.paths.items():
+    for (q, _, _), path in _gen.paths(pw).items():
         for eid in path:
             k_explicit[(q, eid)] = k_explicit.get((q, eid), 0) + 1
-    assert k_explicit == pw.k_qe
+    assert k_explicit == _gen.k_qe(pw)
     assert max(k_explicit.values(), default=0) <= 4
     for eid, e in enumerate(P.K.edges):
         if e.kind == EDGE_INTERIOR:
-            expected = alpha * sum(pw.l_q[q] * k for (q, e2), k in pw.k_qe.items()
+            expected = alpha * sum(pw.l_q[q] * k for (q, e2), k in _gen.k_qe(pw).items()
                                    if e2 == eid)
             assert weights[eid] == pytest.approx(expected)
     # each equation's total path length is bounded by paths x largest group
@@ -563,7 +566,7 @@ def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
     # at the Lanczos shift the zero eigenvalues come out slightly negative
     monkeypatch.setattr(sparse_core.spla, "eigsh",
                         lambda *args, **kwargs: np.array([-9e-17, -2e-17, 1e-9]))
-    eig, nullity = sparse_core.gram_spectrum(SparseMatrix.identity(4), 3)
+    eig, nullity = sparse_core.gram_spectrum(SparseMatrix.from_scipy(sp.identity(4)), 3)
     assert (nullity, eig[nullity]) == (2, 1e-9)
 
 
@@ -585,7 +588,7 @@ def test_derived_fields_match_the_construction():
     assert not da.is_unit()
     b = da.rhs
     P = build_boundary_problem(da, b)
-    base = np.array([row.weight * row.scale ** 2 for row in da.rows])
+    base = np.array([row.weight * row.scale ** 2 for row in da_rows(da)])
     assert np.array_equal(P.equation_rhs, b)
     assert np.array_equal(P.loop_weight, base)
     assert np.array_equal(P.central, np.searchsorted(P.K.tri_group, np.arange(da.n_vars)))
@@ -651,8 +654,8 @@ def test_build_matches_the_lookups_it_replaces(family):
         assert np.array_equal(pw.l_q, l_q)
         assert np.array_equal(weights, oracle_weights)
         # every tube's path, edge by edge from its boundary triangle up
-        assert np.array_equal(np.bincount(pw.path_tube), np.bincount(path_tube))
-        assert np.array_equal(pw.path_edge[np.argsort(pw.path_tube, kind="stable")],
+        assert np.array_equal(np.bincount(_gen.path_tube(pw)), np.bincount(path_tube))
+        assert np.array_equal(_gen.path_edge(pw)[np.argsort(_gen.path_tube(pw), kind="stable")],
                               path_edge[np.argsort(path_tube, kind="stable")])
 
 
@@ -694,16 +697,16 @@ def test_reduce_chain_lists_no_path(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("the paths were listed")
 
-    monkeypatch.setattr(b2_reduce, "_tube_paths", forbidden)
+    monkeypatch.setattr(_gen, "_tube_paths", forbidden)
     chain = reduce_chain(three_per_row_system(5, 12), 1e-3)
     pw, weights = compute_edge_weights(chain.problem, chain.alpha)
     assert np.array_equal(weights, chain.problem.weights)
     with pytest.raises(pytest.fail.Exception, match="the paths were listed"):
-        pw.path_edge
+        _gen.path_edge(pw)
     monkeypatch.undo()
     l_q, path_tube, path_edge, oracle_weights = bfs_edge_weights(chain.problem, chain.alpha)
     assert np.array_equal(weights, oracle_weights) and np.array_equal(pw.l_q, l_q)
-    assert np.array_equal(pw.path_edge[np.argsort(pw.path_tube, kind="stable")],
+    assert np.array_equal(_gen.path_edge(pw)[np.argsort(_gen.path_tube(pw), kind="stable")],
                           path_edge[np.argsort(path_tube, kind="stable")])
 
 

@@ -12,16 +12,20 @@ from lin2complex.complex2 import (
     LOOP,
     boundary1,
     boundary2,
-    from_triangles,
     laplacian1,
     sphere_cells,
-    triangulate_punctured_sphere,
-    triangulate_tube,
     validate,
 )
 from lin2complex.b2_reduce import reduce_da_to_b2
 
-from _gen import dense_nullity, dense_rank, random_da_instance
+from _gen import (
+    dense_nullity,
+    dense_rank,
+    from_triangles,
+    random_da_instance,
+    triangulate_punctured_sphere,
+    triangulate_tube,
+)
 
 DISK_TRIANGLES = [(1, 4, 2), (2, 4, 3), (1, 3, 4)]
 DISK_EDGE_ORDER = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]

@@ -16,11 +16,9 @@ from lin2complex.da_reduce import (
     WeightedDASystem,
     _pow2_ceil,
     average_row,
-    choose_epsilon_da,
     difference_row,
     gz2_to_da,
     map_da_solution_back,
-    nnz_growth_ratio,
     plain_da_system,
     to_pow2,
     to_zero_rowsum,
@@ -29,9 +27,13 @@ from lin2complex.pipeline import reduce_chain
 from lin2complex.sparse_core import SparseMatrix, least_squares
 
 from _gen import (
+    choose_epsilon_da,
+    da_rows,
     dense_nullity,
     infeasible_da_instance,
     loop_gz2_to_da,
+    nnz_growth_ratio,
+    pattern_entries,
     planted_da_instance,
     random_da_instance,
     random_gz2_system,
@@ -112,7 +114,7 @@ def test_pairing_worked_example():
     sys = system([[3, 5, -1, -7]], [1.0], CLASS_GZ2)
     da, rhs, trace = gz2_to_da(sys)
     assert da.n_main == 1 and da.n_aux == 6
-    main = da.rows[0]
+    main = da_rows(da)[0]
     assert main.kind == "difference"
     assert main.scale == 8.0
     assert main.rhs == pytest.approx(1.0 / 8.0)
@@ -121,14 +123,14 @@ def test_pairing_worked_example():
     pos = trace.sign == 1
     assert trace.pair[pos].tolist() == [[0, 1], [0, 7], [1, 8]]
     assert trace.bit[pos].tolist() == [0, 1, 2]
-    assert all(r.rhs == 0.0 for r in da.rows[1:])
+    assert all(r.rhs == 0.0 for r in da_rows(da)[1:])
 
 
 def test_pairing_untouched_difference():
     sys = system([[1, -1]], [5.0], CLASS_GZ2)
     da, _, trace = gz2_to_da(sys, alpha=3.0)
     assert da.n_aux == 0
-    row = da.rows[0]
+    row = da_rows(da)[0]
     assert row.kind == "difference" and row.scale == 1.0
     assert row.weight == pytest.approx(3.0 / 4.0)
     assert row.rhs == 5.0
@@ -138,7 +140,7 @@ def test_pairing_scaled_difference_kept_canonical():
     # (2, -2) has no pairable bits; it must take the already-canonical branch
     sys = system([[2, -2]], [3.0], CLASS_GZ2)
     da, _, _ = gz2_to_da(sys)
-    row = da.rows[0]
+    row = da_rows(da)[0]
     assert da.n_aux == 0
     assert row.scale == 2.0 and row.weight == pytest.approx(0.5)
     assert row.rhs == pytest.approx(1.5)
@@ -149,14 +151,14 @@ def test_pairing_average_with_nonzero_rhs_is_reduced():
     # row is reduced to a scaled difference with one auxiliary constraint
     sys = system([[1, 1, -2]], [4.0], CLASS_GZ2)
     da, _, _ = gz2_to_da(sys)
-    assert da.rows[0].kind == "difference"
+    assert da_rows(da)[0].kind == "difference"
     assert da.n_aux == 1
 
 
 def test_pairing_average_with_zero_rhs_kept():
     sys = system([[1, 1, -2]], [0.0], CLASS_GZ2)
     da, _, _ = gz2_to_da(sys)
-    assert da.rows[0].kind == "average"
+    assert da_rows(da)[0].kind == "average"
     assert da.n_aux == 0
 
 
@@ -204,7 +206,7 @@ def test_exact_reduction_identity(seed):
     sys = random_gz2_system(rng, int(rng.integers(4, 8)), int(rng.integers(2, 6)))
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
     da, _, _ = gz2_to_da(sys, alpha=alpha)
-    B = da.as_matrix()
+    B = da.pattern_matrix().row_scaled(da.row_factors())
     cB = da.rhs_vector()
     n = sys.A.n_cols
     A_dense = sys.A.to_dense()
@@ -229,7 +231,8 @@ def test_null_space_dimension_preserved():
     for _ in range(10):
         sys = random_gz2_system(rng, 5, 3)
         da, _, _ = gz2_to_da(sys)
-        assert dense_nullity(da.as_matrix().to_dense()) == dense_nullity(sys.A.to_dense())
+        B = da.pattern_matrix().row_scaled(da.row_factors())
+        assert dense_nullity(B.to_dense()) == dense_nullity(sys.A.to_dense())
 
 
 def test_aux_variables_belong_to_one_row():
@@ -241,7 +244,7 @@ def test_aux_variables_belong_to_one_row():
         owner[trace.n_original + a] = source_row
         # pairs reference only previously created variables
         assert max(pair) < trace.n_original + a
-    for row in da.rows[da.n_main:]:
+    for row in da_rows(da)[da.n_main:]:
         touching = {v for v in (row.i, row.j, row.k) if v is not None and v >= trace.n_original}
         rows_owning = {owner[v] for v in touching}
         assert len(rows_owning) == 1
@@ -274,7 +277,7 @@ def test_null_vectors_extend_through_reduction():
         base = random_gz2_system(rng, 5, 3)
         da, _, trace = gz2_to_da(base)
         A = base.A.to_dense()
-        B = da.as_matrix().to_dense()
+        B = da.pattern_matrix().row_scaled(da.row_factors()).to_dense()
         nullity = A.shape[1] - np.linalg.matrix_rank(A)
         if nullity == 0:
             continue
@@ -351,7 +354,7 @@ def test_planted_pipeline_recovers_solution():
         da, rhs_w, _ = gz2_to_da(sys)
         eps_a = 1e-4
         eps_b = choose_epsilon_da(eps_a, sys)
-        res = least_squares(da.as_matrix(), rhs_w, eps_b)
+        res = least_squares(da.pattern_matrix().row_scaled(da.row_factors()), rhs_w, eps_b)
         assert res.converged
         x = map_da_solution_back(sys, res.x)
         assert np.linalg.norm(sys.A.to_dense() @ x - b) <= eps_a * np.linalg.norm(b)
@@ -406,7 +409,7 @@ def test_weighted_system_matrix_layout():
 
     full = WeightedDASystem(3, [False, True], [(0, 1, -1), (0, 1, 2)], [1.0, 4.0],
                             [2.0, 0.0], [1.0, 2.0], 1, 1)
-    dense = full.as_matrix().to_dense()
+    dense = full.pattern_matrix().row_scaled(full.row_factors()).to_dense()
     assert np.array_equal(dense[0], [1.0, -1.0, 0.0])
     assert np.array_equal(dense[1], [4.0, 4.0, -8.0])  # sqrt(4) * 2 * pattern
     assert full.rhs_vector()[0] == 2.0
@@ -468,7 +471,7 @@ def _gen_systems():
 def _record_attachments(sys) -> np.ndarray:
     """The tube attachments (var, q, copy, sign) walked off the records."""
     rows = []
-    for q, row in enumerate(sys.rows):
+    for q, row in enumerate(da_rows(sys)):
         if row.kind == "difference":
             rows += [(row.i, q, 1, 1), (row.j, q, 1, -1)]
         else:
@@ -481,9 +484,10 @@ def test_columns_agree_with_record_oracles():
     systems = _gen_systems()
     assert any(not sys.is_unit() for sys in systems)
     for sys in systems:
-        rows = sys.rows
-        entries = [(q, c, v) for q, row in enumerate(rows) for c, v in row.pattern_entries()]
-        want = SparseMatrix.from_entries(sys.n_rows, sys.n_vars, entries)
+        rows = da_rows(sys)
+        entries = [(q, c, v) for q, row in enumerate(rows) for c, v in pattern_entries(row)]
+        want = SparseMatrix.from_arrays(sys.n_rows, sys.n_vars,
+                                        *np.reshape(entries, (-1, 3)).T)
         assert sys.pattern_matrix().equals(want)
         assert sys.pattern_nnz == len(entries)
         factors = np.array([math.sqrt(r.weight) * r.scale for r in rows])
@@ -513,7 +517,7 @@ def test_columns_are_read_only_and_checked_row_by_row():
         sys.weight[0] = 2.0
     good = dict(average=[False, True], var=[(0, 1, -1), (0, 1, 2)], weight=[1.0, 1.0],
                 rhs=[1.0, 0.0], scale=[1.0, 2.0])
-    assert WeightedDASystem(3, *good.values(), 1, 1).rows[1] == average_row(
+    assert da_rows(WeightedDASystem(3, *good.values(), 1, 1))[1] == average_row(
         0, 1, 2, scale=2.0)
     for change, message in ((dict(var=[(0, 1, -1), (0, 3, 2)]), r"row 1: .* outside \[0, 3\)"),
                             (dict(var=[(0, 0, -1), (0, 1, 2)]), "row 0: difference rows"),

@@ -14,11 +14,12 @@ from lin2complex import complex2, fileio
 from lin2complex.b2_reduce import map_soln_b2_to_da, reduce_da_to_b2, reduce_reg
 from lin2complex.cli import build_parser, main
 from lin2complex.complex2 import boundary2, validate
-from lin2complex.da_reduce import choose_epsilon_da, gz2_to_da
+from lin2complex.da_reduce import gz2_to_da
 from lin2complex.pipeline import reduce_chain, solve_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
 
 from _gen import (
+    choose_epsilon_da,
     group_indicator,
     planted_da_instance,
     planted_general_system,
@@ -742,9 +743,9 @@ def test_cli_maxflow_demo_short_capacities_is_one_line_error(tmp_path):
     assert message.startswith("error:") and "capacity" in message and "\n" not in message
 
 
-# a malformed number of a maxflow-demo network as (key, value, named): a
-# capacity or demand replaces the first entry, an f_star the whole value,
-# and the error names ``named``
+# a malformed part of a maxflow-demo network as (key, value, named): a
+# capacity or demand replaces the first entry, an f_star or a complex the
+# whole value, a key of None the whole network, and the error names ``named``
 NETWORK_FAULTS = {
     "string-capacity": ("capacities", "x", "numbers"),
     "nan-capacity": ("capacities", np.nan, "capacities"),
@@ -755,6 +756,8 @@ NETWORK_FAULTS = {
     "inf-f-star": ("f_star", np.inf, "f_star"),
     "zero-f-star": ("f_star", 0, "f_star"),
     "negative-f-star": ("f_star", -2.0, "f_star"),
+    "not-an-object": (None, 5, "net.json"),
+    "list-complex": ("complex", [1, 2, 3], "complex"),
 }
 
 
@@ -768,7 +771,9 @@ def test_cli_maxflow_demo_malformed_number_is_one_line_error(tmp_path, fault):
     net = {"complex": fileio.complex_to_json(P.K), "capacities": [1.0] * P.n_triangles,
            "gamma": P.gamma.tolist(), "f_star": 2.0}
     key, value, named = NETWORK_FAULTS[fault]
-    if key == "f_star":
+    if key is None:
+        net = value
+    elif key in ("f_star", "complex"):
         net[key] = value
     else:
         net[key][0] = value
@@ -938,8 +943,29 @@ def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
     assert name in _one_line_error(exc)
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "maxflow-demo"])
+def test_cli_json_that_is_not_text_is_one_line_error(tmp_path, command):
+    # bytes that do not decode as UTF-8 used to end in a UnicodeDecodeError
+    # traceback from each command's JSON file
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    name, argv = {
+        "solve": ("manifest.json", ["solve", "--manifest", str(out), "--out-dir", str(out)]),
+        "verify": ("da.json", ["verify", "--dir", str(out)]),
+        "maxflow-demo": ("net.json", ["maxflow-demo", "--network", str(out / "net.json")]),
+    }[command]
+    (out / name).write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = _one_line_error(exc)
+    assert name in message and "not valid JSON" in message, message
+
+
 # a malformed row of da.json as (row, field, value): the row is an index, or
-# "average" for the first average row, and a value of None deletes the field
+# "average" for the first average row, a value of None deletes the field,
+# and a field of None replaces the whole row by the value
 DA_ROW_FAULTS = {
     "missing field": (0, "i", None),
     "string id": (1, "j", "1"),
@@ -953,6 +979,8 @@ DA_ROW_FAULTS = {
     "infinite weight": (1, "weight", float("inf")),
     "infinite scale": (2, "scale", float("inf")),
     "nan rhs": (0, "rhs", float("nan")),
+    "row not an object": (1, None, [0, 1]),
+    "true id": (0, "i", True),
 }
 
 
@@ -967,7 +995,9 @@ def test_cli_malformed_da_row_is_one_line_error(tmp_path, fault, command):
     q, field, value = DA_ROW_FAULTS[fault]
     if q == "average":
         q = next(q for q, row in enumerate(da["rows"]) if row["kind"] == "average")
-    if value is None:
+    if field is None:
+        da["rows"][q] = value
+    elif value is None:
         del da["rows"][q][field]
     else:
         da["rows"][q][field] = value

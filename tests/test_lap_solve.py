@@ -6,9 +6,7 @@ from lin2complex.b2_reduce import reduce_da_to_b2
 from lin2complex.complex2 import (
     boundary1,
     boundary2,
-    from_triangles,
     laplacian1,
-    triangulate_punctured_sphere,
 )
 from lin2complex.da_reduce import difference_row, plain_da_system
 from lin2complex.lap_solve import (
@@ -17,7 +15,7 @@ from lin2complex.lap_solve import (
 )
 from lin2complex.sparse_core import SparseMatrix
 
-from _gen import planted_da_instance
+from _gen import from_triangles, planted_da_instance, triangulate_punctured_sphere
 
 ROUTES = [solve_boundary_via_laplacian, solve_boundary_via_gram]
 
@@ -144,7 +142,7 @@ def test_gram_spectrum_doubles_past_the_nullity():
     assert nullity == 5
     assert eig[nullity] == pytest.approx(lam[5], rel=1e-8)
     with pytest.raises(ValueError, match="no nonzero eigenvalue"):
-        sparse_core.gram_spectrum(SparseMatrix.from_entries(3, 5, []), 4)
+        sparse_core.gram_spectrum(SparseMatrix.from_arrays(3, 5, [], [], []), 4)
 
 
 @pytest.mark.parametrize("solver", ROUTES)

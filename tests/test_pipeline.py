@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from lin2complex import fileio, sparse_core
-from lin2complex.da_reduce import GeneralSystem, choose_epsilon_da
+from lin2complex.da_reduce import GeneralSystem
 from lin2complex.pipeline import ALPHA_CAP_DEFAULT, reduce_chain, solve_general
 from lin2complex.sparse_core import SparseMatrix
 
 from _gen import (
+    choose_epsilon_da,
     criterion11_systems,
     dense_project,
     planted_general_system,

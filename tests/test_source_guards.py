@@ -65,7 +65,7 @@ def test_only_the_record_modules_call_pattern_entries():
 
 def test_only_sparse_core_names_the_dense_svd():
     # spectral_summary is a dense reference for the tests and the benchmark's
-    # tracer, which the package re-exports; no certificate reads it
+    # tracer; no certificate reads it
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name in ("sparse_core.py", "__init__.py"):
@@ -77,3 +77,55 @@ def test_only_sparse_core_names_the_dense_svd():
             if name == "spectral_summary":
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, f"only sparse_core may name spectral_summary: {found}"
+
+
+# the public library names that no other library definition names, each with
+# what keeps it in src/; everything else a product path does not reach lives
+# in tests/_gen.py
+PINNED = {
+    "reduce_reg": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "triangle_adjacency": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "projection_residual": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "spectral_summary": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "complex_to_json": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "difference_row": "the README quick tour, bench/workloads.py and scripts/ call it",
+    "average_row": "bench/workloads.py and scripts/ call it",
+    "plain_da_system": "the README quick tour, bench/workloads.py and scripts/ call it",
+    "reduce_da_to_b2": "the README quick tour, bench/workloads.py and scripts/ call it",
+    "solve_general": "the README quick tour, bench/workloads.py and scripts/ call it",
+}
+
+
+def _public_definitions_and_names():
+    """The public top-level functions and classes of the library modules, as
+    {name: module}, and every name that the library's code other than its
+    imports mentions, as a Name or an Attribute, less each definition's
+    mentions of its own name."""
+    defined, named = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            named |= {name for node in ast.walk(stmt)
+                      for name in ([node.id] if isinstance(node, ast.Name)
+                                   else [node.attr] if isinstance(node, ast.Attribute) else [])
+                      if name != own}
+    return defined, named
+
+
+def test_every_public_library_name_is_reached_or_pinned():
+    # src/ holds what the product runs: a public function or class that no
+    # other library code names is either pinned, with its reason, or lives
+    # with the tests; methods and properties are not covered
+    defined, named = _public_definitions_and_names()
+    unreached = sorted(f"{module}:{name}" for name, module in defined.items()
+                       if name not in named and name not in PINNED)
+    assert not unreached, f"no library code names these; pin them or move them: {unreached}"
+    stale = sorted(name for name in PINNED if name not in defined or name in named)
+    assert not stale, f"PINNED entries that are gone or now named: {stale}"
+    assert len(PINNED) <= 10

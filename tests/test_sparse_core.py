@@ -45,7 +45,7 @@ DISK_D2 = np.array([
 
 
 def test_canonical_form_coalesces_and_sorts():
-    A = SparseMatrix.from_entries(2, 2, [(1, 1, 2.0), (0, 0, 1.0), (1, 1, -2.0), (0, 1, 0.0)])
+    A = SparseMatrix.from_arrays(2, 2, [1, 0, 1, 0], [1, 0, 1, 1], [2.0, 1.0, -2.0, 0.0])
     assert A.nnz == 1
     assert A.rows.tolist() == [0] and A.cols.tolist() == [0]
     assert A.integer_exact
@@ -86,7 +86,7 @@ def test_integer_exact_means_int64_holds_every_value(tmp_path, value, exact):
 
 
 def test_canonical_order_row_major():
-    A = SparseMatrix.from_entries(3, 3, [(2, 0, 1.0), (0, 2, 1.0), (0, 1, 1.0), (1, 1, 1.0)])
+    A = SparseMatrix.from_arrays(3, 3, [2, 0, 0, 1], [0, 2, 1, 1], [1.0, 1.0, 1.0, 1.0])
     coords = list(zip(A.rows.tolist(), A.cols.tolist()))
     assert coords == sorted(coords)
 
@@ -179,7 +179,7 @@ def test_norm_product_is_the_int_csr_formula():
 
 
 def test_matvec_identity():
-    A = SparseMatrix.identity(2)
+    A = SparseMatrix.from_scipy(sp.identity(2))
     assert np.array_equal(A @ np.array([3.0, -1.0]), np.array([3.0, -1.0]))
 
 
@@ -189,7 +189,7 @@ def test_matvec_disk_column_sums():
 
 
 def test_matvec_dimension_mismatch():
-    A = SparseMatrix.identity(3)
+    A = SparseMatrix.from_scipy(sp.identity(3))
     with pytest.raises(DimensionError):
         A.matvec(np.ones(4))
 
@@ -205,7 +205,7 @@ def test_matvec_matches_dense(seed):
 
 
 def test_least_squares_identity():
-    A = SparseMatrix.identity(4)
+    A = SparseMatrix.from_scipy(sp.identity(4))
     b = np.array([1.0, -2.0, 3.0, 0.5])
     res = least_squares(A, b, 1e-10)
     assert res.converged
@@ -289,14 +289,14 @@ def test_least_squares_converged_holds_against_a_dense_projection():
 
 
 def test_least_squares_rejects_bad_tolerance():
-    A = SparseMatrix.identity(2)
+    A = SparseMatrix.from_scipy(sp.identity(2))
     with pytest.raises(ValueError):
         least_squares(A, np.ones(2), 1.5)
 
 
 def test_a_nan_certificate_certifies_nothing():
     # a nan ||P b|| used to give ratio 0, so a nan rhs certified
-    A = SparseMatrix.identity(2)
+    A = SparseMatrix.from_scipy(sp.identity(2))
     with pytest.raises(ValueError, match="right-hand side holds nan at entry 1"):
         least_squares(A, [1.0, np.nan], 1e-6)
     lu = Round(np.array([1.0, 0.0]), "lu", None, 0, None)
@@ -490,7 +490,7 @@ def test_projection_residual_matches_dense_projector():
 
 
 def test_spectral_summary_identity():
-    s = spectral_summary(SparseMatrix.identity(3))
+    s = spectral_summary(SparseMatrix.from_scipy(sp.identity(3)))
     assert s.sigma_max == pytest.approx(1.0)
     assert s.sigma_min_nonzero == pytest.approx(1.0)
     assert s.rank == 3
@@ -503,6 +503,6 @@ def test_spectral_summary_disk_rank():
 
 
 def test_spectral_summary_zero_matrix():
-    A = SparseMatrix.from_entries(3, 2, [])
+    A = SparseMatrix.from_arrays(3, 2, [], [], [])
     s = spectral_summary(A)
     assert s.sigma_max == 0.0 and s.rank == 0
