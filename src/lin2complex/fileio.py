@@ -122,9 +122,9 @@ def read_json(path):
 
 # -- difference-average systems ---------------------------------------------
 
-# the optional fields of a da.json row and their defaults; "kind", "i" and
+# the optional numbers of a da.json row and their defaults; "kind", "i" and
 # "j" are required, and "k" too in an average row
-_DA_ROW_DEFAULTS = {"k": None, "weight": 1.0, "rhs": 0.0, "scale": 1.0}
+_DA_ROW_DEFAULTS = {"weight": 1.0, "rhs": 0.0, "scale": 1.0}
 
 
 def da_system_to_json(sys: WeightedDASystem) -> dict:
@@ -149,8 +149,8 @@ def _da_columns(rows: list):
     objects = [isinstance(row, dict) for row in rows]
     rows = [row if ok else {} for row, ok in zip(rows, objects)]
     kind, i, j, k = ([row.get(name) for row in rows] for name in ("kind", "i", "j", "k"))
-    numbers = [[row.get(name, _DA_ROW_DEFAULTS[name]) for row in rows]
-               for name in ("weight", "rhs", "scale")]
+    numbers = [[row.get(name, default) for row in rows]
+               for name, default in _DA_ROW_DEFAULTS.items()]
     average = [v == KIND_AVERAGE for v in kind]
     faults = np.array([
         [not ok for ok in objects],

@@ -87,7 +87,7 @@ PINNED = {
     "triangle_adjacency": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
     "projection_residual": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
     "spectral_summary": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
-    "complex_to_json": "bench/tracing.py wraps it; ROADMAP item 1 frees it",
+    "complex_to_json": "bench/tracing.py wraps it; scripts/run_maxflow_demo.py writes with it",
     "difference_row": "the README quick tour, bench/workloads.py and scripts/ call it",
     "average_row": "bench/workloads.py and scripts/ call it",
     "plain_da_system": "the README quick tour, bench/workloads.py and scripts/ call it",
@@ -111,10 +111,11 @@ def _public_definitions_and_names():
                 own = stmt.name
                 if not own.startswith("_"):
                     defined[own] = path.name
-            named |= {name for node in ast.walk(stmt)
-                      for name in ([node.id] if isinstance(node, ast.Name)
-                                   else [node.attr] if isinstance(node, ast.Attribute) else [])
-                      if name != own}
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    named.add(name)
     return defined, named
 
 
