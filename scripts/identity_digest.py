@@ -19,7 +19,8 @@ The lines cover:
   do not depend on the files' encoding: a change of format moves the file
   lines, and these show that the values read back are the same;
 - ``solve_general``'s x on criterion 11's 20 draws;
-- ``verify``'s stdout and ``solve --route direct``'s x on the 5x5 system;
+- ``verify``'s stdout, and the x of ``solve --route direct`` and of
+  ``solve --manifest`` (the replay), on the 5x5 system;
 - f* and the final f of the ``flow_ipm`` IPM items, and the f of its
   Laplacian and Gram route items, of seeds 1-3.
 """
@@ -138,6 +139,10 @@ def digests(out: Path):
                 str(directory / "b.vec"), "--out-dir", str(directory / "direct")])
     yield "solve --route direct x, 5x5", arrays_digest(
         [fileio.read_vector(directory / "direct" / "x.vec")])
+    cli_stdout(["solve", "--manifest", str(directory / "out"), "--out-dir",
+                str(directory / "replay")])
+    yield "solve --manifest x, 5x5", arrays_digest(
+        [fileio.read_vector(directory / "replay" / "x.vec")])
 
     for seed in SEEDS:
         for item in workloads.WORKLOADS["flow_ipm"].items(np.random.default_rng(seed),

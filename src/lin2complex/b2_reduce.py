@@ -446,8 +446,8 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     is exactly what makes the weighted minimum match the source system's
     minimum.  k_{q,e} counts the equation-q paths through edge e and l_q is
     the total length of equation q's paths; interior edges get weight
-    alpha * sum_q k_{q,e} l_q (zero allowed) while loop edges keep their
-    base weight.
+    alpha * sum_q k_{q,e} l_q (zero allowed) while loop edges get their
+    equation's base weight weight * scale^2, as the build writes it.
 
     The paths are laid out from the cell templates, not searched for.  In
     edge ids local to its group a path depends only on the variable's hole
@@ -471,7 +471,8 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     checked.  Returns (PathWeights, weight vector); the PathWeights holds
     the paths in closed form only.  Raises ``ReductionError``,
     naming alpha, when a weight is not finite: alpha times a mass can
-    overflow float64.
+    overflow float64, and ``ComplexStructureError`` when the complex has
+    other than its layout's edge count, which every path id assumes.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -480,6 +481,9 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     holes = (size + 4) // 11
     n_edges = 15 * holes - 6
     edge0 = 3 * problem.n_equations + np.cumsum(n_edges) - n_edges
+    if K.n_edges != 3 * problem.n_equations + n_edges.sum():
+        raise ComplexStructureError(f"the complex has {K.n_edges} edges, not the "
+                                    f"{3 * problem.n_equations + n_edges.sum()} of its layout")
 
     var, positive = tubes.var, tubes.sign > 0
     h = holes[var]
@@ -522,7 +526,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     with np.errstate(over="ignore"):  # an overflow is refused below
         weights *= alpha
     weights[K.kind != INTERIOR] = 1.0
-    weights[K.loops] = problem.loop_weight[:, None]
+    weights[K.loops] = (problem.da.weight * problem.da.scale ** 2)[:, None]
     if not np.all(np.isfinite(weights)):
         raise ReductionError(f"alpha {alpha:g} makes an edge weight overflow float64")
     return PathWeights(l_q, tubes, paths), weights

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .b2_reduce import ReductionError, spectral_certificate
+from .b2_reduce import ReductionError, compute_edge_weights, spectral_certificate
 from .complex2 import ComplexStructureError, validate
 from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
@@ -29,8 +29,8 @@ def cmd_reduce(args) -> int:
 
 
 def _replay_manifest(args, out: Path) -> int:
-    """Solve from previously written artifacts; ``read_chain`` re-derives
-    the back maps from the original system."""
+    """Solve from previously written artifacts; ``read_chain`` rebuilds the
+    chain from the original system, with the stored W and gamma."""
     chain = fileio.read_chain(args.manifest)
     if args.eps is not None:
         chain.eps = args.eps
@@ -117,8 +117,28 @@ def _check_structure(problem, check) -> None:
                                 for e in bad))
 
 
+def _check_weights(problem, alpha: float, check) -> None:
+    """W against ``compute_edge_weights`` of the read problem at the
+    manifest's alpha, bit for bit: every mass is an exact integer sum.  A
+    problem whose layout the path ids do not fit fails the check; it does
+    not end the run."""
+    W, m = problem.weights, problem.K.n_edges
+    detail = f"it has {W.size} entries, the complex {m} edges" if W.size != m else ""
+    if not detail:
+        try:
+            _, expected = compute_edge_weights(problem, alpha)
+        except (ComplexStructureError, ReductionError) as exc:
+            detail = str(exc)
+        else:
+            detail = "".join(f"entry {e} is {W[e]:g}, expected {expected[e]:g}"
+                             for e in np.flatnonzero(W != expected)[:1])
+    check(f"{fileio.BOUNDARY_FILES['weights']} is the path weights of the complex at the "
+          f"manifest's alpha {alpha:g}", not detail, detail)
+
+
 def cmd_verify(args) -> int:
     src = Path(args.dir)
+    _, alpha = fileio.read_manifest(src)
     ok = True
 
     def check(name: str, passed: bool, detail: str = "") -> None:
@@ -128,6 +148,7 @@ def cmd_verify(args) -> int:
 
     problem = fileio.read_boundary_problem(src)
     _check_structure(problem, check)
+    _check_weights(problem, alpha, check)
 
     pattern = problem.pattern_matrix()
     l1 = pattern.entry_abs_sum()
@@ -153,8 +174,7 @@ def cmd_maxflow_demo(args) -> int:
         if key not in net_obj:
             raise NetworkError(f"{args.network} has no {key!r} entry")
     K = fileio.complex_from_json(net_obj["complex"])
-    net = FlowNetwork2(K, np.array(net_obj["capacities"]),
-                       np.array(net_obj["gamma"]), net_obj.get("f_star"))
+    net = FlowNetwork2(K, net_obj["capacities"], net_obj["gamma"], net_obj.get("f_star"))
     result = run_ipm(net, args.steps)
     if args.trace:
         fileio.write_ipm_trace(args.trace, result.log)

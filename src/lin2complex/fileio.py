@@ -23,10 +23,8 @@ from .da_reduce import (
     KIND_DIFFERENCE,
     GeneralSystem,
     WeightedDASystem,
-    to_pow2,
-    to_zero_rowsum,
 )
-from .pipeline import ChainArtifacts
+from .pipeline import ChainArtifacts, reduce_chain
 from .sparse_core import DimensionError, SparseMatrix
 
 
@@ -225,8 +223,12 @@ def complex_from_json(obj) -> Complex2:
                                     f"not a {type(obj).__name__}")
     cols = {}
     for name in ["n_vertices", *COMPLEX_FIELDS]:
-        a = np.asarray(obj.get(name, "missing"))
-        if (a.size and a.dtype.kind not in "iu") or a.ndim != (name != "n_vertices"):
+        value = obj.get(name, "missing")  # an archive member that does not load raises
+        try:
+            a = np.asarray(value)
+        except ValueError:  # a ragged nested list
+            a = None
+        if a is None or (a.size and a.dtype.kind not in "iu") or a.ndim != (name != "n_vertices"):
             raise ComplexStructureError(f"complex field {name!r} is missing or not a "
                                         f"flat int list")
         cols[name] = a.astype(np.int64)
@@ -306,13 +308,26 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
     write_json(out_dir / names["da"], da_system_to_json(problem.da), indent=None)
 
 
+def _read_instance(src: Path, n_edges: int, d2_name: str) -> dict[str, np.ndarray]:
+    """W and gamma of ``src``: ``n_edges`` entries each, d2's rows, finite, W >= 0."""
+    vectors = {}
+    for key, what in (("weights", "finite and non-negative"), ("gamma", "finite")):
+        path = src / BOUNDARY_FILES[key]
+        v = vectors[key] = read_vector(path)
+        if v.size != n_edges:
+            raise DimensionError(f"{path} has {v.size} entries but {d2_name} has {n_edges} rows")
+        bad = ~np.isfinite(v) | ((v < 0) & (key == "weights"))  # zero stays: W has real zeros
+        if bad.any():
+            q = int(np.argmax(bad))
+            raise ArtifactError(f"{path} holds {v[q]:g} at entry {q}; its entries must be {what}")
+    return vectors
+
+
 def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
     complex and the difference-average system); rejects a d2 entry other
-    than +1 and -1, a weight or demand vector whose length differs from the
-    row count of d2 (``DimensionError``), a weight that is negative, nan or
-    infinite, a demand that is nan or infinite and a malformed row of
-    ``da.json`` (``da_system_from_json``), naming the file."""
+    than +1 and -1, W or gamma as ``_read_instance`` does and a malformed
+    row of ``da.json`` (``da_system_from_json``), naming the file."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -320,20 +335,7 @@ def read_boundary_problem(src) -> BoundaryProblem:
     if bad.size:
         raise ArtifactError(f"{src / names['d2']} holds the entry {bad[0]:g}; "
                             "a boundary operator's entries are +1 and -1")
-    vectors = {}
-    for key, what in (("weights", "finite and non-negative"), ("gamma", "finite")):
-        path = src / names[key]
-        v = vectors[key] = read_vector(path)
-        if v.size != d2.n_rows:
-            raise DimensionError(f"{path} has {v.size} entries "
-                                 f"but {names['d2']} has {d2.n_rows} rows")
-        bad = ~np.isfinite(v)
-        if key == "weights":
-            bad |= v < 0  # zero stays: W has real zeros
-        if bad.any():
-            q = int(np.argmax(bad))
-            raise ArtifactError(f"{path} holds {v[q]:g} at entry {q}; "
-                                f"its entries must be {what}")
+    vectors = _read_instance(src, d2.n_rows, names["d2"])
     K = read_complex(src / names["complex"])
     da_path = src / names["da"]
     da_obj = read_json(da_path)
@@ -392,23 +394,32 @@ def _manifest_number(manifest, key: str, low: float, high: float, path) -> float
     return value
 
 
-def read_chain(src) -> ChainArtifacts:
-    """Rebuild the chain that ``write_chain`` wrote to ``src``: G_z and G_z2
-    and their back maps come from the stage functions ``reduce_chain`` runs,
-    which reject an original system outside class G (``MatrixClassError``).
-    A manifest that is not an object, or whose eps is not a number in (0, 1)
-    or alpha not a positive finite number, raises ``ArtifactError``; other
-    keys, such as the accuracy targets older manifests hold, are ignored."""
-    src = Path(src)
-    path = src / "manifest.json"
+def read_manifest(src) -> tuple[float, float]:
+    """The eps and alpha of ``src / "manifest.json"``.  A manifest that is
+    not an object, or whose eps is not a number in (0, 1) or alpha not a
+    positive finite number, raises ``ArtifactError``; other keys, such as
+    the accuracy targets older manifests hold, are ignored."""
+    path = Path(src) / "manifest.json"
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise ArtifactError(f"{path} is not a JSON object")
-    eps = _manifest_number(manifest, "eps", 0.0, 1.0, path)
-    alpha = _manifest_number(manifest, "alpha", 0.0, np.inf, path)
+    return (_manifest_number(manifest, "eps", 0.0, 1.0, path),
+            _manifest_number(manifest, "alpha", 0.0, np.inf, path))
+
+
+def read_chain(src) -> ChainArtifacts:
+    """Rebuild the chain that ``write_chain`` wrote to ``src``: the
+    deterministic ``reduce_chain`` of the original system at the manifest's
+    eps and alpha, with the stored W and gamma (checked as in
+    ``read_boundary_problem``).  Opens ``manifest.json``, ``ORIGINAL_FILES``
+    and the two vectors only; an original outside class G raises
+    ``MatrixClassError``."""
+    src = Path(src)
+    eps, alpha = read_manifest(src)
     a_name, b_name = ORIGINAL_FILES
     original = GeneralSystem(*read_system(src / a_name, src / b_name), CLASS_G)
-    gz, gz_back = to_zero_rowsum(original)
-    gz2, gz2_back = to_pow2(gz)
-    return ChainArtifacts(original, gz, gz_back, gz2, gz2_back, read_boundary_problem(src),
-                          eps, alpha)
+    chain = reduce_chain(original, eps, alpha=alpha)
+    P = chain.problem
+    vectors = _read_instance(src, P.n_edges, f"the d2 built from {a_name}")
+    P.weights, P.gamma = vectors["weights"], vectors["gamma"]
+    return chain

@@ -48,11 +48,11 @@ class FlowNetwork2:
     _gamma_in_image: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            self.capacities = np.asarray(self.capacities, dtype=np.float64).ravel()
-            self.gamma = np.asarray(self.gamma, dtype=np.float64).ravel()
-        except (TypeError, ValueError) as exc:
-            raise NetworkError(f"capacities and demands must be numbers: {exc}") from None
+        for name in ("capacities", "gamma"):
+            try:  # a string or a ragged nested list raises
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64).ravel())
+            except (TypeError, ValueError) as exc:
+                raise NetworkError(f"{name} must be numbers: {exc}") from None
 
     def d2(self) -> SparseMatrix:
         if self._d2 is None:

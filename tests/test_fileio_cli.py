@@ -238,6 +238,92 @@ def test_chain_replays_from_the_original_and_the_boundary_problem(tmp_path):
     assert np.array_equal(solve_chain(read)[0], solve_chain(chain)[0])
 
 
+def test_cli_replay_opens_only_the_source_and_the_instance(tmp_path):
+    # read_chain rebuilds the complex, d2 and the difference-average system
+    # from original_*, so a directory without their files replays to the
+    # same bytes
+    _write_5x5(tmp_path)
+    out, bare = tmp_path / "out", tmp_path / "bare"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    bare.mkdir()
+    for path in out.iterdir():
+        if path.name not in ("b2_d2.mtx", "b2_complex.npz", "da.json"):
+            (bare / path.name).write_bytes(path.read_bytes())
+    assert sorted(p.name for p in bare.iterdir()) == sorted([
+        "manifest.json", "original_A.mtx", "original_b.vec", "b2_W.npy", "b2_gamma.npy"])
+    for directory in (out, bare):
+        assert main(["solve", "--manifest", str(directory),
+                     "--out-dir", str(directory / "replay")]) == 0
+    for name in ("x.vec", "solve_report.json"):
+        assert (bare / "replay" / name).read_bytes() == (out / "replay" / name).read_bytes()
+
+
+def test_cli_verify_checks_w_against_the_path_weights(tmp_path, capsys):
+    # W is rebuilt from the read complex and da.json at the manifest's alpha
+    # and compared bit for bit; interior weights 50 times too large, and one
+    # equation's three loop weights doubled, used to pass verify
+    from lin2complex.complex2 import INTERIOR
+
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert "[PASS] b2_W.npy is the path weights of the complex at the manifest's alpha 100" \
+        in capsys.readouterr().out.splitlines()
+    path = out / fileio.BOUNDARY_FILES["weights"]
+    W = fileio.read_vector(path)
+    K = fileio.read_complex(out / fileio.BOUNDARY_FILES["complex"])
+    assert np.count_nonzero(W[K.kind == INTERIOR]) > 0
+    for edited, factor in ((K.kind == INTERIOR, 50.0), (K.loops[0], 2.0)):
+        tampered = W.copy()
+        tampered[edited] *= factor
+        fileio.write_vector(path, tampered)
+        assert main(["verify", "--dir", str(out)]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[FAIL]")]
+        e = int(np.flatnonzero(tampered != W)[0])
+        assert failed == [f"[FAIL] b2_W.npy is the path weights of the complex at the "
+                          f"manifest's alpha 100: entry {e} is {tampered[e]:g}, "
+                          f"expected {W[e]:g}"]
+
+
+def test_cli_verify_w_check_fails_on_a_complex_off_its_layout(tmp_path, capsys):
+    # the path ids assume that W has an entry an edge and the build's edge
+    # count; a complex one edge short, then also d2, W and gamma, all read,
+    # and the W check fails instead of raising
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 0
+    names = _check_names(capsys.readouterr().out)
+    K = fileio.read_complex(out / "b2_complex.npz")
+    fileio.write_complex(out / "b2_complex.npz", complex2.Complex2(
+        K.n_vertices, K.tri, K.tri_group, K.edge[:-1], K.kind[:-1], K.central, K.loops))
+    assert main(["verify", "--dir", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert _check_names(text) == names
+    assert (f"[FAIL] b2_W.npy is the path weights of the complex at the manifest's alpha 100: "
+            f"it has {K.n_edges} entries, the complex {K.n_edges - 1} edges"
+            in text.splitlines())
+    d2 = fileio.read_matrix(out / "b2_d2.mtx")
+    keep = d2.rows < d2.n_rows - 1
+    fileio.write_matrix(out / "b2_d2.mtx", SparseMatrix.from_arrays(
+        d2.n_rows - 1, d2.n_cols, d2.rows[keep], d2.cols[keep], d2.vals[keep]))
+    for name in ("b2_W.npy", "b2_gamma.npy"):
+        fileio.write_vector(out / name, fileio.read_vector(out / name)[:-1])
+    assert main(["verify", "--dir", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert _check_names(text) == names
+    assert (f"[FAIL] b2_W.npy is the path weights of the complex at the manifest's alpha 100: "
+            f"the complex has {K.n_edges - 1} edges, not the {K.n_edges} of its layout"
+            in text.splitlines())
+
+
 def test_manifest_with_the_earlier_accuracy_targets_replays(tmp_path):
     # manifests written before the chain stopped deriving accuracy targets
     # also hold eps_da_theory and eps_b2_theory, computed as below; the
@@ -484,8 +570,9 @@ def test_cli_verify_beyond_the_cert_limit_runs_the_exact_checks(tmp_path, capsys
     assert len(skipped) == 1 and skipped[0].startswith("[SKIP] Lanczos spectrum (t=")
     assert skipped[0].endswith(" beyond --cert-limit 100)")
 
-    # a da.json whose first difference row is reversed still loads, and
-    # only the nullity identity sees that its pattern is not the complex's
+    # a da.json whose first difference row is reversed still loads; the
+    # nullity identity sees that its pattern is not the complex's, and the
+    # W check that its tubes turn the other way
     da = fileio.read_json(out / "da.json")
     row = next(r for r in da["rows"] if r["kind"] == "difference")
     row["i"], row["j"] = row["j"], row["i"]
@@ -493,7 +580,8 @@ def test_cli_verify_beyond_the_cert_limit_runs_the_exact_checks(tmp_path, capsys
     assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("[FAIL]")]
-    assert len(failed) == 1 and failed[0].startswith("[FAIL] spectral nullity: d2 H minus")
+    assert len(failed) == 2 and failed[0].startswith("[FAIL] b2_W.npy is the path weights")
+    assert failed[1].startswith("[FAIL] spectral nullity: d2 H minus")
 
 
 @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -669,15 +757,16 @@ def test_complex_json_rejects_missing_field_and_non_int_values():
 
 
 def test_cli_replay_missing_sidecar_is_one_line_error(tmp_path):
+    # W is one of the two files the replay reads beside the source
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
-    (out / "da.json").unlink()
+    (out / "b2_W.npy").unlink()
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     message = str(exc.value.code)
-    assert "da.json" in message and "\n" not in message
+    assert "b2_W.npy" in message and "\n" not in message
 
 
 def test_maxflow_demo_script_network_replays(tmp_path):
@@ -758,6 +847,8 @@ NETWORK_FAULTS = {
     "negative-f-star": ("f_star", -2.0, "f_star"),
     "not-an-object": (None, 5, "net.json"),
     "list-complex": ("complex", [1, 2, 3], "complex"),
+    "ragged-demand": ("gamma", [2.0, 3.0], "gamma"),
+    "ragged-complex-field": ("complex", {"n_vertices": 4, "tri_v0": [[1, 2], [3]]}, "tri_v0"),
 }
 
 
@@ -810,6 +901,18 @@ def _one_line_error(exc) -> str:
     message = str(exc.value.code)
     assert message.startswith("error:") and "\n" not in message, message
     return message
+
+
+def _verify_error(out, replay_first: bool) -> str:
+    """The one ``error:`` line of ``verify`` on ``out``, which holds a fault
+    in a file that only ``verify`` opens; with ``replay_first``, the replay
+    of ``out`` runs clean before it, since it rebuilds the chain from the
+    original system and opens no such file."""
+    if replay_first:
+        assert main(["solve", "--manifest", str(out), "--out-dir", str(out / "replay")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--dir", str(out)])
+    return _one_line_error(exc)
 
 
 def test_cli_reduce_alpha_that_overflows_is_one_line_error(tmp_path):
@@ -911,8 +1014,9 @@ def test_cli_verify_malformed_matrix_body_is_one_line_error(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "solve"])
 @pytest.mark.parametrize("value", ["2", "2.5", "inf", "nan"])
 def test_cli_d2_entry_other_than_unit_is_one_line_error(tmp_path, value, command):
-    # read_boundary_problem refuses the entry before any check or solve
-    # reads d2, so neither command ends in a traceback
+    # read_boundary_problem refuses the entry before any check reads d2, so
+    # verify does not end in a traceback; the replay builds its own d2 and,
+    # as "solve", runs clean first
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
@@ -922,22 +1026,23 @@ def test_cli_d2_entry_other_than_unit_is_one_line_error(tmp_path, value, command
     lines[-1] = f"{row} {col} {value}\n"
     lines[0] = lines[0].replace(" integer ", " real ", 1)
     (out / "b2_d2.mtx").write_text("".join(lines))
-    argv = (["verify", "--dir", str(out)] if command == "verify"
-            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = _one_line_error(exc)
+    message = _verify_error(out, replay_first=command == "solve")
     assert "b2_d2.mtx" in message and "+1 and -1" in message, message
 
 
 @pytest.mark.parametrize("name", ["manifest.json", "da.json"])
 def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
+    # the replay reads manifest.json and never opens da.json, which verify
+    # reads after the replay has run clean
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
     text = (out / name).read_text()
     (out / name).write_text(text[: len(text) // 2])
+    if name == "da.json":
+        assert name in _verify_error(out, replay_first=True)
+        return
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--manifest", str(out), "--out-dir", str(out)])
     assert name in _one_line_error(exc)
@@ -1002,25 +1107,21 @@ def test_cli_malformed_da_row_is_one_line_error(tmp_path, fault, command):
     else:
         da["rows"][q][field] = value
     (out / "da.json").write_text(json.dumps(da))
-    argv = (["verify", "--dir", str(out)] if command == "verify"
-            else ["solve", "--manifest", str(out), "--out-dir", str(out)])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = _one_line_error(exc)
+    # the replay never opens da.json; verify refuses the row
+    message = _verify_error(out, replay_first=command == "solve")
     assert "da.json" in message and f"row {q}" in message, message
 
 
 def test_cli_replay_da_of_another_system_is_one_line_error(tmp_path):
-    # the tubes are rebuilt from da.json and the complex, so the two must fit
+    # verify rebuilds the tubes from da.json and the complex, so the two must
+    # fit; the replay rebuilds both from the original system and runs clean
     out, other = tmp_path / "out", tmp_path / "other"
     for seed, directory in ((0, out), (1, other)):
         fileio.write_chain(directory, reduce_chain(
             planted_general_system(np.random.default_rng(seed), 4 + seed, 4, max_entry=9)[0],
             1e-3))
     (out / "da.json").write_text((other / "da.json").read_text())
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--manifest", str(out), "--out-dir", str(out)])
-    message = _one_line_error(exc)
+    message = _verify_error(out, replay_first=True)
     assert "b2_complex.npz" in message and "da.json" in message
 
 
@@ -1190,11 +1291,8 @@ def test_cli_malformed_complex_archive_is_one_line_error(tmp_path, command, faul
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
                  "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
     ARCHIVE_FAULTS[fault](out / "b2_complex.npz")
-    argv = (["solve", "--manifest", str(out), "--out-dir", str(out)] if command == "solve"
-            else ["verify", "--dir", str(out)])
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    message = _one_line_error(exc)
+    # the replay builds its own complex; verify refuses the archive
+    message = _verify_error(out, replay_first=command == "solve")
     assert "b2_complex.npz" in message
     if fault == "object-member":
         assert "allow_pickle=False" in message

@@ -166,7 +166,7 @@ def test_chain_checks_each_stage_class_once(monkeypatch, tmp_path):
     fileio.write_chain(tmp_path, chain)
     calls.clear()
     fileio.read_chain(tmp_path)
-    assert calls == ["G", "G_z"]
+    assert calls == ["G", "G_z", "G_z2"]
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, float("nan")])

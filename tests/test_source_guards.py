@@ -19,16 +19,20 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
-def _named_outside_sparse_core(hidden):
-    """Where a library module other than sparse_core names one of ``hidden``."""
+def _named_in_library(hidden, besides=()):
+    """Where a library module whose file is not in ``besides`` defines,
+    imports or names (as a name or an attribute, so also in a call) one of
+    ``hidden``."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "sparse_core.py":
+        if path.name in besides:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = ({node.id} if isinstance(node, ast.Name)
                      else {node.attr} if isinstance(node, ast.Attribute)
-                     else {node.name} if isinstance(node, ast.alias) else set())
+                     else {node.name} if isinstance(node, (ast.alias, ast.FunctionDef,
+                                                           ast.ClassDef))
+                     else set())
             found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names & hidden]
     return found
@@ -37,7 +41,7 @@ def _named_outside_sparse_core(hidden):
 def test_only_sparse_core_decides_which_eigenvalues_are_zero():
     # every Gram spectrum goes through sparse_core.gram_spectrum, so the
     # zero test lives in one module
-    found = _named_outside_sparse_core({"ZERO_EIGENVALUE"})
+    found = _named_in_library({"ZERO_EIGENVALUE"}, besides=("sparse_core.py",))
     assert not found, f"only sparse_core may name these: {found}"
 
 
@@ -45,37 +49,25 @@ def test_only_sparse_core_calls_the_scipy_solvers():
     # every factorization, eigensolve and least-squares iteration goes through
     # sparse_core, so the SuperLU settings, LU_DELTA and GRAM_SHIFT live in
     # one module
-    found = _named_outside_sparse_core(
-        {"splu", "spsolve", "factorized", "eigsh", "eigs", "svds", "lsqr", "lsmr"})
+    found = _named_in_library(
+        {"splu", "spsolve", "factorized", "eigsh", "eigs", "svds", "lsqr", "lsmr"},
+        besides=("sparse_core.py",))
     assert not found, f"only sparse_core may call scipy's solvers: {found}"
 
 
 def test_only_the_record_modules_call_pattern_entries():
-    # the difference-average system is stored as columns, which every other
-    # module reads whole; a per-row walk over DARow records is how the
-    # Python-level constructions crept back in
-    allowed = {"da_reduce.py", "fileio.py"}
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.rglob("*.py")) if path.name not in allowed
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "pattern_entries"]
-    assert not found, f"pattern_entries walks the records: {found}"
+    # the difference-average system is stored as columns, which every module
+    # reads whole; a per-row walk over DARow records is how the Python-level
+    # constructions crept back in.  The walks, pattern_entries and da_rows,
+    # live in tests/_gen.py, and no library module defines or names them
+    found = _named_in_library({"pattern_entries", "da_rows"})
+    assert not found, f"pattern_entries and da_rows walk the records: {found}"
 
 
 def test_only_sparse_core_names_the_dense_svd():
     # spectral_summary is a dense reference for the tests and the benchmark's
     # tracer; no certificate reads it
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path.name in ("sparse_core.py", "__init__.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name == "spectral_summary":
-                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    found = _named_in_library({"spectral_summary"}, besides=("sparse_core.py", "__init__.py"))
     assert not found, f"only sparse_core may name spectral_summary: {found}"
 
 
