@@ -44,18 +44,6 @@ class ReductionError(ValueError):
     """The difference-average input cannot be encoded."""
 
 
-class Tubes(NamedTuple):
-    """Provenance of the tubes, one entry each: the equation, variable and
-    copy it encodes, its sign, and in ``cols`` (n, 3) the triangle column
-    carrying each of the three loop slots."""
-
-    q: np.ndarray
-    var: np.ndarray
-    copy: np.ndarray
-    sign: np.ndarray
-    cols: np.ndarray
-
-
 @dataclass
 class BoundaryProblem:
     """A boundary-operator least-squares problem with provenance.
@@ -64,14 +52,14 @@ class BoundaryProblem:
     and zero elsewhere; ``weights`` is the diagonal of W (all ones for the
     unit construction until the general-case weights are computed).  The
     central triangles, each equation's right-hand side and its loop weight
-    are read off ``K``, ``gamma`` and ``weights``, so each is stored once.
+    are read off ``K``, ``gamma`` and ``weights``, and the tubes off ``da``
+    (``_attachments``), so each is stored once.
     """
 
     K: Complex2
     d2: SparseMatrix
     gamma: np.ndarray
     weights: np.ndarray
-    tubes: Tubes
     da: WeightedDASystem
 
     @property
@@ -166,31 +154,19 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
 
 
-def tube_refs(sys: WeightedDASystem, K: Complex2, attach: np.ndarray | None = None) -> Tubes:
-    """The tubes of the complex that ``build_boundary_problem`` makes from ``sys``.
-
-    A variable with h attachments owns 11h - 4 consecutive triangles: its
-    sphere of 5h - 4, then six per tube in the order of its attachments
-    (``attach``, computed from ``sys`` when not given).  The template of
-    each tube's sign names the triangle carrying each loop slot.  Raises
-    ``ComplexStructureError`` when the group sizes, central triangles or
-    loops of ``K`` do not fit ``sys``.
-    """
-    if attach is None:
-        attach = _attachments(sys)
-    var, _, _, sign = attach.T
-    n_attach = np.bincount(var, minlength=sys.n_vars)
+def check_layout(sys: WeightedDASystem, K: Complex2) -> None:
+    """Raise ``ComplexStructureError`` unless ``K`` has the triangle groups,
+    central triangles and loops that ``build_boundary_problem`` lays out for
+    ``sys``: a variable with h attachments owns 11h - 4 consecutive
+    triangles (its sphere of 5h - 4, then six per tube), every variable one
+    central triangle and every equation one row of loops."""
+    n_attach = np.bincount(_attachments(sys)[:, 0], minlength=sys.n_vars)
     sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
     if (sizes.size != sys.n_vars or np.any(sizes != 11 * n_attach - 4)
             or np.any(np.diff(K.tri_group) < 0) or K.central.size != sys.n_vars
             or len(K.loops) != sys.n_rows):
         raise ComplexStructureError("the complex does not encode the difference-average "
                                     "system of its problem")
-    rank = np.arange(len(attach)) - (np.cumsum(n_attach) - n_attach)[var]
-    start = np.cumsum(sizes)[var] - 6 * (n_attach[var] - rank)
-    cols = start[:, None] + np.where((sign > 0)[:, None], _tube_template(1)[2],
-                                     _tube_template(-1)[2])
-    return Tubes(attach[:, 1], var, attach[:, 2], sign, cols)
 
 
 def _sphere_edges(cycles: np.ndarray, n_vert: int) -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +272,7 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     loop_weight = sys.weight * sys.scale ** 2
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
     weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(len(edge))])
-    return BoundaryProblem(K=K, d2=d2, gamma=gamma, weights=weights,
-                           tubes=tube_refs(sys, K, attach), da=sys)
+    return BoundaryProblem(K=K, d2=d2, gamma=gamma, weights=weights, da=sys)
 
 
 def reduce_da_to_b2(sys: WeightedDASystem, b) -> BoundaryProblem:
@@ -345,12 +320,11 @@ class _Paths(NamedTuple):
 class PathWeights(NamedTuple):
     """Shortest triangle paths from each central triangle to the slot-1
     boundary triangles: ``l_q``, the total length of each equation's paths,
-    and each of the ``tubes``' paths in closed form (``closed_form``, one
-    entry a tube).  Listed edge by edge, the paths hold Θ(sum h^2) entries
-    over spheres of h holes, and no weight needs them."""
+    and each tube's path in closed form (``closed_form``, one entry a tube,
+    in the order of ``_attachments``).  Listed edge by edge, the paths hold
+    Θ(sum h^2) entries over spheres of h holes, and no weight needs them."""
 
     l_q: np.ndarray
-    tubes: Tubes
     closed_form: _Paths
 
 
@@ -454,8 +428,10 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     count, the tube's rank among the variable's attachments and its sign:
     it crosses the sphere (``_sphere_paths``), a hole side into the tube,
     and the connecting edge into the slot-1 triangle (``_into_slot1``).  So
-    ``problem`` must be laid out as ``build_boundary_problem`` lays it out;
-    a tube's rank is read off its slot-1 column.
+    ``problem`` must be laid out as ``build_boundary_problem`` lays it out
+    for ``problem.da``, whose attachments (``_attachments``) give every
+    tube's equation, variable, sign and rank, and every variable's hole
+    count; the complex's triangle groups are not read.
 
     No path is listed.  The paths on one sphere in one ``_SPHERE_PATHS``
     case, a family, share start, step and even, so they share their k-th
@@ -476,29 +452,27 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    K, tubes = problem.K, problem.tubes
-    size = np.bincount(K.tri_group, minlength=problem.n_vars)
-    holes = (size + 4) // 11
+    K, d = problem.K, problem.n_equations
+    var, q, _, sign = _attachments(problem.da).T
+    holes = np.bincount(var, minlength=problem.n_vars)
     n_edges = 15 * holes - 6
-    edge0 = 3 * problem.n_equations + np.cumsum(n_edges) - n_edges
-    if K.n_edges != 3 * problem.n_equations + n_edges.sum():
+    edge0 = 3 * d + np.cumsum(n_edges) - n_edges
+    if K.n_edges != 3 * d + n_edges.sum():
         raise ComplexStructureError(f"the complex has {K.n_edges} edges, not the "
-                                    f"{3 * problem.n_equations + n_edges.sum()} of its layout")
+                                    f"{3 * d + n_edges.sum()} of its layout")
 
-    var, positive = tubes.var, tubes.sign > 0
-    h = holes[var]
-    slot1 = np.where(positive, _tube_template(1)[2][0], _tube_template(-1)[2][0])
-    rank = (tubes.cols[:, 0] - slot1 - (np.cumsum(size) - size)[var] - (5 * h - 4)) // 6
+    positive, h = sign > 0, holes[var]
+    rank = np.arange(var.size) - (np.cumsum(holes) - holes)[var]
     case, (count, start, step, even, hole, side) = _sphere_paths(h, rank, positive)
     connecting = 9 * h - 6 + 6 * rank + np.where(positive, _into_slot1(1)[side],
                                                  _into_slot1(-1)[side])
     base = edge0[var]
     paths = _Paths(count, base + start, step, even, base + hole, base + connecting)
-    l_q = np.bincount(tubes.q, weights=count + 2, minlength=problem.n_equations)
+    l_q = np.bincount(q, weights=count + 2, minlength=d)
 
     # an edge carries at most four of an equation's paths: a path crosses
-    # an edge at most once, and ``_attachments``, whence the build and the
-    # reader take their tubes, gives an equation two or four tubes
+    # an edge at most once, and ``_attachments`` gives an equation two or
+    # four tubes
 
     # a family is keyed (variable, case), and its slots are k = 0 .. count
     # of its longest path, the one of rank h - 1 where count grows with rank
@@ -506,7 +480,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     slots = np.zeros(len(_SPHERE_PATHS) * problem.n_vars, dtype=np.int64)
     slots[family] = count + _SPHERE_PATHS[case, 2, 0] * (h - 1 - rank) + 1
     at = np.cumsum(slots) - slots
-    w, n = l_q[tubes.q], int(slots.sum())
+    w, n = l_q[q], int(slots.sum())
     suffix = np.cumsum(np.bincount(at[family], weights=w, minlength=n)
                        - np.bincount(at[family] + count, weights=w, minlength=n))
     member = np.zeros(slots.size, dtype=np.int64)  # any tube of the family
@@ -529,7 +503,7 @@ def compute_edge_weights(problem: BoundaryProblem, alpha: float):
     weights[K.loops] = (problem.da.weight * problem.da.scale ** 2)[:, None]
     if not np.all(np.isfinite(weights)):
         raise ReductionError(f"alpha {alpha:g} makes an edge weight overflow float64")
-    return PathWeights(l_q, tubes, paths), weights
+    return PathWeights(l_q, paths), weights
 
 
 def reduce_reg(sys: WeightedDASystem, b=None, *, eps_da: float,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .b2_reduce import BoundaryProblem, tube_refs
+from .b2_reduce import BoundaryProblem, check_layout
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import (
     CLASS_G,
@@ -137,7 +137,8 @@ def da_system_to_json(sys: WeightedDASystem) -> dict:
 # the rules of a da.json row, in the order they are checked
 _DA_ROW_RULES = ("not an object", "no 'kind'", "no 'i'", "no 'j'", "unknown kind {!r}",
                  "an average row needs 'k'", "a variable id is not an integer",
-                 "a weight, rhs or scale is not a number")
+                 "a variable id is outside int64", "a weight, rhs or scale is not a number")
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def _da_columns(rows: list):
@@ -157,6 +158,7 @@ def _da_columns(rows: list):
         [avg and v is None for avg, v in zip(average, k)],
         [type(a) is not int or type(b) is not int or (c is not None and type(c) is not int)
          for a, b, c in zip(i, j, k)],
+        [any(type(v) is int and v not in _INT64 for v in ids) for ids in zip(i, j, k)],
         [any(type(v) not in (int, float) for v in row) for row in zip(*numbers)],
     ], dtype=bool)
     bad = np.flatnonzero(faults.any(axis=0))
@@ -324,10 +326,10 @@ def _read_instance(src: Path, n_edges: int, d2_name: str) -> dict[str, np.ndarra
 
 
 def read_boundary_problem(src) -> BoundaryProblem:
-    """Inverse of ``write_boundary_problem`` (the tubes are rebuilt from the
-    complex and the difference-average system); rejects a d2 entry other
-    than +1 and -1, W or gamma as ``_read_instance`` does and a malformed
-    row of ``da.json`` (``da_system_from_json``), naming the file."""
+    """Inverse of ``write_boundary_problem``; rejects a d2 entry other than
+    +1 and -1, W or gamma as ``_read_instance`` does, a malformed row of
+    ``da.json`` (``da_system_from_json``) and a complex that is not laid out
+    for that system (``b2_reduce.check_layout``), naming the files."""
     src = Path(src)
     names = BOUNDARY_FILES
     d2 = read_matrix(src / names["d2"])
@@ -344,10 +346,10 @@ def read_boundary_problem(src) -> BoundaryProblem:
     except ArtifactError as exc:
         raise ArtifactError(f"{da_path}: {exc}") from None
     try:
-        tubes = tube_refs(da, K)
+        check_layout(da, K)
     except ComplexStructureError as exc:
         raise ComplexStructureError(f"{src / names['complex']} and {names['da']}: {exc}") from None
-    return BoundaryProblem(K=K, d2=d2, tubes=tubes, da=da, **vectors)
+    return BoundaryProblem(K=K, d2=d2, da=da, **vectors)
 
 
 # -- reduction chains -----------------------------------------------------------
@@ -410,9 +412,11 @@ def read_manifest(src) -> tuple[float, float]:
 def read_chain(src) -> ChainArtifacts:
     """Rebuild the chain that ``write_chain`` wrote to ``src``: the
     deterministic ``reduce_chain`` of the original system at the manifest's
-    eps and alpha, with the stored W and gamma (checked as in
-    ``read_boundary_problem``).  Opens ``manifest.json``, ``ORIGINAL_FILES``
-    and the two vectors only; an original outside class G raises
+    eps and alpha.  The stored W and gamma are checked as in
+    ``read_boundary_problem`` and must then equal the rebuilt ones bit for
+    bit; the first entry that differs raises ``ArtifactError`` naming its
+    file and both values.  Opens ``manifest.json``, ``ORIGINAL_FILES`` and
+    the two vectors only; an original outside class G raises
     ``MatrixClassError``."""
     src = Path(src)
     eps, alpha = read_manifest(src)
@@ -420,6 +424,13 @@ def read_chain(src) -> ChainArtifacts:
     original = GeneralSystem(*read_system(src / a_name, src / b_name), CLASS_G)
     chain = reduce_chain(original, eps, alpha=alpha)
     P = chain.problem
-    vectors = _read_instance(src, P.n_edges, f"the d2 built from {a_name}")
-    P.weights, P.gamma = vectors["weights"], vectors["gamma"]
+    stored = _read_instance(src, P.n_edges, f"the d2 built from {a_name}")
+    for key, rebuilt in (("weights", P.weights), ("gamma", P.gamma)):
+        v = stored[key]
+        differ = np.flatnonzero(v.view(np.uint64) != rebuilt.view(np.uint64))
+        if differ.size:
+            e = int(differ[0])
+            raise ArtifactError(f"{src / BOUNDARY_FILES[key]} holds {float(v[e])!r} at entry "
+                                f"{e}, but the chain rebuilt from {a_name} has "
+                                f"{float(rebuilt[e])!r} there")
     return chain

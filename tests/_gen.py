@@ -474,6 +474,45 @@ def group_indicator(problem) -> np.ndarray:
     return H
 
 
+class Tubes(NamedTuple):
+    """The tubes of a built problem, one entry each: the equation, variable
+    and copy it encodes, its sign, and in ``cols`` (n, 3) the triangle
+    column carrying each of the three loop slots."""
+
+    q: np.ndarray
+    var: np.ndarray
+    copy: np.ndarray
+    sign: np.ndarray
+    cols: np.ndarray
+
+
+def tube_refs(problem) -> Tubes:
+    """The tubes of ``problem``, read off its d2 and triangle groups rather
+    than the library's layout rules.
+
+    Loop edge r of equation q bounds the slot-r triangle of each of q's
+    tubes, with d2 entry +1 on a tube of sign + and -1 on one of sign -.
+    Each tube's triangles are a block of its variable's group, so q's
+    slot-r columns, in the sorted order of d2's canonical CSR rows, list
+    its tubes in one order for every slot, and the two copies of an average
+    row's k come in copy order.  The tubes are returned by slot-1 column,
+    the order of the variables' attachments.
+    """
+    csr, K = problem.d2.to_csr(), problem.K
+    tubes = []
+    for q, loop in enumerate(K.loops):
+        row = [slice(csr.indptr[e], csr.indptr[e + 1]) for e in loop]
+        cols = np.stack([csr.indices[r] for r in row], axis=1)
+        seen = Counter()
+        for c, sign in zip(cols.tolist(), csr.data[row[0]].tolist()):
+            var = int(K.tri_group[c[0]])
+            seen[var] += 1
+            tubes.append((q, var, seen[var], int(sign), *c))
+    t = np.array(tubes, dtype=np.int64).reshape(-1, 7)
+    t = t[np.argsort(t[:, 4], kind="stable")]
+    return Tubes(t[:, 0], t[:, 1], t[:, 2], t[:, 3], t[:, 4:])
+
+
 def bfs_edge_weights(problem, alpha: float):
     """The edge weights of ``b2_reduce.compute_edge_weights`` from a global
     breadth-first search instead of the cell templates.
@@ -487,7 +526,7 @@ def bfs_edge_weights(problem, alpha: float):
     K = problem.K
     t, m = K.n_triangles, K.n_edges
     adj = triangle_adjacency(problem.d2, K.kind)
-    tubes = problem.tubes
+    tubes = tube_refs(problem)
     roots = np.unique(problem.central)
 
     no_transit = np.isin(np.arange(t), tubes.cols) & ~np.isin(np.arange(t), roots)
@@ -554,10 +593,9 @@ def path_edge(pw) -> np.ndarray:
     return _tube_paths(pw.closed_form)[1]
 
 
-def paths(pw) -> dict[tuple[int, int, int], tuple[int, ...]]:
+def paths(pw, tubes: Tubes) -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Edge ids of each path, from the central triangle outward, keyed by
-    the tube's (equation, variable, copy)."""
-    tubes = pw.tubes
+    the tube's (equation, variable, copy) in ``tubes`` (``tube_refs``)."""
     tube, edge = _tube_paths(pw.closed_form)
     upward = edge[np.argsort(tube, kind="stable")]
     ends = np.cumsum(np.bincount(tube, minlength=tubes.q.size))
@@ -566,7 +604,8 @@ def paths(pw) -> dict[tuple[int, int, int], tuple[int, ...]]:
             for key, part in zip(keys, np.split(upward, ends[:-1]))}
 
 
-def k_qe(pw) -> dict[tuple[int, int], int]:
-    """Number of equation-q paths through edge e, keyed (q, e)."""
+def k_qe(pw, tubes: Tubes) -> dict[tuple[int, int], int]:
+    """Number of equation-q paths through edge e, keyed (q, e), for the
+    tubes ``tubes`` (``tube_refs``)."""
     tube, edge = _tube_paths(pw.closed_form)
-    return dict(Counter(zip(pw.tubes.q[tube].tolist(), edge.tolist())))
+    return dict(Counter(zip(tubes.q[tube].tolist(), edge.tolist())))

@@ -16,7 +16,6 @@ from lin2complex.b2_reduce import (
     reduce_da_to_b2,
     reduce_reg,
     spectral_certificate,
-    tube_refs,
 )
 from lin2complex.complex2 import EDGE_INTERIOR, EDGE_LOOP, boundary2, validate
 from lin2complex.da_reduce import average_row, difference_row, gz2_to_da, plain_da_system
@@ -96,10 +95,11 @@ def test_structural_row_patterns():
         nz = d2[eid][d2[eid] != 0]
         if e.kind == EDGE_INTERIOR:
             assert sorted(nz.tolist()) == [-1.0, 1.0]
+    T = _gen.tube_refs(P)
     for q, row in enumerate(da_rows(sys)):
-        tubes = np.flatnonzero(P.tubes.q == q)
+        tubes = np.flatnonzero(T.q == q)
         for slot, row_id in enumerate(P.K.loops[q]):
-            vals = {P.tubes.sign[t]: d2[row_id, P.tubes.cols[t, slot]] for t in tubes}
+            vals = {T.sign[t]: d2[row_id, T.cols[t, slot]] for t in tubes}
             assert vals[1] == 1.0
             if row.kind == "difference":
                 assert vals[-1] == -1.0
@@ -192,12 +192,13 @@ def test_edge_weights_single_difference():
     sys, b = single_difference(1.0)
     P = reduce_da_to_b2(sys, b)
     pw, weights = compute_edge_weights(P, alpha=2.0)
+    paths = _gen.paths(pw, _gen.tube_refs(P))
     # each sphere is one triangle; path = sphere -> tube outer -> boundary
-    assert all(len(p) == 2 for p in _gen.paths(pw).values())
+    assert all(len(p) == 2 for p in paths.values())
     assert pw.l_q[0] == 4.0
     # weighted interior edges carry alpha * k * l; untouched ones stay 0
     interior = [eid for eid, e in enumerate(P.K.edges) if e.kind == EDGE_INTERIOR]
-    on_path = {eid for p in _gen.paths(pw).values() for eid in p}
+    on_path = {eid for p in paths.values() for eid in p}
     for eid in interior:
         if eid in on_path:
             assert weights[eid] == pytest.approx(2.0 * 1 * 4.0)
@@ -213,6 +214,19 @@ def test_edge_weights_refuse_an_alpha_that_overflows():
     with pytest.raises(ReductionError, match=r"^alpha 1e\+308 makes an edge weight overflow"):
         compute_edge_weights(P, 1e308)
     assert np.all(np.isfinite(compute_edge_weights(P, 1e307)[1]))
+
+
+def test_edge_weights_read_the_tubes_off_the_system_not_the_groups():
+    # the system fixes where every tube lies; with the triangle groups
+    # relabelled, edges, kinds and loops kept, the weights stay the same
+    P = reduce_chain(three_per_row_system(8, 6), 1e-3).problem
+    K = P.K
+    relabelled = dataclasses.replace(P, K=complex2.Complex2(
+        K.n_vertices, K.tri, (K.tri_group + 1) % P.n_vars, K.edge, K.kind, K.central, K.loops))
+    pw, weights = compute_edge_weights(P, 7.0)
+    pw_relabelled, weights_relabelled = compute_edge_weights(relabelled, 7.0)
+    assert np.array_equal(weights_relabelled, weights)
+    assert np.array_equal(pw_relabelled.l_q, pw.l_q)
 
 
 def _paths_by_bfs_oracle(P):
@@ -261,25 +275,26 @@ def test_edge_weights_match_explicit_enumeration(seed):
     pw, weights = compute_edge_weights(P, alpha)
     # stored paths are shortest: lengths equal oracle BFS distances
     dist = _paths_by_bfs_oracle(P)
-    for q, var, copy, slot1 in zip(P.tubes.q, P.tubes.var, P.tubes.copy, P.tubes.cols[:, 0]):
-        path = _gen.paths(pw)[(q, var, copy)]
+    T = _gen.tube_refs(P)
+    paths, k_qe = _gen.paths(pw, T), _gen.k_qe(pw, T)
+    for q, var, copy, slot1 in zip(T.q, T.var, T.copy, T.cols[:, 0]):
+        path = paths[(q, var, copy)]
         assert len(path) == dist[slot1]
     # k counts from explicit path listing agree with the tree accumulation
     k_explicit = {}
-    for (q, _, _), path in _gen.paths(pw).items():
+    for (q, _, _), path in paths.items():
         for eid in path:
             k_explicit[(q, eid)] = k_explicit.get((q, eid), 0) + 1
-    assert k_explicit == _gen.k_qe(pw)
+    assert k_explicit == k_qe
     assert max(k_explicit.values(), default=0) <= 4
     for eid, e in enumerate(P.K.edges):
         if e.kind == EDGE_INTERIOR:
-            expected = alpha * sum(pw.l_q[q] * k for (q, e2), k in _gen.k_qe(pw).items()
-                                   if e2 == eid)
+            expected = alpha * sum(pw.l_q[q] * k for (q, e2), k in k_qe.items() if e2 == eid)
             assert weights[eid] == pytest.approx(expected)
     # each equation's total path length is bounded by paths x largest group
     groups = P.K.tri_group
     t_max = max(np.bincount(groups))
-    n_paths = np.bincount(P.tubes.q, minlength=P.n_equations)
+    n_paths = np.bincount(T.q, minlength=P.n_equations)
     assert np.all(pw.l_q <= n_paths * t_max)
 
 
@@ -673,9 +688,8 @@ def test_build_counts_are_linear_in_the_pattern(family):
         assert da.pattern_nnz == 2 * a + 3 * b
         assert (P.K.n_vertices, P.n_triangles, P.n_edges) == (
             3 * d + 3 * H, 11 * H - 4 * n, 3 * d + 15 * H - 6 * n)
-        per_row = np.bincount(P.tubes.q, minlength=d)
+        per_row = np.bincount(_gen.tube_refs(P).q, minlength=d)
         assert np.array_equal(per_row, np.where(da.average, 4, 2)) and per_row.max() <= 4
-        assert np.array_equal(np.bincount(tube_refs(da, P.K).q, minlength=d), per_row)
 
 
 def test_reduce_chain_looks_up_no_edge_and_no_adjacency(monkeypatch):

@@ -14,7 +14,7 @@ from lin2complex.complex2 import boundary1, validate
 from lin2complex.da_reduce import GeneralSystem
 from lin2complex.pipeline import ALPHA_CAP_DEFAULT, reduce_chain
 
-from _gen import planted_general_system, three_per_row_system
+from _gen import planted_general_system, three_per_row_system, tube_refs
 
 
 def _digest(*arrays) -> str:
@@ -75,7 +75,7 @@ def test_golden_encoding(name):
     assert prod.nnz == 0
 
     csr = P.d2.to_csr()
-    T = P.tubes
+    T = tube_refs(P)
     tubes = np.column_stack([T.q, T.var, T.copy, T.sign, T.cols]).astype(np.int64)
     got = {
         "t": P.n_triangles,
