@@ -17,7 +17,7 @@ own.  A line holds:
 - ``stages_s``, ``build_s``, ``weights_s``, ``validate_s`` and
   ``exact_checks_s``: the wall time of ``to_zero_rowsum`` + ``to_pow2`` +
   ``gz2_to_da``, ``build_boundary_problem``, ``compute_edge_weights``,
-  ``validate`` and the certificate's two exact checks (no Lanczos), each
+  ``validate`` and the certificate's two exact checks, each
   the best of three untraced calls;
 - ``weights_peak_mb`` and ``validate_peak_mb``: the ``tracemalloc`` peak of
   ``compute_edge_weights`` and of ``validate`` above what was held at the
@@ -94,7 +94,7 @@ def measure(n: int) -> dict:
     problem, build_s = _timed(build_boundary_problem, da)
     (_, problem.weights), weights_s = _timed(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
     report, validate_s = _timed(validate, problem.K)
-    certificate, exact_s = _timed(lambda: spectral_certificate(problem, lanczos=False))
+    certificate, exact_s = _timed(spectral_certificate, problem)
     if not (report.ok and certificate.ok):
         raise RuntimeError(f"rung {n}: {report.violation or certificate.checks}")
     chain = ChainArtifacts(system, gz, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)

@@ -7,8 +7,7 @@ coefficient sign.  The module also computes the general-case interior edge
 weights from shortest triangle paths, maps flows back to variable values,
 and certifies the operator in integer arithmetic without forming it
 densely: a norm product bounds its largest eigenvalue, and an identity with
-the source pattern proves that the two have one nullity.  A shift-invert
-Lanczos solve reports the nullity and smallest nonzero eigenvalue beside.
+the source pattern proves that the two have one nullity.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError
 
 from .complex2 import (
     INTERIOR,
@@ -34,8 +32,6 @@ from .da_reduce import WeightedDASystem
 from .sparse_core import (
     DimensionError,
     SparseMatrix,
-    gram_spectrum,
-    narrow_gap,
     norm_product,
 )
 
@@ -547,7 +543,6 @@ class CertificateCheck:
 class CertificateReport:
     ok: bool
     checks: tuple[CertificateCheck, ...]
-    lambda_min: float = math.nan  # reported by Lanczos, read by no check
 
     def __getitem__(self, name: str) -> CertificateCheck:
         for c in self.checks:
@@ -556,10 +551,10 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> CertificateReport:
+def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     """Certify lambda_max(d2^T d2) <= 12 and nullity(d2) = nullity(P), for P
     the source system's pattern, in integer arithmetic and without forming
-    d2 densely; with ``lanczos``, report the low Gram spectrum beside them.
+    d2 densely.
 
     - lambda_max is the integer ||d2||_1 ||d2||_inf, a proof rather than an
       estimate since ||M||_2^2 <= ||M||_1 ||M||_inf; three nonzeros a
@@ -573,21 +568,13 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
       (every interior edge in two triangles of opposite signs, each group
       connected over interior edges and holding a central triangle),
       d2 f = 0 makes f = H x, and then d2 H x = 0 exactly when P x = 0;
-      H has full column rank, so ker d2 = H ker P.
-
-    ``sparse_core.gram_spectrum`` of d2 (the smallest eigenvalues of the
-    exact integer d2^T d2, from k = 4 until a nonzero one shows) gives the
-    nullity check's value and the gap in its note, flagged when
-    ``sparse_core.narrow_gap`` holds, and the report's ``lambda_min``; nan
-    and the reason when Lanczos fails.  No check reads them.  The two that
-    did could not fail: Lanczos calls only lambda_min > 1e-14 nonzero and
-    lambda_max <= 12, so the condition number
-    sqrt(lambda_max / lambda_min) < 3.5e7 <= 1e9 nnz(A)^(9/2) kappa(A)^2,
-    and lambda_min > 1e-16 >= min(lambda_min(A^T A)^2, 1) / (1e16 d^7).
+      H has full column rank, so ker d2 = H ker P.  Its value is the number
+      of entries where the two differ, against a bound of 0; nan when the
+      groups or loops do not fit the system, so that no product is formed.
     """
     K, d2, pattern = problem.K, problem.d2, problem.pattern_matrix()
     size = np.bincount(K.tri_group, minlength=problem.n_vars)
-    mismatch = "the triangle groups and loops do not fit the system"
+    mismatch, differ = "the triangle groups and loops do not fit the system", math.nan
     if size.size == problem.n_vars and size.all() and len(K.loops) == pattern.n_rows:
         t = problem.n_triangles
         H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
@@ -597,23 +584,11 @@ def spectral_certificate(problem: BoundaryProblem, *, lanczos: bool = True) -> C
         rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
         mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
                     f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
-    note = mismatch or "d2 H is the pattern on the loop edges and zero elsewhere"
-    nullity, lam_min = math.nan, math.nan
-    if lanczos:
-        try:
-            eig, nullity = gram_spectrum(d2, 4)
-        except (ArpackError, ValueError) as exc:
-            note += f"; Lanczos failed: {exc}"
-        else:
-            lam_min = float(eig[nullity])
-            zeros = (f"largest zero eigenvalue {eig[nullity - 1]:.3g}" if nullity
-                     else "no zero eigenvalue")
-            note += f"; Lanczos nullity {nullity}, {zeros}, smallest nonzero {lam_min:.3g}"
-            if narrow_gap(lam_min):
-                note += " (within 1e3 of the zero threshold: the count may be off)"
+        differ = float(rest.nnz)
     lam_max = float(norm_product(d2))
     checks = (
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0),
-        CertificateCheck("nullity", float(nullity), math.nan, not mismatch, note),
+        CertificateCheck("nullity", differ, 0.0, not mismatch,
+                         mismatch or "d2 H is the pattern on the loop edges and zero elsewhere"),
     )
-    return CertificateReport(all(c.ok for c in checks), checks, lam_min)
+    return CertificateReport(all(c.ok for c in checks), checks)

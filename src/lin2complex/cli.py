@@ -158,11 +158,8 @@ def cmd_verify(args) -> int:
     check("size bounds", t <= 22 * pattern.nnz and m <= 33 * pattern.nnz
           and problem.d2.nnz == 3 * t)
 
-    lanczos = t <= args.cert_limit
-    for c in spectral_certificate(problem, lanczos=lanczos).checks:
+    for c in spectral_certificate(problem).checks:
         check(f"spectral {c.name}", c.ok, c.note or f"value {c.value:.6g} vs bound {c.bound:.6g}")
-    if not lanczos:
-        print(f"[SKIP] Lanczos spectrum (t={t} beyond --cert-limit {args.cert_limit})")
     return 0 if ok else 1
 
 
@@ -236,9 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="validate artifacts and run certificates")
     pv.add_argument("--dir", required=True)
-    pv.add_argument("--cert-limit", type=positive_int, default=4000,
-                    help="largest triangle count whose Lanczos spectrum is reported; "
-                         "the exact spectral checks run on every complex")
     pv.set_defaults(func=cmd_verify)
 
     pm = sub.add_parser("maxflow-demo", help="interior-point maxflow demo")

@@ -137,8 +137,10 @@ def da_system_to_json(sys: WeightedDASystem) -> dict:
 # the rules of a da.json row, in the order they are checked
 _DA_ROW_RULES = ("not an object", "no 'kind'", "no 'i'", "no 'j'", "unknown kind {!r}",
                  "an average row needs 'k'", "a variable id is not an integer",
-                 "a variable id is outside int64", "a weight, rhs or scale is not a number")
+                 "a variable id is outside int64", "a weight, rhs or scale is not a number",
+                 "a weight, rhs or scale is outside float64")
 _INT64 = range(-2 ** 63, 2 ** 63)
+_FLOAT64_LIMIT = 2 ** 1024 - 2 ** 970  # the least integer that rounds past float64
 
 
 def _da_columns(rows: list):
@@ -160,6 +162,8 @@ def _da_columns(rows: list):
          for a, b, c in zip(i, j, k)],
         [any(type(v) is int and v not in _INT64 for v in ids) for ids in zip(i, j, k)],
         [any(type(v) not in (int, float) for v in row) for row in zip(*numbers)],
+        [any(type(v) is int and not -_FLOAT64_LIMIT < v < _FLOAT64_LIMIT for v in row)
+         for row in zip(*numbers)],
     ], dtype=bool)
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
@@ -174,8 +178,8 @@ def da_system_from_json(obj) -> WeightedDASystem:
     """The system of ``da_system_to_json``, its columns filled straight from
     the rows.  Raises ``ArtifactError`` naming the first bad row: a missing
     field, a non-integer or out-of-range id, an unknown kind, a non-positive
-    weight or scale, a weight, scale or rhs that is not finite, or an
-    average row with a nonzero rhs."""
+    weight or scale, a weight, scale or rhs that is not finite or lies
+    outside float64, or an average row with a nonzero rhs."""
     sizes = [obj.get(name) if isinstance(obj, dict) else None
              for name in ("n_vars", "n_main", "n_aux")]
     rows = obj.get("rows") if isinstance(obj, dict) else None

@@ -10,14 +10,15 @@ refined once, first symmetric without pivoting and then, if that answer
 does not certify, with COLAMD and partial pivoting, then column-equilibrated
 LSQR rounds) are judged by their projected residual against P b, the
 projection of b onto the column space from one tight LSQR solve
-(``certify_rounds``); and the sparse spectral data that the spectral
-certificate and the ``lap_solve`` routes read: the integer norm bound on the
-largest eigenvalue, and the low spectrum and nullity of an exact integer
-Gram matrix from shift-invert Lanczos over one symmetric factor
-(``gram_spectrum``, the one place that decides which eigenvalues are
-zero).  The two symmetric factors share one SuperLU setting,
-``SYMMETRIC_LU``; the ``lap_solve`` routes and the maxflow Newton steps keep
-pivoting.  ``spectral_summary`` is the dense reference for small matrices.
+(``certify_rounds``); and sparse spectral data: the integer norm bound on
+the largest eigenvalue, which the spectral certificate and the ``lap_solve``
+routes read, and the low spectrum and nullity of an exact integer Gram
+matrix from shift-invert Lanczos over one symmetric factor
+(``gram_spectrum``, the one place that decides which eigenvalues are zero),
+from which the ``lap_solve`` routes take their lambda_min.  The two
+symmetric factors share one SuperLU setting, ``SYMMETRIC_LU``; the
+``lap_solve`` routes and the maxflow Newton steps keep pivoting.
+``spectral_summary`` is the dense reference for small matrices.
 """
 
 from __future__ import annotations
@@ -549,14 +550,6 @@ GRAM_SHIFT = 1e-8
 # nonzero eigenvalue seen was 9e-14, on a 23,890-triangle complex of a
 # 40x40 three-per-row system.
 ZERO_EIGENVALUE = 1e-14
-
-
-def narrow_gap(lam: float) -> bool:
-    """Whether a nonzero eigenvalue lies within a factor 1e3 of
-    ``ZERO_EIGENVALUE``, close enough that the zero test may soon count it
-    as zero: the smallest nonzero eigenvalue of d2^T d2 fell from 1.8e-6 to
-    2.4e-10 between the 10 and 40 rungs of ``scripts/ladder.py``."""
-    return abs(lam) <= 1e3 * ZERO_EIGENVALUE
 
 
 def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:

@@ -24,6 +24,7 @@ from _gen import (
     planted_da_instance,
     planted_general_system,
     random_gz2_system,
+    three_per_row_system,
 )
 
 
@@ -153,13 +154,12 @@ def test_one_parser_serves_every_main_call_of_a_process(tmp_path, capsys):
     _write_general(tmp_path)
     out = tmp_path / "out"
     assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
-                 "--out-dir", str(out), "--eps", "0.25"]) == 0
-    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
-    assert "[SKIP] Lanczos spectrum" in capsys.readouterr().out
+                 "--out-dir", str(out), "--eps", "0.25", "--alpha", "1e4"]) == 0
     assert main(["verify", "--dir", str(out)]) == 0
-    assert "[SKIP]" not in capsys.readouterr().out
+    reduce = build_parser().parse_args(["reduce", "--matrix", "A", "--rhs", "b", "--out-dir", "o"])
+    assert (reduce.eps, reduce.alpha) == (1e-3, None)
     verify = build_parser().parse_args(["verify", "--dir", str(out)])
-    assert (verify.command, verify.cert_limit) == ("verify", 4000)
+    assert verify.command == "verify"
     assert not hasattr(verify, "eps") and not hasattr(verify, "matrix")
 
 
@@ -574,27 +574,31 @@ def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
     spectral = [line for line in texts[0].splitlines() if "spectral" in line]
     assert len(spectral) == 2 and all(line.startswith("[PASS]") for line in spectral)
     assert "[SKIP]" not in texts[0]
-    nullity = next(line for line in spectral if "nullity" in line)
-    assert "largest zero eigenvalue" in nullity and "smallest nonzero" in nullity
-
-    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
-    text = capsys.readouterr().out
-    assert "[SKIP] Lanczos spectrum (t=2940" in text and "largest zero" not in text
+    assert spectral == ["[PASS] spectral lambda_max: value 12 vs bound 12",
+                        "[PASS] spectral nullity: d2 H is the pattern on the loop edges "
+                        "and zero elsewhere"]
 
 
-def test_cli_verify_beyond_the_cert_limit_runs_the_exact_checks(tmp_path, capsys):
-    _write_general(tmp_path)
-    out = tmp_path / "out"
-    main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
-          "--out-dir", str(out), "--eps", "1e-3"])
-    capsys.readouterr()
-    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "[PASS] spectral lambda_max: value 12 vs bound 12" in lines
-    assert any(line.startswith("[PASS] spectral nullity:") for line in lines)
-    skipped = [line for line in lines if line.startswith("[SKIP]")]
-    assert len(skipped) == 1 and skipped[0].startswith("[SKIP] Lanczos spectrum (t=")
-    assert skipped[0].endswith(" beyond --cert-limit 100)")
+def test_cli_verify_runs_the_same_checks_at_every_size(tmp_path, capsys):
+    # a build_ladder-sized system, above 4,000 triangles, gets the checks of
+    # the 5x5 system, every one a [PASS], and no [SKIP] line
+    rung = three_per_row_system(8, 20)
+    (tmp_path / "5x5").mkdir()
+    _write_5x5(tmp_path / "5x5")
+    fileio.write_matrix(tmp_path / "A.mtx", rung.A)
+    fileio.write_vector(tmp_path / "b.vec", rung.b)
+    names = []
+    for directory in (tmp_path / "5x5", tmp_path):
+        out = directory / "out"
+        assert main(["reduce", "--matrix", str(directory / "A.mtx"),
+                     "--rhs", str(directory / "b.vec"), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--dir", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert all(line.startswith("[PASS] ") for line in text.splitlines()), text
+        names.append(_check_names(text))
+    assert names[0] == names[1] and "spectral nullity" in names[1]
+    assert fileio.read_boundary_problem(out).n_triangles > 4000
 
     # a da.json whose first difference row is reversed still loads; the
     # nullity identity sees that its pattern is not the complex's, and the
@@ -603,22 +607,23 @@ def test_cli_verify_beyond_the_cert_limit_runs_the_exact_checks(tmp_path, capsys
     row = next(r for r in da["rows"] if r["kind"] == "difference")
     row["i"], row["j"] = row["j"], row["i"]
     fileio.write_json(out / "da.json", da)
-    assert main(["verify", "--dir", str(out), "--cert-limit", "100"]) == 1
+    assert main(["verify", "--dir", str(out)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("[FAIL]")]
     assert len(failed) == 2 and failed[0].startswith("[FAIL] b2_W.npy is the path weights")
     assert failed[1].startswith("[FAIL] spectral nullity: d2 H minus")
 
 
-@pytest.mark.parametrize("limit", ["0", "-5"])
-def test_cli_verify_cert_limit_below_one_rejected_when_parsed(tmp_path, capsys, limit):
-    # the artifact directory is never read: the option fails first
+@pytest.mark.parametrize("limit", ["0", "-5", "100"])
+def test_cli_verify_rejects_a_cert_limit(tmp_path, capsys, limit):
+    # verify runs every check at every size and takes no size limit; the
+    # artifact directory is never read: the option fails first
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dir", str(tmp_path / "missing"), "--cert-limit", limit])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: argument --cert-limit: must be at least 1" in err
-    assert err.strip().splitlines()[-1].startswith("lin2complex verify: error:")
+    assert f"error: unrecognized arguments: --cert-limit {limit}" in err
+    assert err.strip().splitlines()[-1].startswith("lin2complex: error:")
 
 
 def test_cli_verify_catches_corruption(tmp_path):
@@ -1111,6 +1116,7 @@ DA_ROW_FAULTS = {
     "infinite weight": (1, "weight", float("inf")),
     "infinite scale": (2, "scale", float("inf")),
     "nan rhs": (0, "rhs", float("nan")),
+    "weight beyond float64": (1, "weight", 10 ** 400),
     "row not an object": (1, None, [0, 1]),
     "true id": (0, "i", True),
 }

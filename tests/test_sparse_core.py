@@ -30,6 +30,7 @@ from _gen import (
     criterion11_systems,
     dense_project,
     infeasible_da_instance,
+    random_da_instance,
     three_per_row_system,
 )
 
@@ -432,6 +433,24 @@ def test_gram_spectrum_matches_a_dense_eigvalsh_on_a_ladder_rung():
     assert d2.n_cols > 2000 and nullity == int(zero.sum()) > 0
     assert np.all(np.abs(eig[:nullity]) <= 1e-15)
     assert eig[nullity] == pytest.approx(dense[~zero][0], rel=1e-6)
+
+
+def test_gram_spectrum_agrees_with_a_dense_svd():
+    # the nullity and smallest nonzero eigenvalue of d2^T d2 on small
+    # complexes, one of them rank deficient, against a dense SVD of d2
+    rng = np.random.default_rng(42)
+    rows = [difference_row(0, 1), difference_row(0, 1), difference_row(2, 3)]
+    corpus = [(plain_da_system(4, rows), np.array([1.0, 1.0, 0.0]))]
+    corpus += [random_da_instance(rng, n, extra) for n, extra in
+               ((2, 0), (3, 2), (6, 4), (9, 1), (12, 10), (16, 14), (40, 35))]
+    for sys, b in corpus:
+        d2 = reduce_da_to_b2(sys, b).d2
+        assert d2.n_cols <= 2000
+        s = np.linalg.svd(d2.to_dense(), compute_uv=False)
+        rank = int(np.sum(s > max(d2.shape) * np.finfo(float).eps * s[0]))
+        eig, nullity = sparse_core.gram_spectrum(d2, 4)
+        assert nullity == d2.n_cols - rank
+        assert eig[nullity] == pytest.approx(s[rank - 1] ** 2, rel=1e-8)
 
 
 def test_gram_spectrum_factors_once_while_k_doubles(monkeypatch):
