@@ -7,9 +7,9 @@ system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
 inner solves and the maxflow Newton steps share; the one least-squares
 driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
 refined once, first symmetric without pivoting and then, if that answer
-does not certify, with COLAMD and partial pivoting, then column-equilibrated
-LSQR rounds) are judged by their projected residual against P b, the
-projection of b onto the column space from one tight LSQR solve
+does not certify, with COLAMD and partial pivoting) are judged by their
+projected residual against P b, the projection of b onto the column space
+from one tight column-equilibrated LSQR solve, the library's only LSQR
 (``certify_rounds``); and sparse spectral data: the integer norm bound on
 the largest eigenvalue, which the spectral certificate and the ``lap_solve``
 routes read, and the low spectrum and nullity of an exact integer Gram
@@ -184,11 +184,6 @@ class SparseMatrix:
         )
 
 
-def _lsqr_once(csr, b, tol, iter_lim):
-    out = spla.lsqr(csr, b, damp=0.0, atol=tol, btol=tol, conlim=0.0, iter_lim=iter_lim)
-    return out[0], int(out[2])
-
-
 def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Column scales ``D = diag(1 / ||A[:, j]||)`` and the values of ``A D``,
     aligned with ``A.rows`` / ``A.cols``; all-zero columns keep scale 1."""
@@ -199,17 +194,15 @@ def _unit_columns(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     return scale, A.vals * scale[A.cols]
 
 
-# the LSQR fallback after the LU rounds of ``solve_rounds``: at most
-# LSQR_ROUNDS rounds of at most LSQR_MAX_ITER iterations each
-LSQR_ROUNDS = 4
+# the most iterations of one ``iterative_solve``
 LSQR_MAX_ITER = 30000
-LSQR_TOL_FLOOR = 1e-7
 
 
 def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     """One column-equilibrated LSQR pass of at most ``LSQR_MAX_ITER``
-    iterations; returns (x, iterations), for callers that certify accuracy
-    externally.
+    iterations at ``atol = btol = max(tol, 1e-15)``; returns (x,
+    iterations).  It is the reference that ``projected_rhs`` and
+    ``certify_rounds`` take P b from.
 
     LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
     mapped back as ``x = D y`` (Paige & Saunders, ACM TOMS 1982).  This is a
@@ -225,8 +218,10 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     scale, vals = _unit_columns(A)
     csr = A.to_csr()
     scaled = sp.csr_matrix((vals, csr.indices, csr.indptr), shape=A.shape)
-    y, itn = _lsqr_once(scaled, b, max(tol, 1e-15), LSQR_MAX_ITER)
-    return scale * y, itn
+    tol = max(tol, 1e-15)
+    out = spla.lsqr(scaled, b, damp=0.0, atol=tol, btol=tol, conlim=0.0,
+                    iter_lim=LSQR_MAX_ITER)
+    return scale * out[0], int(out[2])
 
 
 # Regularization of the augmented system in ``lu_solve``, in the units of the
@@ -359,17 +354,10 @@ def lu_solve(A: SparseMatrix, b, symmetric: bool = False) -> tuple[np.ndarray, f
 
 
 def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8) -> np.ndarray:
-    """P b, the projection of b onto the column space of A, from a
-    high-accuracy LSQR solve (zero when b or A is zero)."""
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != A.n_rows:
-        raise DimensionError("operand shapes do not match the matrix")
-    if float(np.linalg.norm(b)) == 0.0 or A.nnz == 0:
-        return np.zeros(A.n_rows)
-    csr = A.to_csr()
-    x_ref, _ = _lsqr_once(csr, b, max(rel_tol / 100.0, 1e-15),
-                          16 * (A.n_rows + A.n_cols) + 800)
-    return csr @ x_ref
+    """P b, the projection of b onto the column space of A, as ``A x`` with
+    x from ``iterative_solve`` at ``rel_tol / 100`` (zero when b or A is
+    zero)."""
+    return A @ iterative_solve(A, b, rel_tol / 100.0)[0]
 
 
 def projection_residual(A: SparseMatrix, x, b,
@@ -381,46 +369,35 @@ def projection_residual(A: SparseMatrix, x, b,
 
 class Round(NamedTuple):
     """One candidate of ``solve_rounds``: the solution, its method ("lu" for
-    the symmetric factor, "lu_colamd" for the pivoted one, or "lsqr"), the
-    LSQR tolerance (None for an LU round), the LSQR iterations and the fill
-    of the latest LU factor (None if every factorization so far raised)."""
+    the symmetric factor, "lu_colamd" for the pivoted one) and the fill of
+    its LU factor.  ``certify_rounds`` reports a zero answer as method
+    "none", fill None, when no candidate came."""
 
     x: np.ndarray
     method: str
-    tolerance: float | None
-    iterations: int
     fill: float | None
 
 
-def solve_rounds(A: SparseMatrix, b, tol: float):
+def solve_rounds(A: SparseMatrix, b):
     """Candidate least-squares solutions of ``A x ~ b``, cheapest first.
 
     Two refined ``lu_solve`` rounds, each skipped if its factorization
     raises: the symmetric factor without pivoting ("lu"), then the COLAMD
     factor with partial pivoting ("lu_colamd") in case the first answer
-    does not certify.  Then up to ``LSQR_ROUNDS`` ``iterative_solve``
-    rounds whose tolerance starts from ``tol`` clipped to [``LSQR_TOL_FLOOR``,
-    0.1] and tightens 100x a round.  The rounds are computed lazily, so a caller
-    that stops at a certified candidate pays for no later round: one
-    symmetric factor when the first round certifies.
+    does not certify.  The rounds are computed lazily, so a caller that
+    stops at a certified candidate pays for one symmetric factor.
     """
-    fill = None
     for method, symmetric in (("lu", True), ("lu_colamd", False)):
         try:
             x, fill = lu_solve(A, b, symmetric)
         except (RuntimeError, MemoryError):
             continue
-        yield Round(x, method, None, 0, fill)
-    tol = min(max(tol, LSQR_TOL_FLOOR), 0.1)
-    for _ in range(LSQR_ROUNDS):
-        x, iters = iterative_solve(A, b, tol)
-        yield Round(x, "lsqr", tol, iters, fill)
-        tol = max(tol / 100.0, 1e-14)
+        yield Round(x, method, fill)
 
 
 class Verdict(NamedTuple):
     """The candidate ``certify_rounds`` keeps: x, its round and round
-    number, the LSQR iterations of every round run, ||A x - P b||, ||P b||,
+    number, the iterations of the LSQR reference, ||A x - P b||, ||P b||,
     their ratio, and whether the ratio is at most eps."""
 
     x: np.ndarray
@@ -437,28 +414,35 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
     """Judge candidates by the projected-residual certificate of ``A x ~ b``.
 
     Each candidate's solution is carried to x by ``to_x`` (as is when None)
-    and certifies when ||A x - P b|| <= eps ||P b||, with P b from one
+    and certifies when ||A x - P b|| <= eps ||P b||, with P b as in
     ``projected_rhs`` at ``min(eps / 100, 1e-6)``.  Stops at the first
     candidate that certifies; otherwise returns the best one seen, where a
-    finite ratio beats a nan one.  Either way ``iterations`` counts the LSQR
-    iterations of every round it ran.  Only ``||P b|| == 0`` gives ratio 0,
-    so a nan ``||P b||`` certifies nothing.
+    finite ratio beats a nan one.  When no candidate comes (every
+    factorization raised) it judges x = 0 in round 0, which certifies only
+    when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, so a nan
+    ``||P b||`` certifies nothing.
     """
-    pib = projected_rhs(A, b, rel_tol=min(eps / 100, 1e-6))
+    x_ref, iterations = iterative_solve(A, b, min(eps / 100, 1e-6) / 100.0)
+    pib = A @ x_ref
     pnorm = float(np.linalg.norm(pib))
-    iterations = 0
-    best = None
-    for attempt, rnd in enumerate(rounds, 1):
-        iterations += rnd.iterations
-        x = rnd.x if to_x is None else to_x(rnd.x)
+
+    def judge(x, rnd, attempt) -> Verdict:
         proj = float(np.linalg.norm(A.matvec(x) - pib))
         ratio = 0.0 if pnorm == 0.0 else proj / pnorm
-        verdict = Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
-        if best is None or ratio < best.achieved_ratio or np.isnan(best.achieved_ratio):
-            best = verdict
+        return Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
+
+    best = None
+    for attempt, rnd in enumerate(rounds, 1):
+        verdict = judge(rnd.x if to_x is None else to_x(rnd.x), rnd, attempt)
         if verdict.converged:
             return verdict
-    return best._replace(iterations=iterations)
+        ratio = verdict.achieved_ratio
+        if best is None or ratio < best.achieved_ratio or np.isnan(best.achieved_ratio):
+            best = verdict
+    if best is None:
+        zero = np.zeros(A.n_cols)
+        return judge(zero, Round(zero, "none", None), 0)
+    return best
 
 
 def refuse_non_finite(what: str, v: np.ndarray) -> None:
@@ -475,9 +459,9 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
 
     Draws candidates from ``solve_rounds`` and judges them on ``A`` with
     ``certify_rounds``, whose ``Verdict`` it returns: ``converged`` means
-    ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the LSQR
-    iterations of every fallback round run (0 when an LU round certifies).
-    Raises ``ValueError`` for a nan or infinite entry of ``A`` or ``b``.
+    ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the
+    iterations of the LSQR reference.  Raises ``ValueError`` for a nan or
+    infinite entry of ``A`` or ``b``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
@@ -486,7 +470,7 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
     refuse_non_finite("the matrix", A.vals)
     refuse_non_finite("the right-hand side", b)
-    return certify_rounds(solve_rounds(A, b, rel_tol), A, b, rel_tol)
+    return certify_rounds(solve_rounds(A, b), A, b, rel_tol)
 
 
 @dataclass(frozen=True)
