@@ -49,7 +49,8 @@ class BoundaryProblem:
     unit construction until the general-case weights are computed).  The
     central triangles, each equation's right-hand side and its loop weight
     are read off ``K``, ``gamma`` and ``weights``, and the tubes off ``da``
-    (``_attachments``), so each is stored once.
+    (``_attachments``), so each is stored once.  ``K`` is laid out as
+    ``build_boundary_problem`` lays it out for ``da`` (``check_layout``).
     """
 
     K: Complex2
@@ -60,7 +61,9 @@ class BoundaryProblem:
 
     @property
     def central(self) -> np.ndarray:
-        return self.K.central
+        """Each variable's central triangle, the first of its group: the
+        groups are sorted and none is empty."""
+        return np.searchsorted(self.K.tri_group, np.arange(self.n_vars))
 
     @property
     def equation_rhs(self) -> np.ndarray:
@@ -151,16 +154,15 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
 
 
 def check_layout(sys: WeightedDASystem, K: Complex2) -> None:
-    """Raise ``ComplexStructureError`` unless ``K`` has the triangle groups,
-    central triangles and loops that ``build_boundary_problem`` lays out for
-    ``sys``: a variable with h attachments owns 11h - 4 consecutive
-    triangles (its sphere of 5h - 4, then six per tube), every variable one
-    central triangle and every equation one row of loops."""
+    """Raise ``ComplexStructureError`` unless ``K`` has the triangle groups
+    and loops that ``build_boundary_problem`` lays out for ``sys``: a
+    variable with h attachments owns 11h - 4 consecutive triangles (its
+    sphere of 5h - 4, then six per tube), so no group is empty, and every
+    equation one row of loops."""
     n_attach = np.bincount(_attachments(sys)[:, 0], minlength=sys.n_vars)
     sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
     if (sizes.size != sys.n_vars or np.any(sizes != 11 * n_attach - 4)
-            or np.any(np.diff(K.tri_group) < 0) or K.central.size != sys.n_vars
-            or len(K.loops) != sys.n_rows):
+            or np.any(np.diff(K.tri_group) < 0) or len(K.loops) != sys.n_rows):
         raise ComplexStructureError("the complex does not encode the difference-average "
                                     "system of its problem")
 
@@ -244,12 +246,11 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
         sphere_edge, np.repeat(np.arange(sys.n_vars), 9 * holes_of - 6),
         np.where(positive, corners[:, conn_p], corners[:, conn_n]).reshape(-1, 2),
         np.repeat(var, 6))
-    central = tri_at[np.cumsum(n_tri) - n_tri]
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
     K = Complex2(
         n_vert, tri, tri_group, np.concatenate([loop_edges.reshape(-1, 2), edge]),
         np.concatenate([np.full(3 * d, LOOP), np.full(len(edge), INTERIOR)]),
-        central=central, loops=np.arange(3 * d).reshape(d, 3),
+        loops=np.arange(3 * d).reshape(d, 3),
     )
 
     # d2 as a CSC, three entries a column: the edge of every triangle side,
@@ -278,25 +279,23 @@ def reduce_da_to_b2(sys: WeightedDASystem, b) -> BoundaryProblem:
     return build_boundary_problem(sys, b)
 
 
-def map_soln_b2_to_da(sys: WeightedDASystem, b, f, central) -> np.ndarray:
+def map_soln_b2_to_da(problem: BoundaryProblem, f) -> np.ndarray:
     """Read one variable value off each sphere's central triangle.
 
     Returns the zero vector when the normal equations have a zero right-hand
     side (A^T c = 0), in which case zero is optimal.
     """
     f = np.asarray(f, dtype=np.float64).ravel()
-    central = np.asarray(central, dtype=np.int64)
-    if central.size != sys.n_vars:
-        raise DimensionError("central triangle list does not match the variable count")
+    sys = problem.da
     factors = sys.row_factors()
-    c = factors * np.asarray(b, dtype=np.float64).ravel()
+    c = factors * problem.equation_rhs
     # A^T c for A = diag(factors) P: scaling by the pattern's 1, -1 and -2
     # is exact, so this is A^T c bit for bit
     atb = sys.pattern_rmatvec(factors * c)
     scale = max(1.0, float(np.max(np.abs(c))) if c.size else 0.0)
     if np.all(np.abs(atb) <= 1e-12 * scale):
         return np.zeros(sys.n_vars)
-    return f[central].copy()
+    return f[problem.central]
 
 
 class _Paths(NamedTuple):
@@ -566,29 +565,24 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
       the loop edges, all small integers, so the float sums are exact.  Given
       ``validate(problem.K).ok`` and ``problem.d2 = boundary2(problem.K)``
       (every interior edge in two triangles of opposite signs, each group
-      connected over interior edges and holding a central triangle),
-      d2 f = 0 makes f = H x, and then d2 H x = 0 exactly when P x = 0;
-      H has full column rank, so ker d2 = H ker P.  Its value is the number
-      of entries where the two differ, against a bound of 0; nan when the
-      groups or loops do not fit the system, so that no product is formed.
+      connected over interior edges), d2 f = 0 makes f = H x, and then
+      d2 H x = 0 exactly when P x = 0; H has full column rank (the problem's
+      layout, ``check_layout``, gives every variable a nonempty group and
+      every equation a row of loops), so ker d2 = H ker P.  Its value is
+      the number of entries where the two differ, against a bound of 0.
     """
     K, d2, pattern = problem.K, problem.d2, problem.pattern_matrix()
-    size = np.bincount(K.tri_group, minlength=problem.n_vars)
-    mismatch, differ = "the triangle groups and loops do not fit the system", math.nan
-    if size.size == problem.n_vars and size.all() and len(K.loops) == pattern.n_rows:
-        t = problem.n_triangles
-        H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
-        placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars,
-                                          K.loops[pattern.rows].ravel(),
-                                          np.repeat(pattern.cols, 3), np.repeat(pattern.vals, 3))
-        rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
-        mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
-                    f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
-        differ = float(rest.nnz)
+    t = problem.n_triangles
+    H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
+    placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars, K.loops[pattern.rows].ravel(),
+                                      np.repeat(pattern.cols, 3), np.repeat(pattern.vals, 3))
+    rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
+    mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
+                f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
     lam_max = float(norm_product(d2))
     checks = (
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0),
-        CertificateCheck("nullity", differ, 0.0, not mismatch,
+        CertificateCheck("nullity", float(rest.nnz), 0.0, not mismatch,
                          mismatch or "d2 H is the pattern on the loop edges and zero elsewhere"),
     )
     return CertificateReport(all(c.ok for c in checks), checks)

@@ -57,18 +57,16 @@ class Complex2:
 
     ``tri`` (t, 3) vertex triples and ``tri_group`` (t,) their groups;
     ``edge`` (m, 2) stored (tail, head) directions and ``kind`` (m,) int8
-    codes into ``EDGE_KINDS``; ``central`` (G,) the central triangle of each
-    group (-1: none) and ``loops`` (d, 3) the loop-edge ids of each
+    codes into ``EDGE_KINDS``; ``loops`` (d, 3) the loop-edge ids of each
     equation, by slot.
     """
 
-    def __init__(self, n_vertices: int, tri, tri_group, edge, kind, central=(), loops=()):
+    def __init__(self, n_vertices: int, tri, tri_group, edge, kind, loops=()):
         self.n_vertices = int(n_vertices)
         self.tri = _column(tri, 3)
         self.tri_group = _column(tri_group)
         self.edge = _column(edge, 2)
         self.kind = np.asarray(kind, dtype=np.int8).ravel()
-        self.central = _column(central)
         self.loops = _column(loops, 3)
         self.n_edges, self.n_triangles = int(self.kind.size), len(self.tri)
 
@@ -266,18 +264,6 @@ def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.append(a, -1)[np.where((ids >= 0) & (ids < a.size), ids, a.size)]
 
 
-def _central_violation(K: Complex2) -> str | None:
-    """Every group must hold a central triangle of its own."""
-    groups = _unique(K.tri_group)
-    central = _take(K.central, groups)
-    g = _first((central < 0) | (_take(K.tri_group, central) != groups))
-    if g < 0:
-        return None
-    if central[g] < 0:
-        return f"group {groups[g]} has no central triangle"
-    return f"central triangle of group {groups[g]} is invalid"
-
-
 def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
     """(None, d2) from one lookup of every triangle side, or the first fault
     of the side pass and no d2: a duplicate edge, else the first triangle
@@ -366,6 +352,6 @@ def validate(K: Complex2) -> ValidationReport:
     stored as (u, v), so each column of d2 runs u -> v -> w -> u.
     """
     side, d2 = _side_matrix(K)
-    violation = (_central_violation(K) or side or _loop_violation(K)
-                 or _incidence_violation(K, d2) or _split_group(K, d2))
+    violation = (side or _loop_violation(K) or _incidence_violation(K, d2)
+                 or _split_group(K, d2))
     return ValidationReport(violation is None, violation, d2)

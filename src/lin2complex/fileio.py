@@ -198,10 +198,9 @@ def da_system_from_json(obj) -> WeightedDASystem:
 # every field is a flat int list and the fields of one table share a length
 COMPLEX_FIELDS = {
     **{f"tri_v{i}": ("tri", "tri", i, "vertex") for i in range(3)},
-    "tri_group": ("tri", "tri_group", None, "central"),
+    "tri_group": ("tri", "tri_group", None, "tri"),
     "edge_tail": ("edge", "edge", 0, "vertex"), "edge_head": ("edge", "edge", 1, "vertex"),
     "edge_kind": ("edge", "kind", None, "kind"),
-    "central": ("central", "central", None, "tri"),
     **{f"loop_r{i + 1}": ("loop", "loops", i, "edge") for i in range(3)},
 }
 
@@ -222,8 +221,8 @@ def complex_from_json(obj) -> Complex2:
     """Read the columnar form, from a dict or any mapping of int arrays such
     as the members of a ``write_complex`` archive; rejects missing fields,
     fields of one table with different lengths and ids out of range, naming
-    the field, and ignores other keys, such as the ``edge_group``,
-    ``edge_q`` and ``edge_r`` columns of older archives."""
+    the field, and ignores other keys, such as the ``central``,
+    ``edge_group``, ``edge_q`` and ``edge_r`` columns of older archives."""
     if not isinstance(obj, Mapping):
         raise ComplexStructureError(f"a complex is an object of flat int lists, "
                                     f"not a {type(obj).__name__}")
@@ -244,10 +243,10 @@ def complex_from_json(obj) -> Complex2:
             raise ComplexStructureError(f"complex field {name!r} has {cols[name].size} "
                                         f"entries, the other {table} fields {size[table]}")
     for name, (_, _, _, bound) in COMPLEX_FIELDS.items():
-        low, a = (-1 if name == "central" else 0), cols[name]
-        if a.size and (a.min() < low or a.max() >= size[bound]):
+        a = cols[name]
+        if a.size and (a.min() < 0 or a.max() >= size[bound]):
             raise ComplexStructureError(
-                f"complex field {name!r} has an id outside [{low}, {size[bound]})")
+                f"complex field {name!r} has an id outside [0, {size[bound]})")
     arrays: dict[str, list[np.ndarray]] = {}
     for name, (_, attr, _, _) in COMPLEX_FIELDS.items():
         arrays.setdefault(attr, []).append(cols[name])
@@ -331,7 +330,8 @@ def _read_instance(src: Path, n_edges: int, d2_name: str) -> dict[str, np.ndarra
 
 def read_boundary_problem(src) -> BoundaryProblem:
     """Inverse of ``write_boundary_problem``; rejects a d2 entry other than
-    +1 and -1, W or gamma as ``_read_instance`` does, a malformed row of
+    +1 and -1, W or gamma as ``_read_instance`` does, a d2 whose column
+    count is not the complex's triangle count, a malformed row of
     ``da.json`` (``da_system_from_json``) and a complex that is not laid out
     for that system (``b2_reduce.check_layout``), naming the files."""
     src = Path(src)
@@ -343,6 +343,9 @@ def read_boundary_problem(src) -> BoundaryProblem:
                             "a boundary operator's entries are +1 and -1")
     vectors = _read_instance(src, d2.n_rows, names["d2"])
     K = read_complex(src / names["complex"])
+    if d2.n_cols != K.n_triangles:
+        raise ArtifactError(f"{src / names['d2']} has {d2.n_cols} columns but "
+                            f"{src / names['complex']} has {K.n_triangles} triangles")
     da_path = src / names["da"]
     da_obj = read_json(da_path)
     try:

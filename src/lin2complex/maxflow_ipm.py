@@ -150,7 +150,8 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     ``z = M^T (M M^T + delta I)^-1 rhs``.  Near the capacity boundary H spans
     many orders and delta damps the directions only near-boundary triangles
     carry, so one refinement step solves for ``rhs - M z`` with the same
-    factor.  Returns (base, unit), or (base, None) when not ``with_demand``.
+    factor.  Returns (base, unit, lam), unit None when not ``with_demand``,
+    and lam the multiplier block y of the first solve for ``d2 H^-1 g``.
     """
     g, h = barrier_derivatives(net, BarrierState(f))
     inv_sqrt = 1.0 / np.sqrt(h)
@@ -160,12 +161,13 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     rhs = np.column_stack([csr @ (g / h)] + ([net.gamma] if with_demand else []))
     top = np.zeros((f.size, rhs.shape[1]))
 
-    def solve(e):  # H^-1/2 M^+ e, so M M^+ e = d2 @ solve(e)
-        return inv_sqrt[:, None] * lu.solve(np.vstack([top, e]))[:f.size]
-    steps = solve(rhs)
-    steps += solve(rhs - csr @ steps)
+    def solve(e):  # (H^-1/2 M^+ e, so M M^+ e = d2 @ it; y's first column)
+        zy = lu.solve(np.vstack([top, e]))
+        return inv_sqrt[:, None] * zy[:f.size], zy[f.size:, 0]
+    steps, lam = solve(rhs)
+    steps += solve(rhs - csr @ steps)[0]
     base = steps[:, 0] - g / h
-    return base, steps[:, 1] if with_demand else None
+    return base, steps[:, 1] if with_demand else None, lam
 
 
 def _strictly_interior(net: FlowNetwork2, f, margin: float = 1e-12) -> bool:
@@ -184,7 +186,7 @@ def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,
         raise NetworkError("the optimal flow value is required; supply or estimate it")
     if not (state.alpha + alpha_prime < 1.0):
         raise ValueError("alpha + alpha_prime must stay below 1")
-    base, unit = _newton_parts(net, state.f, with_demand=True)
+    base, unit, _ = _newton_parts(net, state.f, with_demand=True)
     inc = alpha_prime
     for _ in range(max_retries):
         f_new = state.f + (base + (inc * net.f_star) * unit)
@@ -198,7 +200,7 @@ def centering_step(net: FlowNetwork2, state: BarrierState) -> BarrierState:
     """Newton step with zero demand increment; damped (at most 40 halvings)
     until the barrier does not increase and the iterate stays strictly
     interior."""
-    delta, _ = _newton_parts(net, state.f, with_demand=False)
+    delta, _, _ = _newton_parts(net, state.f, with_demand=False)
     v0 = barrier_value(net, state.f)
     eta = 1.0
     for _ in range(40):
@@ -262,15 +264,11 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
     return IPMResult(state.f, state.alpha, tuple(log))
 
 
-def _dual_bound(net: FlowNetwork2, f):
-    """(bound, lam): ``F <= c^T |d2^T lam| / |gamma^T lam|`` for the multiplier
-    block lam of the KKT solve of ``d2 H^-1 g`` at f, by weak duality."""
-    g, h = barrier_derivatives(net, BarrierState(f))
-    d2 = net.d2()
-    lu = net.kkt().factor(d2.vals / np.sqrt(h[d2.cols]))
-    lam = lu.solve(np.concatenate([np.zeros(f.size), d2.to_csr() @ (g / h)]))[f.size:]
+def _dual_bound(net: FlowNetwork2, lam) -> float:
+    """``F <= c^T |d2^T lam| / |gamma^T lam|`` by weak duality, for any edge
+    vector lam; inf when ``gamma^T lam`` is 0."""
     dot = abs(float(net.gamma @ lam))
-    return float(net.capacities @ np.abs(d2.to_csr().T @ lam)) / dot if dot else math.inf, lam
+    return float(net.capacities @ np.abs(net.d2().to_csr().T @ lam)) / dot if dot else math.inf
 
 
 def f_star_bracket(net: FlowNetwork2):
@@ -281,8 +279,9 @@ def f_star_bracket(net: FlowNetwork2):
     ``base + inc unit`` (``_newton_parts``), ``inc = (t - g^T unit - unit^T H
     base) / (unit^T H unit)``, damped to a squared decrement of 1e-3; t *= 10.
     A stage's push along unit to the capacity boundary, a flow with
-    ``d2 f = F gamma`` to 1e-9 relative, is the lower bound, ``_dual_bound``
-    the upper.  Stops at a gap of 1e-9 or the first push that fails (the
+    ``d2 f = F gamma`` to 1e-9 relative, is the lower bound, and
+    ``_dual_bound`` of the multipliers of the stage's last Newton solve the
+    upper.  Stops at a gap of 1e-9 or the first push that fails (the
     float floor); raises ``NetworkError`` if no finite bracket results.
     """
     net.validate()
@@ -293,7 +292,7 @@ def f_star_bracket(net: FlowNetwork2):
     t0 = c.size * float(np.max(np.abs(gamma)) / np.sum(c))  # F <= sum(c) / max|gamma|
     for t in t0 * np.logspace(0, 39, 40):
         for _ in range(50):
-            base, unit = _newton_parts(net, f, with_demand=True)
+            base, unit, y = _newton_parts(net, f, with_demand=True)
             g, h = barrier_derivatives(net, BarrierState(f))
             inc = (t - g @ unit - unit @ (h * base)) / (unit @ (h * unit))
             step = base + inc * unit
@@ -309,7 +308,7 @@ def f_star_bracket(net: FlowNetwork2):
         flow = np.clip(f + (F_push - F) * unit, -c, c)
         if not np.linalg.norm(d2 @ flow - F_push * gamma) <= 1e-9 * F_push * np.linalg.norm(gamma):
             break
-        lower, (upper, lam) = float(F_push), _dual_bound(net, f)
+        lower, upper, lam = float(F_push), _dual_bound(net, y), y
         if upper - lower <= 1e-9 * lower:
             break
     else:

@@ -84,8 +84,7 @@ def reduce_chain(sys: GeneralSystem, eps: float,
 
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
     """Map a boundary flow back through every stage to the original variables."""
-    P = chain.problem
-    x_da = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
+    x_da = map_soln_b2_to_da(chain.problem, f)
     x_gz2 = map_da_solution_back(chain.gz2, x_da)
     x_gz = chain.gz2_back(x_gz2)
     return chain.gz_back(x_gz)

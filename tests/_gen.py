@@ -97,8 +97,7 @@ def from_triangles(n_vertices: int, triangles, edge_order=None) -> Complex2:
             raise ComplexStructureError("edge_order does not cover the triangle edges")
         count = count[np.searchsorted(keys, order_keys)]
     kind = np.where(count == 1, BOUNDARY, INTERIOR)
-    return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind,
-                    central=[0] if len(tri) else [])
+    return Complex2(n_vertices, tri, np.zeros(len(tri)), edge, kind)
 
 
 def _patch(n_vertices: int, triangles, cycles) -> Complex2:
@@ -243,7 +242,8 @@ def planted_da_instance(rng: np.random.Generator, n_seed: int, n_grow: int,
     sys = plain_da_system(n, rows)
     b = np.array([x_star[r.i] - x_star[r.j] if r.kind == "difference" else 0.0
                   for r in da_rows(sys)])
-    assert np.allclose(sys.pattern_matrix().to_dense() @ x_star, b)
+    if not np.allclose(sys.pattern_matrix().to_dense() @ x_star, b):  # a check that -O keeps
+        raise AssertionError("the planted x does not solve the planted system")
     return sys, b, x_star
 
 
@@ -538,7 +538,8 @@ def bfs_edge_weights(problem, alpha: float):
     _, pred = breadth_first_order(graph, t, directed=True, return_predecessors=True)
     parent = pred[:t].astype(np.int64)
     targets = tubes.cols[:, 0]
-    assert np.all(parent[targets] >= 0), "a slot-1 triangle is unreachable"
+    if not np.all(parent[targets] >= 0):  # a check that -O keeps
+        raise AssertionError("a slot-1 triangle is unreachable")
 
     # the tree edge into each node: the first (lowest-id) interior edge it
     # shares with its parent, found among the sorted (row, column) entries

@@ -149,7 +149,7 @@ def test_criterion_05_feasible_round_trip():
             A = sys_da.pattern_matrix().to_dense()
             # exact: dense least-squares mapped back solves the original system
             f = dense_lstsq(P.d2.to_dense(), P.gamma)
-            x = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
+            x = map_soln_b2_to_da(P, f)
             assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
             # approximate: iterative solve at eps_da / (42 nnz)
             nnz = sys_da.pattern_matrix().nnz
@@ -157,7 +157,7 @@ def test_criterion_05_feasible_round_trip():
                 eps_b2 = epsilon_feasible(eps_da, nnz)
                 res = least_squares(P.d2, P.gamma, eps_b2)
                 assert res.converged
-                x = map_soln_b2_to_da(P.da, P.equation_rhs, res.x, P.central)
+                x = map_soln_b2_to_da(P, res.x)
                 assert np.linalg.norm(A @ x - b) <= eps_da * np.linalg.norm(b)
         assert ran >= 3
 
@@ -191,7 +191,7 @@ def test_criterion_07_general_case_approximate_mapping():
             P, eps_b2 = reduce_reg(sys_da, b, eps_da=eps_da)
             res = least_squares(P.weighted_matrix(), P.weighted_rhs(), eps_b2)
             assert res.converged
-            x = map_soln_b2_to_da(P.da, P.equation_rhs, res.x, P.central)
+            x = map_soln_b2_to_da(P, res.x)
             A = sys_da.pattern_matrix().to_dense()
             pib = dense_project(A, b)
             assert np.linalg.norm(A @ x - pib) <= eps_da * np.linalg.norm(pib) + 1e-12

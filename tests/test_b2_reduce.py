@@ -141,7 +141,7 @@ def test_exact_round_trip_group_constant():
     P = reduce_da_to_b2(sys, b)
     f = group_indicator(P) @ x_star
     assert np.allclose(P.d2.to_dense() @ f, P.gamma)
-    x = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
+    x = map_soln_b2_to_da(P, f)
     assert np.allclose(x, x_star)
 
 
@@ -150,7 +150,7 @@ def test_exact_round_trip_dense_least_squares():
     sys, b, _ = planted_da_instance(rng, 3, 5, 3)
     P = reduce_da_to_b2(sys, b)
     f = dense_lstsq(P.d2.to_dense(), P.gamma)
-    x = map_soln_b2_to_da(P.da, P.equation_rhs, f, P.central)
+    x = map_soln_b2_to_da(P, f)
     A = sys.pattern_matrix().to_dense()
     assert np.linalg.norm(A @ x - b, np.inf) <= 1e-9 * max(1.0, np.linalg.norm(b))
 
@@ -159,7 +159,7 @@ def test_map_soln_zero_when_atb_zero():
     sys = plain_da_system(2, [difference_row(0, 1), difference_row(1, 0)])
     b = np.array([3.0, 3.0])
     P = reduce_da_to_b2(sys, b)
-    x = map_soln_b2_to_da(P.da, P.equation_rhs, np.full(P.n_triangles, 7.0), P.central)
+    x = map_soln_b2_to_da(P, np.full(P.n_triangles, 7.0))
     assert np.array_equal(x, [0.0, 0.0])
 
 
@@ -173,7 +173,7 @@ def test_approximate_round_trip_feasible():
         eps_b2 = epsilon_feasible(eps_da, pattern.nnz)
         res = least_squares(SparseMatrix.from_dense(P.d2.to_dense()), P.gamma, eps_b2)
         assert res.converged
-        x = map_soln_b2_to_da(sys, b, res.x, P.central)
+        x = map_soln_b2_to_da(P, res.x)
         assert np.linalg.norm(A @ x - b) <= eps_da * np.linalg.norm(b)
         # intermediate sup-norm bound along the way
         bound = 24 * math.sqrt(pattern.nnz) * eps_b2 * np.linalg.norm(P.gamma)
@@ -222,7 +222,7 @@ def test_edge_weights_read_the_tubes_off_the_system_not_the_groups():
     P = reduce_chain(three_per_row_system(8, 6), 1e-3).problem
     K = P.K
     relabelled = dataclasses.replace(P, K=complex2.Complex2(
-        K.n_vertices, K.tri, (K.tri_group + 1) % P.n_vars, K.edge, K.kind, K.central, K.loops))
+        K.n_vertices, K.tri, (K.tri_group + 1) % P.n_vars, K.edge, K.kind, K.loops))
     pw, weights = compute_edge_weights(P, 7.0)
     pw_relabelled, weights_relabelled = compute_edge_weights(relabelled, 7.0)
     assert np.array_equal(weights_relabelled, weights)
@@ -359,7 +359,7 @@ def test_claim_objective_domination_random_flows():
     wg = P.weighted_rhs()
     for _ in range(100):
         f = rng.normal(size=P.n_triangles)
-        x = map_soln_b2_to_da(sys, b, f, P.central)
+        x = map_soln_b2_to_da(P, f)
         lhs = alpha / (alpha + 1) * np.linalg.norm(A @ x - b) ** 2
         rhs = np.linalg.norm(wd2 @ f - wg) ** 2
         assert lhs <= rhs * (1 + 1e-9) + 1e-12
@@ -389,7 +389,7 @@ def test_general_case_approximate_mapping():
         P, eps_b2 = reduce_reg(sys, b, eps_da=eps_da)
         res = least_squares(P.weighted_matrix(), P.weighted_rhs(), eps_b2)
         assert res.converged
-        x = map_soln_b2_to_da(P.da, P.equation_rhs, res.x, P.central)
+        x = map_soln_b2_to_da(P, res.x)
         A = sys.pattern_matrix().to_dense()
         pib = dense_project(A, b)
         assert np.linalg.norm(A @ x - pib) <= eps_da * np.linalg.norm(pib) + 1e-12
@@ -488,15 +488,14 @@ def test_spectral_certificate_fails_on_nullity_mismatch():
 
 def test_spectral_certificate_reports_a_nullity_beyond_k():
     # five disjoint difference rows (nullity 5) against a difference chain
-    # (nullity 1): the certificate refuses the pair, whose loops do not fit,
-    # and gram_spectrum, first asked for k = 4 eigenvalues, all zero, counts
-    # the exact 5, not the lower bound 4
+    # (nullity 1): the layout check refuses the pair, whose loops do not
+    # fit, and gram_spectrum, first asked for k = 4 eigenvalues, all zero,
+    # counts the exact 5, not the lower bound 4
     disjoint = plain_da_system(10, [difference_row(2 * i, 2 * i + 1) for i in range(5)])
     chain = plain_da_system(10, [difference_row(i, i + 1) for i in range(9)])
     P = dataclasses.replace(reduce_da_to_b2(disjoint, np.arange(5.0)), da=chain)
-    report = spectral_certificate(P)
-    assert not report.ok and not report["nullity"].ok
-    assert report["nullity"].note == "the triangle groups and loops do not fit the system"
+    with pytest.raises(complex2.ComplexStructureError, match="does not encode"):
+        b2_reduce.check_layout(P.da, P.K)
     eig, nullity = sparse_core.gram_spectrum(P.d2, 4)
     assert nullity == 5 and eig[nullity] > 0.0
 
@@ -545,8 +544,7 @@ def _with_a_flipped_triangle():
     K = P.K
     tri = K.tri.copy()
     tri[P.central[2], [0, 1]] = tri[P.central[2], [1, 0]]
-    flipped = complex2.Complex2(K.n_vertices, tri, K.tri_group, K.edge, K.kind,
-                                central=K.central, loops=K.loops)
+    flipped = complex2.Complex2(K.n_vertices, tri, K.tri_group, K.edge, K.kind, K.loops)
     return dataclasses.replace(P, K=flipped, d2=boundary2(flipped))
 
 
@@ -564,14 +562,15 @@ def test_nullity_identity_fails_without_lanczos(no_lanczos, build):
     assert report["nullity"].value == np.count_nonzero(rest)
 
 
-def test_nullity_identity_needs_a_group_for_every_variable(no_lanczos):
+def test_nullity_identity_needs_a_group_for_every_variable():
     # a variable without triangles has a zero pattern column here, so d2 H
-    # would match the pattern while the pattern has one more null vector
+    # would match the pattern while the pattern has one more null vector;
+    # the layout check, which every read problem passes, refuses it
     sys, b = single_difference()
     wider = plain_da_system(sys.n_vars + 1, [difference_row(0, 1)])
-    report = spectral_certificate(dataclasses.replace(reduce_da_to_b2(sys, b), da=wider))
-    assert not report["nullity"].ok and math.isnan(report["nullity"].value)
-    assert report["nullity"].note == "the triangle groups and loops do not fit the system"
+    P = dataclasses.replace(reduce_da_to_b2(sys, b), da=wider)
+    with pytest.raises(complex2.ComplexStructureError, match="does not encode"):
+        b2_reduce.check_layout(P.da, P.K)
 
 
 def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):

@@ -220,7 +220,7 @@ def test_chain_identity_constructed_complexes(seed):
 
 def test_laplacian_graph_case():
     # no triangles: L1 = d1^T d1
-    K = make_complex(3, [], [(0, 1), (0, 2), (1, 2)], "BBB", central=())
+    K = make_complex(3, [], [(0, 1), (0, 2), (1, 2)], "BBB")
     d1 = boundary1(K).to_dense()
     assert np.array_equal(laplacian1(K).to_dense(), d1.T @ d1)
 
@@ -252,13 +252,6 @@ def test_validate_detects_flipped_triangle():
     assert "signs" in report.violation
 
 
-def test_validate_detects_missing_central():
-    K = disk_with(central=())
-    report = validate(K)
-    assert not report.ok
-    assert "central" in report.violation
-
-
 def test_group_interior_nullity_is_one():
     rng = np.random.default_rng(23)
     sys, b = random_da_instance(rng, 4, 3)
@@ -282,14 +275,11 @@ KINDS = {"L": LOOP, "I": INTERIOR, "B": BOUNDARY}
 DISK_KINDS = "BBBIII"
 
 
-def make_complex(n_vertices, tri, edges, kinds, tri_group=None, central=(0,),
-                 loops=()) -> Complex2:
+def make_complex(n_vertices, tri, edges, kinds, tri_group=None, loops=()) -> Complex2:
     """A complex given column by column: ``kinds`` holds one letter per edge
-    (L, I, B), ``central`` the central triangle of each group (-1: none) and
-    ``loops`` the three loop-edge ids of each equation."""
+    (L, I, B) and ``loops`` the three loop-edge ids of each equation."""
     tri_group = [0] * len(tri) if tri_group is None else tri_group
-    return Complex2(n_vertices, tri, tri_group, edges, [KINDS[k] for k in kinds],
-                    central=central, loops=loops)
+    return Complex2(n_vertices, tri, tri_group, edges, [KINDS[k] for k in kinds], loops=loops)
 
 
 def disk_with(**changes) -> Complex2:
@@ -308,17 +298,6 @@ def test_make_complex_reproduces_disk():
     K = disk_with()
     assert validate(K).ok
     assert np.array_equal(boundary2(K).to_dense(), DISK_D2)
-
-
-def test_validate_missing_central():
-    assert violation(disk_with(central=(-1,))) == "group 0 has no central triangle"
-    assert violation(disk_with(central=())) == "group 0 has no central triangle"
-
-
-def test_validate_invalid_central():
-    assert violation(disk_with(central=(5,))) == "central triangle of group 0 is invalid"
-    K = disk_with(tri_group=[0, 1, 1], central=(0, 0))
-    assert violation(K) == "central triangle of group 1 is invalid"
 
 
 def test_validate_repeated_vertex():
@@ -355,8 +334,7 @@ def test_boundary2_raises_the_violation_of_validate():
 
 def test_validate_returns_d2_when_a_later_check_fails():
     # every side is an edge, so the side pass builds d2 whatever fails next
-    for K in (disk_with(central=(-1,)), disk_with(loops=[(0, 1, 2)]),
-              disk_with(kinds="IBBIII")):
+    for K in (disk_with(loops=[(0, 1, 2)]), disk_with(kinds="IBBIII")):
         report = validate(K)
         assert not report.ok and np.array_equal(report.d2.to_dense(), DISK_D2)
     assert validate(disk_with(tri=DISK_TRIANGLES[:2] + [(0, 1, 2)])).d2 is None
@@ -437,8 +415,7 @@ def _stored_otherwise(K: Complex2, flip: np.ndarray, new_id: np.ndarray) -> Comp
     edge, kind = np.empty_like(K.edge), np.empty_like(K.kind)
     edge[new_id] = np.where(flip[:, None], K.edge[:, ::-1], K.edge)
     kind[new_id] = K.kind
-    return Complex2(K.n_vertices, K.tri, K.tri_group, edge, kind,
-                    central=K.central, loops=new_id[K.loops])
+    return Complex2(K.n_vertices, K.tri, K.tri_group, edge, kind, loops=new_id[K.loops])
 
 
 @settings(max_examples=20, deadline=None)

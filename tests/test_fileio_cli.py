@@ -93,14 +93,14 @@ def test_complex_json_round_trip():
 
 
 def test_read_problem_maps_solution_back(tmp_path):
-    # the central triangles are read off the complex and the
+    # the central triangles are read off the complex's groups and the
     # right-hand sides off gamma, both derived on read
     rng = np.random.default_rng(3)
     sys, b, x_star = planted_da_instance(rng, 3, 3, 1)
     P = reduce_da_to_b2(sys, b)
     fileio.write_boundary_problem(tmp_path, P)
     Q = fileio.read_boundary_problem(tmp_path)
-    x = map_soln_b2_to_da(Q.da, Q.equation_rhs, group_indicator(P) @ x_star, Q.central)
+    x = map_soln_b2_to_da(Q, group_indicator(P) @ x_star)
     assert np.allclose(x, x_star)
 
 
@@ -342,7 +342,7 @@ def test_cli_verify_w_check_fails_on_a_complex_off_its_layout(tmp_path, capsys):
     names = _check_names(capsys.readouterr().out)
     K = fileio.read_complex(out / "b2_complex.npz")
     fileio.write_complex(out / "b2_complex.npz", complex2.Complex2(
-        K.n_vertices, K.tri, K.tri_group, K.edge[:-1], K.kind[:-1], K.central, K.loops))
+        K.n_vertices, K.tri, K.tri_group, K.edge[:-1], K.kind[:-1], K.loops))
     assert main(["verify", "--dir", str(out)]) == 1
     text = capsys.readouterr().out
     assert _check_names(text) == names
@@ -504,7 +504,7 @@ def _tamper_complex(out, case: str) -> complex2.Complex2:
         edge[-1] = edge[-2]
     else:
         tri[0] = tri[0, ::-1]
-    K = complex2.Complex2(K.n_vertices, tri, K.tri_group, edge, K.kind, K.central, K.loops)
+    K = complex2.Complex2(K.n_vertices, tri, K.tri_group, edge, K.kind, K.loops)
     fileio.write_complex(path, K)
     return K
 
@@ -738,6 +738,23 @@ def test_cli_maxflow_demo(tmp_path):
     assert len(rows) > 10
 
 
+@pytest.mark.parametrize("central", ["absent", "older"])
+def test_cli_maxflow_demo_network_needs_no_central_entry(tmp_path, central):
+    # a network's complex has no "central" entry, and one that an older
+    # writer put there, even off its group, is ignored
+    from lin2complex.da_reduce import difference_row, plain_da_system
+
+    P = reduce_da_to_b2(plain_da_system(2, [difference_row(0, 1)]), np.array([1.0]))
+    obj = {key: value for key, value in fileio.complex_to_json(P.K).items()
+           if key != "central"}
+    if central == "older":
+        obj["central"] = (P.central + 1).tolist()
+    fileio.write_json(tmp_path / "net.json", {
+        "complex": obj, "capacities": [1.0] * P.n_triangles, "gamma": P.gamma.tolist()})
+    assert main(["maxflow-demo", "--network", str(tmp_path / "net.json"),
+                 "--steps", "20"]) == 0
+
+
 def test_cli_reduce_caps_alpha_like_the_library(tmp_path):
     from lin2complex.pipeline import ALPHA_CAP_DEFAULT
 
@@ -777,7 +794,7 @@ def test_complex_json_rejects_mismatched_lengths(field):
 
 @pytest.mark.parametrize("field,value", [("loop_r2", -1), ("loop_r1", 10 ** 6),
                                          ("edge_tail", 10 ** 6), ("tri_v0", -3),
-                                         ("central", 10 ** 6), ("edge_kind", 3)])
+                                         ("tri_group", 10 ** 6), ("edge_kind", 3)])
 def test_complex_json_rejects_out_of_range_ids(field, value):
     from lin2complex.complex2 import ComplexStructureError
 
@@ -795,8 +812,8 @@ def test_complex_json_rejects_missing_field_and_non_int_values():
     with pytest.raises(ComplexStructureError, match="edge_kind"):
         fileio.complex_from_json(obj)
     obj = _complex_obj()
-    del obj["central"]
-    with pytest.raises(ComplexStructureError, match="central"):
+    del obj["loop_r2"]
+    with pytest.raises(ComplexStructureError, match="loop_r2"):
         fileio.complex_from_json(obj)
 
 
@@ -1074,6 +1091,69 @@ def test_cli_d2_entry_other_than_unit_is_one_line_error(tmp_path, value, command
     assert "b2_d2.mtx" in message and "+1 and -1" in message, message
 
 
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_cli_d2_column_count_off_the_complex_is_one_line_error(tmp_path, delta, command):
+    # a size line one column wider or narrower than the complex's triangle
+    # count ended verify in a traceback where the certificate built H
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    lines = (out / "b2_d2.mtx").read_text().splitlines(keepends=True)
+    size = next(i for i, line in enumerate(lines) if not line.startswith("%"))
+    rows, cols, nnz = map(int, lines[size].split())
+    if delta < 0:  # the narrower matrix loses the entries of its last column
+        keep = [line for line in lines[size + 1:] if int(line.split()[1]) < cols]
+        lines[size + 1:], nnz = keep, len(keep)
+    lines[size] = f"{rows} {cols + delta} {nnz}\n"
+    (out / "b2_d2.mtx").write_text("".join(lines))
+    with pytest.raises(fileio.ArtifactError) as exc:
+        fileio.read_boundary_problem(out)
+    assert str(exc.value) == (f"{out / 'b2_d2.mtx'} has {cols + delta} columns but "
+                              f"{out / 'b2_complex.npz'} has {cols} triangles")
+    assert _verify_error(out, replay_first=command == "solve") == f"error: {exc.value}"
+
+
+def test_reduce_writes_no_central_triangles(tmp_path):
+    # each variable's central triangle is the first of its group, derived on
+    # read, so neither the archive nor the JSON form of the complex holds it
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    with np.load(out / "b2_complex.npz") as members:
+        assert "central" not in members
+    K = fileio.read_complex(out / "b2_complex.npz")
+    assert not hasattr(K, "central") and "central" not in fileio.complex_to_json(K)
+    P = fileio.read_boundary_problem(out)
+    assert np.array_equal(P.central, np.searchsorted(K.tri_group, np.arange(P.n_vars)))
+
+
+def test_older_archive_with_central_triangles_reads_verifies_and_replays(tmp_path):
+    # an archive written before the central triangles were derived holds a
+    # central.npy member; the reader ignores it, even with every entry moved
+    # to the next triangle of its group
+    _write_5x5(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    P = fileio.read_boundary_problem(out)
+    assert main(["solve", "--manifest", str(out), "--out-dir", str(out / "before")]) == 0
+    with zipfile.ZipFile(out / "b2_complex.npz", "a") as archive:
+        with archive.open("central.npy", "w") as fh:
+            np.lib.format.write_array(fh, (P.central + 1).astype("<i4"), allow_pickle=False)
+    with np.load(out / "b2_complex.npz") as members:
+        assert np.array_equal(members["central"], P.central + 1)
+    Q = fileio.read_boundary_problem(out)
+    assert fileio.complex_to_json(Q.K) == fileio.complex_to_json(P.K)
+    assert np.array_equal(Q.central, P.central)
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert main(["solve", "--manifest", str(out), "--out-dir", str(out / "after")]) == 0
+    for name in ("x.vec", "solve_report.json"):
+        assert (out / "after" / name).read_bytes() == (out / "before" / name).read_bytes()
+
+
 @pytest.mark.parametrize("name", ["manifest.json", "da.json"])
 def test_cli_replay_truncated_json_is_one_line_error(tmp_path, name):
     # the replay reads manifest.json and never opens da.json, which verify
@@ -1323,7 +1403,7 @@ def test_complex_archive_rejects_bad_fields(tmp_path, field, edit):
 ARCHIVE_FAULTS = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
     "not-a-zip": lambda path: path.write_bytes(b"n_vertices,tri_v0\n3,0\n"),
-    "missing-member": lambda path: _edit_archive(path, {"central": None}),
+    "missing-member": lambda path: _edit_archive(path, {"tri_group": None}),
     "float-member": lambda path: _edit_archive(path, {"edge_kind": lambda a: a + 0.5}),
     "object-member": lambda path: _edit_archive(path, {"edge_kind": lambda a: a.astype(object)}),
 }

@@ -293,7 +293,7 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
     near_boundary[i] = np.sign(interior[i]) * (1.0 - 1e-6)
     for f in (interior, near_boundary):
         g, h = barrier_derivatives(net, BarrierState(f))
-        base, unit = maxflow_ipm._newton_parts(net, f, with_demand=True)
+        base, unit, lam = maxflow_ipm._newton_parts(net, f, with_demand=True)
         # the dense step from an SVD of M = d2 H^-1/2: M^+ M is the projection
         # onto M's row space, so base = -H^-1/2 N N^T H^-1/2 g with N a basis
         # of ker M, which avoids the cancellation in H^-1/2 M^+ d2 H^-1 g - H^-1 g
@@ -310,8 +310,13 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
             assert np.linalg.norm(delta - dense) <= 1e-9 * np.linalg.norm(dense)
             assert np.linalg.norm(d2 @ delta - inc * net.gamma) <= 1e-9 * max(
                 1.0, np.linalg.norm(inc * net.gamma))
-        centered, none = maxflow_ipm._newton_parts(net, f, with_demand=False)
+        centered, none, lam_centered = maxflow_ipm._newton_parts(net, f, with_demand=False)
         assert none is None and np.array_equal(centered, base)
+        # lam is the multiplier y of K [z; y] = [0; d2 H^-1 g], so z = -M^T y
+        # is the minimum-norm solution of M z = d2 H^-1 g, M = d2 H^-1/2
+        M, rhs = d2 * s, d2 @ (g / h)
+        assert np.linalg.norm(M @ (M.T @ lam) + rhs) <= 1e-6 * np.linalg.norm(rhs)
+        assert np.array_equal(lam_centered, lam)
 
 
 def _planted_networks():
@@ -402,9 +407,30 @@ def test_non_positive_f_star_is_refused(f_star):
 
 
 def test_bracket_without_dual_bound_raises(monkeypatch):
-    monkeypatch.setattr(maxflow_ipm, "_dual_bound", lambda net, f: (math.inf, None))
+    monkeypatch.setattr(maxflow_ipm, "_dual_bound", lambda net, lam: math.inf)
     with pytest.raises(NetworkError):
         estimate_f_star(_demo_network(average=False))
+
+
+def test_f_star_bracket_factors_once_per_newton_solve(monkeypatch):
+    # the dual bound reads its multipliers off the last Newton solve, where
+    # it used to factor the KKT matrix again at the same f
+    factorizations, solves = [], []
+    splu, parts = sparse_core.spla.splu, maxflow_ipm._newton_parts
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return splu(*args, **kwargs)
+
+    def counting_parts(*args, **kwargs):
+        solves.append(1)
+        return parts(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_core.spla, "splu", counting_splu)
+    monkeypatch.setattr(maxflow_ipm, "_newton_parts", counting_parts)
+    lower, upper, _ = f_star_bracket(_demo_network(average=False))
+    assert lower <= upper < math.inf
+    assert len(factorizations) == len(solves) > 0
 
 
 def test_bracket_without_feasible_push_raises(monkeypatch):
@@ -413,8 +439,8 @@ def test_bracket_without_feasible_push_raises(monkeypatch):
     parts = maxflow_ipm._newton_parts
 
     def drifting(net, f, with_demand):
-        base, unit = parts(net, f, with_demand)
-        return base, 1.001 * unit
+        base, unit, lam = parts(net, f, with_demand)
+        return base, 1.001 * unit, lam
     monkeypatch.setattr(maxflow_ipm, "_newton_parts", drifting)
     with pytest.raises(NetworkError):
         estimate_f_star(_demo_network(average=True))
