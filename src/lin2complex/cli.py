@@ -106,14 +106,13 @@ def _check_structure(problem, check) -> None:
           report.d2 is not None and problem.d2.equals(report.d2),
           "" if report.d2 is not None else "the complex has none to compare with")
     # each loop edge carries its equation's rhs and every other edge 0, as
-    # the build writes them, so the compare is exact
+    # the build writes them, so it compares bits, as the replay does
     gamma, names = problem.gamma, fileio.BOUNDARY_FILES
     expected = np.zeros(max(gamma.size, problem.K.n_edges))
     expected[problem.K.loops] = problem.da.rhs[:, None]
-    bad = np.flatnonzero(gamma != expected[:gamma.size])[:1]
+    e = fileio.first_bit_difference(gamma, expected[:gamma.size])
     check(f"{names['gamma']} is the rhs of {names['da']} on the loop edges, 0 elsewhere",
-          not bad.size, "".join(f"entry {e} is {gamma[e]:g}, expected {expected[e]:g}"
-                                for e in bad))
+          e is None, "" if e is None else f"entry {e} is {gamma[e]:g}, expected {expected[e]:g}")
 
 
 def _check_weights(problem, alpha: float, check) -> None:
@@ -129,8 +128,8 @@ def _check_weights(problem, alpha: float, check) -> None:
         except (ComplexStructureError, ReductionError) as exc:
             detail = str(exc)
         else:
-            detail = "".join(f"entry {e} is {W[e]:g}, expected {expected[e]:g}"
-                             for e in np.flatnonzero(W != expected)[:1])
+            e = fileio.first_bit_difference(W, expected)
+            detail = "" if e is None else f"entry {e} is {W[e]:g}, expected {expected[e]:g}"
     check(f"{fileio.BOUNDARY_FILES['weights']} is the path weights of the complex at the "
           f"manifest's alpha {alpha:g}", not detail, detail)
 

@@ -37,10 +37,13 @@ def write_matrix(path, A: SparseMatrix) -> None:
 
 
 def read_matrix(path) -> SparseMatrix:
+    """A Matrix Market file's real matrix; complex entries are refused, not cast."""
     try:
         coo = scipy.io.mmread(str(path))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path} is not a Matrix Market matrix: {exc}") from None
+    if np.iscomplexobj(coo):
+        raise ArtifactError(f"{path} holds complex entries; a matrix file holds real ones")
     return SparseMatrix.from_scipy(coo)
 
 
@@ -92,6 +95,13 @@ def read_vector(path) -> np.ndarray:
         return np.array(tokens, dtype=np.float64)
     except ValueError as exc:
         raise ArtifactError(f"{path} is not a vector of numbers: {exc}") from None
+
+
+def first_bit_difference(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The first entry where float64 vectors of one length differ bit for
+    bit, or None; unlike ``!=``, it tells 0.0 from -0.0."""
+    differ = np.flatnonzero(a.view(np.uint64) != b.view(np.uint64))
+    return int(differ[0]) if differ.size else None
 
 
 def write_ipm_trace(path, log) -> None:
@@ -434,9 +444,8 @@ def read_chain(src) -> ChainArtifacts:
     stored = _read_instance(src, P.n_edges, f"the d2 built from {a_name}")
     for key, rebuilt in (("weights", P.weights), ("gamma", P.gamma)):
         v = stored[key]
-        differ = np.flatnonzero(v.view(np.uint64) != rebuilt.view(np.uint64))
-        if differ.size:
-            e = int(differ[0])
+        e = first_bit_difference(v, rebuilt)
+        if e is not None:
             raise ArtifactError(f"{src / BOUNDARY_FILES[key]} holds {float(v[e])!r} at entry "
                                 f"{e}, but the chain rebuilt from {a_name} has "
                                 f"{float(rebuilt[e])!r} there")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex2 import Complex2, boundary2
-from .sparse_core import AugmentedSystem, SparseMatrix, projected_rhs
+from .sparse_core import AugmentedSystem, SparseMatrix, lu_solve
 
 
 # run_ipm stops once the routed fraction alpha reaches IPM_TARGET
@@ -69,8 +69,8 @@ class FlowNetwork2:
 
     def validate(self) -> None:
         """Check the sizes, positive finite capacities, finite demands, a
-        positive finite f_star when set and gamma in im(d2).  The image
-        check is one tight projection solve; it runs once per gamma."""
+        positive finite f_star when set and gamma in im(d2), the last by one
+        ``lu_solve`` of d2 alone (not the capacities), once per gamma."""
         d2 = self.d2()
         if self.capacities.size != d2.n_cols:
             raise NetworkError("capacity vector length does not match the triangles")
@@ -83,12 +83,10 @@ class FlowNetwork2:
         if self.f_star is not None and not (isinstance(self.f_star, numbers.Real)
                                             and 0 < self.f_star < math.inf):
             raise NetworkError(f"f_star must be a positive finite number, got {self.f_star!r}")
-        if self._gamma_in_image is not None and np.array_equal(self._gamma_in_image,
-                                                                self.gamma):
+        if np.array_equal(self._gamma_in_image, self.gamma):  # False while None
             return
-        # gamma - P gamma from a tight solve is the out-of-image part directly,
-        # without the cancellation of a split via ||P gamma||
-        outside = self.gamma - projected_rhs(d2, self.gamma, 1e-10)
+        # gamma - P gamma is the out-of-image part, free of ||P gamma||'s cancellation
+        outside = self.gamma - d2 @ lu_solve(d2, self.gamma)[0]
         if np.linalg.norm(outside) > 1e-8 * np.linalg.norm(self.gamma):
             raise NetworkError("gamma is not in the image of d2")
         self._gamma_in_image = self.gamma.copy()
@@ -150,8 +148,8 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     ``z = M^T (M M^T + delta I)^-1 rhs``.  Near the capacity boundary H spans
     many orders and delta damps the directions only near-boundary triangles
     carry, so one refinement step solves for ``rhs - M z`` with the same
-    factor.  Returns (base, unit, lam), unit None when not ``with_demand``,
-    and lam the multiplier block y of the first solve for ``d2 H^-1 g``.
+    factor.  Returns (base, unit, lam, g, h): unit None without demand, lam
+    the multiplier y of the first solve, g and h ``barrier_derivatives``.
     """
     g, h = barrier_derivatives(net, BarrierState(f))
     inv_sqrt = 1.0 / np.sqrt(h)
@@ -167,7 +165,7 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     steps, lam = solve(rhs)
     steps += solve(rhs - csr @ steps)[0]
     base = steps[:, 0] - g / h
-    return base, steps[:, 1] if with_demand else None, lam
+    return base, steps[:, 1] if with_demand else None, lam, g, h
 
 
 def _strictly_interior(net: FlowNetwork2, f, margin: float = 1e-12) -> bool:
@@ -186,7 +184,7 @@ def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,
         raise NetworkError("the optimal flow value is required; supply or estimate it")
     if not (state.alpha + alpha_prime < 1.0):
         raise ValueError("alpha + alpha_prime must stay below 1")
-    base, unit, _ = _newton_parts(net, state.f, with_demand=True)
+    base, unit, *_ = _newton_parts(net, state.f, with_demand=True)
     inc = alpha_prime
     for _ in range(max_retries):
         f_new = state.f + (base + (inc * net.f_star) * unit)
@@ -200,7 +198,7 @@ def centering_step(net: FlowNetwork2, state: BarrierState) -> BarrierState:
     """Newton step with zero demand increment; damped (at most 40 halvings)
     until the barrier does not increase and the iterate stays strictly
     interior."""
-    delta, _, _ = _newton_parts(net, state.f, with_demand=False)
+    delta, *_ = _newton_parts(net, state.f, with_demand=False)
     v0 = barrier_value(net, state.f)
     eta = 1.0
     for _ in range(40):
@@ -292,8 +290,7 @@ def f_star_bracket(net: FlowNetwork2):
     t0 = c.size * float(np.max(np.abs(gamma)) / np.sum(c))  # F <= sum(c) / max|gamma|
     for t in t0 * np.logspace(0, 39, 40):
         for _ in range(50):
-            base, unit, y = _newton_parts(net, f, with_demand=True)
-            g, h = barrier_derivatives(net, BarrierState(f))
+            base, unit, y, g, h = _newton_parts(net, f, with_demand=True)
             inc = (t - g @ unit - unit @ (h * base)) / (unit @ (h * unit))
             step = base + inc * unit
             decrement = float(step @ (h * step))  # squared; -slope of -t F + phi(f)

@@ -4,12 +4,12 @@ Every reduction stage and every verification pass funnels its linear algebra
 through this module: a sparse matrix type that keeps one canonical CSR and
 an integer-exactness flag; the one sparse LU of a quasi-definite augmented
 system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
-inner solves and the maxflow Newton steps share; the one least-squares
-driver, whose candidates (``solve_rounds``: that LU on unit-norm columns,
-refined once, first symmetric without pivoting and then, if that answer
-does not certify, with COLAMD and partial pivoting) are judged by their
-projected residual against P b, the projection of b onto the column space
-from one tight column-equilibrated LSQR solve, the library's only LSQR
+inner solves, the maxflow Newton steps and maxflow's image check share; the
+one least-squares driver, whose candidates (``solve_rounds``: that LU on
+unit-norm columns, refined once, first symmetric without pivoting and then,
+if that answer does not certify, with COLAMD and partial pivoting) are judged
+by their projected residual against P b, the projection of b onto the column
+space from one tight column-equilibrated LSQR solve, the library's only LSQR
 (``certify_rounds``); and sparse spectral data: the integer norm bound on
 the largest eigenvalue, which the spectral certificate and the ``lap_solve``
 routes read, and the low spectrum and nullity of an exact integer Gram
@@ -201,8 +201,8 @@ LSQR_MAX_ITER = 30000
 def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     """One column-equilibrated LSQR pass of at most ``LSQR_MAX_ITER``
     iterations at ``atol = btol = max(tol, 1e-15)``; returns (x,
-    iterations).  It is the reference that ``projected_rhs`` and
-    ``certify_rounds`` take P b from.
+    iterations).  It is the reference that ``certify_rounds`` and
+    ``projection_residual`` take P b from.
 
     LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
     mapped back as ``x = D y`` (Paige & Saunders, ACM TOMS 1982).  This is a
@@ -353,17 +353,11 @@ def lu_solve(A: SparseMatrix, b, symmetric: bool = False) -> tuple[np.ndarray, f
     return x, system.fill(lu)
 
 
-def projected_rhs(A: SparseMatrix, b, rel_tol: float = 1e-8) -> np.ndarray:
-    """P b, the projection of b onto the column space of A, as ``A x`` with
-    x from ``iterative_solve`` at ``rel_tol / 100`` (zero when b or A is
-    zero)."""
-    return A @ iterative_solve(A, b, rel_tol / 100.0)[0]
-
-
 def projection_residual(A: SparseMatrix, x, b,
                         rel_tol: float = 1e-8) -> tuple[float, float]:
-    """Return (||Ax - P b||, ||P b||) with P b from ``projected_rhs``."""
-    pib = projected_rhs(A, b, rel_tol)
+    """Return (||Ax - P b||, ||P b||), P b the projection of b onto A's
+    columns as ``A y``, y from ``iterative_solve`` at ``rel_tol / 100``."""
+    pib = A @ iterative_solve(A, b, rel_tol / 100.0)[0]
     return float(np.linalg.norm(A.matvec(x) - pib)), float(np.linalg.norm(pib))
 
 
@@ -414,10 +408,10 @@ def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict
     """Judge candidates by the projected-residual certificate of ``A x ~ b``.
 
     Each candidate's solution is carried to x by ``to_x`` (as is when None)
-    and certifies when ||A x - P b|| <= eps ||P b||, with P b as in
-    ``projected_rhs`` at ``min(eps / 100, 1e-6)``.  Stops at the first
-    candidate that certifies; otherwise returns the best one seen, where a
-    finite ratio beats a nan one.  When no candidate comes (every
+    and certifies when ||A x - P b|| <= eps ||P b||, with P b as ``A y`` for
+    y from ``iterative_solve`` at ``min(eps / 100, 1e-6) / 100``.  Stops at
+    the first candidate that certifies; otherwise returns the best one seen,
+    where a finite ratio beats a nan one.  When no candidate comes (every
     factorization raised) it judges x = 0 in round 0, which certifies only
     when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, so a nan
     ``||P b||`` certifies nothing.

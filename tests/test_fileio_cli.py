@@ -573,6 +573,31 @@ def test_cli_verify_checks_gamma_against_da_json(tmp_path, capsys):
                           f"expected {gamma[e]:g}"]
 
 
+@pytest.mark.parametrize("key", ["weights", "gamma"])
+def test_cli_verify_tells_negative_zero_from_zero(tmp_path, capsys, key):
+    # verify compared W and gamma with !=, so a -0.0 for a 0.0 passed it,
+    # while the replay, which compares bits, refused the directory
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    path = out / fileio.BOUNDARY_FILES[key]
+    v = fileio.read_vector(path)
+    e = int(np.flatnonzero(v == 0.0)[0])
+    v[e] = -0.0
+    fileio.write_vector(path, v)
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")]
+    assert len(failed) == 1, failed
+    assert failed[0].startswith(f"[FAIL] {path.name} is ")
+    assert failed[0].endswith(f": entry {e} is -0, expected 0")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", str(out), "--out-dir", str(out / "replay")])
+    assert f"{path} holds -0.0 at entry {e}, " in _one_line_error(exc)
+
+
 def test_cli_verify_certifies_5x5_deterministically(tmp_path, capsys):
     _write_5x5(tmp_path)
     out = tmp_path / "out"
@@ -1041,6 +1066,40 @@ def test_cli_reduce_matrix_outside_class_g_is_one_line_error(tmp_path, entry, re
         main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
               "--out-dir", str(tmp_path / "out")])
     assert reason in _one_line_error(exc)
+
+
+def _complex_entries(header: str, entries: list[str]) -> tuple[str, list[str]]:
+    """Each entry with imaginary part 0, the last with 2."""
+    entries = [f"{e} 0" for e in entries]
+    entries[-1] = entries[-1][:-1] + "2"
+    return header.replace(" integer ", " complex ", 1), entries
+
+
+def _entry_beyond_int64(header: str, entries: list[str]) -> tuple[str, list[str]]:
+    row, col, _ = entries[-1].split()
+    return header, [*entries[:-1], f"{row} {col} 99999999999999999999999"]
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["solve", "--route", "direct"]])
+@pytest.mark.parametrize("edit,reason", [
+    (_complex_entries, "holds complex entries; a matrix file holds real ones"),
+    (_entry_beyond_int64, "is not a Matrix Market matrix: Line "),
+], ids=["complex", "beyond-int64"])
+def test_cli_matrix_entry_float64_does_not_hold_is_one_line_error(tmp_path, command, edit,
+                                                                  reason):
+    # a complex entry lost its imaginary part with only numpy's warning, and
+    # an integer beyond int64 ended in an OverflowError traceback
+    _write_general(tmp_path)
+    header, *lines = (tmp_path / "A.mtx").read_text().splitlines()
+    size = next(i for i, line in enumerate(lines) if not line.startswith("%"))
+    header, entries = edit(header, lines[size + 1:])
+    (tmp_path / "A.mtx").write_text("\n".join([header, *lines[:size + 1], *entries]) + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(out)])
+    assert _one_line_error(exc).startswith(f"error: {tmp_path / 'A.mtx'} {reason}")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_replay_original_outside_class_g_is_one_line_error(tmp_path):

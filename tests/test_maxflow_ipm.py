@@ -226,15 +226,15 @@ def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
 
 
 def test_network_is_validated_once_across_f_star_and_ipm(monkeypatch):
-    # the gamma-in-image check is a tight projection solve; estimate_f_star
+    # the gamma-in-image check is a least-squares solve; estimate_f_star
     # and run_ipm on the same network share its outcome
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return sparse_core.projected_rhs(*args, **kwargs)
+        return sparse_core.lu_solve(*args, **kwargs)
 
-    monkeypatch.setattr(maxflow_ipm, "projected_rhs", counted)
+    monkeypatch.setattr(maxflow_ipm, "lu_solve", counted)
     net = _demo_network(average=True)
     net.f_star = estimate_f_star(net)
     run_ipm(net, 20)
@@ -293,7 +293,8 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
     near_boundary[i] = np.sign(interior[i]) * (1.0 - 1e-6)
     for f in (interior, near_boundary):
         g, h = barrier_derivatives(net, BarrierState(f))
-        base, unit, lam = maxflow_ipm._newton_parts(net, f, with_demand=True)
+        base, unit, lam, g_parts, h_parts = maxflow_ipm._newton_parts(net, f, with_demand=True)
+        assert np.array_equal(g_parts, g) and np.array_equal(h_parts, h)
         # the dense step from an SVD of M = d2 H^-1/2: M^+ M is the projection
         # onto M's row space, so base = -H^-1/2 N N^T H^-1/2 g with N a basis
         # of ker M, which avoids the cancellation in H^-1/2 M^+ d2 H^-1 g - H^-1 g
@@ -310,7 +311,7 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
             assert np.linalg.norm(delta - dense) <= 1e-9 * np.linalg.norm(dense)
             assert np.linalg.norm(d2 @ delta - inc * net.gamma) <= 1e-9 * max(
                 1.0, np.linalg.norm(inc * net.gamma))
-        centered, none, lam_centered = maxflow_ipm._newton_parts(net, f, with_demand=False)
+        centered, none, lam_centered, *_ = maxflow_ipm._newton_parts(net, f, with_demand=False)
         assert none is None and np.array_equal(centered, base)
         # lam is the multiplier y of K [z; y] = [0; d2 H^-1 g], so z = -M^T y
         # is the minimum-norm solution of M z = d2 H^-1 g, M = d2 H^-1/2
@@ -414,7 +415,8 @@ def test_bracket_without_dual_bound_raises(monkeypatch):
 
 def test_f_star_bracket_factors_once_per_newton_solve(monkeypatch):
     # the dual bound reads its multipliers off the last Newton solve, where
-    # it used to factor the KKT matrix again at the same f
+    # it used to factor the KKT matrix again at the same f; the one other
+    # factor is validate's check that gamma lies in im(d2)
     factorizations, solves = [], []
     splu, parts = sparse_core.spla.splu, maxflow_ipm._newton_parts
 
@@ -430,7 +432,8 @@ def test_f_star_bracket_factors_once_per_newton_solve(monkeypatch):
     monkeypatch.setattr(maxflow_ipm, "_newton_parts", counting_parts)
     lower, upper, _ = f_star_bracket(_demo_network(average=False))
     assert lower <= upper < math.inf
-    assert len(factorizations) == len(solves) > 0
+    assert len(factorizations) == len(solves) + 1
+    assert solves
 
 
 def test_bracket_without_feasible_push_raises(monkeypatch):
@@ -439,8 +442,8 @@ def test_bracket_without_feasible_push_raises(monkeypatch):
     parts = maxflow_ipm._newton_parts
 
     def drifting(net, f, with_demand):
-        base, unit, lam = parts(net, f, with_demand)
-        return base, 1.001 * unit, lam
+        base, unit, *rest = parts(net, f, with_demand)
+        return base, 1.001 * unit, *rest
     monkeypatch.setattr(maxflow_ipm, "_newton_parts", drifting)
     with pytest.raises(NetworkError):
         estimate_f_star(_demo_network(average=True))

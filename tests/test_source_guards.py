@@ -55,6 +55,13 @@ def test_only_sparse_core_calls_the_scipy_solvers():
     assert not found, f"only sparse_core may call scipy's solvers: {found}"
 
 
+def test_only_sparse_core_names_the_lsqr_reference():
+    # least-squares solves outside the certificate's judge go through the
+    # refined LU (lu_solve); the LSQR run stays the judge's reference only
+    found = _named_in_library({"iterative_solve", "projected_rhs"}, besides=("sparse_core.py",))
+    assert not found, f"only sparse_core may name the LSQR reference: {found}"
+
+
 def test_only_the_record_modules_call_pattern_entries():
     # the difference-average system is stored as columns, which every module
     # reads whole; a per-row walk over DARow records is how the Python-level
