@@ -119,8 +119,8 @@ def measure(n: int) -> dict:
         "exact_checks_s": round(exact_s, 4),
         "weights_peak_mb": round(weights_peak, 2), "validate_peak_mb": round(validate_peak, 2),
         "write_s": round(write_s, 4), "read_s": round(read_s, 4),
-        "solve_s": round(solve_s, 4), "method": verdict.round.method,
-        "fill": None if verdict.round.fill is None else round(verdict.round.fill, 3),
+        "solve_s": round(solve_s, 4), "method": verdict.method,
+        "fill": None if verdict.fill is None else round(verdict.fill, 3),
         "ratio": float(f"{verdict.achieved_ratio:.3g}"), "true_ratio": float(f"{true_ratio:.3g}"),
         "certified": bool(verdict.converged),
         "max_weight": float(f"{problem.weights.max():.4g}"),

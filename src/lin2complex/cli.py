@@ -42,7 +42,7 @@ def _replay_manifest(args, out: Path) -> int:
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
         "iterations": report.iterations,
-        "method": report.round.method, "lu_fill": report.round.fill,
+        "method": report.method, "lu_fill": report.fill,
     })
     print(f"replay solve: ratio {report.achieved_ratio:.3e} vs eps {chain.eps:.3e}")
     return 0 if report.converged else 1

@@ -4,12 +4,12 @@ The chain is general system -> zero row sums -> power-of-two rows ->
 difference-average -> weighted boundary problem.  Solving goes the other
 way: a solve of the weighted boundary problem is mapped back through every
 stage, and the final accuracy is certified against the original system.
-The first solve is one symmetric sparse LU, refined once; only when it
-fails or does not certify does a pivoted LU follow, and an answer neither
-certifies is reported uncertified.  The chain derives none of the paper's
-composed accuracy targets, which lie far below what float64 can resolve:
-alpha is a fixed default, and the certificate on the original system alone
-judges every candidate.
+The solve is one symmetric sparse LU of the quasi-definite augmented
+system, refined once and judged once; an answer that does not certify is
+reported uncertified, as is x = 0 when the factorization fails.  The chain
+derives none of the paper's composed accuracy targets, which lie far below
+what float64 can resolve: alpha is a fixed default, and the certificate on
+the original system alone judges the answer.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from .da_reduce import (
     to_pow2,
     to_zero_rowsum,
 )
-from .sparse_core import certify_rounds, solve_rounds
+from .sparse_core import certified_lu
 
 # the chain's fixed alpha.  The paper's 2/eps_da^2 is huge for composed
 # accuracy targets, and the weighted operator's conditioning worsens with it:
-# the refined LU round's certificate ratio on a 10x12 criterion-11 system is
+# the refined LU answer's certificate ratio on a 10x12 criterion-11 system is
 # 3e-13 at 1e2, 1e-6 at 1e6 and 6e-3 at 1e8.  Of criterion 11's 20 systems
-# the LU round certifies all at 1e2 and 1e6 but 13 at 1e8, so the chain
+# the LU answer certifies all at 1e2 and 1e6 but 13 at 1e8, so the chain
 # fixes alpha and verifies accuracy end to end
 ALPHA_CAP_DEFAULT = 1e2
 
@@ -93,15 +93,16 @@ def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:
 def adaptive_boundary_solve(W_d2, w_gamma, map_back_fn, original: GeneralSystem, eps: float):
     """Solve a weighted boundary problem to a certified accuracy.
 
-    Draws the two LU candidates of ``sparse_core.solve_rounds`` for
-    (W^(1/2) d2, W^(1/2) gamma), carries each one down the chain by
-    ``map_back_fn``, and lets ``certify_rounds`` on the original system
-    alone decide when to stop.  Returns (x, verdict) of the best candidate
-    seen, the verdict being ``certify_rounds``' own ``sparse_core.Verdict``;
-    when both factorizations raise, x is 0 and the verdict uncertified.
+    ``sparse_core.certified_lu`` factors (W^(1/2) d2, W^(1/2) gamma) once,
+    at ``SYMMETRIC_LU``: the augmented system of a boundary operator is
+    quasi-definite, and a pivoted factor certified none of the chain's
+    solves that this one missed.  Its answer is carried down the chain by
+    ``map_back_fn`` and judged on the original system alone.  Returns (x,
+    verdict), the verdict being ``certified_lu``'s own
+    ``sparse_core.Verdict``; when the factorization raises, x is 0 and the
+    verdict uncertified.
     """
-    v = certify_rounds(solve_rounds(W_d2, w_gamma), original.A, original.b, eps,
-                       map_back_fn)
+    v = certified_lu(W_d2, w_gamma, True, original.A, original.b, eps, map_back_fn)
     return v.x, v
 
 

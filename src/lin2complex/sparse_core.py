@@ -5,12 +5,12 @@ through this module: a sparse matrix type that keeps one canonical CSR and
 an integer-exactness flag; the one sparse LU of a quasi-definite augmented
 system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
 inner solves, the maxflow Newton steps and maxflow's image check share; the
-one least-squares driver, whose candidates (``solve_rounds``: that LU on
-unit-norm columns, refined once, first symmetric without pivoting and then,
-if that answer does not certify, with COLAMD and partial pivoting) are judged
-by their projected residual against P b, the projection of b onto the column
-space from one tight column-equilibrated LSQR solve, the library's only LSQR
-(``certify_rounds``); and sparse spectral data: the integer norm bound on
+one least-squares driver (``certified_lu``: that LU on unit-norm columns,
+factored once and refined once, symmetric without pivoting for the chain's
+boundary operator and with COLAMD and partial pivoting for ``least_squares``,
+its answer judged by its projected residual against P b, the projection of b
+onto the column space from one tight column-equilibrated LSQR solve, the
+library's only LSQR); and sparse spectral data: the integer norm bound on
 the largest eigenvalue, which the spectral certificate and the ``lap_solve``
 routes read, and the low spectrum and nullity of an exact integer Gram
 matrix from shift-invert Lanczos over one symmetric factor
@@ -201,7 +201,7 @@ LSQR_MAX_ITER = 30000
 def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     """One column-equilibrated LSQR pass of at most ``LSQR_MAX_ITER``
     iterations at ``atol = btol = max(tol, 1e-15)``; returns (x,
-    iterations).  It is the reference that ``certify_rounds`` and
+    iterations).  It is the reference that ``certified_lu`` and
     ``projection_residual`` take P b from.
 
     LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
@@ -237,18 +237,22 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
 LU_DELTA = 1e-14
 
 # SuperLU's settings for the two symmetric matrices this module factors: the
-# quasi-definite K of the first LU round of ``solve_rounds`` and the positive
-# definite G + GRAM_SHIFT I of ``gram_spectrum``.  Both have a
-# triangular factor for every symmetric ordering without pivoting (Vanderbei,
-# SIAM J. Optim. 1995), so SuperLU orders the matrix plus its transpose by
-# minimum degree, permutes rows and columns alike and takes each diagonal
-# entry as its pivot, at ``factor``'s unrelaxed supernodes and one-column
-# panels.  COLAMD with
+# quasi-definite K of the chain's ``certified_lu`` and the positive definite
+# G + GRAM_SHIFT I of ``gram_spectrum``.  Both have a triangular factor for
+# every symmetric ordering without pivoting (Vanderbei, SIAM J. Optim. 1995),
+# so SuperLU orders the matrix plus its transpose by minimum degree, permutes
+# rows and columns alike and takes each diagonal entry as its pivot, at
+# ``factor``'s unrelaxed supernodes and one-column panels.  COLAMD with
 # partial pivoting spent fill on K that this ordering does not (2.74 against
 # 2.00 on a 24.7k-triangle chain, 5.34 against 2.78 at 195.7k).  A no-pivot
 # factor's stability is bounded only by ||B||^2 / delta (Gill, Saunders &
-# Shinnerl, SIAM J. Matrix Anal. Appl. 1996), so ``solve_rounds`` follows it
-# with a COLAMD round when its answer does not certify, and ``lu_solve``'s
+# Shinnerl, SIAM J. Matrix Anal. Appl. 1996).  On the chain's K that bound
+# was never what failed: of 89 chain solves (criterion 11 at alpha 1e2 to
+# 1e8, ``three_per_row_system(8, n)`` for n = 20, 40 and 80 at alpha 1e2,
+# 1e6 and 1e8) a COLAMD factor certified none that this one missed, and
+# where both missed, their ratios agreed to 2-3 digits.  On general
+# matrices it was: it missed rel_tol 1e-6 on 16 of 100 random sparse
+# problems that COLAMD certified, so ``least_squares`` and ``lu_solve``'s
 # other callers keep pivoting.
 SYMMETRIC_LU = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                 "options": {"SymmetricMode": True}, "relax": 1, "panel_size": 1}
@@ -361,82 +365,53 @@ def projection_residual(A: SparseMatrix, x, b,
     return float(np.linalg.norm(A.matvec(x) - pib)), float(np.linalg.norm(pib))
 
 
-class Round(NamedTuple):
-    """One candidate of ``solve_rounds``: the solution, its method ("lu" for
-    the symmetric factor, "lu_colamd" for the pivoted one) and the fill of
-    its LU factor.  ``certify_rounds`` reports a zero answer as method
-    "none", fill None, when no candidate came."""
+class Verdict(NamedTuple):
+    """What ``certified_lu`` reports: x, its factor's method ("lu" for the
+    symmetric factor, "lu_colamd" for the pivoted one, "none" when the
+    factorization raised) and fill (None for "none"), the iterations of the
+    LSQR reference, ||A x - P b||, ||P b||, their ratio, and whether the
+    ratio is at most eps."""
 
     x: np.ndarray
     method: str
     fill: float | None
-
-
-def solve_rounds(A: SparseMatrix, b):
-    """Candidate least-squares solutions of ``A x ~ b``, cheapest first.
-
-    Two refined ``lu_solve`` rounds, each skipped if its factorization
-    raises: the symmetric factor without pivoting ("lu"), then the COLAMD
-    factor with partial pivoting ("lu_colamd") in case the first answer
-    does not certify.  The rounds are computed lazily, so a caller that
-    stops at a certified candidate pays for one symmetric factor.
-    """
-    for method, symmetric in (("lu", True), ("lu_colamd", False)):
-        try:
-            x, fill = lu_solve(A, b, symmetric)
-        except (RuntimeError, MemoryError):
-            continue
-        yield Round(x, method, fill)
-
-
-class Verdict(NamedTuple):
-    """The candidate ``certify_rounds`` keeps: x, its round and round
-    number, the iterations of the LSQR reference, ||A x - P b||, ||P b||,
-    their ratio, and whether the ratio is at most eps."""
-
-    x: np.ndarray
-    round: Round
-    rounds: int
     iterations: int
     projected_residual: float
     projected_rhs_norm: float
     achieved_ratio: float
     converged: bool
 
+    @property
+    def rounds(self) -> int:
+        """The factorizations that gave x: 1, or 0 for "none"."""
+        return int(self.method != "none")
 
-def certify_rounds(rounds, A: SparseMatrix, b, eps: float, to_x=None) -> Verdict:
-    """Judge candidates by the projected-residual certificate of ``A x ~ b``.
 
-    Each candidate's solution is carried to x by ``to_x`` (as is when None)
-    and certifies when ||A x - P b|| <= eps ||P b||, with P b as ``A y`` for
-    y from ``iterative_solve`` at ``min(eps / 100, 1e-6) / 100``.  Stops at
-    the first candidate that certifies; otherwise returns the best one seen,
-    where a finite ratio beats a nan one.  When no candidate comes (every
-    factorization raised) it judges x = 0 in round 0, which certifies only
-    when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, so a nan
-    ``||P b||`` certifies nothing.
+def certified_lu(B: SparseMatrix, g, symmetric: bool, A: SparseMatrix, b, eps: float,
+                 to_x=None) -> Verdict:
+    """One refined ``lu_solve`` of ``B y ~ g``, judged once by the
+    projected-residual certificate of ``A x ~ b``.
+
+    ``B`` is factored once, at ``SYMMETRIC_LU`` when ``symmetric`` and with
+    COLAMD and partial pivoting otherwise; y is carried to x by ``to_x`` (as
+    is when None) and certifies when ||A x - P b|| <= eps ||P b||, with P b
+    as ``A y`` for y from ``iterative_solve`` at ``min(eps / 100, 1e-6) /
+    100``.  When the factorization raises it judges x = 0, which certifies
+    only when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, so a
+    nan ``||P b||`` certifies nothing.
     """
+    try:
+        y, fill = lu_solve(B, g, symmetric)
+    except (RuntimeError, MemoryError):
+        x, method, fill = np.zeros(A.n_cols), "none", None
+    else:
+        x, method = (y if to_x is None else to_x(y)), ("lu" if symmetric else "lu_colamd")
     x_ref, iterations = iterative_solve(A, b, min(eps / 100, 1e-6) / 100.0)
     pib = A @ x_ref
     pnorm = float(np.linalg.norm(pib))
-
-    def judge(x, rnd, attempt) -> Verdict:
-        proj = float(np.linalg.norm(A.matvec(x) - pib))
-        ratio = 0.0 if pnorm == 0.0 else proj / pnorm
-        return Verdict(x, rnd, attempt, iterations, proj, pnorm, ratio, ratio <= eps)
-
-    best = None
-    for attempt, rnd in enumerate(rounds, 1):
-        verdict = judge(rnd.x if to_x is None else to_x(rnd.x), rnd, attempt)
-        if verdict.converged:
-            return verdict
-        ratio = verdict.achieved_ratio
-        if best is None or ratio < best.achieved_ratio or np.isnan(best.achieved_ratio):
-            best = verdict
-    if best is None:
-        zero = np.zeros(A.n_cols)
-        return judge(zero, Round(zero, "none", None), 0)
-    return best
+    proj = float(np.linalg.norm(A.matvec(x) - pib))
+    ratio = 0.0 if pnorm == 0.0 else proj / pnorm
+    return Verdict(x, method, fill, iterations, proj, pnorm, ratio, ratio <= eps)
 
 
 def refuse_non_finite(what: str, v: np.ndarray) -> None:
@@ -451,11 +426,13 @@ def refuse_non_finite(what: str, v: np.ndarray) -> None:
 def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
     """Approximately minimize ||Ax - b||_2, certified.
 
-    Draws candidates from ``solve_rounds`` and judges them on ``A`` with
-    ``certify_rounds``, whose ``Verdict`` it returns: ``converged`` means
-    ||Ax - P b|| <= rel_tol ||P b||, and ``iterations`` counts the
-    iterations of the LSQR reference.  Raises ``ValueError`` for a nan or
-    infinite entry of ``A`` or ``b``.
+    ``certified_lu`` of ``A`` judged on ``A`` itself, with COLAMD and
+    partial pivoting: a general ``A`` is not the chain's boundary operator,
+    and the symmetric factor without pivoting missed rel_tol 1e-6 on 16 of
+    100 random sparse problems that this one factor certifies.  Its
+    ``Verdict``'s ``converged`` means ||Ax - P b|| <= rel_tol ||P b||, and
+    ``iterations`` counts the iterations of the LSQR reference.  Raises
+    ``ValueError`` for a nan or infinite entry of ``A`` or ``b``.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
@@ -464,7 +441,7 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
     refuse_non_finite("the matrix", A.vals)
     refuse_non_finite("the right-hand side", b)
-    return certify_rounds(solve_rounds(A, b), A, b, rel_tol)
+    return certified_lu(A, b, False, A, b, rel_tol)
 
 
 @dataclass(frozen=True)

@@ -444,7 +444,7 @@ def test_cli_replay_matches_library_bit_for_bit(seed):
         "projected_residual": report.projected_residual,
         "projected_rhs_norm": report.projected_rhs_norm,
         "iterations": report.iterations,
-        "method": report.round.method, "lu_fill": report.round.fill,
+        "method": report.method, "lu_fill": report.fill,
     }
 
 

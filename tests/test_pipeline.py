@@ -1,6 +1,6 @@
-"""The certified boundary solve: a symmetric sparse LU first, a pivoted one
-when its answer does not certify, and the projected-residual certificate,
-against one LSQR reference, as the only judge."""
+"""The certified boundary solve: one symmetric sparse LU of the
+quasi-definite augmented system, refined once, and the projected-residual
+certificate, against one LSQR reference, as the only judge."""
 
 import numpy as np
 import pytest
@@ -39,8 +39,8 @@ def _criterion11_draw(k: int):
 def test_lu_round_certifies():
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
-    assert (report.round.method, report.rounds) == ("lu", 1)
-    assert report.converged and report.round.fill >= 1.0
+    assert (report.method, report.rounds) == ("lu", 1)
+    assert report.converged and report.fill >= 1.0
     assert _certified(sys, x)
 
 
@@ -63,66 +63,32 @@ def test_failed_factorizations_report_a_zero_uncertified_answer(monkeypatch):
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
     assert not report.converged and report.achieved_ratio == 1.0
-    assert (report.round.method, report.round.fill, report.rounds) == ("none", None, 0)
+    assert (report.method, report.fill, report.rounds) == ("none", None, 0)
     assert x.shape == (sys.A.n_cols,) and not x.any()
     A = SparseMatrix.from_dense(np.eye(3))
     verdict = sparse_core.least_squares(A, np.ones(3), 1e-6)
     assert not verdict.converged and not verdict.x.any()
 
 
-def test_uncertified_lu_answers_are_reported_after_two_rounds(monkeypatch):
-    # damping of 1e-2 biases both LU answers far beyond eps = 1e-3
+def test_uncertified_lu_answer_is_reported_after_one_factor(monkeypatch):
+    # damping of 1e-2 biases the LU answer far beyond eps = 1e-3
     monkeypatch.setattr(sparse_core, "LU_DELTA", 1e-2)
     factors, lsqr_calls = _count_calls(monkeypatch, "splu"), _count_calls(monkeypatch, "lsqr")
     sys = _criterion11_system()
     x, report, _ = solve_general(sys, 1e-3)
     assert not report.converged and report.achieved_ratio > 1e-3
-    assert report.round.method in ("lu", "lu_colamd") and report.round.fill >= 1.0
+    assert report.method == "lu" and report.fill >= 1.0
     # the one LSQR run is the judge's reference
-    assert len(factors) == 2 and len(lsqr_calls) == 1 and report.iterations > 0
+    assert len(factors) == 1 and len(lsqr_calls) == 1 and report.iterations > 0
     assert not _certified(sys, x)
-
-
-def _spoil_symmetric_factor(monkeypatch, spoil):
-    """Let ``spoil(splu, K, settings)`` stand in for SuperLU's symmetric
-    factor only; the COLAMD factor stays as it is."""
-    splu = sparse_core.spla.splu
-
-    def factor(K, **settings):
-        if settings == sparse_core.SYMMETRIC_LU:
-            return spoil(splu, K, settings)
-        return splu(K, **settings)
-    monkeypatch.setattr(sparse_core.spla, "splu", factor)
-
-
-def test_biased_symmetric_answer_certifies_in_the_colamd_round(monkeypatch):
-    # the symmetric factor of 2 K: its answer, refined once, is 3/4 of the
-    # least-squares one, so only the COLAMD round certifies
-    _spoil_symmetric_factor(monkeypatch, lambda splu, K, settings: splu(2.0 * K, **settings))
-    sys = _criterion11_system()
-    x, report, _ = solve_general(sys, 1e-3)
-    assert (report.round.method, report.rounds) == ("lu_colamd", 2)
-    assert report.converged and report.round.fill >= 1.0
-    assert _certified(sys, x)
-
-
-def test_failed_symmetric_factor_falls_back_to_the_colamd_round(monkeypatch):
-    def fail(*args):
-        raise RuntimeError("Factor is exactly singular")
-
-    _spoil_symmetric_factor(monkeypatch, fail)
-    sys = _criterion11_system()
-    x, report, _ = solve_general(sys, 1e-3)
-    assert (report.round.method, report.rounds) == ("lu_colamd", 1)
-    assert report.converged and _certified(sys, x)
 
 
 def test_symmetric_round_keeps_the_fill_low_on_a_ladder_rung():
     # 2.00 at 24.7k triangles; COLAMD with partial pivoting gave 2.74
     sys = three_per_row_system(8, 40)
     x, report, _ = solve_general(sys, 1e-3)
-    assert (report.round.method, report.rounds) == ("lu", 1)
-    assert report.round.fill <= 2.2
+    assert (report.method, report.rounds) == ("lu", 1)
+    assert report.fill <= 2.2
     assert _certified(sys, x)
 
 
@@ -132,7 +98,7 @@ def test_refined_lu_round_certifies_at_large_alpha():
     sys = _criterion11_draw(11)
     assert sys.A.shape == (11, 12)
     x, report, _ = solve_general(sys, 1e-3, alpha=1e6)
-    assert (report.round.method, report.rounds) == ("lu", 1) and report.converged
+    assert (report.method, report.rounds) == ("lu", 1) and report.converged
     assert _certified(sys, x)
 
 
@@ -143,7 +109,7 @@ def test_lu_round_certifies_every_criterion11_draw_at_two_alphas():
         ratios = []
         for sys in criterion11_systems():
             x, report, _ = solve_general(sys, 1e-3, alpha=alpha)
-            assert (report.round.method, report.rounds) == ("lu", 1) and report.converged
+            assert (report.method, report.rounds) == ("lu", 1) and report.converged
             A = sys.A.to_dense()
             pib = dense_project(A, sys.b)
             ratios.append(np.linalg.norm(A @ x - pib) / np.linalg.norm(pib))
@@ -166,7 +132,7 @@ def test_rank_deficient_system_certifies_on_lu_round():
     s = np.linalg.svd(sys.A.to_dense(), compute_uv=False)
     assert s[-1] < 1e-12 * s[0]
     x, report, _ = solve_general(sys, 1e-3)
-    assert (report.round.method, report.rounds) == ("lu", 1)
+    assert (report.method, report.rounds) == ("lu", 1)
     assert _certified(sys, x)
 
 
@@ -175,7 +141,7 @@ def test_ladder_scale_solve_certifies():
     sys = three_per_row_system(8, 80)
     x, report, chain = solve_general(sys, 1e-3)
     assert chain.problem.n_triangles >= 49_000
-    assert (report.round.method, report.rounds) == ("lu", 1)
+    assert (report.method, report.rounds) == ("lu", 1)
     assert _certified(sys, x)
 
 
