@@ -15,7 +15,7 @@ from .b2_reduce import ReductionError, compute_edge_weights, spectral_certificat
 from .complex2 import ComplexStructureError, validate
 from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
-from .maxflow_ipm import FlowNetwork2, NetworkError, run_ipm
+from .maxflow_ipm import FlowNetwork2, NetworkError, StepRejectedError, run_ipm
 from .pipeline import reduce_chain, solve_chain
 from .sparse_core import DimensionError, least_squares
 
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     try:
         return command(args)
     except (OSError, fileio.ArtifactError, ComplexStructureError, DimensionError,
-            MatrixClassError, NetworkError, ReductionError) as exc:
+            MatrixClassError, NetworkError, ReductionError, StepRejectedError) as exc:
         raise SystemExit(f"error: {exc}") from None
 
 

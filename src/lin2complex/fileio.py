@@ -7,6 +7,7 @@ cannot be parsed."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import zipfile
 from collections.abc import Mapping
@@ -38,8 +39,13 @@ def write_matrix(path, A: SparseMatrix) -> None:
 
 def read_matrix(path) -> SparseMatrix:
     """A Matrix Market file's real matrix; complex entries are refused, not cast."""
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
+        # scipy 1.17's reader crashes the process (SIGSEGV) on a last line
+        # that holds anything after its last number and ends the file
+        data += b"\n"
     try:
-        coo = scipy.io.mmread(str(path))
+        coo = scipy.io.mmread(io.BytesIO(data))
     except (ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path} is not a Matrix Market matrix: {exc}") from None
     if np.iscomplexobj(coo):

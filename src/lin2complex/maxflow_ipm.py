@@ -1,14 +1,15 @@
 """Log-barrier interior point method for gamma-maxflow on 2-complex networks.
 
 The LP maximizes F subject to d2 f = F gamma and -c <= f <= c.  ``run_ipm``
-alternates progress steps (Newton steps that also raise the routed fraction
-by alpha', doubled after every step that did not halve it) with centering
-steps; ``f_star_bracket`` follows one barrier path in (f, F) to a certified
-bracket on the optimum.  A Newton step applies the pseudo-inverse of
-d2 H^-1 d2^T through one sparse LU of the quasi-definite KKT matrix
-(``sparse_core.AugmentedSystem``, whose pattern each network builds once)
-and one refinement step; it is linear in the demand increment, so one
-factorization gives the barrier part and the demand direction.
+takes progress steps (Newton steps that also raise the routed fraction by
+alpha', doubled after every step that did not halve it) and re-centers with
+a centering step only after a step that halved it; ``f_star_bracket``
+follows one barrier path in (f, F) to a certified bracket on the optimum.
+A Newton step applies the pseudo-inverse of d2 H^-1 d2^T through one sparse
+LU of the quasi-definite KKT matrix (``sparse_core.AugmentedSystem``, whose
+pattern each network builds once) and one refinement step; it is linear in
+the demand increment, so one factorization gives the barrier part and the
+demand direction.
 """
 
 from __future__ import annotations
@@ -217,8 +218,15 @@ class IPMResult:
 
 
 def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
-    """Alternate at most ``steps`` progress and centering steps; returns the
-    last state and the log of every half-step.
+    """Take at most ``steps`` progress steps, each followed by a centering
+    step only when it was halved; returns the last state and the log of
+    every half-step.
+
+    An unhalved progress step is the full barrier Newton step at its new
+    demand, whose ``base`` part is the centering direction, so path following
+    needs one Newton step, one KKT factorization, per target update
+    (Renegar, Math. Prog. 40, 1988); a halved one leaves the iterate short
+    of its target's center, and a centering step follows it.
 
     Long steps (Wright, Primal-Dual Interior-Point Methods, 1997): the first
     progress step requests ``base = 1/(20 sqrt(t))`` of the demand.  After a
@@ -255,8 +263,9 @@ def run_ipm(net: FlowNetwork2, steps: int) -> IPMResult:
         halvings = int(round(math.log2(inc / achieved))) if achieved > 0.0 else 0
         request = achieved if halvings else 2.0 * achieved
         record(step, "progress", halvings)
-        state = centering_step(net, state)
-        record(step, "centering", 0)
+        if halvings:  # an unhalved step already is the Newton step at its target
+            state = centering_step(net, state)
+            record(step, "centering", 0)
         if state.alpha >= IPM_TARGET:
             break
     return IPMResult(state.f, state.alpha, tuple(log))

@@ -202,7 +202,10 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     """One column-equilibrated LSQR pass of at most ``LSQR_MAX_ITER``
     iterations at ``atol = btol = max(tol, 1e-15)``; returns (x,
     iterations).  It is the reference that ``certified_lu`` and
-    ``projection_residual`` take P b from.
+    ``projection_residual`` take P b from.  A right-hand side holding nan or
+    inf has no projection: it returns an all-nan x after 0 iterations
+    instead of running every iteration on it (zeros would make ``P b = 0``,
+    which certifies).
 
     LSQR runs on ``A D`` with ``D = diag(1 / ||A[:, j]||)`` and the result is
     mapped back as ``x = D y`` (Paige & Saunders, ACM TOMS 1982).  This is a
@@ -213,6 +216,8 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
     b = np.asarray(b, dtype=np.float64).ravel()
     if b.size != A.n_rows:
         raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
+    if not np.all(np.isfinite(b)):
+        return np.full(A.n_cols, np.nan), 0
     if A.nnz == 0 or float(np.linalg.norm(b)) == 0.0:
         return np.zeros(A.n_cols), 0
     scale, vals = _unit_columns(A)

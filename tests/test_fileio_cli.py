@@ -43,6 +43,16 @@ def test_matrix_round_trip_real(tmp_path):
     assert A.equals(fileio.read_matrix(tmp_path / "a.mtx"))
 
 
+@pytest.mark.parametrize("tail", [b" ", b"\t", b"\r", b"\x0b", b""])
+def test_matrix_file_without_final_newline_reads(tmp_path, tail):
+    # scipy's reader crashed the process on a last line with trailing bytes
+    # and no newline, as one flipped bit of a newline makes it
+    path = tmp_path / "a.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n2 2 -4"
+                     + tail)
+    assert fileio.read_matrix(path).equals(SparseMatrix.from_dense([[3, 0], [0, -4]]))
+
+
 def test_vector_round_trip(tmp_path):
     v = np.array([1.0, -2.5, 3e-17, 12345.6789])
     fileio.write_vector(tmp_path / "v.vec", v)

@@ -206,8 +206,8 @@ def _lp_max_flow(net: FlowNetwork2) -> float:
 
 
 @pytest.mark.parametrize("average,f_star,alpha,n_log", [
-    (False, 1.9999999999644766, 0.9954238666012832, 24),
-    (True, 1.999999999977745, 0.9955364117577113, 26),
+    (False, 1.9999999999644766, 0.9954238666012832, 12),
+    (True, 1.999999999977745, 0.9955364117577113, 13),
 ], ids=["difference", "average"])
 def test_demo_network_trajectory_is_pinned(average, f_star, alpha, n_log):
     # pins the whole path, not just the end state: the bisection outcome
@@ -320,11 +320,11 @@ def test_newton_parts_match_dense_pseudo_inverse_step():
         assert np.array_equal(lam_centered, lam)
 
 
-def _planted_networks():
+def _planted_networks(count: int = 4):
     """Difference-average complexes with capacities drawn from [0.5, 2]: the
     optimum saturates an irregular set of triangles, unlike the demo networks."""
     rng = np.random.default_rng(2026)
-    for spec in [(2, 3, 1), (3, 4, 2)] * 2:
+    for spec in [(2, 3, 1), (3, 4, 2)] * (count // 2):
         sys_da, b, _ = planted_da_instance(rng, *spec)
         P = reduce_da_to_b2(sys_da, b)
         yield FlowNetwork2(P.K, rng.uniform(0.5, 2.0, P.n_triangles), P.gamma)
@@ -358,7 +358,7 @@ def test_run_ipm_takes_long_steps_on_planted_networks(net):
 
 @pytest.mark.parametrize("above_optimum", [False, True], ids=["planted", "above-optimum"])
 def test_run_ipm_doubles_the_request_only_after_an_unhalved_step(above_optimum, monkeypatch):
-    # the fourth planted network halves one step on its way to the target;
+    # the fourth planted network reaches the target with no halved step;
     # with f* above the optimum the steps near alpha = 2 / 2.2 halve
     if above_optimum:
         net = _demo_network(average=False)
@@ -388,7 +388,68 @@ def test_run_ipm_doubles_the_request_only_after_an_unhalved_step(above_optimum, 
     for alpha, request, _ in calls:
         assert request <= (1.0 - alpha) / 2.0
         assert request >= base or request == (1.0 - alpha) / 2.0
-    assert doubled and halved
+    assert doubled and bool(halved) == above_optimum
+
+
+def _count_factorizations(monkeypatch) -> list:
+    calls = []
+    factor = sparse_core.AugmentedSystem.factor
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse_core.AugmentedSystem, "factor", counted)
+    return calls
+
+
+def _assert_centers_only_after_halving(log, factorizations: int) -> None:
+    """A centering half-step follows each halved progress step and no other
+    step, and each half-step made one factorization."""
+    for k, rec in enumerate(log):
+        if rec.kind == "centering":
+            assert k and log[k - 1].kind == "progress" and log[k - 1].halvings
+        elif rec.halvings:
+            assert k + 1 < len(log) and log[k + 1].kind == "centering"
+    assert factorizations == len(log)
+
+
+@pytest.mark.parametrize("average,n_factor", [(False, 12), (True, 13)],
+                         ids=["difference", "average"])
+def test_run_ipm_factors_once_per_unhalved_step(average, n_factor, monkeypatch):
+    net = _demo_network(average)
+    net.f_star = estimate_f_star(net)  # validates the network, once
+    calls = _count_factorizations(monkeypatch)
+    result = run_ipm(net, 300)
+    assert len(calls) == n_factor
+    _assert_centers_only_after_halving(result.log, len(calls))
+
+
+def test_run_ipm_centers_after_each_halved_step(monkeypatch):
+    # with f* above the optimum most steps near alpha = 2 / 2.2 halve
+    net = _demo_network(average=False)
+    net.f_star = 2.2
+    net.validate()
+    calls = _count_factorizations(monkeypatch)
+    result = run_ipm(net, 40)
+    progress = [rec for rec in result.log if rec.kind == "progress"]
+    halved = sum(rec.halvings > 0 for rec in progress)
+    assert len(progress) == 40 and 0 < halved < 40
+    assert len(result.log) == 40 + halved
+    _assert_centers_only_after_halving(result.log, len(calls))
+
+
+@pytest.mark.parametrize("net", list(_planted_networks(12)))
+def test_run_ipm_reaches_the_target_inside_the_capacities(net, monkeypatch):
+    net.f_star = estimate_f_star(net)
+    calls = _count_factorizations(monkeypatch)
+    result = run_ipm(net, 300)
+    assert result.alpha >= IPM_TARGET
+    assert np.all(np.abs(result.f) < net.capacities)
+    demand = net.f_star * net.gamma
+    assert np.linalg.norm(net.d2().to_dense() @ result.f - result.alpha * demand) \
+        <= 1e-9 * np.linalg.norm(demand)
+    _assert_centers_only_after_halving(result.log, len(calls))
 
 
 def test_demo_network_bracket_closes():

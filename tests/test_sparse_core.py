@@ -359,6 +359,16 @@ def test_a_nan_certificate_certifies_nothing():
     assert not verdict.converged and np.isnan(verdict.achieved_ratio)
 
 
+def test_a_nan_reference_runs_no_lsqr_iteration():
+    # a non-finite rhs has no projection: the reference is all nan at once
+    A = SparseMatrix.from_scipy(sp.identity(2))
+    verdict = certified_lu(A, [1.0, 0.0], False, A, [1.0, np.nan], 1e-6)
+    assert verdict.iterations == 0
+    assert not verdict.converged and np.isnan(verdict.achieved_ratio)
+    x, iterations = iterative_solve(A, [np.inf, 1.0], 1e-8)
+    assert iterations == 0 and np.all(np.isnan(x))
+
+
 def _badly_scaled_matrix():
     """40x10 sparse matrix whose column norms spread over about 1e3, with
     row 7 and column 4 all zero."""
