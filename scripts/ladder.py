@@ -19,7 +19,8 @@ own.  A line holds:
   ``gz2_to_da``, ``build_boundary_problem``, ``compute_edge_weights``,
   ``validate`` and the certificate's two exact checks, each
   the best of three untraced calls;
-- ``weights_peak_mb`` and ``validate_peak_mb``: the ``tracemalloc`` peak of
+- ``build_peak_mb``, ``weights_peak_mb`` and ``validate_peak_mb``: the
+  ``tracemalloc`` peak of ``build_boundary_problem``, of
   ``compute_edge_weights`` and of ``validate`` above what was held at the
   call, from a second pass;
 - ``write_s`` and ``read_s``: the wall time of ``fileio.write_chain`` and
@@ -106,6 +107,7 @@ def measure(n: int) -> dict:
     true_ratio = float(np.linalg.norm(system.A.matvec(x) - b) / np.linalg.norm(b))
 
     tracemalloc.start()
+    build_peak = _traced_peak(build_boundary_problem, da)
     weights_peak = _traced_peak(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
     validate_peak = _traced_peak(validate, problem.K)
     tracemalloc.stop()
@@ -116,7 +118,7 @@ def measure(n: int) -> dict:
         "t_per_nnz": round(problem.n_triangles / nnz, 2),
         "stages_s": round(stages_s, 4), "build_s": round(build_s, 4),
         "weights_s": round(weights_s, 4), "validate_s": round(validate_s, 4),
-        "exact_checks_s": round(exact_s, 4),
+        "exact_checks_s": round(exact_s, 4), "build_peak_mb": round(build_peak, 2),
         "weights_peak_mb": round(weights_peak, 2), "validate_peak_mb": round(validate_peak, 2),
         "write_s": round(write_s, 4), "read_s": round(read_s, 4),
         "solve_s": round(solve_s, 4), "method": verdict.method,

@@ -234,41 +234,50 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
     loop_vertices = np.arange(3 * d).reshape(d, 3)
     var, q, _, sign = attach.T
     corners = np.concatenate([holes, loop_vertices[q]], axis=1)
+    del holes
     (tris_p, conn_p, _, sides_p), (tris_n, conn_n, _, sides_n) = (_tube_template(1),
                                                                  _tube_template(-1))
     positive = (sign > 0)[:, None, None]
     n_tri = 5 * holes_of - 4
+    n_sphere_tri, n_sphere_edge = len(sphere_tri), len(sphere_edge)
     tri, tri_group, tri_at = _by_variable(
         sphere_tri, np.repeat(np.arange(sys.n_vars), n_tri),
         np.where(positive, corners[:, tris_p], corners[:, tris_n]).reshape(-1, 3),
         np.repeat(var, 6))
+    del sphere_tri
     edge, _, edge_at = _by_variable(
         sphere_edge, np.repeat(np.arange(sys.n_vars), 9 * holes_of - 6),
         np.where(positive, corners[:, conn_p], corners[:, conn_n]).reshape(-1, 2),
         np.repeat(var, 6))
+    del sphere_edge, corners
+    n_interior = len(edge)
     loop_edges = np.stack([loop_vertices, np.roll(loop_vertices, -1, axis=1)], axis=2)
     K = Complex2(
         n_vert, tri, tri_group, np.concatenate([loop_edges.reshape(-1, 2), edge]),
-        np.concatenate([np.full(3 * d, LOOP), np.full(len(edge), INTERIOR)]),
+        np.concatenate([np.full(3 * d, LOOP), np.full(n_interior, INTERIOR)]),
         loops=np.arange(3 * d).reshape(d, 3),
     )
+    del edge
 
     # d2 as a CSC, three entries a column: the edge of every triangle side,
     # in the triangles' input order, moved to their columns.  A tube's
     # twelve edges are listed in its template's order: hole sides, loop
-    # slots, connecting edges
+    # slots, connecting edges.  Each array goes once it is used: the build
+    # peaks here
     edge_id = 3 * d + edge_at
-    tube_edge = np.concatenate([edge_id[side[len(sphere_tri):]], 3 * q[:, None] + (0, 1, 2),
-                                edge_id[len(sphere_edge):].reshape(-1, 6)], axis=1)
+    del edge_at
+    tube_edge = np.concatenate([edge_id[side[n_sphere_tri:]], 3 * q[:, None] + (0, 1, 2),
+                                edge_id[n_sphere_edge:].reshape(-1, 6)], axis=1)
     eid = np.empty((K.n_triangles, 3), dtype=np.int64)
     eid[tri_at] = np.concatenate([
-        edge_id[side[:len(sphere_tri)]],
+        edge_id[side[:n_sphere_tri]],
         np.where(positive, tube_edge[:, sides_p], tube_edge[:, sides_n]).reshape(-1, 3)])
+    del tri_at, tube_edge, side, edge_id
     d2 = SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0))
 
     loop_weight = sys.weight * sys.scale ** 2
-    gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(len(edge))])
-    weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(len(edge))])
+    gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(n_interior)])
+    weights = np.concatenate([np.repeat(loop_weight, 3), np.ones(n_interior)])
     return BoundaryProblem(K=K, d2=d2, gamma=gamma, weights=weights, da=sys)
 
 

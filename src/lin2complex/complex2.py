@@ -205,11 +205,10 @@ def boundary1(K: Complex2) -> SparseMatrix:
     return SparseMatrix.from_columns(K.n_vertices, K.edge, (-1.0, 1.0))
 
 
-def laplacian1(K: Complex2, d1: SparseMatrix | None = None,
-               d2: SparseMatrix | None = None) -> SparseMatrix:
+def laplacian1(K: Complex2, d2: SparseMatrix | None = None) -> SparseMatrix:
     """First combinatorial Laplacian d1^T d1 + d2 d2^T (symmetric PSD);
-    ``d1`` and ``d2``, when given, are ``boundary1(K)`` and ``boundary2(K)``."""
-    d1 = (boundary1(K) if d1 is None else d1).to_int_csr()
+    ``d2``, when given, is ``boundary2(K)``."""
+    d1 = boundary1(K).to_int_csr()
     d2 = (boundary2(K) if d2 is None else d2).to_int_csr()
     return SparseMatrix.from_scipy(d1.T @ d1 + d2 @ d2.T)
 

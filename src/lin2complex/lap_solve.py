@@ -3,17 +3,19 @@
 Both routes rest on the same fact: the image of d1^T meets the image of d2
 only at zero, so projecting an approximate solve of L1 x = d (or of
 d2 d2^T x = d) through f = d2^T x lands near the projection of d onto the
-image of d2.  The inner accuracy eps_inner is derived from sparse spectral
-data, the same at every size: the integer bound ||d2||_1 ||d2||_inf on
-sigma_max(d2)^2 and the operator's smallest nonzero eigenvalue from
-shift-invert Lanczos (``sparse_core.gram_spectrum``).  The inner solve
-is one sparse LU of the column-equilibrated operator's augmented system,
-refined once (``sparse_core.lu_solve``).  The route is judged by the bound
-that solve proves on its own error: with ``P`` the projection onto the
-image of ``op`` and ``Q`` that onto the image of d2,
-``||op r|| / lambda_min >= ||P d - op x||`` for ``r = d - op x``, and
-``Q op x = d2 d2^T x = d2 f`` because d1 d2 = 0, so the bound also holds for
-``||Q d - d2 f||``.
+image of d2.  The inner solve factors the positive definite
+``F = op + mu I`` once (``sparse_core.shifted_factor``), with
+``mu = SHIFT_RATIO lambda`` and ``lambda`` the smallest nonzero eigenvalue of
+d2^T d2 from shift-invert Lanczos (``sparse_core.gram_spectrum``), and
+refines ``x += F^-1 (d - op x)`` (Riley, MTAC 9, 1955).  The route judges
+``f`` itself: with ``Q`` the projection onto the image of d2 and
+``sigma = lambda^(1/2)``, ``||d2^T (d - d2 f)|| / sigma >= ||Q d - d2 f||``
+for any f, because ``Q (d - d2 f)`` lies in the image of d2.  Every
+eigenvalue of ``op`` on that image is at least ``lambda`` (d1 d2 = 0), so
+each refinement shrinks f's error by ``mu / (lambda + mu)`` or less, while
+the parts of x in the kernel of d2^T (the harmonic part, and on the
+Laplacian route the image of d1^T, whose graph-Laplacian gap may be far
+below ``lambda``) drop out of f.  No spectrum of L0 is needed.
 """
 
 from __future__ import annotations
@@ -22,118 +24,105 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .complex2 import Complex2, boundary1, boundary2, laplacian1
-from .sparse_core import SparseMatrix, gram_spectrum, lu_solve, norm_product, refuse_non_finite
+from .complex2 import Complex2, boundary2, laplacian1
+from .sparse_core import gram_spectrum, refuse_non_finite, shifted_factor
 
 ROUTE_LAPLACIAN = "laplacian"
 ROUTE_GRAM = "gram"
+
+# mu / lambda of the shift: each refinement shrinks the error of f in the
+# image of d2 by mu / (lambda + mu) <= 1 / 101
+SHIFT_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
 class BoundaryRouteReport:
     """Outcome of one route solve.
 
-    ``inner_ratio`` is the upper bound ``||op r|| / (lambda_min ||op x||)``
-    on the inner error ``||P d - op x|| / ||op x||``, with ``r = d - op x``
-    and ``P`` the projection onto the image of the symmetric ``op``; it
-    holds because ``||op r|| = ||op P r|| >= lambda_min ||P r||``.
-    ``inner_converged`` compares it with the paper's worst-case
-    ``eps_inner``, a sufficient condition that ``ok`` does not need.
-    ``projected_residual`` is the unscaled bound ``||op r|| / lambda_min``;
-    with ``Q`` the projection onto the image of d2, ``Q op x = d2 f``, so it
-    also bounds ``||d2 f - Q d||``.  ``projected_rhs_norm`` is ``||d2 f||``,
-    within that bound of ``||Q d||``.
-    ``degenerate`` proves ``Q d`` below ``1e-10 ||d||``; otherwise ``ok``
-    proves ``||d2 f - Q d|| <= delta ||Q d||``.
+    ``lu_fill`` is the fill of the positive definite factor of
+    ``op + mu I`` (0 when the demand is zero) and ``refinements`` the
+    solves made with it.  ``projected_residual`` is the bound
+    ``||d2^T (d - d2 f)|| / sigma`` on ``||d2 f - Q d||``, ``Q`` the
+    projection onto the image of d2 and ``sigma^2`` the smallest nonzero
+    eigenvalue of d2^T d2.  ``projected_rhs_norm`` is ``||d2 f||``, within
+    that bound of ``||Q d||``.  ``degenerate`` proves ``Q d`` below
+    ``1e-10 ||d||``; otherwise ``ok`` proves ``||d2 f - Q d|| <= delta
+    ||Q d||``.
     """
 
     route: str
-    eps_inner: float
-    inner_converged: bool
-    inner_ratio: float
     lu_fill: float
+    refinements: int
     projected_residual: float
     projected_rhs_norm: float
     degenerate: bool
     ok: bool
 
 
-def _l0_lambda_min(K: Complex2, d1: SparseMatrix | None = None) -> float:
-    """Smallest nonzero eigenvalue of ``L0 = d1 d1^T``, the 1-skeleton's
-    graph Laplacian, whose nullity is its component count c; ``d1``, when
-    given, is ``boundary1(K)``."""
-    # imported here, as in ``complex2.validate``
-    from scipy.sparse.csgraph import connected_components
-
-    edge = K.edge
-    graph = sp.csr_matrix((np.ones(len(edge)), (edge[:, 0], edge[:, 1])),
-                          shape=(K.n_vertices, K.n_vertices))
-    c, _ = connected_components(graph, directed=False)
-    eig, nullity = gram_spectrum((boundary1(K) if d1 is None else d1).T, c + 1)
-    return float(eig[nullity])
-
-
 def _solve_route(K: Complex2, d, delta: float, route: str):
-    """One route solve; builds d2, and d1 on the Laplacian route, once."""
+    """One route solve; builds d2 once."""
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
     if d.size != d2.n_rows:
         raise ValueError(f"demand length {d.size} != {d2.n_rows} edges")
     refuse_non_finite("the demand", d)
     if route == ROUTE_LAPLACIAN:
-        d1 = boundary1(K)
-        op = laplacian1(K, d1, d2)
+        op = laplacian1(K, d2).to_csr()
     elif route == ROUTE_GRAM:
-        gram = d2.to_int_csr() @ d2.to_int_csr().T
-        op = SparseMatrix.from_scipy(gram)
+        op = (d2.to_int_csr() @ d2.to_int_csr().T).astype(np.float64)
     else:
         raise ValueError(f"unknown route {route!r}")
 
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
-        report = BoundaryRouteReport(route, delta, True, 0.0, 0.0, 0.0, 0.0, False, True)
-        return np.zeros(d2.n_cols), report
+        return np.zeros(d2.n_cols), BoundaryRouteReport(route, 0.0, 0, 0.0, 0.0, False, True)
 
-    # d2 d2^T and d2^T d2 share their nonzero spectrum; since d1 d2 = 0 that
-    # of L1 is the union of it and L0's
+    # d2 d2^T and d2^T d2 share their nonzero spectrum
     eig, nullity = gram_spectrum(d2, 4)
-    lam_min = float(eig[nullity])
-    if route == ROUTE_LAPLACIAN:
-        lam_min = min(lam_min, _l0_lambda_min(K, d1))
-    eps = delta * math.sqrt(lam_min) / (norm_product(d2) * d_norm)
-    eps = min(eps, 0.5)
+    lam = float(eig[nullity])
+    sigma = math.sqrt(lam)
+    lu, fill = shifted_factor(op, SHIFT_RATIO * lam)
+    D = d2.to_csr()
 
-    x, fill = lu_solve(op, d)
-    csr = op.to_csr()
-    op_x = csr @ x
-    bound = float(np.linalg.norm(csr @ (d - op_x))) / lam_min
-    x_norm = float(np.linalg.norm(op_x))
-    ratio = bound / x_norm if x_norm > 0.0 else (0.0 if bound == 0.0 else math.inf)
-    converged = ratio <= eps
-    f = d2.T.matvec(x)
+    def judged(f):
+        """(f, its bound on ||d2 f - Q d||, ||d2 f||)."""
+        d2f = D @ f
+        return f, float(np.linalg.norm(D.T @ (d - d2f))) / sigma, float(np.linalg.norm(d2f))
 
-    # ||d2 f - Q d|| <= bound, so ||Q d|| lies within bound of ||d2 f||
-    f_norm = float(np.linalg.norm(d2.matvec(f)))
-    degenerate = f_norm + bound <= 1e-10 * d_norm
-    ok = degenerate or bound <= delta * (f_norm - bound)
-    report = BoundaryRouteReport(route, eps, converged, ratio, fill,
-                                 bound, f_norm, degenerate, ok)
-    return f, report
+    def verdict(bound, f_norm):
+        """(degenerate, ok): ||Q d|| lies within bound of ||d2 f||."""
+        degenerate = f_norm + bound <= 1e-10 * d_norm
+        return degenerate, degenerate or bound <= delta * (f_norm - bound)
+
+    x = np.zeros(d2.n_rows)
+    f, bound, f_norm = judged(np.zeros(d2.n_cols))
+    refinements = 0
+    # until f certifies or a refinement fails to halve the bound (a nan
+    # bound does neither); the better of the last two f is kept
+    while not verdict(bound, f_norm)[1]:
+        x += lu.solve(d - op @ x)
+        refinements += 1
+        trial = judged(D.T @ x)
+        halved = trial[1] <= bound / 2
+        if trial[1] < bound:
+            f, bound, f_norm = trial
+        if not halved:
+            break
+    degenerate, ok = verdict(bound, f_norm)
+    return f, BoundaryRouteReport(route, fill, refinements, bound, f_norm, degenerate, ok)
 
 
 def solve_boundary_via_laplacian(K: Complex2, d, delta: float):
-    """Solve d2 f ~ d through the combinatorial Laplacian.
+    """Solve d2 f ~ d through the combinatorial Laplacian L1.
 
-    Picks the inner accuracy eps = delta * lambda_min(L1)^(1/2) /
-    (||d2||_1 ||d2||_inf ||d||), solves L1 x ~ d, and returns f = d2^T x;
-    the report's ``inner_converged`` is ``inner_ratio <= eps``, and its
-    ``ok`` rests on the solve's own error bound.  When the projection of d
-    onto the image of d2 provably vanishes while d does not, the instance
-    is flagged degenerate (the relative guarantee is vacuous).
-    Raises ``ValueError`` when d2 has no nonzero singular value and for a
-    nan or infinite demand.
+    Factors ``L1 + mu I`` once, refines L1 x ~ d with it and returns
+    f = d2^T x with the report of its own bound on ``||d2 f - Q d||``; the
+    refinement stops once ``ok`` holds or a step fails to halve the bound.
+    When the projection of d onto the image of d2 provably vanishes while d
+    does not, the instance is flagged degenerate (the relative guarantee is
+    vacuous).  Raises ``ValueError`` when d2 has no nonzero singular value
+    and for a nan or infinite demand.
     """
     return _solve_route(K, d, delta, ROUTE_LAPLACIAN)
 

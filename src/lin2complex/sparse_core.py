@@ -3,22 +3,23 @@
 Every reduction stage and every verification pass funnels its linear algebra
 through this module: a sparse matrix type that keeps one canonical CSR and
 an integer-exactness flag; the one sparse LU of a quasi-definite augmented
-system (``AugmentedSystem``) that the weighted boundary solve, the ``lap_solve``
-inner solves, the maxflow Newton steps and maxflow's image check share; the
-one least-squares driver (``certified_lu``: that LU on unit-norm columns,
-factored once and refined once, symmetric without pivoting for the chain's
-boundary operator and with COLAMD and partial pivoting for ``least_squares``,
-its answer judged by its projected residual against P b, the projection of b
-onto the column space from one tight column-equilibrated LSQR solve, the
-library's only LSQR); and sparse spectral data: the integer norm bound on
-the largest eigenvalue, which the spectral certificate and the ``lap_solve``
-routes read, and the low spectrum and nullity of an exact integer Gram
-matrix from shift-invert Lanczos over one symmetric factor
+system (``AugmentedSystem``) that the weighted boundary solve, the maxflow
+Newton steps and maxflow's image check share; the one least-squares driver
+(``certified_lu``: that LU on unit-norm columns, factored once and refined
+once, symmetric without pivoting for the chain's boundary operator and with
+COLAMD and partial pivoting for ``least_squares``, its answer judged by its
+projected residual against P b, the projection of b onto the column space
+from one tight column-equilibrated LSQR solve, the library's only LSQR);
+the positive definite factor of a positive semidefinite matrix plus a shift
+(``shifted_factor``), which the ``lap_solve`` routes refine with; and sparse
+spectral data: the integer norm bound on the largest eigenvalue, which the
+spectral certificate reads, and the low spectrum and nullity of an exact
+integer Gram matrix from shift-invert Lanczos over one ``shifted_factor``
 (``gram_spectrum``, the one place that decides which eigenvalues are zero),
-from which the ``lap_solve`` routes take their lambda_min.  The two
-symmetric factors share one SuperLU setting, ``SYMMETRIC_LU``; the
-``lap_solve`` routes and the maxflow Newton steps keep pivoting.
-``spectral_summary`` is the dense reference for small matrices.
+from which the ``lap_solve`` routes take their lambda_min.  The three
+symmetric factors share one SuperLU setting, ``SYMMETRIC_LU``; the maxflow
+Newton steps and ``least_squares`` keep pivoting.  ``spectral_summary`` is
+the dense reference for small matrices.
 """
 
 from __future__ import annotations
@@ -241,9 +242,9 @@ def iterative_solve(A: SparseMatrix, b, tol: float) -> tuple[np.ndarray, int]:
 # (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996).
 LU_DELTA = 1e-14
 
-# SuperLU's settings for the two symmetric matrices this module factors: the
+# SuperLU's settings for the symmetric matrices this module factors: the
 # quasi-definite K of the chain's ``certified_lu`` and the positive definite
-# G + GRAM_SHIFT I of ``gram_spectrum``.  Both have a triangular factor for
+# S + shift I of ``shifted_factor``.  Both have a triangular factor for
 # every symmetric ordering without pivoting (Vanderbei, SIAM J. Optim. 1995),
 # so SuperLU orders the matrix plus its transpose by minimum degree, permutes
 # rows and columns alike and takes each diagonal entry as its pivot, at
@@ -402,8 +403,9 @@ def certified_lu(B: SparseMatrix, g, symmetric: bool, A: SparseMatrix, b, eps: f
     is when None) and certifies when ||A x - P b|| <= eps ||P b||, with P b
     as ``A y`` for y from ``iterative_solve`` at ``min(eps / 100, 1e-6) /
     100``.  When the factorization raises it judges x = 0, which certifies
-    only when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, so a
-    nan ``||P b||`` certifies nothing.
+    only when ``||P b|| == 0``.  Only ``||P b|| == 0`` gives ratio 0, and
+    a ``b`` holding nan or inf has ``||P b||`` nan, whatever ``A``, so it
+    certifies nothing.
     """
     try:
         y, fill = lu_solve(B, g, symmetric)
@@ -413,7 +415,8 @@ def certified_lu(B: SparseMatrix, g, symmetric: bool, A: SparseMatrix, b, eps: f
         x, method = (y if to_x is None else to_x(y)), ("lu" if symmetric else "lu_colamd")
     x_ref, iterations = iterative_solve(A, b, min(eps / 100, 1e-6) / 100.0)
     pib = A @ x_ref
-    pnorm = float(np.linalg.norm(pib))
+    # a non-finite b's reference is all nan, which a zero A would map to 0
+    pnorm = float(np.linalg.norm(pib)) if np.isfinite(x_ref).all() else np.nan
     proj = float(np.linalg.norm(A.matvec(x) - pib))
     ratio = 0.0 if pnorm == 0.0 else proj / pnorm
     return Verdict(x, method, fill, iterations, proj, pnorm, ratio, ratio <= eps)
@@ -512,6 +515,17 @@ GRAM_SHIFT = 1e-8
 ZERO_EIGENVALUE = 1e-14
 
 
+def shifted_factor(S: sp.spmatrix, shift: float) -> tuple[spla.SuperLU, float]:
+    """SuperLU of ``F = S + shift I`` at ``SYMMETRIC_LU`` and its fill
+    ``lu.nnz / nnz F``, for a symmetric positive semidefinite scipy matrix
+    ``S`` and ``shift > 0``, so that ``F`` is positive definite and the
+    factor needs no pivoting; ``splu`` raises ``RuntimeError`` when it
+    fails."""
+    F = (S + shift * sp.identity(S.shape[0], format="csc")).tocsc()
+    lu = spla.splu(F, **SYMMETRIC_LU)
+    return lu, lu.nnz / F.nnz
+
+
 def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
     """The low spectrum of ``G = M^T M`` and its nullity: (eig, nullity).
 
@@ -531,7 +545,7 @@ def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
     D = M.to_int_csr()
     G = (D.T @ D).astype(np.float64).tocsc()
     n = G.shape[0]
-    lu = spla.splu(G + GRAM_SHIFT * sp.identity(n, format="csc"), **SYMMETRIC_LU)
+    lu, _ = shifted_factor(G, GRAM_SHIFT)
     inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
     while True:

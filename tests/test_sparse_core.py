@@ -359,6 +359,16 @@ def test_a_nan_certificate_certifies_nothing():
     assert not verdict.converged and np.isnan(verdict.achieved_ratio)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_rhs_certifies_nothing_on_a_zero_matrix(bad):
+    # A @ x_ref of a zero A is 0 for the all-nan reference, which gave
+    # ||P b|| = 0, ratio 0 and converged True
+    Z = SparseMatrix.from_arrays(2, 2, [], [], [])
+    verdict = certified_lu(Z, [1.0, 0.0], False, Z, [1.0, bad], 1e-6)
+    assert not verdict.converged
+    assert np.isnan(verdict.achieved_ratio) and np.isnan(verdict.projected_rhs_norm)
+
+
 def test_a_nan_reference_runs_no_lsqr_iteration():
     # a non-finite rhs has no projection: the reference is all nan at once
     A = SparseMatrix.from_scipy(sp.identity(2))
