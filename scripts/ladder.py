@@ -88,17 +88,17 @@ def measure(n: int) -> dict:
     def stages(system):
         gz, gz_back = to_zero_rowsum(system)
         gz2, gz2_back = to_pow2(gz)
-        return gz, gz_back, gz2, gz2_back, gz2_to_da(gz2, alpha=1.0)[0]
+        return gz_back, gz2, gz2_back, gz2_to_da(gz2, alpha=1.0)[0]
 
     system = three_per_row_system(SEED, n)
-    (gz, gz_back, gz2, gz2_back, da), stages_s = _timed(stages, system)
+    (gz_back, gz2, gz2_back, da), stages_s = _timed(stages, system)
     problem, build_s = _timed(build_boundary_problem, da)
     (_, problem.weights), weights_s = _timed(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
     report, validate_s = _timed(validate, problem.K)
     certificate, exact_s = _timed(spectral_certificate, problem)
     if not (report.ok and certificate.ok):
         raise RuntimeError(f"rung {n}: {report.violation or certificate.checks}")
-    chain = ChainArtifacts(system, gz, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)
+    chain = ChainArtifacts(system, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)
     (x, verdict), solve_s = _timed(solve_chain, chain)
     with tempfile.TemporaryDirectory() as tmp:
         _, write_s = _timed(write_chain, tmp, chain)

@@ -47,10 +47,10 @@ class BoundaryProblem:
     ``gamma`` puts each equation's right-hand side on its three loop edges
     and zero elsewhere; ``weights`` is the diagonal of W (all ones for the
     unit construction until the general-case weights are computed).  The
-    central triangles, each equation's right-hand side and its loop weight
-    are read off ``K``, ``gamma`` and ``weights``, and the tubes off ``da``
-    (``_attachments``), so each is stored once.  ``K`` is laid out as
-    ``build_boundary_problem`` lays it out for ``da`` (``check_layout``).
+    central triangles and each equation's right-hand side are read off
+    ``K`` and ``gamma``, and the tubes off ``da`` (``_attachments``), so
+    each is stored once.  ``K`` is laid out as ``build_boundary_problem``
+    lays it out for ``da`` (``check_layout``).
     """
 
     K: Complex2
@@ -69,11 +69,6 @@ class BoundaryProblem:
     def equation_rhs(self) -> np.ndarray:
         """Each equation's normalized right-hand side, from its first loop edge."""
         return self.gamma[self.K.loops[:, 0]]
-
-    @property
-    def loop_weight(self) -> np.ndarray:
-        """Each equation's base weight weight * scale^2, from its first loop edge."""
-        return self.weights[self.K.loops[:, 0]]
 
     @property
     def n_vars(self) -> int:

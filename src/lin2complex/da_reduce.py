@@ -344,19 +344,6 @@ def plain_da_system(n_vars: int, rows: Sequence[DARow]) -> WeightedDASystem:
                             ones, [r.rhs for r in rows], ones, len(rows), 0)
 
 
-@dataclass(frozen=True, eq=False)
-class DAReductionTrace:
-    """The auxiliary variables of ``gz2_to_da``, as columns: variable
-    ``n_original + a`` replaces the pair ``pair[a]`` of row ``source_row[a]``,
-    whose coefficients of sign ``sign[a]`` both have bit ``bit[a]`` set."""
-
-    n_original: int
-    pair: np.ndarray
-    sign: np.ndarray
-    bit: np.ndarray
-    source_row: np.ndarray
-
-
 def _canonical_rows(A: SparseMatrix, b: np.ndarray, coef: np.ndarray):
     """The rows that are a power-of-two multiple of a canonical pattern: a
     two-entry row ``c x(i) - c x(j)``, or a three-entry row
@@ -460,10 +447,11 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     row-by-row loop it replaces is the tests' oracle.  Only the class check
     at entry can fail: a G_z2 row always pairs down to a scaled difference.
 
-    Returns (system, rhs, trace) where rhs is the weighted right-hand side
+    Returns (system, rhs) where rhs is the weighted right-hand side
     ``system.rhs_vector()``, aligned with the weighted rows
-    ``pattern_matrix().row_scaled(row_factors())``, and trace a
-    ``DAReductionTrace``.
+    ``pattern_matrix().row_scaled(row_factors())``.  Auxiliary row
+    ``n_main + a`` records variable ``n + a``: ``var`` holds the pair it
+    replaces and then its id, and ``scale`` is 2^r for the pair's bit r.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
@@ -501,9 +489,7 @@ def gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
                 alpha * per_row[source_row], np.zeros(left.size), np.ldexp(1.0, level))
     system = WeightedDASystem(
         n + left.size, *(np.concatenate(c) for c in zip(main, aux_rows)), d, left.size)
-    trace = DAReductionTrace(n, np.stack([left, right], axis=1),
-                             np.where(aux_group % 2 == 1, 1, -1), level, source_row)
-    return system, system.rhs_vector(), trace
+    return system, system.rhs_vector()
 
 
 def map_da_solution_back(sys: GeneralSystem, x_b) -> np.ndarray:

@@ -37,13 +37,27 @@ def write_matrix(path, A: SparseMatrix) -> None:
     scipy.io.mmwrite(str(path), A.to_int_csr() if A.integer_exact else A.to_csr())
 
 
+# the bytes a Matrix Market file may hold after its leading % lines
+MATRIX_BODY_BYTES = b"0123456789+-.eE \t\n\r\v\f"
+
+
 def read_matrix(path) -> SparseMatrix:
-    """A Matrix Market file's real matrix; complex entries are refused, not cast."""
+    """A Matrix Market file's real matrix; complex entries are refused, not
+    cast.  After the leading ``%`` lines only ``MATRIX_BODY_BYTES`` may
+    follow, so an entry such as ``3x``, ``nan`` or ``inf`` is refused."""
     data = Path(path).read_bytes()
     if not data.endswith(b"\n"):
         # scipy 1.17's reader crashes the process (SIGSEGV) on a last line
         # that holds anything after its last number and ends the file
         data += b"\n"
+    body = 0
+    while data.startswith(b"%", body):
+        body = data.index(b"\n", body) + 1
+    # scipy's reader drops what follows a number on its line: "1 1 3x" reads as 3
+    foreign = data[body:].translate(None, MATRIX_BODY_BYTES)
+    if foreign:
+        raise ArtifactError(f"{path} is not a Matrix Market matrix: it holds "
+                            f"{foreign[:1]!r} where only numbers and spaces belong")
     try:
         coo = scipy.io.mmread(io.BytesIO(data))
     except (ValueError, OverflowError) as exc:

@@ -45,11 +45,11 @@ ALPHA_CAP_DEFAULT = 1e2
 
 @dataclass
 class ChainArtifacts:
-    """Every stage of one reduction and the back maps between them; built in
-    memory by ``reduce_chain`` or from disk by ``fileio.read_chain``."""
+    """One reduction: the original system, the stages and back maps that
+    ``map_back`` reads, and the boundary problem; built in memory by
+    ``reduce_chain`` or from disk by ``fileio.read_chain``."""
 
     original: GeneralSystem
-    gz: GeneralSystem
     gz_back: object
     gz2: GeneralSystem
     gz2_back: object
@@ -75,11 +75,11 @@ def reduce_chain(sys: GeneralSystem, eps: float,
         raise ValueError("eps must lie in (0, 1)")
     gz, gz_back = to_zero_rowsum(sys)
     gz2, gz2_back = to_pow2(gz)
-    da, _, _ = gz2_to_da(gz2, alpha=1.0)
+    da, _ = gz2_to_da(gz2, alpha=1.0)
     alpha = ALPHA_CAP_DEFAULT if alpha is None else alpha
     problem = build_boundary_problem(da)
     _, problem.weights = compute_edge_weights(problem, alpha)
-    return ChainArtifacts(sys, gz, gz_back, gz2, gz2_back, problem, eps, alpha)
+    return ChainArtifacts(sys, gz_back, gz2, gz2_back, problem, eps, alpha)
 
 
 def map_back(chain: ChainArtifacts, f: np.ndarray) -> np.ndarray:

@@ -561,7 +561,7 @@ def bfs_edge_weights(problem, alpha: float):
     l_q = np.bincount(q_of, minlength=problem.n_equations).astype(np.float64)
     mass = np.bincount(path_edge, weights=l_q[q_of], minlength=m)
     weights = np.ones(m)
-    weights[K.loops] = problem.loop_weight[:, None]
+    weights[K.loops] = problem.weights[K.loops[:, :1]]
     interior = K.kind == INTERIOR
     weights[interior] = alpha * mass[interior]
     return l_q, path_tube, path_edge, weights

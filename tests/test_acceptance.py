@@ -205,7 +205,7 @@ def test_criterion_08_da_reduction_exactness():
             sys_g = random_gz2_system(rng, int(rng.integers(4, 9)),
                                       int(rng.integers(2, 7)), max_pow=5)
             alpha = 1.0
-            da, _, _ = gz2_to_da(sys_g, alpha=alpha)
+            da, _ = gz2_to_da(sys_g, alpha=alpha)
             max_ratio = max(max_ratio, nnz_growth_ratio(sys_g, da))
             A = sys_g.A.to_dense()
             B = da.pattern_matrix().row_scaled(da.row_factors()).to_dense()
@@ -227,7 +227,7 @@ def test_criterion_08_da_reduction_exactness():
         # worked example terminates in the scale-8 two-variable difference
         sys_w = GeneralSystem(SparseMatrix.from_dense([[3, 5, -1, -7]]), [1.0],
                               CLASS_GZ2)
-        da_w, _, _ = gz2_to_da(sys_w)
+        da_w, _ = gz2_to_da(sys_w)
         main = da_rows(da_w)[0]
         assert main.kind == "difference" and main.scale == 8.0
         assert main.rhs == pytest.approx(1.0 / 8.0)

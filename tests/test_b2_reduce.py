@@ -582,17 +582,19 @@ def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
 
 
 def test_derived_fields_match_the_construction():
-    # central, equation_rhs and loop_weight are read off K, gamma and weights
-    da, _, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)
+    # central and equation_rhs are read off K and gamma; each equation's
+    # three loop edges carry its base weight weight * scale^2, before and
+    # after the edge weights
+    da, _ = gz2_to_da(random_gz2_system(np.random.default_rng(8), 5, 3), alpha=3.0)
     assert not da.is_unit()
     b = da.rhs
     P = build_boundary_problem(da, b)
-    base = np.array([row.weight * row.scale ** 2 for row in da_rows(da)])
+    base = np.array([[row.weight * row.scale ** 2] * 3 for row in da_rows(da)])
     assert np.array_equal(P.equation_rhs, b)
-    assert np.array_equal(P.loop_weight, base)
+    assert np.array_equal(P.weights[P.K.loops], base)
     assert np.array_equal(P.central, np.searchsorted(P.K.tri_group, np.arange(da.n_vars)))
     _, P.weights = compute_edge_weights(P, 5.0)
-    assert np.array_equal(P.loop_weight, base)
+    assert np.array_equal(P.weights[P.K.loops], base)
 
 
 # -- the build's d2 and paths against the lookups they replace ---------------------

@@ -112,23 +112,26 @@ def test_pow2_worked_row_already_power_of_two():
 
 def test_pairing_worked_example():
     sys = system([[3, 5, -1, -7]], [1.0], CLASS_GZ2)
-    da, rhs, trace = gz2_to_da(sys)
+    da, _ = gz2_to_da(sys)
     assert da.n_main == 1 and da.n_aux == 6
     main = da_rows(da)[0]
     assert main.kind == "difference"
     assert main.scale == 8.0
     assert main.rhs == pytest.approx(1.0 / 8.0)
-    # the positive side collapses through three fresh variables, pairing
-    # (x0,x1), then (x0, first), then (x1-side remainder, second)
-    pos = trace.sign == 1
-    assert trace.pair[pos].tolist() == [[0, 1], [0, 7], [1, 8]]
-    assert trace.bit[pos].tolist() == [0, 1, 2]
+    # each auxiliary row holds the pair it replaces, then the new variable,
+    # scaled by 2^bit.  The negative side goes first, pairing (x2, x3),
+    # then (x3, x4), then (x3, x5); the positive side collapses through
+    # three fresh variables, pairing (x0, x1), then (x0, first), then
+    # (x1, second)
+    aux = da.var[da.n_main:]
+    assert aux.tolist() == [[2, 3, 4], [3, 4, 5], [3, 5, 6], [0, 1, 7], [0, 7, 8], [1, 8, 9]]
+    assert da.scale[da.n_main:].tolist() == [1.0, 2.0, 4.0, 1.0, 2.0, 4.0]
     assert all(r.rhs == 0.0 for r in da_rows(da)[1:])
 
 
 def test_pairing_untouched_difference():
     sys = system([[1, -1]], [5.0], CLASS_GZ2)
-    da, _, trace = gz2_to_da(sys, alpha=3.0)
+    da, _ = gz2_to_da(sys, alpha=3.0)
     assert da.n_aux == 0
     row = da_rows(da)[0]
     assert row.kind == "difference" and row.scale == 1.0
@@ -139,7 +142,7 @@ def test_pairing_untouched_difference():
 def test_pairing_scaled_difference_kept_canonical():
     # (2, -2) has no pairable bits; it must take the already-canonical branch
     sys = system([[2, -2]], [3.0], CLASS_GZ2)
-    da, _, _ = gz2_to_da(sys)
+    da, _ = gz2_to_da(sys)
     row = da_rows(da)[0]
     assert da.n_aux == 0
     assert row.scale == 2.0 and row.weight == pytest.approx(0.5)
@@ -150,31 +153,34 @@ def test_pairing_average_with_nonzero_rhs_is_reduced():
     # the canonical class fixes average right-hand sides to zero, so this
     # row is reduced to a scaled difference with one auxiliary constraint
     sys = system([[1, 1, -2]], [4.0], CLASS_GZ2)
-    da, _, _ = gz2_to_da(sys)
+    da, _ = gz2_to_da(sys)
     assert da_rows(da)[0].kind == "difference"
     assert da.n_aux == 1
 
 
 def test_pairing_average_with_zero_rhs_kept():
     sys = system([[1, 1, -2]], [0.0], CLASS_GZ2)
-    da, _, _ = gz2_to_da(sys)
+    da, _ = gz2_to_da(sys)
     assert da_rows(da)[0].kind == "average"
     assert da.n_aux == 0
 
 
 def _assert_matches_the_loop(sys, alpha):
-    da, rhs, trace = gz2_to_da(sys, alpha=alpha)
+    da, rhs = gz2_to_da(sys, alpha=alpha)
     oracle, oracle_rhs, records = loop_gz2_to_da(sys, alpha=alpha)
     assert (da.n_vars, da.n_main, da.n_aux) == (oracle.n_vars, oracle.n_main, oracle.n_aux)
     for name in ("average", "var", "weight", "rhs", "scale"):
         ours, theirs = getattr(da, name), getattr(oracle, name)
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
     assert rhs.tobytes() == oracle_rhs.tobytes()
-    assert trace.n_original == sys.A.n_cols
-    assert [r.new_var for r in records] == list(range(trace.n_original, da.n_vars))
-    assert [tuple(p) for p in trace.pair.tolist()] == [r.pair for r in records]
-    for name in ("sign", "bit", "source_row"):
-        assert getattr(trace, name).tolist() == [getattr(r, name) for r in records], name
+    # auxiliary row a makes variable n + a from the oracle's record a: its
+    # pair, then its id, scaled by 2^bit
+    n = sys.A.n_cols
+    aux = da.var[da.n_main:]
+    assert da.n_vars - da.n_aux == n
+    assert aux[:, 2].tolist() == [r.new_var for r in records] == list(range(n, da.n_vars))
+    assert [tuple(p) for p in aux[:, :2].tolist()] == [r.pair for r in records]
+    assert da.scale[da.n_main:].tolist() == [float(1 << r.bit) for r in records]
 
 
 @pytest.mark.parametrize("alpha", [1.0, 3.0])
@@ -205,7 +211,7 @@ def test_exact_reduction_identity(seed):
     rng = np.random.default_rng(seed)
     sys = random_gz2_system(rng, int(rng.integers(4, 8)), int(rng.integers(2, 6)))
     alpha = float(rng.choice([0.5, 1.0, 2.0]))
-    da, _, _ = gz2_to_da(sys, alpha=alpha)
+    da, _ = gz2_to_da(sys, alpha=alpha)
     B = da.pattern_matrix().row_scaled(da.row_factors())
     cB = da.rhs_vector()
     n = sys.A.n_cols
@@ -230,7 +236,7 @@ def test_null_space_dimension_preserved():
     rng = np.random.default_rng(4)
     for _ in range(10):
         sys = random_gz2_system(rng, 5, 3)
-        da, _, _ = gz2_to_da(sys)
+        da, _ = gz2_to_da(sys)
         B = da.pattern_matrix().row_scaled(da.row_factors())
         assert dense_nullity(B.to_dense()) == dense_nullity(sys.A.to_dense())
 
@@ -238,32 +244,34 @@ def test_null_space_dimension_preserved():
 def test_aux_variables_belong_to_one_row():
     rng = np.random.default_rng(8)
     sys = random_gz2_system(rng, 6, 4)
-    da, _, trace = gz2_to_da(sys)
-    owner = {}
-    for a, (pair, source_row) in enumerate(zip(trace.pair.tolist(), trace.source_row.tolist())):
-        owner[trace.n_original + a] = source_row
+    da, _ = gz2_to_da(sys)
+    oracle, _, records = loop_gz2_to_da(sys)
+    assert da == oracle  # so the oracle's records line up with the auxiliary rows
+    n = sys.A.n_cols
+    owner = {r.new_var: r.source_row for r in records}
+    for a, (i, j, new) in enumerate(da.var[da.n_main:].tolist()):
         # pairs reference only previously created variables
-        assert max(pair) < trace.n_original + a
+        assert new == n + a and max(i, j) < new
     for row in da_rows(da)[da.n_main:]:
-        touching = {v for v in (row.i, row.j, row.k) if v is not None and v >= trace.n_original}
+        touching = {v for v in (row.i, row.j, row.k) if v is not None and v >= n}
         rows_owning = {owner[v] for v in touching}
         assert len(rows_owning) == 1
 
 
-def _complete_solution(trace, x_main):
-    """Extend main-variable values along the recorded auxiliary assignments:
-    each auxiliary variable is the average of its pair."""
-    x = np.concatenate([x_main, np.zeros(len(trace.pair))])
-    for a, (i, j) in enumerate(trace.pair.tolist()):
-        x[trace.n_original + a] = 0.5 * (x[i] + x[j])
+def _complete_solution(da, x_main):
+    """Extend main-variable values along the auxiliary rows, which hold
+    (pair, new variable): each auxiliary variable is the average of its pair."""
+    x = np.concatenate([x_main, np.zeros(da.n_aux)])
+    for i, j, new in da.var[da.n_main:].tolist():
+        x[new] = 0.5 * (x[i] + x[j])
     return x
 
 
 def test_complete_solution_satisfies_aux_rows():
     rng = np.random.default_rng(14)
     sys = random_gz2_system(rng, 5, 3)
-    da, _, trace = gz2_to_da(sys)
-    x = _complete_solution(trace, rng.normal(size=trace.n_original))
+    da, _ = gz2_to_da(sys)
+    x = _complete_solution(da, rng.normal(size=sys.A.n_cols))
     pat = da.pattern_matrix().to_dense()
     aux = pat[da.n_main:]
     assert np.allclose(aux @ x, 0.0, atol=1e-12)
@@ -275,7 +283,7 @@ def test_null_vectors_extend_through_reduction():
     rng = np.random.default_rng(31)
     for _ in range(6):
         base = random_gz2_system(rng, 5, 3)
-        da, _, trace = gz2_to_da(base)
+        da, _ = gz2_to_da(base)
         A = base.A.to_dense()
         B = da.pattern_matrix().row_scaled(da.row_factors()).to_dense()
         nullity = A.shape[1] - np.linalg.matrix_rank(A)
@@ -283,7 +291,7 @@ def test_null_vectors_extend_through_reduction():
             continue
         _, _, vt = np.linalg.svd(A)
         for null_vec in vt[-nullity:]:
-            ext = _complete_solution(trace, null_vec)
+            ext = _complete_solution(da, null_vec)
             assert np.allclose(B @ ext, 0.0, atol=1e-10)
 
 
@@ -333,7 +341,7 @@ def test_nnz_growth_ratio_bounded():
     worst = 0.0
     for _ in range(20):
         sys = random_gz2_system(rng, 6, 4, max_pow=5)
-        da, _, _ = gz2_to_da(sys)
+        da, _ = gz2_to_da(sys)
         worst = max(worst, nnz_growth_ratio(sys, da))
     assert worst <= 4.0
 
@@ -351,7 +359,7 @@ def test_planted_pipeline_recovers_solution():
         if np.linalg.norm(b) == 0:
             continue
         sys = GeneralSystem(base.A, b, CLASS_GZ2)
-        da, rhs_w, _ = gz2_to_da(sys)
+        da, rhs_w = gz2_to_da(sys)
         eps_a = 1e-4
         eps_b = choose_epsilon_da(eps_a, sys)
         res = least_squares(da.pattern_matrix().row_scaled(da.row_factors()), rhs_w, eps_b)

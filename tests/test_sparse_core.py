@@ -54,7 +54,8 @@ def test_canonical_form_coalesces_and_sorts():
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_values_are_not_integer_exact(tmp_path, value):
     # inf equals its own rint, but no int64 holds it: the matrix must not
-    # be cast, nor written as an integer matrix
+    # be cast, nor written as an integer matrix.  It is written as a real
+    # one, whose non-finite entry the reader refuses
     A = SparseMatrix.from_arrays(1, 2, [0, 0], [0, 1], [1.0, value])
     assert not A.integer_exact
     with pytest.raises(ValueError, match="not integer-exact"):
@@ -63,9 +64,11 @@ def test_non_finite_values_are_not_integer_exact(tmp_path, value):
         sparse_core.norm_product(A)
     from lin2complex import fileio
 
-    fileio.write_matrix(tmp_path / "A.mtx", A)
-    back = fileio.read_matrix(tmp_path / "A.mtx")
-    assert np.array_equal(back.vals, A.vals, equal_nan=True)
+    path = tmp_path / "A.mtx"
+    fileio.write_matrix(path, A)
+    assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
+    with pytest.raises(fileio.ArtifactError, match="is not a Matrix Market matrix: it holds"):
+        fileio.read_matrix(path)
 
 
 @pytest.mark.parametrize("value, exact", [(1e300, False), (2.0 ** 63, False),
