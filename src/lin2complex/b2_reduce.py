@@ -25,6 +25,7 @@ from .complex2 import (
     LOOP,
     Complex2,
     ComplexStructureError,
+    boundary_of_sides,
     sphere_cells,
     tube_cells,
 )
@@ -268,7 +269,7 @@ def build_boundary_problem(sys: WeightedDASystem, b=None) -> BoundaryProblem:
         edge_id[side[:n_sphere_tri]],
         np.where(positive, tube_edge[:, sides_p], tube_edge[:, sides_n]).reshape(-1, 3)])
     del tri_at, tube_edge, side, edge_id
-    d2 = SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0))
+    d2 = boundary_of_sides(K, eid)
 
     loop_weight = sys.weight * sys.scale ** 2
     gamma = np.concatenate([np.repeat(b_norm, 3), np.zeros(n_interior)])

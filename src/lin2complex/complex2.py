@@ -107,12 +107,12 @@ def _lookup(K: Complex2, u, v) -> np.ndarray:
     return np.where(sorted_keys[pos] == want, order[pos], -1)
 
 
-def _boundary(K: Complex2, u: np.ndarray, eid: np.ndarray) -> SparseMatrix:
-    """d2 from the edge ids ``eid`` (t, 3) of the triangle sides that start
-    at the vertices ``u``: +1 where a side runs along its edge's stored
-    direction, -1 where it runs against it.  ``eid`` is d2's CSC, three
-    entries a column, converted to CSR once."""
-    return SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == u, 1.0, -1.0))
+def boundary_of_sides(K: Complex2, eid: np.ndarray) -> SparseMatrix:
+    """d2 from the edge ids ``eid`` (t, 3) of the triangle sides, side k of
+    a triangle running from its vertex k: +1 where a side runs along its
+    edge's stored direction, -1 where it runs against it.  ``eid`` is d2's
+    CSC, three entries a column, converted to CSR once."""
+    return SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0))
 
 
 def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
@@ -276,7 +276,7 @@ def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
     unknown = ((u < 0) | (u >= K.n_vertices)).any(axis=1)
     bad = _first(repeated | unknown | (eid < 0).any(axis=1))
     if bad < 0:
-        return None, _boundary(K, u, eid)
+        return None, boundary_of_sides(K, eid)
     if repeated[bad]:
         return f"triangle {bad} has repeated vertices", None
     if unknown[bad]:
@@ -347,7 +347,7 @@ def validate(K: Complex2) -> ValidationReport:
     the next one, so time and memory are linear in the size of K.
 
     d1 d2 = 0 holds by construction: ``_lookup`` gives each side u -> v the
-    edge {u, v} and ``_boundary`` signs it +1 exactly when that edge is
+    edge {u, v} and ``boundary_of_sides`` signs it +1 exactly when that edge is
     stored as (u, v), so each column of d2 runs u -> v -> w -> u.
     """
     side, d2 = _side_matrix(K)

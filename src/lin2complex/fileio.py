@@ -26,7 +26,7 @@ from .da_reduce import (
     WeightedDASystem,
 )
 from .pipeline import ChainArtifacts, reduce_chain
-from .sparse_core import DimensionError, SparseMatrix
+from .sparse_core import DimensionError, SparseMatrix, refuse_non_finite
 
 
 class ArtifactError(ValueError):
@@ -34,6 +34,10 @@ class ArtifactError(ValueError):
 
 
 def write_matrix(path, A: SparseMatrix) -> None:
+    """``A`` as Matrix Market, integer when it is integer-exact; a nan or
+    infinite entry, which ``read_matrix`` refuses, is refused before the
+    file is opened."""
+    refuse_non_finite(f"the matrix for {path}", A.vals)
     scipy.io.mmwrite(str(path), A.to_int_csr() if A.integer_exact else A.to_csr())
 
 
@@ -77,19 +81,14 @@ def write_vector(path, v) -> None:
     NumPy's ``.npy`` format, written with ``allow_pickle=False``, so equal
     vectors give equal bytes and every bit reads back.  Any other path holds
     one entry a line, each the shortest text that reads back exactly:
-    ``repr``, less the ".0" of an integral value.  ``repr`` runs once per
-    distinct float64 bit pattern (not per distinct value, which would merge
-    0.0 and -0.0), and the lines index into those texts."""
+    ``repr``, less the ".0" of an integral value."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if str(path).endswith(NPY_SUFFIX):
         with open(path, "wb") as fh:
             np.lib.format.write_array(fh, v.astype("<f8", copy=False), allow_pickle=False)
         return
-    bits, line = np.unique(v.view(np.uint64), return_inverse=True)
-    text = np.array([repr(x).removesuffix(".0") for x in bits.view(np.float64).tolist()],
-                    dtype=object)
     with open(path, "w") as fh:
-        fh.write("\n".join(text[line].tolist()) + "\n")
+        fh.write("\n".join([repr(x).removesuffix(".0") for x in v.tolist()]) + "\n")
 
 
 def read_vector(path) -> np.ndarray:

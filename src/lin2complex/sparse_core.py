@@ -440,13 +440,12 @@ def least_squares(A: SparseMatrix, b, rel_tol: float) -> Verdict:
     100 random sparse problems that this one factor certifies.  Its
     ``Verdict``'s ``converged`` means ||Ax - P b|| <= rel_tol ||P b||, and
     ``iterations`` counts the iterations of the LSQR reference.  Raises
-    ``ValueError`` for a nan or infinite entry of ``A`` or ``b``.
+    ``ValueError`` for a nan or infinite entry of ``A`` or ``b``, and
+    ``lu_solve``'s ``DimensionError`` for a ``b`` of the wrong length.
     """
     if not (0.0 < rel_tol < 1.0):
         raise ValueError("rel_tol must lie in (0, 1)")
     b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != A.n_rows:
-        raise DimensionError(f"rhs length {b.size} != {A.n_rows}")
     refuse_non_finite("the matrix", A.vals)
     refuse_non_finite("the right-hand side", b)
     return certified_lu(A, b, False, A, b, rel_tol)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import cli, complex2, fileio
@@ -493,9 +494,9 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     main(["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
           "--out-dir", str(out), "--eps", "1e-3"])
-    # every d2 (boundary2's and validate's) is built by complex2._boundary
-    # from one edge lookup
-    calls = {"_boundary": 0, "_lookup": 0}
+    # every d2 (boundary2's and validate's) is built by
+    # complex2.boundary_of_sides from one edge lookup
+    calls = {"boundary_of_sides": 0, "_lookup": 0}
 
     def counted(name):
         honest = getattr(complex2, name)
@@ -508,13 +509,13 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
     for name in calls:
         monkeypatch.setattr(complex2, name, counted(name))
     assert main(["verify", "--dir", str(out)]) == 0
-    assert calls == {"_boundary": 1, "_lookup": 1}
+    assert calls == {"boundary_of_sides": 1, "_lookup": 1}
     # an invalid complex whose sides are all edges: validate's d2 is the one
     # compared, where verify used to build boundary2(K) a second time
     _tamper_complex(out, "flipped-triangle")
-    calls.update(_boundary=0, _lookup=0)
+    calls.update(boundary_of_sides=0, _lookup=0)
     assert main(["verify", "--dir", str(out)]) == 1
-    assert calls == {"_boundary": 1, "_lookup": 1}
+    assert calls == {"boundary_of_sides": 1, "_lookup": 1}
 
 
 def _tamper_complex(out, case: str) -> complex2.Complex2:
@@ -539,6 +540,25 @@ def _tamper_complex(out, case: str) -> complex2.Complex2:
 
 def _check_names(text: str) -> list[str]:
     return [line.split("] ", 1)[1].split(":")[0] for line in text.splitlines()]
+
+
+def test_cli_verify_prints_its_six_checks_in_order(tmp_path, capsys):
+    # the triangle count and the size bounds are no lines of their own:
+    # neither can fail where the checks below pass (see cmd_verify)
+    _write_general(tmp_path)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--dir", str(out)]) == 0
+    assert _check_names(capsys.readouterr().out) == [
+        "complex structure",
+        "d2 is the boundary operator of the complex",
+        "b2_gamma.npy is the rhs of da.json on the loop edges, 0 elsewhere",
+        "b2_W.npy is the path weights of the complex at the manifest's alpha 100",
+        "spectral lambda_max",
+        "spectral nullity",
+    ]
 
 
 @pytest.mark.parametrize("case, fault", [("missing-edge", "references missing edge"),
@@ -730,8 +750,9 @@ def test_cli_solve_direct(tmp_path):
 def test_cli_solve_direct_non_finite_input_is_one_line_error(tmp_path, capsys, A, b, error):
     # the nan rhs used to write "converged": true with nan residuals and exit
     # 0, the inf entry to do the same after 30,000 LSQR iterations; the
-    # matrix reader now refuses the inf entry's text, and the solver the nan
-    fileio.write_matrix(tmp_path / "A.mtx", SparseMatrix.from_dense(A))
+    # matrix reader now refuses the inf entry's text, and the solver the nan.
+    # write_matrix refuses the inf entry, so scipy writes the file
+    scipy.io.mmwrite(str(tmp_path / "A.mtx"), SparseMatrix.from_dense(A).to_csr())
     fileio.write_vector(tmp_path / "b.vec", b)
     try:
         rc = main(["solve", "--route", "direct", "--matrix", str(tmp_path / "A.mtx"),

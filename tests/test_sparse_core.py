@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,7 @@ def test_canonical_form_coalesces_and_sorts():
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_non_finite_values_are_not_integer_exact(tmp_path, value):
     # inf equals its own rint, but no int64 holds it: the matrix must not
-    # be cast, nor written as an integer matrix.  It is written as a real
-    # one, whose non-finite entry the reader refuses
+    # be cast, nor written at all, as the reader would refuse the entry
     A = SparseMatrix.from_arrays(1, 2, [0, 0], [0, 1], [1.0, value])
     assert not A.integer_exact
     with pytest.raises(ValueError, match="not integer-exact"):
@@ -65,10 +65,9 @@ def test_non_finite_values_are_not_integer_exact(tmp_path, value):
     from lin2complex import fileio
 
     path = tmp_path / "A.mtx"
-    fileio.write_matrix(path, A)
-    assert path.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
-    with pytest.raises(fileio.ArtifactError, match="is not a Matrix Market matrix: it holds"):
-        fileio.read_matrix(path)
+    with pytest.raises(ValueError, match=re.escape(f"the matrix for {path} holds {value:g} at")):
+        fileio.write_matrix(path, A)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value, exact", [(1e300, False), (2.0 ** 63, False),
