@@ -87,9 +87,6 @@ class BoundaryProblem:
     def n_edges(self) -> int:
         return self.d2.n_rows
 
-    def pattern_matrix(self) -> SparseMatrix:
-        return self.da.pattern_matrix()
-
     def weighted_matrix(self) -> SparseMatrix:
         return self.d2.row_scaled(np.sqrt(self.weights))
 
@@ -576,7 +573,7 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
       every equation a row of loops), so ker d2 = H ker P.  Its value is
       the number of entries where the two differ, against a bound of 0.
     """
-    K, d2, pattern = problem.K, problem.d2, problem.pattern_matrix()
+    K, d2, pattern = problem.K, problem.d2, problem.da.pattern_matrix()
     t = problem.n_triangles
     H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
     placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars, K.loops[pattern.rows].ravel(),

@@ -34,11 +34,12 @@ class ArtifactError(ValueError):
 
 
 def write_matrix(path, A: SparseMatrix) -> None:
-    """``A`` as Matrix Market, integer when it is integer-exact; a nan or
-    infinite entry, which ``read_matrix`` refuses, is refused before the
-    file is opened."""
+    """``A`` as Matrix Market with a ``general`` header, integer when it is
+    integer-exact; a nan or infinite entry, which ``read_matrix`` refuses,
+    is refused before the file is opened."""
     refuse_non_finite(f"the matrix for {path}", A.vals)
-    scipy.io.mmwrite(str(path), A.to_int_csr() if A.integer_exact else A.to_csr())
+    scipy.io.mmwrite(str(path), A.to_int_csr() if A.integer_exact else A.to_csr(),
+                     symmetry="general")
 
 
 # the bytes a Matrix Market file may hold after its leading % lines

@@ -79,7 +79,7 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
         return np.zeros(d2.n_cols), BoundaryRouteReport(route, 0.0, 0, 0.0, 0.0, False, True)
 
     # d2 d2^T and d2^T d2 share their nonzero spectrum
-    eig, nullity = gram_spectrum(d2, 4)
+    eig, nullity = gram_spectrum(d2)
     lam = float(eig[nullity])
     sigma = math.sqrt(lam)
     lu, fill = shifted_factor(op, SHIFT_RATIO * lam)

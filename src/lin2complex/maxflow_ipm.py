@@ -169,8 +169,8 @@ def _newton_parts(net: FlowNetwork2, f, with_demand: bool):
     return base, steps[:, 1] if with_demand else None, lam, g, h
 
 
-def _strictly_interior(net: FlowNetwork2, f, margin: float = 1e-12) -> bool:
-    return bool(np.all(np.abs(f) < net.capacities * (1.0 - margin)))
+def _strictly_interior(net: FlowNetwork2, f) -> bool:
+    return bool(np.all(np.abs(f) < net.capacities * (1.0 - 1e-12)))
 
 
 def progress_step(net: FlowNetwork2, state: BarrierState, alpha_prime: float,

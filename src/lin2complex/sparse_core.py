@@ -145,10 +145,6 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    @property
-    def T(self) -> "SparseMatrix":
-        return SparseMatrix(self._csr.T.tocsr())
-
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.size != self.n_cols:
@@ -160,9 +156,6 @@ class SparseMatrix:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
-
-    def entry_abs_sum(self) -> float:
-        return float(np.sum(np.abs(self.vals)))
 
     def row_scaled(self, scale) -> "SparseMatrix":
         """``diag(scale) A``; the rows that a zero scale empties are dropped."""
@@ -457,11 +450,6 @@ class SpectralSummary:
     sigma_min_nonzero: float | None
     rank: int
 
-    def condition_number(self) -> float:
-        if self.sigma_min_nonzero is None or self.sigma_min_nonzero == 0.0:
-            raise ValueError("minimum nonzero singular value unavailable")
-        return self.sigma_max / self.sigma_min_nonzero
-
 
 def spectral_summary(A: SparseMatrix) -> SpectralSummary:
     """Singular-value summary from a dense SVD, exact to machine precision;
@@ -525,7 +513,7 @@ def shifted_factor(S: sp.spmatrix, shift: float) -> tuple[spla.SuperLU, float]:
     return lu, lu.nnz / F.nnz
 
 
-def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
+def gram_spectrum(M: SparseMatrix) -> tuple[np.ndarray, int]:
     """The low spectrum of ``G = M^T M`` and its nullity: (eig, nullity).
 
     ``G`` is formed in integer arithmetic from the int CSR of an
@@ -533,8 +521,8 @@ def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
     in shift-invert mode at ``-GRAM_SHIFT``, with one SuperLU factorization
     of the positive definite ``G + GRAM_SHIFT I`` at ``SYMMETRIC_LU`` as the
     inverse operator and a fixed start vector, so repeated calls return the
-    same values.  ``eig`` holds the ``k`` smallest eigenvalues, ascending,
-    with ``k`` doubled over the same factor until a nonzero one shows; the
+    same values.  ``eig`` holds the 4 smallest eigenvalues, ascending, with
+    their number doubled over the same factor until a nonzero one shows; the
     first ``nullity`` are zero (``|lambda| <= ZERO_EIGENVALUE``), so
     ``eig[nullity]`` is the smallest nonzero eigenvalue.  Raises
     ``ValueError`` for a matrix that is not integer-exact and when all
@@ -547,6 +535,7 @@ def gram_spectrum(M: SparseMatrix, k: int) -> tuple[np.ndarray, int]:
     lu, _ = shifted_factor(G, GRAM_SHIFT)
     inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
+    k = 4
     while True:
         eig = np.sort(spla.eigsh(G, k=min(k, n - 1), sigma=-GRAM_SHIFT, which="LM",
                                  OPinv=inverse, v0=v0, return_eigenvectors=False))

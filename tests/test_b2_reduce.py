@@ -79,7 +79,7 @@ def test_size_bounds_random(seed):
     sys, b = random_da_instance(rng, int(rng.integers(2, 9)), int(rng.integers(0, 7)))
     P = reduce_da_to_b2(sys, b)
     pattern = sys.pattern_matrix()
-    l1 = pattern.entry_abs_sum()
+    l1 = float(np.sum(np.abs(pattern.vals)))
     assert P.n_triangles == int(11 * l1 - 4 * sys.n_vars)
     assert P.n_triangles <= 22 * pattern.nnz
     assert P.n_edges <= 33 * pattern.nnz
@@ -481,7 +481,7 @@ def test_spectral_certificate_fails_on_nullity_mismatch():
     assert not report.ok and not report["nullity"].ok
     # the entries where the dense d2 H and the pattern on the loop edges differ
     rest = P.d2.to_dense() @ group_indicator(P)
-    rest[P.K.loops] -= P.pattern_matrix().to_dense()[:, None, :]
+    rest[P.K.loops] -= P.da.pattern_matrix().to_dense()[:, None, :]
     assert report["nullity"].value == np.count_nonzero(rest) > 0
     assert report["nullity"].bound == 0.0
 
@@ -496,7 +496,7 @@ def test_spectral_certificate_reports_a_nullity_beyond_k():
     P = dataclasses.replace(reduce_da_to_b2(disjoint, np.arange(5.0)), da=chain)
     with pytest.raises(complex2.ComplexStructureError, match="does not encode"):
         b2_reduce.check_layout(P.da, P.K)
-    eig, nullity = sparse_core.gram_spectrum(P.d2, 4)
+    eig, nullity = sparse_core.gram_spectrum(P.d2)
     assert nullity == 5 and eig[nullity] > 0.0
 
 
@@ -555,7 +555,7 @@ def test_nullity_identity_fails_without_lanczos(no_lanczos, build):
     assert not report.ok and not report["nullity"].ok and report["lambda_max"].ok
     # the first nonzero of the dense d2 H minus the pattern on the loop edges
     rest = P.d2.to_dense() @ group_indicator(P)
-    rest[P.K.loops] -= P.pattern_matrix().to_dense()[:, None, :]
+    rest[P.K.loops] -= P.da.pattern_matrix().to_dense()[:, None, :]
     edge, var = np.argwhere(rest)[0]
     assert report["nullity"].note == (f"d2 H minus the loop-placed pattern is "
                                       f"{rest[edge, var]:g} at edge {edge}, variable {var}")
@@ -577,7 +577,7 @@ def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):
     # at the Lanczos shift the zero eigenvalues come out slightly negative
     monkeypatch.setattr(sparse_core.spla, "eigsh",
                         lambda *args, **kwargs: np.array([-9e-17, -2e-17, 1e-9]))
-    eig, nullity = sparse_core.gram_spectrum(SparseMatrix.from_scipy(sp.identity(4)), 3)
+    eig, nullity = sparse_core.gram_spectrum(SparseMatrix.from_scipy(sp.identity(4)))
     assert (nullity, eig[nullity]) == (2, 1e-9)
 
 

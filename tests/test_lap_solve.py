@@ -114,7 +114,7 @@ def test_route_spectral_data_matches_dense():
     for K in (tiny_complex(), planted_complex()[0], strip_complex(40)):
         d2 = boundary2(K).to_dense()
         lam = np.linalg.eigvalsh(d2.T @ d2)
-        eig, nullity = sparse_core.gram_spectrum(boundary2(K), 4)
+        eig, nullity = sparse_core.gram_spectrum(boundary2(K))
         assert eig[nullity] == pytest.approx(min(x for x in lam if x > 1e-9), rel=1e-9)
         # the integer bound is exact; the dense value carries rounding
         assert sparse_core.norm_product(boundary2(K)) >= lam[-1] * (1 - 1e-12)
@@ -127,11 +127,11 @@ def test_gram_spectrum_doubles_past_the_nullity():
     d2 = boundary2(reduce_da_to_b2(sys, np.arange(5.0)).K)
     lam = np.linalg.eigvalsh(d2.to_dense().T @ d2.to_dense())
     assert np.count_nonzero(lam < 1e-9) == 5
-    eig, nullity = sparse_core.gram_spectrum(d2, 4)
+    eig, nullity = sparse_core.gram_spectrum(d2)
     assert nullity == 5
     assert eig[nullity] == pytest.approx(lam[5], rel=1e-8)
     with pytest.raises(ValueError, match="no nonzero eigenvalue"):
-        sparse_core.gram_spectrum(SparseMatrix.from_arrays(3, 5, [], [], []), 4)
+        sparse_core.gram_spectrum(SparseMatrix.from_arrays(3, 5, [], [], []))
 
 
 @pytest.mark.parametrize("solver", ROUTES)

@@ -95,37 +95,75 @@ PINNED = {
 }
 
 
+# the public methods and properties that no other library code names, each
+# with what keeps it in src/
+PINNED_METHODS = {
+    "SparseMatrix.from_dense": "the README quick tour, bench/workloads.py and scripts/ call it",
+    "Verdict.rounds": "bench/tracing.py reads it; ROADMAP item 1 frees it",
+    "Complex2.edges": "bench/workloads.py's boundary oracle reads it; ROADMAP item 1 frees it",
+    "Complex2.triangles": "bench/workloads.py's boundary oracle reads it; ROADMAP item 1 frees it",
+}
+
+
+def _mentions(node, own=()) -> set:
+    """Every name that ``node`` mentions, as ``(False, id)`` for a Name and
+    ``(True, attr)`` for an Attribute, less each definition's mentions of
+    its own name inside itself."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = (*own, node.name)
+    key = ((False, node.id) if isinstance(node, ast.Name)
+           else (True, node.attr) if isinstance(node, ast.Attribute) else None)
+    found = {key} if key is not None and key[1] not in own else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _mentions(child, own)
+    return found
+
+
 def _public_definitions_and_names():
     """The public top-level functions and classes of the library modules, as
-    {name: module}, and every name that the library's code other than its
-    imports mentions, as a Name or an Attribute, less each definition's
-    mentions of its own name."""
-    defined, named = {}, set()
+    {name: module}, the public methods and properties of those classes, as
+    {"Class.name": module}, and what the library's code other than its
+    imports mentions (``_mentions``)."""
+    defined, methods, named = {}, {}, set()
     for path in sorted(SRC.rglob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if not own.startswith("_"):
-                    defined[own] = path.name
-            for node in ast.walk(stmt):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    named.add(name)
-    return defined, named
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[stmt.name] = path.name
+                if isinstance(stmt, ast.ClassDef):
+                    methods.update((f"{stmt.name}.{member.name}", path.name)
+                                   for member in stmt.body
+                                   if isinstance(member, ast.FunctionDef)
+                                   and not member.name.startswith("_"))
+            named |= _mentions(stmt)
+    return defined, methods, named
 
 
 def test_every_public_library_name_is_reached_or_pinned():
     # src/ holds what the product runs: a public function or class that no
     # other library code names is either pinned, with its reason, or lives
-    # with the tests; methods and properties are not covered
-    defined, named = _public_definitions_and_names()
+    # with the tests
+    defined, _, mentions = _public_definitions_and_names()
+    named = {name for _, name in mentions}
     unreached = sorted(f"{module}:{name}" for name, module in defined.items()
                        if name not in named and name not in PINNED)
     assert not unreached, f"no library code names these; pin them or move them: {unreached}"
     stale = sorted(name for name in PINNED if name not in defined or name in named)
     assert not stale, f"PINNED entries that are gone or now named: {stale}"
     assert len(PINNED) <= 10
+
+
+def test_every_public_method_is_reached_or_pinned():
+    # the same rule for the public methods and properties of those classes:
+    # one is reached when library code other than itself reads an attribute
+    # of its name (of any object, so the rule can only miss a deletion)
+    _, methods, mentions = _public_definitions_and_names()
+    named = {name for is_attribute, name in mentions if is_attribute}
+    unreached = sorted(f"{module}:{name}" for name, module in methods.items()
+                       if name.split(".")[1] not in named and name not in PINNED_METHODS)
+    assert not unreached, f"no library code names these; pin them or delete them: {unreached}"
+    stale = sorted(name for name in PINNED_METHODS
+                   if name not in methods or name.split(".")[1] in named)
+    assert not stale, f"PINNED_METHODS entries that are gone or now named: {stale}"
+    assert len(PINNED_METHODS) <= 4
