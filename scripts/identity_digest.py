@@ -14,10 +14,10 @@ The lines cover:
 
 - every file ``reduce`` writes, for criterion 11's 20 draws and for the
   ``build_ladder`` rungs of seeds 1-3;
-- the arrays ``read_boundary_problem`` reads back from each of those
-  directories (d2's ``indptr``, ``indices`` and values, W and gamma), which
-  do not depend on the files' encoding: a change of format moves the file
-  lines, and these show that the values read back are the same;
+- the arrays ``read_chain`` reads back from each of those directories
+  (d2's ``indptr``, ``indices`` and values, W and gamma), which do not
+  depend on the files' encoding: a change of format moves the file lines,
+  and these show that the values read back are the same;
 - ``solve_general``'s x on criterion 11's 20 draws;
 - ``verify``'s stdout, and the x of ``solve --route direct`` and of
   ``solve --manifest`` (the replay), on the 5x5 system;
@@ -90,11 +90,11 @@ def reduce_digest(A, b, directory: Path) -> str:
 
 
 def problem_digest(directory: Path) -> str:
-    """``arrays_digest`` of d2's CSR arrays, W and gamma as
-    ``read_boundary_problem`` returns them from ``directory``."""
+    """``arrays_digest`` of d2's CSR arrays, W and gamma of the problem
+    ``read_chain`` returns from ``directory``."""
     from lin2complex import fileio
 
-    problem = fileio.read_boundary_problem(directory)
+    problem = fileio.read_chain(directory).problem
     d2 = problem.d2.to_csr()
     return arrays_digest([d2.indptr, d2.indices, d2.data, problem.weights, problem.gamma])
 

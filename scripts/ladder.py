@@ -24,8 +24,9 @@ own.  A line holds:
   ``compute_edge_weights`` and of ``validate`` above what was held at the
   call, from a second pass;
 - ``write_s`` and ``read_s``: the wall time of ``fileio.write_chain`` and
-  of ``fileio.read_boundary_problem`` in a temporary directory, each the
-  best of three;
+  of ``fileio.read_chain`` (which rebuilds the chain from the original
+  system and checks the stored W and gamma) in a temporary directory, each
+  the best of three;
 - ``solve_s`` (best of three), ``method``, ``fill``, ``ratio`` (the
   certificate's), ``true_ratio`` (||A x - b|| / ||b||) and ``certified`` of
   ``solve_chain``, and ``max_weight``;
@@ -82,7 +83,7 @@ def measure(n: int) -> dict:
                                        spectral_certificate)
     from lin2complex.complex2 import validate
     from lin2complex.da_reduce import gz2_to_da, to_pow2, to_zero_rowsum
-    from lin2complex.fileio import read_boundary_problem, write_chain
+    from lin2complex.fileio import read_chain, write_chain
     from lin2complex.pipeline import ALPHA_CAP_DEFAULT, ChainArtifacts, solve_chain
 
     def stages(system):
@@ -102,7 +103,7 @@ def measure(n: int) -> dict:
     (x, verdict), solve_s = _timed(solve_chain, chain)
     with tempfile.TemporaryDirectory() as tmp:
         _, write_s = _timed(write_chain, tmp, chain)
-        _, read_s = _timed(read_boundary_problem, tmp)
+        _, read_s = _timed(read_chain, tmp)
     b = system.b
     true_ratio = float(np.linalg.norm(system.A.matvec(x) - b) / np.linalg.norm(b))
 

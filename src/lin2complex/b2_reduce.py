@@ -51,7 +51,8 @@ class BoundaryProblem:
     central triangles and each equation's right-hand side are read off
     ``K`` and ``gamma``, and the tubes off ``da`` (``_attachments``), so
     each is stored once.  ``K`` is laid out as ``build_boundary_problem``
-    lays it out for ``da`` (``check_layout``).
+    lays it out for ``da``: a variable with h attachments owns 11h - 4
+    consecutive triangles, and each equation one row of loops.
     """
 
     K: Complex2
@@ -144,20 +145,6 @@ def _by_variable(sphere_rows, sphere_var, tube_rows, tube_var):
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
     return np.concatenate([sphere_rows, tube_rows])[order], var[order], at
-
-
-def check_layout(sys: WeightedDASystem, K: Complex2) -> None:
-    """Raise ``ComplexStructureError`` unless ``K`` has the triangle groups
-    and loops that ``build_boundary_problem`` lays out for ``sys``: a
-    variable with h attachments owns 11h - 4 consecutive triangles (its
-    sphere of 5h - 4, then six per tube), so no group is empty, and every
-    equation one row of loops."""
-    n_attach = np.bincount(_attachments(sys)[:, 0], minlength=sys.n_vars)
-    sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
-    if (sizes.size != sys.n_vars or np.any(sizes != 11 * n_attach - 4)
-            or np.any(np.diff(K.tri_group) < 0) or len(K.loops) != sys.n_rows):
-        raise ComplexStructureError("the complex does not encode the difference-average "
-                                    "system of its problem")
 
 
 def _sphere_edges(cycles: np.ndarray, n_vert: int) -> tuple[np.ndarray, np.ndarray]:
@@ -568,9 +555,9 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
       ``validate(problem.K).ok`` and ``problem.d2 = boundary2(problem.K)``
       (every interior edge in two triangles of opposite signs, each group
       connected over interior edges), d2 f = 0 makes f = H x, and then
-      d2 H x = 0 exactly when P x = 0; H has full column rank (the problem's
-      layout, ``check_layout``, gives every variable a nonempty group and
-      every equation a row of loops), so ker d2 = H ker P.  Its value is
+      d2 H x = 0 exactly when P x = 0; H has full column rank (the layout
+      of ``build_boundary_problem`` gives every variable a nonempty group
+      and every equation a row of loops), so ker d2 = H ker P.  Its value is
       the number of entries where the two differ, against a bound of 0.
     """
     K, d2, pattern = problem.K, problem.d2, problem.da.pattern_matrix()

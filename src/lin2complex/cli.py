@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .b2_reduce import ReductionError, compute_edge_weights, spectral_certificate
+from .b2_reduce import ReductionError, spectral_certificate
 from .complex2 import ComplexStructureError, validate
 from .da_reduce import CLASS_G, GeneralSystem, MatrixClassError
 from .lap_solve import solve_boundary_via_gram, solve_boundary_via_laplacian
@@ -94,49 +94,13 @@ def cmd_solve(args) -> int:
     return 0 if report.ok else 1
 
 
-def _check_structure(problem, check) -> None:
-    """The complex's invariants and d2 = boundary2(K), from ``validate``'s
-    one side pass, whose d2 comes back whenever every triangle side is an
-    edge and goes when this returns, before the certificate runs."""
-    report = validate(problem.K)
-    check("complex structure", report.ok, report.violation or "")
-    # a valid K's d2 has d1 d2 = 0 by construction (``validate``), so
-    # equality carries it to the stored d2
-    check("d2 is the boundary operator of the complex",
-          report.d2 is not None and problem.d2.equals(report.d2),
-          "" if report.d2 is not None else "the complex has none to compare with")
-    # each loop edge carries its equation's rhs and every other edge 0, as
-    # the build writes them, so it compares bits, as the replay does
-    gamma, names = problem.gamma, fileio.BOUNDARY_FILES
-    expected = np.zeros(max(gamma.size, problem.K.n_edges))
-    expected[problem.K.loops] = problem.da.rhs[:, None]
-    e = fileio.first_bit_difference(gamma, expected[:gamma.size])
-    check(f"{names['gamma']} is the rhs of {names['da']} on the loop edges, 0 elsewhere",
-          e is None, "" if e is None else f"entry {e} is {gamma[e]:g}, expected {expected[e]:g}")
-
-
-def _check_weights(problem, alpha: float, check) -> None:
-    """W against ``compute_edge_weights`` of the read problem at the
-    manifest's alpha, bit for bit: every mass is an exact integer sum.  A
-    problem whose layout the path ids do not fit fails the check; it does
-    not end the run."""
-    W, m = problem.weights, problem.K.n_edges
-    detail = f"it has {W.size} entries, the complex {m} edges" if W.size != m else ""
-    if not detail:
-        try:
-            _, expected = compute_edge_weights(problem, alpha)
-        except (ComplexStructureError, ReductionError) as exc:
-            detail = str(exc)
-        else:
-            e = fileio.first_bit_difference(W, expected)
-            detail = "" if e is None else f"entry {e} is {W[e]:g}, expected {expected[e]:g}"
-    check(f"{fileio.BOUNDARY_FILES['weights']} is the path weights of the complex at the "
-          f"manifest's alpha {alpha:g}", not detail, detail)
-
-
 def cmd_verify(args) -> int:
+    """Rebuild the chain from the source (``read_chain``, which refuses a W
+    or gamma other than the rebuilt one), then check the rest of the
+    directory against it: six lines, each ``[PASS]`` or ``[FAIL]``."""
     src = Path(args.dir)
-    _, alpha = fileio.read_manifest(src)
+    P = fileio.read_chain(src).problem
+    names, source = fileio.BOUNDARY_FILES, fileio.ORIGINAL_FILES[0]
     ok = True
 
     def check(name: str, passed: bool, detail: str = "") -> None:
@@ -144,17 +108,31 @@ def cmd_verify(args) -> int:
         ok = ok and passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name}{': ' + detail if detail else ''}")
 
-    problem = fileio.read_boundary_problem(src)
-    _check_structure(problem, check)
-    _check_weights(problem, alpha, check)
+    K = fileio.read_complex(src / names["complex"])
+    stored, rebuilt = fileio.complex_columns(K), fileio.complex_columns(P.K)
+    field = next((f for f in stored if not np.array_equal(stored[f], rebuilt[f])), None)
+    check(f"{names['complex']} is the complex rebuilt from {source}", field is None,
+          f"its field {field!r} differs" if field else "")
+    da_path = src / names["da"]
+    try:
+        da = fileio.da_system_from_json(fileio.read_json(da_path))
+    except fileio.ArtifactError as exc:
+        raise fileio.ArtifactError(f"{da_path}: {exc}") from None
+    check(f"{names['da']} is the difference-average system rebuilt from {source}", da == P.da)
+    # validate's one side pass names the stored complex's first structural
+    # fault, and gives back its d2 whenever every triangle side is an edge
+    report = validate(K)
+    check("complex structure", report.ok, report.violation or "")
+    check("d2 is the boundary operator of the complex",
+          report.d2 is not None and P.d2.equals(report.d2),
+          "" if report.d2 is not None else "the complex has none to compare with")
     # the paper's size bounds get no line, as none could fail alone.  With a
-    # difference and b average rows, nnz = 2a + 3b and l1 = 2a + 4b.  The
-    # read ran check_layout (11h - 4 triangles a variable of h attachments,
-    # sum h = l1) and fit d2's columns to K, so t = 11 l1 - 4n <= 22 nnz.
-    # d2.nnz != 3t, or m = d2's rows > 33 nnz, needs a d2 other than
-    # boundary2(K) (the d2 line) or a K off its layout's 33a + 63b - 6n
-    # edges (the W line)
-    for c in spectral_certificate(problem).checks:
+    # difference and b average rows, nnz = 2a + 3b and l1 = 2a + 4b; the
+    # build gives a variable of h attachments 11h - 4 triangles (sum h = l1)
+    # and the complex 33a + 63b - 6n edges, so t = 11 l1 - 4n <= 22 nnz,
+    # m <= 33 nnz and d2 has 3t entries.  The first line passes only on the
+    # complex so built
+    for c in spectral_certificate(P).checks:
         check(f"spectral {c.name}", c.ok, c.note or f"value {c.value:.6g} vs bound {c.bound:.6g}")
     return 0 if ok else 1
 

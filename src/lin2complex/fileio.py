@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy.io
 
-from .b2_reduce import BoundaryProblem, check_layout
+from .b2_reduce import BoundaryProblem
 from .complex2 import EDGE_KINDS, Complex2, ComplexStructureError
 from .da_reduce import (
     CLASS_G,
@@ -235,16 +235,18 @@ COMPLEX_FIELDS = {
 }
 
 
-def _complex_columns(K: Complex2) -> dict[str, np.ndarray]:
-    return {name: getattr(K, attr) if col is None else getattr(K, attr)[:, col]
-            for name, (_, attr, col, _) in COMPLEX_FIELDS.items()}
+def complex_columns(K: Complex2) -> dict[str, np.ndarray]:
+    """``n_vertices``, as a 0-d array, then one array per field of
+    ``COMPLEX_FIELDS``."""
+    return {"n_vertices": np.asarray(K.n_vertices),
+            **{name: getattr(K, attr) if col is None else getattr(K, attr)[:, col]
+               for name, (_, attr, col, _) in COMPLEX_FIELDS.items()}}
 
 
 def complex_to_json(K: Complex2) -> dict:
     """Columnar form of the complex: ``n_vertices`` and one flat int list per
     field of ``COMPLEX_FIELDS``."""
-    return {"n_vertices": K.n_vertices,
-            **{name: a.tolist() for name, a in _complex_columns(K).items()}}
+    return {name: a.tolist() for name, a in complex_columns(K).items()}
 
 
 def complex_from_json(obj) -> Complex2:
@@ -295,7 +297,7 @@ def write_complex(path, K: Complex2) -> None:
     little-endian int32 ``.npy`` members, ``n_vertices.npy`` and one per
     field of ``COMPLEX_FIELDS``; equal complexes give equal bytes.  Raises
     ``OverflowError``, writing nothing, when a value does not fit in int32."""
-    columns = {"n_vertices": np.asarray(K.n_vertices), **_complex_columns(K)}
+    columns = complex_columns(K)
     limits = np.iinfo(_ARCHIVE_DTYPE)
     for name, a in columns.items():
         if a.size and (a.min() < limits.min or a.max() > limits.max):
@@ -331,8 +333,9 @@ BOUNDARY_FILES = {"d2": "b2_d2.mtx", "weights": "b2_W.npy", "gamma": "b2_gamma.n
 
 def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
     """Write d2, W, gamma, the complex and the difference-average system as
-    ``BOUNDARY_FILES``, each fact once: the rest of the problem is derived
-    from these on read."""
+    ``BOUNDARY_FILES``.  ``read_chain`` reads W and gamma, and ``verify``
+    the complex and the system too; d2 is written for readers outside the
+    library."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = BOUNDARY_FILES
@@ -343,50 +346,20 @@ def write_boundary_problem(out_dir, problem: BoundaryProblem) -> None:
     write_json(out_dir / names["da"], da_system_to_json(problem.da), indent=None)
 
 
-def _read_instance(src: Path, n_edges: int, d2_name: str) -> dict[str, np.ndarray]:
-    """W and gamma of ``src``: ``n_edges`` entries each, d2's rows, finite, W >= 0."""
+def _read_instance(src: Path, n_edges: int) -> dict[str, np.ndarray]:
+    """W and gamma of ``src``: ``n_edges`` entries each, finite, W >= 0."""
     vectors = {}
     for key, what in (("weights", "finite and non-negative"), ("gamma", "finite")):
         path = src / BOUNDARY_FILES[key]
         v = vectors[key] = read_vector(path)
         if v.size != n_edges:
-            raise DimensionError(f"{path} has {v.size} entries but {d2_name} has {n_edges} rows")
+            raise DimensionError(f"{path} has {v.size} entries but the d2 built from "
+                                 f"{ORIGINAL_FILES[0]} has {n_edges} rows")
         bad = ~np.isfinite(v) | ((v < 0) & (key == "weights"))  # zero stays: W has real zeros
         if bad.any():
             q = int(np.argmax(bad))
             raise ArtifactError(f"{path} holds {v[q]:g} at entry {q}; its entries must be {what}")
     return vectors
-
-
-def read_boundary_problem(src) -> BoundaryProblem:
-    """Inverse of ``write_boundary_problem``; rejects a d2 entry other than
-    +1 and -1, W or gamma as ``_read_instance`` does, a d2 whose column
-    count is not the complex's triangle count, a malformed row of
-    ``da.json`` (``da_system_from_json``) and a complex that is not laid out
-    for that system (``b2_reduce.check_layout``), naming the files."""
-    src = Path(src)
-    names = BOUNDARY_FILES
-    d2 = read_matrix(src / names["d2"])
-    bad = d2.vals[np.abs(d2.vals) != 1.0]
-    if bad.size:
-        raise ArtifactError(f"{src / names['d2']} holds the entry {bad[0]:g}; "
-                            "a boundary operator's entries are +1 and -1")
-    vectors = _read_instance(src, d2.n_rows, names["d2"])
-    K = read_complex(src / names["complex"])
-    if d2.n_cols != K.n_triangles:
-        raise ArtifactError(f"{src / names['d2']} has {d2.n_cols} columns but "
-                            f"{src / names['complex']} has {K.n_triangles} triangles")
-    da_path = src / names["da"]
-    da_obj = read_json(da_path)
-    try:
-        da = da_system_from_json(da_obj)
-    except ArtifactError as exc:
-        raise ArtifactError(f"{da_path}: {exc}") from None
-    try:
-        check_layout(da, K)
-    except ComplexStructureError as exc:
-        raise ComplexStructureError(f"{src / names['complex']} and {names['da']}: {exc}") from None
-    return BoundaryProblem(K=K, d2=d2, da=da, **vectors)
 
 
 # -- reduction chains -----------------------------------------------------------
@@ -449,10 +422,10 @@ def read_manifest(src) -> tuple[float, float]:
 def read_chain(src) -> ChainArtifacts:
     """Rebuild the chain that ``write_chain`` wrote to ``src``: the
     deterministic ``reduce_chain`` of the original system at the manifest's
-    eps and alpha.  The stored W and gamma are checked as in
-    ``read_boundary_problem`` and must then equal the rebuilt ones bit for
-    bit; the first entry that differs raises ``ArtifactError`` naming its
-    file and both values.  Opens ``manifest.json``, ``ORIGINAL_FILES`` and
+    eps and alpha.  The stored W and gamma must have one finite entry an
+    edge, W none below 0, and then equal the rebuilt ones bit for bit; the
+    first entry that differs raises ``ArtifactError`` naming its file and
+    both values.  Opens ``manifest.json``, ``ORIGINAL_FILES`` and
     the two vectors only; an original outside class G raises
     ``MatrixClassError``."""
     src = Path(src)
@@ -461,7 +434,7 @@ def read_chain(src) -> ChainArtifacts:
     original = GeneralSystem(*read_system(src / a_name, src / b_name), CLASS_G)
     chain = reduce_chain(original, eps, alpha=alpha)
     P = chain.problem
-    stored = _read_instance(src, P.n_edges, f"the d2 built from {a_name}")
+    stored = _read_instance(src, P.n_edges)
     for key, rebuilt in (("weights", P.weights), ("gamma", P.gamma)):
         v = stored[key]
         e = first_bit_difference(v, rebuilt)

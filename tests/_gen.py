@@ -466,6 +466,22 @@ def loop_gz2_to_da(sys: GeneralSystem, alpha: float = 1.0):
     return system, system.rhs_vector(), tuple(aux_records)
 
 
+def check_layout(sys: WeightedDASystem, K: Complex2) -> None:
+    """Raise ``ComplexStructureError`` unless ``K`` has the triangle groups
+    and loops that ``build_boundary_problem`` lays out for ``sys``: a
+    variable with h attachments (one per pattern entry, two for an average
+    row's k) owns 11h - 4 consecutive triangles (its sphere of 5h - 4, then
+    six per tube), so no group is empty, and every equation one row of
+    loops."""
+    ids = sys.var[:, [0, 1, 2, 2]]
+    n_attach = np.bincount(ids[ids >= 0], minlength=sys.n_vars)
+    sizes = np.bincount(K.tri_group, minlength=sys.n_vars)
+    if (sizes.size != sys.n_vars or np.any(sizes != 11 * n_attach - 4)
+            or np.any(np.diff(K.tri_group) < 0) or len(K.loops) != sys.n_rows):
+        raise ComplexStructureError("the complex does not encode the difference-average "
+                                    "system of its problem")
+
+
 def group_indicator(problem) -> np.ndarray:
     """Dense t x n matrix mapping variable values to group-constant flows."""
     H = np.zeros((problem.n_triangles, problem.n_vars))

@@ -84,6 +84,7 @@ def test_size_bounds_random(seed):
     assert P.n_triangles <= 22 * pattern.nnz
     assert P.n_edges <= 33 * pattern.nnz
     assert P.d2.nnz == 3 * P.n_triangles
+    _gen.check_layout(sys, P.K)
 
 
 def test_structural_row_patterns():
@@ -495,7 +496,7 @@ def test_spectral_certificate_reports_a_nullity_beyond_k():
     chain = plain_da_system(10, [difference_row(i, i + 1) for i in range(9)])
     P = dataclasses.replace(reduce_da_to_b2(disjoint, np.arange(5.0)), da=chain)
     with pytest.raises(complex2.ComplexStructureError, match="does not encode"):
-        b2_reduce.check_layout(P.da, P.K)
+        _gen.check_layout(P.da, P.K)
     eig, nullity = sparse_core.gram_spectrum(P.d2)
     assert nullity == 5 and eig[nullity] > 0.0
 
@@ -565,12 +566,12 @@ def test_nullity_identity_fails_without_lanczos(no_lanczos, build):
 def test_nullity_identity_needs_a_group_for_every_variable():
     # a variable without triangles has a zero pattern column here, so d2 H
     # would match the pattern while the pattern has one more null vector;
-    # the layout check, which every read problem passes, refuses it
+    # the layout check, which every built problem passes, refuses it
     sys, b = single_difference()
     wider = plain_da_system(sys.n_vars + 1, [difference_row(0, 1)])
     P = dataclasses.replace(reduce_da_to_b2(sys, b), da=wider)
     with pytest.raises(complex2.ComplexStructureError, match="does not encode"):
-        b2_reduce.check_layout(P.da, P.K)
+        _gen.check_layout(P.da, P.K)
 
 
 def test_gram_spectrum_counts_negative_rounding_zeros(monkeypatch):

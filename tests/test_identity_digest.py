@@ -44,12 +44,12 @@ def test_problem_digest_reads_the_same_values_from_either_vector_encoding(tmp_pa
     from lin2complex.pipeline import reduce_chain
 
     sys_g, _ = planted_general_system(np.random.default_rng(5), 3, 3, max_entry=9)
-    problem = reduce_chain(sys_g, 1e-3).problem
-    fileio.write_boundary_problem(tmp_path / "npy", problem)
+    chain = reduce_chain(sys_g, 1e-3)
+    fileio.write_chain(tmp_path / "npy", chain)
     monkeypatch.setattr(fileio, "BOUNDARY_FILES", {**fileio.BOUNDARY_FILES,
                                                    "weights": "b2_W.vec",
                                                    "gamma": "b2_gamma.vec"})
-    fileio.write_boundary_problem(tmp_path / "text", problem)
+    fileio.write_chain(tmp_path / "text", chain)
     assert (tmp_path / "text" / "b2_W.vec").read_text().endswith("\n")
     assert identity_digest.files_digest(tmp_path / "text") != \
         identity_digest.files_digest(tmp_path / "npy")

@@ -1,8 +1,9 @@
 """A seeded mutation guard for the artifact readers: every single-file edit
 of a ``reduce`` directory makes ``verify`` and ``solve --manifest`` exit 0
-or 1, or end in one ``error:`` line, and never in a traceback.  The same
-holds for ``maxflow-demo`` on edited network JSON and for ``solve --route
-direct`` on edited matrix and rhs files."""
+or 1, or end in one ``error:`` line, and never in a traceback; ``verify``
+passes none that the replay refuses.  The same holds for ``maxflow-demo``
+on edited network JSON and for ``solve --route direct`` on edited matrix
+and rhs files."""
 
 import contextlib
 import io
@@ -159,12 +160,10 @@ def test_mutated_reduce_directories_end_in_one_line(reduced, tmp_path):
         shutil.rmtree(work)
     # the corpus reaches every outcome, so none of them is vacuous
     assert set(outcomes) == {"exit 0", "exit 1", "error:"}, outcomes
-    # verify reads neither original file, so an edit of one can pass verify
-    # while the replay refuses it (104 of these 400; ROADMAP item 22), but
-    # an edit of a file that verify reads cannot
-    read_by_verify = [m for m in verified_but_refused
-                      if "(original_A.mtx:" not in m and "(original_b.vec:" not in m]
-    assert not read_by_verify, f"verify passed what the replay refuses: {read_by_verify}"
+    # verify reads the directory through the replay's reader, so it passes
+    # no edit that the replay refuses
+    assert not verified_but_refused, \
+        f"verify passed what the replay refuses: {verified_but_refused}"
 
 
 # values a JSON edit writes in place of one entry: out of range, non-finite,
