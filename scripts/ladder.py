@@ -27,6 +27,9 @@ own.  A line holds:
   of ``fileio.read_chain`` (which rebuilds the chain from the original
   system and checks the stored W and gamma) in a temporary directory, each
   the best of three;
+- ``verify_peak_mb``: the ``tracemalloc`` peak of
+  ``cli.main(["verify", "--dir", tmp])`` above what was held at the call,
+  on the directory ``write_chain`` wrote, from the second pass;
 - ``solve_s`` (best of three), ``method``, ``fill``, ``ratio`` (the
   certificate's), ``true_ratio`` (||A x - b|| / ||b||) and ``certified`` of
   ``solve_chain``, and ``max_weight``;
@@ -36,6 +39,8 @@ own.  A line holds:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -81,6 +86,7 @@ def measure(n: int) -> dict:
     from _gen import three_per_row_system
     from lin2complex.b2_reduce import (build_boundary_problem, compute_edge_weights,
                                        spectral_certificate)
+    from lin2complex.cli import main
     from lin2complex.complex2 import validate
     from lin2complex.da_reduce import gz2_to_da, to_pow2, to_zero_rowsum
     from lin2complex.fileio import read_chain, write_chain
@@ -101,17 +107,24 @@ def measure(n: int) -> dict:
         raise RuntimeError(f"rung {n}: {report.violation or certificate.checks}")
     chain = ChainArtifacts(system, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)
     (x, verdict), solve_s = _timed(solve_chain, chain)
-    with tempfile.TemporaryDirectory() as tmp:
-        _, write_s = _timed(write_chain, tmp, chain)
-        _, read_s = _timed(read_chain, tmp)
     b = system.b
     true_ratio = float(np.linalg.norm(system.A.matvec(x) - b) / np.linalg.norm(b))
 
-    tracemalloc.start()
-    build_peak = _traced_peak(build_boundary_problem, da)
-    weights_peak = _traced_peak(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
-    validate_peak = _traced_peak(validate, problem.K)
-    tracemalloc.stop()
+    def verify(directory):
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["verify", "--dir", directory]) != 0:
+                raise RuntimeError(f"rung {n}: verify failed on its own chain")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _, write_s = _timed(write_chain, tmp, chain)
+        _, read_s = _timed(read_chain, tmp)
+        verify(tmp)  # its imports, before the traced pass
+        tracemalloc.start()
+        build_peak = _traced_peak(build_boundary_problem, da)
+        weights_peak = _traced_peak(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
+        validate_peak = _traced_peak(validate, problem.K)
+        verify_peak = _traced_peak(verify, tmp)
+        tracemalloc.stop()
 
     nnz = system.A.nnz
     return {
@@ -122,6 +135,7 @@ def measure(n: int) -> dict:
         "exact_checks_s": round(exact_s, 4), "build_peak_mb": round(build_peak, 2),
         "weights_peak_mb": round(weights_peak, 2), "validate_peak_mb": round(validate_peak, 2),
         "write_s": round(write_s, 4), "read_s": round(read_s, 4),
+        "verify_peak_mb": round(verify_peak, 2),
         "solve_s": round(solve_s, 4), "method": verdict.method,
         "fill": None if verdict.fill is None else round(verdict.fill, 3),
         "ratio": float(f"{verdict.achieved_ratio:.3g}"), "true_ratio": float(f"{true_ratio:.3g}"),

@@ -561,6 +561,7 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
       the number of entries where the two differ, against a bound of 0.
     """
     K, d2, pattern = problem.K, problem.d2, problem.da.pattern_matrix()
+    lam_max = float(norm_product(d2))
     t = problem.n_triangles
     H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
     placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars, K.loops[pattern.rows].ravel(),
@@ -568,7 +569,6 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
     mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
                 f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
-    lam_max = float(norm_product(d2))
     checks = (
         CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0),
         CertificateCheck("nullity", float(rest.nnz), 0.0, not mismatch,

@@ -97,9 +97,14 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     """Rebuild the chain from the source (``read_chain``, which refuses a W
     or gamma other than the rebuilt one), then check the rest of the
-    directory against it: six lines, each ``[PASS]`` or ``[FAIL]``."""
+    directory against it: six lines, each ``[PASS]`` or ``[FAIL]``.  It
+    holds one complex: the stored one goes once it equals the rebuilt one,
+    and what each line reads goes once the line prints, so that no check
+    holds more than ``reduce`` does at its peak."""
     src = Path(args.dir)
-    P = fileio.read_chain(src).problem
+    # read_chain has checked W and gamma against the rebuilt ones, and no
+    # line below reads them
+    P = dataclasses.replace(fileio.read_chain(src).problem, weights=None, gamma=None)
     names, source = fileio.BOUNDARY_FILES, fileio.ORIGINAL_FILES[0]
     ok = True
 
@@ -113,19 +118,28 @@ def cmd_verify(args) -> int:
     field = next((f for f in stored if not np.array_equal(stored[f], rebuilt[f])), None)
     check(f"{names['complex']} is the complex rebuilt from {source}", field is None,
           f"its field {field!r} differs" if field else "")
+    # validate reads these fields alone, so a stored complex equal to the
+    # rebuilt one gets the same report from the rebuilt one; one that
+    # differs is validated itself, so that its first fault is named
+    del stored, rebuilt
+    if field is None:
+        K = P.K
     da_path = src / names["da"]
     try:
         da = fileio.da_system_from_json(fileio.read_json(da_path))
     except fileio.ArtifactError as exc:
         raise fileio.ArtifactError(f"{da_path}: {exc}") from None
     check(f"{names['da']} is the difference-average system rebuilt from {source}", da == P.da)
-    # validate's one side pass names the stored complex's first structural
-    # fault, and gives back its d2 whenever every triangle side is an edge
+    del da
+    # validate's one side pass names the complex's first structural fault,
+    # and gives back its d2 whenever every triangle side is an edge
     report = validate(K)
+    del K
     check("complex structure", report.ok, report.violation or "")
     check("d2 is the boundary operator of the complex",
           report.d2 is not None and P.d2.equals(report.d2),
           "" if report.d2 is not None else "the complex has none to compare with")
+    del report
     # the paper's size bounds get no line, as none could fail alone.  With a
     # difference and b average rows, nnz = 2a + 3b and l1 = 2a + 4b; the
     # build gives a variable of h attachments 11h - 4 triangles (sum h = l1)

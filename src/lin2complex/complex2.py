@@ -83,36 +83,55 @@ class Complex2:
 
 
 def _edge_keys(u, v, base: int) -> np.ndarray:
-    return np.minimum(u, v) * base + np.maximum(u, v)
+    keys = np.minimum(u, v)
+    keys *= base
+    keys += np.maximum(u, v)
+    return keys
 
 
 def _lookup(K: Complex2, u, v) -> np.ndarray:
-    """Edge id of each undirected pair {u, v}, -1 where the complex has none.
+    """Edge id of each undirected pair {u[k][j], v[k][j]}, -1 where the
+    complex has none: ``u`` and ``v`` are equal-length lists of int
+    columns, and the ids come back as a (len, k) array, column k from
+    ``u[k]`` and ``v[k]``, int32 when every edge id fits.
 
-    One sort of the edge keys and one ``searchsorted``; raises on duplicate
-    edges.
+    One sort of the edge keys, then one ``searchsorted`` a column, so the
+    keys, positions and matches in flight are one column long; raises on
+    duplicate edges.
     """
     base = max(K.n_vertices, int(K.edge.max(initial=-1)) + 1, int(K.tri.max(initial=-1)) + 1)
     keys = _edge_keys(K.edge[:, 0], K.edge[:, 1], base)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    del keys
     repeat = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
     if repeat.size:
         u0, v0 = sorted(K.edge[int(order[repeat + 1].min())].tolist())
         raise ComplexStructureError(f"duplicate edge {(u0, v0)}")
-    want = _edge_keys(u, v, base)
-    if not keys.size:
-        return np.full(want.shape, -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(sorted_keys, want), keys.size - 1)
-    return np.where(sorted_keys[pos] == want, order[pos], -1)
+    ids = np.full((len(u[0]), len(u)), -1,
+                  dtype=np.int32 if K.n_edges <= np.iinfo(np.int32).max else np.int64)
+    if not sorted_keys.size:
+        return ids
+    for k, (tails, heads) in enumerate(zip(u, v)):
+        want = _edge_keys(tails, heads, base)
+        pos = np.searchsorted(sorted_keys, want)
+        np.minimum(pos, sorted_keys.size - 1, out=pos)
+        hit = sorted_keys[pos] == want
+        del want
+        ids[hit, k] = order[pos[hit]]
+    return ids
 
 
 def boundary_of_sides(K: Complex2, eid: np.ndarray) -> SparseMatrix:
     """d2 from the edge ids ``eid`` (t, 3) of the triangle sides, side k of
     a triangle running from its vertex k: +1 where a side runs along its
-    edge's stored direction, -1 where it runs against it.  ``eid`` is d2's
-    CSC, three entries a column, converted to CSR once."""
-    return SparseMatrix.from_columns(K.n_edges, eid, np.where(K.edge[eid, 0] == K.tri, 1.0, -1.0))
+    edge's stored direction, -1 where it runs against it.  The signs are
+    int8, found a column at a time; ``eid`` is d2's CSC, three entries a
+    column, converted to CSR once."""
+    sign = np.full(eid.shape, -1, dtype=np.int8)
+    for k in range(eid.shape[1]):
+        sign[K.edge[eid[:, k], 0] == K.tri[:, k], k] = 1
+    return SparseMatrix.from_columns(K.n_edges, eid, sign)
 
 
 def _annulus_cells(outer: tuple[int, int, int], inner: tuple[int, int, int]):
@@ -259,21 +278,33 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _take(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """a[ids], with -1 where an id is out of range."""
-    return np.append(a, -1)[np.where((ids >= 0) & (ids < a.size), ids, a.size)]
+    """a[ids], with -1 where an id is out of range; ``a`` is not copied."""
+    inside = (ids >= 0) & (ids < a.size)
+    out = np.full(ids.shape, -1, dtype=a.dtype)
+    out[inside] = a[ids[inside]]
+    return out
+
+
+# the column of ``K.tri`` where side k of a triangle ends
+_NEXT = (1, 2, 0)
 
 
 def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
     """(None, d2) from one lookup of every triangle side, or the first fault
     of the side pass and no d2: a duplicate edge, else the first triangle
-    with a repeated vertex, an unknown vertex or a side that is no edge."""
-    u, v = K.tri, np.roll(K.tri, -1, axis=1)
+    with a repeated vertex, an unknown vertex or a side that is no edge.
+    Side k runs from column k of ``K.tri`` to column ``_NEXT[k]``, read in
+    place."""
+    tri = K.tri
+    tails, heads = list(tri.T), [tri[:, k] for k in _NEXT]
     try:
-        eid = _lookup(K, u, v)
+        eid = _lookup(K, tails, heads)
     except ComplexStructureError as exc:
         return str(exc), None
-    repeated = (u == v).any(axis=1)
-    unknown = ((u < 0) | (u >= K.n_vertices)).any(axis=1)
+    repeated = np.zeros(K.n_triangles, dtype=bool)
+    for tail, head in zip(tails, heads):
+        repeated |= tail == head
+    unknown = ((tri < 0) | (tri >= K.n_vertices)).any(axis=1)
     bad = _first(repeated | unknown | (eid < 0).any(axis=1))
     if bad < 0:
         return None, boundary_of_sides(K, eid)
@@ -282,15 +313,16 @@ def _side_matrix(K: Complex2) -> tuple[str | None, SparseMatrix | None]:
     if unknown[bad]:
         return f"triangle {bad} references an unknown vertex", None
     side = int(np.argmax(eid[bad] < 0))
-    edge = tuple(sorted((int(u[bad, side]), int(v[bad, side]))))
+    edge = tuple(sorted((int(tri[bad, side]), int(tri[bad, _NEXT[side]]))))
     return f"triangle {bad} references missing edge {edge}", None
 
 
 def _loop_violation(K: Complex2) -> str | None:
     """Every loop-table entry must be a loop edge that the table lists once."""
-    m = K.n_edges
-    listed = np.bincount(K.loops[(K.loops >= 0) & (K.loops < m)], minlength=m)
-    consistent = (_take(K.kind, K.loops) == LOOP) & (_take(listed, K.loops) == 1)
+    loops = K.loops
+    ids = np.sort(loops, axis=None)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    consistent = (_take(K.kind, loops) == LOOP) & ~np.isin(loops, repeated)
     q = _first(~consistent.all(axis=1))
     return f"loop-edge table of equation {q} is inconsistent" if q >= 0 else None
 
@@ -315,6 +347,24 @@ def _incidence_violation(K: Complex2, d2: SparseMatrix) -> str | None:
     return f"{EDGE_KINDS[k]} edge {e} has {balance} induced signs"
 
 
+def _interior_joins(K: Complex2, d2: SparseMatrix) -> sp.csr_matrix:
+    """The t x t CSR with an entry (a, b) for each interior edge whose row
+    of d2 holds triangles a and b of one group, laid out from their int32
+    ids by one stable sort."""
+    t, csr = K.n_triangles, d2.to_csr()
+    start = csr.indptr[:-1][K.kind == INTERIOR]
+    a, b = csr.indices[start], csr.indices[start + 1]
+    del start
+    same = K.tri_group[a] == K.tri_group[b]
+    a, b = a[same], b[same]
+    del same
+    indptr = np.zeros(t + 1, dtype=b.dtype)
+    np.cumsum(np.bincount(a, minlength=t), out=indptr[1:])
+    b = b[np.argsort(a, kind="stable")]
+    del a
+    return sp.csr_matrix((np.ones(b.size), b, indptr), shape=(t, t))
+
+
 def _split_group(K: Complex2, d2: SparseMatrix) -> str | None:
     """Every group must be connected over its interior edges; each interior
     edge lies in two triangles (``_incidence_violation``), and its row of d2
@@ -323,12 +373,8 @@ def _split_group(K: Complex2, d2: SparseMatrix) -> str | None:
     # resident memory in processes that never validate or weight a complex
     from scipy.sparse.csgraph import connected_components
 
-    t, csr = K.n_triangles, d2.to_csr()
-    start = csr.indptr[np.flatnonzero(K.kind == INTERIOR)]
-    a, b = csr.indices[start], csr.indices[start + 1]
-    same = K.tri_group[a] == K.tri_group[b]
-    graph = sp.coo_matrix((np.ones(int(same.sum())), (a[same], b[same])), shape=(t, t))
-    _, label = connected_components(graph, directed=False)
+    t = K.n_triangles
+    _, label = connected_components(_interior_joins(K, d2), directed=False)
     pieces = _unique(K.tri_group * max(t, 1) + label) // max(t, 1)
     split = _first(pieces[1:] == pieces[:-1])
     return f"group {pieces[split]} is not connected over interior edges" if split >= 0 else None

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import zipfile
+from collections import Counter
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -249,41 +250,57 @@ def complex_to_json(K: Complex2) -> dict:
     return {name: a.tolist() for name, a in complex_columns(K).items()}
 
 
+def _int_field(obj: Mapping, name: str) -> np.ndarray:
+    """``obj[name]`` as the array it loads as, which must hold ints (or
+    nothing) and be flat, or 0-d for ``n_vertices``."""
+    value = obj.get(name, "missing")  # an archive member that does not load raises
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nested list
+        a = None
+    if a is None or (a.size and a.dtype.kind not in "iu") or a.ndim != (name != "n_vertices"):
+        raise ComplexStructureError(f"complex field {name!r} is missing or not a "
+                                    f"flat int list")
+    return a
+
+
 def complex_from_json(obj) -> Complex2:
     """Read the columnar form, from a dict or any mapping of int arrays such
     as the members of a ``write_complex`` archive; rejects missing fields,
     fields of one table with different lengths and ids out of range, naming
     the field, and ignores other keys, such as the ``central``,
-    ``edge_group``, ``edge_q`` and ``edge_r`` columns of older archives."""
+    ``edge_group``, ``edge_q`` and ``edge_r`` columns of older archives.
+
+    Each field is loaded once and written straight into its int64 table
+    (``tri``, ``edge``, ``loops``), so no table is stacked from copies."""
     if not isinstance(obj, Mapping):
         raise ComplexStructureError(f"a complex is an object of flat int lists, "
                                     f"not a {type(obj).__name__}")
-    cols = {}
-    for name in ["n_vertices", *COMPLEX_FIELDS]:
-        value = obj.get(name, "missing")  # an archive member that does not load raises
-        try:
-            a = np.asarray(value)
-        except ValueError:  # a ragged nested list
-            a = None
-        if a is None or (a.size and a.dtype.kind not in "iu") or a.ndim != (name != "n_vertices"):
-            raise ComplexStructureError(f"complex field {name!r} is missing or not a "
-                                        f"flat int list")
-        cols[name] = a.astype(np.int64)
-    size = {"vertex": int(cols["n_vertices"]), "kind": len(EDGE_KINDS)}
-    for name, (table, _, _, _) in COMPLEX_FIELDS.items():
-        if cols[name].size != size.setdefault(table, cols[name].size):
-            raise ComplexStructureError(f"complex field {name!r} has {cols[name].size} "
-                                        f"entries, the other {table} fields {size[table]}")
-    for name, (_, _, _, bound) in COMPLEX_FIELDS.items():
-        a = cols[name]
+    size = {"vertex": int(_int_field(obj, "n_vertices").astype(np.int64)),
+            "kind": len(EDGE_KINDS)}
+    width = Counter(attr for _, attr, col, _ in COMPLEX_FIELDS.values() if col is not None)
+    tables: dict[str, np.ndarray] = {}
+    mismatch = None
+    for name, (table, attr, col, _) in COMPLEX_FIELDS.items():
+        a = _int_field(obj, name)
+        n = size.setdefault(table, a.size)
+        if a.size != n:
+            mismatch = mismatch or (f"complex field {name!r} has {a.size} entries, "
+                                    f"the other {table} fields {n}")
+        elif col is None:
+            tables[attr] = a
+        else:
+            if attr not in tables:
+                tables[attr] = np.empty((n, width[attr]), dtype=np.int64)
+            tables[attr][:, col] = a
+    if mismatch:
+        raise ComplexStructureError(mismatch)
+    for name, (_, attr, col, bound) in COMPLEX_FIELDS.items():
+        a = tables[attr] if col is None else tables[attr][:, col]
         if a.size and (a.min() < 0 or a.max() >= size[bound]):
             raise ComplexStructureError(
                 f"complex field {name!r} has an id outside [0, {size[bound]})")
-    arrays: dict[str, list[np.ndarray]] = {}
-    for name, (_, attr, _, _) in COMPLEX_FIELDS.items():
-        arrays.setdefault(attr, []).append(cols[name])
-    return Complex2(cols["n_vertices"], **{attr: np.stack(a, axis=1) if len(a) > 1 else a[0]
-                                          for attr, a in arrays.items()})
+    return Complex2(size["vertex"], **tables)
 
 
 # member dtype and timestamp of a complex archive; a fixed timestamp (the
@@ -367,6 +384,11 @@ def _read_instance(src: Path, n_edges: int) -> dict[str, np.ndarray]:
 # fixed names of the original system's files, as in manifest["files"]["original"]
 ORIGINAL_FILES = ("original_A.mtx", "original_b.vec")
 
+# what each stored vector of a chain is rebuilt from: W from the matrix and
+# alpha, gamma from the matrix and the right-hand side
+REBUILT_FROM = {"weights": f"{ORIGINAL_FILES[0]} and the manifest's alpha",
+                "gamma": f"{ORIGINAL_FILES[0]} and {ORIGINAL_FILES[1]}"}
+
 
 def write_chain(out_dir, chain: ChainArtifacts) -> None:
     """Write the original system, the boundary problem and ``manifest.json``,
@@ -424,10 +446,10 @@ def read_chain(src) -> ChainArtifacts:
     deterministic ``reduce_chain`` of the original system at the manifest's
     eps and alpha.  The stored W and gamma must have one finite entry an
     edge, W none below 0, and then equal the rebuilt ones bit for bit; the
-    first entry that differs raises ``ArtifactError`` naming its file and
-    both values.  Opens ``manifest.json``, ``ORIGINAL_FILES`` and
-    the two vectors only; an original outside class G raises
-    ``MatrixClassError``."""
+    first entry that differs raises ``ArtifactError`` naming its file, both
+    values and what the vector is rebuilt from (``REBUILT_FROM``).  Opens
+    ``manifest.json``, ``ORIGINAL_FILES`` and the two vectors only; an
+    original outside class G raises ``MatrixClassError``."""
     src = Path(src)
     eps, alpha = read_manifest(src)
     a_name, b_name = ORIGINAL_FILES
@@ -440,6 +462,6 @@ def read_chain(src) -> ChainArtifacts:
         e = first_bit_difference(v, rebuilt)
         if e is not None:
             raise ArtifactError(f"{src / BOUNDARY_FILES[key]} holds {float(v[e])!r} at entry "
-                                f"{e}, but the chain rebuilt from {a_name} has "
+                                f"{e}, but the chain rebuilt from {REBUILT_FROM[key]} has "
                                 f"{float(rebuilt[e])!r} there")
     return chain

@@ -42,6 +42,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# values that ``_integer_exact`` rounds at a time
+_ROUNDING_BLOCK = 1 << 13
+
+
+def _integer_exact(vals: np.ndarray) -> bool:
+    """Every value is an integer that int64 holds (magnitude below 2^63).
+    The range is read off the two extremes, which are nan when any value
+    is, and the integrality a block at a time, so that no temporary is as
+    long as ``vals``."""
+    if not vals.size:
+        return True
+    if not (-2.0 ** 63 < vals.min() and vals.max() < 2.0 ** 63):
+        return False
+    return all(np.array_equal(part, np.rint(part))
+               for part in (vals[i:i + _ROUNDING_BLOCK]
+                            for i in range(0, vals.size, _ROUNDING_BLOCK)))
+
+
 class SparseMatrix:
     """An m x n sparse matrix, stored as one canonical scipy CSR.
 
@@ -70,9 +88,7 @@ class SparseMatrix:
         self._csr = csr
         self.n_rows, self.n_cols = csr.shape
         self.vals = csr.data
-        # |v| < 2^63 holds for no nan or inf and for every value an int64 holds
-        self.integer_exact = bool((np.abs(self.vals) < 2.0 ** 63).all()
-                                  and np.all(self.vals == np.rint(self.vals)))
+        self.integer_exact = _integer_exact(self.vals)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
@@ -102,17 +118,20 @@ class SparseMatrix:
         """The matrix whose column j holds ``vals[j]`` at the rows ``rows[j]``,
         for an (n_cols, k) array ``rows``, k entries a column, and ``vals``
         of its shape or broadcast to it.  The arrays are already a CSC, which
-        is converted to CSR once, with no COO in between; a row listed twice
-        in one column is summed.  Raises ``DimensionError`` for a row out of
-        range, as ``from_arrays`` does."""
+        is converted to CSR once, with no COO in between, in the dtype of
+        ``vals`` (int8 signs cost an eighth of float64 ones); only the CSR's
+        values are made float64.  A row listed twice in one column is
+        summed.  Raises ``DimensionError`` for a row out of range, as
+        ``from_arrays`` does."""
         rows = np.asarray(rows)
         n_cols, k = rows.shape
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise DimensionError(f"row index out of range for {n_rows} rows")
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), rows.shape)
-        csc = sp.csc_matrix((vals.ravel(), rows.ravel(), np.arange(n_cols + 1) * k),
-                            shape=(n_rows, n_cols))
-        return SparseMatrix(csc.tocsr())
+        vals = np.broadcast_to(np.asarray(vals), rows.shape)
+        csr = sp.csc_matrix((vals.ravel(), rows.ravel(), np.arange(n_cols + 1) * k),
+                            shape=(n_rows, n_cols)).tocsr()
+        csr.data = csr.data.astype(np.float64, copy=False)
+        return SparseMatrix(csr)
 
     @staticmethod
     def from_dense(a) -> "SparseMatrix":
@@ -467,17 +486,17 @@ def norm_product(M: SparseMatrix) -> int:
     """||M||_1 ||M||_inf of an integer-exact matrix, in integer arithmetic;
     it bounds sigma_max(M)^2, since ||M||_2^2 <= ||M||_1 ||M||_inf.
 
-    The column sums are a ``bincount`` of the stored entries' magnitudes
-    over their columns, and the row sums the steps of their running sum at
-    the CSR's row starts, with no copy of the matrix: every partial sum is
-    an integer, exact in float64 below 2^53.  Raises ``ValueError`` for a
-    matrix that is not integer-exact."""
+    The row and column sums are products of |M| with ones, |M| being the
+    stored CSR's index arrays with the entries' magnitudes, so the matrix
+    is not copied: every partial sum is an integer, exact in float64 below
+    2^53.  Raises ``ValueError`` for a matrix that is not integer-exact."""
     if not M.integer_exact:
         raise ValueError("matrix is not integer-exact")
-    csr, size = M.to_csr(), np.abs(M.vals)
-    rows = np.diff(np.concatenate(([0.0], np.cumsum(size)))[csr.indptr])
-    cols = np.bincount(csr.indices, weights=size, minlength=M.n_cols)
-    return int(cols.max(initial=0)) * int(rows.max(initial=0))
+    csr = M.to_csr()
+    size = sp.csr_matrix((np.abs(M.vals), csr.indices, csr.indptr), shape=M.shape)
+    cols = (size.T @ np.ones(M.n_rows)).max(initial=0)
+    rows = (size @ np.ones(M.n_cols)).max(initial=0)
+    return int(cols) * int(rows)
 
 
 # Shift of the Lanczos solve in ``gram_spectrum``: it makes

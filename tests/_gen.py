@@ -106,7 +106,7 @@ def _patch(n_vertices: int, triangles, cycles) -> Complex2:
     K = from_triangles(n_vertices, triangles)
     cycles = np.asarray(cycles, dtype=np.int64).reshape(-1, 3)
     tails, heads = cycles.ravel(), np.roll(cycles, -1, axis=1).ravel()
-    K.edge[_lookup(K, tails, heads)] = np.stack([tails, heads], axis=1)
+    K.edge[_lookup(K, [tails], [heads])[:, 0]] = np.stack([tails, heads], axis=1)
     return K
 
 

@@ -3,6 +3,7 @@ import filecmp
 import json
 import tempfile
 import time
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -322,8 +323,14 @@ def test_cli_replay_of_a_tampered_instance_is_one_line_error(tmp_path, name):
     e = int(np.flatnonzero(tampered != v)[0])
     assert _one_line_error(exc) == (
         f"error: {out / name} holds {float(tampered[e])!r} at entry {e}, but the chain "
-        f"rebuilt from original_A.mtx has {float(v[e])!r} there")
+        f"rebuilt from {REBUILT_FROM[name]} has {float(v[e])!r} there")
     assert not (out / "x.vec").exists()
+
+
+# what read_chain's message names as the source of each stored vector: W
+# is rebuilt from the matrix and alpha, gamma from the matrix and the rhs
+REBUILT_FROM = {"b2_W.npy": "original_A.mtx and the manifest's alpha",
+                "b2_gamma.npy": "original_A.mtx and original_b.vec"}
 
 
 def _rebuilt_error(path, tampered, v) -> str:
@@ -331,7 +338,33 @@ def _rebuilt_error(path, tampered, v) -> str:
     whose rebuilt value is ``v``."""
     e = int(np.flatnonzero(tampered.view(np.uint64) != v.view(np.uint64))[0])
     return (f"error: {path} holds {float(tampered[e])!r} at entry {e}, but the chain "
-            f"rebuilt from original_A.mtx has {float(v[e])!r} there")
+            f"rebuilt from {REBUILT_FROM[path.name]} has {float(v[e])!r} there")
+
+
+def test_cli_an_edited_rhs_is_named_in_one_error_line(tmp_path, capsys):
+    # W does not depend on b, so raising b's first entry by 1 leaves W as
+    # stored and changes gamma; the message used to name original_A.mtx
+    # alone, which was not edited
+    system = three_per_row_system(3, 5)
+    fileio.write_matrix(tmp_path / "A.mtx", system.A)
+    fileio.write_vector(tmp_path / "b.vec", system.b)
+    out = tmp_path / "out"
+    assert main(["reduce", "--matrix", str(tmp_path / "A.mtx"),
+                 "--rhs", str(tmp_path / "b.vec"), "--out-dir", str(out)]) == 0
+    b_path = out / fileio.ORIGINAL_FILES[1]
+    b = fileio.read_vector(b_path)
+    b[0] += 1.0
+    fileio.write_vector(b_path, b)
+    capsys.readouterr()
+    for argv in (["verify", "--dir", str(out)],
+                 ["solve", "--manifest", str(out), "--out-dir", str(out / "replay")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = _one_line_error(exc)
+        assert message.startswith(f"error: {out / 'b2_gamma.npy'} holds ")
+        assert "rebuilt from original_A.mtx and original_b.vec has" in message
+        assert capsys.readouterr().out == ""
+    assert not (out / "replay" / "x.vec").exists()
 
 
 def test_cli_verify_checks_w_against_the_path_weights(tmp_path, capsys):
@@ -511,6 +544,41 @@ def test_cli_verify_builds_d2_once(tmp_path, monkeypatch):
     calls.update(boundary_of_sides=0, _lookup=0)
     assert main(["verify", "--dir", str(out)]) == 1
     assert calls == {"boundary_of_sides": 1, "_lookup": 1}
+
+
+# what verify may hold above reduce at its peak: both peak inside the same
+# build of the chain (verify's inside read_chain), beside which the two
+# commands hold a few KB of their own (paths, the parsed manifest, argparse)
+PEAK_SLACK = 32 * 1024
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of ``main(argv)``, in bytes."""
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    return peak
+
+
+def test_cli_verify_peaks_no_higher_than_reduce(tmp_path, capsys):
+    # verify used to load the stored complex beside the rebuilt one and
+    # validate it, which took its peak to 7.8 MB against reduce's 4.8 MB on
+    # this system (24.7k triangles); it now holds one complex and lets what
+    # each line reads go, so no line rises above the rebuild of the chain
+    system = three_per_row_system(8, 40)
+    fileio.write_matrix(tmp_path / "A.mtx", system.A)
+    fileio.write_vector(tmp_path / "b.vec", system.b)
+    out = tmp_path / "out"
+    reduce = ["reduce", "--matrix", str(tmp_path / "A.mtx"), "--rhs", str(tmp_path / "b.vec"),
+              "--out-dir", str(out)]
+    verify = ["verify", "--dir", str(out)]
+    assert main(reduce) == 0 and main(verify) == 0  # imports and caches first
+    reduce_peak, verify_peak = _traced_peak(reduce), _traced_peak(verify)
+    assert verify_peak <= reduce_peak + PEAK_SLACK, (verify_peak, reduce_peak)
 
 
 def _tamper_complex(out, case: str) -> complex2.Complex2:

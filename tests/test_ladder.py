@@ -15,7 +15,7 @@ spec.loader.exec_module(ladder)
 
 FIELDS = {"n", "nnz", "triangles", "edges", "t_per_nnz", "stages_s", "build_s", "weights_s",
           "validate_s", "exact_checks_s", "build_peak_mb", "weights_peak_mb", "validate_peak_mb",
-          "write_s", "read_s", "solve_s",
+          "write_s", "read_s", "verify_peak_mb", "solve_s",
           "method", "fill", "ratio", "true_ratio", "certified", "max_weight", "peak_rss_mb"}
 
 
@@ -34,7 +34,7 @@ def test_ladder_prints_one_line_a_rung_with_every_field():
                  "read_s", "solve_s"):
         assert 0.0 < rung[name] < 60.0
     assert 0.0 < rung["build_peak_mb"] and 0.0 < rung["weights_peak_mb"]
-    assert 0.0 < rung["validate_peak_mb"]
+    assert 0.0 < rung["validate_peak_mb"] < rung["verify_peak_mb"]
     assert rung["peak_rss_mb"] > rung["validate_peak_mb"]
     assert rung["certified"] and rung["method"] in ("lu", "lu_colamd") and rung["fill"] > 0
     assert rung["ratio"] <= 1e-3 and rung["true_ratio"] <= 1e-3
