@@ -17,8 +17,8 @@ own.  A line holds:
 - ``stages_s``, ``build_s``, ``weights_s``, ``validate_s`` and
   ``exact_checks_s``: the wall time of ``to_zero_rowsum`` + ``to_pow2`` +
   ``gz2_to_da``, ``build_boundary_problem``, ``compute_edge_weights``,
-  ``validate`` and the certificate's two exact checks, each
-  the best of three untraced calls;
+  ``validate`` and the certificate's nullity identity, each the best of
+  three untraced calls;
 - ``build_peak_mb``, ``weights_peak_mb`` and ``validate_peak_mb``: the
   ``tracemalloc`` peak of ``build_boundary_problem``, of
   ``compute_edge_weights`` and of ``validate`` above what was held at the
@@ -90,22 +90,27 @@ def measure(n: int) -> dict:
     from lin2complex.complex2 import validate
     from lin2complex.da_reduce import gz2_to_da, to_pow2, to_zero_rowsum
     from lin2complex.fileio import read_chain, write_chain
-    from lin2complex.pipeline import ALPHA_CAP_DEFAULT, ChainArtifacts, solve_chain
+    from lin2complex.pipeline import reduce_chain, solve_chain
 
     def stages(system):
-        gz, gz_back = to_zero_rowsum(system)
-        gz2, gz2_back = to_pow2(gz)
-        return gz_back, gz2, gz2_back, gz2_to_da(gz2, alpha=1.0)[0]
+        return gz2_to_da(to_pow2(to_zero_rowsum(system)[0])[0], alpha=1.0)[0]
 
     system = three_per_row_system(SEED, n)
-    (gz_back, gz2, gz2_back, da), stages_s = _timed(stages, system)
-    problem, build_s = _timed(build_boundary_problem, da)
-    (_, problem.weights), weights_s = _timed(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
+    chain = reduce_chain(system, EPS)
+    problem = chain.problem
+    # each layer timed on its own; they must give the chain's problem
+    da, stages_s = _timed(stages, system)
+    timed, build_s = _timed(build_boundary_problem, da)
+    (_, weights), weights_s = _timed(compute_edge_weights, timed, chain.alpha)
+    if da != problem.da:
+        raise RuntimeError(f"rung {n}: the timed stages differ from the chain's")
+    if weights.tobytes() != problem.weights.tobytes():
+        raise RuntimeError(f"rung {n}: the timed weights differ from the chain's")
+    del da, timed, weights
     report, validate_s = _timed(validate, problem.K)
     certificate, exact_s = _timed(spectral_certificate, problem)
     if not (report.ok and certificate.ok):
-        raise RuntimeError(f"rung {n}: {report.violation or certificate.checks}")
-    chain = ChainArtifacts(system, gz_back, gz2, gz2_back, problem, EPS, ALPHA_CAP_DEFAULT)
+        raise RuntimeError(f"rung {n}: {report.violation or certificate.note}")
     (x, verdict), solve_s = _timed(solve_chain, chain)
     b = system.b
     true_ratio = float(np.linalg.norm(system.A.matvec(x) - b) / np.linalg.norm(b))
@@ -120,8 +125,8 @@ def measure(n: int) -> dict:
         _, read_s = _timed(read_chain, tmp)
         verify(tmp)  # its imports, before the traced pass
         tracemalloc.start()
-        build_peak = _traced_peak(build_boundary_problem, da)
-        weights_peak = _traced_peak(compute_edge_weights, problem, ALPHA_CAP_DEFAULT)
+        build_peak = _traced_peak(build_boundary_problem, problem.da)
+        weights_peak = _traced_peak(compute_edge_weights, problem, chain.alpha)
         validate_peak = _traced_peak(validate, problem.K)
         verify_peak = _traced_peak(verify, tmp)
         tracemalloc.stop()

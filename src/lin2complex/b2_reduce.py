@@ -6,8 +6,8 @@ relevant spheres by oriented tubes whose traversal direction encodes the
 coefficient sign.  The module also computes the general-case interior edge
 weights from shortest triangle paths, maps flows back to variable values,
 and certifies the operator in integer arithmetic without forming it
-densely: a norm product bounds its largest eigenvalue, and an identity with
-the source pattern proves that the two have one nullity.
+densely: an identity with the source pattern proves that the two have one
+nullity.
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ from .complex2 import (
     tube_cells,
 )
 from .da_reduce import WeightedDASystem
-from .sparse_core import (
-    DimensionError,
-    SparseMatrix,
-    norm_product,
-)
+from .sparse_core import DimensionError, SparseMatrix
 
 
 class ReductionError(ValueError):
@@ -524,44 +520,27 @@ class CertificateCheck:
     value: float
     bound: float
     ok: bool
-    note: str = ""
+    note: str
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    ok: bool
-    checks: tuple[CertificateCheck, ...]
+def spectral_certificate(problem: BoundaryProblem) -> CertificateCheck:
+    """Certify nullity(d2) = nullity(P), for P the source system's pattern,
+    in integer arithmetic and without forming d2 densely.
 
-    def __getitem__(self, name: str) -> CertificateCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
-    """Certify lambda_max(d2^T d2) <= 12 and nullity(d2) = nullity(P), for P
-    the source system's pattern, in integer arithmetic and without forming
-    d2 densely.
-
-    - lambda_max is the integer ||d2||_1 ||d2||_inf, a proof rather than an
-      estimate since ||M||_2^2 <= ||M||_1 ||M||_inf; three nonzeros a
-      column and at most four triangles an edge make it 12 at most.
-    - The nullity check is an identity.  With H the t x n indicator of the
-      triangle groups, every group is nonempty, d2 H is zero outside the
-      loop table, and each of equation q's loop edges carries row q of P:
-      one sparse product of d2's CSR with H's (t entries), less P placed on
-      the loop edges, all small integers, so the float sums are exact.  Given
-      ``validate(problem.K).ok`` and ``problem.d2 = boundary2(problem.K)``
-      (every interior edge in two triangles of opposite signs, each group
-      connected over interior edges), d2 f = 0 makes f = H x, and then
-      d2 H x = 0 exactly when P x = 0; H has full column rank (the layout
-      of ``build_boundary_problem`` gives every variable a nonempty group
-      and every equation a row of loops), so ker d2 = H ker P.  Its value is
-      the number of entries where the two differ, against a bound of 0.
+    The check is an identity.  With H the t x n indicator of the triangle
+    groups, every group is nonempty, d2 H is zero outside the loop table,
+    and each of equation q's loop edges carries row q of P: one sparse
+    product of d2's CSR with H's (t entries), less P placed on the loop
+    edges, all small integers, so the float sums are exact.  Given
+    ``validate(problem.K).ok`` and ``problem.d2 = boundary2(problem.K)``
+    (every interior edge in two triangles of opposite signs, each group
+    connected over interior edges), d2 f = 0 makes f = H x, and then
+    d2 H x = 0 exactly when P x = 0; H has full column rank (the layout of
+    ``build_boundary_problem`` gives every variable a nonempty group and
+    every equation a row of loops), so ker d2 = H ker P.  Its value is the
+    number of entries where the two differ, against a bound of 0.
     """
     K, d2, pattern = problem.K, problem.d2, problem.da.pattern_matrix()
-    lam_max = float(norm_product(d2))
     t = problem.n_triangles
     H = sp.csr_matrix((np.ones(t), K.tri_group, np.arange(t + 1)), shape=(t, problem.n_vars))
     placed = SparseMatrix.from_arrays(d2.n_rows, problem.n_vars, K.loops[pattern.rows].ravel(),
@@ -569,9 +548,5 @@ def spectral_certificate(problem: BoundaryProblem) -> CertificateReport:
     rest = SparseMatrix.from_scipy(d2.to_csr() @ H - placed.to_csr())
     mismatch = (f"d2 H minus the loop-placed pattern is {rest.vals[0]:g} at edge "
                 f"{rest.rows[0]}, variable {rest.cols[0]}" if rest.nnz else "")
-    checks = (
-        CertificateCheck("lambda_max", lam_max, 12.0, lam_max <= 12.0),
-        CertificateCheck("nullity", float(rest.nnz), 0.0, not mismatch,
-                         mismatch or "d2 H is the pattern on the loop edges and zero elsewhere"),
-    )
-    return CertificateReport(all(c.ok for c in checks), checks)
+    return CertificateCheck("nullity", float(rest.nnz), 0.0, not mismatch,
+                            mismatch or "d2 H is the pattern on the loop edges and zero elsewhere")

@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     """Rebuild the chain from the source (``read_chain``, which refuses a W
     or gamma other than the rebuilt one), then check the rest of the
-    directory against it: six lines, each ``[PASS]`` or ``[FAIL]``.  It
+    directory against it: five lines, each ``[PASS]`` or ``[FAIL]``.  It
     holds one complex: the stored one goes once it equals the rebuilt one,
     and what each line reads goes once the line prints, so that no check
     holds more than ``reduce`` does at its peak."""
@@ -145,9 +145,15 @@ def cmd_verify(args) -> int:
     # build gives a variable of h attachments 11h - 4 triangles (sum h = l1)
     # and the complex 33a + 63b - 6n edges, so t = 11 l1 - 4n <= 22 nnz,
     # m <= 33 nnz and d2 has 3t entries.  The first line passes only on the
-    # complex so built
-    for c in spectral_certificate(P).checks:
-        check(f"spectral {c.name}", c.ok, c.note or f"value {c.value:.6g} vs bound {c.bound:.6g}")
+    # complex so built.  Nor does lambda_max(d2^T d2) <= 12.  Where the
+    # complex and structure lines pass, validate has run on P.K and refused
+    # a repeated vertex and a duplicate edge, so each column of its d2 holds
+    # three +-1 entries (||d2||_1 = 3), and any edge outside 2 / 1 / 2-or-4
+    # triangles by kind, so a row holds at most four (||d2||_inf <= 4); the
+    # d2 line makes P.d2 that matrix, and ||d2||_2^2 <= ||d2||_1 ||d2||_inf
+    # <= 12
+    c = spectral_certificate(P)
+    check(f"spectral {c.name}", c.ok, c.note)
     return 0 if ok else 1
 
 

@@ -61,7 +61,8 @@ class BoundaryRouteReport:
 
 
 def _solve_route(K: Complex2, d, delta: float, route: str):
-    """One route solve; builds d2 once."""
+    """One route solve, on L1 for ``ROUTE_LAPLACIAN`` and on d2 d2^T
+    otherwise; builds d2 once."""
     d = np.asarray(d, dtype=np.float64).ravel()
     d2 = boundary2(K)
     if d.size != d2.n_rows:
@@ -69,10 +70,8 @@ def _solve_route(K: Complex2, d, delta: float, route: str):
     refuse_non_finite("the demand", d)
     if route == ROUTE_LAPLACIAN:
         op = laplacian1(K, d2).to_csr()
-    elif route == ROUTE_GRAM:
-        op = (d2.to_int_csr() @ d2.to_int_csr().T).astype(np.float64)
     else:
-        raise ValueError(f"unknown route {route!r}")
+        op = (d2.to_int_csr() @ d2.to_int_csr().T).astype(np.float64)
 
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:

@@ -26,7 +26,6 @@ from .b2_reduce import (
 )
 from .da_reduce import (
     GeneralSystem,
-    WeightedDASystem,
     gz2_to_da,
     map_da_solution_back,
     to_pow2,
@@ -56,10 +55,6 @@ class ChainArtifacts:
     problem: BoundaryProblem
     eps: float
     alpha: float
-
-    @property
-    def da(self) -> WeightedDASystem:
-        return self.problem.da
 
 
 def reduce_chain(sys: GeneralSystem, eps: float,

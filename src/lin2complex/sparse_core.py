@@ -12,14 +12,13 @@ projected residual against P b, the projection of b onto the column space
 from one tight column-equilibrated LSQR solve, the library's only LSQR);
 the positive definite factor of a positive semidefinite matrix plus a shift
 (``shifted_factor``), which the ``lap_solve`` routes refine with; and sparse
-spectral data: the integer norm bound on the largest eigenvalue, which the
-spectral certificate reads, and the low spectrum and nullity of an exact
-integer Gram matrix from shift-invert Lanczos over one ``shifted_factor``
-(``gram_spectrum``, the one place that decides which eigenvalues are zero),
-from which the ``lap_solve`` routes take their lambda_min.  The three
-symmetric factors share one SuperLU setting, ``SYMMETRIC_LU``; the maxflow
-Newton steps and ``least_squares`` keep pivoting.  ``spectral_summary`` is
-the dense reference for small matrices.
+spectral data: the low spectrum and nullity of an exact integer Gram matrix
+from shift-invert Lanczos over one ``shifted_factor`` (``gram_spectrum``,
+the one place that decides which eigenvalues are zero), from which the
+``lap_solve`` routes take their lambda_min.  The three symmetric factors
+share one SuperLU setting, ``SYMMETRIC_LU``; the maxflow Newton steps and
+``least_squares`` keep pivoting.  ``spectral_summary`` is the dense
+reference for small matrices.
 """
 
 from __future__ import annotations
@@ -480,23 +479,6 @@ def spectral_summary(A: SparseMatrix) -> SpectralSummary:
     rank = int(np.sum(s > max(A.n_rows, A.n_cols) * np.finfo(np.float64).eps * s[0]))
     sigma_min = float(s[rank - 1]) if rank > 0 else None
     return SpectralSummary(float(s[0]), sigma_min, rank)
-
-
-def norm_product(M: SparseMatrix) -> int:
-    """||M||_1 ||M||_inf of an integer-exact matrix, in integer arithmetic;
-    it bounds sigma_max(M)^2, since ||M||_2^2 <= ||M||_1 ||M||_inf.
-
-    The row and column sums are products of |M| with ones, |M| being the
-    stored CSR's index arrays with the entries' magnitudes, so the matrix
-    is not copied: every partial sum is an integer, exact in float64 below
-    2^53.  Raises ``ValueError`` for a matrix that is not integer-exact."""
-    if not M.integer_exact:
-        raise ValueError("matrix is not integer-exact")
-    csr = M.to_csr()
-    size = sp.csr_matrix((np.abs(M.vals), csr.indices, csr.indptr), shape=M.shape)
-    cols = (size.T @ np.ones(M.n_rows)).max(initial=0)
-    rows = (size @ np.ones(M.n_cols)).max(initial=0)
-    return int(cols) * int(rows)
 
 
 # Shift of the Lanczos solve in ``gram_spectrum``: it makes

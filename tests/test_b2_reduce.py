@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from lin2complex import b2_reduce, complex2, sparse_core
@@ -25,6 +26,7 @@ from lin2complex.sparse_core import SparseMatrix, least_squares
 import _gen
 from _gen import (
     bfs_edge_weights,
+    criterion11_systems,
     da_rows,
     dense_lstsq,
     dense_nullity,
@@ -427,9 +429,7 @@ def test_spectral_certificate_difference_chain():
     rng = np.random.default_rng(40)
     sys, b = random_da_instance(rng, 5, 3, p_average=0.0)
     P = reduce_da_to_b2(sys, b)
-    report = spectral_certificate(P)
-    assert report.ok
-    assert report["lambda_max"].value <= 12 + 1e-8
+    assert spectral_certificate(P).ok
 
 
 def test_spectral_certificate_rank_deficient():
@@ -437,8 +437,8 @@ def test_spectral_certificate_rank_deficient():
     rows = [difference_row(0, 1), difference_row(0, 1), difference_row(2, 3)]
     sys = plain_da_system(4, rows)
     P = reduce_da_to_b2(sys, np.array([1.0, 1.0, 0.0]))
-    report = spectral_certificate(P)
-    assert report.ok and report["nullity"].value == 0.0
+    check = spectral_certificate(P)
+    assert check.ok and check.value == 0.0
     nullity_a = dense_nullity(sys.pattern_matrix().to_dense())
     assert dense_nullity(P.d2.to_dense()) == nullity_a == 2
 
@@ -453,6 +453,52 @@ def test_lambda_max_quadratic_form():
         assert np.linalg.norm(d2 @ f) ** 2 <= 12 * np.linalg.norm(f) ** 2 * (1 + 1e-12)
 
 
+def _norm_product(d2: SparseMatrix) -> float:
+    """||d2||_1 ||d2||_inf, a bound on lambda_max(d2^T d2)."""
+    D = d2.to_csr()
+    return spla.norm(D, 1) * spla.norm(D, np.inf)
+
+
+def _with_a_triangle_on(K: complex2.Complex2, e: int) -> complex2.Complex2:
+    """K with one more triangle, on edge e and a new vertex, in a group of
+    its own; its two other sides are new boundary edges."""
+    u, v = K.edge[e].tolist()
+    w = K.n_vertices
+    return complex2.Complex2(w + 1, np.vstack([K.tri, [u, v, w]]),
+                             np.append(K.tri_group, K.tri_group.max() + 1),
+                             np.vstack([K.edge, [[v, w], [w, u]]]),
+                             np.append(K.kind, [complex2.BOUNDARY] * 2), K.loops)
+
+
+def test_validated_complexes_keep_lambda_max_at_most_12():
+    # verify prints no lambda_max line, as its structure and d2 lines prove
+    # it (see cli.cmd_verify): validate refuses a repeated vertex, so a
+    # column of d2 holds three +-1 entries, and any edge outside 2 / 1 /
+    # 2-or-4 triangles by kind, so a row holds at most four.  A triangle
+    # more on an interior edge or on a loop edge is a structure violation,
+    # even where it would keep the norm product at 12 or below
+    for system in [*criterion11_systems(), three_per_row_system(8, 40)]:
+        K = reduce_chain(system, 1e-3).problem.K
+        reports = [validate(K)]
+        assert reports[0].ok
+        count = np.diff(reports[0].d2.to_csr().indptr)
+        interior = int(np.argmax(K.kind == complex2.INTERIOR))
+        loop = int(np.argmax(np.where(K.kind == complex2.LOOP, count, -1)))  # its most triangles
+        for e in (interior, loop):
+            report = validate(_with_a_triangle_on(K, e))
+            kind = complex2.EDGE_KINDS[K.kind[e]]
+            assert report.violation == f"{kind} edge {e} lies in {count[e] + 1} triangles"
+            # 15 on a loop edge of four triangles: validate, not the build, bounds it
+            assert _norm_product(report.d2) == 3 * max(count.max(), count[e] + 1)
+            reports.append(report)
+        for report in reports:
+            if report.ok:
+                assert _norm_product(report.d2) in {6, 12}
+                if report.d2.n_cols <= 1500:
+                    D = report.d2.to_csr()
+                    assert np.linalg.eigvalsh((D.T @ D).toarray()).max() <= 12
+
+
 def test_spectral_certificate_agrees_with_dense():
     rng = np.random.default_rng(42)
     rows = [difference_row(0, 1), difference_row(0, 1), difference_row(2, 3)]
@@ -462,12 +508,9 @@ def test_spectral_certificate_agrees_with_dense():
     for sys, b in corpus:
         P = reduce_da_to_b2(sys, b)
         assert P.n_triangles <= 2000
-        report = spectral_certificate(P)
-        d2 = P.d2.to_dense()
-        assert report.ok and report["nullity"].value == 0.0
-        assert dense_nullity(d2) == dense_nullity(sys.pattern_matrix().to_dense())
-        # the integer bound is exact; the dense value carries rounding
-        assert report["lambda_max"].value >= np.linalg.norm(d2, 2) ** 2 * (1 - 1e-12)
+        check = spectral_certificate(P)
+        assert check.ok and check.value == 0.0
+        assert dense_nullity(P.d2.to_dense()) == dense_nullity(sys.pattern_matrix().to_dense())
 
 
 def test_spectral_certificate_fails_on_nullity_mismatch():
@@ -478,13 +521,13 @@ def test_spectral_certificate_fails_on_nullity_mismatch():
     full = plain_da_system(4, [difference_row(0, 1), difference_row(1, 2),
                                difference_row(2, 3)])
     P = dataclasses.replace(reduce_da_to_b2(deficient, np.array([1.0, 1.0, 0.0])), da=full)
-    report = spectral_certificate(P)
-    assert not report.ok and not report["nullity"].ok
+    check = spectral_certificate(P)
+    assert not check.ok
     # the entries where the dense d2 H and the pattern on the loop edges differ
     rest = P.d2.to_dense() @ group_indicator(P)
     rest[P.K.loops] -= P.da.pattern_matrix().to_dense()[:, None, :]
-    assert report["nullity"].value == np.count_nonzero(rest) > 0
-    assert report["nullity"].bound == 0.0
+    assert check.value == np.count_nonzero(rest) > 0
+    assert check.bound == 0.0
 
 
 def test_spectral_certificate_reports_a_nullity_beyond_k():
@@ -504,10 +547,9 @@ def test_spectral_certificate_reports_a_nullity_beyond_k():
 def test_spectral_certificate_at_ladder_scale():
     problem = reduce_chain(three_per_row_system(120, 40), 1e-3).problem
     assert problem.n_triangles > 20_000
-    report = spectral_certificate(problem)
-    assert report.ok
-    assert report["nullity"].value == 0.0
-    assert report["lambda_max"].value == 12.0
+    check = spectral_certificate(problem)
+    assert check.ok
+    assert check.value == 0.0
 
 
 @pytest.fixture
@@ -522,10 +564,10 @@ def no_lanczos(monkeypatch):
 def test_spectral_certificate_stands_when_lanczos_fails(no_lanczos):
     # the verdict is exact and reads no eigenvalue
     sys, b = single_difference()
-    report = spectral_certificate(reduce_da_to_b2(sys, b))
-    assert report.ok and report["lambda_max"].ok and report["nullity"].ok
-    assert report["nullity"].note == "d2 H is the pattern on the loop edges and zero elsewhere"
-    assert (report["nullity"].value, report["nullity"].bound) == (0.0, 0.0)
+    check = spectral_certificate(reduce_da_to_b2(sys, b))
+    assert check.ok and check.name == "nullity"
+    assert check.note == "d2 H is the pattern on the loop edges and zero elsewhere"
+    assert (check.value, check.bound) == (0.0, 0.0)
 
 
 def _deficient_with_full_da():
@@ -552,15 +594,15 @@ def _with_a_flipped_triangle():
 @pytest.mark.parametrize("build", [_deficient_with_full_da, _with_a_flipped_triangle])
 def test_nullity_identity_fails_without_lanczos(no_lanczos, build):
     P = build()
-    report = spectral_certificate(P)
-    assert not report.ok and not report["nullity"].ok and report["lambda_max"].ok
+    check = spectral_certificate(P)
+    assert not check.ok
     # the first nonzero of the dense d2 H minus the pattern on the loop edges
     rest = P.d2.to_dense() @ group_indicator(P)
     rest[P.K.loops] -= P.da.pattern_matrix().to_dense()[:, None, :]
     edge, var = np.argwhere(rest)[0]
-    assert report["nullity"].note == (f"d2 H minus the loop-placed pattern is "
-                                      f"{rest[edge, var]:g} at edge {edge}, variable {var}")
-    assert report["nullity"].value == np.count_nonzero(rest)
+    assert check.note == (f"d2 H minus the loop-placed pattern is "
+                          f"{rest[edge, var]:g} at edge {edge}, variable {var}")
+    assert check.value == np.count_nonzero(rest)
 
 
 def test_nullity_identity_needs_a_group_for_every_variable():

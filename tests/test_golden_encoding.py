@@ -68,8 +68,8 @@ def test_golden_encoding(name):
     K = P.K
 
     assert validate(K).ok
-    pattern = chain.da.pattern_matrix()
-    assert P.n_triangles == int(round(11 * np.sum(np.abs(pattern.vals)) - 4 * chain.da.n_vars))
+    pattern = P.da.pattern_matrix()
+    assert P.n_triangles == int(round(11 * np.sum(np.abs(pattern.vals)) - 4 * P.da.n_vars))
     prod = boundary1(K).to_int_csr() @ P.d2.to_int_csr()
     prod.eliminate_zeros()
     assert prod.nnz == 0

@@ -60,8 +60,6 @@ def test_non_finite_values_are_not_integer_exact(tmp_path, value):
     assert not A.integer_exact
     with pytest.raises(ValueError, match="not integer-exact"):
         A.to_int_csr()
-    with pytest.raises(ValueError, match="not integer-exact"):
-        sparse_core.norm_product(A)
     from lin2complex import fileio
 
     path = tmp_path / "A.mtx"
@@ -158,26 +156,6 @@ def test_from_columns_rejects_a_row_out_of_range():
     for rows in ([[0, 3]], [[-1, 0]]):
         with pytest.raises(DimensionError, match="row index out of range for 3 rows"):
             SparseMatrix.from_columns(3, rows, (-1.0, 1.0))
-
-
-def _norm_product_by_int_csr(M: SparseMatrix) -> int:
-    """The formula ``norm_product`` used before it read the stored arrays."""
-    D = abs(M.to_int_csr())
-    return int(D.sum(axis=0).max()) * int(D.sum(axis=1).max())
-
-
-def test_norm_product_is_the_int_csr_formula():
-    d2s = [reduce_chain(s, 1e-3).problem.d2 for s in criterion11_systems()]
-    d2s += [reduce_chain(three_per_row_system(8, n), 1e-3).problem.d2 for n in (6, 40)]
-    rng = np.random.default_rng(4)
-    sparse_ints = rng.integers(-9, 10, size=(7, 5)) * (rng.random((7, 5)) < 0.4)
-    others = [SparseMatrix.from_dense(sparse_ints), SparseMatrix.from_dense(DISK_D2),
-              SparseMatrix.from_arrays(4, 3, [1], [2], [-5.0])]
-    for M in d2s + others:
-        assert sparse_core.norm_product(M) == _norm_product_by_int_csr(M)
-    assert {sparse_core.norm_product(d2) for d2 in d2s} <= {6, 12}  # three a column, 2 or 4 a row
-    with pytest.raises(ValueError, match="not integer-exact"):
-        sparse_core.norm_product(SparseMatrix.from_dense([[0.5, 1.0]]))
 
 
 def test_matvec_identity():
